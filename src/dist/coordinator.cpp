@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fcntl.h>
@@ -11,161 +12,146 @@
 #include <optional>
 #include <poll.h>
 #include <sstream>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
 #include "dse/cache.hpp"
 #include "phase/multi_design.hpp"
-#include "protocol.hpp"
 #include "remote.hpp"
+#include "serve/jobwire.hpp"
 #include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "util/cancel.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
-#include "worker.hpp"
 
 namespace minnoc::dist {
 
 namespace {
 
+using serve::WorkerMsg;
+
 /** Scheduler tick; also the cancellation-polling period. */
 constexpr int kPollMs = 100;
 /** SIGTERM -> SIGKILL drain window on cancellation. */
 constexpr std::int64_t kDrainUs = 2'000'000;
-/** Requests kept in flight per remote lane (pipelined dispatch). */
-constexpr std::size_t kRemoteWindow = 8;
+/** Requests kept in flight per lane (pipelined dispatch). */
+constexpr std::size_t kWindow = 8;
 
-/** One lane — a forked pipe worker or a remote daemon connection. */
+/** One lane: a forked serve loop or a remote daemon connection. */
 struct WorkerProc
 {
-    pid_t pid = -1; ///< forked lanes only
-    int fd = -1;    ///< pipe read end / socket (non-blocking); -1 = reaped
-    FrameBuffer frames;  ///< pipe lanes: netstring decoder
-    std::string lineBuf; ///< remote lanes: NDJSON reply buffer
+    pid_t pid = -1; ///< forked lanes only; -1 once reaped
+    int fd = -1;    ///< socket (non-blocking); -1 = closed
+    int hostIdx = -1; ///< index into DistOptions::hosts; -1 = forked
+    std::string lineBuf; ///< NDJSON reply buffer
     /** Assigned jobs not yet resulted (dispatched or queued). */
     std::vector<std::uint32_t> pending;
-    /** Remote lanes: assigned jobs not yet sent (dispatch window). */
+    /** Assigned jobs not yet sent (dispatch window); ⊆ pending. */
     std::deque<std::uint32_t> unsent;
     std::uint32_t attempt = 1;
     std::int64_t lastActivityUs = 0;
-    bool remote = false;
-    int hostIdx = -1; ///< index into DistOptions::hosts
-    bool doneSeen = false;
     bool timedOut = false;
-    std::string errorText; ///< from an `error` frame, "code: message"
+    std::string errorText; ///< "code: message" of the first failure
+
+    bool remote() const { return hostIdx >= 0; }
 };
 
-using RequestBuilder = std::function<std::string(
-    std::uint32_t slot, std::uint32_t attempt,
-    const std::vector<std::uint32_t> &jobs)>;
-/** One serve request line (newline-terminated) for one job. */
-using RemoteJobBuilder = std::function<std::string(
-    std::uint32_t job, std::uint32_t attempt)>;
-using ResultHandler =
-    std::function<void(const WorkerMsg &msg, std::uint32_t slot)>;
+/**
+ * One serve request line for one job, up to (not including) the
+ * `deadline_ms` and `trace` fields, which runShards appends.
+ */
+using JobBuilder = std::function<std::string(std::uint32_t job,
+                                             std::uint32_t attempt)>;
+using ResultHandler = std::function<void(const WorkerMsg &msg)>;
 
-/** Restore the previous SIGPIPE disposition on scope exit. */
-class SigpipeGuard
+/** A forked lane's server, for its SIGINT/SIGTERM handler. */
+serve::Server *gLaneServer = nullptr;
+
+extern "C" void
+onLaneSignal(int)
 {
-  public:
-    SigpipeGuard() : _prev(std::signal(SIGPIPE, SIG_IGN)) {}
-    ~SigpipeGuard() { std::signal(SIGPIPE, _prev); }
+    if (gLaneServer)
+        gLaneServer->requestStop(); // async-signal-safe
+}
 
-  private:
-    using Handler = void (*)(int);
-    Handler _prev;
-};
+/**
+ * Aim a chaos hook (MINNOC_DIST_TEST_CRASH/HANG) at this forked
+ * child's serve loop: a hook naming slot @p slot becomes the daemon
+ * spelling "serve"; any other value, "serve" included (that one
+ * targets daemons only), is disarmed.
+ */
+void
+retargetHook(const char *env, std::uint32_t slot)
+{
+    const char *v = std::getenv(env);
+    if (v && std::string(v) == std::to_string(slot))
+        ::setenv(env, "serve", 1);
+    else
+        ::unsetenv(env);
+}
 
+/**
+ * Config of a forked lane's server: one job at a time on one thread,
+ * the run's own disk cache, no per-request deadline (the coordinator's
+ * activity timeout is the only bound on a forked lane), and no drain
+ * grace, so the coordinator's SIGTERM cancels the running job at once.
+ */
+serve::ServerConfig
+forkedLaneConfig(const std::string &cacheDir, bool useCache)
+{
+    serve::ServerConfig cfg;
+    cfg.workers = 1;
+    cfg.innerThreads = 1;
+    cfg.cacheDir = cacheDir;
+    cfg.useCache = useCache;
+    cfg.defaultDeadlineMs = 0;
+    cfg.drainMs = 0;
+    return cfg;
+}
+
+/**
+ * Fork a local lane: the child serves its end of a socketpair with a
+ * serve::Server until the coordinator closes the other end, then
+ * exits 0. The child closes every sibling lane's socket first — a
+ * copy held open there would hide that lane's EOF from its peer.
+ */
 WorkerProc
-spawnWorker(std::uint32_t slot, std::uint32_t attempt,
-            const std::vector<std::uint32_t> &jobs,
-            const RequestBuilder &makeRequest)
+forkLane(std::uint32_t slot, const serve::ServerConfig &laneConfig,
+         const std::vector<WorkerProc> &siblings)
 {
-    const std::string request = makeRequest(slot, attempt, jobs);
-    int req[2];
-    int res[2];
-    if (::pipe(req) != 0 || ::pipe(res) != 0)
-        fatal("dist: pipe: ", std::strerror(errno));
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+        fatal("dist: socketpair: ", std::strerror(errno));
     const pid_t pid = ::fork();
     if (pid < 0)
         fatal("dist: fork: ", std::strerror(errno));
     if (pid == 0) {
-        // Child: only its own pipe ends stay open. Inherited read ends
-        // of sibling result pipes are harmless (they never block EOF);
-        // write ends were already closed in the parent before this
-        // fork, so no sibling can keep another worker's pipe alive.
-        ::close(req[1]);
-        ::close(res[0]);
-        ::_exit(runWorker(req[0], res[1]));
+        ::close(sv[0]);
+        for (const auto &s : siblings)
+            if (s.fd >= 0)
+                ::close(s.fd);
+        retargetHook("MINNOC_DIST_TEST_CRASH", slot);
+        retargetHook("MINNOC_DIST_TEST_HANG", slot);
+        serve::Server server(laneConfig);
+        gLaneServer = &server;
+        std::signal(SIGINT, onLaneSignal);
+        std::signal(SIGTERM, onLaneSignal);
+        std::signal(SIGPIPE, SIG_IGN); // stray stdio on a closed pipe
+        std::string err;
+        ::_exit(server.serveConnection(sv[1], err) ? 0 : 1);
     }
-    ::close(req[0]);
-    ::close(res[1]);
-    // Exactly one request frame, then EOF: the worker's whole input.
-    // A write failure means the child died instantly; the reaper will
-    // pick the corpse up through the result pipe's EOF.
-    (void)writeFrame(req[1], request);
-    ::close(req[1]);
-    const int flags = ::fcntl(res[0], F_GETFL, 0);
-    ::fcntl(res[0], F_SETFL, flags | O_NONBLOCK);
-
+    ::close(sv[1]);
     WorkerProc w;
     w.pid = pid;
-    w.fd = res[0];
-    w.pending = jobs;
-    w.attempt = attempt;
-    w.lastActivityUs = CancelToken::nowUs();
+    w.fd = sv[0];
     return w;
 }
 
 /**
- * Open a remote lane: connect (with backoff) and dispatch the first
- * kRemoteWindow job requests; the rest queue in `unsent` and flow as
- * results land, so the daemon always has work without a failure
- * losing more than a window's worth of in-flight requests. A lane
- * that cannot connect or send is returned born dead (fd == -1,
- * errorText set) for the caller to route through the failure path.
- */
-WorkerProc
-spawnRemoteLane(int hostIdx, const HostSpec &host,
-                std::uint32_t attempt,
-                const std::vector<std::uint32_t> &jobs,
-                const RemoteJobBuilder &makeJob)
-{
-    WorkerProc w;
-    w.remote = true;
-    w.hostIdx = hostIdx;
-    w.attempt = attempt;
-    w.pending = jobs;
-    w.lastActivityUs = CancelToken::nowUs();
-
-    std::string err;
-    const int fd = connectHost(host, err);
-    if (fd < 0) {
-        w.errorText = err;
-        return w;
-    }
-    const std::size_t window = std::min(jobs.size(), kRemoteWindow);
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-        if (k < window) {
-            if (!sendAll(fd, makeJob(jobs[k], attempt))) {
-                w.errorText = "send " + host.label() + ": " +
-                              std::strerror(errno);
-                ::close(fd);
-                return w;
-            }
-        } else {
-            w.unsent.push_back(jobs[k]);
-        }
-    }
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    w.fd = fd;
-    return w;
-}
-
-/**
- * SIGTERM forked workers, give kDrainUs to exit, SIGKILL stragglers.
+ * SIGTERM forked lanes, give kDrainUs to exit, SIGKILL stragglers.
  * Remote lanes just close: the daemon's reader sees EOF and
  * Disconnect-cancels every in-flight job, so a Ctrl-C here leaves no
  * orphaned work on any host.
@@ -174,18 +160,16 @@ void
 terminateAll(std::vector<WorkerProc> &procs)
 {
     for (auto &w : procs) {
-        if (w.remote) {
-            if (w.fd >= 0) {
-                ::close(w.fd);
-                w.fd = -1;
-            }
-        } else if (w.fd >= 0 && w.pid > 0) {
+        if (w.pid > 0)
             ::kill(w.pid, SIGTERM);
+        else if (w.fd >= 0) {
+            ::close(w.fd);
+            w.fd = -1;
         }
     }
     const std::int64_t deadline = CancelToken::nowUs() + kDrainUs;
     for (auto &w : procs) {
-        if (w.fd < 0 || w.pid <= 0)
+        if (w.pid <= 0)
             continue;
         int status = 0;
         for (;;) {
@@ -199,7 +183,8 @@ terminateAll(std::vector<WorkerProc> &procs)
             }
             ::usleep(20'000);
         }
-        ::close(w.fd);
+        if (w.fd >= 0)
+            ::close(w.fd);
         w.fd = -1;
         w.pid = -1;
     }
@@ -216,23 +201,26 @@ describeExit(int status)
 }
 
 /**
- * Drive every lane to completion: poll pipe and socket fds, dispatch
- * result documents, reap crashed/hung lanes and requeue their
- * unfinished jobs (at most once per shard) onto a surviving remote
- * host or a fresh forked worker. Throws CancelledError when @p cancel
- * fires, std::runtime_error when a shard fails twice.
+ * Drive every lane to completion: send each lane its jobs as
+ * `dse_job`/`phase_job` request lines (at most kWindow in flight),
+ * poll the sockets, dispatch the result documents, reap crashed or
+ * hung lanes and requeue their unfinished jobs (at most once per
+ * shard) onto a surviving remote host or a fresh forked lane. The
+ * leading shards go to DistOptions::hosts, the rest to forked lanes.
+ * Throws CancelledError when @p cancel fires, std::runtime_error when
+ * a shard fails twice.
  */
 void
 runShards(const std::vector<std::vector<std::uint32_t>> &shards,
           const DistOptions &options, const CancelToken *cancel,
-          const RequestBuilder &makeRequest,
-          const RemoteJobBuilder &makeJob, const ResultHandler &onResult,
-          DistStats &stats, obs::TraceEventLog *traceLog,
-          const char *jobLabel)
+          const serve::ServerConfig &laneConfig,
+          const std::string &traceText, const JobBuilder &makeJob,
+          const ResultHandler &onResult, DistStats &stats,
+          obs::TraceEventLog *traceLog, const char *jobLabel)
 {
-    SigpipeGuard sigpipe;
-    const std::int64_t timeoutUs =
-        std::max<std::int64_t>(options.workerTimeoutMs, 1) * 1000;
+    const std::int64_t timeoutMs =
+        std::max<std::int64_t>(options.workerTimeoutMs, 1);
+    const std::string traceJson = serve::jsonEscape(traceText);
     const auto &hosts = options.hosts;
     const std::size_t remoteLanes =
         std::min(hosts.size(), shards.size());
@@ -241,33 +229,74 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
     std::vector<char> hostDead(hosts.size(), 0);
 
     std::vector<WorkerProc> procs;
-    /** hostIdx >= 0: remote lane on hosts[hostIdx]; -1: forked. */
+
+    // Remote lanes forward the activity timeout as the request
+    // deadline (within the protocol's ceiling); a forked lane's server
+    // has no deadline of its own.
+    const std::string deadlineField =
+        ", \"deadline_ms\": " +
+        std::to_string(std::min(timeoutMs, serve::kMaxDeadlineMs));
+    const auto sendJob = [&](const WorkerProc &w, std::uint32_t job) {
+        std::string line = makeJob(job, w.attempt);
+        if (w.remote())
+            line += deadlineField;
+        line += ", \"trace\": \"" + traceJson + "\"}\n";
+        return sendAll(w.fd, line);
+    };
+
+    /**
+     * Open a lane (hostIdx >= 0: remote on hosts[hostIdx]; -1: forked)
+     * and send the first kWindow jobs; the rest queue in `unsent` and
+     * flow as results land, so a lane always has work without a
+     * failure losing more than a window of in-flight requests. A lane
+     * that cannot connect or send is left born dead (fd == -1,
+     * errorText set) for the caller to route through reap().
+     */
     const auto addSlot = [&](const std::vector<std::uint32_t> &jobs,
                              std::uint32_t attempt, int hostIdx) {
         const auto slot = static_cast<std::uint32_t>(procs.size());
-        if (hostIdx >= 0)
-            procs.push_back(
-                spawnRemoteLane(hostIdx,
-                                hosts[static_cast<std::size_t>(hostIdx)],
-                                attempt, jobs, makeJob));
-        else
-            procs.push_back(
-                spawnWorker(slot, attempt, jobs, makeRequest));
+        WorkerProc w;
+        std::string label;
+        if (hostIdx >= 0) {
+            const auto &host = hosts[static_cast<std::size_t>(hostIdx)];
+            label = host.label();
+            w.fd = connectHost(host, w.errorText);
+        } else {
+            w = forkLane(slot, laneConfig, procs);
+        }
+        w.hostIdx = hostIdx;
+        w.attempt = attempt;
+        w.pending = jobs;
+        w.unsent.assign(jobs.begin(), jobs.end());
+        w.lastActivityUs = CancelToken::nowUs();
+        const std::size_t window = std::min(jobs.size(), kWindow);
+        for (std::size_t k = 0; k < window && w.fd >= 0; ++k) {
+            if (!sendJob(w, w.unsent.front())) {
+                w.errorText = "send" +
+                              (label.empty() ? "" : " " + label) +
+                              ": " + std::strerror(errno);
+                ::close(w.fd);
+                w.fd = -1;
+                break;
+            }
+            w.unsent.pop_front();
+        }
+        if (w.fd >= 0) {
+            const int flags = ::fcntl(w.fd, F_GETFL, 0);
+            ::fcntl(w.fd, F_SETFL, flags | O_NONBLOCK);
+        }
+        procs.push_back(std::move(w));
         stats.jobs.push_back(0);
         stats.cacheHits.push_back(0);
         stats.wallUsSum.push_back(0);
-        stats.hostOf.push_back(
-            hostIdx >= 0
-                ? hosts[static_cast<std::size_t>(hostIdx)].label()
-                : "");
+        stats.hostOf.push_back(label);
         stats.workers = static_cast<std::uint32_t>(procs.size());
         if constexpr (obs::kEnabled) {
             if (traceLog)
                 traceLog->threadName(
                     obs::kPidDist, slot,
-                    hostIdx >= 0
-                        ? "host " + stats.hostOf.back()
-                        : "worker " + std::to_string(slot));
+                    hostIdx >= 0 ? "host " + label
+                                 : "worker " + std::to_string(slot));
         }
         return slot;
     };
@@ -278,22 +307,25 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
     std::function<void(std::uint32_t)> reap =
         [&](std::uint32_t slot) {
         auto &w = procs[slot];
+        const bool finished =
+            w.pending.empty() && w.errorText.empty() && !w.timedOut;
         if (w.fd >= 0) {
             ::close(w.fd);
             w.fd = -1;
         }
         int status = 0;
-        if (!w.remote) {
+        if (w.pid > 0) {
+            // A finished lane exits on the EOF just sent; any other
+            // is off the rails (or hung) and is stopped now.
+            if (!finished)
+                ::kill(w.pid, SIGKILL);
             ::waitpid(w.pid, &status, 0);
             w.pid = -1;
         }
 
         const bool clean =
-            w.pending.empty() && w.unsent.empty() &&
-            w.errorText.empty() && !w.timedOut &&
-            (w.remote ? true
-                      : w.doneSeen && WIFEXITED(status) &&
-                            WEXITSTATUS(status) == 0);
+            finished && (w.remote() || (WIFEXITED(status) &&
+                                        WEXITSTATUS(status) == 0));
         if (clean)
             return;
 
@@ -302,33 +334,27 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             reason = "timeout";
         else if (!w.errorText.empty())
             reason = w.errorText;
-        else if (!w.remote && w.doneSeen && !w.pending.empty())
-            reason = "protocol: done with " +
-                     std::to_string(w.pending.size()) + " jobs pending";
-        else if (w.remote)
+        else if (w.remote())
             reason = "connection closed";
         else
             reason = describeExit(status);
 
         // Lost work: results never arrive for dispatched-but-unfinished
-        // jobs (pending) nor for the queued window tail (unsent ⊆
-        // pending for remote lanes; empty for forked ones).
+        // jobs nor for the queued window tail (both are in pending).
         std::vector<std::uint32_t> lost = w.pending;
         std::sort(lost.begin(), lost.end());
 
-        if (w.remote && w.hostIdx >= 0)
-            hostDead[static_cast<std::size_t>(w.hostIdx)] = 1;
-
         WorkerFailure failure;
         failure.worker = slot;
-        if (w.remote && w.hostIdx >= 0)
-            failure.host =
-                hosts[static_cast<std::size_t>(w.hostIdx)].label();
+        if (w.remote()) {
+            hostDead[static_cast<std::size_t>(w.hostIdx)] = 1;
+            failure.host = stats.hostOf[slot];
+        }
         failure.reason = reason;
         failure.requeuedJobs = lost;
         stats.failures.push_back(failure);
-        warn("dist: ", w.remote ? "host lane " : "worker ", slot,
-             w.remote ? " (" + failure.host + ")" : std::string(),
+        warn("dist: ", w.remote() ? "host lane " : "worker ", slot,
+             w.remote() ? " (" + failure.host + ")" : std::string(),
              " failed (", reason, "), ", lost.size(),
              " job(s) to requeue");
 
@@ -345,7 +371,7 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
         w.unsent.clear();
 
         // Requeue onto the first surviving host, else a forked local
-        // worker — the run converges as long as one backend exists.
+        // lane — the run converges as long as one backend exists.
         int target = -1;
         for (std::size_t h = 0; h < hosts.size(); ++h) {
             if (!hostDead[h]) {
@@ -354,79 +380,61 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             }
         }
         const auto fresh = addSlot(lost, nextAttempt, target);
-        if (procs[fresh].remote && procs[fresh].fd < 0)
+        if (procs[fresh].fd < 0)
             reap(fresh); // born dead (connect/send failed): recurse
     };
 
-    // Shared Result/Done/Error handling for both wire formats. On a
-    // protocol violation errorText gets a "protocol: " prefix, which
-    // the pipe path translates into SIGKILL.
+    // One result document. On a protocol violation errorText gets a
+    // "protocol: " prefix and the lane is reaped.
     const auto dispatch = [&](std::uint32_t slot,
                               const WorkerMsg &msg) {
         auto &w = procs[slot];
         w.lastActivityUs = CancelToken::nowUs();
-        switch (msg.kind) {
-        case WorkerMsg::Kind::Result: {
-            const auto it = std::find(w.pending.begin(),
-                                      w.pending.end(), msg.index);
-            if (it == w.pending.end()) {
-                w.errorText = "protocol: unexpected result for job " +
-                              std::to_string(msg.index);
-                break;
-            }
-            w.pending.erase(it);
-            ++stats.jobs[slot];
-            if (msg.cached)
-                ++stats.cacheHits[slot];
-            stats.wallUsSum[slot] += msg.wallUs;
-            if constexpr (obs::kEnabled) {
-                if (traceLog) {
-                    const std::int64_t arrival = obs::wallMicros();
-                    traceLog->complete(
-                        std::string(jobLabel) + " " +
-                            std::to_string(msg.index),
-                        obs::kPidDist, slot, arrival - msg.wallUs,
-                        std::max<std::int64_t>(msg.wallUs, 1),
-                        "\"cached\": " +
-                            std::string(msg.cached ? "true" : "false"));
-                }
-            }
-            onResult(msg, slot);
-            // Keep the remote window full; an empty pending set is
-            // this lane's `done`.
-            if (w.remote) {
-                if (!w.unsent.empty()) {
-                    const auto next = w.unsent.front();
-                    if (sendAll(w.fd, makeJob(next, w.attempt)))
-                        w.unsent.pop_front();
-                    else
-                        w.errorText = std::string("send: ") +
-                                      std::strerror(errno);
-                } else if (w.pending.empty()) {
-                    w.doneSeen = true;
-                }
-            }
-            break;
+        const auto it =
+            std::find(w.pending.begin(), w.pending.end(), msg.index);
+        if (it == w.pending.end()) {
+            w.errorText = "protocol: unexpected result for job " +
+                          std::to_string(msg.index);
+            return;
         }
-        case WorkerMsg::Kind::Done:
-            w.doneSeen = true;
-            break;
-        case WorkerMsg::Kind::Error:
-            w.errorText = msg.code + ": " + msg.message;
-            break;
+        w.pending.erase(it);
+        ++stats.jobs[slot];
+        if (msg.cached)
+            ++stats.cacheHits[slot];
+        stats.wallUsSum[slot] += msg.wallUs;
+        if constexpr (obs::kEnabled) {
+            if (traceLog) {
+                const std::int64_t arrival = obs::wallMicros();
+                traceLog->complete(
+                    std::string(jobLabel) + " " +
+                        std::to_string(msg.index),
+                    obs::kPidDist, slot, arrival - msg.wallUs,
+                    std::max<std::int64_t>(msg.wallUs, 1),
+                    "\"cached\": " +
+                        std::string(msg.cached ? "true" : "false"));
+            }
+        }
+        onResult(msg);
+        // Keep the window full.
+        if (!w.unsent.empty()) {
+            if (sendJob(w, w.unsent.front()))
+                w.unsent.pop_front();
+            else
+                w.errorText =
+                    std::string("send: ") + std::strerror(errno);
         }
     };
 
     for (std::size_t i = 0; i < shards.size(); ++i)
         addSlot(shards[i], 1,
                 i < remoteLanes ? static_cast<int>(i) : -1);
-    // Route lanes that never connected through the failure path now.
+    // Route lanes that were born dead through the failure path now.
     // (pending nonempty distinguishes an unprocessed born-dead lane
     // from one reap() already requeued recursively.)
     for (std::uint32_t i = 0;
          i < static_cast<std::uint32_t>(procs.size()); ++i)
-        if (procs[i].remote && procs[i].fd < 0 &&
-            !procs[i].errorText.empty() && !procs[i].pending.empty())
+        if (procs[i].fd < 0 && !procs[i].errorText.empty() &&
+            !procs[i].pending.empty())
             reap(i);
 
     while (true) {
@@ -455,111 +463,64 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             const std::uint32_t slot = slotOf[k];
-            if (procs[slot].fd < 0)
+            auto &w = procs[slot];
+            if (w.fd < 0)
                 continue; // already reaped this tick
 
             bool eof = false;
             char buf[65536];
             for (;;) {
-                auto &w = procs[slot];
                 const ssize_t n = ::read(w.fd, buf, sizeof buf);
                 if (n > 0) {
-                    if (w.remote)
-                        w.lineBuf.append(
-                            buf, static_cast<std::size_t>(n));
-                    else
-                        w.frames.append(
-                            buf, static_cast<std::size_t>(n));
+                    w.lineBuf.append(buf, static_cast<std::size_t>(n));
                     continue;
                 }
-                if (n == 0) {
-                    eof = true;
-                    break;
-                }
-                if (errno == EINTR)
+                if (n < 0 && errno == EINTR)
                     continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    break;
-                eof = true;
+                eof = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
                 break;
             }
 
-            if (procs[slot].remote) {
-                // Remote lane: one serve reply per line; an ok reply
-                // wraps the identical job-wire result document.
-                auto &w = procs[slot];
-                std::size_t start = 0;
-                for (;;) {
-                    const auto nl = w.lineBuf.find('\n', start);
-                    if (nl == std::string::npos)
-                        break;
-                    const std::string line =
-                        w.lineBuf.substr(start, nl - start);
-                    start = nl + 1;
-                    if (line.empty())
-                        continue;
-                    const auto reply = serve::parseReply(line);
-                    if (!reply) {
-                        w.errorText = "protocol: unparseable reply";
-                        break;
-                    }
-                    if (!reply->ok) {
-                        w.errorText =
-                            reply->code + ": " + reply->message;
-                        break;
-                    }
-                    std::string err;
-                    const auto msg =
-                        parseWorkerMsg(reply->result, err);
-                    if (!msg) {
-                        w.errorText = "protocol: " + err;
-                        break;
-                    }
-                    dispatch(slot, *msg);
-                    if (!w.errorText.empty())
-                        break;
-                }
-                w.lineBuf.erase(0, start);
-                if (w.errorText.empty() &&
-                    w.lineBuf.size() > serve::kMaxRequestBytes)
-                    w.errorText = "protocol: oversized reply line";
-                if (!w.errorText.empty() || eof || w.doneSeen)
-                    reap(slot);
-                continue;
-            }
-
-            auto &w = procs[slot];
-            while (auto payload = w.frames.next()) {
+            // One serve reply per line; an ok reply wraps the job-wire
+            // result document.
+            std::size_t start = 0;
+            while (w.errorText.empty()) {
+                const auto nl = w.lineBuf.find('\n', start);
+                if (nl == std::string::npos)
+                    break;
+                const std::string line =
+                    w.lineBuf.substr(start, nl - start);
+                start = nl + 1;
+                if (line.empty())
+                    continue;
+                const auto reply = serve::parseReply(line);
                 std::string err;
-                const auto msg = parseWorkerMsg(*payload, err);
-                if (!msg) {
+                std::optional<WorkerMsg> msg;
+                if (!reply)
+                    w.errorText = "protocol: unparseable reply";
+                else if (!reply->ok)
+                    w.errorText = reply->code + ": " + reply->message;
+                else if (!(msg = serve::parseWorkerMsg(reply->result,
+                                                       err)))
                     w.errorText = "protocol: " + err;
-                    break;
-                }
-                dispatch(slot, *msg);
-                if (!w.errorText.empty())
-                    break;
+                else
+                    dispatch(slot, *msg);
             }
-            if (w.frames.corrupt() && w.errorText.empty())
-                w.errorText = "protocol: corrupt frame stream";
-            // A protocol violation means the worker is off the rails;
-            // stop it now instead of draining its stream.
-            if (w.errorText.rfind("protocol:", 0) == 0 && w.pid > 0)
-                ::kill(w.pid, SIGKILL);
-            if (eof)
+            w.lineBuf.erase(0, start);
+            if (w.errorText.empty() &&
+                w.lineBuf.size() > serve::kMaxRequestBytes)
+                w.errorText = "protocol: oversized reply line";
+            // An empty pending set is this lane's `done`.
+            if (!w.errorText.empty() || eof || w.pending.empty())
                 reap(slot);
         }
 
-        // Hang detection: no result and no done for the whole window.
-        // A stalled socket and a stalled pipe are the same condition;
-        // only the cleanup differs (close vs SIGKILL).
+        // Hang detection: no result for the whole window.
         const std::int64_t now = CancelToken::nowUs();
         for (std::uint32_t i = 0; i < procs.size(); ++i) {
             auto &w = procs[i];
-            if (w.fd >= 0 && now - w.lastActivityUs > timeoutUs) {
+            if (w.fd >= 0 && now - w.lastActivityUs > timeoutMs * 1000) {
                 w.timedOut = true;
-                if (!w.remote && w.pid > 0)
-                    ::kill(w.pid, SIGKILL);
                 reap(i);
             }
         }
@@ -702,32 +663,9 @@ exploreDistributed(const trace::Trace &trace,
         for (auto &shard : shards)
             std::sort(shard.begin(), shard.end());
 
-        const auto makeRequest =
-            [&](std::uint32_t slot, std::uint32_t attempt,
-                const std::vector<std::uint32_t> &assigned) {
-                ShardRequest req;
-                req.cmd = "explore_shard";
-                req.worker = slot;
-                req.attempt = attempt;
-                req.traceText = patternBytes;
-                req.jobs = assigned;
-                for (const auto j : assigned)
-                    req.sigs.push_back(sigs[j]);
-                req.grid = config.grid;
-                req.reconfigCost = config.phaseReconfigCost;
-                req.cacheDir = config.cacheDir;
-                req.useCache = config.useCache;
-                req.mergeThreshold =
-                    config.phaseSegmenter.mergeThreshold;
-                req.minPhaseWindows =
-                    config.phaseSegmenter.minPhaseWindows;
-                req.matrixWeight = config.phaseSegmenter.matrixWeight;
-                req.power = topo::powerModelKindName(config.power.kind);
-                return encodeShardRequest(req);
-            };
-        // Remote lanes dispatch one `dse_job` per grid point; the
-        // daemon uses its own disk cache, so `cache_dir` never crosses
-        // the socket.
+        // One `dse_job` per grid point. `cache_dir` never crosses the
+        // socket: a daemon uses its own disk cache, a forked lane the
+        // run's (forkedLaneConfig).
         const auto makeJob = [&](std::uint32_t job,
                                  std::uint32_t attempt) {
             const auto &p = jobs[job];
@@ -749,26 +687,20 @@ exploreDistributed(const trace::Trace &trace,
             out += ", \"reconfig_cost\": " +
                    std::to_string(config.phaseReconfigCost);
             out += ", \"threshold\": " +
-                   fmtDouble(config.phaseSegmenter.mergeThreshold);
+                   serve::fmtDouble(config.phaseSegmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
                    std::to_string(config.phaseSegmenter.minPhaseWindows);
             out += ", \"matrix_weight\": " +
-                   fmtDouble(config.phaseSegmenter.matrixWeight);
+                   serve::fmtDouble(config.phaseSegmenter.matrixWeight);
             // Only off the default tier: static requests stay
             // byte-identical to what pre-power daemons accept.
             if (config.power.kind != topo::PowerModelKind::Static)
                 out += std::string(", \"power\": \"") +
                        topo::powerModelKindName(config.power.kind) +
                        "\"";
-            out += ", \"deadline_ms\": " +
-                   std::to_string(std::max<std::int64_t>(
-                       options.workerTimeoutMs, 1));
-            out += ", \"trace\": \"" + serve::jsonEscape(patternBytes) +
-                   "\"}\n";
             return out;
         };
-        const auto onResult = [&](const WorkerMsg &msg,
-                                  std::uint32_t /*slot*/) {
+        const auto onResult = [&](const WorkerMsg &msg) {
             dse::DsePoint pt;
             pt.params = jobs[msg.index];
             pt.metrics = msg.metrics;
@@ -776,8 +708,10 @@ exploreDistributed(const trace::Trace &trace,
             dse::recordJobPoint(config, msg.index, pt);
             report.points[msg.index] = std::move(pt);
         };
-        runShards(shards, options, config.cancel, makeRequest, makeJob,
-                  onResult, stats, config.traceLog, "job");
+        runShards(shards, options, config.cancel,
+                  forkedLaneConfig(config.cacheDir, config.useCache),
+                  patternBytes, makeJob, onResult, stats,
+                  config.traceLog, "job");
     }
 
     dse::finalizeReport(report, config);
@@ -835,7 +769,7 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         std::ostringstream patternStream;
         trace.save(patternStream);
         const std::string traceText = patternStream.str();
-        const std::string sig = phasesSignature(config);
+        const std::string sig = serve::phasesSignature(config);
 
         const auto n = std::max<std::uint32_t>(
             1, std::min<std::uint32_t>(
@@ -847,29 +781,6 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         for (std::uint32_t p = 0; p < nPhases; ++p)
             shards[p % n].push_back(p);
 
-        const auto makeRequest =
-            [&](std::uint32_t slot, std::uint32_t attempt,
-                const std::vector<std::uint32_t> &assigned) {
-                ShardRequest req;
-                req.cmd = "phases_shard";
-                req.worker = slot;
-                req.attempt = attempt;
-                req.traceText = traceText;
-                req.jobs = assigned;
-                req.sigs.assign(assigned.size(), sig);
-                req.window = config.segmenter.windowMessages;
-                req.mergeThreshold = config.segmenter.mergeThreshold;
-                req.minPhaseWindows = config.segmenter.minPhaseWindows;
-                req.matrixWeight = config.segmenter.matrixWeight;
-                req.maxDegree =
-                    config.methodology.partitioner.constraints.maxDegree;
-                req.restarts = config.methodology.restarts;
-                req.seed = config.methodology.partitioner.seed;
-                req.reconfigCost = config.reconfigCost;
-                req.expectedPhases = nPhases;
-                req.power = topo::powerModelKindName(config.power.kind);
-                return encodeShardRequest(req);
-            };
         const auto makeJob = [&](std::uint32_t job,
                                  std::uint32_t attempt) {
             std::string out = "{\"id\": \"" + std::to_string(job) +
@@ -880,11 +791,11 @@ evaluatePhasesDistributed(const trace::Trace &trace,
             out += ", \"window\": " +
                    std::to_string(config.segmenter.windowMessages);
             out += ", \"threshold\": " +
-                   fmtDouble(config.segmenter.mergeThreshold);
+                   serve::fmtDouble(config.segmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
                    std::to_string(config.segmenter.minPhaseWindows);
             out += ", \"matrix_weight\": " +
-                   fmtDouble(config.segmenter.matrixWeight);
+                   serve::fmtDouble(config.segmenter.matrixWeight);
             out += ", \"max_degree\": " +
                    std::to_string(config.methodology.partitioner
                                       .constraints.maxDegree);
@@ -899,20 +810,15 @@ evaluatePhasesDistributed(const trace::Trace &trace,
                 out += std::string(", \"power\": \"") +
                        topo::powerModelKindName(config.power.kind) +
                        "\"";
-            out += ", \"deadline_ms\": " +
-                   std::to_string(std::max<std::int64_t>(
-                       options.workerTimeoutMs, 1));
-            out += ", \"trace\": \"" + serve::jsonEscape(traceText) +
-                   "\"}\n";
             return out;
         };
-        const auto onResult = [&](const WorkerMsg &msg,
-                                  std::uint32_t /*slot*/) {
+        const auto onResult = [&](const WorkerMsg &msg) {
             rows.at(msg.index) = msg.row;
         };
+        // Phase jobs never touch the DSE disk cache.
         runShards(shards, options, config.methodology.cancel,
-                  makeRequest, makeJob, onResult, stats,
-                  config.traceLog, "phase");
+                  forkedLaneConfig("", false), traceText, makeJob,
+                  onResult, stats, config.traceLog, "phase");
     }
 
     auto report = phase::assemblePhaseReport(trace, config, seg, mono,

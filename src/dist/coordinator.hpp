@@ -2,33 +2,35 @@
  * @file
  * Multi-process exploration coordinator.
  *
- * Forks N workers, shards the job grid over them by content hash
- * (each job's cache key orders the jobs deterministically; shards are
- * dealt round-robin off that order, so they are balanced to ±1 job and
- * independent of grid layout), streams results back over pipes, and
- * merges them through the exact finalization path the in-process
- * explorer uses. Reports are therefore byte-identical to
- * `--workers 1` and to the single-process run by construction.
+ * Shards the job grid by content hash (each job's cache key orders
+ * the jobs deterministically; shards are dealt round-robin off that
+ * order, so they are balanced to ±1 job and independent of grid
+ * layout) over lanes, and merges the results through the exact
+ * finalization path the in-process explorer uses. Reports are
+ * therefore byte-identical to `--workers 1` and to the single-process
+ * run by construction.
  *
- * With DistOptions::hosts set, the leading lanes are remote `minnoc
- * serve` daemons instead of forked processes: the same shards, dealt
- * by the same rule, dispatched one `dse_job`/`phase_job` request per
- * job over TCP (windowed, so a daemon always has work queued). Both
- * backends return the identical per-job result documents, so any mix
- * of hosts and forked workers produces the same report bytes.
+ * Every lane is a `minnoc serve` server driven by the same client
+ * code: one `dse_job`/`phase_job` request line per job, windowed so a
+ * lane always has work queued, and one job-wire result document back
+ * per job. The leading lanes are the remote daemons of
+ * DistOptions::hosts, reached over TCP; the rest are forked children,
+ * each a serve::Server on one end of a socketpair. Any mix of hosts
+ * and forked lanes therefore produces the same report bytes.
  *
- * Fault handling: a worker that crashes, reports an error, or goes
- * silent past the activity timeout is reaped (SIGKILL if necessary)
- * and its *unfinished* jobs are requeued once onto a fresh worker;
- * jobs the dead worker already stored in the shared cache are not
- * recomputed. A second failure on the same shard is fatal. Every
- * failure is recorded in DistStats and surfaced as `worker_failed`
- * in the dist status JSON — never in the explore report itself, whose
- * bytes stay crash-independent.
+ * Fault handling: a lane that crashes, answers with an error, or goes
+ * silent past the activity timeout is reaped (SIGKILL for a forked
+ * lane) and its *unfinished* jobs are requeued once onto a fresh lane;
+ * jobs the dead lane already stored in its cache are not recomputed.
+ * A second failure on the same shard is fatal. Every failure is
+ * recorded in DistStats and surfaced as `worker_failed` (forked) or
+ * `host_failed` (remote) in the dist status JSON — never in the
+ * explore report itself, whose bytes stay crash-independent.
  *
  * Cancellation: the caller's CancelToken is polled every scheduler
- * tick; once fired, workers get SIGTERM, a short drain window, then
- * SIGKILL, and the coordinator unwinds with CancelledError.
+ * tick; once fired, forked lanes get SIGTERM, a short drain window,
+ * then SIGKILL, remote connections are closed, and the coordinator
+ * unwinds with CancelledError.
  */
 
 #ifndef MINNOC_DIST_COORDINATOR_HPP
@@ -47,7 +49,7 @@ namespace minnoc::dist {
 /** Knobs of one distributed run. */
 struct DistOptions
 {
-    /** Worker processes to fork (clamped to the job count, min 1). */
+    /** Lanes to fork (clamped to the job count, min 1). */
     std::uint32_t workers = 2;
 
     /**
@@ -59,16 +61,17 @@ struct DistOptions
     std::vector<HostSpec> hosts;
 
     /**
-     * A worker producing no result for this long is presumed hung,
-     * killed, and its shard requeued. Generous by default: one DSE
+     * A lane producing no result for this long is presumed hung,
+     * reaped, and its shard requeued. Generous by default: one DSE
      * job on a large pattern can legitimately run minutes. For remote
      * lanes this doubles as the per-request deadline sent to the
-     * daemon (subject to the daemon's own max-deadline clamp).
+     * daemon (subject to the daemon's own max-deadline clamp); forked
+     * lanes get no deadline, so this timeout is their only bound.
      */
     std::int64_t workerTimeoutMs = 600'000;
 };
 
-/** One reaped worker, for the status report. */
+/** One reaped lane, for the status report. */
 struct WorkerFailure
 {
     std::uint32_t worker = 0; ///< worker slot
@@ -103,8 +106,8 @@ struct DistStats
 /**
  * Distributed dse::explore. Identical output to explore(trace, config)
  * — same points, same frontier, same JSON bytes — with the grid
- * fanned out over DistOptions::workers processes sharing the disk
- * cache. config.threads is ignored (parallelism is process-level);
+ * fanned out over DistOptions::workers forked lanes sharing the disk
+ * cache (config.cacheDir) and any DistOptions::hosts. config.threads is ignored (parallelism is process-level);
  * config.cancel is honored at scheduler-tick granularity here and at
  * job granularity inside each worker.
  */

@@ -1,17 +1,16 @@
 /**
  * @file
- * Remote worker transport: TCP plumbing that lets the coordinator
+ * Remote lane transport: TCP plumbing that lets the coordinator
  * drive `minnoc serve` daemons as job backends.
  *
  * A remote lane speaks the serve NDJSON protocol — one `dse_job` /
- * `phase_job` request per line, one reply per line — instead of the
- * netstring pipe protocol, but feeds the coordinator the exact same
- * per-job result documents (serve/jobwire.*), which is what keeps
- * `--hosts` byte-identical to `--workers`.
+ * `phase_job` request per line, one reply per line — exactly like a
+ * forked lane does over its socketpair; only how the server was
+ * reached differs.
  *
  * Scope: address parsing, connection establishment with bounded
  * exponential backoff, and a partial-write-safe send. The lane state
- * machine itself lives in the coordinator, next to the pipe lanes.
+ * machine itself lives in the coordinator.
  */
 
 #ifndef MINNOC_DIST_REMOTE_HPP

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "protocol.hpp"
+#include "util/json.hpp"
 
 namespace minnoc::serve {
 
@@ -12,15 +12,9 @@ namespace {
 /** Largest integer a JSON double carries exactly. */
 constexpr double kMaxExact = 9007199254740992.0; // 2^53
 
-} // namespace
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
+// Strict typed field extraction: every getter rejects missing keys,
+// wrong types, non-integral numbers and values beyond the exact-int
+// range, filling @p err with the offending key.
 
 bool
 getU32(const json::Value &obj, const char *key, std::uint32_t &out,
@@ -115,48 +109,14 @@ getString(const json::Value &obj, const char *key, std::string &out,
     return true;
 }
 
-bool
-getU32List(const json::Value &obj, const char *key,
-           std::vector<std::uint32_t> &out, std::string &err)
-{
-    const auto *v = obj.find(key);
-    if (!v || !v->isArray()) {
-        err = std::string("missing or non-array '") + key + "'";
-        return false;
-    }
-    out.clear();
-    for (const auto &e : v->asArray()) {
-        if (!e.isNumber() || e.asNumber() < 0 ||
-            e.asNumber() > 4294967295.0 ||
-            e.asNumber() != std::floor(e.asNumber())) {
-            err = std::string("non-u32 element in '") + key + "'";
-            return false;
-        }
-        out.push_back(static_cast<std::uint32_t>(e.asNumber()));
-    }
-    return true;
-}
+} // namespace
 
-bool
-getU64List(const json::Value &obj, const char *key,
-           std::vector<std::uint64_t> &out, std::string &err)
+std::string
+fmtDouble(double v)
 {
-    const auto *v = obj.find(key);
-    if (!v || !v->isArray()) {
-        err = std::string("missing or non-array '") + key + "'";
-        return false;
-    }
-    out.clear();
-    for (const auto &e : v->asArray()) {
-        if (!e.isNumber() || e.asNumber() < 0 ||
-            e.asNumber() > kMaxExact ||
-            e.asNumber() != std::floor(e.asNumber())) {
-            err = std::string("non-exact-u64 element in '") + key + "'";
-            return false;
-        }
-        out.push_back(static_cast<std::uint64_t>(e.asNumber()));
-    }
-    return true;
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
 }
 
 std::string
@@ -212,20 +172,6 @@ encodePhaseResult(std::uint32_t index, std::int64_t wallUs,
 }
 
 std::string
-encodeDone(std::uint64_t jobs, std::uint64_t cacheHits)
-{
-    return "{\"type\": \"done\", \"jobs\": " + std::to_string(jobs) +
-           ", \"cache_hits\": " + std::to_string(cacheHits) + "}";
-}
-
-std::string
-encodeError(const std::string &code, const std::string &message)
-{
-    return "{\"type\": \"error\", \"code\": \"" + jsonEscape(code) +
-           "\", \"message\": \"" + jsonEscape(message) + "\"}";
-}
-
-std::string
 phasesSignature(const phase::PhaseEvalConfig &config)
 {
     return config.methodology.signature() + "|" +
@@ -240,79 +186,63 @@ parseWorkerMsg(const std::string &text, std::string &err)
 {
     const auto doc = json::parse(text);
     if (!doc || !doc->isObject()) {
-        err = "worker frame is not a JSON object";
+        err = "job result is not a JSON object";
         return std::nullopt;
     }
     std::string type;
     if (!getString(*doc, "type", type, err))
         return std::nullopt;
+    if (type != "result") {
+        err = "unknown job message type '" + type + "'";
+        return std::nullopt;
+    }
     WorkerMsg msg;
-    if (type == "result") {
-        msg.kind = WorkerMsg::Kind::Result;
-        if (!getU32(*doc, "index", msg.index, err) ||
-            !getI64(*doc, "wall_us", msg.wallUs, err))
+    if (!getU32(*doc, "index", msg.index, err) ||
+        !getI64(*doc, "wall_us", msg.wallUs, err))
+        return std::nullopt;
+    if (const auto *m = doc->find("metrics")) {
+        std::uint32_t violations = 0;
+        if (!getU32(*m, "switches", msg.metrics.switches, err) ||
+            !getU32(*m, "links", msg.metrics.links, err) ||
+            !getU32(*m, "channels", msg.metrics.channels, err) ||
+            !getBool(*m, "constraints_met", msg.metrics.constraintsMet,
+                     err) ||
+            !getU32(*m, "violations", violations, err) ||
+            !getU32(*m, "rounds", msg.metrics.rounds, err) ||
+            !getU32(*m, "switch_area", msg.metrics.switchArea, err) ||
+            !getU32(*m, "link_area", msg.metrics.linkArea, err) ||
+            !getU32(*m, "proc_link_area", msg.metrics.procLinkArea, err) ||
+            !getI64(*m, "exec_time", msg.metrics.execTime, err) ||
+            !getDouble(*m, "avg_latency", msg.metrics.avgLatency, err) ||
+            !getDouble(*m, "avg_hops", msg.metrics.avgHops, err) ||
+            !getDouble(*m, "max_link_util", msg.metrics.maxLinkUtil, err) ||
+            !getDouble(*m, "energy", msg.metrics.energy, err) ||
+            !getBool(*doc, "cached", msg.cached, err))
             return std::nullopt;
-        if (const auto *m = doc->find("metrics")) {
-            std::uint32_t violations = 0;
-            if (!getU32(*m, "switches", msg.metrics.switches, err) ||
-                !getU32(*m, "links", msg.metrics.links, err) ||
-                !getU32(*m, "channels", msg.metrics.channels, err) ||
-                !getBool(*m, "constraints_met",
-                         msg.metrics.constraintsMet, err) ||
-                !getU32(*m, "violations", violations, err) ||
-                !getU32(*m, "rounds", msg.metrics.rounds, err) ||
-                !getU32(*m, "switch_area", msg.metrics.switchArea,
-                        err) ||
-                !getU32(*m, "link_area", msg.metrics.linkArea, err) ||
-                !getU32(*m, "proc_link_area", msg.metrics.procLinkArea,
-                        err) ||
-                !getI64(*m, "exec_time", msg.metrics.execTime, err) ||
-                !getDouble(*m, "avg_latency", msg.metrics.avgLatency,
-                           err) ||
-                !getDouble(*m, "avg_hops", msg.metrics.avgHops, err) ||
-                !getDouble(*m, "max_link_util",
-                           msg.metrics.maxLinkUtil, err) ||
-                !getDouble(*m, "energy", msg.metrics.energy, err) ||
-                !getBool(*doc, "cached", msg.cached, err))
-                return std::nullopt;
-            msg.metrics.violations = violations;
-        } else if (const auto *r = doc->find("row")) {
-            msg.isPhaseRow = true;
-            auto &v = msg.row.network;
-            std::uint64_t packets = 0;
-            std::uint64_t violations = 0;
-            std::int64_t exec = 0;
-            if (!getU32(*r, "switches", v.switches, err) ||
-                !getU32(*r, "links", v.links, err) ||
-                !getU32(*r, "channels", v.channels, err) ||
-                !getU32(*r, "area", v.area, err) ||
-                !getI64(*r, "exec_time", exec, err) ||
-                !getDouble(*r, "avg_latency", v.avgLatency, err) ||
-                !getDouble(*r, "energy", v.energy, err) ||
-                !getU64(*r, "packets", packets, err) ||
-                !getU64(*r, "violations", violations, err) ||
-                !getDouble(*r, "reconfig_idle_energy",
-                           msg.row.reconfigIdleEnergy, err))
-                return std::nullopt;
-            v.execTime = exec;
-            v.packetsDelivered = packets;
-            v.violations = static_cast<std::size_t>(violations);
-        } else {
-            err = "result frame lacks both 'metrics' and 'row'";
+        msg.metrics.violations = violations;
+    } else if (const auto *r = doc->find("row")) {
+        msg.isPhaseRow = true;
+        auto &v = msg.row.network;
+        std::uint64_t packets = 0;
+        std::uint64_t violations = 0;
+        std::int64_t exec = 0;
+        if (!getU32(*r, "switches", v.switches, err) ||
+            !getU32(*r, "links", v.links, err) ||
+            !getU32(*r, "channels", v.channels, err) ||
+            !getU32(*r, "area", v.area, err) ||
+            !getI64(*r, "exec_time", exec, err) ||
+            !getDouble(*r, "avg_latency", v.avgLatency, err) ||
+            !getDouble(*r, "energy", v.energy, err) ||
+            !getU64(*r, "packets", packets, err) ||
+            !getU64(*r, "violations", violations, err) ||
+            !getDouble(*r, "reconfig_idle_energy",
+                       msg.row.reconfigIdleEnergy, err))
             return std::nullopt;
-        }
-    } else if (type == "done") {
-        msg.kind = WorkerMsg::Kind::Done;
-        if (!getU64(*doc, "jobs", msg.jobs, err) ||
-            !getU64(*doc, "cache_hits", msg.cacheHits, err))
-            return std::nullopt;
-    } else if (type == "error") {
-        msg.kind = WorkerMsg::Kind::Error;
-        if (!getString(*doc, "code", msg.code, err) ||
-            !getString(*doc, "message", msg.message, err))
-            return std::nullopt;
+        v.execTime = exec;
+        v.packetsDelivered = packets;
+        v.violations = static_cast<std::size_t>(violations);
     } else {
-        err = "unknown worker message type '" + type + "'";
+        err = "job result lacks both 'metrics' and 'row'";
         return std::nullopt;
     }
     return msg;

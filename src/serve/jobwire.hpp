@@ -3,14 +3,14 @@
  * Result-payload wire layer shared by the serve daemon and the
  * distributed coordinator.
  *
- * One evaluated job — an explore grid point or a phase row — always
- * crosses a process boundary as the same JSON document, whether it
- * travels inside a netstring frame from a forked pipe worker or as
- * the `result` string of a `dse_job`/`phase_job` serve reply. Keeping
- * the encoder and the strict parser in one place (below the dist
- * layer, which links against serve) is what makes `--hosts` and
- * `--workers` byte-identical by construction: both backends feed the
- * coordinator the exact same bytes per job.
+ * One evaluated job — an explore grid point or a phase row — crosses
+ * a process boundary as one JSON document: the `result` string of a
+ * `dse_job`/`phase_job` serve reply, whether the server is a forked
+ * lane or a remote daemon. Keeping the encoder and the strict parser
+ * in one place (below the dist layer, which links against serve) is
+ * what makes `--hosts` and `--workers` byte-identical by
+ * construction: every lane feeds the coordinator the exact same bytes
+ * per job.
  *
  * Determinism contract (inherited by every user): integers cross as
  * decimal and are rejected beyond 2^53; doubles cross as %.17g, which
@@ -23,59 +23,24 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "dse/explorer.hpp"
 #include "phase/evaluator.hpp"
-#include "util/json.hpp"
 
 namespace minnoc::serve {
 
 /** %.17g — enough digits for exact double round-tripping. */
 std::string fmtDouble(double v);
 
-// Strict typed field extraction: every getter rejects missing keys,
-// wrong types, non-integral numbers and values beyond the exact-int
-// range, filling @p err with the offending key. Shared by the shard
-// request parser (dist) and the job result parser (below).
-bool getU32(const json::Value &obj, const char *key, std::uint32_t &out,
-            std::string &err);
-bool getU64(const json::Value &obj, const char *key, std::uint64_t &out,
-            std::string &err);
-bool getI64(const json::Value &obj, const char *key, std::int64_t &out,
-            std::string &err);
-bool getDouble(const json::Value &obj, const char *key, double &out,
-               std::string &err);
-bool getBool(const json::Value &obj, const char *key, bool &out,
-             std::string &err);
-bool getString(const json::Value &obj, const char *key, std::string &out,
-               std::string &err);
-bool getU32List(const json::Value &obj, const char *key,
-                std::vector<std::uint32_t> &out, std::string &err);
-bool getU64List(const json::Value &obj, const char *key,
-                std::vector<std::uint64_t> &out, std::string &err);
-
-/** Everything a job backend sends back, one message per job. */
+/** What a job backend sends back: one result per job. */
 struct WorkerMsg
 {
-    enum class Kind : std::uint8_t { Result, Done, Error };
-    Kind kind = Kind::Done;
-
-    // Result
     std::uint32_t index = 0; ///< grid index / phase index
     bool cached = false;     ///< explore only
     std::int64_t wallUs = 0; ///< backend-side wall time of this job
     dse::JobMetrics metrics; ///< explore payload
     phase::PhaseRowEval row; ///< phases payload
     bool isPhaseRow = false;
-
-    // Done
-    std::uint64_t jobs = 0;
-    std::uint64_t cacheHits = 0;
-
-    // Error (codes follow serve::errorCodeName)
-    std::string code;
-    std::string message;
 };
 
 std::string encodeResult(std::uint32_t index, bool cached,
@@ -83,9 +48,6 @@ std::string encodeResult(std::uint32_t index, bool cached,
                          const dse::JobMetrics &metrics);
 std::string encodePhaseResult(std::uint32_t index, std::int64_t wallUs,
                               const phase::PhaseRowEval &row);
-std::string encodeDone(std::uint64_t jobs, std::uint64_t cacheHits);
-std::string encodeError(const std::string &code,
-                        const std::string &message);
 
 /** Parse a job payload; on failure fills @p err, returns nullopt. */
 std::optional<WorkerMsg> parseWorkerMsg(const std::string &text,

@@ -209,7 +209,7 @@ parseRequest(const std::string &line, RequestError &error)
 
     std::uint64_t u = 0;
     if (const auto *dl = root->find("deadline_ms")) {
-        if (!asUint(*dl, 86'400'000, u))
+        if (!asUint(*dl, kMaxDeadlineMs, u))
             return fail(error, ErrorCode::ValidationError,
                         "'deadline_ms' must be an integer in "
                         "[0, 86400000]");

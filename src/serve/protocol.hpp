@@ -51,6 +51,8 @@ namespace minnoc::serve {
 inline constexpr std::size_t kMaxRequestBytes = 8u << 20; ///< one line
 inline constexpr std::uint32_t kMaxTraceRanks = 4096;
 inline constexpr std::size_t kMaxGridJobs = 1024;
+/** Largest `deadline_ms` a request may carry (24 h). */
+inline constexpr std::int64_t kMaxDeadlineMs = 86'400'000;
 
 /** The structured error taxonomy every failure maps onto. */
 enum class ErrorCode : std::uint8_t {

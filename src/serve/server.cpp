@@ -1,7 +1,6 @@
 #include "server.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -93,20 +92,17 @@ requestKey(const Request &req)
     return dse::fnv1a64(req.traceText, h);
 }
 
-/** Jobs this daemon has completed — arms the chaos hooks below. */
-std::atomic<std::uint64_t> gJobsCompleted{0};
-
 /**
- * True when the dist test hook @p env is set to "serve" (the
- * daemon-side spelling; pipe workers use their numeric slot), this is
- * the job's first dispatch attempt, and at least one job has already
- * completed — mirroring the pipe worker's after-first-result timing.
+ * True when the dist test hook @p env is set to "serve" (a forked
+ * lane translates its own slot number into this spelling), this is
+ * the job's first dispatch attempt, and this server has already
+ * completed a job — so the fault lands after the first result.
  */
 bool
-serveHookFires(const char *env, std::uint32_t attempt)
+serveHookFires(const char *env, std::uint32_t attempt,
+               std::uint64_t jobsDone)
 {
-    if (attempt != 1 ||
-        gJobsCompleted.load(std::memory_order_relaxed) == 0)
+    if (attempt != 1 || jobsDone == 0)
         return false;
     const char *v = std::getenv(env);
     return v && std::string(v) == "serve";
@@ -114,11 +110,13 @@ serveHookFires(const char *env, std::uint32_t attempt)
 
 /** Simulated daemon crash / stalled socket, for the chaos tests. */
 void
-maybeInjectServeFault(std::uint32_t attempt)
+maybeInjectServeFault(std::uint32_t attempt, obs::MetricsRegistry &m)
 {
-    if (serveHookFires("MINNOC_DIST_TEST_CRASH", attempt))
+    const auto jobsDone = m.counter("serve/dse_jobs").value() +
+                          m.counter("serve/phase_jobs").value();
+    if (serveHookFires("MINNOC_DIST_TEST_CRASH", attempt, jobsDone))
         ::_exit(42);
-    if (serveHookFires("MINNOC_DIST_TEST_HANG", attempt)) {
+    if (serveHookFires("MINNOC_DIST_TEST_HANG", attempt, jobsDone)) {
         // Stop responding; only the coordinator's activity timeout
         // (or killing the daemon) ends this.
         for (;;)
@@ -156,6 +154,19 @@ cancelError(CancelReason reason)
     return {ErrorCode::Internal, "cancelled"};
 }
 
+/**
+ * Bounded socket waits keep readers stop-aware (recv) and keep a
+ * stalled client from pinning a worker forever (send).
+ */
+void
+setSocketTimeouts(int fd)
+{
+    timeval rcv{0, 200'000};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv);
+    timeval snd{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
+}
+
 } // namespace
 
 Server::Server(ServerConfig config)
@@ -170,7 +181,7 @@ Server::~Server()
 }
 
 bool
-Server::start(std::string &error)
+Server::prepare(std::string &error)
 {
     if (_started.exchange(true)) {
         error = "server already started";
@@ -186,6 +197,28 @@ Server::start(std::string &error)
         error = std::string("pipe: ") + std::strerror(errno);
         return false;
     }
+    return true;
+}
+
+void
+Server::launchWorkers()
+{
+    const unsigned inner = _config.innerThreads
+                               ? _config.innerThreads
+                               : std::thread::hardware_concurrency();
+    _innerPool = std::make_unique<ThreadPool>(inner);
+
+    const auto workers = _config.workers ? _config.workers : 1u;
+    _workers.reserve(workers);
+    for (std::uint32_t i = 0; i < workers; ++i)
+        _workers.emplace_back([this, i] { workerLoop(i); });
+}
+
+bool
+Server::start(std::string &error)
+{
+    if (!prepare(error))
+        return false;
 
     if (!_config.socketPath.empty()) {
         sockaddr_un addr{};
@@ -245,16 +278,29 @@ Server::start(std::string &error)
         return false;
     }
 
-    const unsigned inner = _config.innerThreads
-                               ? _config.innerThreads
-                               : std::thread::hardware_concurrency();
-    _innerPool = std::make_unique<ThreadPool>(inner);
-
-    const auto workers = _config.workers ? _config.workers : 1u;
-    _workers.reserve(workers);
-    for (std::uint32_t i = 0; i < workers; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i); });
+    launchWorkers();
     _acceptThread = std::jthread([this] { acceptLoop(); });
+    return true;
+}
+
+bool
+Server::serveConnection(int fd, std::string &error)
+{
+    if (!prepare(error))
+        return false;
+    launchWorkers();
+    setSocketTimeouts(fd);
+    auto conn = std::make_shared<Conn>();
+    conn->fd = fd;
+    {
+        const std::scoped_lock lock(_connsMutex);
+        // The only client leaving ends the server.
+        _conns.emplace_back(conn, std::jthread([this, conn] {
+                                readerLoop(conn);
+                                requestStop();
+                            }));
+    }
+    serveForever();
     return true;
 }
 
@@ -385,12 +431,7 @@ Server::acceptLoop()
         if (fd < 0)
             continue;
 
-        // Bounded socket waits keep readers stop-aware (recv) and keep
-        // a stalled client from pinning a worker forever (send).
-        timeval rcv{0, 200'000};
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv);
-        timeval snd{5, 0};
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
+        setSocketTimeouts(fd);
 
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
@@ -806,8 +847,7 @@ Server::compute(const Job &job)
         core::MethodologyConfig mcfg;
         mcfg.partitioner.constraints.maxDegree = req.maxDegree;
         mcfg.restarts = req.restarts;
-        mcfg.partitioner.seed =
-            static_cast<std::uint32_t>(req.seed);
+        mcfg.partitioner.seed = req.seed;
         mcfg.cancel = job.token.get();
         // The re-entrant overload shards restarts across the shared
         // pool; the wave selection keeps the design byte-identical to
@@ -861,8 +901,7 @@ Server::compute(const Job &job)
         cfg.methodology.partitioner.constraints.maxDegree =
             req.maxDegree;
         cfg.methodology.restarts = req.restarts;
-        cfg.methodology.partitioner.seed =
-            static_cast<std::uint32_t>(req.seed);
+        cfg.methodology.partitioner.seed = req.seed;
         cfg.methodology.cancel = job.token.get();
         cfg.sim.cancel = job.token.get();
         cfg.power.kind = *topo::powerModelKindFromName(req.power);
@@ -870,7 +909,7 @@ Server::compute(const Job &job)
         return phase::evaluatePhases(tr, cfg).toJson();
       }
       case Cmd::DseJob: {
-        maybeInjectServeFault(req.attempt);
+        maybeInjectServeFault(req.attempt, _metrics);
         dse::ExploreConfig cfg;
         cfg.threads = 1;
         // Always the daemon's OWN disk cache, never a client path —
@@ -924,11 +963,10 @@ Server::compute(const Job &job)
         }
         const std::int64_t wallUs = CancelToken::nowUs() - t0;
         _metrics.counter("serve/dse_jobs").add();
-        gJobsCompleted.fetch_add(1, std::memory_order_relaxed);
         return encodeResult(req.jobIndex, cached, wallUs, metrics);
       }
       case Cmd::PhaseJob: {
-        maybeInjectServeFault(req.attempt);
+        maybeInjectServeFault(req.attempt, _metrics);
         phase::PhaseEvalConfig cfg;
         cfg.segmenter.windowMessages = req.window;
         cfg.segmenter.mergeThreshold = req.threshold;
@@ -936,8 +974,7 @@ Server::compute(const Job &job)
         cfg.segmenter.matrixWeight = req.matrixWeight;
         cfg.methodology.partitioner.constraints.maxDegree =
             req.maxDegree;
-        cfg.methodology.partitioner.seed =
-            static_cast<std::uint32_t>(req.seed);
+        cfg.methodology.partitioner.seed = req.seed;
         cfg.methodology.restarts = req.restarts;
         cfg.methodology.threads = 1;
         cfg.methodology.cancel = job.token.get();
@@ -974,7 +1011,6 @@ Server::compute(const Job &job)
             cfg);
         const std::int64_t wallUs = CancelToken::nowUs() - t0;
         _metrics.counter("serve/phase_jobs").add();
-        gJobsCompleted.fetch_add(1, std::memory_order_relaxed);
         return encodePhaseResult(req.jobIndex, wallUs, row);
       }
       case Cmd::Ping:

@@ -63,4 +63,29 @@ grep -q '"union_phase_violations": \[0\(, 0\)*\]' "$DIR/phases1.json"
 lint_json "$DIR/explore.json"
 grep -q '"phase_window": 64' "$DIR/explore.json"
 
+# Distributed explore: a zero --worker-timeout-ms, or one whose
+# microsecond value overflows int64, is a usage error.
+for ms in 0 18446744073709551615 9223372036854776; do
+    rc=0
+    "$MINNOC" explore "$DIR/cg.trace" --degrees 4 --vcs 2 \
+        --unidirectional 0 --restarts 2 --cache 0 --workers 2 \
+        --worker-timeout-ms "$ms" --out "$DIR/timeout.json" \
+        2>"$DIR/timeout.log" || rc=$?
+    test "$rc" -eq 1
+    grep -q "fatal: flag --worker-timeout-ms" "$DIR/timeout.log"
+    test ! -e "$DIR/timeout.json"
+done
+
+# A shard that fails twice (its only job refused by both hosts, no
+# forked lanes) ends the run with one message and exit 1, not an
+# abort, and writes no report.
+rc=0
+"$MINNOC" explore "$DIR/cg.trace" --degrees 4 --vcs 2 \
+    --unidirectional 0 --restarts 2 --cache 0 --workers 0 \
+    --hosts 127.0.0.1:1,127.0.0.1:1 --out "$DIR/twice.json" \
+    2>"$DIR/twice.log" || rc=$?
+test "$rc" -eq 1
+grep -q "^explore: dist: shard failed twice" "$DIR/twice.log"
+test ! -e "$DIR/twice.json"
+
 echo "cli pipeline OK"

@@ -2,7 +2,7 @@
  * @file
  * Shared fixtures for the distributed-exploration test suites.
  *
- * Both the pipe-transport tests (test_dist.cpp) and the remote-host
+ * Both the forked-lane tests (test_dist.cpp) and the remote-host
  * tests (test_dist_hosts.cpp) need the same small deterministic
  * workload, the same fault-injection env plumbing, and — for the
  * socket tests — real `minnoc serve` daemons living in their own
@@ -110,7 +110,7 @@ onChildTerm(int)
  * The child applies Options::env before constructing the server, so
  * the serve-side chaos hooks (MINNOC_DIST_TEST_CRASH/HANG = "serve")
  * can be armed per daemon without leaking into the test process or
- * its forked pipe workers.
+ * its forked lanes.
  */
 class DaemonProc
 {

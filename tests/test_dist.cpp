@@ -1,13 +1,13 @@
 /**
  * @file
- * Multi-process distributed exploration tests: netstring framing, the
- * shard request / worker message round trip, byte-identity of the
- * coordinator's merged report against the in-process explorer (across
- * worker counts, warm shared caches, injected worker crashes and
- * hangs), Ctrl-C propagation, and the distributed phases evaluation.
+ * Multi-process distributed exploration tests: the job result round
+ * trip, byte-identity of the coordinator's merged report against the
+ * in-process explorer (across forked-lane counts, warm shared caches,
+ * injected lane crashes and hangs), the abort on a shard's second
+ * failure, Ctrl-C propagation, and the distributed phases evaluation.
  *
- * Fault injection uses the worker-side test hooks: setting
- * MINNOC_DIST_TEST_CRASH=<worker> (or _HANG) makes that worker die
+ * Fault injection uses the serve-side test hooks: setting
+ * MINNOC_DIST_TEST_CRASH=<slot> (or _HANG) makes that forked lane die
  * with _exit(42) (or go unresponsive) after its first result on its
  * first attempt, so every crash test exercises the real requeue path
  * with part of the shard already delivered.
@@ -16,10 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "dist/coordinator.hpp"
-#include "dist/protocol.hpp"
 #include "dist_test_harness.hpp"
 #include "dse/explorer.hpp"
 #include "phase/evaluator.hpp"
+#include "serve/jobwire.hpp"
 #include "trace/scale_patterns.hpp"
 #include "trace/synthetic.hpp"
 #include "util/cancel.hpp"
@@ -27,68 +27,10 @@
 using namespace minnoc;
 using namespace minnoc::dist;
 using disttest::cgTrace;
+using disttest::DaemonProc;
 using disttest::EnvGuard;
 using disttest::smallConfig;
 using disttest::tempCacheDir;
-
-TEST(DistFraming, RoundTripsThroughFrameBuffer)
-{
-    const std::string payload = "{\"type\":\"done\"}";
-    std::string wire = std::to_string(payload.size()) + ":" + payload +
-                       "\n";
-    wire += "3:abc\n";
-
-    FrameBuffer buf;
-    // Feed byte-by-byte: the decoder must survive arbitrary splits.
-    for (const char c : wire)
-        buf.append(&c, 1);
-    auto first = buf.next();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(*first, payload);
-    auto second = buf.next();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(*second, "abc");
-    EXPECT_FALSE(buf.next().has_value());
-    EXPECT_FALSE(buf.corrupt());
-}
-
-TEST(DistFraming, LatchesCorruptOnJunk)
-{
-    FrameBuffer buf;
-    const std::string junk = "not-a-netstring\n";
-    buf.append(junk.data(), junk.size());
-    EXPECT_FALSE(buf.next().has_value());
-    EXPECT_TRUE(buf.corrupt());
-}
-
-TEST(DistProtocol, ShardRequestRoundTrips)
-{
-    ShardRequest req;
-    req.cmd = "explore_shard";
-    req.worker = 3;
-    req.attempt = 2;
-    req.traceText = "trace bytes\nwith newline";
-    req.jobs = {0, 2, 5};
-    req.sigs = {"sig-a", "sig-b", "sig-c"};
-    req.grid.maxDegrees = {4, 5};
-    req.grid.seeds = {7};
-    req.cacheDir = "/tmp/x";
-    req.useCache = false;
-
-    std::string err;
-    const auto parsed = parseShardRequest(encodeShardRequest(req), err);
-    ASSERT_TRUE(parsed.has_value()) << err;
-    EXPECT_EQ(parsed->cmd, req.cmd);
-    EXPECT_EQ(parsed->worker, 3u);
-    EXPECT_EQ(parsed->attempt, 2u);
-    EXPECT_EQ(parsed->traceText, req.traceText);
-    EXPECT_EQ(parsed->jobs, req.jobs);
-    EXPECT_EQ(parsed->sigs, req.sigs);
-    EXPECT_EQ(parsed->grid.maxDegrees, req.grid.maxDegrees);
-    EXPECT_EQ(parsed->grid.seeds, req.grid.seeds);
-    EXPECT_EQ(parsed->cacheDir, "/tmp/x");
-    EXPECT_FALSE(parsed->useCache);
-}
 
 TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
 {
@@ -99,10 +41,10 @@ TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
     m.maxLinkUtil = 0.33333333333333331;
 
     std::string err;
-    const auto msg =
-        parseWorkerMsg(encodeResult(11, true, 12345, m), err);
+    const auto msg = serve::parseWorkerMsg(
+        serve::encodeResult(11, true, 12345, m), err);
     ASSERT_TRUE(msg.has_value()) << err;
-    EXPECT_EQ(msg->kind, WorkerMsg::Kind::Result);
+    EXPECT_FALSE(msg->isPhaseRow);
     EXPECT_EQ(msg->index, 11u);
     EXPECT_TRUE(msg->cached);
     EXPECT_EQ(msg->wallUs, 12345);
@@ -110,19 +52,6 @@ TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
     EXPECT_EQ(msg->metrics.avgHops, m.avgHops);   // bit-exact
     EXPECT_EQ(msg->metrics.energy, m.energy);     // bit-exact
     EXPECT_EQ(msg->metrics.maxLinkUtil, m.maxLinkUtil);
-
-    const auto done = parseWorkerMsg(encodeDone(4, 2), err);
-    ASSERT_TRUE(done.has_value()) << err;
-    EXPECT_EQ(done->kind, WorkerMsg::Kind::Done);
-    EXPECT_EQ(done->jobs, 4u);
-    EXPECT_EQ(done->cacheHits, 2u);
-
-    const auto fail =
-        parseWorkerMsg(encodeError("internal", "boom \"quoted\""), err);
-    ASSERT_TRUE(fail.has_value()) << err;
-    EXPECT_EQ(fail->kind, WorkerMsg::Kind::Error);
-    EXPECT_EQ(fail->code, "internal");
-    EXPECT_EQ(fail->message, "boom \"quoted\"");
 }
 
 TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
@@ -222,19 +151,36 @@ TEST(DistExplore, SecondFailureOfSameShardAborts)
     const auto tr = cgTrace();
     const auto cfg = smallConfig("", false);
 
-    // Both workers crash; shard 0's requeue lands on a fresh slot that
-    // inherits the crash hook for worker index 0... the requeued
-    // attempt carries attempt=2, where hooks are disarmed, so a single
-    // injected index cannot abort the run. Injecting both indices
-    // makes the first requeue succeed (attempt 2) but exercises the
-    // bookkeeping under concurrent failures.
-    const EnvGuard crash0("MINNOC_DIST_TEST_CRASH", "0");
+    // Two live daemons that refuse every job (queue capacity 0, so
+    // each request is answered `queue_full`) and no forked lanes.
+    // Whichever lane fails first requeues its shard onto the other
+    // host at attempt 2, where it fails again: the run must abort.
+    DaemonProc::Options dopt;
+    dopt.queueCapacity = 0;
+    DaemonProc a(dopt), b(dopt);
+    ASSERT_GT(a.port(), 0);
+    ASSERT_GT(b.port(), 0);
     DistOptions opt;
-    opt.workers = 2;
+    opt.workers = 0;
+    opt.hosts = parseHostList(a.hostSpec() + "," + b.hostSpec());
+
     DistStats stats;
-    const auto report = exploreDistributed(tr, cfg, opt, &stats);
-    EXPECT_EQ(report.points.size(), 4u);
-    EXPECT_GE(stats.failures.size(), 1u);
+    try {
+        exploreDistributed(tr, cfg, opt, &stats);
+        FAIL() << "a shard failed twice but the run did not abort";
+    } catch (const CancelledError &) {
+        FAIL() << "aborted as cancelled, not as a double failure";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("shard failed twice"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("queue_full"),
+                  std::string::npos)
+            << e.what();
+    }
+    ASSERT_GE(stats.failures.size(), 2u);
+    for (const auto &f : stats.failures)
+        EXPECT_FALSE(f.host.empty());
 }
 
 TEST(DistExplore, CancelTokenDrainsWorkers)

@@ -3,7 +3,7 @@
  * Cross-host conformance and chaos tests for `--hosts`: the
  * coordinator drives real `minnoc serve` daemons on loopback (each a
  * forked DaemonProc) and the merged report must be byte-identical to
- * the in-process explorer and the pipe-worker path — cold, warm, at
+ * the in-process explorer and the forked-lane path — cold, warm, at
  * any host/worker mix, and under injected daemon failures.
  *
  * Chaos coverage reuses the dist fault hooks with the value "serve":
@@ -83,7 +83,7 @@ TEST(DistHosts, ByteIdenticalAcrossBackendMixes)
         EXPECT_EQ(jobs, base.points.size());
     }
 
-    // Mixed: one daemon lane ahead of one forked pipe worker.
+    // Mixed: one daemon lane ahead of one forked lane.
     {
         DistOptions opt;
         opt.workers = 1;
@@ -96,6 +96,28 @@ TEST(DistHosts, ByteIdenticalAcrossBackendMixes)
         EXPECT_EQ(stats.hostOf[1], ""); // forked lane
         EXPECT_TRUE(stats.failures.empty());
     }
+}
+
+TEST(DistHosts, TimeoutPastTheDeadlineCeilingStillDispatches)
+{
+    const auto tr = cgTrace();
+    const auto cfg = smallConfig("", false);
+    const auto base = dse::explore(tr, cfg);
+
+    DaemonProc::Options dopt;
+    dopt.useCache = false;
+    DaemonProc a(dopt);
+    ASSERT_GT(a.port(), 0);
+
+    // The activity timeout doubles as the request deadline, but a
+    // daemon refuses any deadline_ms past the protocol's ceiling; the
+    // coordinator must clamp it rather than lose every job.
+    auto opt = hostsOnly(specsOf({&a}));
+    opt.workerTimeoutMs = serve::kMaxDeadlineMs + 1;
+    DistStats stats;
+    const auto report = exploreDistributed(tr, cfg, opt, &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    EXPECT_TRUE(stats.failures.empty());
 }
 
 TEST(DistHosts, WarmRerunOnDaemonCachesIsAllHits)
@@ -239,7 +261,7 @@ TEST(DistHosts, AllHostsDeadFallsBackToForkedWorker)
     a.await();
 
     // Single (dead) host, zero workers: the requeue has no surviving
-    // host and must fork a local pipe worker instead.
+    // host and must fork a local lane instead.
     DistStats stats;
     const auto report =
         exploreDistributed(tr, cfg, hostsOnly(hosts), &stats);

@@ -71,11 +71,13 @@ tempPath(const char *leaf)
 /** `design` request mirroring the CLI defaults except restarts. */
 std::string
 designRequest(const std::string &id, const std::string &trace,
-              std::uint32_t restarts, std::int64_t deadlineMs = 0)
+              std::uint32_t restarts, std::int64_t deadlineMs = 0,
+              std::uint64_t seed = 1)
 {
     std::ostringstream os;
     os << "{\"id\": \"" << id << "\", \"cmd\": \"design\", \"trace\": \""
-       << jsonEscape(trace) << "\", \"restarts\": " << restarts;
+       << jsonEscape(trace) << "\", \"restarts\": " << restarts
+       << ", \"seed\": " << seed;
     if (deadlineMs > 0)
         os << ", \"deadline_ms\": " << deadlineMs;
     os << "}";
@@ -100,13 +102,14 @@ exploreRequest(const std::string &id, const std::string &trace,
 
 /** What the CLI (and therefore the daemon) must produce for design. */
 std::string
-expectedDesign(const std::string &traceStr, std::uint32_t restarts)
+expectedDesign(const std::string &traceStr, std::uint32_t restarts,
+               std::uint64_t seed = 1)
 {
     const auto tr = loadTrace(traceStr);
     core::MethodologyConfig mcfg;
     mcfg.partitioner.constraints.maxDegree = 5;
     mcfg.restarts = restarts;
-    mcfg.partitioner.seed = 1;
+    mcfg.partitioner.seed = seed;
     const auto outcome =
         core::runMethodology(trace::analyzeByCall(tr), mcfg);
     std::ostringstream os;
@@ -268,6 +271,22 @@ TEST(Serve, DesignByteIdenticalToCliColdAndWarm)
     ASSERT_TRUE(warm.ok);
     EXPECT_EQ(warm.result, expected);
     EXPECT_EQ(live.counter("serve/computations"), 1.0);
+}
+
+TEST(Serve, DesignKeepsSeedsBeyond32Bits)
+{
+    const auto trace = traceText(trace::Benchmark::CG, 8);
+    constexpr std::uint64_t kWide = (1ull << 32) + 1;
+    const auto narrow = expectedDesign(trace, 2, 1);
+    const auto wide = expectedDesign(trace, 2, kWide);
+    ASSERT_NE(narrow, wide); // the seeds differ only above bit 31
+
+    LiveServer live("serve-wide-seed");
+    auto client = live.client();
+    const auto reply =
+        roundTrip(client, designRequest("s", trace, 2, 0, kWide));
+    ASSERT_TRUE(reply.ok) << reply.code << ": " << reply.message;
+    EXPECT_EQ(reply.result, wide);
 }
 
 TEST(Serve, ExploreByteIdenticalAcrossAllThreeTiers)

@@ -3,7 +3,7 @@
 #
 # Usage: tools/ci.sh [build-dir]
 #
-# Eleven phases:
+# Ten phases:
 #  1. ASan + UBSan build tree running the full ctest suite.
 #  2. TSan build tree running the concurrency-sensitive tests (thread
 #     pool, parallel-restart determinism, Fast_Color cache under the
@@ -34,22 +34,22 @@
 #     256-rank designs under ASan/UBSan within a wall-time budget,
 #     every design Theorem-1-verified; the curve JSON lands in the
 #     build dir.
-#  9. Distributed explore + lax-sync smoke: `explore --workers 3`
-#     under ASan must produce a frontier byte-identical to the
-#     in-process run, a warm rerun against the merged shared cache
-#     must hit on every job, the dist status JSON must report zero
-#     worker failures, and the lax_sync bench must hold its
-#     exactness/byte-identity gates; both JSON artifacts land in the
-#     build dir.
-# 10. Multi-host explore over `minnoc serve` (ASan): two loopback
-#     daemons drive `explore --hosts`; the cold run must be
-#     byte-identical to the in-process reference, a warm rerun must
-#     hit every job on the daemon-side caches, and a third sweep with
-#     one daemon SIGKILLed mid-run (wedged via the serve hang hook so
-#     the kill is guaranteed to land mid-sweep) must still converge
-#     byte-identical with the failure recorded in `host_failed` only;
-#     the dist status artifacts land in the build dir.
-# 11. Coherence stress smoke: the MSI traffic generator and per-phase
+#  9. Distributed explore (ASan), over both kinds of lane — forked
+#     `--workers` (serve loops on socketpairs) and `--hosts` (two
+#     loopback `minnoc serve` daemons): `explore --workers 3` cold and
+#     warm must be byte-identical to the in-process run, the warm rerun
+#     against the merged shared cache must hit on every job, and the
+#     dist status JSON must report zero worker failures; the `--hosts`
+#     cold run must be byte-identical with no failures of either kind,
+#     its warm rerun must hit every job on the daemon-side caches, and
+#     a third sweep with one daemon SIGKILLed mid-run (wedged via the
+#     serve hang hook so the kill is guaranteed to land mid-sweep) must
+#     still converge byte-identical with the failure recorded in
+#     `host_failed` only; the surviving daemons must drain cleanly on
+#     SIGTERM, and the lax_sync bench must hold its exactness and
+#     byte-identity gates. The dist status and lax_sync JSON artifacts
+#     land in the build dir.
+# 10. Coherence stress smoke: the MSI traffic generator and per-phase
 #     synthesis pipeline under ASan at small N within a wall-time
 #     budget; the JSON must be byte-identical across thread counts,
 #     every design Theorem-1-verified, the replay deadlock-free; the
@@ -228,7 +228,7 @@ grep -q '"verified": false' "$build/scale_curve.json" &&
     { echo "FAIL: scale_curve JSON contains unverified designs"; exit 1; }
 echo "scale curve artifact: $build/scale_curve.json"
 
-echo "=== phase 9: distributed explore + lax-sync (ASan) ==="
+echo "=== phase 9: distributed explore (ASan) ==="
 cmake --build "$build" -j "$jobs" --target minnoc lax_sync
 dist_cache="$build/ci-dist-cache"
 rm -rf "$dist_cache"
@@ -266,10 +266,7 @@ cmp "$build/dist_frontier_cold.json" "$build/dist_frontier_warm.json" ||
     { echo "FAIL: lax_sync bench gates"; exit 1; }
 grep -q '"benchmark": "lax_sync"' "$build/lax_sync.json" ||
     { echo "FAIL: lax_sync bench produced no report"; exit 1; }
-echo "dist status artifact: $build/dist_status.json"
-echo "lax sync artifact: $build/lax_sync.json"
-
-echo "=== phase 10: multi-host explore over minnoc serve (ASan) ==="
+# The same sweep over two loopback `minnoc serve` daemons.
 # Wait until a daemon accepts TCP on its port (or die with its log).
 await_port() { # pid port log
     for _ in $(seq 100); do
@@ -293,8 +290,8 @@ host_a_pid=$!
 host_b_pid=$!
 await_port "$host_a_pid" "$port_a" "$build/ci-hosts-a.log"
 await_port "$host_b_pid" "$port_b" "$build/ci-hosts-b.log"
-# Cold sweep over both daemons: byte-identical to phase 9's in-process
-# reference, no failures of either kind.
+# Cold sweep over both daemons: byte-identical to the in-process
+# reference above, no failures of either kind.
 "$build/tools/minnoc" explore "$build/ci-dist.trace" \
     --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
     --hosts "127.0.0.1:$port_a,127.0.0.1:$port_b" \
@@ -351,10 +348,11 @@ wait "$host_a_pid" ||
 wait "$host_b_pid" ||
     { echo "FAIL: daemon B exited nonzero on SIGTERM"; exit 1; }
 wait "$host_c_pid" 2>/dev/null || true
-echo "multi-host status artifacts: $build/hosts_status_cold.json," \
-     "$build/hosts_status_kill.json"
+echo "dist status artifacts: $build/dist_status.json," \
+     "$build/hosts_status_cold.json, $build/hosts_status_kill.json"
+echo "lax sync artifact: $build/lax_sync.json"
 
-echo "=== phase 11: coherence stress (ASan) ==="
+echo "=== phase 10: coherence stress (ASan) ==="
 cmake --build "$build" -j "$jobs" --target coherence_stress
 # Small N under ASan inside a wall-time budget: the generator, the
 # per-phase synthesis pipeline, and both power tiers end-to-end. The

@@ -18,8 +18,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,6 +190,29 @@ parsePatternList(const std::string &spec)
     if (patterns.empty())
         fatal("flag --patterns: expected a comma-separated pattern list");
     return patterns;
+}
+
+/**
+ * --workers/--hosts/--worker-timeout-ms of explore and phases; nullopt
+ * for an in-process run. The timeout must be positive and its value
+ * in microseconds must fit in int64.
+ */
+std::optional<dist::DistOptions>
+distOptionsFromArgs(const Args &args)
+{
+    constexpr std::uint64_t kMaxTimeoutMs =
+        std::numeric_limits<std::int64_t>::max() / 1000;
+    const auto timeoutMs = args.getU64("worker-timeout-ms", 600'000);
+    if (timeoutMs == 0 || timeoutMs > kMaxTimeoutMs)
+        fatal("flag --worker-timeout-ms: expected 1..", kMaxTimeoutMs,
+              ", got ", timeoutMs);
+    dist::DistOptions dopt;
+    dopt.workers = args.getU32("workers", 0);
+    dopt.hosts = dist::parseHostList(args.get("hosts"));
+    dopt.workerTimeoutMs = static_cast<std::int64_t>(timeoutMs);
+    if (dopt.workers == 0 && dopt.hosts.empty())
+        return std::nullopt;
+    return dopt;
 }
 
 /** The selected `--power` accounting tier (default: static). */
@@ -598,30 +623,25 @@ cmdExplore(const Args &args)
     installCliCancel();
     cfg.cancel = &gCliToken;
 
-    // --workers N forks N worker processes sharing the disk cache;
-    // --hosts adds remote `minnoc serve` daemons as extra lanes. Any
-    // mix yields a report byte-identical to the in-process sweep.
-    const std::uint32_t workers = args.getU32("workers", 0);
-    const auto hosts = dist::parseHostList(args.get("hosts"));
-    const bool distributed = workers > 0 || !hosts.empty();
+    // --workers N forks N lanes sharing the disk cache; --hosts adds
+    // remote `minnoc serve` daemons as extra lanes. Any mix yields a
+    // report byte-identical to the in-process sweep.
+    const auto dopt = distOptionsFromArgs(args);
     dist::DistStats distStats;
     dse::ExploreReport report;
     try {
-        if (distributed) {
-            dist::DistOptions dopt;
-            dopt.workers = workers;
-            dopt.hosts = hosts;
-            dopt.workerTimeoutMs = static_cast<std::int64_t>(
-                args.getU64("worker-timeout-ms", 600'000));
-            report = dist::exploreDistributed(tr, cfg, dopt, &distStats);
-        } else {
-            report = dse::explore(tr, cfg);
-        }
+        report = dopt ? dist::exploreDistributed(tr, cfg, *dopt, &distStats)
+                      : dse::explore(tr, cfg);
     } catch (const CancelledError &) {
         std::fprintf(stderr,
                      "explore: interrupted, partial sweep discarded "
                      "(finished jobs stay cached)\n");
         return 130;
+    } catch (const std::runtime_error &e) {
+        // A shard that failed twice: no report, finished jobs cached.
+        std::fprintf(stderr, "explore: %s, no report written\n",
+                     e.what());
+        return 1;
     }
     exportObservability(args, metrics, traceLog);
     const auto json = report.toJson();
@@ -652,7 +672,7 @@ cmdExplore(const Args &args)
                  total ? 100.0 * static_cast<double>(report.cacheHits) /
                              static_cast<double>(total)
                        : 0.0);
-    if (distributed)
+    if (dopt)
         reportDistRun(args, distStats, "explore", human);
     return 0;
 }
@@ -693,30 +713,24 @@ cmdPhases(const Args &args)
     cfg.sim.cancel = &gCliToken;
 
     // --workers N farms the per-phase standalone syntheses out to
-    // forked workers; --hosts adds remote `minnoc serve` daemons as
+    // forked lanes; --hosts adds remote `minnoc serve` daemons as
     // extra lanes. The merged report is byte-identical to the
     // in-process evaluation.
-    const std::uint32_t workers = args.getU32("workers", 0);
-    const auto hosts = dist::parseHostList(args.get("hosts"));
-    const bool distributed = workers > 0 || !hosts.empty();
+    const auto dopt = distOptionsFromArgs(args);
     dist::DistStats distStats;
     phase::PhaseReport report;
     try {
-        if (distributed) {
-            dist::DistOptions dopt;
-            dopt.workers = workers;
-            dopt.hosts = hosts;
-            dopt.workerTimeoutMs = static_cast<std::int64_t>(
-                args.getU64("worker-timeout-ms", 600'000));
-            report =
-                dist::evaluatePhasesDistributed(tr, cfg, dopt, &distStats);
-        } else {
-            report = phase::evaluatePhases(tr, cfg);
-        }
+        report = dopt ? dist::evaluatePhasesDistributed(tr, cfg, *dopt,
+                                                        &distStats)
+                      : phase::evaluatePhases(tr, cfg);
     } catch (const CancelledError &) {
         std::fprintf(stderr,
                      "phases: interrupted, no report written\n");
         return 130;
+    } catch (const std::runtime_error &e) {
+        std::fprintf(stderr, "phases: %s, no report written\n",
+                     e.what());
+        return 1;
     }
     exportObservability(args, metrics, traceLog);
     const auto json = report.toJson();
@@ -735,7 +749,7 @@ cmdPhases(const Args &args)
     std::fprintf(human, "phases %s-%u:\n", report.pattern.c_str(),
                  report.ranks);
     std::fputs(report.summaryTable().c_str(), human);
-    if (distributed)
+    if (dopt)
         reportDistRun(args, distStats, "phases", human);
     std::size_t unionViolations = 0;
     for (const auto v : report.unionPhaseViolations)
