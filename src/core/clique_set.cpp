@@ -90,6 +90,11 @@ CliqueSet::buildMaskCaches() const
                          return _maskInfos[a].popcount >
                                 _maskInfos[b].popcount;
                      });
+    _commCliques.assign(_comms.size(), {});
+    for (const std::uint32_t m : _masksBySize) {
+        for (const CommId c : _cliques[m].comms)
+            _commCliques[c].push_back(m);
+    }
     _masksValid = true;
 }
 
@@ -115,6 +120,14 @@ CliqueSet::masksBySize() const
     if (!_masksValid)
         buildMaskCaches();
     return _masksBySize;
+}
+
+const std::vector<std::uint32_t> &
+CliqueSet::cliquesOf(CommId c) const
+{
+    if (!_masksValid)
+        buildMaskCaches();
+    return _commCliques.at(c);
 }
 
 void

@@ -117,9 +117,16 @@ class CliqueSet
     const std::vector<std::uint32_t> &masksBySize() const;
 
     /**
-     * Force-build every lazy cache (clique masks, contention index).
-     * The lazy builders mutate shared state and are not safe to race;
-     * call this once before handing the set to concurrent readers.
+     * Indices of the cliques containing comm @p c, in masksBySize()
+     * order. Built and invalidated together with the clique masks.
+     */
+    const std::vector<std::uint32_t> &cliquesOf(CommId c) const;
+
+    /**
+     * Force-build every lazy cache (clique masks, per-comm clique
+     * lists, contention index). The lazy builders mutate shared state
+     * and are not safe to race; call this once before handing the set
+     * to concurrent readers.
      */
     void prepareCaches() const;
 
@@ -174,6 +181,7 @@ class CliqueSet
     mutable std::vector<CommBitset> _masks;
     mutable std::vector<MaskInfo> _maskInfos;
     mutable std::vector<std::uint32_t> _masksBySize;
+    mutable std::vector<std::vector<std::uint32_t>> _commCliques;
     mutable bool _masksValid = false;
 };
 

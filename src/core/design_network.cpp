@@ -245,20 +245,30 @@ DesignNetwork::fastColorSet(const CommBitset &comms) const
 }
 
 std::uint32_t
-DesignNetwork::fastColorSetPlus(const CommBitset &comms, CommId extra) const
+DesignNetwork::fastColorSetPlus(const CommBitset &comms, std::uint32_t fc,
+                                CommId extra) const
 {
     g_fcCalls.fetch_add(1, std::memory_order_relaxed);
-    // |K ∩ (comms + extra)| can exceed neither |K| nor |comms| + 1.
+#ifdef MINNOC_SANITIZE
+    if (comms.test(extra))
+        panic("fastColorSetPlus: comm ", extra, " already in the set");
+    if (fc != computeFastColor(comms))
+        panic("fastColorSetPlus: base ", fc, " is not the set's ",
+              "Fast_Color ", computeFastColor(comms));
+#endif
+    // A clique K containing extra gives 1 + |K ∩ comms| <= |K|; cliques
+    // come largest first, so stop once |K| cannot beat best. Nothing
+    // can beat |comms| + 1 either.
     const auto cap = static_cast<std::uint32_t>(comms.size()) + 1;
     const auto &masks = _cliques->cliqueMasks();
     const auto &infos = _cliques->maskInfos();
     const auto &sw = comms.words();
-    std::uint32_t best = 0;
-    for (const std::uint32_t m : _cliques->masksBySize()) {
-        if (infos[m].popcount <= best)
+    std::uint32_t best = fc;
+    for (const std::uint32_t m : _cliques->cliquesOf(extra)) {
+        if (infos[m].popcount <= best || best >= cap)
             break;
         const auto &mw = masks[m].words();
-        std::uint32_t common = masks[m].test(extra) ? 1u : 0u;
+        std::uint32_t common = 1;
         for (const std::uint32_t w : infos[m].nonzeroWords) {
             if (w >= sw.size())
                 break;
@@ -266,8 +276,6 @@ DesignNetwork::fastColorSetPlus(const CommBitset &comms, CommId extra) const
                 std::popcount(mw[w] & sw[w]));
         }
         best = std::max(best, common);
-        if (best >= cap)
-            break;
     }
     return best;
 }

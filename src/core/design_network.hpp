@@ -129,22 +129,15 @@ class DesignNetwork
     /** All currently non-empty pipes (sorted by key). */
     std::vector<PipeKey> pipes() const;
 
-    /**
-     * Visit every pipe in ascending key order without per-key map
-     * lookups: @p f receives (const PipeKey &, const Pipe &). The hot
-     * bulk readers (baseline snapshots, degree sweeps) use this; the
-     * callback must not mutate the network.
-     */
-    template <typename F>
-    void
-    forEachPipe(F &&f) const
-    {
-        for (const auto &[key, pipe] : _pipes)
-            f(key, pipe);
-    }
-
     /** Non-empty pipes incident to switch @p s. */
     std::vector<PipeKey> pipesOf(SwitchId s) const;
+
+    /** Pipe neighbors of switch @p s, ascending. */
+    const std::vector<SwitchId> &
+    neighbors(SwitchId s) const
+    {
+        return _nbrs[s];
+    }
 
     /** The pipe record for @p key (empty record if absent). */
     const Pipe &pipe(const PipeKey &key) const;
@@ -170,10 +163,14 @@ class DesignNetwork
 
     /**
      * Fast_Color of (@p comms + the single id @p extra) without
-     * materializing the union; @p extra must not be in @p comms.
+     * materializing the union, given @p fc = fastColorSet(@p comms).
+     * Only the cliques containing @p extra can grow, each by one, so
+     * the result is max(fc, 1 + max over K containing extra of
+     * |K intersect comms|). @p extra must not be in @p comms; sanitized
+     * builds check both preconditions.
      */
     std::uint32_t fastColorSetPlus(const CommBitset &comms,
-                                   CommId extra) const;
+                                   std::uint32_t fc, CommId extra) const;
 
     /**
      * The original ordered-set Fast_Color implementation, kept as the
