@@ -24,13 +24,19 @@ using namespace minnoc;
 namespace {
 
 trace::Trace
-cgTrace(std::uint32_t ranks)
+nasTrace(trace::Benchmark bench, std::uint32_t ranks)
 {
     trace::NasConfig cfg;
     cfg.ranks = ranks;
     cfg.iterations = 1;
     cfg.seed = 1;
-    return trace::generateBenchmark(trace::Benchmark::CG, cfg);
+    return trace::generateBenchmark(bench, cfg);
+}
+
+trace::Trace
+cgTrace(std::uint32_t ranks)
+{
+    return nasTrace(trace::Benchmark::CG, ranks);
 }
 
 std::string
@@ -60,10 +66,10 @@ simulateMetricsJson(const trace::Trace &tr)
     return registry.toJson();
 }
 
-std::string
-methodologyMetricsJson(const trace::Trace &tr, std::uint32_t threads)
+void
+runMethodology(const trace::Trace &tr, std::uint32_t threads,
+               obs::MetricsRegistry &registry)
 {
-    obs::MetricsRegistry registry;
     core::MethodologyConfig cfg;
     cfg.partitioner.constraints.maxDegree = 5;
     cfg.partitioner.seed = 1;
@@ -71,6 +77,13 @@ methodologyMetricsJson(const trace::Trace &tr, std::uint32_t threads)
     cfg.threads = threads;
     cfg.metrics = &registry;
     (void)core::runMethodology(trace::analyzeByCall(tr), cfg);
+}
+
+std::string
+methodologyMetricsJson(const trace::Trace &tr, std::uint32_t threads)
+{
+    obs::MetricsRegistry registry;
+    runMethodology(tr, threads, registry);
     return registry.toJson();
 }
 
@@ -97,6 +110,27 @@ TEST(MetricsDeterminism, MethodologyIdenticalAcrossThreadCounts)
     EXPECT_EQ(one, four)
         << "restart telemetry must replay identically at any "
            "thread count";
+}
+
+TEST(MetricsDeterminism, MergeCountersIdenticalAcrossThreadCounts)
+{
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "metrics compiled out (MINNOC_OBS=OFF)";
+    const auto tr = nasTrace(trace::Benchmark::BT, 16);
+    obs::MetricsRegistry one;
+    obs::MetricsRegistry four;
+    runMethodology(tr, 1, one);
+    runMethodology(tr, 4, four);
+    for (const char *name :
+         {"methodology/merge/candidates", "methodology/merge/accepted"}) {
+        EXPECT_EQ(one.counter(name).value(), four.counter(name).value())
+            << name;
+    }
+    const auto candidates =
+        one.counter("methodology/merge/candidates").value();
+    const auto accepted = one.counter("methodology/merge/accepted").value();
+    EXPECT_GE(candidates, accepted);
+    EXPECT_GE(accepted, 1u);
 }
 
 TEST(MetricsDeterminism, SimulateIdenticalAcrossRuns)

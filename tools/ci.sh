@@ -3,7 +3,7 @@
 #
 # Usage: tools/ci.sh [build-dir]
 #
-# Ten phases:
+# Eleven phases:
 #  1. ASan + UBSan build tree running the full ctest suite.
 #  2. TSan build tree running the concurrency-sensitive tests (thread
 #     pool, parallel-restart determinism, Fast_Color cache under the
@@ -54,6 +54,12 @@
 #     budget; the JSON must be byte-identical across thread counts,
 #     every design Theorem-1-verified, the replay deadlock-free; the
 #     artifact lands in the build dir.
+# 11. Benchmark self-test: perfbench/selftest.py builds the benchmark
+#     in its own tree under phase 3's build dir and runs every workload
+#     on reduced inputs, traced and untraced; each design and explore
+#     report must match the bytes recorded in perfbench/expected.json,
+#     and a deliberately wrong recorded value must count as a failed
+#     operation.
 #
 # Any sanitizer report fails the run (halt_on_error / abort on UB).
 
@@ -377,3 +383,6 @@ grep -q '"verified": false' "$build/coherence_stress.json" &&
 grep -q '"deadlock_recoveries": 0' "$build/coherence_stress.json" ||
     { echo "FAIL: coherence replay hit deadlock recovery"; exit 1; }
 echo "coherence stress artifact: $build/coherence_stress.json"
+
+echo "=== phase 11: benchmark self-test ==="
+CARGO_TARGET_DIR="$build_bench/perfbench" python3 "$repo/perfbench/selftest.py"
