@@ -24,6 +24,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/cancel.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
@@ -687,11 +688,11 @@ exploreDistributed(const trace::Trace &trace,
             out += ", \"reconfig_cost\": " +
                    std::to_string(config.phaseReconfigCost);
             out += ", \"threshold\": " +
-                   serve::fmtDouble(config.phaseSegmenter.mergeThreshold);
+                   json::fmtDouble(config.phaseSegmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
                    std::to_string(config.phaseSegmenter.minPhaseWindows);
             out += ", \"matrix_weight\": " +
-                   serve::fmtDouble(config.phaseSegmenter.matrixWeight);
+                   json::fmtDouble(config.phaseSegmenter.matrixWeight);
             // Only off the default tier: static requests stay
             // byte-identical to what pre-power daemons accept.
             if (config.power.kind != topo::PowerModelKind::Static)
@@ -750,16 +751,6 @@ evaluatePhasesDistributed(const trace::Trace &trace,
             /*withPhaseDesigns=*/false);
     }
 
-    const phase::VariantResult mono = phase::evalDesignVariant(
-        multi.monolithic.design, multi.monolithic.violations.size(),
-        trace, config);
-    const phase::VariantResult uni = phase::evalDesignVariant(
-        multi.unionDesign, multi.unionViolationCount(), trace, config);
-    std::vector<std::size_t> unionViolations;
-    unionViolations.reserve(multi.unionPhaseViolations.size());
-    for (const auto &v : multi.unionPhaseViolations)
-        unionViolations.push_back(v.size());
-
     const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
     std::vector<phase::PhaseRowEval> rows(nPhases);
     if (nPhases > 0) {
@@ -791,11 +782,11 @@ evaluatePhasesDistributed(const trace::Trace &trace,
             out += ", \"window\": " +
                    std::to_string(config.segmenter.windowMessages);
             out += ", \"threshold\": " +
-                   serve::fmtDouble(config.segmenter.mergeThreshold);
+                   json::fmtDouble(config.segmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
                    std::to_string(config.segmenter.minPhaseWindows);
             out += ", \"matrix_weight\": " +
-                   serve::fmtDouble(config.segmenter.matrixWeight);
+                   json::fmtDouble(config.segmenter.matrixWeight);
             out += ", \"max_degree\": " +
                    std::to_string(config.methodology.partitioner
                                       .constraints.maxDegree);
@@ -821,8 +812,8 @@ evaluatePhasesDistributed(const trace::Trace &trace,
                   onResult, stats, config.traceLog, "phase");
     }
 
-    auto report = phase::assemblePhaseReport(trace, config, seg, mono,
-                                             uni, unionViolations, rows);
+    auto report =
+        phase::assemblePhaseReport(trace, config, seg, multi, rows);
     recordDistTelemetry(config.metrics, config.traceLog, stats);
     return report;
 }

@@ -1,5 +1,6 @@
 #include "cache.hpp"
 
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -8,6 +9,9 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace minnoc::dse {
@@ -145,15 +149,6 @@ readDouble(const std::string &text, const std::string &key, double &out)
         return false;
     out = v;
     return true;
-}
-
-/** %.17g — enough digits for exact double round-tripping. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
 }
 
 /** 16 lowercase hex digits of @p h (the record checksum format). */
@@ -299,10 +294,10 @@ ResultCache::store(const std::string &key,
         << "  \"link_area\": " << m.linkArea << ",\n"
         << "  \"proc_link_area\": " << m.procLinkArea << ",\n"
         << "  \"exec_time\": " << m.execTime << ",\n"
-        << "  \"avg_latency\": " << fmtDouble(m.avgLatency) << ",\n"
-        << "  \"avg_hops\": " << fmtDouble(m.avgHops) << ",\n"
-        << "  \"max_link_util\": " << fmtDouble(m.maxLinkUtil) << ",\n"
-        << "  \"energy\": " << fmtDouble(m.energy) << "\n"
+        << "  \"avg_latency\": " << json::fmtDouble(m.avgLatency) << ",\n"
+        << "  \"avg_hops\": " << json::fmtDouble(m.avgHops) << ",\n"
+        << "  \"max_link_util\": " << json::fmtDouble(m.maxLinkUtil) << ",\n"
+        << "  \"energy\": " << json::fmtDouble(m.energy) << "\n"
         << "}\n";
 
     std::ostringstream oss;
@@ -312,11 +307,16 @@ ResultCache::store(const std::string &key,
         << "\",\n"
         << payload.str();
 
-    // Write-then-rename: readers only ever see complete records. Two
-    // writers racing on one key write identical bytes (the pipeline is
-    // deterministic), so either rename winning is fine.
+    // Write-then-rename: readers only ever see complete records. Each
+    // writer gets its own temp file (pid + per-process sequence), so
+    // writers racing on one key, in one process or several sharing the
+    // directory, never truncate each other's bytes; they write identical
+    // bytes (the pipeline is deterministic), so either rename winning
+    // is fine.
+    static std::atomic<std::uint64_t> tmpSeq{0};
     const auto path = recordPath(key);
-    const auto tmp = path + ".tmp";
+    const auto tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                     std::to_string(tmpSeq.fetch_add(1));
     {
         std::ofstream out(tmp, std::ios::trunc);
         if (!out) {
@@ -326,8 +326,10 @@ ResultCache::store(const std::string &key,
         out << oss.str();
     }
     std::filesystem::rename(tmp, path, ec);
-    if (ec)
+    if (ec) {
         warn("dse cache: cannot rename '", tmp, "': ", ec.message());
+        std::filesystem::remove(tmp, ec);
+    }
 }
 
 } // namespace minnoc::dse

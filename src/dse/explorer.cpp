@@ -1,15 +1,16 @@
 #include "explorer.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <thread>
 
 #include "core/methodology.hpp"
 #include "pareto.hpp"
-#include "phase/evaluator.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
+#include "phase/multi_design.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minnoc::dse {
@@ -42,13 +43,37 @@ simConfigFor(const JobParams &params, const ExploreConfig &config)
     return scfg;
 }
 
-/** %.17g — enough digits for exact double round-tripping. */
-std::string
-fmtDouble(double v)
+/** The segmenter a phase-window job's parameter tuple selects. */
+phase::PhaseConfig
+segmenterFor(const JobParams &params, const ExploreConfig &config)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    phase::PhaseConfig pcfg = config.phaseSegmenter;
+    pcfg.windowMessages = params.phaseWindow;
+    return pcfg;
+}
+
+/**
+ * Fold one network's design and evaluation into @p m: maxima on the
+ * provisioned-resource axes (a reconfigurable fabric must host the
+ * largest phase network), sums on time and energy. The latency axes
+ * are the caller's.
+ */
+void
+foldNetwork(JobMetrics &m, const core::DesignOutcome &outcome,
+            const sim::DesignEvaluation &e)
+{
+    m.switches = std::max(m.switches, outcome.design.numSwitches);
+    m.links = std::max(m.links, outcome.design.totalLinks());
+    m.channels = std::max(m.channels, outcome.design.totalChannels());
+    m.constraintsMet = m.constraintsMet && outcome.constraintsMet;
+    m.violations += static_cast<std::uint32_t>(outcome.violations.size());
+    m.rounds = std::max(m.rounds, outcome.rounds);
+    m.switchArea = std::max(m.switchArea, e.plan.switchArea);
+    m.linkArea = std::max(m.linkArea, e.plan.linkArea);
+    m.procLinkArea = std::max(m.procLinkArea, e.plan.procLinkArea);
+    m.execTime += e.sim.execTime;
+    m.maxLinkUtil = std::max(m.maxLinkUtil, e.sim.maxLinkUtilization);
+    m.energy += e.energy.total();
 }
 
 } // namespace
@@ -90,12 +115,9 @@ jobSignature(const JobParams &params, const ExploreConfig &config)
                       simConfigFor(params, config).signature();
     // Appended only when phase-aware evaluation is on, so classic jobs
     // keep the cache keys they had before the phase dimension existed.
-    if (params.phaseWindow > 0) {
-        phase::PhaseConfig pcfg = config.phaseSegmenter;
-        pcfg.windowMessages = params.phaseWindow;
-        sig += "|phase:" + pcfg.signature() +
+    if (params.phaseWindow > 0)
+        sig += "|phase:" + segmenterFor(params, config).signature() +
                ";rc=" + std::to_string(config.phaseReconfigCost);
-    }
     return sig;
 }
 
@@ -118,79 +140,64 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
 
     auto mcfg = methodologyConfigFor(params);
     mcfg.cancel = config.cancel;
+    const auto scfg = simConfigFor(params, config);
+    JobMetrics m;
+    m.constraintsMet = true;
 
-    if (params.phaseWindow > 0) {
-        // Phase-aware job: segment, synthesize one network per phase,
-        // replay each sub-trace on its own network, charge the
-        // reconfiguration penalty at every boundary. Resource axes
-        // report per-phase maxima (the fabric must host the largest
-        // phase network); time and energy axes are totals.
-        phase::PhaseEvalConfig pcfg;
-        pcfg.segmenter = config.phaseSegmenter;
-        pcfg.segmenter.windowMessages = params.phaseWindow;
-        pcfg.methodology = mcfg;
-        pcfg.floorplan = config.floorplan;
-        pcfg.power = config.power;
-        pcfg.sim = simConfigFor(params, config);
-        pcfg.reconfigCost = config.phaseReconfigCost;
-
-        const auto t0 = tick();
-        const auto s = phase::evaluateTimeMultiplexed(trace, pcfg);
-        span("time-multiplexed", t0);
-
-        JobMetrics m;
-        m.switches = s.switches;
-        m.links = s.links;
-        m.channels = s.channels;
-        m.constraintsMet = s.constraintsMet;
-        m.violations = s.violations;
-        m.rounds = s.rounds;
-        m.switchArea = s.switchArea;
-        m.linkArea = s.linkArea;
-        m.procLinkArea = s.procLinkArea;
-        m.execTime = s.execTime;
-        m.avgLatency = s.avgLatency;
-        m.avgHops = s.avgHops;
-        m.maxLinkUtil = s.maxLinkUtil;
-        m.energy = s.energy;
+    if (params.phaseWindow == 0) {
+        // Re-entrant, strictly sequential run: the explorer's own pool
+        // provides the parallelism, one job per worker.
+        const auto t = tick();
+        const auto outcome = core::runMethodology(cliques, mcfg, nullptr);
+        span("methodology", t);
+        const auto e =
+            sim::evaluateDesign(outcome.design, trace, config.floorplan,
+                                scfg, config.power, 0, traceLog, tid);
+        foldNetwork(m, outcome, e);
+        m.avgLatency = e.sim.avgPacketLatency;
+        m.avgHops = e.sim.avgPacketHops;
         return m;
     }
 
-    // Re-entrant, strictly sequential run: the explorer's own pool
-    // provides the parallelism, one job per worker.
-    auto t = tick();
-    const auto outcome = core::runMethodology(cliques, mcfg, nullptr);
-    span("methodology", t);
-
-    t = tick();
-    const auto plan = topo::planFloor(outcome.design, config.floorplan);
-    const auto net = topo::buildFromDesign(outcome.design, plan);
-    span("build", t);
-
-    const auto scfg = simConfigFor(params, config);
-    t = tick();
-    const auto res = sim::runTrace(trace, *net.topo, *net.routing, scfg);
-    span("simulate", t);
-    const auto energy =
-        topo::computeEnergy(*net.topo, res.linkFlits, res.execTime,
-                            res.activity, config.power);
-
-    JobMetrics m;
-    m.switches = outcome.design.numSwitches;
-    m.links = outcome.design.totalLinks();
-    m.channels = outcome.design.totalChannels();
-    m.constraintsMet = outcome.constraintsMet;
-    m.violations =
-        static_cast<std::uint32_t>(outcome.violations.size());
-    m.rounds = outcome.rounds;
-    m.switchArea = plan.switchArea;
-    m.linkArea = plan.linkArea;
-    m.procLinkArea = plan.procLinkArea;
-    m.execTime = res.execTime;
-    m.avgLatency = res.avgPacketLatency;
-    m.avgHops = res.avgPacketHops;
-    m.maxLinkUtil = res.maxLinkUtilization;
-    m.energy = energy.total();
+    // Phase-aware job: segment, synthesize one network per phase over
+    // that phase's standalone cliques, replay each sub-trace on its own
+    // network, and charge the reconfiguration penalty at every
+    // boundary: the execution stalls and the incoming network idles.
+    const auto t0 = tick();
+    const auto seg =
+        phase::segmentTrace(trace, segmenterFor(params, config));
+    const auto phaseCliques = phase::buildPhaseCliques(trace, seg);
+    std::uint64_t delivered = 0;
+    double latencyWeighted = 0.0;
+    double hopsWeighted = 0.0;
+    sim::Cycle reconfigCycles = 0;
+    double reconfigEnergy = 0.0;
+    for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
+        const auto t = tick();
+        const auto outcome =
+            core::runMethodology(phaseCliques.standalone[p], mcfg, nullptr);
+        span("methodology", t);
+        const auto e = sim::evaluateDesign(
+            outcome.design, phase::phaseSubTrace(trace, seg, p),
+            config.floorplan, scfg, config.power,
+            config.phaseReconfigCost, traceLog, tid);
+        foldNetwork(m, outcome, e);
+        const auto n = static_cast<double>(e.sim.packetsDelivered);
+        delivered += e.sim.packetsDelivered;
+        latencyWeighted += e.sim.avgPacketLatency * n;
+        hopsWeighted += e.sim.avgPacketHops * n;
+        if (p > 0) {
+            reconfigCycles += config.phaseReconfigCost;
+            reconfigEnergy += e.idleEnergy;
+        }
+    }
+    m.execTime += reconfigCycles;
+    m.energy += reconfigEnergy;
+    if (delivered) {
+        m.avgLatency = latencyWeighted / static_cast<double>(delivered);
+        m.avgHops = hopsWeighted / static_cast<double>(delivered);
+    }
+    span("time-multiplexed", t0);
     return m;
 }
 
@@ -356,10 +363,10 @@ ExploreReport::toJson() const
             << ", \"proc_link_area\": " << m.procLinkArea
             << ", \"area\": " << m.totalArea() << ", \"exec_time\": "
             << m.execTime << ", \"avg_latency\": "
-            << fmtDouble(m.avgLatency) << ", \"avg_hops\": "
-            << fmtDouble(m.avgHops) << ", \"max_link_util\": "
-            << fmtDouble(m.maxLinkUtil) << ", \"energy\": "
-            << fmtDouble(m.energy) << ", \"dominated\": "
+            << json::fmtDouble(m.avgLatency) << ", \"avg_hops\": "
+            << json::fmtDouble(m.avgHops) << ", \"max_link_util\": "
+            << json::fmtDouble(m.maxLinkUtil) << ", \"energy\": "
+            << json::fmtDouble(m.energy) << ", \"dominated\": "
             << (pt.dominated ? "true" : "false") << "}"
             << (i + 1 < points.size() ? "," : "") << "\n";
     }

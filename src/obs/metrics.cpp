@@ -4,20 +4,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace minnoc::obs {
 
 namespace {
-
-/** %.17g — enough digits for exact double round-tripping. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
 
 /** Minimal JSON string escape (control chars, quote, backslash). */
 std::string
@@ -159,20 +151,20 @@ MetricsRegistry::toJson(bool includeTimings) const
                 << e.counter->value() << "}";
         } else if (e.gauge) {
             oss << "\"type\": \"gauge\", \"value\": "
-                << fmtDouble(e.gauge->value()) << "}";
+                << json::fmtDouble(e.gauge->value()) << "}";
         } else if (e.series) {
             oss << "\"type\": \"series\", \"points\": [";
             const auto &pts = e.series->points();
             for (std::size_t i = 0; i < pts.size(); ++i)
                 oss << (i ? ", " : "") << "[" << pts[i].first << ", "
-                    << fmtDouble(pts[i].second) << "]";
+                    << json::fmtDouble(pts[i].second) << "]";
             oss << "]}";
         } else if (e.histogram) {
             const auto &h = *e.histogram;
             oss << "\"type\": \"histogram\", \"count\": " << h.count()
                 << ", \"sum\": " << h.sum() << ", \"min\": " << h.min()
                 << ", \"max\": " << h.max()
-                << ", \"mean\": " << fmtDouble(h.mean())
+                << ", \"mean\": " << json::fmtDouble(h.mean())
                 << ", \"p50\": " << h.quantile(0.50)
                 << ", \"p90\": " << h.quantile(0.90)
                 << ", \"p99\": " << h.quantile(0.99)

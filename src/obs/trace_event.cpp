@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace minnoc::obs {
 
 namespace {
@@ -32,14 +34,6 @@ escapeJson(const std::string &s)
         }
     }
     return out;
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
 }
 
 } // namespace
@@ -153,7 +147,7 @@ TraceEventLog::toJson() const
         if (e.phase == 'X')
             oss << ", \"dur\": " << e.dur;
         if (e.phase == 'C')
-            oss << ", \"args\": {\"value\": " << fmtDouble(e.value)
+            oss << ", \"args\": {\"value\": " << json::fmtDouble(e.value)
                 << "}";
         else if (!e.argsJson.empty())
             oss << ", \"args\": {" << e.argsJson << "}";

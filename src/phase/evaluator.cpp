@@ -6,53 +6,48 @@
 #include <sstream>
 #include <thread>
 
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
+#include "sim/evaluate.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minnoc::phase {
 
 namespace {
 
-/** %.17g — enough digits for exact double round-tripping. */
-std::string
-fmtDouble(double v)
+/**
+ * The evaluation step on one design, flattened into a report row. The
+ * idle price is one reconfiguration window; assemblePhaseReport charges
+ * it only for phase rows after the first.
+ */
+PhaseRowEval
+evalVariant(const core::FinalizedDesign &design, std::size_t violations,
+            const trace::Trace &tr, const PhaseEvalConfig &config)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    const auto e = sim::evaluateDesign(design, tr, config.floorplan,
+                                       config.sim, config.power,
+                                       config.reconfigCost);
+    PhaseRowEval row;
+    row.network.switches = design.numSwitches;
+    row.network.links = design.totalLinks();
+    row.network.channels = design.totalChannels();
+    row.network.area = e.plan.totalArea();
+    row.network.execTime = e.sim.execTime;
+    row.network.avgLatency = e.sim.avgPacketLatency;
+    row.network.energy = e.energy.total();
+    row.network.packetsDelivered = e.sim.packetsDelivered;
+    row.network.violations = violations;
+    row.reconfigIdleEnergy = e.idleEnergy;
+    return row;
 }
 
-struct VariantEval
+/** Evaluate phase @p p's design on the phase's own sub-trace. */
+PhaseRowEval
+evalPhaseRow(const trace::Trace &trace, const Segmentation &seg,
+             const core::DesignOutcome &outcome, std::uint32_t p,
+             const PhaseEvalConfig &config)
 {
-    VariantResult result;
-    topo::BuiltNetwork net;
-    sim::SimResult sim;
-};
-
-/** Floorplan, build, and replay one design on one (sub-)trace. */
-VariantEval
-evalDesign(const core::FinalizedDesign &design, std::size_t violations,
-           const trace::Trace &tr, const PhaseEvalConfig &config)
-{
-    VariantEval e;
-    const auto plan = topo::planFloor(design, config.floorplan);
-    e.net = topo::buildFromDesign(design, plan);
-    e.sim = sim::runTrace(tr, *e.net.topo, *e.net.routing, config.sim);
-    const auto energy =
-        topo::computeEnergy(*e.net.topo, e.sim.linkFlits,
-                            e.sim.execTime, e.sim.activity, config.power);
-
-    e.result.switches = design.numSwitches;
-    e.result.links = design.totalLinks();
-    e.result.channels = design.totalChannels();
-    e.result.area = plan.totalArea();
-    e.result.execTime = e.sim.execTime;
-    e.result.avgLatency = e.sim.avgPacketLatency;
-    e.result.energy = energy.total();
-    e.result.packetsDelivered = e.sim.packetsDelivered;
-    e.result.violations = violations;
-    return e;
+    return evalVariant(outcome.design, outcome.violations.size(),
+                       phaseSubTrace(trace, seg, p), config);
 }
 
 void
@@ -73,41 +68,14 @@ jsonVariant(const VariantResult &v)
     oss << "{\"switches\": " << v.switches << ", \"links\": " << v.links
         << ", \"channels\": " << v.channels << ", \"area\": " << v.area
         << ", \"exec_time\": " << v.execTime << ", \"avg_latency\": "
-        << fmtDouble(v.avgLatency) << ", \"energy\": "
-        << fmtDouble(v.energy) << ", \"packets\": " << v.packetsDelivered
-        << ", \"violations\": " << v.violations << "}";
+        << json::fmtDouble(v.avgLatency) << ", \"energy\": "
+        << json::fmtDouble(v.energy) << ", \"packets\": "
+        << v.packetsDelivered << ", \"violations\": " << v.violations
+        << "}";
     return oss.str();
 }
 
 } // namespace
-
-VariantResult
-evalDesignVariant(const core::FinalizedDesign &design,
-                  std::size_t violations, const trace::Trace &tr,
-                  const PhaseEvalConfig &config)
-{
-    return evalDesign(design, violations, tr, config).result;
-}
-
-PhaseRowEval
-evalPhaseRow(const trace::Trace &trace, const Segmentation &seg,
-             const core::DesignOutcome &outcome, std::uint32_t p,
-             const PhaseEvalConfig &config)
-{
-    const trace::Trace sub = phaseSubTrace(trace, seg, p);
-    const auto pe = evalDesign(outcome.design, outcome.violations.size(),
-                               sub, config);
-    PhaseRowEval row;
-    row.network = pe.result;
-    // Priced unconditionally; the assembly charges it only for p > 0
-    // (every phase after the first is swapped in exactly once).
-    const std::vector<std::uint64_t> idle(pe.sim.linkFlits.size(), 0);
-    row.reconfigIdleEnergy =
-        topo::computeEnergy(*pe.net.topo, idle, config.reconfigCost,
-                            config.power)
-            .total();
-    return row;
-}
 
 PhaseRowEval
 evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
@@ -127,9 +95,7 @@ evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
 PhaseReport
 assemblePhaseReport(const trace::Trace &trace,
                     const PhaseEvalConfig &config, const Segmentation &seg,
-                    const VariantResult &monolithic,
-                    const VariantResult &unionVariant,
-                    const std::vector<std::size_t> &unionPhaseViolations,
+                    const MultiPhaseResult &multi,
                     const std::vector<PhaseRowEval> &rows)
 {
     PhaseReport report;
@@ -141,9 +107,16 @@ assemblePhaseReport(const trace::Trace &trace,
     report.numMessages = seg.numMessages;
     report.numWindows = seg.numWindows;
     report.distances = seg.distances;
-    report.monolithic = monolithic;
-    report.unionVariant = unionVariant;
-    report.unionPhaseViolations = unionPhaseViolations;
+    report.monolithic =
+        evalVariant(multi.monolithic.design,
+                    multi.monolithic.violations.size(), trace, config)
+            .network;
+    report.unionVariant = evalVariant(multi.unionDesign,
+                                      multi.unionViolationCount(), trace,
+                                      config)
+                              .network;
+    for (const auto &v : multi.unionPhaseViolations)
+        report.unionPhaseViolations.push_back(v.size());
 
     // Time-multiplexed: each phase's sub-trace on its own network, a
     // drain+swap stall at every boundary, and the incoming network
@@ -281,98 +254,13 @@ evaluatePhases(const trace::Trace &trace, const PhaseEvalConfig &config)
     const MultiPhaseResult multi = synthesizeMultiPhase(
         trace, seg, config.methodology, pool ? &*pool : nullptr);
 
-    // Monolithic and union variants replay the full trace.
-    const VariantResult mono =
-        evalDesignVariant(multi.monolithic.design,
-                          multi.monolithic.violations.size(), trace,
-                          config);
-    const VariantResult uni =
-        evalDesignVariant(multi.unionDesign, multi.unionViolationCount(),
-                          trace, config);
-    std::vector<std::size_t> unionViolations;
-    unionViolations.reserve(multi.unionPhaseViolations.size());
-    for (const auto &v : multi.unionPhaseViolations)
-        unionViolations.push_back(v.size());
-
     std::vector<PhaseRowEval> rows;
     rows.reserve(seg.phases.size());
     for (std::uint32_t p = 0; p < seg.phases.size(); ++p)
         rows.push_back(
             evalPhaseRow(trace, seg, multi.phases[p].outcome, p, config));
 
-    return assemblePhaseReport(trace, config, seg, mono, uni,
-                               unionViolations, rows);
-}
-
-TimeMultiplexedSummary
-evaluateTimeMultiplexed(const trace::Trace &trace,
-                       const PhaseEvalConfig &config)
-{
-    const Segmentation seg = segmentTrace(trace, config.segmenter);
-    const PhaseCliques cliques = buildPhaseCliques(trace, seg);
-
-    core::MethodologyConfig quiet = config.methodology;
-    quiet.metrics = nullptr;
-    quiet.traceLog = nullptr;
-
-    TimeMultiplexedSummary s;
-    s.phases = static_cast<std::uint32_t>(seg.phases.size());
-
-    std::uint64_t delivered = 0;
-    double latencyWeighted = 0.0;
-    double hopsWeighted = 0.0;
-    for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
-        // Re-entrant sequential run: the caller (a DSE worker) owns
-        // the parallelism.
-        const auto outcome =
-            core::runMethodology(cliques.standalone[p], quiet, nullptr);
-        const auto plan =
-            topo::planFloor(outcome.design, config.floorplan);
-        const auto net = topo::buildFromDesign(outcome.design, plan);
-        const trace::Trace sub = phaseSubTrace(trace, seg, p);
-        const auto res =
-            sim::runTrace(sub, *net.topo, *net.routing, config.sim);
-        const auto energy =
-            topo::computeEnergy(*net.topo, res.linkFlits, res.execTime,
-                                res.activity, config.power);
-
-        s.switches = std::max(s.switches, outcome.design.numSwitches);
-        s.links = std::max(s.links, outcome.design.totalLinks());
-        s.channels = std::max(s.channels, outcome.design.totalChannels());
-        s.constraintsMet = s.constraintsMet && outcome.constraintsMet;
-        s.violations +=
-            static_cast<std::uint32_t>(outcome.violations.size());
-        s.rounds = std::max(s.rounds, outcome.rounds);
-        s.switchArea = std::max(s.switchArea, plan.switchArea);
-        s.linkArea = std::max(s.linkArea, plan.linkArea);
-        s.procLinkArea = std::max(s.procLinkArea, plan.procLinkArea);
-        s.execTime += res.execTime;
-        s.maxLinkUtil = std::max(s.maxLinkUtil, res.maxLinkUtilization);
-        s.energy += energy.total();
-        delivered += res.packetsDelivered;
-        latencyWeighted += res.avgPacketLatency *
-                           static_cast<double>(res.packetsDelivered);
-        hopsWeighted += res.avgPacketHops *
-                        static_cast<double>(res.packetsDelivered);
-
-        if (p > 0) {
-            ++s.reconfigCount;
-            s.reconfigCycles += config.reconfigCost;
-            const std::vector<std::uint64_t> idle(res.linkFlits.size(),
-                                                  0);
-            s.reconfigEnergy +=
-                topo::computeEnergy(*net.topo, idle, config.reconfigCost,
-                                    config.power)
-                    .total();
-        }
-    }
-    s.execTime += s.reconfigCycles;
-    s.energy += s.reconfigEnergy;
-    if (delivered) {
-        s.avgLatency = latencyWeighted / static_cast<double>(delivered);
-        s.avgHops = hopsWeighted / static_cast<double>(delivered);
-    }
-    return s;
+    return assemblePhaseReport(trace, config, seg, multi, rows);
 }
 
 std::string
@@ -391,7 +279,7 @@ PhaseReport::toJson() const
         << "  \"num_windows\": " << numWindows << ",\n"
         << "  \"distances\": [";
     for (std::size_t i = 0; i < distances.size(); ++i)
-        oss << (i ? ", " : "") << fmtDouble(distances[i]);
+        oss << (i ? ", " : "") << json::fmtDouble(distances[i]);
     oss << "],\n"
         << "  \"phases\": [\n";
     for (std::size_t i = 0; i < phases.size(); ++i) {
@@ -415,7 +303,7 @@ PhaseReport::toJson() const
         << "\n  },\n"
         << "  \"reconfig\": {\"count\": " << reconfigCount
         << ", \"cycles\": " << reconfigCycles << ", \"energy\": "
-        << fmtDouble(reconfigEnergy) << "}\n"
+        << json::fmtDouble(reconfigEnergy) << "}\n"
         << "}\n";
     return oss.str();
 }

@@ -131,18 +131,6 @@ struct PhaseRowEval
     double reconfigIdleEnergy = 0.0;
 };
 
-/** Floorplan, build and replay one finalized design on @p tr. */
-VariantResult evalDesignVariant(const core::FinalizedDesign &design,
-                                std::size_t violations,
-                                const trace::Trace &tr,
-                                const PhaseEvalConfig &config);
-
-/** Evaluate phase @p p's already-synthesized standalone design. */
-PhaseRowEval evalPhaseRow(const trace::Trace &trace,
-                          const Segmentation &seg,
-                          const core::DesignOutcome &outcome,
-                          std::uint32_t p, const PhaseEvalConfig &config);
-
 /**
  * Worker-side unit of the distributed phases pipeline: synthesize
  * phase @p p's standalone design (sequential, telemetry off — exactly
@@ -156,19 +144,19 @@ PhaseRowEval evalPhaseStandalone(const trace::Trace &trace,
                                  const PhaseEvalConfig &config);
 
 /**
- * Assemble the full PhaseReport — time-multiplexed aggregation,
- * reconfiguration accounting, metrics and trace-event emission — from
- * pre-computed variant results (@p rows is one PhaseRowEval per
- * detected phase, in phase order). The merge point evaluatePhases and
- * the distributed coordinator share, so their reports are
- * byte-identical by construction.
+ * Evaluate @p multi's whole-trace variants (monolithic and union, each
+ * replaying the full trace) and assemble the full PhaseReport around
+ * them and the pre-computed phase rows (@p rows is one PhaseRowEval
+ * per detected phase, in phase order): time-multiplexed aggregation,
+ * reconfiguration accounting, metrics and trace-event emission. The
+ * merge point evaluatePhases and the distributed coordinator share,
+ * so their reports are byte-identical by construction.
  */
-PhaseReport assemblePhaseReport(
-    const trace::Trace &trace, const PhaseEvalConfig &config,
-    const Segmentation &seg, const VariantResult &monolithic,
-    const VariantResult &unionVariant,
-    const std::vector<std::size_t> &unionPhaseViolations,
-    const std::vector<PhaseRowEval> &rows);
+PhaseReport assemblePhaseReport(const trace::Trace &trace,
+                                const PhaseEvalConfig &config,
+                                const Segmentation &seg,
+                                const MultiPhaseResult &multi,
+                                const std::vector<PhaseRowEval> &rows);
 
 /**
  * Segment @p trace, synthesize the three variants, replay each, and
@@ -176,46 +164,6 @@ PhaseReport assemblePhaseReport(
  */
 PhaseReport evaluatePhases(const trace::Trace &trace,
                            const PhaseEvalConfig &config);
-
-/**
- * Flat aggregate of one time-multiplexed run, shaped for the DSE
- * explorer's job record: per-phase maxima on the provisioned-resource
- * axes (a reconfigurable fabric must host the largest phase network),
- * sums on time/energy with the boundary penalty folded in, and
- * delivered-weighted means on the latency axes.
- */
-struct TimeMultiplexedSummary
-{
-    std::uint32_t phases = 0;
-    std::uint32_t switches = 0;
-    std::uint32_t links = 0;
-    std::uint32_t channels = 0;
-    bool constraintsMet = true;
-    std::uint32_t violations = 0;
-    std::uint32_t rounds = 0;
-    std::uint32_t switchArea = 0;
-    std::uint32_t linkArea = 0;
-    std::uint32_t procLinkArea = 0;
-    sim::Cycle execTime = 0;
-    double avgLatency = 0.0;
-    double avgHops = 0.0;
-    double maxLinkUtil = 0.0;
-    double energy = 0.0;
-    std::uint32_t reconfigCount = 0;
-    sim::Cycle reconfigCycles = 0;
-    double reconfigEnergy = 0.0;
-};
-
-/**
- * Segment @p trace and evaluate ONLY the time-multiplexed variant:
- * one methodology run per phase over that phase's standalone cliques,
- * each sub-trace replayed on its own network, reconfiguration charged
- * at every boundary. Strictly sequential (metrics/traceLog ignored) —
- * built for the DSE explorer, whose parallelism is across grid jobs.
- */
-TimeMultiplexedSummary
-evaluateTimeMultiplexed(const trace::Trace &trace,
-                        const PhaseEvalConfig &config);
 
 } // namespace minnoc::phase
 

@@ -1,7 +1,6 @@
 #include "jobwire.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "util/json.hpp"
 
@@ -112,14 +111,6 @@ getString(const json::Value &obj, const char *key, std::string &out,
 } // namespace
 
 std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
 encodeResult(std::uint32_t index, bool cached, std::int64_t wallUs,
              const dse::JobMetrics &m)
 {
@@ -139,10 +130,10 @@ encodeResult(std::uint32_t index, bool cached, std::int64_t wallUs,
     out += ", \"link_area\": " + std::to_string(m.linkArea);
     out += ", \"proc_link_area\": " + std::to_string(m.procLinkArea);
     out += ", \"exec_time\": " + std::to_string(m.execTime);
-    out += ", \"avg_latency\": " + fmtDouble(m.avgLatency);
-    out += ", \"avg_hops\": " + fmtDouble(m.avgHops);
-    out += ", \"max_link_util\": " + fmtDouble(m.maxLinkUtil);
-    out += ", \"energy\": " + fmtDouble(m.energy);
+    out += ", \"avg_latency\": " + json::fmtDouble(m.avgLatency);
+    out += ", \"avg_hops\": " + json::fmtDouble(m.avgHops);
+    out += ", \"max_link_util\": " + json::fmtDouble(m.maxLinkUtil);
+    out += ", \"energy\": " + json::fmtDouble(m.energy);
     out += "}}";
     return out;
 }
@@ -161,12 +152,12 @@ encodePhaseResult(std::uint32_t index, std::int64_t wallUs,
     out += ", \"channels\": " + std::to_string(v.channels);
     out += ", \"area\": " + std::to_string(v.area);
     out += ", \"exec_time\": " + std::to_string(v.execTime);
-    out += ", \"avg_latency\": " + fmtDouble(v.avgLatency);
-    out += ", \"energy\": " + fmtDouble(v.energy);
+    out += ", \"avg_latency\": " + json::fmtDouble(v.avgLatency);
+    out += ", \"energy\": " + json::fmtDouble(v.energy);
     out += ", \"packets\": " + std::to_string(v.packetsDelivered);
     out += ", \"violations\": " + std::to_string(v.violations);
     out += ", \"reconfig_idle_energy\": " +
-           fmtDouble(row.reconfigIdleEnergy);
+           json::fmtDouble(row.reconfigIdleEnergy);
     out += "}}";
     return out;
 }

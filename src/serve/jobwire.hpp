@@ -29,9 +29,6 @@
 
 namespace minnoc::serve {
 
-/** %.17g — enough digits for exact double round-tripping. */
-std::string fmtDouble(double v);
-
 /** What a job backend sends back: one result per job. */
 struct WorkerMsg
 {

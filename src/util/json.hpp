@@ -1,16 +1,18 @@
 /**
  * @file
- * Minimal header-only JSON parser — just enough for the test suite to
- * validate the observability exporters' output (metrics dumps, Chrome
- * trace-event files) without an external dependency. Strict on
- * structure, permissive on nothing: any malformed input returns
- * std::nullopt rather than a partial tree.
+ * Minimal header-only JSON support without an external dependency:
+ * the one number formatter every emitter shares, and a parser just
+ * large enough to validate the emitted documents (metrics dumps,
+ * Chrome trace-event files, reports, job records). The parser is
+ * strict on structure, permissive on nothing: any malformed input
+ * returns std::nullopt rather than a partial tree.
  */
 
 #ifndef MINNOC_UTIL_JSON_HPP
 #define MINNOC_UTIL_JSON_HPP
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -20,6 +22,15 @@
 #include <vector>
 
 namespace minnoc::json {
+
+/** %.17g — enough digits for exact double round-tripping. */
+inline std::string
+fmtDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
 
 class Value;
 using Array = std::vector<Value>;

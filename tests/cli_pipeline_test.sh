@@ -56,12 +56,18 @@ cmp "$DIR/phases1.json" "$DIR/phases4.json"
 lint_json "$DIR/phases1.json"
 grep -q '"union_phase_violations": \[0\(, 0\)*\]' "$DIR/phases1.json"
 
-# The explore sweep accepts the phase-window dimension and reports it.
+# The explore sweep accepts the phase-window dimension, reports it,
+# and emits byte-identical reports for time-multiplexed jobs at any
+# thread count.
 "$MINNOC" explore "$DIR/shift.trace" --degrees 5 --vcs 3 \
-    --unidirectional 0 --phase-windows 0,64 --cache 0 \
+    --unidirectional 0 --phase-windows 0,64 --cache 0 --threads 1 \
     --out "$DIR/explore.json" 2>/dev/null
 lint_json "$DIR/explore.json"
 grep -q '"phase_window": 64' "$DIR/explore.json"
+"$MINNOC" explore "$DIR/shift.trace" --degrees 5 --vcs 3 \
+    --unidirectional 0 --phase-windows 0,64 --cache 0 --threads 4 \
+    --out "$DIR/explore4.json" 2>/dev/null
+cmp "$DIR/explore.json" "$DIR/explore4.json"
 
 # Distributed explore: a zero --worker-timeout-ms, or one whose
 # microsecond value overflows int64, is a usage error.

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "dse/cache.hpp"
 #include "dse/explorer.hpp"
@@ -196,6 +198,48 @@ TEST(DseCache, TruncatedRecordIsQuarantined)
     EXPECT_FALSE(std::filesystem::exists(path));
     EXPECT_TRUE(std::filesystem::exists(
         std::filesystem::path(dir) / "00000000deadbeef.json.corrupt"));
+}
+
+TEST(DseCache, ConcurrentStoresOfOneKeyNeverTearTheRecord)
+{
+    // Writers racing on one key (threads here; separate processes
+    // sharing a cache directory behave the same) must never publish a
+    // partial record: once a record exists, every load is a hit, and
+    // nothing is ever quarantined.
+    const auto dir = tempCacheDir("dse-store-race");
+    const ResultCache cache(dir);
+    const auto metrics = sampleMetrics();
+    cache.store("00000000deadbeef", "sig", metrics);
+
+    std::atomic<bool> done{false};
+    std::size_t loads = 0;
+    std::size_t hits = 0;
+    std::thread reader([&] {
+        while (!done) {
+            const auto m = cache.load("00000000deadbeef", "sig");
+            ++loads;
+            if (m && *m == metrics)
+                ++hits;
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 4; ++w)
+        writers.emplace_back([&] {
+            for (int i = 0; i < 200; ++i)
+                cache.store("00000000deadbeef", "sig", metrics);
+        });
+    for (auto &t : writers)
+        t.join();
+    done = true;
+    reader.join();
+
+    EXPECT_GT(loads, 0u);
+    EXPECT_EQ(hits, loads);
+    // Only the record itself is left: no quarantined copy, no temp file.
+    std::vector<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files.push_back(entry.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{"00000000deadbeef.json"});
 }
 
 TEST(ExplorerTest, CorruptedCacheRecordsAreRecomputedNotServed)

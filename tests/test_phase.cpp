@@ -15,9 +15,11 @@
 #include <set>
 
 #include "core/verify.hpp"
+#include "dse/explorer.hpp"
 #include "phase/evaluator.hpp"
 #include "phase/multi_design.hpp"
 #include "phase/segmenter.hpp"
+#include "trace/analyzer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/json.hpp"
 
@@ -241,17 +243,35 @@ TEST(Evaluator, ReconfigCostRaisesTimeMultiplexedExecTime)
     EXPECT_EQ(dear.unionVariant.execTime, cheap.unionVariant.execTime);
 }
 
-TEST(Evaluator, TimeMultiplexedSummaryMatchesFullReport)
+TEST(Evaluator, PhaseWindowJobMatchesTimeMultiplexedVariant)
 {
     const auto tr = shiftTrace();
     const auto cfg = fastEvalConfig();
     const auto report = evaluatePhases(tr, cfg);
-    const auto summary = evaluateTimeMultiplexed(tr, cfg);
+    ASSERT_GT(report.reconfigCount, 0u);
 
-    EXPECT_EQ(summary.phases, report.phases.size());
-    EXPECT_EQ(summary.execTime, report.timeMultiplexed.execTime);
-    EXPECT_DOUBLE_EQ(summary.energy, report.timeMultiplexed.energy);
-    EXPECT_DOUBLE_EQ(summary.avgLatency,
-                     report.timeMultiplexed.avgLatency);
-    EXPECT_EQ(summary.reconfigCycles, report.reconfigCycles);
+    // The same segmenter, methodology, simulator and penalty as one
+    // phase-window explorer job.
+    dse::ExploreConfig ecfg;
+    ecfg.phaseSegmenter = cfg.segmenter;
+    ecfg.phaseReconfigCost = cfg.reconfigCost;
+    ecfg.sim = cfg.sim;
+    dse::JobParams params;
+    params.maxDegree = cfg.methodology.partitioner.constraints.maxDegree;
+    params.restarts = cfg.methodology.restarts;
+    params.seed = cfg.methodology.partitioner.seed;
+    params.numVcs = cfg.sim.numVcs;
+    params.vcDepth = cfg.sim.vcDepth;
+    params.phaseWindow = cfg.segmenter.windowMessages;
+    const auto m = dse::evaluateJob(tr, trace::analyzeByCall(tr), params,
+                                    ecfg);
+
+    const VariantResult &tm = report.timeMultiplexed;
+    EXPECT_EQ(m.execTime, tm.execTime);
+    EXPECT_GT(m.execTime, report.reconfigCycles);
+    EXPECT_DOUBLE_EQ(m.energy, tm.energy);
+    EXPECT_DOUBLE_EQ(m.avgLatency, tm.avgLatency);
+    EXPECT_EQ(m.switches, tm.switches);
+    EXPECT_EQ(m.links, tm.links);
+    EXPECT_EQ(m.channels, tm.channels);
 }
