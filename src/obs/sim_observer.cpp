@@ -96,6 +96,7 @@ SimObserver::exportTo(MetricsRegistry &registry) const
         .add(_final.retryExhaustions);
     registry.counter("sim/recovery_exhaustions")
         .add(_final.recoveryExhaustions);
+    registry.counter("sim/stepped_cycles").add(_final.steppedCycles);
     registry.gauge("sim/exec_time")
         .set(static_cast<double>(_final.execTime));
 

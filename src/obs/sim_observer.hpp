@@ -80,6 +80,8 @@ class SimObserver
         std::uint32_t retryExhaustions = 0;
         std::uint32_t recoveryExhaustions = 0;
         std::int64_t execTime = 0;
+        /** Cycles the network was stepped (fast-forwarded ones not). */
+        std::uint64_t steppedCycles = 0;
     };
 
     /** Record end-of-run aggregates and close the last epoch. */

@@ -45,8 +45,19 @@ Network::Network(const topo::Topology &topo,
         out.outstanding.assign(config.numVcs, 0);
     }
     _sources.resize(topo.numProcs());
-    _inputUsed.assign(numLinks, false);
-    _sourceUsed.assign(topo.numProcs(), false);
+    _flitPipes.resize(numLinks);
+    _creditPipes.resize(numLinks);
+    _unrouted.resize(std::size_t{numLinks} * config.numVcs);
+    _requestedOutputs.resize(numLinks);
+    _queuedSources.resize(topo.numProcs());
+    _requesters.resize(numLinks);
+    _inRank.assign(numLinks, 0);
+    for (topo::NodeIdx n = 0; n < topo.numNodes(); ++n) {
+        const auto &in = topo.inLinks(n);
+        for (std::uint32_t i = 0; i < in.size(); ++i)
+            _inRank[in[i]] = i;
+    }
+    _inputUsedAt.assign(numLinks, -1);
     _stats.linkFlits.assign(numLinks, 0);
 
     // Fail-from-start link faults: swap in the degraded routing before
@@ -91,7 +102,7 @@ Network::enqueue(core::ProcId src, core::ProcId dst, std::uint64_t bytes,
         dropPacket(pkt.id, "channel disconnected by link failure");
         return pkt.id;
     }
-    _sources[src].queue.push_back(pkt.id);
+    queueAtSource(src, _sources[src].queue.end(), pkt.id);
     return pkt.id;
 }
 
@@ -135,9 +146,7 @@ Network::step(Cycle now)
     if (now <= _lastStep)
         panic("Network::step: non-monotone clock");
     _lastStep = now;
-
-    std::fill(_inputUsed.begin(), _inputUsed.end(), false);
-    std::fill(_sourceUsed.begin(), _sourceUsed.end(), false);
+    ++_steppedCycles;
 
     if (!_faultsActive && _faults.hasLinkFaults() &&
         now >= _faults.failAtCycle()) {
@@ -146,12 +155,15 @@ Network::step(Cycle now)
 
     arriveCredits(now);
     arriveFlits(now);
-    routeAndAllocate(now);
+    routeAndAllocate();
     switchAllocation(now);
     injectFromSources(now);
     if (_config.deadlockScanInterval > 0 &&
         now % _config.deadlockScanInterval == 0) {
         scanForDeadlocks(now);
+#ifdef MINNOC_SANITIZE
+        checkInvariants();
+#endif
     }
 
     // Occupancy integral for the activity power model's retention
@@ -168,16 +180,10 @@ Network::step(Cycle now)
 void
 Network::arriveCredits(Cycle now)
 {
-    for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
+    _creditPipes.forEach([&](std::size_t l) {
         auto &pipe = _pipes[l];
         auto &out = _outputs[l];
-        // Lax-sync: credits may be consumed up to laxSyncSlack cycles
-        // before their modeled wire arrival (0 = strict, bit-exact with
-        // the historical comparison). Only this backward channel is
-        // relaxed; flit arrivals in arriveFlits() stay cycle-exact.
-        const Cycle horizon = now + _config.laxSyncSlack;
-        while (!pipe.credits.empty() &&
-               pipe.credits.front().arrive <= horizon) {
+        while (!pipe.credits.empty() && pipe.credits.front().arrive <= now) {
             const auto vc = pipe.credits.front().vc;
             pipe.credits.pop_front();
             ++out.credits[vc];
@@ -190,13 +196,18 @@ Network::arriveCredits(Cycle now)
                 out.tailSent[vc] = false;
             }
         }
-    }
+        if (pipe.credits.empty())
+            _creditPipes.erase(l);
+    });
 }
 
 void
 Network::arriveFlits(Cycle now)
 {
-    for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
+    // Ascending link order is observable: a corruption NACK delivered
+    // here purges the packet's traffic on other links mid-pass.
+    _flitPipes.forEach([&](std::size_t i) {
+        const auto l = static_cast<topo::LinkId>(i);
         auto &pipe = _pipes[l];
         while (!pipe.flits.empty() && pipe.flits.front().arrive <= now) {
             const auto in = pipe.flits.front();
@@ -210,6 +221,7 @@ Network::arriveFlits(Cycle now)
                     if (vc.owner != kNoPacket)
                         panic("Network: head arrival on owned VC");
                     vc.owner = in.flit.packet;
+                    _unrouted.insert(i * _config.numVcs + in.vc);
                 }
                 if (vc.owner != in.flit.packet)
                     panic("Network: flit arrival on foreign VC");
@@ -218,7 +230,9 @@ Network::arriveFlits(Cycle now)
                 _packets[in.flit.packet].lastProgress = now;
             }
         }
-    }
+        if (pipe.flits.empty())
+            _flitPipes.erase(l);
+    });
 }
 
 std::uint32_t
@@ -242,7 +256,6 @@ Network::chooseOutput(const std::vector<topo::LinkId> &candidates)
     // (congestion-aware choice for adaptive routing; deterministic
     // functions supply one candidate).
     topo::LinkId best = topo::kNoLink;
-    bool bestFree = false;
     std::uint64_t bestCredits = 0;
     for (const auto cand : candidates) {
         const auto &out = _outputs[cand];
@@ -257,45 +270,97 @@ Network::chooseOutput(const std::vector<topo::LinkId> &candidates)
             continue;
         if (best == topo::kNoLink || credits > bestCredits) {
             best = cand;
-            bestFree = true;
             bestCredits = credits;
         }
     }
-    (void)bestFree;
     return best;
 }
 
 void
-Network::routeAndAllocate(Cycle now)
+Network::routeAndAllocate()
 {
-    (void)now;
-    for (topo::LinkId l = 0; l < _inputs.size(); ++l) {
-        auto &unit = _inputs[l];
-        for (auto &vc : unit.vcs) {
-            if (vc.buffer.empty() || vc.outAssigned)
-                continue;
-            if (!vc.buffer.front().isHead())
-                panic("Network: non-head flit awaiting route");
-            const Packet &pkt = _packets[vc.buffer.front().packet];
-            const auto node = _topo->link(l).to;
-            const auto candidates =
-                _routing->candidates(node, pkt.src, pkt.dst);
-            if (candidates.empty())
-                panic("Network: routing returned no candidates");
-            const auto out = chooseOutput(candidates);
-            if (out == topo::kNoLink)
-                continue; // every candidate VC busy: stall
-            auto &outState = _outputs[out];
-            const auto w = allocateVc(outState);
-            if (w == kNoVc)
-                continue;
-            outState.vcOwner[w] = pkt.id;
-            outState.tailSent[w] = false;
-            vc.outLink = out;
-            vc.outVc = w;
-            vc.outAssigned = true;
+    // (link, VC) order: VC allocation round-robin depends on it.
+    const std::uint32_t numVcs = _config.numVcs;
+    _unrouted.forEach([&](std::size_t i) {
+        const auto l = static_cast<topo::LinkId>(i / numVcs);
+        const auto v = static_cast<std::uint32_t>(i % numVcs);
+        auto &vc = _inputs[l].vcs[v];
+        if (vc.buffer.empty() || vc.outAssigned) {
+            _unrouted.erase(i);
+            return;
         }
-    }
+        if (!vc.buffer.front().isHead())
+            panic("Network: non-head flit awaiting route");
+        const Packet &pkt = _packets[vc.buffer.front().packet];
+        if (vc.candidates.empty()) {
+            // Route once per hop; a stalled head keeps its candidates
+            // and re-chooses among them by live credits each cycle.
+            vc.candidates =
+                _routing->candidates(_topo->link(l).to, pkt.src, pkt.dst);
+            if (vc.candidates.empty())
+                panic("Network: routing returned no candidates");
+        }
+        const auto out = chooseOutput(vc.candidates);
+        if (out == topo::kNoLink)
+            return; // every candidate VC busy: stall
+        auto &outState = _outputs[out];
+        const auto w = allocateVc(outState);
+        if (w == kNoVc)
+            return;
+        outState.vcOwner[w] = pkt.id;
+        outState.tailSent[w] = false;
+        vc.candidates.clear();
+        vc.outLink = out;
+        vc.outVc = w;
+        vc.outAssigned = true;
+        _unrouted.erase(i);
+        addRequester(out, l, v);
+    });
+}
+
+void
+Network::addRequester(topo::LinkId out, topo::LinkId inLink,
+                      std::uint32_t inVc)
+{
+    auto &list = _requesters[out];
+    const Requester req{inLink, inVc,
+                        _inRank[inLink] * _config.numVcs + inVc};
+    const auto pos = std::upper_bound(
+        list.begin(), list.end(), req,
+        [](const Requester &a, const Requester &b) {
+            return a.rank < b.rank;
+        });
+    list.insert(pos, req);
+    _requestedOutputs.insert(out);
+}
+
+void
+Network::removeRequester(topo::LinkId out, topo::LinkId inLink,
+                         std::uint32_t inVc)
+{
+    auto &list = _requesters[out];
+    const auto it =
+        std::find_if(list.begin(), list.end(), [&](const Requester &r) {
+            return r.link == inLink && r.vc == inVc;
+        });
+    if (it == list.end())
+        panic("Network: routed VC missing from its output's requesters");
+    list.erase(it);
+    if (list.empty())
+        _requestedOutputs.erase(out);
+}
+
+void
+Network::releaseInputVc(topo::LinkId inLink, std::uint32_t inVc,
+                        VcState &vc)
+{
+    if (vc.outAssigned)
+        removeRequester(vc.outLink, inLink, inVc);
+    vc.owner = kNoPacket;
+    vc.candidates.clear();
+    vc.outAssigned = false;
+    vc.outLink = topo::kNoLink;
+    vc.outVc = kNoVc;
 }
 
 void
@@ -313,6 +378,7 @@ Network::forwardFlit(topo::LinkId inLink, std::uint32_t inVc, VcState &vc,
     ++out.outstanding[vc.outVc];
     _pipes[vc.outLink].flits.push_back(LinkPipe::InFlit{
         now + _topo->link(vc.outLink).delay(), flit, vc.outVc});
+    _flitPipes.insert(vc.outLink);
     maybeCorrupt(flit);
     ++_stats.flitHops;
     ++_stats.linkFlits[vc.outLink];
@@ -324,109 +390,101 @@ Network::forwardFlit(topo::LinkId inLink, std::uint32_t inVc, VcState &vc,
     // sender of `inLink` after the wire's return delay.
     _pipes[inLink].credits.push_back(LinkPipe::InCredit{
         now + _topo->link(inLink).delay(), inVc});
+    _creditPipes.insert(inLink);
 
     if (isTail(flit)) {
         out.tailSent[vc.outVc] = true;
         if (!vc.buffer.empty())
             panic("Network: flits behind tail in VC");
-        vc.owner = kNoPacket;
-        vc.outAssigned = false;
-        vc.outLink = topo::kNoLink;
-        vc.outVc = kNoVc;
+        releaseInputVc(inLink, inVc, vc);
     }
-    _inputUsed[inLink] = true;
+    _inputUsedAt[inLink] = now;
 }
 
 void
 Network::switchAllocation(Cycle now)
 {
     // Arbitrate each output link independently (full crossbar switches:
-    // contention exists only per link, as in the paper's model).
-    for (topo::LinkId out = 0; out < _outputs.size(); ++out) {
-        const auto fromNode = _topo->link(out).from;
-        if (_topo->isProc(fromNode))
-            continue; // injection links are driven by the source NIs
-
-        // Gather requesting (input link, vc) pairs.
-        struct Request
-        {
-            topo::LinkId link;
-            std::uint32_t vc;
-        };
-        std::vector<Request> requests;
-        for (const auto inLink : _topo->inLinks(fromNode)) {
-            if (_inputUsed[inLink])
+    // contention exists only per link, as in the paper's model), in
+    // ascending LinkId order: a winner's input link is used up for
+    // every later output this cycle.
+    _requestedOutputs.forEach([&](std::size_t o) {
+        const auto out = static_cast<topo::LinkId>(o);
+        auto &state = _outputs[out];
+        _requests.clear();
+        for (const auto &req : _requesters[out]) {
+            if (_inputUsedAt[req.link] == now)
                 continue;
-            auto &unit = _inputs[inLink];
-            for (std::uint32_t v = 0; v < unit.vcs.size(); ++v) {
-                auto &vc = unit.vcs[v];
-                if (vc.buffer.empty() || !vc.outAssigned ||
-                    vc.outLink != out) {
-                    continue;
-                }
-                if (_outputs[out].credits[vc.outVc] == 0)
-                    continue;
-                requests.push_back(Request{inLink, v});
-            }
+            const auto &vc = _inputs[req.link].vcs[req.vc];
+            if (vc.buffer.empty() || state.credits[vc.outVc] == 0)
+                continue;
+            _requests.push_back(req);
         }
-        if (requests.empty())
-            continue;
-        auto &rr = _outputs[out].rrReq;
-        const auto &winner = requests[rr % requests.size()];
+        if (_requests.empty())
+            return;
+        auto &rr = state.rrReq;
+        const Requester winner = _requests[rr % _requests.size()];
         rr = (rr + 1) % std::max<std::uint32_t>(
-                            1, static_cast<std::uint32_t>(requests.size()));
+                            1, static_cast<std::uint32_t>(_requests.size()));
         forwardFlit(winner.link, winner.vc,
                     _inputs[winner.link].vcs[winner.vc], now);
-    }
+    });
 }
 
 void
 Network::injectFromSources(Cycle now)
 {
-    for (core::ProcId p = 0; p < _sources.size(); ++p) {
+    // Ascending proc order: corruption draws share one stream.
+    _queuedSources.forEach([&](std::size_t i) {
+        const auto p = static_cast<core::ProcId>(i);
         auto &src = _sources[p];
-        if (src.queue.empty() || _sourceUsed[p])
-            continue;
+        if (src.queue.empty()) {
+            _queuedSources.erase(p);
+            return;
+        }
         Packet &pkt = _packets[src.queue.front()];
         if (now < pkt.holdUntil)
-            continue;
+            return;
         const auto inj = _topo->injectionLink(p);
         auto &out = _outputs[inj];
 
         if (!src.vcAssigned) {
             const auto w = allocateVc(out);
             if (w == kNoVc)
-                continue;
+                return;
             out.vcOwner[w] = pkt.id;
             out.tailSent[w] = false;
             src.vc = w;
             src.vcAssigned = true;
         }
         if (out.credits[src.vc] == 0)
-            continue;
+            return;
 
         const FlitRef flit{pkt.id, pkt.flitsInjected};
         --out.credits[src.vc];
         ++out.outstanding[src.vc];
         _pipes[inj].flits.push_back(LinkPipe::InFlit{
             now + _topo->link(inj).delay(), flit, src.vc});
+        _flitPipes.insert(inj);
         maybeCorrupt(flit);
         ++pkt.flitsInjected;
         ++_flitsInNetwork;
         ++_stats.flitHops;
         ++_stats.linkFlits[inj];
-        if (flit.isHead())
+        if (flit.isHead()) {
             ++pkt.hops;
+            _alivePackets.insert(pkt.id);
+        }
         pkt.lastProgress = now;
-        _sourceUsed[p] = true;
 
         if (pkt.flitsInjected == pkt.numFlits) {
             out.tailSent[src.vc] = true;
             src.queue.pop_front();
+            --_queuedPackets;
             src.vcAssigned = false;
             src.vc = kNoVc;
         }
-    }
+    });
 }
 
 void
@@ -442,6 +500,7 @@ Network::deliverAtProc(const FlitRef &flit, topo::LinkId link,
     // last switch after the wire's return delay.
     _pipes[link].credits.push_back(LinkPipe::InCredit{
         now + _topo->link(link).delay(), vc});
+    _creditPipes.insert(link);
 
     if (isTail(flit)) {
         if (pkt.flitsDelivered != pkt.numFlits)
@@ -464,6 +523,7 @@ Network::deliverAtProc(const FlitRef &flit, topo::LinkId link,
             return;
         }
         pkt.deliveredAt = now;
+        _alivePackets.erase(pkt.id);
         _delivered[{pkt.dst, pkt.src}][pkt.channelSeq] = pkt.id;
         ++_stats.packetsDelivered;
         _stats.packetLatency.sample(
@@ -490,14 +550,12 @@ Network::scanForDeadlocks(Cycle now)
     // progress is stalest. Killing every blocked packet at once would
     // make the survivors re-form the identical cycle after the penalty
     // and livelock.
+    // Ties go to the lowest packet id.
     Packet *victim = nullptr;
-    for (auto &pkt : _packets) {
-        if (pkt.delivered() || pkt.dropped)
-            continue;
-        if (pkt.flitsInjected == 0 ||
-            pkt.flitsInjected == pkt.flitsDelivered) {
+    for (const auto id : _alivePackets) {
+        Packet &pkt = _packets[id];
+        if (pkt.flitsInjected == pkt.flitsDelivered)
             continue; // no flits alive in the network
-        }
         if (now - pkt.lastProgress <= _config.deadlockTimeout)
             continue;
         if (!victim || pkt.lastProgress < victim->lastProgress)
@@ -533,16 +591,14 @@ Network::purgePacket(PacketId id)
     for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
         auto &pipe = _pipes[l];
         auto &out = _outputs[l];
-        for (auto it = pipe.flits.begin(); it != pipe.flits.end();) {
-            if (it->flit.packet == id) {
-                ++out.credits[it->vc];
-                --out.outstanding[it->vc];
-                --_flitsInNetwork;
-                it = pipe.flits.erase(it);
-            } else {
-                ++it;
-            }
-        }
+        pipe.flits.eraseIf([&](const LinkPipe::InFlit &in) {
+            if (in.flit.packet != id)
+                return false;
+            ++out.credits[in.vc];
+            --out.outstanding[in.vc];
+            --_flitsInNetwork;
+            return true;
+        });
     }
 
     // Purge buffered flits and free the victim's input VCs.
@@ -555,10 +611,7 @@ Network::purgePacket(PacketId id)
             const auto k =
                 static_cast<std::uint32_t>(vc.buffer.size());
             vc.buffer.clear();
-            vc.owner = kNoPacket;
-            vc.outAssigned = false;
-            vc.outLink = topo::kNoLink;
-            vc.outVc = kNoVc;
+            releaseInputVc(l, v, vc);
             out.credits[v] += k;
             if (out.outstanding[v] < k)
                 panic("Network: recovery outstanding underflow");
@@ -579,16 +632,13 @@ Network::purgePacket(PacketId id)
         for (std::uint32_t v = 0; v < out.vcOwner.size(); ++v) {
             if (out.vcOwner[v] != id)
                 continue;
-            for (auto it = pipe.credits.begin();
-                 it != pipe.credits.end() && out.outstanding[v] != 0;) {
-                if (it->vc == v) {
-                    ++out.credits[v];
-                    --out.outstanding[v];
-                    it = pipe.credits.erase(it);
-                } else {
-                    ++it;
-                }
-            }
+            pipe.credits.eraseIf([&](const LinkPipe::InCredit &c) {
+                if (c.vc != v || out.outstanding[v] == 0)
+                    return false;
+                ++out.credits[v];
+                --out.outstanding[v];
+                return true;
+            });
             if (out.outstanding[v] != 0)
                 panic("Network: recovery left outstanding flits");
             out.vcOwner[v] = kNoPacket;
@@ -606,10 +656,20 @@ Network::purgePacket(PacketId id)
 }
 
 void
+Network::queueAtSource(core::ProcId src, std::deque<PacketId>::iterator pos,
+                       PacketId id)
+{
+    _sources[src].queue.insert(pos, id);
+    ++_queuedPackets;
+    _queuedSources.insert(src);
+}
+
+void
 Network::requeuePacket(PacketId id, Cycle now, Cycle backoff)
 {
     purgePacket(id);
     Packet &pkt = _packets.at(id);
+    _alivePackets.erase(id);
     auto &src = _sources[pkt.src];
     const bool queued =
         std::find(src.queue.begin(), src.queue.end(), id) !=
@@ -621,7 +681,7 @@ Network::requeuePacket(PacketId id, Cycle now, Cycle backoff)
         auto pos = src.queue.begin();
         if (src.vcAssigned && !src.queue.empty())
             ++pos;
-        src.queue.insert(pos, id);
+        queueAtSource(pkt.src, pos, id);
     }
     if (src.queue.front() == id)
         src.vcAssigned = false;
@@ -637,12 +697,14 @@ Network::dropPacket(PacketId id, const char *why)
 {
     purgePacket(id);
     Packet &pkt = _packets.at(id);
+    _alivePackets.erase(id);
     auto &src = _sources[pkt.src];
     const auto it = std::find(src.queue.begin(), src.queue.end(), id);
     if (it != src.queue.end()) {
         if (it == src.queue.begin())
             src.vcAssigned = false;
         src.queue.erase(it);
+        --_queuedPackets;
     }
     pkt.dropped = true;
     pkt.flitsInjected = 0;
@@ -739,13 +801,101 @@ Network::channelDisconnected(core::ProcId src, core::ProcId dst) const
 bool
 Network::idle() const
 {
-    if (_flitsInNetwork != 0)
-        return false;
-    for (const auto &src : _sources) {
-        if (!src.queue.empty())
-            return false;
-    }
-    return true;
+    return _flitsInNetwork == 0 && _queuedPackets == 0;
 }
+
+#ifdef MINNOC_SANITIZE
+void
+Network::checkInvariants() const
+{
+    const std::uint32_t numVcs = _config.numVcs;
+    std::uint64_t flits = 0;
+    for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
+        const auto &pipe = _pipes[l];
+        flits += pipe.flits.size();
+        if ((!pipe.flits.empty() && !_flitPipes.contains(l)) ||
+            (!pipe.credits.empty() && !_creditPipes.contains(l))) {
+            panic("Network invariant: link ", l,
+                  " has traffic in flight but is not active");
+        }
+        const auto &out = _outputs[l];
+        for (std::uint32_t v = 0; v < numVcs; ++v) {
+            if (out.credits[v] + out.outstanding[v] != _config.vcDepth)
+                panic("Network invariant: credits not conserved on link ",
+                      l, " VC ", v);
+            if (out.vcOwner[v] == kNoPacket)
+                continue;
+            const Packet &pkt = _packets.at(out.vcOwner[v]);
+            if (pkt.dropped || (!out.tailSent[v] && pkt.delivered()))
+                panic("Network invariant: link ", l, " VC ", v,
+                      " reserved by finished packet ", pkt.id);
+        }
+        const auto &reqs = _requesters[l];
+        if (reqs.empty() == _requestedOutputs.contains(l))
+            panic("Network invariant: requested set wrong for link ", l);
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            const auto &vc = _inputs[reqs[i].link].vcs[reqs[i].vc];
+            if (!vc.outAssigned || vc.outLink != l ||
+                (i > 0 && reqs[i - 1].rank >= reqs[i].rank)) {
+                panic("Network invariant: stale or unordered requester "
+                      "on link ", l);
+            }
+        }
+    }
+    for (topo::LinkId l = 0; l < _inputs.size(); ++l) {
+        for (std::uint32_t v = 0; v < _inputs[l].vcs.size(); ++v) {
+            const auto &vc = _inputs[l].vcs[v];
+            flits += vc.buffer.size();
+            if (vc.owner == kNoPacket) {
+                if (!vc.buffer.empty() || vc.outAssigned)
+                    panic("Network invariant: unowned VC in use on link ",
+                          l);
+                continue;
+            }
+            const Packet &pkt = _packets.at(vc.owner);
+            if (pkt.delivered() || pkt.dropped)
+                panic("Network invariant: link ", l, " VC ", v,
+                      " owned by finished packet ", pkt.id);
+            for (std::size_t i = 0; i < vc.buffer.size(); ++i) {
+                if (vc.buffer[i].packet != vc.owner)
+                    panic("Network invariant: foreign flit in VC");
+            }
+            if (vc.outAssigned) {
+                const auto &reqs = _requesters[vc.outLink];
+                const auto n = std::count_if(
+                    reqs.begin(), reqs.end(), [&](const Requester &r) {
+                        return r.link == l && r.vc == v;
+                    });
+                if (n != 1)
+                    panic("Network invariant: routed VC listed ", n,
+                          " times as requester");
+            } else if (!vc.buffer.empty() &&
+                       !_unrouted.contains(std::size_t{l} * numVcs + v)) {
+                panic("Network invariant: unrouted head not tracked on "
+                      "link ", l);
+            }
+        }
+    }
+    if (flits != _flitsInNetwork)
+        panic("Network invariant: ", _flitsInNetwork, " flits counted, ",
+              flits, " buffered or in flight");
+
+    std::uint64_t queued = 0;
+    for (core::ProcId p = 0; p < _sources.size(); ++p) {
+        queued += _sources[p].queue.size();
+        if (!_sources[p].queue.empty() && !_queuedSources.contains(p))
+            panic("Network invariant: source ", p, " queue not tracked");
+    }
+    if (queued != _queuedPackets)
+        panic("Network invariant: queued packet count off");
+    for (const auto &pkt : _packets) {
+        const bool alive =
+            pkt.flitsInjected > 0 && !pkt.delivered() && !pkt.dropped;
+        if (alive != (_alivePackets.count(pkt.id) != 0))
+            panic("Network invariant: alive set wrong for packet ",
+                  pkt.id);
+    }
+}
+#endif
 
 } // namespace minnoc::sim

@@ -14,11 +14,17 @@
  * in-flight flit of the victim is purged with credits restored, and the
  * source retransmits the whole packet after a penalty — the scheme the
  * paper assumes (Section 4.2).
+ *
+ * A cycle costs O(live flits), not O(links x VCs): the network keeps
+ * active sets of links with traffic in flight, VCs holding an unrouted
+ * head, outputs with requesting VCs and sources with queued packets,
+ * and visits each in the order a full scan would.
  */
 
 #ifndef MINNOC_SIM_NETWORK_HPP
 #define MINNOC_SIM_NETWORK_HPP
 
+#include <bit>
 #include <deque>
 #include <map>
 #include <memory>
@@ -210,14 +216,126 @@ class Network
     /** Flits currently buffered or in flight (observer support). */
     std::uint64_t flitsInNetwork() const { return _flitsInNetwork; }
 
+    /**
+     * Cycles step() ran. The trace driver fast-forwards the clock over
+     * idle stretches, so this is at most the final cycle.
+     */
+    std::uint64_t steppedCycles() const { return _steppedCycles; }
+
   private:
     static constexpr std::uint32_t kNoVc = static_cast<std::uint32_t>(-1);
+
+    /**
+     * Set of dense indices (links, procs, (link, VC) slots), visited in
+     * ascending order. forEach() reads each 64-bit word once, so the
+     * visitor may erase members freely; a member inserted during the
+     * walk is visited only if its word has not been read yet.
+     */
+    class IndexSet
+    {
+      public:
+        void resize(std::size_t n) { _words.assign((n + 63) / 64, 0); }
+        void insert(std::size_t i) { _words[i / 64] |= bit(i); }
+        void erase(std::size_t i) { _words[i / 64] &= ~bit(i); }
+        bool contains(std::size_t i) const
+        {
+            return (_words[i / 64] & bit(i)) != 0;
+        }
+
+        template <class Visit>
+        void
+        forEach(Visit &&visit)
+        {
+            for (std::size_t w = 0; w < _words.size(); ++w) {
+                for (std::uint64_t m = _words[w]; m != 0; m &= m - 1)
+                    visit(w * 64 + static_cast<std::size_t>(
+                                       std::countr_zero(m)));
+            }
+        }
+
+      private:
+        static std::uint64_t bit(std::size_t i)
+        {
+            return std::uint64_t{1} << (i % 64);
+        }
+        std::vector<std::uint64_t> _words;
+    };
+
+    /**
+     * FIFO in one growable ring: push and pop allocate nothing once
+     * the ring has grown to the peak occupancy, which credit flow
+     * control bounds by numVcs * vcDepth per link.
+     */
+    template <class T>
+    class Fifo
+    {
+      public:
+        bool empty() const { return _size == 0; }
+        std::size_t size() const { return _size; }
+        T &front() { return _items[_head]; }
+        const T &operator[](std::size_t i) const { return _items[slot(i)]; }
+        void clear() { _head = _size = 0; }
+
+        void
+        push_back(const T &item)
+        {
+            if (_size == _items.size())
+                grow();
+            _items[slot(_size)] = item;
+            ++_size;
+        }
+
+        void
+        pop_front()
+        {
+            _head = slot(1);
+            --_size;
+        }
+
+        /** Remove the items @p drop picks, asked front to back. */
+        template <class Drop>
+        void
+        eraseIf(Drop &&drop)
+        {
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < _size; ++i) {
+                const T item = _items[slot(i)];
+                if (!drop(item))
+                    _items[slot(kept++)] = item;
+            }
+            _size = kept;
+        }
+
+      private:
+        std::size_t
+        slot(std::size_t i) const
+        {
+            const std::size_t s = _head + i;
+            return s >= _items.size() ? s - _items.size() : s;
+        }
+
+        void
+        grow()
+        {
+            std::vector<T> items(std::max<std::size_t>(4, 2 * _items.size()));
+            for (std::size_t i = 0; i < _size; ++i)
+                items[i] = _items[slot(i)];
+            _items = std::move(items);
+            _head = 0;
+        }
+
+        std::vector<T> _items;
+        std::size_t _head = 0;
+        std::size_t _size = 0;
+    };
 
     /** Receiver-side state of one virtual channel of one link. */
     struct VcState
     {
         PacketId owner = kNoPacket;
-        std::deque<FlitRef> buffer;
+        Fifo<FlitRef> buffer;
+        /** Routing candidates of the waiting head (empty once routed). */
+        std::vector<topo::LinkId> candidates;
         /** Output chosen for the owner (valid once head routed). */
         topo::LinkId outLink = topo::kNoLink;
         std::uint32_t outVc = kNoVc;
@@ -241,6 +359,18 @@ class Network
         std::uint32_t rrReq = 0;            ///< switch allocation rr
     };
 
+    /**
+     * An input VC whose head holds an output: one entry of that
+     * output's requester list. @ref rank orders the list as a scan of
+     * the switch's inLinks() then VCs would find it.
+     */
+    struct Requester
+    {
+        topo::LinkId link;
+        std::uint32_t vc;
+        std::uint32_t rank;
+    };
+
     /** Flits and credits in flight on a link. */
     struct LinkPipe
     {
@@ -255,8 +385,8 @@ class Network
             Cycle arrive;
             std::uint32_t vc;
         };
-        std::deque<InFlit> flits;
-        std::deque<InCredit> credits;
+        Fifo<InFlit> flits;
+        Fifo<InCredit> credits;
     };
 
     /** Per-processor source NI. */
@@ -270,7 +400,7 @@ class Network
     bool isTail(const FlitRef &f) const;
     void arriveFlits(Cycle now);
     void arriveCredits(Cycle now);
-    void routeAndAllocate(Cycle now);
+    void routeAndAllocate();
     void switchAllocation(Cycle now);
     void injectFromSources(Cycle now);
     void scanForDeadlocks(Cycle now);
@@ -280,12 +410,23 @@ class Network
     void dropPacket(PacketId id, const char *why);
     void activateFaults(Cycle now);
     void maybeCorrupt(const FlitRef &flit);
+    void queueAtSource(core::ProcId src,
+                       std::deque<PacketId>::iterator pos, PacketId id);
+    void addRequester(topo::LinkId out, topo::LinkId inLink,
+                      std::uint32_t inVc);
+    void removeRequester(topo::LinkId out, topo::LinkId inLink,
+                         std::uint32_t inVc);
+    void releaseInputVc(topo::LinkId inLink, std::uint32_t inVc,
+                        VcState &vc);
     std::uint32_t allocateVc(OutputState &out);
     topo::LinkId chooseOutput(const std::vector<topo::LinkId> &candidates);
     void forwardFlit(topo::LinkId inLink, std::uint32_t inVc,
                      VcState &vc, Cycle now);
     void deliverAtProc(const FlitRef &flit, topo::LinkId link,
                        std::uint32_t vc, Cycle now);
+#ifdef MINNOC_SANITIZE
+    void checkInvariants() const;
+#endif
 
     const topo::Topology *_topo;
     const topo::RoutingFunction *_routing;
@@ -318,11 +459,37 @@ class Network
     std::map<std::pair<core::ProcId, core::ProcId>, std::uint64_t>
         _sendSeq;
 
-    /** Per-cycle scratch: input links already used this cycle. */
-    std::vector<bool> _inputUsed;
-    std::vector<bool> _sourceUsed;
+    /*
+     * Active sets: each cycle touches only what they name. Every set is
+     * visited in ascending index order, which is the order a full scan
+     * of links, (link, VC) slots or procs would take, so the simulated
+     * results do not depend on them (DESIGN.md §5m).
+     */
+    /** Links that may have flits in flight (superset). */
+    IndexSet _flitPipes;
+    /** Links that may have credits in flight (superset). */
+    IndexSet _creditPipes;
+    /** (link * numVcs + vc) slots that may hold an unrouted head. */
+    IndexSet _unrouted;
+    /** Output links with a non-empty requester list (exact). */
+    IndexSet _requestedOutputs;
+    /** Procs whose source queue may be non-empty (superset). */
+    IndexSet _queuedSources;
+    /** Per output link: input VCs routed to it, ascending rank. */
+    std::vector<std::vector<Requester>> _requesters;
+    /** Position of each link in inLinks() of the node it enters. */
+    std::vector<std::uint32_t> _inRank;
+    /** Packets with flits injected and not yet delivered or dropped. */
+    std::set<PacketId> _alivePackets;
+    /** Packets waiting in source queues, over all procs. */
+    std::uint64_t _queuedPackets = 0;
+    /** Cycle in which each input link last forwarded a flit. */
+    std::vector<Cycle> _inputUsedAt;
+    /** switchAllocation scratch: the requests of one output. */
+    std::vector<Requester> _requests;
 
     std::uint64_t _flitsInNetwork = 0;
+    std::uint64_t _steppedCycles = 0;
     NetworkStats _stats;
     Cycle _lastStep = -1;
     obs::SimObserver *_observer = nullptr;

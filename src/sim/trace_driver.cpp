@@ -177,7 +177,9 @@ runTrace(const trace::Trace &trace, Network &network)
 
         bool allDone = true;
         for (core::ProcId r = 0; r < ranks; ++r) {
-            progress(r, now);
+            // A rank waiting on the clock cannot move before readyAt.
+            if (!state[r].timeBound() || now >= state[r].readyAt)
+                progress(r, now);
             allDone &= state[r].phase == RankState::Phase::Done;
         }
         if (allDone && network.idle())
@@ -267,6 +269,7 @@ runTrace(const trace::Trace &trace, Network &network)
             fc.retryExhaustions = ns.retryExhaustions;
             fc.recoveryExhaustions = ns.recoveryExhaustions;
             fc.execTime = result.execTime;
+            fc.steppedCycles = network.steppedCycles();
             observer->finish(fc, result.execTime,
                              network.flitsInNetwork(), ns.linkFlits);
         }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
+#include "obs/sim_observer.hpp"
 #include "sim/network.hpp"
+#include "sim/trace_driver.hpp"
 #include "topo/builders.hpp"
 
 using namespace minnoc;
@@ -341,4 +344,40 @@ TEST(NetworkSim, IdleReflectsState)
     EXPECT_FALSE(net.idle());
     runUntilIdle(net);
     EXPECT_TRUE(net.idle());
+}
+
+TEST(NetworkSim, SteppedCyclesCountsStepCalls)
+{
+    const auto built = topo::buildCrossbar(2);
+    Network net(*built.topo, *built.routing, SimConfig{});
+    EXPECT_EQ(net.steppedCycles(), 0u);
+    // Gaps in the clock are not steps.
+    for (const Cycle now : {1, 2, 3, 100, 101})
+        net.step(now);
+    EXPECT_EQ(net.steppedCycles(), 5u);
+}
+
+TEST(NetworkSim, ObserverReportsSteppedCycles)
+{
+    // Both ranks compute for a long stretch before one message: the
+    // driver fast-forwards over it, so far fewer cycles are stepped
+    // than simulated, and the observer reports exactly the stepped
+    // ones.
+    trace::Trace tr("stepped", 2);
+    for (core::ProcId r = 0; r < 2; ++r)
+        tr.push(r, trace::TraceOp::compute(100000));
+    tr.push(0, trace::TraceOp::send(1, 64, 0));
+    tr.push(1, trace::TraceOp::recv(0, 64, 0));
+    const auto built = topo::buildMesh(2);
+    Network net(*built.topo, *built.routing, SimConfig{});
+    obs::SimObserver observer;
+    net.setObserver(&observer);
+    const auto result = runTrace(tr, net);
+
+    obs::MetricsRegistry registry;
+    observer.exportTo(registry);
+    const auto stepped = registry.counter("sim/stepped_cycles").value();
+    EXPECT_EQ(stepped, net.steppedCycles());
+    EXPECT_GT(stepped, 0u);
+    EXPECT_LT(stepped, static_cast<std::uint64_t>(result.execTime) / 10);
 }

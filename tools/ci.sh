@@ -10,7 +10,9 @@
 #     pool) — ASan and TSan cannot share a binary, hence the second
 #     tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
-#     small pattern as a smoke test; its JSON lands in the build dir.
+#     small pattern as a smoke test (its JSON lands in the build dir),
+#     and the simulator golden corpus, so simulated results hold under
+#     the -O3 build the figure benches use.
 #  4. Explore cache smoke: a tiny DSE grid on CG-8 run twice against a
 #     fresh cache dir under the build tree — the warm rerun must hit
 #     the cache on every job (zero design recomputations) and its
@@ -46,9 +48,7 @@
 #     serve hang hook so the kill is guaranteed to land mid-sweep) must
 #     still converge byte-identical with the failure recorded in
 #     `host_failed` only; the surviving daemons must drain cleanly on
-#     SIGTERM, and the lax_sync bench must hold its exactness and
-#     byte-identity gates. The dist status and lax_sync JSON artifacts
-#     land in the build dir.
+#     SIGTERM. The dist status JSON artifacts land in the build dir.
 # 10. Coherence stress smoke: the MSI traffic generator and per-phase
 #     synthesis pipeline under ASan at small N within a wall-time
 #     budget; the JSON must be byte-identical across thread counts,
@@ -95,10 +95,12 @@ export TSAN_OPTIONS="halt_on_error=1"
 
 echo "=== phase 3: Release bench smoke ==="
 cmake -S "$repo" -B "$build_bench" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_bench" -j "$jobs" --target partitioner_perf
+cmake --build "$build_bench" -j "$jobs" --target partitioner_perf \
+    test_sim_golden
 "$build_bench/bench/partitioner_perf" \
     --bench CG --ranks 8 --iterations 1 \
     --out "$build_bench/partitioner_perf.json"
+"$build_bench/tests/test_sim_golden"
 
 echo "=== phase 4: explore cache smoke ==="
 cmake --build "$build_bench" -j "$jobs" --target minnoc
@@ -235,7 +237,7 @@ grep -q '"verified": false' "$build/scale_curve.json" &&
 echo "scale curve artifact: $build/scale_curve.json"
 
 echo "=== phase 9: distributed explore (ASan) ==="
-cmake --build "$build" -j "$jobs" --target minnoc lax_sync
+cmake --build "$build" -j "$jobs" --target minnoc
 dist_cache="$build/ci-dist-cache"
 rm -rf "$dist_cache"
 "$build/tools/minnoc" gen --bench CG --ranks 8 --iterations 1 \
@@ -265,13 +267,6 @@ echo "$dist_warm" | grep -q "100.0% hit rate" ||
     { echo "FAIL: warm distributed rerun below 100% cache hits"; exit 1; }
 cmp "$build/dist_frontier_cold.json" "$build/dist_frontier_warm.json" ||
     { echo "FAIL: warm distributed frontier differs from cold"; exit 1; }
-# Lax-sync bench gates: mesh exactness and dist byte-identity are its
-# exit status; the JSON is the CI trend artifact.
-"$build/bench/lax_sync" --ranks 16 --iterations 1 --workers 3 \
-    --out "$build/lax_sync.json" >/dev/null ||
-    { echo "FAIL: lax_sync bench gates"; exit 1; }
-grep -q '"benchmark": "lax_sync"' "$build/lax_sync.json" ||
-    { echo "FAIL: lax_sync bench produced no report"; exit 1; }
 # The same sweep over two loopback `minnoc serve` daemons.
 # Wait until a daemon accepts TCP on its port (or die with its log).
 await_port() { # pid port log
@@ -356,7 +351,6 @@ wait "$host_b_pid" ||
 wait "$host_c_pid" 2>/dev/null || true
 echo "dist status artifacts: $build/dist_status.json," \
      "$build/hosts_status_cold.json, $build/hosts_status_kill.json"
-echo "lax sync artifact: $build/lax_sync.json"
 
 echo "=== phase 10: coherence stress (ASan) ==="
 cmake --build "$build" -j "$jobs" --target coherence_stress

@@ -495,8 +495,6 @@ cmdSimulate(const Args &args)
 
     sim::SimConfig scfg;
     scfg.maxRecoveries = args.getU32("max-recoveries", scfg.maxRecoveries);
-    scfg.laxSyncSlack = static_cast<sim::Cycle>(
-        args.getU64("lax-sync", 0));
     installCliCancel();
     scfg.cancel = &gCliToken;
 
@@ -853,13 +851,11 @@ usage()
         "           [--fail-links N] [--fail-link-ids 3,17]\n"
         "           [--fail-at CYCLE] [--flit-error-rate P]\n"
         "           [--fault-seed S] [--max-retransmits R]\n"
-        "           [--max-recoveries R] [--lax-sync SLACK]\n"
+        "           [--max-recoveries R]\n"
         "           [--power static|activity]\n"
         "           [--metrics-out FILE] [--chrome-trace FILE]\n"
         "           (metrics-out: deterministic JSON telemetry dump;\n"
         "           chrome-trace: Perfetto-loadable timeline;\n"
-        "           lax-sync: bounded-slack credit sync, cycles of\n"
-        "           allowed credit lag; 0 = strict, the default;\n"
         "           power: static per-hop model or activity-based\n"
         "           per-event accounting)\n"
         "  compare  TRACE [--max-degree D] [--power static|activity]\n"
@@ -916,7 +912,7 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
     {"simulate",
      {"network", "fail-links", "fail-link-ids", "fail-at",
       "flit-error-rate", "fault-seed", "max-retransmits",
-      "max-recoveries", "lax-sync", "power", "metrics-out",
+      "max-recoveries", "power", "metrics-out",
       "chrome-trace"}},
     {"compare", {"max-degree", "threads", "power"}},
     {"explore",
