@@ -1,11 +1,25 @@
 /**
  * @file
- * Unit tests for the tile floorplanner and area model.
+ * Unit tests for the tile floorplanner and area model, and byte pins of
+ * the plans it produces: FNV-1a digests of `Floorplan::toString()` and
+ * the three area terms for the five NAS designs at 16 ranks and the
+ * CG-64 perfbench design, each at two floorplan seeds. A change that
+ * moves a digest changes where the paper's area model places a
+ * network, not just how fast it gets there.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+
+#include "core/design_io.hpp"
 #include "core/methodology.hpp"
+#include "dse/cache.hpp"
 #include "topo/floorplan.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
@@ -137,4 +151,104 @@ TEST(Floorplan, ProcDistanceZeroWhenCornerAdjacent)
     // The annealer should co-locate most processors with their switch;
     // proc link area must at least stay small relative to proc count.
     EXPECT_LE(plan.procLinkArea, outcome.design.numProcs);
+}
+
+namespace {
+
+/** Digest of the plan of @p design at floorplan seed @p seed. */
+std::string
+planDigest(const core::FinalizedDesign &design, std::uint64_t seed)
+{
+    FloorplanConfig cfg;
+    cfg.seed = seed;
+    const auto plan = planFloor(design, cfg);
+    std::ostringstream oss;
+    oss << plan.toString() << "switchArea=" << plan.switchArea
+        << " linkArea=" << plan.linkArea
+        << " procLinkArea=" << plan.procLinkArea << "\n";
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(dse::fnv1a64(oss.str())));
+    return buf;
+}
+
+/** The 16-rank NAS design the plan pins place. */
+core::FinalizedDesign
+nasDesign(trace::Benchmark bench)
+{
+    trace::NasConfig tcfg;
+    tcfg.ranks = 16;
+    tcfg.iterations = 1;
+    tcfg.seed = 1;
+    core::MethodologyConfig mcfg;
+    mcfg.partitioner.constraints.maxDegree = 5;
+    mcfg.partitioner.seed = 1;
+    mcfg.restarts = 2;
+    mcfg.threads = 1;
+    return core::runMethodology(
+               trace::analyzeByCall(trace::generateBenchmark(bench, tcfg)),
+               mcfg)
+        .design;
+}
+
+/** Largest number of processors any one switch of @p design owns. */
+std::size_t
+maxProcsPerSwitch(const core::FinalizedDesign &design)
+{
+    std::size_t most = 0;
+    for (const auto &procs : design.switchProcs)
+        most = std::max(most, procs.size());
+    return most;
+}
+
+} // namespace
+
+TEST(FloorplanBytes, BT16)
+{
+    const auto design = nasDesign(trace::Benchmark::BT);
+    EXPECT_EQ(planDigest(design, 1), "9876b0eb325ce5ac");
+    EXPECT_EQ(planDigest(design, 7), "9099aeae4d8f17b1");
+}
+
+TEST(FloorplanBytes, CG16)
+{
+    // Several processors share a switch, so a switch's candidate
+    // corners span more than one tile.
+    const auto design = nasDesign(trace::Benchmark::CG);
+    EXPECT_GT(maxProcsPerSwitch(design), 1u);
+    EXPECT_EQ(planDigest(design, 1), "536d0bea58212296");
+    EXPECT_EQ(planDigest(design, 7), "e09ac6fdcd83b822");
+}
+
+TEST(FloorplanBytes, FFT16)
+{
+    const auto design = nasDesign(trace::Benchmark::FFT);
+    EXPECT_EQ(planDigest(design, 1), "8f7d07602255f68d");
+    EXPECT_EQ(planDigest(design, 7), "2066ecc6178392ce");
+}
+
+TEST(FloorplanBytes, MG16)
+{
+    const auto design = nasDesign(trace::Benchmark::MG);
+    EXPECT_EQ(planDigest(design, 1), "a65e0c61f6890067");
+    EXPECT_EQ(planDigest(design, 7), "276a84c27322da12");
+}
+
+TEST(FloorplanBytes, SP16)
+{
+    // SP and BT synthesize the same design at 16 ranks, so their plans
+    // coincide; both stay pinned in case that ever changes.
+    const auto design = nasDesign(trace::Benchmark::SP);
+    EXPECT_EQ(planDigest(design, 1), "9876b0eb325ce5ac");
+    EXPECT_EQ(planDigest(design, 7), "9099aeae4d8f17b1");
+}
+
+TEST(FloorplanBytes, CG64PerfbenchDesign)
+{
+    std::ifstream file(std::string(MINNOC_TESTS_DIR) +
+                       "/../perfbench/data/cg64_design.txt");
+    ASSERT_TRUE(file);
+    const auto design = core::loadDesign(file);
+    EXPECT_EQ(planDigest(design, 1), "c0ddc7cbbbb0f8a7");
+    EXPECT_EQ(planDigest(design, 7), "dca50b7b5fbab817");
 }
