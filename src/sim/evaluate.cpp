@@ -29,6 +29,9 @@ evaluateDesign(const core::FinalizedDesign &design,
     DesignEvaluation e;
     auto t = tick();
     e.plan = topo::planFloor(design, floorplan);
+    span("floorplan", t);
+
+    t = tick();
     e.net = topo::buildFromDesign(design, e.plan);
     span("build", t);
 

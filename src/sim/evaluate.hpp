@@ -40,8 +40,8 @@ struct DesignEvaluation
  * Floorplan, build, replay @p trace on, and price @p design; also
  * price the network idling @p idleCycles with no traffic (the
  * reconfiguration window a time-multiplexed network is swapped in
- * during). When @p traceLog is set, the "build" (floorplan + build)
- * and "simulate" stages become wall-clock spans on DSE track @p tid.
+ * during). When @p traceLog is set, the "floorplan", "build" and
+ * "simulate" stages become wall-clock spans on DSE track @p tid.
  */
 DesignEvaluation evaluateDesign(const core::FinalizedDesign &design,
                                 const trace::Trace &trace,

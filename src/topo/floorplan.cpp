@@ -25,21 +25,6 @@ Floorplan::switchDistance(core::SwitchId a, core::SwitchId b) const
     return d ? d : 1; // wire delay floor of one tile
 }
 
-std::uint32_t
-Floorplan::procDistance(core::ProcId p, core::SwitchId home) const
-{
-    const GridPoint tile = procTile.at(p);
-    const GridPoint sw = switchCorner.at(home);
-    std::uint32_t best = static_cast<std::uint32_t>(-1);
-    for (const std::int32_t dx : {0, 1}) {
-        for (const std::int32_t dy : {0, 1}) {
-            const GridPoint corner{tile.x + dx, tile.y + dy};
-            best = std::min(best, manhattan(corner, sw));
-        }
-    }
-    return best;
-}
-
 std::string
 Floorplan::toString() const
 {
@@ -98,13 +83,19 @@ torusAreas(std::uint32_t procs)
 
 namespace {
 
-/** Candidate corners of a tile. */
-std::vector<GridPoint>
-tileCorners(const GridPoint &tile)
+/** Offsets of a tile's four corners, in candidate order. */
+constexpr GridPoint kCornerOffsets[] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
+
+/** Distance from @p point to the nearest corner of @p tile. */
+std::uint32_t
+tileCornerDistance(const GridPoint &tile, const GridPoint &point)
 {
-    return {GridPoint{tile.x, tile.y}, GridPoint{tile.x + 1, tile.y},
-            GridPoint{tile.x, tile.y + 1},
-            GridPoint{tile.x + 1, tile.y + 1}};
+    // Per axis, the gap from the coordinate to the interval [t, t + 1].
+    const auto gap = [](std::int32_t t, std::int32_t v) {
+        return v < t ? t - v : v > t + 1 ? v - t - 1 : 0;
+    };
+    return static_cast<std::uint32_t>(gap(tile.x, point.x) +
+                                      gap(tile.y, point.y));
 }
 
 /** Full placement cost evaluator: relaxes switch corners, sums areas. */
@@ -112,8 +103,13 @@ class PlacementCost
 {
   public:
     PlacementCost(const core::FinalizedDesign &design)
-        : _design(design)
+        : _design(design), _incident(design.numSwitches)
     {
+        for (const auto &pipe : design.pipes) {
+            _incident[pipe.key.a].emplace_back(pipe.key.b, pipe.links);
+            if (pipe.key.b != pipe.key.a)
+                _incident[pipe.key.b].emplace_back(pipe.key.a, pipe.links);
+        }
     }
 
     /**
@@ -138,10 +134,14 @@ class PlacementCost
         }
 
         // Relax: move each switch to the member-tile corner minimizing
-        // its local cost, holding the others fixed.
+        // its local cost, holding the others fixed. A pass that moves
+        // no switch leaves nothing for the next one to do.
         for (int pass = 0; pass < 3; ++pass) {
+            bool moved = false;
             for (core::SwitchId s = 0; s < numSwitches; ++s)
-                relaxSwitch(s, procTile, corners);
+                moved |= relaxSwitch(s, procTile, corners);
+            if (!moved)
+                break;
         }
         return totalCost(procTile, corners);
     }
@@ -156,60 +156,54 @@ class PlacementCost
                     manhattan(corners[pipe.key.a], corners[pipe.key.b]);
         }
         for (core::ProcId p = 0; p < _design.numProcs; ++p) {
-            const auto home = _design.procHome[p];
-            std::uint32_t best = static_cast<std::uint32_t>(-1);
-            for (const auto &c : tileCorners(procTile[p]))
-                best = std::min(best, manhattan(c, corners[home]));
-            cost += best;
+            cost += tileCornerDistance(procTile[p],
+                                       corners[_design.procHome[p]]);
         }
         return cost;
     }
 
   private:
-    void
+    /** Snap switch @p s to its best member-tile corner; true if it moved. */
+    bool
     relaxSwitch(core::SwitchId s, const std::vector<GridPoint> &procTile,
                 std::vector<GridPoint> &corners) const
     {
-        // Candidates: every corner of every member tile.
-        std::vector<GridPoint> candidates;
-        for (const auto p : _design.switchProcs[s]) {
-            for (const auto &c : tileCorners(procTile[p]))
-                candidates.push_back(c);
-        }
-        if (candidates.empty())
-            return;
-
+        const auto &members = _design.switchProcs[s];
         std::uint32_t bestCost = static_cast<std::uint32_t>(-1);
         GridPoint bestCorner = corners[s];
-        for (const auto &cand : candidates) {
-            std::uint32_t cost = 0;
-            for (const auto &pipe : _design.pipes) {
-                if (pipe.key.a == s) {
-                    cost +=
-                        pipe.links * manhattan(cand, corners[pipe.key.b]);
-                } else if (pipe.key.b == s) {
-                    cost +=
-                        pipe.links * manhattan(cand, corners[pipe.key.a]);
+        for (const auto p : members) {
+            for (const auto &offset : kCornerOffsets) {
+                const GridPoint cand{procTile[p].x + offset.x,
+                                     procTile[p].y + offset.y};
+                std::uint32_t cost = 0;
+                for (const auto &[other, links] : _incident[s])
+                    cost += links * manhattan(cand, corners[other]);
+                for (const auto q : members)
+                    cost += tileCornerDistance(procTile[q], cand);
+                if (cost < bestCost) {
+                    bestCost = cost;
+                    bestCorner = cand;
                 }
             }
-            for (const auto p : _design.switchProcs[s]) {
-                std::uint32_t d = static_cast<std::uint32_t>(-1);
-                for (const auto &c : tileCorners(procTile[p]))
-                    d = std::min(d, manhattan(c, cand));
-                cost += d;
-            }
-            if (cost < bestCost) {
-                bestCost = cost;
-                bestCorner = cand;
-            }
         }
+        const bool moved = bestCorner != corners[s];
         corners[s] = bestCorner;
+        return moved;
     }
 
     const core::FinalizedDesign &_design;
+    /** (other switch, links) of each switch's pipes; self-loops once. */
+    std::vector<std::vector<std::pair<core::SwitchId, std::uint32_t>>>
+        _incident;
 };
 
 } // namespace
+
+std::uint32_t
+Floorplan::procDistance(core::ProcId p, core::SwitchId home) const
+{
+    return tileCornerDistance(procTile.at(p), switchCorner.at(home));
+}
 
 Floorplan
 planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
@@ -225,11 +219,9 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
     std::vector<GridPoint> tiles;
     for (std::uint32_t by = 0; by < h; by += 2) {
         for (std::uint32_t bx = 0; bx < w; bx += 2) {
-            for (const auto &[dx, dy] :
-                 std::vector<std::pair<std::uint32_t, std::uint32_t>>{
-                     {0, 0}, {1, 0}, {0, 1}, {1, 1}}) {
-                const std::uint32_t x = bx + dx;
-                const std::uint32_t y = by + dy;
+            for (const auto &offset : kCornerOffsets) {
+                const std::uint32_t x = bx + offset.x;
+                const std::uint32_t y = by + offset.y;
                 if (x < w && y < h) {
                     tiles.push_back(GridPoint{static_cast<std::int32_t>(x),
                                               static_cast<std::int32_t>(y)});
@@ -250,6 +242,7 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
     // Simulated annealing over processor tile swaps.
     PlacementCost evaluator(design);
     std::vector<GridPoint> corners;
+    std::vector<GridPoint> trial;
     std::uint32_t cost = evaluator.evaluate(plan.procTile, corners);
     Rng rng(config.seed);
     double temperature = config.t0;
@@ -263,16 +256,15 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
             if (a == b)
                 continue;
             std::swap(plan.procTile[a], plan.procTile[b]);
-            std::vector<GridPoint> newCorners;
             const std::uint32_t newCost =
-                evaluator.evaluate(plan.procTile, newCorners);
+                evaluator.evaluate(plan.procTile, trial);
             const auto delta = static_cast<double>(newCost) -
                                static_cast<double>(cost);
             if (delta <= 0 ||
                 rng.chance(std::exp(-delta /
                                     std::max(temperature, 1e-9)))) {
                 cost = newCost;
-                corners = std::move(newCorners);
+                corners.swap(trial);
             } else {
                 std::swap(plan.procTile[a], plan.procTile[b]);
             }
@@ -285,12 +277,11 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
         for (core::ProcId a = 0; a < design.numProcs; ++a) {
             for (core::ProcId b = a + 1; b < design.numProcs; ++b) {
                 std::swap(plan.procTile[a], plan.procTile[b]);
-                std::vector<GridPoint> newCorners;
                 const std::uint32_t newCost =
-                    evaluator.evaluate(plan.procTile, newCorners);
+                    evaluator.evaluate(plan.procTile, trial);
                 if (newCost < cost) {
                     cost = newCost;
-                    corners = std::move(newCorners);
+                    corners.swap(trial);
                 } else {
                     std::swap(plan.procTile[a], plan.procTile[b]);
                 }

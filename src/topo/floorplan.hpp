@@ -52,7 +52,7 @@ manhattan(const GridPoint &a, const GridPoint &b)
 struct FloorplanConfig
 {
     std::uint64_t seed = 1;
-    /** Annealing sweeps over all processor pairs. */
+    /** Annealing sweeps, each of 4 x numProcs random tile-swap attempts. */
     std::uint32_t sweeps = 64;
     double t0 = 4.0;
     double alpha = 0.92;

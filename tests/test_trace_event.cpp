@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
+#include "core/methodology.hpp"
 #include "obs/sim_observer.hpp"
 #include "obs/trace_event.hpp"
+#include "sim/evaluate.hpp"
 #include "sim/trace_driver.hpp"
 #include "topo/builders.hpp"
+#include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 #include "util/json.hpp"
 
@@ -140,6 +144,37 @@ TEST(TraceEventLog, SimulatorRunProducesLoadableTrace)
     expectValidTraceEventJson(dump);
     EXPECT_NE(dump.find("\"epoch\""), std::string::npos);
     EXPECT_NE(dump.find("flits_in_network"), std::string::npos);
+}
+
+TEST(TraceEventLog, EvaluationStepSpansEachStage)
+{
+    // Floorplanning gets its own span, apart from the network build, so
+    // a DSE trace shows where a job's evaluation time goes.
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "instrumentation compiled out (MINNOC_OBS=OFF)";
+    trace::NasConfig cfg;
+    cfg.ranks = 8;
+    cfg.iterations = 1;
+    const auto tr = trace::generateBenchmark(trace::Benchmark::CG, cfg);
+    core::MethodologyConfig mcfg;
+    mcfg.partitioner.constraints.maxDegree = 5;
+    const auto outcome = core::runMethodology(trace::analyzeByCall(tr), mcfg);
+
+    obs::TraceEventLog log;
+    sim::evaluateDesign(outcome.design, tr, topo::FloorplanConfig{},
+                        sim::SimConfig{}, topo::PowerModel{}, 0, &log, 5);
+    const auto dump = log.toJson();
+    expectValidTraceEventJson(dump);
+    const auto parsed = json::parse(dump);
+    std::map<std::string, int> spans;
+    for (const auto &e : parsed->find("traceEvents")->asArray()) {
+        if (e.find("ph")->asString() == "X" &&
+            e.find("pid")->asNumber() == obs::kPidDse &&
+            e.find("tid")->asNumber() == 5)
+            ++spans[e.find("name")->asString()];
+    }
+    EXPECT_EQ(spans, (std::map<std::string, int>{
+                         {"build", 1}, {"floorplan", 1}, {"simulate", 1}}));
 }
 
 TEST(SimObserver, EpochDoublingBoundsSamples)
