@@ -13,7 +13,7 @@ buildCrossbar(std::uint32_t procs)
     for (core::ProcId p = 0; p < procs; ++p)
         topo->addDuplex(topo->procNode(p), sw, 1);
     topo->validate();
-    auto routing = makeCrossbarRouting(*topo);
+    auto routing = std::make_unique<CrossbarRouting>(*topo);
     validateRouting(*topo, *routing);
     return BuiltNetwork{std::move(topo), std::move(routing)};
 }
@@ -39,7 +39,7 @@ buildMesh(std::uint32_t procs)
         }
     }
     topo->validate();
-    auto routing = makeMeshDorRouting(*topo, w, h);
+    auto routing = std::make_unique<MeshDorRouting>(*topo, w, h);
     validateRouting(*topo, *routing);
     return BuiltNetwork{std::move(topo), std::move(routing)};
 }

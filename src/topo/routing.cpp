@@ -60,6 +60,63 @@ TableRouting::candidates(NodeIdx cur, core::ProcId src,
           " is not on the path (", src, ",", dst, ")");
 }
 
+MeshDorRouting::MeshDorRouting(const Topology &topo, std::uint32_t w,
+                               std::uint32_t h)
+    : _topo(&topo), _w(w), _next(topo.numSwitches())
+{
+    if (static_cast<std::uint64_t>(w) * h != topo.numProcs() ||
+        topo.numSwitches() != topo.numProcs())
+        panic("MeshDorRouting: bad dims");
+    for (std::uint32_t y = 0; y < h; ++y) {
+        for (std::uint32_t x = 0; x < w; ++x) {
+            const NodeIdx from = topo.switchNode(y * w + x);
+            auto link = [&](bool inside, std::uint32_t nx,
+                            std::uint32_t ny) {
+                if (!inside)
+                    return kNoLink;
+                const LinkId id =
+                    topo.findLink(from, topo.switchNode(ny * w + nx));
+                if (id == kNoLink)
+                    panic("MeshDorRouting: missing mesh link");
+                return id;
+            };
+            _next[y * w + x] = {link(x + 1 < w, x + 1, y),
+                                link(x > 0, x - 1, y),
+                                link(y + 1 < h, x, y + 1),
+                                link(y > 0, x, y - 1)};
+        }
+    }
+}
+
+std::vector<LinkId>
+MeshDorRouting::candidates(NodeIdx cur, core::ProcId src,
+                           core::ProcId dst) const
+{
+    (void)src;
+    if (_topo->isProc(cur))
+        return {_topo->injectionLink(_topo->procOf(cur))};
+    const core::SwitchId s = _topo->switchOf(cur);
+    const std::uint32_t x = s % _w;
+    const std::uint32_t dx = dst % _w;
+    if (x != dx)
+        return {_next[s][x < dx ? East : West]};
+    const std::uint32_t y = s / _w;
+    const std::uint32_t dy = dst / _w;
+    if (y != dy)
+        return {_next[s][y < dy ? South : North]};
+    return {_topo->ejectionLink(dst)};
+}
+
+std::vector<LinkId>
+CrossbarRouting::candidates(NodeIdx cur, core::ProcId src,
+                            core::ProcId dst) const
+{
+    (void)src;
+    if (_topo->isProc(cur))
+        return {_topo->injectionLink(_topo->procOf(cur))};
+    return {_topo->ejectionLink(dst)};
+}
+
 TorusAdaptiveRouting::TorusAdaptiveRouting(const Topology &topo,
                                            std::uint32_t w, std::uint32_t h)
     : _topo(&topo), _w(w), _h(h)
@@ -122,77 +179,45 @@ TorusAdaptiveRouting::candidates(NodeIdx cur, core::ProcId src,
 void
 validateRouting(const Topology &topo, const RoutingFunction &routing)
 {
-    for (core::ProcId s = 0; s < topo.numProcs(); ++s) {
-        for (core::ProcId d = 0; d < topo.numProcs(); ++d) {
-            if (s == d)
-                continue;
+    // Walks the first candidates from every source to d. Each node's hop
+    // count to d is memoized; a source-oblivious route from a node does
+    // not depend on the source, so later walks stop where they meet an
+    // earlier one and each destination costs O(nodes). Otherwise the
+    // memo is cleared after every walk.
+    constexpr std::uint64_t kUnknown = ~0ull;
+    constexpr std::uint64_t kOnWalk = kUnknown - 1;
+    const bool oblivious = routing.sourceOblivious();
+    const std::uint64_t budget = 4ull * topo.numNodes();
+    std::vector<std::uint64_t> dist(topo.numNodes());
+    std::vector<NodeIdx> walk;
+    for (core::ProcId d = 0; d < topo.numProcs(); ++d) {
+        std::fill(dist.begin(), dist.end(), kUnknown);
+        dist[topo.procNode(d)] = 0;
+        for (core::ProcId s = 0; s < topo.numProcs(); ++s) {
+            walk.clear();
             NodeIdx cur = topo.procNode(s);
-            const NodeIdx goal = topo.procNode(d);
-            std::size_t hops = 0;
-            while (cur != goal) {
+            while (dist[cur] == kUnknown) {
+                dist[cur] = kOnWalk;
+                walk.push_back(cur);
                 const auto cands = routing.candidates(cur, s, d);
                 if (cands.empty())
                     panic("validateRouting: no candidates at node ", cur,
                           " for (", s, ",", d, ")");
                 cur = topo.link(cands.front()).to;
-                if (++hops > 4ull * topo.numNodes())
+            }
+            if (dist[cur] == kOnWalk)
+                panic("validateRouting: livelock (loop through node ", cur,
+                      ") for (", s, ",", d, ")");
+            // The budget backstops the loop check above.
+            std::uint64_t hops = dist[cur];
+            for (auto it = walk.rbegin(); it != walk.rend(); ++it) {
+                if (++hops > budget)
                     panic("validateRouting: livelock for (", s, ",", d,
                           ")");
+                dist[*it] = oblivious ? hops : kUnknown;
             }
         }
     }
-}
-
-std::unique_ptr<TableRouting>
-makeMeshDorRouting(const Topology &topo, std::uint32_t w, std::uint32_t h)
-{
-    if (static_cast<std::uint64_t>(w) * h != topo.numProcs())
-        panic("makeMeshDorRouting: bad dims");
-    auto routing = std::make_unique<TableRouting>(topo, "mesh-dor");
-    for (core::ProcId s = 0; s < topo.numProcs(); ++s) {
-        for (core::ProcId d = 0; d < topo.numProcs(); ++d) {
-            if (s == d)
-                continue;
-            std::vector<LinkId> path{topo.injectionLink(s)};
-            std::uint32_t x = s % w;
-            std::uint32_t y = s / w;
-            const std::uint32_t dx = d % w;
-            const std::uint32_t dy = d / w;
-            auto hop = [&](std::uint32_t nx, std::uint32_t ny) {
-                const LinkId id =
-                    topo.findLink(topo.switchNode(y * w + x),
-                                  topo.switchNode(ny * w + nx));
-                if (id == kNoLink)
-                    panic("makeMeshDorRouting: missing mesh link");
-                path.push_back(id);
-                x = nx;
-                y = ny;
-            };
-            while (x != dx)
-                hop(x < dx ? x + 1 : x - 1, y);
-            while (y != dy)
-                hop(x, y < dy ? y + 1 : y - 1);
-            path.push_back(topo.ejectionLink(d));
-            routing->setPath(s, d, std::move(path));
-        }
-    }
-    return routing;
-}
-
-std::unique_ptr<TableRouting>
-makeCrossbarRouting(const Topology &topo)
-{
-    auto routing = std::make_unique<TableRouting>(topo, "crossbar");
-    for (core::ProcId s = 0; s < topo.numProcs(); ++s) {
-        for (core::ProcId d = 0; d < topo.numProcs(); ++d) {
-            if (s == d)
-                continue;
-            routing->setPath(
-                s, d,
-                {topo.injectionLink(s), topo.ejectionLink(d)});
-        }
-    }
-    return routing;
 }
 
 std::unique_ptr<TableRouting>

@@ -13,6 +13,7 @@
 #ifndef MINNOC_TOPO_ROUTING_HPP
 #define MINNOC_TOPO_ROUTING_HPP
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -41,12 +42,22 @@ class RoutingFunction
     /** True when the function offers real choice (torus TFAR). */
     virtual bool adaptive() const { return false; }
 
+    /**
+     * True when candidates() ignores its @p src argument, so the
+     * candidates at a node depend only on the destination (mesh DOR,
+     * crossbar, torus). validateRouting then checks each destination
+     * once instead of every pair.
+     */
+    virtual bool sourceOblivious() const { return false; }
+
     virtual std::string name() const = 0;
 };
 
 /**
  * Deterministic source routing backed by a per-pair link path table.
- * Paths include the injection and ejection links.
+ * Paths include the injection and ejection links. Used only for the
+ * irregular networks (generated designs, up*\/down*, degraded routing);
+ * the regular baselines compute their next hop instead.
  */
 class TableRouting : public RoutingFunction
 {
@@ -86,6 +97,49 @@ class TableRouting : public RoutingFunction
 };
 
 /**
+ * Dimension-order (x then y) routing on a @p w x @p h mesh whose switch
+ * y*w+x hosts processor y*w+x. The next hop is computed from the
+ * current switch and the destination; no per-pair state is kept.
+ */
+class MeshDorRouting : public RoutingFunction
+{
+  public:
+    /** Looks up each switch's neighbour links once (panics if absent). */
+    MeshDorRouting(const Topology &topo, std::uint32_t w, std::uint32_t h);
+
+    std::vector<LinkId> candidates(NodeIdx cur, core::ProcId src,
+                                   core::ProcId dst) const override;
+
+    bool sourceOblivious() const override { return true; }
+    std::string name() const override { return "mesh-dor"; }
+
+  private:
+    enum Dir { East, West, South, North };
+
+    const Topology *_topo;
+    std::uint32_t _w;
+    /// Per switch, the link toward each Dir (kNoLink on the border).
+    std::vector<std::array<LinkId, 4>> _next;
+};
+
+/** Two-hop routing through a single crossbar switch. */
+class CrossbarRouting : public RoutingFunction
+{
+  public:
+    /** @param topo the crossbar topology (must outlive this) */
+    explicit CrossbarRouting(const Topology &topo) : _topo(&topo) {}
+
+    std::vector<LinkId> candidates(NodeIdx cur, core::ProcId src,
+                                   core::ProcId dst) const override;
+
+    bool sourceOblivious() const override { return true; }
+    std::string name() const override { return "crossbar"; }
+
+  private:
+    const Topology *_topo;
+};
+
+/**
  * True fully adaptive minimal routing on a 2-D torus: every productive
  * (distance-reducing, with wraparound) output link is a candidate.
  * Deadlock freedom is *not* guaranteed; the simulator's detection and
@@ -106,6 +160,7 @@ class TorusAdaptiveRouting : public RoutingFunction
                                    core::ProcId dst) const override;
 
     bool adaptive() const override { return true; }
+    bool sourceOblivious() const override { return true; }
     std::string name() const override { return "torus-tfar"; }
 
   private:
@@ -117,18 +172,13 @@ class TorusAdaptiveRouting : public RoutingFunction
 /**
  * Verify that @p routing delivers every src/dst pair on @p topo within a
  * hop budget (follows first candidates; adaptive functions are spot
- * checked on their first choice). Panics on a broken pair; used by
- * builders and tests.
+ * checked on their first choice). Panics on a node without candidates,
+ * a routing loop or an over-long path; used by builders and tests.
+ * Source-oblivious functions are checked once per destination, each
+ * node's distance to it memoized: O(nodes x procs) instead of walking
+ * all procs^2 pairs.
  */
 void validateRouting(const Topology &topo, const RoutingFunction &routing);
-
-/** Build dimension-order (x then y) DOR paths for a @p w x @p h mesh. */
-std::unique_ptr<TableRouting> makeMeshDorRouting(const Topology &topo,
-                                                 std::uint32_t w,
-                                                 std::uint32_t h);
-
-/** Trivial two-hop paths through the single crossbar switch. */
-std::unique_ptr<TableRouting> makeCrossbarRouting(const Topology &topo);
 
 /**
  * Source routing for a generated network: communications known to the

@@ -3,8 +3,9 @@
  * Node-axis scale tests: the hierarchical pre-partitioner (determinism,
  * leaf sizing, agreement with the flat path under Theorem 1), the
  * closed-form scale patterns, the cached CommBitset popcount, the
- * incremental Theorem-1 verifier, and byte-identity of a 256-rank
- * design across thread counts and reruns.
+ * incremental Theorem-1 verifier, byte-identity of a 256-rank design
+ * across thread counts and reruns, and a 4096-rank mesh ring that must
+ * build and simulate without any all-pairs state.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "core/hier_partitioner.hpp"
 #include "core/methodology.hpp"
 #include "core/verify.hpp"
+#include "sim/trace_driver.hpp"
+#include "topo/builders.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/scale_patterns.hpp"
 
@@ -303,4 +306,16 @@ TEST(IncrementalVerifier, MatchesBatchAndReusesUnchangedPipes)
     EXPECT_TRUE(v.check(d).empty());
     EXPECT_EQ(v.pipesChecked(), 3u);
     EXPECT_EQ(v.pipesReused(), 4u);
+}
+
+TEST(Scale, MeshRing4096)
+{
+    // 64x64 mesh with computed DOR routing: the build, the routing
+    // validation and the simulation all stay linear-ish in the ranks.
+    const auto net = minnoc::topo::buildMesh(4096);
+    const auto tr =
+        trace::traceFromCliques(trace::ringPattern(4096), "ring-4096", 1024, 1);
+    const auto res = minnoc::sim::runTrace(tr, *net.topo, *net.routing);
+    EXPECT_EQ(res.packetsDelivered, 8192u);
+    EXPECT_EQ(res.deadlockRecoveries, 0u);
 }
