@@ -308,9 +308,14 @@ TEST(DistHosts, CancelTokenUnwindsAndDaemonsSurvive)
 {
     const auto tr = cgTrace();
     auto cfg = smallConfig("", false);
-    // Enough work that the deadline fires mid-run on any machine.
+    // Enough work that the deadline fires mid-run on any machine:
+    // 3 degrees x 32 seeds x 2 VC counts = 192 jobs, several seconds
+    // of work on a fast host. (Raising restarts adds nothing, since
+    // the methodology stops after four feasible restarts.)
     cfg.grid.maxDegrees = {4, 5, 6};
-    cfg.grid.seeds = {1, 2, 3};
+    cfg.grid.seeds.clear();
+    for (std::uint64_t s = 1; s <= 32; ++s)
+        cfg.grid.seeds.push_back(s);
     cfg.grid.restarts = {8};
 
     DaemonProc::Options dopt;
