@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
+#include "core/design_io.hpp"
 #include "core/methodology.hpp"
 #include "pareto.hpp"
 #include "phase/multi_design.hpp"
@@ -52,6 +57,36 @@ segmenterFor(const JobParams &params, const ExploreConfig &config)
     return pcfg;
 }
 
+/** The methodology-side fields of one network's metrics. */
+JobMetrics
+designMetrics(const core::DesignOutcome &outcome)
+{
+    JobMetrics d;
+    d.switches = outcome.design.numSwitches;
+    d.links = outcome.design.totalLinks();
+    d.channels = outcome.design.totalChannels();
+    d.constraintsMet = outcome.constraintsMet;
+    d.violations = static_cast<std::uint32_t>(outcome.violations.size());
+    d.rounds = outcome.rounds;
+    return d;
+}
+
+/** The area, simulation and energy fields of one network's metrics. */
+JobMetrics
+evaluationMetrics(const sim::DesignEvaluation &e)
+{
+    JobMetrics v;
+    v.switchArea = e.plan.switchArea;
+    v.linkArea = e.plan.linkArea;
+    v.procLinkArea = e.plan.procLinkArea;
+    v.execTime = e.sim.execTime;
+    v.avgLatency = e.sim.avgPacketLatency;
+    v.avgHops = e.sim.avgPacketHops;
+    v.maxLinkUtil = e.sim.maxLinkUtilization;
+    v.energy = e.energy.total();
+    return v;
+}
+
 /**
  * Fold one network's design and evaluation into @p m: maxima on the
  * provisioned-resource axes (a reconfigurable fabric must host the
@@ -59,21 +94,73 @@ segmenterFor(const JobParams &params, const ExploreConfig &config)
  * are the caller's.
  */
 void
-foldNetwork(JobMetrics &m, const core::DesignOutcome &outcome,
-            const sim::DesignEvaluation &e)
+foldNetwork(JobMetrics &m, const JobMetrics &design, const JobMetrics &eval)
 {
-    m.switches = std::max(m.switches, outcome.design.numSwitches);
-    m.links = std::max(m.links, outcome.design.totalLinks());
-    m.channels = std::max(m.channels, outcome.design.totalChannels());
-    m.constraintsMet = m.constraintsMet && outcome.constraintsMet;
-    m.violations += static_cast<std::uint32_t>(outcome.violations.size());
-    m.rounds = std::max(m.rounds, outcome.rounds);
-    m.switchArea = std::max(m.switchArea, e.plan.switchArea);
-    m.linkArea = std::max(m.linkArea, e.plan.linkArea);
-    m.procLinkArea = std::max(m.procLinkArea, e.plan.procLinkArea);
-    m.execTime += e.sim.execTime;
-    m.maxLinkUtil = std::max(m.maxLinkUtil, e.sim.maxLinkUtilization);
-    m.energy += e.energy.total();
+    m.switches = std::max(m.switches, design.switches);
+    m.links = std::max(m.links, design.links);
+    m.channels = std::max(m.channels, design.channels);
+    m.constraintsMet = m.constraintsMet && design.constraintsMet;
+    m.violations += design.violations;
+    m.rounds = std::max(m.rounds, design.rounds);
+    m.switchArea = std::max(m.switchArea, eval.switchArea);
+    m.linkArea = std::max(m.linkArea, eval.linkArea);
+    m.procLinkArea = std::max(m.procLinkArea, eval.procLinkArea);
+    m.execTime += eval.execTime;
+    m.maxLinkUtil = std::max(m.maxLinkUtil, eval.maxLinkUtil);
+    m.energy += eval.energy;
+}
+
+/** A classic job's metrics: its one network, latency axes included. */
+JobMetrics
+classicMetrics(const JobMetrics &design, const JobMetrics &eval)
+{
+    JobMetrics m;
+    m.constraintsMet = true;
+    foldNetwork(m, design, eval);
+    m.avgLatency = eval.avgLatency;
+    m.avgHops = eval.avgHops;
+    return m;
+}
+
+/** Start of a wall-clock span; 0 when there is no log to close it in. */
+std::int64_t
+spanStart(const obs::TraceEventLog *log)
+{
+    return log ? obs::wallMicros() : 0;
+}
+
+/** Close a span opened at @p start on DSE track @p tid. */
+void
+spanEnd(obs::TraceEventLog *log, const std::string &name, std::size_t tid,
+        std::int64_t start, const std::string &argsJson = "")
+{
+    if constexpr (obs::kEnabled) {
+        if (log)
+            log->complete(name, obs::kPidDse, static_cast<std::uint32_t>(tid),
+                          start, obs::wallMicros() - start, argsJson);
+    }
+}
+
+/**
+ * What evaluation reads of a finalized design, as bytes: the saved
+ * design without its unidirectional record, plus each switch's
+ * processor order, which the floorplanner reads and saveDesign leaves
+ * implied. Floorplan, build and simulation read the per-direction
+ * channel counts, never the flag itself.
+ */
+std::string
+networkBytes(core::FinalizedDesign design)
+{
+    design.unidirectional = false;
+    std::ostringstream os;
+    core::saveDesign(design, os);
+    for (const auto &procs : design.switchProcs) {
+        os << "procs";
+        for (const auto p : procs)
+            os << ' ' << p;
+        os << '\n';
+    }
+    return os.str();
 }
 
 } // namespace
@@ -126,44 +213,28 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
             const JobParams &params, const ExploreConfig &config,
             obs::TraceEventLog *traceLog, std::uint32_t tid)
 {
-    const auto span = [traceLog, tid](const char *name,
-                                      std::int64_t start) {
-        if constexpr (obs::kEnabled) {
-            if (traceLog)
-                traceLog->complete(name, obs::kPidDse, tid, start,
-                                   obs::wallMicros() - start);
-        }
-    };
-    const auto tick = [traceLog]() {
-        return traceLog ? obs::wallMicros() : 0;
-    };
-
     auto mcfg = methodologyConfigFor(params);
     mcfg.cancel = config.cancel;
     const auto scfg = simConfigFor(params, config);
-    JobMetrics m;
-    m.constraintsMet = true;
 
     if (params.phaseWindow == 0) {
-        // Re-entrant, strictly sequential run: the explorer's own pool
-        // provides the parallelism, one job per worker.
-        const auto t = tick();
+        const auto t = spanStart(traceLog);
         const auto outcome = core::runMethodology(cliques, mcfg, nullptr);
-        span("methodology", t);
-        const auto e =
-            sim::evaluateDesign(outcome.design, trace, config.floorplan,
-                                scfg, config.power, 0, traceLog, tid);
-        foldNetwork(m, outcome, e);
-        m.avgLatency = e.sim.avgPacketLatency;
-        m.avgHops = e.sim.avgPacketHops;
-        return m;
+        spanEnd(traceLog, "methodology", tid, t);
+        return classicMetrics(
+            designMetrics(outcome),
+            evaluationMetrics(sim::evaluateDesign(
+                outcome.design, trace, config.floorplan, scfg,
+                config.power, 0, traceLog, tid)));
     }
 
     // Phase-aware job: segment, synthesize one network per phase over
     // that phase's standalone cliques, replay each sub-trace on its own
     // network, and charge the reconfiguration penalty at every
     // boundary: the execution stalls and the incoming network idles.
-    const auto t0 = tick();
+    JobMetrics m;
+    m.constraintsMet = true;
+    const auto t0 = spanStart(traceLog);
     const auto seg =
         phase::segmentTrace(trace, segmenterFor(params, config));
     const auto phaseCliques = phase::buildPhaseCliques(trace, seg);
@@ -173,15 +244,15 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
     sim::Cycle reconfigCycles = 0;
     double reconfigEnergy = 0.0;
     for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
-        const auto t = tick();
+        const auto t = spanStart(traceLog);
         const auto outcome =
             core::runMethodology(phaseCliques.standalone[p], mcfg, nullptr);
-        span("methodology", t);
+        spanEnd(traceLog, "methodology", tid, t);
         const auto e = sim::evaluateDesign(
             outcome.design, phase::phaseSubTrace(trace, seg, p),
             config.floorplan, scfg, config.power,
             config.phaseReconfigCost, traceLog, tid);
-        foldNetwork(m, outcome, e);
+        foldNetwork(m, designMetrics(outcome), evaluationMetrics(e));
         const auto n = static_cast<double>(e.sim.packetsDelivered);
         delivered += e.sim.packetsDelivered;
         latencyWeighted += e.sim.avgPacketLatency * n;
@@ -197,7 +268,7 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
         m.avgLatency = latencyWeighted / static_cast<double>(delivered);
         m.avgHops = hopsWeighted / static_cast<double>(delivered);
     }
-    span("time-multiplexed", t0);
+    spanEnd(traceLog, "time-multiplexed", tid, t0);
     return m;
 }
 
@@ -279,56 +350,174 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
     report.ranks = trace.numRanks();
     report.points.resize(jobs.size());
 
-    const auto evalOne = [&](std::size_t i) {
-        // DSE-job granularity checkpoint; jobs already running keep
-        // polling the same token inside the methodology restart loop
-        // and the simulator epoch loop.
-        checkCancel(config.cancel);
-        const auto &params = jobs[i];
-        const auto sig = jobSignature(params, config);
-        const auto key = jobKey(patternBytes, sig);
-        const std::int64_t jobStart =
-            config.traceLog ? obs::wallMicros() : 0;
-        DsePoint pt;
-        pt.params = params;
-        if (auto hit = cache.load(key, sig)) {
-            pt.metrics = *hit;
-            pt.fromCache = true;
-        } else {
-            pt.metrics =
-                evaluateJob(trace, cliques, params, config,
-                            config.traceLog,
-                            static_cast<std::uint32_t>(i));
-            cache.store(key, sig, pt.metrics);
-        }
-        if constexpr (obs::kEnabled) {
-            if (config.traceLog) {
-                config.traceLog->complete(
-                    "job " + std::to_string(i), obs::kPidDse,
-                    static_cast<std::uint32_t>(i), jobStart,
-                    obs::wallMicros() - jobStart,
-                    "\"cached\": " +
-                        std::string(pt.fromCache ? "true" : "false"));
-            }
-        }
-        recordJobPoint(config, i, pt);
-        report.points[i] = std::move(pt);
-    };
-
     std::uint32_t threads =
         config.threads ? config.threads
                        : std::thread::hardware_concurrency();
     threads = std::min<std::uint32_t>(
         std::max(threads, 1u),
         static_cast<std::uint32_t>(std::max<std::size_t>(jobs.size(), 1)));
-    if (threads > 1) {
-        ThreadPool pool(threads);
-        pool.parallelFor(jobs.size(), evalOne);
-    } else {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            evalOne(i);
-    }
+    std::optional<ThreadPool> pool;
+    if (threads > 1)
+        pool.emplace(threads);
+    const auto runAll = [&pool](std::size_t n,
+                                const std::function<void(std::size_t)> &fn) {
+        if (pool) {
+            pool->parallelFor(n, fn);
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                fn(i);
+        }
+    };
+    // Every task is one "job <i>" span, <i> the first grid index that
+    // needs it, so lanes stay attributable to jobs.
+    const auto jobSpan = [&config](std::size_t i, const char *stage,
+                                   std::int64_t start) {
+        spanEnd(config.traceLog, "job " + std::to_string(i), i, start,
+                "\"stage\": \"" + std::string(stage) + "\"");
+    };
 
+    // Cache lookups. The cancel checkpoints here and before every task
+    // below are DSE-job granularity; running tasks keep polling the
+    // same token inside the methodology restart loop and the simulator
+    // epoch loop.
+    std::vector<std::string> keys(jobs.size());
+    std::vector<std::string> sigs(jobs.size());
+    runAll(jobs.size(), [&](std::size_t i) {
+        checkCancel(config.cancel);
+        const auto start = spanStart(config.traceLog);
+        sigs[i] = jobSignature(jobs[i], config);
+        keys[i] = jobKey(patternBytes, sigs[i]);
+        auto &pt = report.points[i];
+        pt.params = jobs[i];
+        if (auto hit = cache.load(keys[i], sigs[i])) {
+            pt.metrics = *hit;
+            pt.fromCache = true;
+            recordJobPoint(config, i, pt);
+            jobSpan(i, "cache", start);
+        }
+    });
+    const auto storePoint = [&](std::size_t i, const JobMetrics &m) {
+        cache.store(keys[i], sigs[i], m);
+        report.points[i].metrics = m;
+        recordJobPoint(config, i, report.points[i]);
+    };
+
+    // Methodology stage: one run per distinct methodology signature
+    // (VC count and depth never reach it). Phase-window jobs run their
+    // own per-phase pipeline whole, in the same batch.
+    struct MethodologyTask
+    {
+        std::size_t first = 0; ///< first grid index that needs it
+        core::FinalizedDesign design;
+        JobMetrics metrics; ///< designMetrics() of the outcome
+    };
+    std::vector<MethodologyTask> methodologies;
+    std::vector<std::size_t> methodologyOf(jobs.size());
+    std::vector<std::size_t> phaseJobs;
+    std::map<std::string, std::size_t> methodologyIndex;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (report.points[i].fromCache)
+            continue;
+        if (jobs[i].phaseWindow > 0) {
+            phaseJobs.push_back(i);
+            continue;
+        }
+        const auto [it, fresh] = methodologyIndex.try_emplace(
+            methodologyConfigFor(jobs[i]).signature(), methodologies.size());
+        if (fresh)
+            methodologies.push_back({i, {}, {}});
+        methodologyOf[i] = it->second;
+    }
+    std::vector<std::string> networks(methodologies.size());
+    runAll(methodologies.size() + phaseJobs.size(), [&](std::size_t t) {
+        checkCancel(config.cancel);
+        const auto start = spanStart(config.traceLog);
+        if (t >= methodologies.size()) {
+            const auto i = phaseJobs[t - methodologies.size()];
+            storePoint(i, evaluateJob(trace, cliques, jobs[i], config,
+                                      config.traceLog,
+                                      static_cast<std::uint32_t>(i)));
+            jobSpan(i, "phase", start);
+            return;
+        }
+        // Re-entrant, strictly sequential run: the explorer's pool
+        // provides the parallelism, one methodology per worker.
+        auto &task = methodologies[t];
+        auto mcfg = methodologyConfigFor(jobs[task.first]);
+        mcfg.cancel = config.cancel;
+        auto outcome = core::runMethodology(cliques, mcfg, nullptr);
+        spanEnd(config.traceLog, "methodology", task.first, start);
+        task.metrics = designMetrics(outcome);
+        networks[t] = networkBytes(outcome.design);
+        task.design = std::move(outcome.design);
+        jobSpan(task.first, "methodology", start);
+    });
+
+    // Methodology runs that made the same network (the unidirectional
+    // flag on a symmetric pattern) share its evaluations; only the
+    // designs an evaluation reads are kept.
+    std::vector<std::size_t> networkOf(methodologies.size());
+    {
+        std::map<std::string, std::size_t> first;
+        for (std::size_t m = 0; m < methodologies.size(); ++m) {
+            networkOf[m] =
+                first.try_emplace(std::move(networks[m]), m).first->second;
+            if (networkOf[m] != m)
+                methodologies[m].design = {};
+        }
+    }
+    networks.clear();
+
+    // Evaluation stage: one evaluation per distinct (network, simulator
+    // signature). The floorplan and power configurations are fixed for
+    // the whole run, so the simulator is the only per-job evaluation
+    // knob.
+    struct EvaluationTask
+    {
+        std::size_t methodology = 0; ///< whose design is evaluated
+        std::vector<std::size_t> jobs; ///< ascending grid indices
+    };
+    std::vector<EvaluationTask> evaluations;
+    std::map<std::pair<std::size_t, std::string>, std::size_t>
+        evaluationIndex;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (report.points[i].fromCache || jobs[i].phaseWindow > 0)
+            continue;
+        const auto network = networkOf[methodologyOf[i]];
+        const auto [it, fresh] = evaluationIndex.try_emplace(
+            {network, simConfigFor(jobs[i], config).signature()},
+            evaluations.size());
+        if (fresh)
+            evaluations.push_back({network, {}});
+        evaluations[it->second].jobs.push_back(i);
+    }
+    runAll(evaluations.size(), [&](std::size_t t) {
+        checkCancel(config.cancel);
+        const auto start = spanStart(config.traceLog);
+        const auto &task = evaluations[t];
+        const auto first = task.jobs.front();
+        // Only the scalars outlive the evaluation: its floorplan, built
+        // network and per-link counts are freed here.
+        const auto eval = evaluationMetrics(sim::evaluateDesign(
+            methodologies[task.methodology].design, trace, config.floorplan,
+            simConfigFor(jobs[first], config), config.power, 0,
+            config.traceLog, static_cast<std::uint32_t>(first)));
+        for (const auto i : task.jobs)
+            storePoint(i, classicMetrics(
+                              methodologies[methodologyOf[i]].metrics, eval));
+        jobSpan(first, "evaluation", start);
+    });
+
+    report.methodologyRuns = methodologies.size();
+    report.evaluations = evaluations.size();
+    if constexpr (obs::kEnabled) {
+        if (config.metrics) {
+            config.metrics->counter("dse/methodology_runs")
+                .add(report.methodologyRuns);
+            config.metrics->counter("dse/evaluations")
+                .add(report.evaluations);
+        }
+    }
     finalizeReport(report, config);
     return report;
 }

@@ -5,12 +5,14 @@
  * The paper evaluates one generated network per pattern; the real value
  * of the methodology is the sweep. The explorer takes a communication
  * pattern plus a parameter grid (switch degree, restarts, seeds, link
- * directionality, VC configuration), fans the full
- * design -> floorplan -> simulate -> power pipeline out onto a worker
- * pool — one strictly sequential, re-entrant methodology run per job —
- * and reduces the evaluated points to a Pareto frontier over
- * (area, latency, energy). Jobs are content-hashed and memoized in the
- * on-disk ResultCache, so a warm rerun recomputes nothing, and every
+ * directionality, VC configuration), runs the
+ * design -> floorplan -> simulate -> power pipeline for every job on a
+ * worker pool and reduces the evaluated points to a Pareto frontier
+ * over (area, latency, energy). Jobs are content-hashed and memoized in
+ * the on-disk ResultCache, so a warm rerun recomputes nothing. The jobs
+ * that miss it share their work: one strictly sequential, re-entrant
+ * methodology run per distinct methodology configuration, then one
+ * evaluation per distinct (network, simulator configuration). Every
  * artifact (report JSON included) is byte-identical at any thread
  * count: job order is the grid expansion order, never completion order.
  */
@@ -92,19 +94,22 @@ struct ExploreConfig
     /**
      * Optional telemetry sinks (not owned, may be null). Per-job cache
      * hit/miss and design-quality gauges are keyed by grid index, so
-     * their content is identical at any thread count; per-job stage
-     * spans (methodology / build / simulate) land in @p traceLog on
-     * wall-clock time. Neither participates in cache keys.
+     * their content is identical at any thread count. Every pool task
+     * is a "job <i>" span in @p traceLog, <i> the first grid index that
+     * needs it, around its stage spans (methodology / floorplan /
+     * build / simulate), on wall-clock time. Neither participates in
+     * cache keys.
      */
     obs::MetricsRegistry *metrics = nullptr;
     obs::TraceEventLog *traceLog = nullptr;
 
     /**
      * Optional cooperative-cancellation token (not owned, may be
-     * null). Checked before every DSE job and handed down into each
-     * job's methodology (per-restart granularity) and simulator
-     * (per-epoch granularity); a fired token unwinds explore() with
-     * CancelledError. Never hashed into job keys.
+     * null). Checked before every cache lookup, methodology run and
+     * evaluation, and handed down into each methodology (per-restart
+     * granularity) and simulator (per-epoch granularity); a fired token
+     * unwinds explore() with CancelledError. Never hashed into job
+     * keys.
      */
     const CancelToken *cancel = nullptr;
 };
@@ -120,12 +125,19 @@ struct ExploreReport
     std::vector<std::size_t> frontier;
     std::size_t cacheHits = 0;
     std::size_t cacheMisses = 0;
+    /**
+     * Methodology runs and network evaluations the classic jobs that
+     * missed the cache shared; phase-window jobs run their own
+     * per-phase pipeline and are not counted.
+     */
+    std::size_t methodologyRuns = 0;
+    std::size_t evaluations = 0;
 
     /**
      * Machine-readable JSON: all points (parameters, metrics,
      * dominated flag) plus the frontier index list. Cache statistics
-     * are deliberately excluded so cold and warm runs emit identical
-     * bytes.
+     * and work counts are deliberately excluded so cold and warm runs
+     * emit identical bytes.
      */
     std::string toJson() const;
 
@@ -143,10 +155,14 @@ std::string jobSignature(const JobParams &params,
                          const ExploreConfig &config);
 
 /**
- * Evaluate one job from scratch: methodology (sequential, re-entrant),
- * floorplan, trace-driven simulation, energy accounting. When
- * @p traceLog is given, per-stage wall-time spans are emitted on the
- * DSE track with @p tid (the job's grid index) as the thread id.
+ * Evaluate one job from scratch, sharing nothing with other jobs:
+ * methodology (sequential, re-entrant), floorplan, trace-driven
+ * simulation, energy accounting; per phase for a phase-window job.
+ * explore() runs phase-window jobs through here and gives classic jobs
+ * the same metrics from shared stages; a single-job request (serve's
+ * dse_job) calls it directly. When @p traceLog is given, per-stage
+ * wall-time spans are emitted on the DSE track with @p tid (the job's
+ * grid index) as the thread id.
  */
 JobMetrics evaluateJob(const trace::Trace &trace,
                        const core::CliqueSet &cliques,
@@ -176,8 +192,9 @@ void recordJobPoint(const ExploreConfig &config, std::size_t index,
 void finalizeReport(ExploreReport &report, const ExploreConfig &config);
 
 /**
- * Explore @p trace over the grid: analyze the pattern once, evaluate
- * every job (cache-first) on a thread pool, extract the frontier.
+ * Explore @p trace over the grid: analyze the pattern once, look every
+ * job up in the cache, run the misses' distinct methodologies and then
+ * their distinct evaluations on a thread pool, extract the frontier.
  */
 ExploreReport explore(const trace::Trace &trace,
                       const ExploreConfig &config);

@@ -3,7 +3,8 @@
  * Unit tests for the design-space exploration subsystem: Pareto
  * reduction, content-hashed job keys, the on-disk result cache, and
  * the explorer's determinism guarantees (thread-count invariance,
- * warm-rerun-recomputes-nothing).
+ * warm-rerun-recomputes-nothing), work sharing between jobs and
+ * cancellation.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "dse/cache.hpp"
 #include "dse/explorer.hpp"
 #include "dse/pareto.hpp"
+#include "obs/metrics.hpp"
 #include "trace/nas_generators.hpp"
+#include "util/cancel.hpp"
 
 using namespace minnoc;
 using namespace minnoc::dse;
@@ -427,6 +430,53 @@ TEST(ExplorerTest, DisabledCacheStoresNothing)
         explore(tr, smallConfig(dir, 2, /*useCache=*/false));
     EXPECT_EQ(report.cacheHits, 0u);
     EXPECT_EQ(report.cacheMisses, report.points.size());
+    EXPECT_TRUE(!std::filesystem::exists(dir) ||
+                std::filesystem::is_empty(dir));
+}
+
+TEST(ExplorerTest, JobsShareMethodologyRunsAndEvaluations)
+{
+    // Default grid on CG-16: 3 degrees x 2 directionalities x 2 VC
+    // counts = 12 jobs. VCs never reach the methodology (6 runs), and
+    // CG's unidirectional design is its duplex one, so each degree's
+    // network is evaluated once per VC count (6 evaluations).
+    trace::NasConfig ncfg;
+    ncfg.ranks = 16;
+    const auto tr = trace::generateCG(ncfg);
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+        const auto dir = tempCacheDir("dse-share");
+        ExploreConfig cfg;
+        cfg.threads = threads;
+        cfg.cacheDir = dir;
+        obs::MetricsRegistry registry;
+        cfg.metrics = &registry;
+        const auto cold = explore(tr, cfg);
+        EXPECT_EQ(cold.points.size(), 12u);
+        EXPECT_EQ(cold.methodologyRuns, 6u) << threads << " threads";
+        EXPECT_EQ(cold.evaluations, 6u) << threads << " threads";
+        if (obs::kEnabled) {
+            EXPECT_EQ(registry.counter("dse/methodology_runs").value(), 6u);
+            EXPECT_EQ(registry.counter("dse/evaluations").value(), 6u);
+        }
+
+        cfg.metrics = nullptr;
+        const auto warm = explore(tr, cfg);
+        EXPECT_EQ(warm.cacheHits, 12u);
+        EXPECT_EQ(warm.methodologyRuns, 0u);
+        EXPECT_EQ(warm.evaluations, 0u);
+        EXPECT_EQ(cold.toJson(), warm.toJson());
+    }
+}
+
+TEST(ExplorerTest, FiredTokenThrowsAndStoresNothing)
+{
+    const auto tr = cgTrace();
+    const auto dir = tempCacheDir("dse-cancelled");
+    auto cfg = smallConfig(dir, 2);
+    CancelToken token;
+    token.cancel();
+    cfg.cancel = &token;
+    EXPECT_THROW(explore(tr, cfg), CancelledError);
     EXPECT_TRUE(!std::filesystem::exists(dir) ||
                 std::filesystem::is_empty(dir));
 }

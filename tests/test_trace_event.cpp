@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/methodology.hpp"
+#include "dse/explorer.hpp"
 #include "obs/sim_observer.hpp"
 #include "obs/trace_event.hpp"
 #include "sim/evaluate.hpp"
@@ -175,6 +176,48 @@ TEST(TraceEventLog, EvaluationStepSpansEachStage)
     }
     EXPECT_EQ(spans, (std::map<std::string, int>{
                          {"build", 1}, {"floorplan", 1}, {"simulate", 1}}));
+}
+
+TEST(TraceEventLog, ExploreSpansEachSharedTaskOnce)
+{
+    // The explorer runs each distinct methodology and each distinct
+    // evaluation once; its trace shows exactly those runs, each inside
+    // a "job <i>" span that names its stage.
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "instrumentation compiled out (MINNOC_OBS=OFF)";
+    trace::NasConfig ncfg;
+    ncfg.ranks = 16;
+    const auto tr = trace::generateBenchmark(trace::Benchmark::CG, ncfg);
+    obs::TraceEventLog log;
+    dse::ExploreConfig cfg;
+    cfg.useCache = false;
+    cfg.threads = 2;
+    cfg.traceLog = &log;
+    const auto report = dse::explore(tr, cfg);
+    const auto dump = log.toJson();
+    expectValidTraceEventJson(dump);
+
+    const auto parsed = json::parse(dump);
+    std::map<std::string, std::size_t> spans;
+    std::map<std::string, std::size_t> stages;
+    for (const auto &e : parsed->find("traceEvents")->asArray()) {
+        if (e.find("ph")->asString() != "X" ||
+            e.find("pid")->asNumber() != obs::kPidDse)
+            continue;
+        const auto &name = e.find("name")->asString();
+        if (name.rfind("job ", 0) == 0) {
+            const auto *args = e.find("args");
+            ASSERT_NE(args, nullptr) << name;
+            ++stages[args->find("stage")->asString()];
+        } else {
+            ++spans[name];
+        }
+    }
+    EXPECT_EQ(spans["methodology"], report.methodologyRuns);
+    EXPECT_EQ(spans["simulate"], report.evaluations);
+    EXPECT_EQ(stages, (std::map<std::string, std::size_t>{
+                          {"evaluation", report.evaluations},
+                          {"methodology", report.methodologyRuns}}));
 }
 
 TEST(SimObserver, EpochDoublingBoundsSamples)

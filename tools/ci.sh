@@ -11,9 +11,10 @@
 #     tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
-#     and the simulator golden corpus, floorplan plan pins and routing
-#     path pins, so simulated results, placements and routes hold under
-#     the -O3 build the figure benches use.
+#     and the simulator golden corpus, floorplan plan pins, routing
+#     path pins, evaluation and explore report pins and the explorer
+#     tests, so simulated results, placements, routes and shared DSE
+#     work hold under the -O3 build the figure benches use.
 #  4. Explore cache smoke: a tiny DSE grid on CG-8 run twice against a
 #     fresh cache dir under the build tree — the warm rerun must hit
 #     the cache on every job (zero design recomputations) and its
@@ -97,13 +98,15 @@ export TSAN_OPTIONS="halt_on_error=1"
 echo "=== phase 3: Release bench smoke ==="
 cmake -S "$repo" -B "$build_bench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_bench" -j "$jobs" --target partitioner_perf \
-    test_sim_golden test_floorplan test_routing
+    test_sim_golden test_floorplan test_routing test_eval_bytes test_dse
 "$build_bench/bench/partitioner_perf" \
     --bench CG --ranks 8 --iterations 1 \
     --out "$build_bench/partitioner_perf.json"
 "$build_bench/tests/test_sim_golden"
 "$build_bench/tests/test_floorplan"
 "$build_bench/tests/test_routing"
+"$build_bench/tests/test_eval_bytes"
+"$build_bench/tests/test_dse"
 
 echo "=== phase 4: explore cache smoke ==="
 cmake --build "$build_bench" -j "$jobs" --target minnoc
