@@ -34,6 +34,15 @@ head -1 "$DIR/cg.design" | grep -q "minnoc-design 1"
     | grep -q "deadlocks=0"
 "$MINNOC" simulate "$DIR/cg.trace" --network mesh | grep -q "exec="
 
+# Section 4's comparison: the crossbar, mesh, torus and generated lines
+# of `compare` are pinned, and identical at any thread count.
+GOLDEN="$(dirname "$0")/golden"
+"$MINNOC" compare "$DIR/cg.trace" --threads 1 >"$DIR/compare1.txt" \
+    2>/dev/null
+cmp "$DIR/compare1.txt" "$GOLDEN/compare_cg8.txt"
+"$MINNOC" compare "$DIR/cg.trace" >"$DIR/compare.txt" 2>/dev/null
+cmp "$DIR/compare.txt" "$GOLDEN/compare_cg8.txt"
+
 "$MINNOC" dot "$DIR/cg.design" --out "$DIR/cg.dot"
 grep -q "graph design" "$DIR/cg.dot"
 
