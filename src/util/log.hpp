@@ -101,6 +101,17 @@ concat(Args &&...args)
     return oss.str();
 }
 
+/**
+ * Write @p prefix, the message and a newline to @p os as one insertion,
+ * so lines from concurrent threads never interleave.
+ */
+template <typename... Args>
+void
+writeLine(std::ostream &os, const char *prefix, Args &&...args)
+{
+    os << concat(prefix, std::forward<Args>(args)..., '\n') << std::flush;
+}
+
 } // namespace detail
 
 /**
@@ -111,8 +122,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    std::cerr << "panic: " << detail::concat(std::forward<Args>(args)...)
-              << std::endl;
+    detail::writeLine(std::cerr, "panic: ", std::forward<Args>(args)...);
     std::abort();
 }
 
@@ -129,7 +139,7 @@ fatal(Args &&...args)
     auto message = detail::concat(std::forward<Args>(args)...);
     if (LogConfig::instance().fatalThrows())
         throw FatalError(std::move(message));
-    std::cerr << "fatal: " << message << std::endl;
+    detail::writeLine(std::cerr, "fatal: ", message);
     std::exit(1);
 }
 
@@ -138,10 +148,8 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (LogConfig::instance().enabled(LogLevel::Warn)) {
-        std::cerr << "warn: " << detail::concat(std::forward<Args>(args)...)
-                  << std::endl;
-    }
+    if (LogConfig::instance().enabled(LogLevel::Warn))
+        detail::writeLine(std::cerr, "warn: ", std::forward<Args>(args)...);
 }
 
 /** Emit an informational status message. */
@@ -149,10 +157,8 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    if (LogConfig::instance().enabled(LogLevel::Info)) {
-        std::cout << "info: " << detail::concat(std::forward<Args>(args)...)
-                  << std::endl;
-    }
+    if (LogConfig::instance().enabled(LogLevel::Info))
+        detail::writeLine(std::cout, "info: ", std::forward<Args>(args)...);
 }
 
 /** Emit a debug trace message. */
@@ -160,10 +166,8 @@ template <typename... Args>
 void
 debugLog(Args &&...args)
 {
-    if (LogConfig::instance().enabled(LogLevel::Debug)) {
-        std::cout << "debug: " << detail::concat(std::forward<Args>(args)...)
-                  << std::endl;
-    }
+    if (LogConfig::instance().enabled(LogLevel::Debug))
+        detail::writeLine(std::cout, "debug: ", std::forward<Args>(args)...);
 }
 
 } // namespace minnoc
