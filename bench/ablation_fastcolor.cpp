@@ -40,9 +40,7 @@ boundQuality()
         auto ks = trace::analyzeByCall(tr);
         ks.reduceToMaximum();
 
-        MethodologyConfig mcfg;
-        mcfg.partitioner.constraints.maxDegree = 5;
-        const auto outcome = runMethodology(ks, mcfg);
+        const auto outcome = runMethodology(ks);
 
         std::size_t equal = 0;
         std::size_t below = 0;
@@ -111,7 +109,6 @@ optimizerAblation()
 
         auto linksWith = [&](bool consolidate, bool bestRoute) {
             MethodologyConfig mcfg;
-            mcfg.partitioner.constraints.maxDegree = 5;
             mcfg.partitioner.consolidate = consolidate;
             mcfg.partitioner.optimizeRoutes = bestRoute;
             mcfg.restarts = 4;
@@ -148,7 +145,6 @@ unidirectionalAblation()
     };
     auto runBoth = [&](const char *name, const CliqueSet &ks) {
         MethodologyConfig base;
-        base.partitioner.constraints.maxDegree = 5;
         base.restarts = 8;
         MethodologyConfig uni = base;
         uni.finalize.unidirectional = true;

@@ -33,9 +33,7 @@
 #include "core/methodology.hpp"
 #include "phase/multi_design.hpp"
 #include "phase/segmenter.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "topo/power.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
@@ -48,16 +46,15 @@ using namespace minnoc;
 
 namespace {
 
-/** Energy of one run under both tiers, as a JSON fragment. */
+/** @p e's energy under both tiers, as a JSON fragment. */
 std::string
-energyJson(const topo::Topology &topo, const sim::SimResult &res)
+energyJson(const topo::Topology &topo, const sim::NetworkEvaluation &e)
 {
     topo::PowerModel activityModel;
     activityModel.kind = topo::PowerModelKind::Activity;
-    const auto stat =
-        topo::computeEnergy(topo, res.linkFlits, res.execTime);
-    const auto act = topo::computeEnergy(topo, res.linkFlits,
-                                         res.execTime, res.activity,
+    const auto &stat = e.energy;
+    const auto act = topo::computeEnergy(topo, e.sim.linkFlits,
+                                         e.sim.execTime, e.sim.activity,
                                          activityModel);
     char buf[320];
     std::snprintf(buf, sizeof buf,
@@ -170,13 +167,11 @@ main(int argc, char **argv)
     os << "  ],\n";
 
     // --- per-phase synthesis + Theorem-1 verification ---------------
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
     std::optional<ThreadPool> pool;
     if (threads > 1)
         pool.emplace(threads);
     const auto multi = phase::synthesizeMultiPhase(
-        cohTrace, cohSeg, mcfg, pool ? &*pool : nullptr,
+        cohTrace, cohSeg, {}, pool ? &*pool : nullptr,
         /*withPhaseDesigns=*/true);
 
     os << "  \"synthesis\": {\n    \"monolithic\": {\"verified\": "
@@ -197,31 +192,24 @@ main(int argc, char **argv)
     os << "    ]\n  },\n";
 
     // --- replay on generated / mesh / torus, both power tiers -------
-    const auto plan = topo::planFloor(multi.monolithic.design);
-    const auto generated =
-        topo::buildFromDesign(multi.monolithic.design, plan);
-    const auto mesh = topo::buildMesh(ccfg.ranks);
-    const auto torus = topo::buildTorus(ccfg.ranks);
-
-    struct Net
-    {
-        const char *name;
-        const topo::BuiltNetwork *net;
-    };
-    const Net nets[] = {{"generated", &generated},
-                        {"mesh", &mesh},
-                        {"torus", &torus}};
     os << "  \"networks\": [\n";
-    for (std::size_t n = 0; n < std::size(nets); ++n) {
-        const auto res = sim::runTrace(cohTrace, *nets[n].net->topo,
-                                       *nets[n].net->routing);
-        os << "    {\"name\": \"" << nets[n].name
-           << "\", \"exec_time\": " << res.execTime
-           << ", \"deadlock_recoveries\": " << res.deadlockRecoveries
-           << ", " << energyJson(*nets[n].net->topo, res) << "}"
-           << (n + 1 < std::size(nets) ? "," : "") << "\n";
+    const char *sep = "";
+    const auto row = [&](const char *name, const topo::Topology &topo,
+                         const sim::NetworkEvaluation &e) {
+        os << sep << "    {\"name\": \"" << name
+           << "\", \"exec_time\": " << e.sim.execTime
+           << ", \"deadlock_recoveries\": " << e.sim.deadlockRecoveries
+           << ", " << energyJson(topo, e) << "}";
+        sep = ",\n";
+    };
+    const auto generated =
+        sim::evaluateDesign(multi.monolithic.design, cohTrace);
+    row("generated", *generated.net.topo, generated);
+    for (const char *name : {"mesh", "torus"}) {
+        const auto net = *topo::buildBaseline(name, ccfg.ranks);
+        row(name, *net.topo, sim::evaluateNetwork(net, cohTrace));
     }
-    os << "  ]\n}\n";
+    os << "\n  ]\n}\n";
     if (!out.empty())
         std::fprintf(stderr, "wrote %s\n", out.c_str());
     return 0;

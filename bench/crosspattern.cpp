@@ -13,28 +13,11 @@
 #include <cstdio>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
 using namespace minnoc;
-
-namespace {
-
-topo::BuiltNetwork
-designFor(const trace::Trace &tr)
-{
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    const auto outcome =
-        core::runMethodology(trace::analyzeByCall(tr), mcfg);
-    const auto plan = topo::planFloor(outcome.design);
-    return topo::buildFromDesign(outcome.design, plan);
-}
-
-} // namespace
 
 int
 main()
@@ -45,63 +28,40 @@ main()
 
     const auto cgTrace = trace::generateCG(cfg);
     const auto fftTrace = trace::generateFFT(cfg);
-    const auto cgNet = designFor(cgTrace);
+    // BT runs on 16 ranks too for this experiment (the paper used its
+    // BT trace unchanged; our generator needs a square count, so this
+    // reproduction uses the 16-rank 4x4 BT).
+    const auto btTrace = trace::generateBT(cfg);
+    const auto cgDesign =
+        core::runMethodology(trace::analyzeByCall(cgTrace)).design;
+    const auto nativeRun = [](const trace::Trace &tr) {
+        const auto native = core::runMethodology(trace::analyzeByCall(tr));
+        return sim::evaluateDesign(native.design, tr).sim;
+    };
 
     std::printf("=== Cross-pattern sensitivity: foreign traces on the "
                 "CG-16 network ===\n\n");
     std::printf("%-18s %14s %14s %10s\n", "workload", "native cycles",
                 "on CG net", "degraded");
-
-    // FFT on the CG network vs its own network.
-    {
-        const auto native = designFor(fftTrace);
-        const auto rn =
-            sim::runTrace(fftTrace, *native.topo, *native.routing);
-        const auto rx =
-            sim::runTrace(fftTrace, *cgNet.topo, *cgNet.routing);
-        std::printf("%-18s %14lld %14lld %9.1f%%\n", "FFT-16",
-                    static_cast<long long>(rn.execTime),
+    // @p tr on the CG network against the reference run @p ref.
+    const auto row = [&](const char *label, const trace::Trace &tr,
+                         const sim::SimResult &ref, const char *note) {
+        const auto rx = sim::evaluateDesign(cgDesign, tr).sim;
+        std::printf("%-18s %14lld %14lld %9.1f%%%s\n", label,
+                    static_cast<long long>(ref.execTime),
                     static_cast<long long>(rx.execTime),
                     100.0 * (static_cast<double>(rx.execTime) /
-                                 static_cast<double>(rn.execTime) -
-                             1.0));
-    }
-
-    // BT runs on 16 ranks too for this experiment (the paper used its
-    // BT trace unchanged; our generator needs a square count, so this
-    // reproduction uses the 16-rank 4x4 BT).
-    {
-        const auto btTrace = trace::generateBT(cfg);
-        const auto native = designFor(btTrace);
-        const auto rn =
-            sim::runTrace(btTrace, *native.topo, *native.routing);
-        const auto rx =
-            sim::runTrace(btTrace, *cgNet.topo, *cgNet.routing);
-        std::printf("%-18s %14lld %14lld %9.1f%%\n", "BT-16",
-                    static_cast<long long>(rn.execTime),
-                    static_cast<long long>(rx.execTime),
-                    100.0 * (static_cast<double>(rx.execTime) /
-                                 static_cast<double>(rn.execTime) -
-                             1.0));
-    }
-
+                                 static_cast<double>(ref.execTime) -
+                             1.0),
+                    note);
+    };
+    row("FFT-16", fftTrace, nativeRun(fftTrace), "");
+    row("BT-16", btTrace, nativeRun(btTrace), "");
     // Mesh reference for the BT-on-CG comparison ("only slightly worse
     // than mesh").
-    {
-        const auto btTrace = trace::generateBT(cfg);
-        const auto mesh = topo::buildMesh(16);
-        const auto rm =
-            sim::runTrace(btTrace, *mesh.topo, *mesh.routing);
-        const auto rx =
-            sim::runTrace(btTrace, *cgNet.topo, *cgNet.routing);
-        std::printf("%-18s %14lld %14lld %9.1f%%  (BT: CG net vs "
-                    "mesh)\n",
-                    "BT-16 mesh ref", static_cast<long long>(rm.execTime),
-                    static_cast<long long>(rx.execTime),
-                    100.0 * (static_cast<double>(rx.execTime) /
-                                 static_cast<double>(rm.execTime) -
-                             1.0));
-    }
+    row("BT-16 mesh ref", btTrace,
+        sim::evaluateNetwork(*topo::buildBaseline("mesh", 16), btTrace).sim,
+        "  (BT: CG net vs mesh)");
 
     std::printf("\npaper shape: FFT degrades little on the CG network; "
                 "BT degrades much more,\nending near (slightly worse "

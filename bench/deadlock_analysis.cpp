@@ -50,35 +50,24 @@ main()
     std::printf("%-26s %-10s | %8s %12s | %s\n", "network", "routing",
                 "channels", "dependencies", "verdict");
 
-    {
-        const auto net = buildCrossbar(16);
-        report("crossbar-16", *net.topo, *net.routing);
+    for (const auto name : kBaselines) {
+        const auto net = *buildBaseline(name, 16);
+        report(net.topo->name().c_str(), *net.topo, *net.routing);
+        // A single switch (the crossbar) has no up*/down* order.
+        if (net.topo->numSwitches() > 1) {
+            const auto updown = makeUpDownRouting(*net.topo);
+            report(net.topo->name().c_str(), *net.topo, *updown);
+        }
     }
-    {
-        const auto net = buildMesh(16);
-        report("mesh-4x4", *net.topo, *net.routing);
-        const auto updown = makeUpDownRouting(*net.topo);
-        report("mesh-4x4", *net.topo, *updown);
-    }
-    {
-        const auto net = buildTorus(16);
-        report("torus-4x4", *net.topo, *net.routing);
-        const auto updown = makeUpDownRouting(*net.topo);
-        report("torus-4x4", *net.topo, *updown);
-    }
-
     for (const auto bench : trace::kAllBenchmarks) {
         const std::uint32_t ranks = trace::largeConfigRanks(bench);
         trace::NasConfig cfg;
         cfg.ranks = ranks;
         cfg.iterations = 1;
-        core::MethodologyConfig mcfg;
-        mcfg.partitioner.constraints.maxDegree = 5;
         const auto outcome = core::runMethodology(
-            trace::analyzeByCall(trace::generateBenchmark(bench, cfg)),
-            mcfg);
-        const auto plan = planFloor(outcome.design);
-        const auto net = buildFromDesign(outcome.design, plan);
+            trace::analyzeByCall(trace::generateBenchmark(bench, cfg)));
+        const auto net =
+            buildFromDesign(outcome.design, planFloor(outcome.design));
 
         const auto name =
             "generated-" + trace::benchmarkName(bench) + "-16";

@@ -22,10 +22,8 @@
 #include <ostream>
 
 #include "dse/explorer.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
+#include "sim/evaluate.hpp"
 #include "topo/floorplan.hpp"
-#include "topo/power.hpp"
 #include "trace/nas_generators.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -39,22 +37,8 @@ struct BaselineRow
     const char *name;
     std::uint32_t switchArea;
     std::uint32_t linkArea;
-    sim::SimResult res;
-    double energy;
+    sim::NetworkEvaluation e;
 };
-
-BaselineRow
-runBaseline(const char *name, const trace::Trace &tr,
-            const topo::BuiltNetwork &net, std::uint32_t switchArea,
-            std::uint32_t linkArea)
-{
-    BaselineRow row{name, switchArea, linkArea, {}, 0.0};
-    row.res = sim::runTrace(tr, *net.topo, *net.routing);
-    row.energy = topo::computeEnergy(*net.topo, row.res.linkFlits,
-                                     row.res.execTime)
-                     .total();
-    return row;
-}
 
 void
 emitBaseline(std::ostream &os, const BaselineRow &row, bool last)
@@ -67,9 +51,9 @@ emitBaseline(std::ostream &os, const BaselineRow &row, bool last)
         "\"avg_latency\": %.17g, \"avg_hops\": %.17g, "
         "\"energy\": %.17g}%s\n",
         row.name, row.switchArea, row.linkArea,
-        static_cast<long long>(row.res.execTime),
-        row.res.avgPacketLatency, row.res.avgPacketHops, row.energy,
-        last ? "" : ",");
+        static_cast<long long>(row.e.sim.execTime),
+        row.e.sim.avgPacketLatency, row.e.sim.avgPacketHops,
+        row.e.energy.total(), last ? "" : ",");
     os << buf;
 }
 
@@ -117,13 +101,16 @@ main(int argc, char **argv)
         // scaling); processors attach directly, so zero link area.
         const auto xbarSw =
             std::max(1u, ranks * ranks / 25u);
+        const auto judge = [&](const char *name, std::uint32_t switchArea,
+                               std::uint32_t linkArea) {
+            return BaselineRow{
+                name, switchArea, linkArea,
+                sim::evaluateNetwork(*topo::buildBaseline(name, ranks), tr)};
+        };
         const BaselineRow baselines[] = {
-            runBaseline("crossbar", tr, topo::buildCrossbar(ranks),
-                        xbarSw, 0),
-            runBaseline("mesh", tr, topo::buildMesh(ranks), meshSw,
-                        meshLk),
-            runBaseline("torus", tr, topo::buildTorus(ranks), torusSw,
-                        torusLk),
+            judge("crossbar", xbarSw, 0),
+            judge("mesh", meshSw, meshLk),
+            judge("torus", torusSw, torusLk),
         };
 
         const auto report = dse::explore(tr, cfg);

@@ -72,9 +72,7 @@ main()
     }
 
     // --- The automated run with history (Figure 5(a)-(f)). ---
-    MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    const auto outcome = runMethodology(ks, mcfg);
+    const auto outcome = runMethodology(ks);
 
     std::printf("automated run history (%zu steps):\n",
                 outcome.history.size());

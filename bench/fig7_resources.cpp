@@ -35,10 +35,7 @@ runConfig(const char *title, bool large)
         cfg.iterations = 2;
         const auto tr = trace::generateBenchmark(bench, cfg);
 
-        core::MethodologyConfig mcfg;
-        mcfg.partitioner.constraints.maxDegree = 5;
-        const auto outcome =
-            core::runMethodology(trace::analyzeByCall(tr), mcfg);
+        const auto outcome = core::runMethodology(trace::analyzeByCall(tr));
         const auto plan = topo::planFloor(outcome.design);
 
         const auto [meshSw, meshLk] = topo::meshAreas(ranks);

@@ -13,13 +13,9 @@
  */
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
@@ -46,33 +42,11 @@ runConfig(const char *title, bool large)
         cfg.iterations = 3;
         const auto tr = trace::generateBenchmark(bench, cfg);
 
-        core::MethodologyConfig mcfg;
-        mcfg.partitioner.constraints.maxDegree = 5;
-        const auto outcome =
-            core::runMethodology(trace::analyzeByCall(tr), mcfg);
-        const auto plan = topo::planFloor(outcome.design);
-
-        const auto generated =
-            topo::buildFromDesign(outcome.design, plan);
-        const auto crossbar = topo::buildCrossbar(ranks);
-        const auto mesh = topo::buildMesh(ranks);
-        const auto torus = topo::buildTorus(ranks);
-
-        struct Row
-        {
-            const char *name;
-            const topo::BuiltNetwork *net;
-        };
-        const Row rows[] = {{"crossbar", &crossbar},
-                            {"mesh", &mesh},
-                            {"torus", &torus},
-                            {"generated", &generated}};
+        const auto outcome = core::runMethodology(trace::analyzeByCall(tr));
 
         double baseExec = 0.0;
         double baseComm = 0.0;
-        for (const auto &row : rows) {
-            const auto res =
-                sim::runTrace(tr, *row.net->topo, *row.net->routing);
+        const auto row = [&](const char *name, const sim::SimResult &res) {
             gDeadlocks += res.deadlockRecoveries;
             const auto exec = static_cast<double>(res.execTime);
             const auto comm = res.commTimeMean();
@@ -83,9 +57,14 @@ runConfig(const char *title, bool large)
             std::printf("%-5s %5u | %-9s | %12.0f %12.0f | %9.3fx "
                         "%9.3fx\n",
                         trace::benchmarkName(bench).c_str(), ranks,
-                        row.name, exec, comm, exec / baseExec,
+                        name, exec, comm, exec / baseExec,
                         comm / baseComm);
-        }
+        };
+        for (const auto name : topo::kBaselines)
+            row(name,
+                sim::evaluateNetwork(*topo::buildBaseline(name, ranks), tr)
+                    .sim);
+        row("generated", sim::evaluateDesign(outcome.design, tr).sim);
         std::printf("\n");
     }
 }

@@ -13,9 +13,7 @@
 #include <cstdio>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 #include "trace/synthetic.hpp"
@@ -27,38 +25,21 @@ main()
 {
     constexpr std::uint32_t kRanks = 16;
 
-    // Build the four networks once.
-    const auto crossbar = topo::buildCrossbar(kRanks);
-    const auto mesh = topo::buildMesh(kRanks);
-    const auto torus = topo::buildTorus(kRanks);
     trace::NasConfig ncfg;
     ncfg.ranks = kRanks;
     ncfg.iterations = 1;
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
     const auto outcome = core::runMethodology(
-        trace::analyzeByCall(trace::generateCG(ncfg)), mcfg);
-    const auto plan = topo::planFloor(outcome.design);
-    const auto generated = topo::buildFromDesign(outcome.design, plan);
-
-    struct Net
-    {
-        const char *name;
-        const topo::BuiltNetwork *net;
-    };
-    const Net nets[] = {{"crossbar", &crossbar},
-                        {"mesh", &mesh},
-                        {"torus", &torus},
-                        {"generated(CG)", &generated}};
+        trace::analyzeByCall(trace::generateCG(ncfg)));
 
     for (const auto pattern :
          {trace::Pattern::UniformRandom, trace::Pattern::Transpose}) {
         std::printf("=== %s traffic, %u nodes, 64B packets ===\n",
                     trace::patternName(pattern).c_str(), kRanks);
         std::printf("%-8s", "load");
-        for (const auto &n : nets)
-            std::printf(" %14s", n.name);
-        std::printf("   (avg packet latency, cycles)\n");
+        for (const auto name : topo::kBaselines)
+            std::printf(" %14s", name);
+        std::printf(" %14s   (avg packet latency, cycles)\n",
+                    "generated(CG)");
 
         for (const double load : {0.05, 0.1, 0.2, 0.3, 0.5, 0.7}) {
             trace::SyntheticConfig scfg;
@@ -69,12 +50,13 @@ main()
             const auto tr = trace::generateSynthetic(scfg);
 
             std::printf("%-8.2f", load);
-            for (const auto &n : nets) {
-                const auto res =
-                    sim::runTrace(tr, *n.net->topo, *n.net->routing);
-                std::printf(" %14.1f", res.avgPacketLatency);
+            for (const auto name : topo::kBaselines) {
+                const auto e = sim::evaluateNetwork(
+                    *topo::buildBaseline(name, kRanks), tr);
+                std::printf(" %14.1f", e.sim.avgPacketLatency);
             }
-            std::printf("\n");
+            const auto e = sim::evaluateDesign(outcome.design, tr);
+            std::printf(" %14.1f\n", e.sim.avgPacketLatency);
         }
         std::printf("\n");
     }

@@ -44,7 +44,7 @@ struct Options
     std::uint32_t iterations = 3;
     std::uint32_t restarts = 16;
     std::uint32_t threads = 0; ///< 0 = hardware concurrency
-    std::uint32_t maxDegree = 5;
+    std::uint32_t maxDegree = core::DesignConstraints{}.maxDegree;
     std::uint64_t seed = 1;
     std::string out;
 };

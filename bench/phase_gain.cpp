@@ -65,7 +65,6 @@ main(int argc, char **argv)
         args.getU32("window", cfg.segmenter.windowMessages);
     cfg.reconfigCost = static_cast<sim::Cycle>(args.getU64(
         "reconfig-cost", static_cast<std::uint64_t>(cfg.reconfigCost)));
-    cfg.methodology.partitioner.constraints.maxDegree = 5;
     cfg.methodology.restarts = args.getU32("restarts", 8);
     cfg.threads = args.getU32("threads", 0);
 

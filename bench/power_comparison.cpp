@@ -29,9 +29,7 @@
 #include <ostream>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "topo/power.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
@@ -71,27 +69,7 @@ main(int argc, char **argv)
         cfg.iterations = kIterations;
         const auto tr = trace::generateBenchmark(bench, cfg);
 
-        core::MethodologyConfig mcfg;
-        mcfg.partitioner.constraints.maxDegree = 5;
-        const auto outcome =
-            core::runMethodology(trace::analyzeByCall(tr), mcfg);
-        const auto plan = topo::planFloor(outcome.design);
-
-        const auto generated =
-            topo::buildFromDesign(outcome.design, plan);
-        const auto crossbar = topo::buildCrossbar(ranks);
-        const auto mesh = topo::buildMesh(ranks);
-        const auto torus = topo::buildTorus(ranks);
-
-        struct Row
-        {
-            const char *name;
-            const topo::BuiltNetwork *net;
-        };
-        const Row rows[] = {{"mesh", &mesh},
-                            {"torus", &torus},
-                            {"crossbar", &crossbar},
-                            {"generated", &generated}};
+        const auto outcome = core::runMethodology(trace::analyzeByCall(tr));
 
         os << (firstBench ? "" : ",\n") << "    {\"name\": \""
            << trace::benchmarkName(bench) << "\", \"ranks\": " << ranks
@@ -100,20 +78,17 @@ main(int argc, char **argv)
 
         double meshStatic = 0.0;
         double meshActivity = 0.0;
-        char buf[512];
-        for (std::size_t n = 0; n < std::size(rows); ++n) {
-            const auto &row = rows[n];
-            const auto res =
-                sim::runTrace(tr, *row.net->topo, *row.net->routing);
-            const auto stat = topo::computeEnergy(
-                *row.net->topo, res.linkFlits, res.execTime);
+        const auto row = [&](const char *name, const topo::Topology &topo,
+                             const sim::NetworkEvaluation &e, bool last) {
+            const auto &stat = e.energy;
             const auto act = topo::computeEnergy(
-                *row.net->topo, res.linkFlits, res.execTime,
-                res.activity, activityModel);
-            if (n == 0) {
+                topo, e.sim.linkFlits, e.sim.execTime, e.sim.activity,
+                activityModel);
+            if (meshStatic == 0.0) {
                 meshStatic = stat.total();
                 meshActivity = act.total();
             }
+            char buf[512];
             std::snprintf(
                 buf, sizeof buf,
                 "      {\"name\": \"%s\", "
@@ -122,13 +97,19 @@ main(int argc, char **argv)
                 "\"activity\": {\"dynamic\": %.2f, \"buffer\": %.2f, "
                 "\"leakage\": %.2f, \"total\": %.2f, "
                 "\"vs_mesh\": %.4f}}%s\n",
-                row.name, stat.dynamic(), stat.leakage(), stat.total(),
+                name, stat.dynamic(), stat.leakage(), stat.total(),
                 stat.total() / meshStatic, act.dynamic(),
                 act.bufferDynamic, act.leakage(), act.total(),
-                act.total() / meshActivity,
-                n + 1 < std::size(rows) ? "," : "");
+                act.total() / meshActivity, last ? "" : ",");
             os << buf;
+        };
+        // The mesh comes first: every ratio is to it.
+        for (const char *name : {"mesh", "torus", "crossbar"}) {
+            const auto net = *topo::buildBaseline(name, ranks);
+            row(name, *net.topo, sim::evaluateNetwork(net, tr), false);
         }
+        const auto e = sim::evaluateDesign(outcome.design, tr);
+        row("generated", *e.net.topo, e, true);
         os << "    ]}";
     }
     os << "\n  ]\n}\n";

@@ -20,6 +20,8 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "core/methodology.hpp"
 #include "sim/trace_driver.hpp"
@@ -49,28 +51,20 @@ main(int argc, char **argv)
     }
     std::ostream &os = out.empty() ? std::cout : file;
 
-    const auto crossbar = topo::buildCrossbar(kRanks);
-    const auto mesh = topo::buildMesh(kRanks);
-    const auto torus = topo::buildTorus(kRanks);
     trace::NasConfig ncfg;
     ncfg.ranks = kRanks;
     ncfg.iterations = 1;
     const auto cg = trace::generateCG(ncfg);
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    const auto outcome = core::runMethodology(trace::analyzeByCall(cg), mcfg);
-    const auto plan = topo::planFloor(outcome.design);
-    const auto generated = topo::buildFromDesign(outcome.design, plan);
+    const auto outcome = core::runMethodology(trace::analyzeByCall(cg));
 
-    struct Net
-    {
-        const char *name;
-        const topo::BuiltNetwork *net;
-    };
-    const Net nets[] = {{"crossbar", &crossbar},
-                        {"mesh", &mesh},
-                        {"torus", &torus},
-                        {"generated(CG)", &generated}};
+    // Faults vary the simulation stage, so each network is built once
+    // here and replayed under every fault configuration.
+    std::vector<std::pair<const char *, topo::BuiltNetwork>> nets;
+    for (const auto name : topo::kBaselines)
+        nets.emplace_back(name, *topo::buildBaseline(name, kRanks));
+    nets.emplace_back("generated(CG)",
+                      topo::buildFromDesign(outcome.design,
+                                            topo::planFloor(outcome.design)));
     const std::uint32_t failCounts[] = {0, 1, 2, 4};
     const double errorRates[] = {0.0, 0.001, 0.01};
 
@@ -82,9 +76,9 @@ main(int argc, char **argv)
                   kRanks, static_cast<unsigned long long>(kFaultSeed));
     os << buf;
     for (std::size_t n = 0; n < std::size(nets); ++n) {
+        const auto &[name, net] = nets[n];
         std::snprintf(buf, sizeof buf,
-                      "    {\"name\": \"%s\", \"points\": [\n",
-                      nets[n].name);
+                      "    {\"name\": \"%s\", \"points\": [\n", name);
         os << buf;
         bool firstPoint = true;
         for (const auto failLinks : failCounts) {
@@ -93,8 +87,7 @@ main(int argc, char **argv)
                 fcfg.randomFailLinks = failLinks;
                 fcfg.flitErrorRate = rate;
                 fcfg.seed = kFaultSeed;
-                const auto res = sim::runTrace(cg, *nets[n].net->topo,
-                                               *nets[n].net->routing,
+                const auto res = sim::runTrace(cg, *net.topo, *net.routing,
                                                sim::SimConfig{}, fcfg);
                 std::snprintf(
                     buf, sizeof buf,

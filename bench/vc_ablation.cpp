@@ -11,9 +11,7 @@
 #include <cstdio>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
@@ -27,44 +25,26 @@ main()
     ncfg.iterations = 3;
     const auto tr = trace::generateCG(ncfg);
 
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    const auto outcome = core::runMethodology(
-        trace::analyzeByCall(tr), mcfg);
-    const auto plan = topo::planFloor(outcome.design);
-    const auto generated = topo::buildFromDesign(outcome.design, plan);
-    const auto crossbar = topo::buildCrossbar(16);
-    const auto mesh = topo::buildMesh(16);
-    const auto torus = topo::buildTorus(16);
-
-    struct Net
-    {
-        const char *name;
-        const topo::BuiltNetwork *net;
-    };
-    const Net nets[] = {{"crossbar", &crossbar},
-                        {"mesh", &mesh},
-                        {"torus", &torus},
-                        {"generated", &generated}};
+    const auto outcome = core::runMethodology(trace::analyzeByCall(tr));
 
     std::printf("CG-16 execution time (cycles) by virtual-channel "
                 "count:\n\n");
     std::printf("%-6s", "VCs");
-    for (const auto &n : nets)
-        std::printf(" %12s", n.name);
-    std::printf("\n");
+    for (const auto name : topo::kBaselines)
+        std::printf(" %12s", name);
+    std::printf(" %12s\n", "generated");
 
     for (const std::uint32_t vcs : {1u, 2u, 3u, 4u, 6u}) {
         sim::SimConfig cfg;
         cfg.numVcs = vcs;
         std::printf("%-6u", vcs);
-        for (const auto &n : nets) {
-            const auto res =
-                sim::runTrace(tr, *n.net->topo, *n.net->routing, cfg);
-            std::printf(" %12lld",
-                        static_cast<long long>(res.execTime));
+        for (const auto name : topo::kBaselines) {
+            const auto e = sim::evaluateNetwork(
+                *topo::buildBaseline(name, 16), tr, cfg);
+            std::printf(" %12lld", static_cast<long long>(e.sim.execTime));
         }
-        std::printf("\n");
+        const auto e = sim::evaluateDesign(outcome.design, tr, {}, cfg);
+        std::printf(" %12lld\n", static_cast<long long>(e.sim.execTime));
     }
     std::printf(
         "\nreading: the contention-free generated network and the "

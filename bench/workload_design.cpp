@@ -18,35 +18,11 @@
 
 #include "core/methodology.hpp"
 #include "core/workload.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
 using namespace minnoc;
-
-namespace {
-
-struct Designed
-{
-    core::DesignOutcome outcome;
-    topo::Floorplan plan;
-    topo::BuiltNetwork net;
-};
-
-Designed
-design(const core::CliqueSet &ks)
-{
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    Designed d{core::runMethodology(ks, mcfg), {}, {}};
-    d.plan = topo::planFloor(d.outcome.design);
-    d.net = topo::buildFromDesign(d.outcome.design, d.plan);
-    return d;
-}
-
-} // namespace
 
 int
 main()
@@ -67,22 +43,27 @@ main()
                 cgCliques.numCliques(), fftCliques.numCliques(),
                 merged.numCliques());
 
-    const auto cgOnly = design(cgCliques);
-    const auto fftOnly = design(fftCliques);
-    const auto both = design(merged);
+    const auto cgOnly = core::runMethodology(cgCliques);
+    const auto fftOnly = core::runMethodology(fftCliques);
+    const auto both = core::runMethodology(merged);
+    // Each application on its native network and on the merged one.
+    const auto cgNative = sim::evaluateDesign(cgOnly.design, cgTrace);
+    const auto fftNative = sim::evaluateDesign(fftOnly.design, fftTrace);
+    const auto cgMerged = sim::evaluateDesign(both.design, cgTrace);
+    const auto fftMerged = sim::evaluateDesign(both.design, fftTrace);
 
     const auto [meshSw, meshLk] = topo::meshAreas(16);
     std::printf("\n%-14s %9s %9s %12s\n", "design", "switches",
                 "links", "Theorem 1");
-    auto row = [&](const char *name, const Designed &d) {
-        std::printf("%-14s %9u %9u %12s\n", name, d.plan.switchArea,
-                    d.plan.linkArea + d.plan.procLinkArea,
-                    d.outcome.violations.empty() ? "holds"
-                                                 : "VIOLATED");
+    auto row = [&](const char *name, const core::DesignOutcome &d,
+                   const topo::Floorplan &plan) {
+        std::printf("%-14s %9u %9u %12s\n", name, plan.switchArea,
+                    plan.linkArea + plan.procLinkArea,
+                    d.violations.empty() ? "holds" : "VIOLATED");
     };
-    row("CG only", cgOnly);
-    row("FFT only", fftOnly);
-    row("merged", both);
+    row("CG only", cgOnly, cgNative.plan);
+    row("FFT only", fftOnly, fftNative.plan);
+    row("merged", both, cgMerged.plan);
     std::printf("%-14s %9u %9u %12s\n", "mesh", meshSw, meshLk, "no");
 
     // Cover checks: the merged set must dominate both inputs.
@@ -90,15 +71,10 @@ main()
                 core::coveredBy(cgCliques, merged) ? "yes" : "NO",
                 core::coveredBy(fftCliques, merged) ? "yes" : "NO");
 
-    // Performance of each application on its native vs merged network.
     std::printf("\n%-10s %14s %14s %10s\n", "workload", "native",
                 "merged net", "delta");
-    auto perf = [&](const char *name, const trace::Trace &tr,
-                    const Designed &native) {
-        const auto rn =
-            sim::runTrace(tr, *native.net.topo, *native.net.routing);
-        const auto rm =
-            sim::runTrace(tr, *both.net.topo, *both.net.routing);
+    auto perf = [&](const char *name, const sim::SimResult &rn,
+                    const sim::SimResult &rm) {
         std::printf("%-10s %14lld %14lld %9.1f%%\n", name,
                     static_cast<long long>(rn.execTime),
                     static_cast<long long>(rm.execTime),
@@ -106,8 +82,8 @@ main()
                                  static_cast<double>(rn.execTime) -
                              1.0));
     };
-    perf("CG-16", cgTrace, cgOnly);
-    perf("FFT-16", fftTrace, fftOnly);
+    perf("CG-16", cgNative.sim, cgMerged.sim);
+    perf("FFT-16", fftNative.sim, fftMerged.sim);
 
     std::printf("\nexpected shape: merged network costs more than "
                 "either single-app network but\nserves both within a "

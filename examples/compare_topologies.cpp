@@ -16,9 +16,7 @@
 #include <string>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
@@ -41,51 +39,32 @@ main(int argc, char **argv)
                 static_cast<double>(tr.totalSendBytes()) / 1024.0,
                 tr.numCalls());
 
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    const auto outcome =
-        core::runMethodology(trace::analyzeByCall(tr), mcfg);
-    const auto plan = topo::planFloor(outcome.design);
+    const auto outcome = core::runMethodology(trace::analyzeByCall(tr));
     std::printf("generated: %s\n", outcome.summary().c_str());
-
-    const auto generated = topo::buildFromDesign(outcome.design, plan);
-    const auto crossbar = topo::buildCrossbar(cfg.ranks);
-    const auto mesh = topo::buildMesh(cfg.ranks);
-    const auto torus = topo::buildTorus(cfg.ranks);
 
     const auto [meshSw, meshLk] = topo::meshAreas(cfg.ranks);
     const auto [torusSw, torusLk] = topo::torusAreas(cfg.ranks);
 
-    struct Row
-    {
-        const char *name;
-        const topo::BuiltNetwork *net;
-        std::uint32_t switchArea;
-        std::uint32_t linkArea;
-    };
-    const Row rows[] = {
-        {"crossbar", &crossbar, 1, cfg.ranks},
-        {"mesh", &mesh, meshSw, meshLk},
-        {"torus", &torus, torusSw, torusLk},
-        {"generated", &generated, plan.switchArea,
-         plan.linkArea + plan.procLinkArea},
-    };
-
     std::printf("\n%-10s %12s %12s %10s %9s %9s %9s\n", "network",
                 "exec cycles", "comm cycles", "pkt lat", "sw area",
                 "lnk area", "deadlk");
-    double baseline = 0.0;
-    for (const auto &row : rows) {
-        const auto res = sim::runTrace(tr, *row.net->topo,
-                                       *row.net->routing);
-        if (baseline == 0.0)
-            baseline = static_cast<double>(res.execTime);
-        std::printf("%-10s %12lld %12.0f %10.1f %9u %9u %9u\n",
-                    row.name, static_cast<long long>(res.execTime),
-                    res.commTimeMean(), res.avgPacketLatency,
-                    row.switchArea, row.linkArea,
-                    res.deadlockRecoveries);
-    }
+    const auto row = [](const char *name, const sim::SimResult &res,
+                        std::uint32_t switchArea, std::uint32_t linkArea) {
+        std::printf("%-10s %12lld %12.0f %10.1f %9u %9u %9u\n", name,
+                    static_cast<long long>(res.execTime),
+                    res.commTimeMean(), res.avgPacketLatency, switchArea,
+                    linkArea, res.deadlockRecoveries);
+    };
+    const auto baseline = [&](const char *name) {
+        return sim::evaluateNetwork(*topo::buildBaseline(name, cfg.ranks), tr)
+            .sim;
+    };
+    row("crossbar", baseline("crossbar"), 1, cfg.ranks);
+    row("mesh", baseline("mesh"), meshSw, meshLk);
+    row("torus", baseline("torus"), torusSw, torusLk);
+    const auto e = sim::evaluateDesign(outcome.design, tr);
+    row("generated", e.sim, e.plan.switchArea,
+        e.plan.linkArea + e.plan.procLinkArea);
     std::printf("\n(first row = non-blocking crossbar reference)\n");
     return 0;
 }

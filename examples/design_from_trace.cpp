@@ -18,9 +18,7 @@
 #include <sstream>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
@@ -76,19 +74,20 @@ main(int argc, char **argv)
     std::printf("design: %s\n", outcome.summary().c_str());
     std::printf("%s", outcome.design.toString().c_str());
 
-    // Floorplan + area report.
-    const auto plan = topo::planFloor(outcome.design);
+    // Floorplan + area report, then the trace on the generated network
+    // and on the mesh.
+    const auto gen = sim::evaluateDesign(outcome.design, tr);
+    const auto &plan = gen.plan;
     const auto [meshSw, meshLk] = topo::meshAreas(tr.numRanks());
     std::printf("area vs %ux mesh: switches %.0f%%, links %.0f%%\n",
                 tr.numRanks(),
                 100.0 * plan.switchArea / meshSw,
                 100.0 * (plan.linkArea + plan.procLinkArea) / meshLk);
 
-    // Simulate the trace on the generated network and on the mesh.
-    const auto gen = topo::buildFromDesign(outcome.design, plan);
-    const auto mesh = topo::buildMesh(tr.numRanks());
-    const auto rg = sim::runTrace(tr, *gen.topo, *gen.routing);
-    const auto rm = sim::runTrace(tr, *mesh.topo, *mesh.routing);
+    const auto &rg = gen.sim;
+    const auto rm =
+        sim::evaluateNetwork(*topo::buildBaseline("mesh", tr.numRanks()), tr)
+            .sim;
     std::printf("simulated exec cycles: generated %lld, mesh %lld "
                 "(%.1f%% speedup)\n",
                 static_cast<long long>(rg.execTime),

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 
 using namespace minnoc;
 
@@ -86,9 +84,7 @@ main()
                 "transfers\n",
                 cliques.numCliques(), cliques.numComms());
 
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    const auto outcome = core::runMethodology(cliques, mcfg);
+    const auto outcome = core::runMethodology(cliques);
     std::printf("design: %s\n", outcome.summary().c_str());
     std::printf("%s", outcome.design.toString().c_str());
 
@@ -96,14 +92,6 @@ main()
         std::printf("all three permutations are provably "
                     "contention-free on this network\n");
     }
-
-    // Compare resources with the general-purpose alternatives.
-    const auto plan = topo::planFloor(outcome.design);
-    const auto [meshSw, meshLk] = topo::meshAreas(kEngines);
-    std::printf("area: %u switches / %u link units "
-                "(mesh: %u / %u; crossbar: 1 x %u-port megaswitch)\n",
-                plan.switchArea, plan.linkArea + plan.procLinkArea,
-                meshSw, meshLk, kEngines);
 
     // Drive each permutation round through the network back to back.
     trace::Trace tr("permutations", kEngines);
@@ -115,10 +103,19 @@ main()
             tr.push(c.dst, trace::TraceOp::recv(c.src, 4096, call));
         ++call;
     }
-    const auto gen = topo::buildFromDesign(outcome.design, plan);
-    const auto xbar = topo::buildCrossbar(kEngines);
-    const auto rg = sim::runTrace(tr, *gen.topo, *gen.routing);
-    const auto rx = sim::runTrace(tr, *xbar.topo, *xbar.routing);
+    const auto gen = sim::evaluateDesign(outcome.design, tr);
+    const auto &rg = gen.sim;
+    const auto rx =
+        sim::evaluateNetwork(*topo::buildBaseline("crossbar", kEngines), tr)
+            .sim;
+
+    // Compare resources with the general-purpose alternatives.
+    const auto [meshSw, meshLk] = topo::meshAreas(kEngines);
+    std::printf("area: %u switches / %u link units "
+                "(mesh: %u / %u; crossbar: 1 x %u-port megaswitch)\n",
+                gen.plan.switchArea,
+                gen.plan.linkArea + gen.plan.procLinkArea, meshSw, meshLk,
+                kEngines);
     std::printf("three rounds: generated %lld cycles vs crossbar %lld "
                 "cycles (%.1f%% slower, at a fraction of the cost)\n",
                 static_cast<long long>(rg.execTime),

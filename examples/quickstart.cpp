@@ -15,9 +15,7 @@
 #include <cstdio>
 
 #include "core/methodology.hpp"
-#include "sim/trace_driver.hpp"
-#include "topo/builders.hpp"
-#include "topo/floorplan.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
@@ -43,9 +41,8 @@ main()
                 cliques.maxCliqueSize());
 
     // 3. Generate a minimal low-contention network, degree <= 5.
-    core::MethodologyConfig mcfg;
-    mcfg.partitioner.constraints.maxDegree = 5;
-    const core::DesignOutcome outcome = core::runMethodology(cliques, mcfg);
+    // (Degree 5 is the methodology's default constraint.)
+    const core::DesignOutcome outcome = core::runMethodology(cliques);
     std::printf("generated: %s\n", outcome.summary().c_str());
     std::printf("%s", outcome.design.toString().c_str());
 
@@ -57,8 +54,11 @@ main()
                     outcome.violations.size());
     }
 
-    // 5. Floorplan and area comparison.
-    const topo::Floorplan plan = topo::planFloor(outcome.design);
+    // 5. Floorplan, build and simulate the generated network; compare
+    //    its area against mesh/torus.
+    const sim::DesignEvaluation generated =
+        sim::evaluateDesign(outcome.design, tr);
+    const topo::Floorplan &plan = generated.plan;
     const auto [meshSw, meshLk] = topo::meshAreas(16);
     const auto [torusSw, torusLk] = topo::torusAreas(16);
     std::printf("area (switch, link): generated (%u, %u)  mesh (%u, %u)  "
@@ -66,30 +66,17 @@ main()
                 plan.switchArea, plan.linkArea + plan.procLinkArea, meshSw,
                 meshLk, torusSw, torusLk);
 
-    // 6. Simulate on the four networks.
-    const auto generated = topo::buildFromDesign(outcome.design, plan);
-    const auto crossbar = topo::buildCrossbar(16);
-    const auto mesh = topo::buildMesh(16);
-    const auto torus = topo::buildTorus(16);
-
-    struct Row
-    {
-        const char *name;
-        const topo::BuiltNetwork *net;
-    };
-    const Row rows[] = {{"crossbar", &crossbar},
-                        {"mesh", &mesh},
-                        {"torus", &torus},
-                        {"generated", &generated}};
-
+    // 6. Simulate on the baselines and compare with the generated run.
     std::printf("%-10s %14s %14s %10s\n", "network", "exec cycles",
                 "comm cycles", "deadlocks");
-    for (const auto &row : rows) {
-        const sim::SimResult res =
-            sim::runTrace(tr, *row.net->topo, *row.net->routing);
-        std::printf("%-10s %14lld %14.0f %10u\n", row.name,
+    const auto row = [](const char *name, const sim::SimResult &res) {
+        std::printf("%-10s %14lld %14.0f %10u\n", name,
                     static_cast<long long>(res.execTime),
                     res.commTimeMean(), res.deadlockRecoveries);
-    }
+    };
+    for (const auto name : topo::kBaselines)
+        row(name,
+            sim::evaluateNetwork(*topo::buildBaseline(name, 16), tr).sim);
+    row("generated", generated.sim);
     return 0;
 }

@@ -122,25 +122,6 @@ classicMetrics(const JobMetrics &design, const JobMetrics &eval)
     return m;
 }
 
-/** Start of a wall-clock span; 0 when there is no log to close it in. */
-std::int64_t
-spanStart(const obs::TraceEventLog *log)
-{
-    return log ? obs::wallMicros() : 0;
-}
-
-/** Close a span opened at @p start on DSE track @p tid. */
-void
-spanEnd(obs::TraceEventLog *log, const std::string &name, std::size_t tid,
-        std::int64_t start, const std::string &argsJson = "")
-{
-    if constexpr (obs::kEnabled) {
-        if (log)
-            log->complete(name, obs::kPidDse, static_cast<std::uint32_t>(tid),
-                          start, obs::wallMicros() - start, argsJson);
-    }
-}
-
 /**
  * What evaluation reads of a finalized design, as bytes: the saved
  * design without its unidirectional record, plus each switch's
@@ -218,9 +199,9 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
     const auto scfg = simConfigFor(params, config);
 
     if (params.phaseWindow == 0) {
-        const auto t = spanStart(traceLog);
+        const auto t = obs::spanStart(traceLog);
         const auto outcome = core::runMethodology(cliques, mcfg, nullptr);
-        spanEnd(traceLog, "methodology", tid, t);
+        obs::dseSpanEnd(traceLog, "methodology", tid, t);
         return classicMetrics(
             designMetrics(outcome),
             evaluationMetrics(sim::evaluateDesign(
@@ -234,7 +215,7 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
     // boundary: the execution stalls and the incoming network idles.
     JobMetrics m;
     m.constraintsMet = true;
-    const auto t0 = spanStart(traceLog);
+    const auto t0 = obs::spanStart(traceLog);
     const auto seg =
         phase::segmentTrace(trace, segmenterFor(params, config));
     const auto phaseCliques = phase::buildPhaseCliques(trace, seg);
@@ -244,10 +225,10 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
     sim::Cycle reconfigCycles = 0;
     double reconfigEnergy = 0.0;
     for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
-        const auto t = spanStart(traceLog);
+        const auto t = obs::spanStart(traceLog);
         const auto outcome =
             core::runMethodology(phaseCliques.standalone[p], mcfg, nullptr);
-        spanEnd(traceLog, "methodology", tid, t);
+        obs::dseSpanEnd(traceLog, "methodology", tid, t);
         const auto e = sim::evaluateDesign(
             outcome.design, phase::phaseSubTrace(trace, seg, p),
             config.floorplan, scfg, config.power,
@@ -268,7 +249,7 @@ evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
         m.avgLatency = latencyWeighted / static_cast<double>(delivered);
         m.avgHops = hopsWeighted / static_cast<double>(delivered);
     }
-    spanEnd(traceLog, "time-multiplexed", tid, t0);
+    obs::dseSpanEnd(traceLog, "time-multiplexed", tid, t0);
     return m;
 }
 
@@ -372,8 +353,8 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
     // needs it, so lanes stay attributable to jobs.
     const auto jobSpan = [&config](std::size_t i, const char *stage,
                                    std::int64_t start) {
-        spanEnd(config.traceLog, "job " + std::to_string(i), i, start,
-                "\"stage\": \"" + std::string(stage) + "\"");
+        obs::dseSpanEnd(config.traceLog, "job " + std::to_string(i), i,
+                        start, "\"stage\": \"" + std::string(stage) + "\"");
     };
 
     // Cache lookups. The cancel checkpoints here and before every task
@@ -384,7 +365,7 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
     std::vector<std::string> sigs(jobs.size());
     runAll(jobs.size(), [&](std::size_t i) {
         checkCancel(config.cancel);
-        const auto start = spanStart(config.traceLog);
+        const auto start = obs::spanStart(config.traceLog);
         sigs[i] = jobSignature(jobs[i], config);
         keys[i] = jobKey(patternBytes, sigs[i]);
         auto &pt = report.points[i];
@@ -431,7 +412,7 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
     std::vector<std::string> networks(methodologies.size());
     runAll(methodologies.size() + phaseJobs.size(), [&](std::size_t t) {
         checkCancel(config.cancel);
-        const auto start = spanStart(config.traceLog);
+        const auto start = obs::spanStart(config.traceLog);
         if (t >= methodologies.size()) {
             const auto i = phaseJobs[t - methodologies.size()];
             storePoint(i, evaluateJob(trace, cliques, jobs[i], config,
@@ -446,7 +427,7 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
         auto mcfg = methodologyConfigFor(jobs[task.first]);
         mcfg.cancel = config.cancel;
         auto outcome = core::runMethodology(cliques, mcfg, nullptr);
-        spanEnd(config.traceLog, "methodology", task.first, start);
+        obs::dseSpanEnd(config.traceLog, "methodology", task.first, start);
         task.metrics = designMetrics(outcome);
         networks[t] = networkBytes(outcome.design);
         task.design = std::move(outcome.design);
@@ -493,7 +474,7 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
     }
     runAll(evaluations.size(), [&](std::size_t t) {
         checkCancel(config.cancel);
-        const auto start = spanStart(config.traceLog);
+        const auto start = obs::spanStart(config.traceLog);
         const auto &task = evaluations[t];
         const auto first = task.jobs.front();
         // Only the scalars outlive the evaluation: its floorplan, built

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "metrics.hpp"
 #include "util/json.hpp"
 
 namespace minnoc::obs {
@@ -46,6 +47,17 @@ wallMicros()
     return std::chrono::duration_cast<std::chrono::microseconds>(
                clock::now() - epoch)
         .count();
+}
+
+void
+dseSpanEnd(TraceEventLog *log, const std::string &name, std::size_t tid,
+           std::int64_t start, const std::string &argsJson)
+{
+    if constexpr (kEnabled) {
+        if (log)
+            log->complete(name, kPidDse, static_cast<std::uint32_t>(tid),
+                          start, wallMicros() - start, argsJson);
+    }
 }
 
 void

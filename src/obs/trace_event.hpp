@@ -91,6 +91,21 @@ class TraceEventLog
     std::uint64_t _nextSeq = 0;
 };
 
+/** Start of a wall-clock span; 0 when there is no log to close it in. */
+inline std::int64_t
+spanStart(const TraceEventLog *log)
+{
+    return log ? wallMicros() : 0;
+}
+
+/**
+ * Close a wall-clock span opened at @p start on DSE track @p tid of
+ * @p log; a no-op without a log or under -DMINNOC_OBS=OFF.
+ */
+void dseSpanEnd(TraceEventLog *log, const std::string &name,
+                std::size_t tid, std::int64_t start,
+                const std::string &argsJson = "");
+
 } // namespace minnoc::obs
 
 #endif // MINNOC_OBS_TRACE_EVENT_HPP

@@ -2,9 +2,26 @@
 
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace minnoc::sim {
+
+NetworkEvaluation
+evaluateNetwork(const topo::BuiltNetwork &net, const trace::Trace &trace,
+                const SimConfig &config, const topo::PowerModel &power,
+                Cycle idleCycles, obs::TraceEventLog *traceLog,
+                std::uint32_t tid)
+{
+    NetworkEvaluation e;
+    const auto t = obs::spanStart(traceLog);
+    e.sim = runTrace(trace, *net.topo, *net.routing, config);
+    obs::dseSpanEnd(traceLog, "simulate", tid, t);
+
+    e.energy = topo::computeEnergy(*net.topo, e.sim.linkFlits,
+                                   e.sim.execTime, e.sim.activity, power);
+    const std::vector<std::uint64_t> idle(e.sim.linkFlits.size(), 0);
+    e.idleEnergy =
+        topo::computeEnergy(*net.topo, idle, idleCycles, power).total();
+    return e;
+}
 
 DesignEvaluation
 evaluateDesign(const core::FinalizedDesign &design,
@@ -14,36 +31,17 @@ evaluateDesign(const core::FinalizedDesign &design,
                Cycle idleCycles, obs::TraceEventLog *traceLog,
                std::uint32_t tid)
 {
-    const auto tick = [traceLog]() {
-        return traceLog ? obs::wallMicros() : 0;
-    };
-    const auto span = [traceLog, tid](const char *name,
-                                      std::int64_t start) {
-        if constexpr (obs::kEnabled) {
-            if (traceLog)
-                traceLog->complete(name, obs::kPidDse, tid, start,
-                                   obs::wallMicros() - start);
-        }
-    };
-
     DesignEvaluation e;
-    auto t = tick();
+    auto t = obs::spanStart(traceLog);
     e.plan = topo::planFloor(design, floorplan);
-    span("floorplan", t);
+    obs::dseSpanEnd(traceLog, "floorplan", tid, t);
 
-    t = tick();
+    t = obs::spanStart(traceLog);
     e.net = topo::buildFromDesign(design, e.plan);
-    span("build", t);
+    obs::dseSpanEnd(traceLog, "build", tid, t);
 
-    t = tick();
-    e.sim = runTrace(trace, *e.net.topo, *e.net.routing, config);
-    span("simulate", t);
-
-    e.energy = topo::computeEnergy(*e.net.topo, e.sim.linkFlits,
-                                   e.sim.execTime, e.sim.activity, power);
-    const std::vector<std::uint64_t> idle(e.sim.linkFlits.size(), 0);
-    e.idleEnergy =
-        topo::computeEnergy(*e.net.topo, idle, idleCycles, power).total();
+    static_cast<NetworkEvaluation &>(e) = evaluateNetwork(
+        e.net, trace, config, power, idleCycles, traceLog, tid);
     return e;
 }
 

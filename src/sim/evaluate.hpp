@@ -1,13 +1,17 @@
 /**
  * @file
- * The design-evaluation step: how every generated network is judged.
+ * The evaluation step: how every network in the paper's comparison is
+ * judged.
  *
- * One finalized design on one trace goes through floorplan → network
- * build → trace-driven simulation → energy, the paper's area, run-time
- * and power axes in that order. The explorer's jobs and the phase
- * comparison's variants all evaluate through here; benches, examples
- * and the CLI `simulate` command time or vary single stages and call
- * the stage functions directly.
+ * evaluateNetwork replays a trace on a built network and prices the
+ * run, the paper's run-time and power axes; evaluateDesign puts a
+ * finalized design through floorplan and build first, adding the area
+ * axis. The explorer, the phase comparison, `minnoc compare`, the
+ * figure benches and the examples all judge networks through here,
+ * baselines from topo::buildBaseline included. Only callers that vary
+ * a stage call the stage functions directly: `minnoc simulate` and
+ * the resilience bench (faults, observers), floorplan-only area
+ * reports, and the activity-tier energy in the power benches.
  */
 
 #ifndef MINNOC_SIM_EVALUATE_HPP
@@ -23,12 +27,9 @@
 
 namespace minnoc::sim {
 
-/** Everything one evaluation produced. */
-struct DesignEvaluation
+/** Everything one evaluation of a built network produced. */
+struct NetworkEvaluation
 {
-    /** Placement and the paper's area split. */
-    topo::Floorplan plan;
-    topo::BuiltNetwork net;
     SimResult sim;
     /** Energy of the simulated run. */
     topo::EnergyReport energy;
@@ -36,19 +37,39 @@ struct DesignEvaluation
     double idleEnergy = 0.0;
 };
 
+/** A network evaluation plus the design's placement and network. */
+struct DesignEvaluation : NetworkEvaluation
+{
+    /** Placement and the paper's area split. */
+    topo::Floorplan plan;
+    topo::BuiltNetwork net;
+};
+
 /**
- * Floorplan, build, replay @p trace on, and price @p design; also
- * price the network idling @p idleCycles with no traffic (the
- * reconfiguration window a time-multiplexed network is swapped in
- * during). When @p traceLog is set, the "floorplan", "build" and
- * "simulate" stages become wall-clock spans on DSE track @p tid.
+ * Replay @p trace on @p net and price the run; also price the network
+ * idling @p idleCycles with no traffic (the reconfiguration window a
+ * time-multiplexed network is swapped in during). When @p traceLog is
+ * set, the simulation becomes a "simulate" wall-clock span on DSE
+ * track @p tid.
+ */
+NetworkEvaluation evaluateNetwork(const topo::BuiltNetwork &net,
+                                  const trace::Trace &trace,
+                                  const SimConfig &config = {},
+                                  const topo::PowerModel &power = {},
+                                  Cycle idleCycles = 0,
+                                  obs::TraceEventLog *traceLog = nullptr,
+                                  std::uint32_t tid = 0);
+
+/**
+ * Floorplan and build @p design, then evaluateNetwork() it. With a
+ * @p traceLog, "floorplan" and "build" spans precede "simulate".
  */
 DesignEvaluation evaluateDesign(const core::FinalizedDesign &design,
                                 const trace::Trace &trace,
-                                const topo::FloorplanConfig &floorplan,
-                                const SimConfig &config,
-                                const topo::PowerModel &power,
-                                Cycle idleCycles,
+                                const topo::FloorplanConfig &floorplan = {},
+                                const SimConfig &config = {},
+                                const topo::PowerModel &power = {},
+                                Cycle idleCycles = 0,
                                 obs::TraceEventLog *traceLog = nullptr,
                                 std::uint32_t tid = 0);
 

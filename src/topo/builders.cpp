@@ -74,6 +74,18 @@ buildTorus(std::uint32_t procs)
     return BuiltNetwork{std::move(topo), std::move(routing)};
 }
 
+std::optional<BuiltNetwork>
+buildBaseline(std::string_view name, std::uint32_t procs)
+{
+    if (name == "crossbar")
+        return buildCrossbar(procs);
+    if (name == "mesh")
+        return buildMesh(procs);
+    if (name == "torus")
+        return buildTorus(procs);
+    return std::nullopt;
+}
+
 BuiltNetwork
 buildFromDesign(const core::FinalizedDesign &design, const Floorplan &plan)
 {

@@ -10,7 +10,10 @@
 #ifndef MINNOC_TOPO_BUILDERS_HPP
 #define MINNOC_TOPO_BUILDERS_HPP
 
+#include <array>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "core/finalize.hpp"
 #include "floorplan.hpp"
@@ -49,6 +52,17 @@ BuiltNetwork buildMesh(std::uint32_t procs);
  * Routing is true fully adaptive minimal (TFAR).
  */
 BuiltNetwork buildTorus(std::uint32_t procs);
+
+/** The baselines Section 4 judges every generated network against. */
+inline constexpr std::array<const char *, 3> kBaselines = {
+    "crossbar", "mesh", "torus"};
+
+/**
+ * The baseline named @p name (one of kBaselines) for @p procs
+ * processors; nullopt for any other name.
+ */
+std::optional<BuiltNetwork> buildBaseline(std::string_view name,
+                                          std::uint32_t procs);
 
 /**
  * Materialize a finalized generated design: one node per design switch,

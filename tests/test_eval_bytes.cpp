@@ -16,6 +16,9 @@
  * The digests were recorded before the evaluation chains were merged
  * into one step; a change that moves them is a model change, not a
  * refactor.
+ *
+ * The EvaluateNetwork cases check that evaluating a built network is
+ * exactly the simulate and energy stages run by hand.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +33,9 @@
 #include "dse/cache.hpp"
 #include "dse/explorer.hpp"
 #include "phase/evaluator.hpp"
+#include "sim/evaluate.hpp"
+#include "topo/builders.hpp"
+#include "topo/power.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 #include "trace/scale_patterns.hpp"
@@ -184,4 +190,74 @@ TEST(EvalBytes, PhaseReport)
     EXPECT_EQ(hex(dse::fnv1a64(
                   phase::evaluatePhases(shiftTrace(), cfg).toJson())),
               "a22f5c1a04f3f156");
+}
+
+namespace {
+
+/**
+ * evaluateNetwork() on @p net equals runTrace() plus the static
+ * computeEnergy(), field for field.
+ */
+void
+expectSameAsStages(const topo::BuiltNetwork &net, const trace::Trace &tr)
+{
+    const auto e = sim::evaluateNetwork(net, tr);
+    const auto res = sim::runTrace(tr, *net.topo, *net.routing);
+    const auto energy =
+        topo::computeEnergy(*net.topo, res.linkFlits, res.execTime);
+
+    EXPECT_EQ(e.sim.execTime, res.execTime);
+    EXPECT_EQ(e.sim.commTime, res.commTime);
+    EXPECT_EQ(e.sim.finishTime, res.finishTime);
+    EXPECT_EQ(e.sim.packetsDelivered, res.packetsDelivered);
+    EXPECT_EQ(e.sim.deadlockRecoveries, res.deadlockRecoveries);
+    EXPECT_EQ(e.sim.packetsEnqueued, res.packetsEnqueued);
+    EXPECT_EQ(e.sim.packetsDropped, res.packetsDropped);
+    EXPECT_EQ(e.sim.retransmissions, res.retransmissions);
+    EXPECT_EQ(e.sim.corruptedFlits, res.corruptedFlits);
+    EXPECT_EQ(e.sim.failedLinks, res.failedLinks);
+    EXPECT_EQ(e.sim.disconnectedPairs, res.disconnectedPairs);
+    EXPECT_EQ(e.sim.retryExhaustions, res.retryExhaustions);
+    EXPECT_EQ(e.sim.recoveryExhaustions, res.recoveryExhaustions);
+    EXPECT_EQ(e.sim.deliveredFraction, res.deliveredFraction);
+    EXPECT_EQ(e.sim.latencyInflation, res.latencyInflation);
+    EXPECT_EQ(e.sim.recvsLost, res.recvsLost);
+    EXPECT_EQ(e.sim.undeliverableChannels, res.undeliverableChannels);
+    EXPECT_EQ(e.sim.avgPacketLatency, res.avgPacketLatency);
+    EXPECT_EQ(e.sim.avgPacketHops, res.avgPacketHops);
+    EXPECT_EQ(e.sim.maxLinkUtilization, res.maxLinkUtilization);
+    EXPECT_EQ(e.sim.meanLinkUtilization, res.meanLinkUtilization);
+    EXPECT_EQ(e.sim.linkFlits, res.linkFlits);
+    EXPECT_EQ(e.sim.activity.bufferWrites, res.activity.bufferWrites);
+    EXPECT_EQ(e.sim.activity.bufferReads, res.activity.bufferReads);
+    EXPECT_EQ(e.sim.activity.residentFlitCycles,
+              res.activity.residentFlitCycles);
+
+    EXPECT_EQ(e.energy.switchDynamic, energy.switchDynamic);
+    EXPECT_EQ(e.energy.wireDynamic, energy.wireDynamic);
+    EXPECT_EQ(e.energy.bufferDynamic, energy.bufferDynamic);
+    EXPECT_EQ(e.energy.switchLeakage, energy.switchLeakage);
+    EXPECT_EQ(e.energy.wireLeakage, energy.wireLeakage);
+    EXPECT_EQ(e.energy.bufferLeakage, energy.bufferLeakage);
+}
+
+trace::Trace
+cg16Trace()
+{
+    trace::NasConfig ncfg;
+    ncfg.ranks = 16;
+    ncfg.iterations = 1;
+    return trace::generateBenchmark(trace::Benchmark::CG, ncfg);
+}
+
+} // namespace
+
+TEST(EvaluateNetwork, MeshMatchesStageCalls)
+{
+    expectSameAsStages(topo::buildMesh(16), cg16Trace());
+}
+
+TEST(EvaluateNetwork, CrossbarMatchesStageCalls)
+{
+    expectSameAsStages(topo::buildCrossbar(16), cg16Trace());
 }

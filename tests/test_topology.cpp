@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
+
 #include "topo/builders.hpp"
 #include "topo/topology.hpp"
 
@@ -139,4 +142,33 @@ TEST(Builders, EveryTopologyValidates)
             EXPECT_NO_FATAL_FAILURE(buildTorus(procs));
         }
     }
+}
+
+TEST(Builders, BaselineByNameMatchesItsBuilder)
+{
+    using Builder = BuiltNetwork (*)(std::uint32_t);
+    const std::pair<const char *, Builder> direct[] = {
+        {"crossbar", &buildCrossbar},
+        {"mesh", &buildMesh},
+        {"torus", &buildTorus}};
+    ASSERT_EQ(std::size(direct), kBaselines.size());
+    for (std::size_t i = 0; i < kBaselines.size(); ++i) {
+        const auto [name, build] = direct[i];
+        EXPECT_STREQ(kBaselines[i], name); // the paper's order
+        for (const std::uint32_t procs : {8u, 16u}) {
+            const auto byName = buildBaseline(name, procs);
+            ASSERT_TRUE(byName.has_value()) << name;
+            const auto ref = build(procs);
+            EXPECT_EQ(byName->topo->numLinks(), ref.topo->numLinks())
+                << name << "-" << procs;
+            EXPECT_EQ(byName->routing->name(), ref.routing->name())
+                << name << "-" << procs;
+        }
+    }
+}
+
+TEST(Builders, UnknownBaselineIsNullopt)
+{
+    for (const char *name : {"", "ring", "Mesh", "generated", "cg.design"})
+        EXPECT_FALSE(buildBaseline(name, 16).has_value()) << name;
 }

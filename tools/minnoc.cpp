@@ -36,6 +36,7 @@
 #include "phase/evaluator.hpp"
 #include "topo/dot.hpp"
 #include "core/methodology.hpp"
+#include "sim/evaluate.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace_driver.hpp"
 #include "topo/builders.hpp"
@@ -415,37 +416,16 @@ cmdShow(const Args &args)
     return 0;
 }
 
-topo::BuiltNetwork
-buildNamedNetwork(const std::string &name, std::uint32_t ranks)
-{
-    if (name == "mesh")
-        return topo::buildMesh(ranks);
-    if (name == "torus")
-        return topo::buildTorus(ranks);
-    if (name == "crossbar")
-        return topo::buildCrossbar(ranks);
-    // Otherwise: a design file.
-    const auto design = loadDesignFile(name);
-    if (design.numProcs != ranks)
-        fatal("design '", name, "' is for ", design.numProcs,
-              " procs but the trace has ", ranks);
-    const auto plan = topo::planFloor(design);
-    return topo::buildFromDesign(design, plan);
-}
-
 void
-printResult(const char *name, const topo::BuiltNetwork &net,
-            const sim::SimResult &res, bool faulty,
-            const topo::PowerModel &power = {})
+printResult(const std::string &name, const sim::SimResult &res,
+            double energy, bool faulty)
 {
-    const auto energy = topo::computeEnergy(
-        *net.topo, res.linkFlits, res.execTime, res.activity, power);
     std::printf("%-10s exec=%lld comm=%.0f lat=%.1f hops=%.2f "
                 "util(max)=%.3f energy=%.0f deadlocks=%u\n",
-                name, static_cast<long long>(res.execTime),
+                name.c_str(), static_cast<long long>(res.execTime),
                 res.commTimeMean(), res.avgPacketLatency,
-                res.avgPacketHops, res.maxLinkUtilization,
-                energy.total(), res.deadlockRecoveries);
+                res.avgPacketHops, res.maxLinkUtilization, energy,
+                res.deadlockRecoveries);
     if (faulty) {
         std::printf("           faults: failed_links=%u "
                     "disconnected_pairs=%u corrupted_flits=%llu "
@@ -461,14 +441,6 @@ printResult(const char *name, const topo::BuiltNetwork &net,
             std::printf("           undeliverable channel: %u -> %u\n", s,
                         d);
     }
-}
-
-void
-printRun(const char *name, const trace::Trace &tr,
-         const topo::BuiltNetwork &net, const topo::PowerModel &power)
-{
-    printResult(name, net, sim::runTrace(tr, *net.topo, *net.routing),
-                false, power);
 }
 
 /** Parse a comma-separated link-id list ("3,17,42"). */
@@ -491,7 +463,15 @@ cmdSimulate(const Args &args)
         fatal("simulate: missing trace file");
     const auto tr = loadTrace(args.positional[0]);
     const auto name = args.get("network", "mesh");
-    const auto net = buildNamedNetwork(name, tr.numRanks());
+    auto net = topo::buildBaseline(name, tr.numRanks());
+    if (!net) {
+        // Otherwise: a design file.
+        const auto design = loadDesignFile(name);
+        if (design.numProcs != tr.numRanks())
+            fatal("design '", name, "' is for ", design.numProcs,
+                  " procs but the trace has ", tr.numRanks());
+        net = topo::buildFromDesign(design, topo::planFloor(design));
+    }
 
     sim::SimConfig scfg;
     scfg.maxRecoveries = args.getU32("max-recoveries", scfg.maxRecoveries);
@@ -518,9 +498,9 @@ cmdSimulate(const Args &args)
     sim::SimResult res;
     try {
         res = faulty
-                  ? sim::runTrace(tr, *net.topo, *net.routing, scfg,
+                  ? sim::runTrace(tr, *net->topo, *net->routing, scfg,
                                   fcfg, op)
-                  : sim::runTrace(tr, *net.topo, *net.routing, scfg,
+                  : sim::runTrace(tr, *net->topo, *net->routing, scfg,
                                   op);
     } catch (const CancelledError &) {
         std::fprintf(stderr, "simulate: interrupted, no results\n");
@@ -533,7 +513,10 @@ cmdSimulate(const Args &args)
         observer.exportTrace(traceLog);
         exportObservability(args, metrics, traceLog);
     }
-    printResult(name.c_str(), net, res, faulty, powerFromArgs(args));
+    const auto energy =
+        topo::computeEnergy(*net->topo, res.linkFlits, res.execTime,
+                            res.activity, powerFromArgs(args));
+    printResult(name, res, energy.total(), faulty);
     return 0;
 }
 
@@ -570,14 +553,15 @@ cmdCompare(const Args &args)
     mcfg.threads = args.getU32("threads", 0);
     const auto outcome =
         core::runMethodology(trace::analyzeByCall(tr), mcfg);
-    const auto plan = topo::planFloor(outcome.design);
-    const auto generated = topo::buildFromDesign(outcome.design, plan);
 
     const auto power = powerFromArgs(args);
-    printRun("crossbar", tr, topo::buildCrossbar(tr.numRanks()), power);
-    printRun("mesh", tr, topo::buildMesh(tr.numRanks()), power);
-    printRun("torus", tr, topo::buildTorus(tr.numRanks()), power);
-    printRun("generated", tr, generated, power);
+    for (const auto name : topo::kBaselines) {
+        const auto e = sim::evaluateNetwork(
+            *topo::buildBaseline(name, tr.numRanks()), tr, {}, power);
+        printResult(name, e.sim, e.energy.total(), false);
+    }
+    const auto e = sim::evaluateDesign(outcome.design, tr, {}, {}, power);
+    printResult("generated", e.sim, e.energy.total(), false);
     return 0;
 }
 
