@@ -96,11 +96,7 @@ main(int argc, char **argv)
 
         const auto [meshSw, meshLk] = topo::meshAreas(ranks);
         const auto [torusSw, torusLk] = topo::torusAreas(ranks);
-        // Crossbar area model: an N-port non-blocking crossbar costs
-        // N^2/25 five-port-switch equivalents (quadratic port
-        // scaling); processors attach directly, so zero link area.
-        const auto xbarSw =
-            std::max(1u, ranks * ranks / 25u);
+        const auto [xbarSw, xbarLk] = topo::crossbarAreas(ranks);
         const auto judge = [&](const char *name, std::uint32_t switchArea,
                                std::uint32_t linkArea) {
             return BaselineRow{
@@ -108,7 +104,7 @@ main(int argc, char **argv)
                 sim::evaluateNetwork(*topo::buildBaseline(name, ranks), tr)};
         };
         const BaselineRow baselines[] = {
-            judge("crossbar", xbarSw, 0),
+            judge("crossbar", xbarSw, xbarLk),
             judge("mesh", meshSw, meshLk),
             judge("torus", torusSw, torusLk),
         };

@@ -44,6 +44,7 @@ main(int argc, char **argv)
 
     const auto [meshSw, meshLk] = topo::meshAreas(cfg.ranks);
     const auto [torusSw, torusLk] = topo::torusAreas(cfg.ranks);
+    const auto [xbarSw, xbarLk] = topo::crossbarAreas(cfg.ranks);
 
     std::printf("\n%-10s %12s %12s %10s %9s %9s %9s\n", "network",
                 "exec cycles", "comm cycles", "pkt lat", "sw area",
@@ -59,7 +60,7 @@ main(int argc, char **argv)
         return sim::evaluateNetwork(*topo::buildBaseline(name, cfg.ranks), tr)
             .sim;
     };
-    row("crossbar", baseline("crossbar"), 1, cfg.ranks);
+    row("crossbar", baseline("crossbar"), xbarSw, xbarLk);
     row("mesh", baseline("mesh"), meshSw, meshLk);
     row("torus", baseline("torus"), torusSw, torusLk);
     const auto e = sim::evaluateDesign(outcome.design, tr);

@@ -81,6 +81,12 @@ torusAreas(std::uint32_t procs)
     return {switchArea, connections * 2};
 }
 
+std::pair<std::uint32_t, std::uint32_t>
+crossbarAreas(std::uint32_t procs)
+{
+    return {std::max(1u, procs * procs / 25u), 0};
+}
+
 namespace {
 
 /** Offsets of a tile's four corners, in candidate order. */

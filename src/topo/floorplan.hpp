@@ -112,6 +112,13 @@ std::pair<std::uint32_t, std::uint32_t> meshAreas(std::uint32_t procs);
 /** Torus baseline areas: same switches, folded links of length 2. */
 std::pair<std::uint32_t, std::uint32_t> torusAreas(std::uint32_t procs);
 
+/**
+ * Crossbar baseline areas: an N-port non-blocking crossbar costs
+ * max(1, N^2/25) five-port-switch equivalents (quadratic port
+ * scaling); processors attach directly, so zero link area.
+ */
+std::pair<std::uint32_t, std::uint32_t> crossbarAreas(std::uint32_t procs);
+
 /** Most-square tile grid dimensions for @p procs tiles. */
 std::pair<std::uint32_t, std::uint32_t> gridDims(std::uint32_t procs);
 

@@ -67,6 +67,18 @@ TEST(Areas, TorusDoublesMeshLinkArea)
     EXPECT_GE(lk16, 2 * lkM);
 }
 
+TEST(Areas, CrossbarScalesQuadraticallyWithNoLinks)
+{
+    // N^2/25 five-port-switch equivalents, never below one; processors
+    // attach directly, so no link area.
+    EXPECT_EQ(crossbarAreas(16),
+              (std::pair<std::uint32_t, std::uint32_t>{10, 0}));
+    EXPECT_EQ(crossbarAreas(64),
+              (std::pair<std::uint32_t, std::uint32_t>{163, 0}));
+    EXPECT_EQ(crossbarAreas(4),
+              (std::pair<std::uint32_t, std::uint32_t>{1, 0}));
+}
+
 TEST(Manhattan, Distance)
 {
     EXPECT_EQ(manhattan(GridPoint{0, 0}, GridPoint{3, 4}), 7u);
