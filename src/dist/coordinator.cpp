@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fcntl.h>
@@ -12,8 +10,6 @@
 #include <optional>
 #include <poll.h>
 #include <sstream>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -22,7 +18,7 @@
 #include "remote.hpp"
 #include "serve/jobwire.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
+#include "trace/analyzer.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -36,17 +32,14 @@ using serve::WorkerMsg;
 
 /** Scheduler tick; also the cancellation-polling period. */
 constexpr int kPollMs = 100;
-/** SIGTERM -> SIGKILL drain window on cancellation. */
-constexpr std::int64_t kDrainUs = 2'000'000;
 /** Requests kept in flight per lane (pipelined dispatch). */
 constexpr std::size_t kWindow = 8;
 
-/** One lane: a forked serve loop or a remote daemon connection. */
-struct WorkerProc
+/** One lane: a connection to a remote daemon. */
+struct Lane
 {
-    pid_t pid = -1; ///< forked lanes only; -1 once reaped
-    int fd = -1;    ///< socket (non-blocking); -1 = closed
-    int hostIdx = -1; ///< index into DistOptions::hosts; -1 = forked
+    int fd = -1;      ///< socket (non-blocking); -1 = closed
+    int hostIdx = -1; ///< index into DistOptions::hosts
     std::string lineBuf; ///< NDJSON reply buffer
     /** Assigned jobs not yet resulted (dispatched or queued). */
     std::vector<std::uint32_t> pending;
@@ -56,8 +49,6 @@ struct WorkerProc
     std::int64_t lastActivityUs = 0;
     bool timedOut = false;
     std::string errorText; ///< "code: message" of the first failure
-
-    bool remote() const { return hostIdx >= 0; }
 };
 
 /**
@@ -66,205 +57,97 @@ struct WorkerProc
  */
 using JobBuilder = std::function<std::string(std::uint32_t job,
                                              std::uint32_t attempt)>;
+/** Run one job in-process, as a daemon would. */
+using LocalRunner = std::function<WorkerMsg(std::uint32_t job)>;
 using ResultHandler = std::function<void(const WorkerMsg &msg)>;
 
-/** A forked lane's server, for its SIGINT/SIGTERM handler. */
-serve::Server *gLaneServer = nullptr;
-
-extern "C" void
-onLaneSignal(int)
-{
-    if (gLaneServer)
-        gLaneServer->requestStop(); // async-signal-safe
-}
-
 /**
- * Aim a chaos hook (MINNOC_DIST_TEST_CRASH/HANG) at this forked
- * child's serve loop: a hook naming slot @p slot becomes the daemon
- * spelling "serve"; any other value, "serve" included (that one
- * targets daemons only), is disarmed.
+ * Close every lane. Each daemon's reader sees EOF and
+ * Disconnect-cancels the lane's in-flight jobs, so a Ctrl-C here
+ * leaves no orphaned work on any host.
  */
 void
-retargetHook(const char *env, std::uint32_t slot)
+closeAll(std::vector<Lane> &lanes)
 {
-    const char *v = std::getenv(env);
-    if (v && std::string(v) == std::to_string(slot))
-        ::setenv(env, "serve", 1);
-    else
-        ::unsetenv(env);
-}
-
-/**
- * Config of a forked lane's server: one job at a time on one thread,
- * the run's own disk cache, no per-request deadline (the coordinator's
- * activity timeout is the only bound on a forked lane), and no drain
- * grace, so the coordinator's SIGTERM cancels the running job at once.
- */
-serve::ServerConfig
-forkedLaneConfig(const std::string &cacheDir, bool useCache)
-{
-    serve::ServerConfig cfg;
-    cfg.workers = 1;
-    cfg.innerThreads = 1;
-    cfg.cacheDir = cacheDir;
-    cfg.useCache = useCache;
-    cfg.defaultDeadlineMs = 0;
-    cfg.drainMs = 0;
-    return cfg;
-}
-
-/**
- * Fork a local lane: the child serves its end of a socketpair with a
- * serve::Server until the coordinator closes the other end, then
- * exits 0. The child closes every sibling lane's socket first — a
- * copy held open there would hide that lane's EOF from its peer.
- */
-WorkerProc
-forkLane(std::uint32_t slot, const serve::ServerConfig &laneConfig,
-         const std::vector<WorkerProc> &siblings)
-{
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-        fatal("dist: socketpair: ", std::strerror(errno));
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("dist: fork: ", std::strerror(errno));
-    if (pid == 0) {
-        ::close(sv[0]);
-        for (const auto &s : siblings)
-            if (s.fd >= 0)
-                ::close(s.fd);
-        retargetHook("MINNOC_DIST_TEST_CRASH", slot);
-        retargetHook("MINNOC_DIST_TEST_HANG", slot);
-        serve::Server server(laneConfig);
-        gLaneServer = &server;
-        std::signal(SIGINT, onLaneSignal);
-        std::signal(SIGTERM, onLaneSignal);
-        std::signal(SIGPIPE, SIG_IGN); // stray stdio on a closed pipe
-        std::string err;
-        ::_exit(server.serveConnection(sv[1], err) ? 0 : 1);
-    }
-    ::close(sv[1]);
-    WorkerProc w;
-    w.pid = pid;
-    w.fd = sv[0];
-    return w;
-}
-
-/**
- * SIGTERM forked lanes, give kDrainUs to exit, SIGKILL stragglers.
- * Remote lanes just close: the daemon's reader sees EOF and
- * Disconnect-cancels every in-flight job, so a Ctrl-C here leaves no
- * orphaned work on any host.
- */
-void
-terminateAll(std::vector<WorkerProc> &procs)
-{
-    for (auto &w : procs) {
-        if (w.pid > 0)
-            ::kill(w.pid, SIGTERM);
-        else if (w.fd >= 0) {
-            ::close(w.fd);
-            w.fd = -1;
-        }
-    }
-    const std::int64_t deadline = CancelToken::nowUs() + kDrainUs;
-    for (auto &w : procs) {
-        if (w.pid <= 0)
-            continue;
-        int status = 0;
-        for (;;) {
-            const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-            if (r == w.pid || (r < 0 && errno == ECHILD))
-                break;
-            if (CancelToken::nowUs() >= deadline) {
-                ::kill(w.pid, SIGKILL);
-                ::waitpid(w.pid, &status, 0);
-                break;
-            }
-            ::usleep(20'000);
-        }
+    for (auto &w : lanes) {
         if (w.fd >= 0)
             ::close(w.fd);
         w.fd = -1;
-        w.pid = -1;
     }
-}
-
-std::string
-describeExit(int status)
-{
-    if (WIFEXITED(status))
-        return "exit " + std::to_string(WEXITSTATUS(status));
-    if (WIFSIGNALED(status))
-        return "signal " + std::to_string(WTERMSIG(status));
-    return "unknown exit";
 }
 
 /**
  * Drive every lane to completion: send each lane its jobs as
  * `dse_job`/`phase_job` request lines (at most kWindow in flight),
- * poll the sockets, dispatch the result documents, reap crashed or
+ * poll the sockets, dispatch the result documents, close failed or
  * hung lanes and requeue their unfinished jobs (at most once per
- * shard) onto a surviving remote host or a fresh forked lane. The
- * leading shards go to DistOptions::hosts, the rest to forked lanes.
- * Throws CancelledError when @p cancel fires, std::runtime_error when
- * a shard fails twice.
+ * shard) onto a surviving host. Jobs no host is left to take go to
+ * @p runLocal, one at a time on a `local` lane, once every
+ * connection is done. Throws CancelledError when @p cancel fires,
+ * std::runtime_error when a shard fails twice.
  */
 void
 runShards(const std::vector<std::vector<std::uint32_t>> &shards,
           const DistOptions &options, const CancelToken *cancel,
-          const serve::ServerConfig &laneConfig,
           const std::string &traceText, const JobBuilder &makeJob,
-          const ResultHandler &onResult, DistStats &stats,
-          obs::TraceEventLog *traceLog, const char *jobLabel)
+          const LocalRunner &runLocal, const ResultHandler &onResult,
+          DistStats &stats, obs::TraceEventLog *traceLog,
+          const char *jobLabel)
 {
     const std::int64_t timeoutMs =
         std::max<std::int64_t>(options.workerTimeoutMs, 1);
     const std::string traceJson = serve::jsonEscape(traceText);
     const auto &hosts = options.hosts;
-    const std::size_t remoteLanes =
-        std::min(hosts.size(), shards.size());
     // A host that failed once is never retried: its replacement lane
     // must not inherit the same fault.
     std::vector<char> hostDead(hosts.size(), 0);
 
-    std::vector<WorkerProc> procs;
+    std::vector<Lane> lanes;
+    std::vector<std::uint32_t> local; ///< jobs for the in-process lane
 
-    // Remote lanes forward the activity timeout as the request
-    // deadline (within the protocol's ceiling); a forked lane's server
-    // has no deadline of its own.
+    // The activity timeout doubles as the request deadline (within
+    // the protocol's ceiling).
     const std::string deadlineField =
         ", \"deadline_ms\": " +
         std::to_string(std::min(timeoutMs, serve::kMaxDeadlineMs));
-    const auto sendJob = [&](const WorkerProc &w, std::uint32_t job) {
-        std::string line = makeJob(job, w.attempt);
-        if (w.remote())
-            line += deadlineField;
-        line += ", \"trace\": \"" + traceJson + "\"}\n";
+    const auto sendJob = [&](const Lane &w, std::uint32_t job) {
+        const std::string line = makeJob(job, w.attempt) +
+                                 deadlineField + ", \"trace\": \"" +
+                                 traceJson + "\"}\n";
         return sendAll(w.fd, line);
     };
 
+    const auto openStatsRow = [&](const std::string &label) {
+        const auto slot = stats.workers++;
+        stats.jobs.push_back(0);
+        stats.cacheHits.push_back(0);
+        stats.wallUsSum.push_back(0);
+        stats.hostOf.push_back(label);
+        if constexpr (obs::kEnabled) {
+            if (traceLog)
+                traceLog->threadName(obs::kPidDist, slot,
+                                     label == "local" ? label
+                                                      : "host " + label);
+        }
+        return slot;
+    };
+
     /**
-     * Open a lane (hostIdx >= 0: remote on hosts[hostIdx]; -1: forked)
-     * and send the first kWindow jobs; the rest queue in `unsent` and
-     * flow as results land, so a lane always has work without a
-     * failure losing more than a window of in-flight requests. A lane
-     * that cannot connect or send is left born dead (fd == -1,
-     * errorText set) for the caller to route through reap().
+     * Open a lane on hosts[hostIdx] and send the first kWindow jobs;
+     * the rest queue in `unsent` and flow as results land, so a lane
+     * always has work without a failure losing more than a window of
+     * in-flight requests. A lane that cannot connect or send is left
+     * born dead (fd == -1, errorText set) for the caller to route
+     * through reap().
      */
     const auto addSlot = [&](const std::vector<std::uint32_t> &jobs,
                              std::uint32_t attempt, int hostIdx) {
-        const auto slot = static_cast<std::uint32_t>(procs.size());
-        WorkerProc w;
-        std::string label;
-        if (hostIdx >= 0) {
-            const auto &host = hosts[static_cast<std::size_t>(hostIdx)];
-            label = host.label();
-            w.fd = connectHost(host, w.errorText);
-        } else {
-            w = forkLane(slot, laneConfig, procs);
-        }
+        const auto &host = hosts[static_cast<std::size_t>(hostIdx)];
+        const auto slot = openStatsRow(host.label());
+        Lane w;
+        w.fd = connectHost(host, w.errorText);
+        if (w.fd < 0) // never a requeue target, even before its reap
+            hostDead[static_cast<std::size_t>(hostIdx)] = 1;
         w.hostIdx = hostIdx;
         w.attempt = attempt;
         w.pending = jobs;
@@ -273,9 +156,8 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
         const std::size_t window = std::min(jobs.size(), kWindow);
         for (std::size_t k = 0; k < window && w.fd >= 0; ++k) {
             if (!sendJob(w, w.unsent.front())) {
-                w.errorText = "send" +
-                              (label.empty() ? "" : " " + label) +
-                              ": " + std::strerror(errno);
+                w.errorText = "send " + host.label() + ": " +
+                              std::strerror(errno);
                 ::close(w.fd);
                 w.fd = -1;
                 break;
@@ -286,83 +168,47 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             const int flags = ::fcntl(w.fd, F_GETFL, 0);
             ::fcntl(w.fd, F_SETFL, flags | O_NONBLOCK);
         }
-        procs.push_back(std::move(w));
-        stats.jobs.push_back(0);
-        stats.cacheHits.push_back(0);
-        stats.wallUsSum.push_back(0);
-        stats.hostOf.push_back(label);
-        stats.workers = static_cast<std::uint32_t>(procs.size());
-        if constexpr (obs::kEnabled) {
-            if (traceLog)
-                traceLog->threadName(
-                    obs::kPidDist, slot,
-                    hostIdx >= 0 ? "host " + label
-                                 : "worker " + std::to_string(slot));
-        }
+        lanes.push_back(std::move(w));
         return slot;
     };
 
-    // Reap one lane: close, waitpid (forked only), decide clean vs
-    // failed, requeue. std::function so the born-dead replacement path
-    // can recurse (depth bounded by the two-attempt cap).
+    // Close one lane, decide clean vs failed, requeue. std::function
+    // so the born-dead replacement path can recurse (depth bounded by
+    // the two-attempt cap).
     std::function<void(std::uint32_t)> reap =
         [&](std::uint32_t slot) {
-        auto &w = procs[slot];
-        const bool finished =
-            w.pending.empty() && w.errorText.empty() && !w.timedOut;
+        auto &w = lanes[slot];
         if (w.fd >= 0) {
             ::close(w.fd);
             w.fd = -1;
         }
-        int status = 0;
-        if (w.pid > 0) {
-            // A finished lane exits on the EOF just sent; any other
-            // is off the rails (or hung) and is stopped now.
-            if (!finished)
-                ::kill(w.pid, SIGKILL);
-            ::waitpid(w.pid, &status, 0);
-            w.pid = -1;
-        }
+        if (w.pending.empty() && w.errorText.empty() && !w.timedOut)
+            return; // finished cleanly
 
-        const bool clean =
-            finished && (w.remote() || (WIFEXITED(status) &&
-                                        WEXITSTATUS(status) == 0));
-        if (clean)
-            return;
-
-        std::string reason;
-        if (w.timedOut)
-            reason = "timeout";
-        else if (!w.errorText.empty())
-            reason = w.errorText;
-        else if (w.remote())
-            reason = "connection closed";
-        else
-            reason = describeExit(status);
+        const std::string reason = w.timedOut ? "timeout"
+                                   : !w.errorText.empty()
+                                       ? w.errorText
+                                       : "connection closed";
 
         // Lost work: results never arrive for dispatched-but-unfinished
         // jobs nor for the queued window tail (both are in pending).
         std::vector<std::uint32_t> lost = w.pending;
         std::sort(lost.begin(), lost.end());
 
+        hostDead[static_cast<std::size_t>(w.hostIdx)] = 1;
         WorkerFailure failure;
         failure.worker = slot;
-        if (w.remote()) {
-            hostDead[static_cast<std::size_t>(w.hostIdx)] = 1;
-            failure.host = stats.hostOf[slot];
-        }
+        failure.host = stats.hostOf[slot];
         failure.reason = reason;
         failure.requeuedJobs = lost;
         stats.failures.push_back(failure);
-        warn("dist: ", w.remote() ? "host lane " : "worker ", slot,
-             w.remote() ? " (" + failure.host + ")" : std::string(),
-             " failed (", reason, "), ", lost.size(),
-             " job(s) to requeue");
+        warn("dist: host lane ", slot, " (", failure.host, ") failed (",
+             reason, "), ", lost.size(), " job(s) to requeue");
 
         if (lost.empty())
             return; // every assigned job already landed; nothing lost
         if (w.attempt >= 2) {
-            terminateAll(procs);
+            closeAll(lanes);
             throw std::runtime_error(
                 "dist: shard failed twice (last: " + reason +
                 "); aborting");
@@ -371,34 +217,23 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
         w.pending.clear();
         w.unsent.clear();
 
-        // Requeue onto the first surviving host, else a forked local
-        // lane — the run converges as long as one backend exists.
-        int target = -1;
-        for (std::size_t h = 0; h < hosts.size(); ++h) {
-            if (!hostDead[h]) {
-                target = static_cast<int>(h);
-                break;
-            }
+        // Requeue onto the first surviving host, else keep the jobs
+        // for the in-process lane — the run converges either way.
+        const auto alive =
+            std::find(hostDead.begin(), hostDead.end(), 0);
+        if (alive == hostDead.end()) {
+            local.insert(local.end(), lost.begin(), lost.end());
+            return;
         }
-        const auto fresh = addSlot(lost, nextAttempt, target);
-        if (procs[fresh].fd < 0)
+        const auto fresh = addSlot(
+            lost, nextAttempt,
+            static_cast<int>(alive - hostDead.begin()));
+        if (lanes[fresh].fd < 0)
             reap(fresh); // born dead (connect/send failed): recurse
     };
 
-    // One result document. On a protocol violation errorText gets a
-    // "protocol: " prefix and the lane is reaped.
-    const auto dispatch = [&](std::uint32_t slot,
-                              const WorkerMsg &msg) {
-        auto &w = procs[slot];
-        w.lastActivityUs = CancelToken::nowUs();
-        const auto it =
-            std::find(w.pending.begin(), w.pending.end(), msg.index);
-        if (it == w.pending.end()) {
-            w.errorText = "protocol: unexpected result for job " +
-                          std::to_string(msg.index);
-            return;
-        }
-        w.pending.erase(it);
+    // Book one result on @p slot and hand it to onResult.
+    const auto book = [&](std::uint32_t slot, const WorkerMsg &msg) {
         ++stats.jobs[slot];
         if (msg.cached)
             ++stats.cacheHits[slot];
@@ -416,6 +251,23 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             }
         }
         onResult(msg);
+    };
+
+    // One result document. On a protocol violation errorText gets a
+    // "protocol: " prefix and the lane is reaped.
+    const auto dispatch = [&](std::uint32_t slot,
+                              const WorkerMsg &msg) {
+        auto &w = lanes[slot];
+        w.lastActivityUs = CancelToken::nowUs();
+        const auto it =
+            std::find(w.pending.begin(), w.pending.end(), msg.index);
+        if (it == w.pending.end()) {
+            w.errorText = "protocol: unexpected result for job " +
+                          std::to_string(msg.index);
+            return;
+        }
+        w.pending.erase(it);
+        book(slot, msg);
         // Keep the window full.
         if (!w.unsent.empty()) {
             if (sendJob(w, w.unsent.front()))
@@ -426,29 +278,33 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
         }
     };
 
-    for (std::size_t i = 0; i < shards.size(); ++i)
-        addSlot(shards[i], 1,
-                i < remoteLanes ? static_cast<int>(i) : -1);
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        if (i < hosts.size())
+            addSlot(shards[i], 1, static_cast<int>(i));
+        else
+            local.insert(local.end(), shards[i].begin(),
+                         shards[i].end());
+    }
     // Route lanes that were born dead through the failure path now.
     // (pending nonempty distinguishes an unprocessed born-dead lane
     // from one reap() already requeued recursively.)
     for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(procs.size()); ++i)
-        if (procs[i].fd < 0 && !procs[i].errorText.empty() &&
-            !procs[i].pending.empty())
+         i < static_cast<std::uint32_t>(lanes.size()); ++i)
+        if (lanes[i].fd < 0 && !lanes[i].errorText.empty() &&
+            !lanes[i].pending.empty())
             reap(i);
 
     while (true) {
         if (cancel && cancel->cancelled()) {
-            terminateAll(procs);
+            closeAll(lanes);
             throw CancelledError(cancel->reason());
         }
 
         std::vector<pollfd> fds;
         std::vector<std::uint32_t> slotOf;
-        for (std::uint32_t i = 0; i < procs.size(); ++i) {
-            if (procs[i].fd >= 0) {
-                fds.push_back({procs[i].fd, POLLIN, 0});
+        for (std::uint32_t i = 0; i < lanes.size(); ++i) {
+            if (lanes[i].fd >= 0) {
+                fds.push_back({lanes[i].fd, POLLIN, 0});
                 slotOf.push_back(i);
             }
         }
@@ -464,7 +320,7 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             const std::uint32_t slot = slotOf[k];
-            auto &w = procs[slot];
+            auto &w = lanes[slot];
             if (w.fd < 0)
                 continue; // already reaped this tick
 
@@ -518,13 +374,23 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
 
         // Hang detection: no result for the whole window.
         const std::int64_t now = CancelToken::nowUs();
-        for (std::uint32_t i = 0; i < procs.size(); ++i) {
-            auto &w = procs[i];
+        for (std::uint32_t i = 0; i < lanes.size(); ++i) {
+            auto &w = lanes[i];
             if (w.fd >= 0 && now - w.lastActivityUs > timeoutMs * 1000) {
                 w.timedOut = true;
                 reap(i);
             }
         }
+    }
+
+    if (local.empty())
+        return;
+    std::sort(local.begin(), local.end());
+    const auto slot = openStatsRow("local");
+    for (const auto job : local) {
+        if (cancel && cancel->cancelled())
+            throw CancelledError(cancel->reason());
+        book(slot, runLocal(job));
     }
 }
 
@@ -543,13 +409,7 @@ recordDistTelemetry(obs::MetricsRegistry *metrics,
                 m.counter(prefix + "cache_hits")
                     .add(stats.cacheHits[w]);
             }
-            std::uint64_t hostFailures = 0;
-            for (const auto &f : stats.failures)
-                if (!f.host.empty())
-                    ++hostFailures;
-            m.counter("dist/worker_failures")
-                .add(stats.failures.size() - hostFailures);
-            m.counter("dist/host_failures").add(hostFailures);
+            m.counter("dist/host_failures").add(stats.failures.size());
             m.gauge("dist/workers")
                 .set(static_cast<double>(stats.workers));
         }
@@ -579,31 +439,18 @@ DistStats::toJson(const std::string &task) const
             << ", \"wall_us\": " << wallUsSum[w] << "}"
             << (w + 1 < workers ? "," : "") << "\n";
     }
-    // Failures split by backend: `worker_failed` keeps its historical
-    // forked-worker meaning, remote lanes land in `host_failed`.
-    const auto emitFailures = [&](bool remote) {
-        bool first = true;
-        for (const auto &f : failures) {
-            if (f.host.empty() == remote)
-                continue;
-            oss << (first ? "" : ", ") << "{\"worker\": " << f.worker;
-            if (remote)
-                oss << ", \"host\": \"" << serve::jsonEscape(f.host)
-                    << "\"";
-            oss << ", \"reason\": \"" << serve::jsonEscape(f.reason)
-                << "\", \"requeued_jobs\": [";
-            for (std::size_t j = 0; j < f.requeuedJobs.size(); ++j)
-                oss << (j ? ", " : "") << f.requeuedJobs[j];
-            oss << "]}";
-            first = false;
-        }
-    };
     oss << "  ],\n"
-        << "  \"worker_failed\": [";
-    emitFailures(false);
-    oss << "],\n"
         << "  \"host_failed\": [";
-    emitFailures(true);
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+        const auto &f = failures[i];
+        oss << (i ? ", " : "") << "{\"worker\": " << f.worker
+            << ", \"host\": \"" << serve::jsonEscape(f.host)
+            << "\", \"reason\": \"" << serve::jsonEscape(f.reason)
+            << "\", \"requeued_jobs\": [";
+        for (std::size_t j = 0; j < f.requeuedJobs.size(); ++j)
+            oss << (j ? ", " : "") << f.requeuedJobs[j];
+        oss << "]}";
+    }
     oss << "]\n}\n";
     return oss.str();
 }
@@ -652,12 +499,8 @@ exploreDistributed(const trace::Trace &trace,
                       return keys[a] != keys[b] ? keys[a] < keys[b]
                                                 : a < b;
                   });
-        const auto n = std::max<std::uint32_t>(
-            1, std::min<std::uint32_t>(
-                   options.workers +
-                       static_cast<std::uint32_t>(
-                           options.hosts.size()),
-                   static_cast<std::uint32_t>(jobs.size())));
+        const auto n = std::max<std::size_t>(
+            1, std::min(options.hosts.size(), jobs.size()));
         std::vector<std::vector<std::uint32_t>> shards(n);
         for (std::size_t k = 0; k < order.size(); ++k)
             shards[k % n].push_back(order[k]);
@@ -665,8 +508,8 @@ exploreDistributed(const trace::Trace &trace,
             std::sort(shard.begin(), shard.end());
 
         // One `dse_job` per grid point. `cache_dir` never crosses the
-        // socket: a daemon uses its own disk cache, a forked lane the
-        // run's (forkedLaneConfig).
+        // socket: a daemon uses its own disk cache, the in-process
+        // lane the run's.
         const auto makeJob = [&](std::uint32_t job,
                                  std::uint32_t attempt) {
             const auto &p = jobs[job];
@@ -701,6 +544,15 @@ exploreDistributed(const trace::Trace &trace,
                        "\"";
             return out;
         };
+        std::optional<core::CliqueSet> cliques;
+        const auto runLocal = [&](std::uint32_t job) {
+            if (!cliques) {
+                cliques = trace::analyzeByCall(trace);
+                cliques->prepareCaches();
+            }
+            return serve::runDseJob(trace, *cliques, job, jobs[job],
+                                    config, keys[job], sigs[job]);
+        };
         const auto onResult = [&](const WorkerMsg &msg) {
             dse::DsePoint pt;
             pt.params = jobs[msg.index];
@@ -709,10 +561,8 @@ exploreDistributed(const trace::Trace &trace,
             dse::recordJobPoint(config, msg.index, pt);
             report.points[msg.index] = std::move(pt);
         };
-        runShards(shards, options, config.cancel,
-                  forkedLaneConfig(config.cacheDir, config.useCache),
-                  patternBytes, makeJob, onResult, stats,
-                  config.traceLog, "job");
+        runShards(shards, options, config.cancel, patternBytes, makeJob,
+                  runLocal, onResult, stats, config.traceLog, "job");
     }
 
     dse::finalizeReport(report, config);
@@ -735,8 +585,7 @@ evaluatePhasesDistributed(const trace::Trace &trace,
     // Whole-trace artifacts stay in-process: the monolithic and union
     // designs need the full workload, and the per-phase standalone
     // designs (the bulk of the work) never feed into them — see
-    // DESIGN.md §5j. The restart pool is scoped so no extra threads
-    // exist when the workers fork below.
+    // DESIGN.md §5j.
     phase::MultiPhaseResult multi;
     {
         std::uint32_t threads =
@@ -762,12 +611,8 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         const std::string traceText = patternStream.str();
         const std::string sig = serve::phasesSignature(config);
 
-        const auto n = std::max<std::uint32_t>(
-            1, std::min<std::uint32_t>(
-                   options.workers +
-                       static_cast<std::uint32_t>(
-                           options.hosts.size()),
-                   nPhases));
+        const auto n = std::max<std::size_t>(
+            1, std::min<std::size_t>(options.hosts.size(), nPhases));
         std::vector<std::vector<std::uint32_t>> shards(n);
         for (std::uint32_t p = 0; p < nPhases; ++p)
             shards[p % n].push_back(p);
@@ -803,13 +648,22 @@ evaluatePhasesDistributed(const trace::Trace &trace,
                        "\"";
             return out;
         };
+        const auto runLocal = [&](std::uint32_t p) {
+            const std::int64_t t0 = CancelToken::nowUs();
+            WorkerMsg msg;
+            msg.index = p;
+            msg.isPhaseRow = true;
+            msg.row = phase::evalPhaseStandalone(
+                trace, seg, multi.cliques.standalone[p], p, config);
+            msg.wallUs = CancelToken::nowUs() - t0;
+            return msg;
+        };
         const auto onResult = [&](const WorkerMsg &msg) {
             rows.at(msg.index) = msg.row;
         };
-        // Phase jobs never touch the DSE disk cache.
-        runShards(shards, options, config.methodology.cancel,
-                  forkedLaneConfig("", false), traceText, makeJob,
-                  onResult, stats, config.traceLog, "phase");
+        runShards(shards, options, config.methodology.cancel, traceText,
+                  makeJob, runLocal, onResult, stats, config.traceLog,
+                  "phase");
     }
 
     auto report =

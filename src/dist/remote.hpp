@@ -3,10 +3,8 @@
  * Remote lane transport: TCP plumbing that lets the coordinator
  * drive `minnoc serve` daemons as job backends.
  *
- * A remote lane speaks the serve NDJSON protocol — one `dse_job` /
- * `phase_job` request per line, one reply per line — exactly like a
- * forked lane does over its socketpair; only how the server was
- * reached differs.
+ * A remote lane speaks the serve NDJSON protocol: one `dse_job` /
+ * `phase_job` request per line, one reply per line.
  *
  * Scope: address parsing, connection establishment with bounded
  * exponential backoff, and a partial-write-safe send. The lane state

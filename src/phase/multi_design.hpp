@@ -112,7 +112,7 @@ struct MultiPhaseResult
  * @p withPhaseDesigns false skips the per-phase standalone runs
  * (result.phases stays empty) while still producing the monolithic,
  * union, and per-phase violation artifacts — the distributed
- * coordinator farms the standalone runs out to workers instead.
+ * coordinator farms the standalone runs out to daemons instead.
  */
 MultiPhaseResult synthesizeMultiPhase(const trace::Trace &trace,
                                       const Segmentation &seg,

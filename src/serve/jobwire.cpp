@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "dse/cache.hpp"
+#include "util/cancel.hpp"
 #include "util/json.hpp"
 
 namespace minnoc::serve {
@@ -136,6 +138,27 @@ encodeResult(std::uint32_t index, bool cached, std::int64_t wallUs,
     out += ", \"energy\": " + json::fmtDouble(m.energy);
     out += "}}";
     return out;
+}
+
+WorkerMsg
+runDseJob(const trace::Trace &trace, const core::CliqueSet &cliques,
+          std::uint32_t index, const dse::JobParams &params,
+          const dse::ExploreConfig &config, const std::string &key,
+          const std::string &sig)
+{
+    const dse::ResultCache cache(config.cacheDir, config.useCache);
+    const std::int64_t t0 = CancelToken::nowUs();
+    WorkerMsg msg;
+    msg.index = index;
+    if (auto hit = cache.load(key, sig)) {
+        msg.metrics = *hit;
+        msg.cached = true;
+    } else {
+        msg.metrics = dse::evaluateJob(trace, cliques, params, config);
+        cache.store(key, sig, msg.metrics);
+    }
+    msg.wallUs = CancelToken::nowUs() - t0;
+    return msg;
 }
 
 std::string

@@ -5,12 +5,12 @@
  *
  * One evaluated job — an explore grid point or a phase row — crosses
  * a process boundary as one JSON document: the `result` string of a
- * `dse_job`/`phase_job` serve reply, whether the server is a forked
- * lane or a remote daemon. Keeping the encoder and the strict parser
- * in one place (below the dist layer, which links against serve) is
- * what makes `--hosts` and `--workers` byte-identical by
- * construction: every lane feeds the coordinator the exact same bytes
- * per job.
+ * `dse_job`/`phase_job` serve reply. Keeping the encoder, the strict
+ * parser and the cached job body in one place (below the dist layer,
+ * which links against serve) is what makes a `--hosts` run
+ * byte-identical to an in-process one by construction: every daemon,
+ * and the coordinator's own in-process fallback, computes each job
+ * through runDseJob and feeds the coordinator the same values.
  *
  * Determinism contract (inherited by every user): integers cross as
  * decimal and are rejected beyond 2^53; doubles cross as %.17g, which
@@ -45,6 +45,19 @@ std::string encodeResult(std::uint32_t index, bool cached,
                          const dse::JobMetrics &metrics);
 std::string encodePhaseResult(std::uint32_t index, std::int64_t wallUs,
                               const phase::PhaseRowEval &row);
+
+/**
+ * One explore grid point as a job backend runs it: answer it from the
+ * disk cache of @p config (cacheDir, useCache) when @p key has a
+ * record, else evaluate it with dse::evaluateJob and store the result.
+ * Serve's `dse_job` and the coordinator's in-process fallback both
+ * call this. wallUs covers the lookup and the evaluation.
+ */
+WorkerMsg runDseJob(const trace::Trace &trace,
+                    const core::CliqueSet &cliques, std::uint32_t index,
+                    const dse::JobParams &params,
+                    const dse::ExploreConfig &config,
+                    const std::string &key, const std::string &sig);
 
 /** Parse a job payload; on failure fills @p err, returns nullopt. */
 std::optional<WorkerMsg> parseWorkerMsg(const std::string &text,

@@ -93,10 +93,9 @@ requestKey(const Request &req)
 }
 
 /**
- * True when the dist test hook @p env is set to "serve" (a forked
- * lane translates its own slot number into this spelling), this is
- * the job's first dispatch attempt, and this server has already
- * completed a job — so the fault lands after the first result.
+ * True when the dist test hook @p env is set to "serve", this is the
+ * job's first dispatch attempt, and this server has already completed
+ * a job — so the fault lands after the first result.
  */
 bool
 serveHookFires(const char *env, std::uint32_t attempt,
@@ -181,7 +180,7 @@ Server::~Server()
 }
 
 bool
-Server::prepare(std::string &error)
+Server::start(std::string &error)
 {
     if (_started.exchange(true)) {
         error = "server already started";
@@ -197,28 +196,6 @@ Server::prepare(std::string &error)
         error = std::string("pipe: ") + std::strerror(errno);
         return false;
     }
-    return true;
-}
-
-void
-Server::launchWorkers()
-{
-    const unsigned inner = _config.innerThreads
-                               ? _config.innerThreads
-                               : std::thread::hardware_concurrency();
-    _innerPool = std::make_unique<ThreadPool>(inner);
-
-    const auto workers = _config.workers ? _config.workers : 1u;
-    _workers.reserve(workers);
-    for (std::uint32_t i = 0; i < workers; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i); });
-}
-
-bool
-Server::start(std::string &error)
-{
-    if (!prepare(error))
-        return false;
 
     if (!_config.socketPath.empty()) {
         sockaddr_un addr{};
@@ -278,29 +255,15 @@ Server::start(std::string &error)
         return false;
     }
 
-    launchWorkers();
+    const unsigned inner = _config.innerThreads
+                               ? _config.innerThreads
+                               : std::thread::hardware_concurrency();
+    _innerPool = std::make_unique<ThreadPool>(inner);
+    const auto workers = _config.workers ? _config.workers : 1u;
+    _workers.reserve(workers);
+    for (std::uint32_t i = 0; i < workers; ++i)
+        _workers.emplace_back([this, i] { workerLoop(i); });
     _acceptThread = std::jthread([this] { acceptLoop(); });
-    return true;
-}
-
-bool
-Server::serveConnection(int fd, std::string &error)
-{
-    if (!prepare(error))
-        return false;
-    launchWorkers();
-    setSocketTimeouts(fd);
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    {
-        const std::scoped_lock lock(_connsMutex);
-        // The only client leaving ends the server.
-        _conns.emplace_back(conn, std::jthread([this, conn] {
-                                readerLoop(conn);
-                                requestStop();
-                            }));
-    }
-    serveForever();
     return true;
 }
 
@@ -947,23 +910,15 @@ Server::compute(const Job &job)
 
         auto cliques = trace::analyzeByCall(tr);
         cliques.prepareCaches();
-        const dse::ResultCache cache(cfg.cacheDir, cfg.useCache);
-
-        const std::int64_t t0 = CancelToken::nowUs();
-        dse::JobMetrics metrics;
-        bool cached = false;
-        if (auto hit = cache.load(key, sig)) {
-            metrics = *hit;
-            cached = true;
-            _metrics.counter("serve/job_cache_hits").add();
-        } else {
-            metrics = dse::evaluateJob(tr, cliques, params, cfg);
-            cache.store(key, sig, metrics);
-            _metrics.counter("serve/job_cache_misses").add();
-        }
-        const std::int64_t wallUs = CancelToken::nowUs() - t0;
+        const auto msg =
+            runDseJob(tr, cliques, req.jobIndex, params, cfg, key, sig);
+        _metrics
+            .counter(msg.cached ? "serve/job_cache_hits"
+                                : "serve/job_cache_misses")
+            .add();
         _metrics.counter("serve/dse_jobs").add();
-        return encodeResult(req.jobIndex, cached, wallUs, metrics);
+        return encodeResult(msg.index, msg.cached, msg.wallUs,
+                            msg.metrics);
       }
       case Cmd::PhaseJob: {
         maybeInjectServeFault(req.attempt, _metrics);

@@ -11,10 +11,6 @@
  *                       │                               worker threads
  *                       ◄── responses (per-conn write mutex) ───┘
  *
- * serveConnection() runs the same machinery on one pre-connected
- * socket with no accept thread; the distributed coordinator's forked
- * lanes are servers of that kind.
- *
  * Robustness properties, each load-bearing:
  *
  *  - **Admission control**: the work queue is a bounded deque; a
@@ -123,15 +119,6 @@ class Server
      */
     bool start(std::string &error);
 
-    /**
-     * Serve the one already-connected stream socket @p fd, with no
-     * listener: spawn the worker threads, read requests from @p fd
-     * until the peer closes it or requestStop(), then drain and stop.
-     * This is how the distributed coordinator runs a forked lane.
-     * Returns false (with @p error) when set-up fails.
-     */
-    bool serveConnection(int fd, std::string &error);
-
     /** Bound TCP port (after start(); 0 for unix-socket servers). */
     int boundPort() const { return _boundPort; }
 
@@ -191,11 +178,6 @@ class Server
         ErrorCode code = ErrorCode::Internal;
         std::string message;
     };
-
-    /** Claim the server, arm fatalThrows, open the stop pipe. */
-    bool prepare(std::string &error);
-    /** Spawn the shared methodology pool and the worker threads. */
-    void launchWorkers();
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Conn> conn);

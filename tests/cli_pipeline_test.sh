@@ -78,12 +78,31 @@ grep -q '"phase_window": 64' "$DIR/explore.json"
     --out "$DIR/explore4.json" 2>/dev/null
 cmp "$DIR/explore.json" "$DIR/explore4.json"
 
+# --seed takes the full 64-bit range explore --seeds accepts, so any
+# design explore reported can be rebuilt.
+"$MINNOC" design "$DIR/cg.trace" --max-degree 5 --restarts 2 \
+    --seed 4294967297 --out "$DIR/seed64.design" 2>/dev/null
+test -s "$DIR/seed64.design"
+
+# One process parallelizes with --threads and machines with --hosts;
+# explore and phases have no --workers flag.
+for cmd in explore phases; do
+    rc=0
+    "$MINNOC" $cmd "$DIR/cg.trace" --workers 2 \
+        --out "$DIR/workers.json" 2>"$DIR/workers.log" || rc=$?
+    test "$rc" -eq 1
+    grep -q "unknown flag --workers" "$DIR/workers.log"
+    test ! -e "$DIR/workers.json"
+done
+
 # Distributed explore: a zero --worker-timeout-ms, or one whose
-# microsecond value overflows int64, is a usage error.
+# microsecond value overflows int64, is a usage error, caught before
+# any host is contacted.
 for ms in 0 18446744073709551615 9223372036854776; do
     rc=0
     "$MINNOC" explore "$DIR/cg.trace" --degrees 4 --vcs 2 \
-        --unidirectional 0 --restarts 2 --cache 0 --workers 2 \
+        --unidirectional 0 --restarts 2 --cache 0 \
+        --hosts 127.0.0.1:1 \
         --worker-timeout-ms "$ms" --out "$DIR/timeout.json" \
         2>"$DIR/timeout.log" || rc=$?
     test "$rc" -eq 1
@@ -91,12 +110,12 @@ for ms in 0 18446744073709551615 9223372036854776; do
     test ! -e "$DIR/timeout.json"
 done
 
-# A shard that fails twice (its only job refused by both hosts, no
-# forked lanes) ends the run with one message and exit 1, not an
-# abort, and writes no report.
+# A shard that fails twice (its only job refused by both hosts) ends
+# the run with one message and exit 1, not an abort, and writes no
+# report.
 rc=0
 "$MINNOC" explore "$DIR/cg.trace" --degrees 4 --vcs 2 \
-    --unidirectional 0 --restarts 2 --cache 0 --workers 0 \
+    --unidirectional 0 --restarts 2 --cache 0 \
     --hosts 127.0.0.1:1,127.0.0.1:1 --out "$DIR/twice.json" \
     2>"$DIR/twice.log" || rc=$?
 test "$rc" -eq 1

@@ -2,12 +2,11 @@
  * @file
  * Shared fixtures for the distributed-exploration test suites.
  *
- * Both the forked-lane tests (test_dist.cpp) and the remote-host
- * tests (test_dist_hosts.cpp) need the same small deterministic
- * workload, the same fault-injection env plumbing, and — for the
- * socket tests — real `minnoc serve` daemons living in their own
- * processes so they can be SIGKILLed, crashed via the chaos hooks, or
- * drained without taking the test runner down with them.
+ * Both suites (test_dist.cpp and test_dist_hosts.cpp) need the same
+ * small deterministic workload and real `minnoc serve` daemons living
+ * in their own processes so they can be SIGKILLed, crashed via the
+ * chaos hooks, or drained without taking the test runner down with
+ * them.
  *
  * DaemonProc forks a child that builds a serve::Server on an ephemeral
  * loopback port, reports the bound port back through a pipe, and then
@@ -74,23 +73,6 @@ cgTrace()
     return trace::generateCG(ncfg);
 }
 
-/** RAII guard for the fault-injection environment hooks. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : _name(name)
-    {
-        ::setenv(name, value, 1);
-    }
-    ~EnvGuard() { ::unsetenv(_name); }
-
-    EnvGuard(const EnvGuard &) = delete;
-    EnvGuard &operator=(const EnvGuard &) = delete;
-
-  private:
-    const char *_name;
-};
-
 namespace detail {
 /** The forked child's server, for the SIGTERM drain handler. */
 inline serve::Server *gChildServer = nullptr;
@@ -109,8 +91,7 @@ onChildTerm(int)
  *
  * The child applies Options::env before constructing the server, so
  * the serve-side chaos hooks (MINNOC_DIST_TEST_CRASH/HANG = "serve")
- * can be armed per daemon without leaking into the test process or
- * its forked lanes.
+ * can be armed per daemon without leaking into the test process.
  */
 class DaemonProc
 {
@@ -188,7 +169,7 @@ class DaemonProc
     }
 
   private:
-    void launch(const Options &opt)
+    void launch(const Options &options)
     {
         int portPipe[2] = {-1, -1};
         if (::pipe(portPipe) != 0)
@@ -196,16 +177,16 @@ class DaemonProc
         _pid = ::fork();
         if (_pid == 0) {
             ::close(portPipe[0]);
-            for (const auto &[name, value] : opt.env)
+            for (const auto &[name, value] : options.env)
                 ::setenv(name.c_str(), value.c_str(), 1);
             serve::ServerConfig cfg;
             cfg.port = 0; // ephemeral
-            cfg.workers = opt.workers;
-            cfg.queueCapacity = opt.queueCapacity;
-            cfg.cacheDir = opt.cacheDir;
-            cfg.useCache = opt.useCache;
-            cfg.defaultDeadlineMs = opt.defaultDeadlineMs;
-            cfg.maxDeadlineMs = opt.maxDeadlineMs;
+            cfg.workers = options.workers;
+            cfg.queueCapacity = options.queueCapacity;
+            cfg.cacheDir = options.cacheDir;
+            cfg.useCache = options.useCache;
+            cfg.defaultDeadlineMs = options.defaultDeadlineMs;
+            cfg.maxDeadlineMs = options.maxDeadlineMs;
             cfg.drainMs = 2'000;
             serve::Server server(std::move(cfg));
             detail::gChildServer = &server;

@@ -1,19 +1,23 @@
 /**
  * @file
- * Multi-process distributed exploration tests: the job result round
- * trip, byte-identity of the coordinator's merged report against the
- * in-process explorer (across forked-lane counts, warm shared caches,
- * injected lane crashes and hangs), the abort on a shard's second
- * failure, Ctrl-C propagation, and the distributed phases evaluation.
+ * Distributed exploration tests: the job result round trip,
+ * byte-identity of the coordinator's merged report against the
+ * in-process explorer (across lane counts, warm shared caches, and a
+ * crashed lane whose jobs fall back in-process), the abort on a
+ * shard's second failure, Ctrl-C during the in-process fallback, and
+ * the distributed phases evaluation. Every lane is a real `minnoc
+ * serve` daemon on loopback (a forked DaemonProc).
  *
- * Fault injection uses the serve-side test hooks: setting
- * MINNOC_DIST_TEST_CRASH=<slot> (or _HANG) makes that forked lane die
- * with _exit(42) (or go unresponsive) after its first result on its
- * first attempt, so every crash test exercises the real requeue path
- * with part of the shard already delivered.
+ * Fault injection uses the serve-side test hooks: a daemon started
+ * with MINNOC_DIST_TEST_CRASH=serve dies with _exit(42) after its
+ * first result on a job's first attempt, so every crash test
+ * exercises the real requeue path with part of the shard already
+ * delivered.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "dist/coordinator.hpp"
 #include "dist_test_harness.hpp"
@@ -28,9 +32,65 @@ using namespace minnoc;
 using namespace minnoc::dist;
 using disttest::cgTrace;
 using disttest::DaemonProc;
-using disttest::EnvGuard;
 using disttest::smallConfig;
 using disttest::tempCacheDir;
+
+namespace {
+
+/** @p n live cache-less daemons and the DistOptions driving them. */
+struct Fleet
+{
+    std::vector<std::unique_ptr<DaemonProc>> daemons;
+    DistOptions options;
+
+    Fleet(std::size_t n, const DaemonProc::Options &dopt)
+    {
+        std::string spec;
+        for (std::size_t i = 0; i < n; ++i) {
+            daemons.push_back(std::make_unique<DaemonProc>(dopt));
+            spec += (i ? "," : "") + daemons.back()->hostSpec();
+        }
+        options.hosts = parseHostList(spec);
+    }
+
+    bool up() const
+    {
+        for (const auto &d : daemons)
+            if (d->port() <= 0)
+                return false;
+        return true;
+    }
+};
+
+DaemonProc::Options
+noCache()
+{
+    DaemonProc::Options dopt;
+    dopt.useCache = false;
+    return dopt;
+}
+
+/** A loopback address nothing listens on any more. */
+std::string
+deadHostSpec()
+{
+    DaemonProc d(noCache());
+    const auto spec = d.hostSpec();
+    d.kill(SIGKILL);
+    d.await();
+    return spec;
+}
+
+std::uint64_t
+totalJobs(const DistStats &stats)
+{
+    std::uint64_t jobs = 0;
+    for (const auto n : stats.jobs)
+        jobs += n;
+    return jobs;
+}
+
+} // namespace
 
 TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
 {
@@ -60,17 +120,16 @@ TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
     const auto cfg = smallConfig("", false);
     const auto base = dse::explore(tr, cfg);
 
-    for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-        DistOptions opt;
-        opt.workers = workers; // 8 > jobs exercises the min() clamp
+    for (const std::size_t lanes : {1u, 2u, 5u}) {
+        Fleet fleet(lanes, noCache()); // 5 > jobs exercises the clamp
+        ASSERT_TRUE(fleet.up());
         DistStats stats;
-        const auto report = exploreDistributed(tr, cfg, opt, &stats);
-        EXPECT_EQ(base.toJson(), report.toJson())
-            << "workers=" << workers;
-        std::uint64_t jobs = 0;
-        for (const auto n : stats.jobs)
-            jobs += n;
-        EXPECT_EQ(jobs, base.points.size()) << "workers=" << workers;
+        const auto report =
+            exploreDistributed(tr, cfg, fleet.options, &stats);
+        EXPECT_EQ(base.toJson(), report.toJson()) << "lanes=" << lanes;
+        EXPECT_EQ(totalJobs(stats), base.points.size())
+            << "lanes=" << lanes;
+        EXPECT_EQ(stats.workers, std::min(lanes, base.points.size()));
         EXPECT_TRUE(stats.failures.empty());
     }
 }
@@ -79,20 +138,22 @@ TEST(DistExplore, WarmRerunAcrossWorkerCountsIsAllHits)
 {
     const auto tr = cgTrace();
     const auto dir = tempCacheDir("dist-warm");
+    // The daemons share one disk cache; the coordinator's is off.
+    const auto cfg = smallConfig("", false);
+    DaemonProc::Options shared;
+    shared.cacheDir = dir;
 
-    DistOptions two;
-    two.workers = 2;
-    const auto cold =
-        exploreDistributed(tr, smallConfig(dir, true), two);
+    Fleet two(2, shared);
+    ASSERT_TRUE(two.up());
+    const auto cold = exploreDistributed(tr, cfg, two.options);
     EXPECT_EQ(cold.cacheHits, 0u);
     EXPECT_EQ(cold.cacheMisses, cold.points.size());
 
-    // Warm rerun at a different worker count: every job must land on
-    // the shared disk cache entries the first run stored.
-    DistOptions four;
-    four.workers = 4;
-    const auto warm =
-        exploreDistributed(tr, smallConfig(dir, true), four);
+    // Warm rerun at a different lane count: the shards move, but every
+    // job must land on the shared entries the first run stored.
+    Fleet three(3, shared);
+    ASSERT_TRUE(three.up());
+    const auto warm = exploreDistributed(tr, cfg, three.options);
     EXPECT_EQ(warm.cacheHits, warm.points.size());
     EXPECT_EQ(warm.cacheMisses, 0u);
     EXPECT_EQ(cold.toJson(), warm.toJson());
@@ -111,39 +172,29 @@ TEST(DistExplore, CrashedWorkerIsRequeuedAndReportUnchanged)
     const auto cfg = smallConfig("", false);
     const auto base = dse::explore(tr, cfg);
 
-    const EnvGuard crash("MINNOC_DIST_TEST_CRASH", "0");
-    DistOptions opt;
-    opt.workers = 2;
+    // The only host dies after its first result: no host survives, so
+    // the coordinator runs the undelivered jobs in-process.
+    auto armed = noCache();
+    armed.env = {{"MINNOC_DIST_TEST_CRASH", "serve"}};
+    Fleet fleet(1, armed);
+    ASSERT_TRUE(fleet.up());
     DistStats stats;
-    const auto report = exploreDistributed(tr, cfg, opt, &stats);
+    const auto report = exploreDistributed(tr, cfg, fleet.options, &stats);
 
     EXPECT_EQ(base.toJson(), report.toJson());
+    EXPECT_EQ(fleet.daemons[0]->await(), 42);
     ASSERT_EQ(stats.failures.size(), 1u);
     EXPECT_EQ(stats.failures[0].worker, 0u);
-    EXPECT_EQ(stats.failures[0].reason, "exit 42");
-    EXPECT_FALSE(stats.failures[0].requeuedJobs.empty());
-    EXPECT_NE(stats.toJson("explore").find("\"worker_failed\""),
+    EXPECT_EQ(stats.failures[0].reason, "connection closed");
+    const auto requeued = stats.failures[0].requeuedJobs.size();
+    EXPECT_GT(requeued, 0u);
+    EXPECT_LT(requeued, base.points.size());
+    ASSERT_EQ(stats.hostOf.size(), 2u);
+    EXPECT_EQ(stats.hostOf[1], "local");
+    EXPECT_EQ(stats.jobs[1], requeued);
+    EXPECT_EQ(totalJobs(stats), base.points.size());
+    EXPECT_NE(stats.toJson("explore").find("\"host\": \"local\""),
               std::string::npos);
-    EXPECT_NE(stats.toJson("explore").find("exit 42"),
-              std::string::npos);
-}
-
-TEST(DistExplore, HungWorkerIsReapedOnTimeoutAndReportUnchanged)
-{
-    const auto tr = cgTrace();
-    const auto cfg = smallConfig("", false);
-    const auto base = dse::explore(tr, cfg);
-
-    const EnvGuard hang("MINNOC_DIST_TEST_HANG", "0");
-    DistOptions opt;
-    opt.workers = 2;
-    opt.workerTimeoutMs = 1500; // long enough for real results
-    DistStats stats;
-    const auto report = exploreDistributed(tr, cfg, opt, &stats);
-
-    EXPECT_EQ(base.toJson(), report.toJson());
-    ASSERT_EQ(stats.failures.size(), 1u);
-    EXPECT_EQ(stats.failures[0].reason, "timeout");
 }
 
 TEST(DistExplore, SecondFailureOfSameShardAborts)
@@ -152,21 +203,17 @@ TEST(DistExplore, SecondFailureOfSameShardAborts)
     const auto cfg = smallConfig("", false);
 
     // Two live daemons that refuse every job (queue capacity 0, so
-    // each request is answered `queue_full`) and no forked lanes.
-    // Whichever lane fails first requeues its shard onto the other
-    // host at attempt 2, where it fails again: the run must abort.
+    // each request is answered `queue_full`). Whichever lane fails
+    // first requeues its shard onto the other host at attempt 2,
+    // where it fails again: the run must abort, not fall back.
     DaemonProc::Options dopt;
     dopt.queueCapacity = 0;
-    DaemonProc a(dopt), b(dopt);
-    ASSERT_GT(a.port(), 0);
-    ASSERT_GT(b.port(), 0);
-    DistOptions opt;
-    opt.workers = 0;
-    opt.hosts = parseHostList(a.hostSpec() + "," + b.hostSpec());
+    Fleet fleet(2, dopt);
+    ASSERT_TRUE(fleet.up());
 
     DistStats stats;
     try {
-        exploreDistributed(tr, cfg, opt, &stats);
+        exploreDistributed(tr, cfg, fleet.options, &stats);
         FAIL() << "a shard failed twice but the run did not abort";
     } catch (const CancelledError &) {
         FAIL() << "aborted as cancelled, not as a double failure";
@@ -183,27 +230,33 @@ TEST(DistExplore, SecondFailureOfSameShardAborts)
         EXPECT_FALSE(f.host.empty());
 }
 
-TEST(DistExplore, CancelTokenDrainsWorkers)
+TEST(DistExplore, CancelTokenStopsInProcessFallback)
 {
     const auto tr = cgTrace();
     auto cfg = smallConfig("", false);
-    // Enough work that the deadline fires mid-run on any machine:
+    // Enough work that the deadline fires mid-fallback on any machine:
     // 3 degrees x 32 seeds x 2 VC counts = 192 jobs, several seconds
-    // of work on a fast host. (Raising restarts adds nothing, since
-    // the methodology stops after four feasible restarts.)
+    // of work on a fast host.
     cfg.grid.maxDegrees = {4, 5, 6};
     cfg.grid.seeds.clear();
     for (std::uint64_t s = 1; s <= 32; ++s)
         cfg.grid.seeds.push_back(s);
     cfg.grid.restarts = {8};
 
+    // The dead host's connect retries back off for 1.5 s; the deadline
+    // lands one second into the in-process fallback that follows.
+    DistOptions opt;
+    opt.hosts = parseHostList(deadHostSpec());
     CancelToken token;
     cfg.cancel = &token;
-    token.setDeadlineIn(250'000); // 250 ms
+    token.setDeadlineIn(2'500'000); // 2.5 s
 
-    DistOptions opt;
-    opt.workers = 2;
-    EXPECT_THROW(exploreDistributed(tr, cfg, opt), CancelledError);
+    DistStats stats;
+    EXPECT_THROW(exploreDistributed(tr, cfg, opt, &stats),
+                 CancelledError);
+    ASSERT_EQ(stats.hostOf.size(), 2u);
+    EXPECT_EQ(stats.hostOf[1], "local");
+    EXPECT_LT(stats.jobs[1], 192u);
 }
 
 TEST(DistPhases, ByteIdenticalToInProcessEvaluation)
@@ -218,16 +271,20 @@ TEST(DistPhases, ByteIdenticalToInProcessEvaluation)
 
     const auto base = phase::evaluatePhases(tr, cfg);
 
+    // One live host and one dead one: the dead lane's phases fail
+    // over to the live daemon.
+    DaemonProc live(noCache());
+    ASSERT_GT(live.port(), 0);
     DistOptions opt;
-    opt.workers = 3;
+    opt.hosts = parseHostList(live.hostSpec() + "," + deadHostSpec());
     DistStats stats;
     const auto report =
         evaluatePhasesDistributed(tr, cfg, opt, &stats);
     EXPECT_EQ(base.toJson(), report.toJson());
-    std::uint64_t jobs = 0;
-    for (const auto n : stats.jobs)
-        jobs += n;
-    EXPECT_EQ(jobs, report.phases.size());
+    EXPECT_EQ(totalJobs(stats), report.phases.size());
+    ASSERT_EQ(stats.failures.size(), 1u);
+    EXPECT_EQ(stats.failures[0].host, opt.hosts[1].label());
+    EXPECT_EQ(stats.hostOf.back(), live.hostSpec());
 }
 
 TEST(DistPhases, CrashedWorkerStillYieldsIdenticalReport)
@@ -241,12 +298,19 @@ TEST(DistPhases, CrashedWorkerStillYieldsIdenticalReport)
 
     const auto base = phase::evaluatePhases(tr, cfg);
 
-    const EnvGuard crash("MINNOC_DIST_TEST_CRASH", "0");
-    DistOptions opt;
-    opt.workers = 2;
+    // The only host dies after its first phase; the rest run
+    // in-process.
+    auto armed = noCache();
+    armed.env = {{"MINNOC_DIST_TEST_CRASH", "serve"}};
+    Fleet fleet(1, armed);
+    ASSERT_TRUE(fleet.up());
     DistStats stats;
-    const auto report = evaluatePhasesDistributed(tr, cfg, opt, &stats);
+    const auto report =
+        evaluatePhasesDistributed(tr, cfg, fleet.options, &stats);
     EXPECT_EQ(base.toJson(), report.toJson());
+    ASSERT_EQ(stats.failures.size(), 1u);
+    EXPECT_EQ(stats.hostOf.back(), "local");
+    EXPECT_EQ(totalJobs(stats), report.phases.size());
 }
 
 TEST(DistStatsJson, ReportsPerWorkerRowsAndFailures)
@@ -256,44 +320,30 @@ TEST(DistStatsJson, ReportsPerWorkerRowsAndFailures)
     stats.jobs = {3, 1};
     stats.cacheHits = {1, 0};
     stats.wallUsSum = {1000, 2000};
-    WorkerFailure local;
-    local.worker = 1;
-    local.reason = "signal 9";
-    local.requeuedJobs = {5, 6};
-    stats.failures.push_back(local);
+    stats.hostOf = {"127.0.0.1:9999", "local"};
 
-    const auto json = stats.toJson("explore");
-    EXPECT_NE(json.find("\"report\": \"minnoc-dist-status\""),
+    const auto clean = stats.toJson("explore");
+    EXPECT_NE(clean.find("\"report\": \"minnoc-dist-status\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"task\": \"explore\""), std::string::npos);
-    EXPECT_NE(json.find("\"per_worker\""), std::string::npos);
-    EXPECT_NE(json.find("\"worker_failed\""), std::string::npos);
-    EXPECT_NE(json.find("signal 9"), std::string::npos);
-    // A local failure must never surface in the host_failed array.
-    EXPECT_NE(json.find("\"host_failed\": []"), std::string::npos);
+    EXPECT_NE(clean.find("\"task\": \"explore\""), std::string::npos);
+    EXPECT_NE(clean.find("\"per_worker\""), std::string::npos);
+    EXPECT_NE(clean.find("\"host\": \"127.0.0.1:9999\""),
+              std::string::npos);
+    EXPECT_NE(clean.find("\"host\": \"local\""), std::string::npos);
+    EXPECT_NE(clean.find("\"host_failed\": []"), std::string::npos);
 
-    stats.workers = 3;
-    stats.jobs.push_back(2);
-    stats.cacheHits.push_back(0);
-    stats.wallUsSum.push_back(500);
-    stats.hostOf = {"", "", "127.0.0.1:9999"};
     WorkerFailure remote;
-    remote.worker = 2;
+    remote.worker = 0;
     remote.host = "127.0.0.1:9999";
     remote.reason = "connection closed";
+    remote.requeuedJobs = {5, 6};
     stats.failures.push_back(remote);
 
-    const auto both = stats.toJson("explore");
-    EXPECT_NE(both.find("\"host\": \"127.0.0.1:9999\""),
-              std::string::npos);
-    EXPECT_NE(both.find("\"host_failed\": [{"), std::string::npos);
-    EXPECT_NE(both.find("connection closed"), std::string::npos);
-    // And the split is exclusive: the local failure stays in
-    // worker_failed, the remote one in host_failed.
-    const auto wf = both.find("\"worker_failed\"");
-    const auto hf = both.find("\"host_failed\"");
-    ASSERT_NE(wf, std::string::npos);
-    ASSERT_NE(hf, std::string::npos);
-    EXPECT_EQ(both.find("signal 9", wf) < hf, true);
-    EXPECT_EQ(both.find("connection closed", wf) > hf, true);
+    const auto failed = stats.toJson("explore");
+    EXPECT_NE(failed.find("\"host_failed\": [{\"worker\": 0, "
+                          "\"host\": \"127.0.0.1:9999\", "
+                          "\"reason\": \"connection closed\", "
+                          "\"requeued_jobs\": [5, 6]}]"),
+              std::string::npos)
+        << failed;
 }

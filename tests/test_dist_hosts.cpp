@@ -12,8 +12,8 @@
  * delivered, exercising the real partial-requeue path), and _HANG
  * parks it in an unresponsive loop for the coordinator's activity
  * timeout to catch. Harder failures — SIGKILL mid-run, a dead address,
- * an all-hosts-dead fallback onto a forked local worker — are induced
- * directly.
+ * an all-hosts-dead fallback that runs every job in-process — are
+ * induced directly.
  */
 
 #include <gtest/gtest.h>
@@ -39,7 +39,6 @@ DistOptions
 hostsOnly(const std::vector<HostSpec> &hosts)
 {
     DistOptions opt;
-    opt.workers = 0;
     opt.hosts = hosts;
     return opt;
 }
@@ -83,18 +82,22 @@ TEST(DistHosts, ByteIdenticalAcrossBackendMixes)
         EXPECT_EQ(jobs, base.points.size());
     }
 
-    // Mixed: one daemon lane ahead of one forked lane.
+    // Mixed: one live daemon ahead of one dead address. The dead
+    // lane's shard fails over to the live host.
     {
-        DistOptions opt;
-        opt.workers = 1;
-        opt.hosts = specsOf({&a});
+        DaemonProc c(dopt);
+        ASSERT_GT(c.port(), 0);
+        const auto hosts = specsOf({&a, &c});
+        c.kill(SIGKILL);
+        c.await();
         DistStats stats;
-        const auto report = exploreDistributed(tr, cfg, opt, &stats);
+        const auto report =
+            exploreDistributed(tr, cfg, hostsOnly(hosts), &stats);
         EXPECT_EQ(base.toJson(), report.toJson());
-        ASSERT_EQ(stats.hostOf.size(), 2u);
-        EXPECT_EQ(stats.hostOf[0], a.hostSpec());
-        EXPECT_EQ(stats.hostOf[1], ""); // forked lane
-        EXPECT_TRUE(stats.failures.empty());
+        ASSERT_EQ(stats.failures.size(), 1u);
+        EXPECT_EQ(stats.failures[0].host, hosts[1].label());
+        ASSERT_EQ(stats.hostOf.size(), 3u);
+        EXPECT_EQ(stats.hostOf[2], a.hostSpec()); // the requeue lane
     }
 }
 
@@ -186,8 +189,6 @@ TEST(DistHosts, CrashedDaemonFailsOverAndReportUnchanged)
     const auto json = stats.toJson("explore");
     EXPECT_NE(json.find("\"host_failed\": [{"), std::string::npos);
     EXPECT_NE(json.find(a.hostSpec()), std::string::npos);
-    // Remote failures never leak into the forked-worker array.
-    EXPECT_NE(json.find("\"worker_failed\": []"), std::string::npos);
 }
 
 TEST(DistHosts, HungDaemonTimesOutAndFailsOver)
@@ -246,7 +247,7 @@ TEST(DistHosts, DeadAddressFailsOverToSurvivor)
               base.points.size() / 2);
 }
 
-TEST(DistHosts, AllHostsDeadFallsBackToForkedWorker)
+TEST(DistHosts, AllHostsDeadFallsBackInProcess)
 {
     const auto tr = cgTrace();
     const auto cfg = smallConfig("", false);
@@ -260,8 +261,8 @@ TEST(DistHosts, AllHostsDeadFallsBackToForkedWorker)
     a.kill(SIGKILL);
     a.await();
 
-    // Single (dead) host, zero workers: the requeue has no surviving
-    // host and must fork a local lane instead.
+    // Single (dead) host: the requeue has no surviving host, so the
+    // coordinator runs every job itself on one `local` lane.
     DistStats stats;
     const auto report =
         exploreDistributed(tr, cfg, hostsOnly(hosts), &stats);
@@ -269,8 +270,32 @@ TEST(DistHosts, AllHostsDeadFallsBackToForkedWorker)
     ASSERT_EQ(stats.failures.size(), 1u);
     EXPECT_EQ(stats.failures[0].host, hosts[0].label());
     ASSERT_EQ(stats.hostOf.size(), 2u);
-    EXPECT_EQ(stats.hostOf.back(), ""); // the forked fallback lane
+    EXPECT_EQ(stats.hostOf.back(), "local");
     EXPECT_EQ(stats.jobs.back(), base.points.size());
+}
+
+TEST(DistHosts, FallbackResultsLandInTheRunCache)
+{
+    const auto tr = cgTrace();
+    const auto cfg = smallConfig(tempCacheDir("hosts-fallback"), true);
+
+    DaemonProc::Options dopt;
+    dopt.useCache = false;
+    DaemonProc a(dopt);
+    ASSERT_GT(a.port(), 0);
+    const auto hosts = specsOf({&a});
+    a.kill(SIGKILL);
+    a.await();
+
+    // Every job runs in-process against config.cacheDir, cold...
+    const auto cold = exploreDistributed(tr, cfg, hostsOnly(hosts));
+    EXPECT_EQ(cold.cacheHits, 0u);
+    EXPECT_EQ(cold.cacheMisses, cold.points.size());
+
+    // ...so a warm in-process rerun hits every job the fallback ran.
+    const auto warm = dse::explore(tr, cfg);
+    EXPECT_EQ(warm.cacheHits, warm.points.size());
+    EXPECT_EQ(cold.toJson(), warm.toJson());
 }
 
 TEST(DistHosts, SigkillMidRunStillConverges)
@@ -397,6 +422,38 @@ TEST(DistHostsPhases, CrashedDaemonStillYieldsIdenticalReport)
     EXPECT_EQ(base.toJson(), report.toJson());
     ASSERT_EQ(stats.failures.size(), 1u);
     EXPECT_EQ(stats.failures[0].host, a.hostSpec());
+}
+
+TEST(DistHostsPhases, AllHostsDeadFallsBackInProcess)
+{
+    const auto tr = trace::phaseShift({trace::Pattern::Neighbor,
+                                       trace::Pattern::Transpose,
+                                       trace::Pattern::Hotspot});
+    phase::PhaseEvalConfig cfg;
+    cfg.methodology.partitioner.constraints.maxDegree = 5;
+    cfg.methodology.restarts = 2;
+    cfg.threads = 1;
+
+    const auto base = phase::evaluatePhases(tr, cfg);
+
+    DaemonProc::Options dopt;
+    dopt.useCache = false;
+    DaemonProc a(dopt), b(dopt);
+    ASSERT_GT(a.port(), 0);
+    ASSERT_GT(b.port(), 0);
+    const auto hosts = specsOf({&a, &b});
+    a.kill(SIGKILL);
+    b.kill(SIGKILL);
+    a.await();
+    b.await();
+
+    DistStats stats;
+    const auto report =
+        evaluatePhasesDistributed(tr, cfg, hostsOnly(hosts), &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    EXPECT_EQ(stats.failures.size(), 2u);
+    ASSERT_EQ(stats.hostOf.back(), "local");
+    EXPECT_EQ(stats.jobs.back(), report.phases.size());
 }
 
 namespace {

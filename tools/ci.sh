@@ -38,19 +38,18 @@
 #     256-rank designs under ASan/UBSan within a wall-time budget,
 #     every design Theorem-1-verified; the curve JSON lands in the
 #     build dir.
-#  9. Distributed explore (ASan), over both kinds of lane — forked
-#     `--workers` (serve loops on socketpairs) and `--hosts` (two
-#     loopback `minnoc serve` daemons): `explore --workers 3` cold and
-#     warm must be byte-identical to the in-process run, the warm rerun
-#     against the merged shared cache must hit on every job, and the
-#     dist status JSON must report zero worker failures; the `--hosts`
-#     cold run must be byte-identical with no failures of either kind,
-#     its warm rerun must hit every job on the daemon-side caches, and
-#     a third sweep with one daemon SIGKILLed mid-run (wedged via the
-#     serve hang hook so the kill is guaranteed to land mid-sweep) must
-#     still converge byte-identical with the failure recorded in
-#     `host_failed` only; the surviving daemons must drain cleanly on
-#     SIGTERM. The dist status JSON artifacts land in the build dir.
+#  9. Distributed explore (ASan) over `--hosts` (loopback `minnoc
+#     serve` daemons): a cold sweep over two daemons must be
+#     byte-identical to the in-process run with no host failures, its
+#     warm rerun must hit every job on the daemon-side caches and stay
+#     byte-identical, a sweep whose only host is a dead address must
+#     converge byte-identical through the in-process fallback with the
+#     failure recorded in `host_failed`, and a sweep with one daemon
+#     SIGKILLed mid-run (wedged via the serve hang hook so the kill is
+#     guaranteed to land mid-sweep) must still converge byte-identical
+#     with the failure recorded in `host_failed`; the surviving
+#     daemons must drain cleanly on SIGTERM. The dist status JSON
+#     artifacts land in the build dir.
 # 10. Coherence stress smoke: the MSI traffic generator and per-phase
 #     synthesis pipeline under ASan at small N within a wall-time
 #     budget; the JSON must be byte-identical across thread counts,
@@ -244,35 +243,12 @@ echo "scale curve artifact: $build/scale_curve.json"
 
 echo "=== phase 9: distributed explore (ASan) ==="
 cmake --build "$build" -j "$jobs" --target minnoc
-dist_cache="$build/ci-dist-cache"
-rm -rf "$dist_cache"
 "$build/tools/minnoc" gen --bench CG --ranks 8 --iterations 1 \
     --out "$build/ci-dist.trace"
-dist_flags=(--degrees 4,5 --vcs 2,3 --restarts 2
-            --cache-dir "$dist_cache")
-# In-process reference, then a cold 3-worker run: same cache, and the
-# frontier JSON must be byte-identical (sharding cannot change bytes).
+# In-process reference every distributed sweep must reproduce.
 "$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    "${dist_flags[@]}" --cache 0 \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
     --out "$build/dist_frontier_ref.json"
-"$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    "${dist_flags[@]}" --workers 3 \
-    --dist-report "$build/dist_status.json" \
-    --out "$build/dist_frontier_cold.json"
-cmp "$build/dist_frontier_ref.json" "$build/dist_frontier_cold.json" ||
-    { echo "FAIL: 3-worker frontier differs from in-process"; exit 1; }
-grep -q '"worker_failed": \[\]' "$build/dist_status.json" ||
-    { echo "FAIL: dist status reports worker failures"; exit 1; }
-# Warm rerun against the merged cache the three workers populated:
-# every job must hit, and the bytes must not move.
-dist_warm="$("$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    "${dist_flags[@]}" --workers 3 \
-    --out "$build/dist_frontier_warm.json")"
-echo "$dist_warm"
-echo "$dist_warm" | grep -q "100.0% hit rate" ||
-    { echo "FAIL: warm distributed rerun below 100% cache hits"; exit 1; }
-cmp "$build/dist_frontier_cold.json" "$build/dist_frontier_warm.json" ||
-    { echo "FAIL: warm distributed frontier differs from cold"; exit 1; }
 # The same sweep over two loopback `minnoc serve` daemons.
 # Wait until a daemon accepts TCP on its port (or die with its log).
 await_port() { # pid port log
@@ -306,8 +282,6 @@ await_port "$host_b_pid" "$port_b" "$build/ci-hosts-b.log"
     --out "$build/hosts_frontier_cold.json"
 cmp "$build/dist_frontier_ref.json" "$build/hosts_frontier_cold.json" ||
     { echo "FAIL: --hosts frontier differs from in-process"; exit 1; }
-grep -q '"worker_failed": \[\]' "$build/hosts_status_cold.json" ||
-    { echo "FAIL: clean --hosts run reports worker failures"; exit 1; }
 grep -q '"host_failed": \[\]' "$build/hosts_status_cold.json" ||
     { echo "FAIL: clean --hosts run reports host failures"; exit 1; }
 # Warm rerun: every job must hit the caches the daemons populated.
@@ -320,6 +294,17 @@ echo "$hosts_warm" | grep -q "100.0% hit rate" ||
     { echo "FAIL: warm --hosts rerun below 100% cache hits"; exit 1; }
 cmp "$build/hosts_frontier_cold.json" "$build/hosts_frontier_warm.json" ||
     { echo "FAIL: warm --hosts frontier differs from cold"; exit 1; }
+# A dead address as the only host: its shard falls back in-process
+# and must converge byte-identical, the failure in host_failed.
+"$build/tools/minnoc" explore "$build/ci-dist.trace" \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
+    --hosts 127.0.0.1:1 \
+    --dist-report "$build/hosts_status_dead.json" \
+    --out "$build/hosts_frontier_dead.json"
+cmp "$build/dist_frontier_ref.json" "$build/hosts_frontier_dead.json" ||
+    { echo "FAIL: in-process fallback frontier differs"; exit 1; }
+grep -q '"host_failed": \[{' "$build/hosts_status_dead.json" ||
+    { echo "FAIL: dead host not recorded in host_failed"; exit 1; }
 # Kill one daemon mid-sweep. The victim is armed with the serve hang
 # hook, so after its first job it wedges and the sweep provably cannot
 # finish until the SIGKILL lands — the kill always hits mid-run. The
@@ -346,8 +331,6 @@ grep -q '"host_failed": \[{' "$build/hosts_status_kill.json" ||
     { echo "FAIL: SIGKILLed daemon not recorded in host_failed"; exit 1; }
 grep -q "\"requeued_jobs\": \[" "$build/hosts_status_kill.json" ||
     { echo "FAIL: no jobs requeued off the killed daemon"; exit 1; }
-grep -q '"worker_failed": \[\]' "$build/hosts_status_kill.json" ||
-    { echo "FAIL: remote death leaked into worker_failed"; exit 1; }
 # The daemons that were not killed must still drain cleanly.
 kill -TERM "$host_a_pid" "$host_b_pid"
 wait "$host_a_pid" ||
@@ -355,8 +338,8 @@ wait "$host_a_pid" ||
 wait "$host_b_pid" ||
     { echo "FAIL: daemon B exited nonzero on SIGTERM"; exit 1; }
 wait "$host_c_pid" 2>/dev/null || true
-echo "dist status artifacts: $build/dist_status.json," \
-     "$build/hosts_status_cold.json, $build/hosts_status_kill.json"
+echo "dist status artifacts: $build/hosts_status_cold.json," \
+     "$build/hosts_status_dead.json, $build/hosts_status_kill.json"
 
 echo "=== phase 10: coherence stress (ASan) ==="
 cmake --build "$build" -j "$jobs" --target coherence_stress

@@ -139,9 +139,9 @@ exportObservability(const Args &args, const obs::MetricsRegistry &metrics,
 }
 
 /**
- * Per-worker accounting of a distributed run: --dist-report FILE gets
- * the status JSON (including the `worker_failed` array), and the human
- * stream gets one line per worker slot plus any failures.
+ * Per-lane accounting of a distributed run: --dist-report FILE gets
+ * the status JSON (including the `host_failed` array), and the human
+ * stream gets one line per lane plus any failures.
  */
 void
 reportDistRun(const Args &args, const dist::DistStats &stats,
@@ -153,30 +153,18 @@ reportDistRun(const Args &args, const dist::DistStats &stats,
         std::fprintf(human, "wrote %s\n", out.c_str());
     }
     for (std::uint32_t w = 0; w < stats.workers; ++w) {
-        const bool isHost =
-            w < stats.hostOf.size() && !stats.hostOf[w].empty();
+        const auto &label = stats.hostOf[w];
         std::fprintf(
-            human,
-            "%s %s: %llu job(s), %llu cache hit(s), %.1f ms busy\n",
-            isHost ? "host" : "worker",
-            isHost ? stats.hostOf[w].c_str()
-                   : std::to_string(w).c_str(),
+            human, "%s%s: %llu job(s), %llu cache hit(s), %.1f ms busy\n",
+            label == "local" ? "" : "host ", label.c_str(),
             static_cast<unsigned long long>(stats.jobs[w]),
             static_cast<unsigned long long>(stats.cacheHits[w]),
             static_cast<double>(stats.wallUsSum[w]) / 1000.0);
     }
-    for (const auto &f : stats.failures) {
-        if (f.host.empty())
-            std::fprintf(human,
-                         "worker %u FAILED (%s), %zu job(s) requeued\n",
-                         f.worker, f.reason.c_str(),
-                         f.requeuedJobs.size());
-        else
-            std::fprintf(human,
-                         "host %s FAILED (%s), %zu job(s) requeued\n",
-                         f.host.c_str(), f.reason.c_str(),
-                         f.requeuedJobs.size());
-    }
+    for (const auto &f : stats.failures)
+        std::fprintf(human, "host %s FAILED (%s), %zu job(s) requeued\n",
+                     f.host.c_str(), f.reason.c_str(),
+                     f.requeuedJobs.size());
 }
 
 /** Parse a comma-separated synthetic-pattern list ("neighbor,transpose"). */
@@ -194,9 +182,9 @@ parsePatternList(const std::string &spec)
 }
 
 /**
- * --workers/--hosts/--worker-timeout-ms of explore and phases; nullopt
- * for an in-process run. The timeout must be positive and its value
- * in microseconds must fit in int64.
+ * --hosts/--worker-timeout-ms of explore and phases; nullopt for an
+ * in-process run (no --hosts). The timeout must be positive and its
+ * value in microseconds must fit in int64.
  */
 std::optional<dist::DistOptions>
 distOptionsFromArgs(const Args &args)
@@ -208,10 +196,9 @@ distOptionsFromArgs(const Args &args)
         fatal("flag --worker-timeout-ms: expected 1..", kMaxTimeoutMs,
               ", got ", timeoutMs);
     dist::DistOptions dopt;
-    dopt.workers = args.getU32("workers", 0);
     dopt.hosts = dist::parseHostList(args.get("hosts"));
     dopt.workerTimeoutMs = static_cast<std::int64_t>(timeoutMs);
-    if (dopt.workers == 0 && dopt.hosts.empty())
+    if (dopt.hosts.empty())
         return std::nullopt;
     return dopt;
 }
@@ -312,7 +299,7 @@ genTrace(const Args &args)
     const auto bench = trace::benchmarkFromName(args.get("bench", "CG"));
     cfg.ranks = args.getU32("ranks", trace::largeConfigRanks(bench));
     cfg.iterations = args.getU32("iterations", 3);
-    cfg.seed = args.getU32("seed", 1);
+    cfg.seed = args.getU64("seed", 1);
     return trace::generateBenchmark(bench, cfg);
 }
 
@@ -365,7 +352,7 @@ cmdDesign(const Args &args)
     mcfg.partitioner.constraints.maxDegree =
         args.getU32("max-degree", 5);
     mcfg.restarts = args.getU32("restarts", 16);
-    mcfg.partitioner.seed = args.getU32("seed", 1);
+    mcfg.partitioner.seed = args.getU64("seed", 1);
     mcfg.threads = args.getU32("threads", 0);
     mcfg.partitioner.hierarchicalThreshold =
         args.getU32("hier-threshold", 64);
@@ -605,9 +592,9 @@ cmdExplore(const Args &args)
     installCliCancel();
     cfg.cancel = &gCliToken;
 
-    // --workers N forks N lanes sharing the disk cache; --hosts adds
-    // remote `minnoc serve` daemons as extra lanes. Any mix yields a
-    // report byte-identical to the in-process sweep.
+    // --hosts shards the grid over remote `minnoc serve` daemons; the
+    // report is byte-identical to the in-process sweep, whichever
+    // hosts fail.
     const auto dopt = distOptionsFromArgs(args);
     dist::DistStats distStats;
     dse::ExploreReport report;
@@ -679,7 +666,7 @@ cmdPhases(const Args &args)
     cfg.methodology.partitioner.constraints.maxDegree =
         args.getU32("max-degree", 5);
     cfg.methodology.restarts = args.getU32("restarts", 16);
-    cfg.methodology.partitioner.seed = args.getU32("seed", 1);
+    cfg.methodology.partitioner.seed = args.getU64("seed", 1);
     cfg.threads = args.getU32("threads", 0);
     cfg.power = powerFromArgs(args);
 
@@ -694,10 +681,9 @@ cmdPhases(const Args &args)
     cfg.methodology.cancel = &gCliToken;
     cfg.sim.cancel = &gCliToken;
 
-    // --workers N farms the per-phase standalone syntheses out to
-    // forked lanes; --hosts adds remote `minnoc serve` daemons as
-    // extra lanes. The merged report is byte-identical to the
-    // in-process evaluation.
+    // --hosts farms the per-phase standalone syntheses out to remote
+    // `minnoc serve` daemons. The merged report is byte-identical to
+    // the in-process evaluation.
     const auto dopt = distOptionsFromArgs(args);
     dist::DistStats distStats;
     phase::PhaseReport report;
@@ -849,27 +835,25 @@ usage()
         "           [--reconfig-cost C] [--threads N] [--cache-dir DIR]\n"
         "           [--cache 0|1] [--power static|activity] [--out FILE]\n"
         "           [--metrics-out FILE] [--chrome-trace FILE]\n"
-        "           [--workers N] [--hosts HOST:PORT,...]\n"
-        "           [--worker-timeout-ms MS] [--dist-report FILE]\n"
+        "           [--hosts HOST:PORT,...] [--worker-timeout-ms MS]\n"
+        "           [--dist-report FILE]\n"
         "           (design-space sweep -> Pareto frontier JSON;\n"
         "           results are content-cached and byte-identical at\n"
         "           any --threads value; phase-windows 0 = classic\n"
         "           pipeline, N = time-multiplexed phase networks;\n"
-        "           workers N forks N processes sharing the disk\n"
-        "           cache -- same bytes as --workers 0; hosts adds\n"
-        "           remote `minnoc serve` daemons as job backends,\n"
-        "           same bytes at any host/worker mix)\n"
+        "           hosts shards the grid over remote `minnoc serve`\n"
+        "           daemons, same bytes whichever hosts fail)\n"
         "  phases   TRACE [--window N] [--threshold T]\n"
         "           [--min-phase-windows W] [--reconfig-cost C]\n"
         "           [--max-degree D] [--restarts R] [--seed S]\n"
         "           [--threads N] [--power static|activity] [--out FILE]\n"
         "           [--metrics-out FILE] [--chrome-trace FILE]\n"
-        "           [--workers N] [--hosts HOST:PORT,...]\n"
-        "           [--worker-timeout-ms MS] [--dist-report FILE]\n"
+        "           [--hosts HOST:PORT,...] [--worker-timeout-ms MS]\n"
+        "           [--dist-report FILE]\n"
         "           (segment the trace into temporal phases and compare\n"
         "           monolithic vs union vs time-multiplexed designs;\n"
         "           the JSON report is byte-identical at any --threads\n"
-        "           and at any --workers/--hosts mix)\n"
+        "           and with or without --hosts)\n"
         "  serve    --socket PATH | --port N   (0 = ephemeral port)\n"
         "           [--workers W] [--queue Q] [--deadline-ms D]\n"
         "           [--max-deadline-ms M] [--drain-ms MS]\n"
@@ -903,13 +887,12 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
      {"degrees", "restarts", "seeds", "vcs", "unidirectional",
       "vc-depth", "phase-windows", "reconfig-cost", "threads",
       "cache-dir", "cache", "power", "out", "metrics-out",
-      "chrome-trace", "workers", "hosts", "worker-timeout-ms",
-      "dist-report"}},
+      "chrome-trace", "hosts", "worker-timeout-ms", "dist-report"}},
     {"phases",
      {"window", "threshold", "min-phase-windows", "reconfig-cost",
       "max-degree", "restarts", "seed", "threads", "power", "out",
-      "metrics-out", "chrome-trace", "workers", "hosts",
-      "worker-timeout-ms", "dist-report"}},
+      "metrics-out", "chrome-trace", "hosts", "worker-timeout-ms",
+      "dist-report"}},
     {"serve",
      {"socket", "port", "workers", "queue", "deadline-ms",
       "max-deadline-ms", "drain-ms", "idle-timeout-ms", "lru",
