@@ -4,7 +4,7 @@
  *
  * Connects to a running daemon and hammers it from many client
  * threads with a seeded mix of traffic: valid design/explore/ping
- * requests, coordinator-style dse_job submissions (valid and with a
+ * requests, coordinator-style dse_shard submissions (valid and with a
  * missing signature), malformed JSON, garbage bytes, oversized lines,
  * slow writers dribbling a request byte by byte, mid-request
  * disconnects, and tiny deadlines — optionally while a saboteur
@@ -45,6 +45,7 @@
 
 #include "dse/explorer.hpp"
 #include "serve/client.hpp"
+#include "serve/jobwire.hpp"
 #include "serve/protocol.hpp"
 #include "trace/nas_generators.hpp"
 #include "util/json.hpp"
@@ -149,32 +150,30 @@ exploreRequest(const std::string &id, const std::string &trace,
 }
 
 /**
- * Coordinator-style dse_job with the signature the daemon itself
- * computes, so a well-formed submission is accepted (and its result
- * lands in the job cache for warm repeats). Omitting the signature
- * instead turns it into a hostile line the daemon must fail closed.
+ * Coordinator-style one-point dse_shard with the signature the daemon
+ * itself computes, so a well-formed submission is accepted (and its
+ * result lands in the job cache for warm repeats). Omitting the
+ * signature instead turns it into a hostile line the daemon must fail
+ * closed.
  */
 std::string
-dseJobRequest(const std::string &id, const std::string &trace,
-              std::uint64_t seed, bool withSig)
+dseShardRequest(const std::string &id, const std::string &trace,
+                std::uint64_t seed, bool withSig)
 {
-    dse::JobParams params;
-    params.maxDegree = 4;
-    params.restarts = 2;
-    params.seed = seed;
-    params.unidirectional = false;
-    params.numVcs = 2;
-    params.vcDepth = 4;
-    params.phaseWindow = 0;
-    const auto sig = dse::jobSignature(params, dse::ExploreConfig{});
+    dse::ExploreConfig cfg;
+    cfg.grid.maxDegrees = {4};
+    cfg.grid.restarts = {2};
+    cfg.grid.seeds = {seed};
+    cfg.grid.unidirectional = {0};
+    cfg.grid.vcs = {2};
     std::ostringstream os;
-    os << "{\"id\": \"" << id << "\", \"cmd\": \"dse_job\","
+    os << "{\"id\": \"" << id << "\", \"cmd\": \"dse_shard\","
           " \"attempt\": 1, \"job_index\": 0,";
     if (withSig)
-        os << " \"sig\": \"" << serve::jsonEscape(sig) << "\",";
-    os << " \"max_degree\": 4, \"restarts\": 2, \"seed\": " << seed
-       << ", \"unidirectional\": 0, \"vcs\": 2, \"vc_depth\": 4,"
-          " \"phase_window\": 0, \"deadline_ms\": 60000,"
+        os << " \"sig\": \"" << serve::shardSignature(cfg) << "\",";
+    os << " \"degrees\": [4], \"restarts\": [2], \"seeds\": [" << seed
+       << "], \"unidirectional\": [0], \"vcs\": [2], \"vc_depth\": 4,"
+          " \"phase_windows\": [0], \"deadline_ms\": 60000,"
           " \"trace\": \""
        << serve::jsonEscape(trace) << "\"}";
     return os.str();
@@ -296,14 +295,14 @@ clientLoop(const Options &opt, unsigned threadIdx, unsigned requests,
             roundTrip(client, tally,
                       exploreRequest(id, trace, 1), true);
             break;
-          case 12: // valid coordinator-style dse_job
+          case 12: // valid coordinator-style dse_shard
             roundTrip(client, tally,
-                      dseJobRequest(id, trace, 1 + rng() % 2, true),
+                      dseShardRequest(id, trace, 1 + rng() % 2, true),
                       true);
             break;
-          case 13: // dse_job without its mandatory signature
+          case 13: // dse_shard without its mandatory signature
             roundTrip(client, tally,
-                      dseJobRequest(id, trace, 1, false), false);
+                      dseShardRequest(id, trace, 1, false), false);
             break;
         }
 

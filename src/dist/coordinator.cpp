@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
-#include <fcntl.h>
 #include <functional>
 #include <numeric>
 #include <optional>
@@ -18,7 +17,6 @@
 #include "remote.hpp"
 #include "serve/jobwire.hpp"
 #include "serve/protocol.hpp"
-#include "trace/analyzer.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -29,6 +27,7 @@ namespace minnoc::dist {
 namespace {
 
 using serve::WorkerMsg;
+using serve::WorkerReply;
 
 /** Scheduler tick; also the cancellation-polling period. */
 constexpr int kPollMs = 100;
@@ -41,58 +40,47 @@ struct Lane
     int fd = -1;      ///< socket (non-blocking); -1 = closed
     int hostIdx = -1; ///< index into DistOptions::hosts
     std::string lineBuf; ///< NDJSON reply buffer
-    /** Assigned jobs not yet resulted (dispatched or queued). */
+    /** Assigned requests not yet answered (dispatched or queued). */
     std::vector<std::uint32_t> pending;
-    /** Assigned jobs not yet sent (dispatch window); ⊆ pending. */
+    /** Assigned requests not yet sent (dispatch window); ⊆ pending. */
     std::deque<std::uint32_t> unsent;
     std::uint32_t attempt = 1;
     std::int64_t lastActivityUs = 0;
     bool timedOut = false;
     std::string errorText; ///< "code: message" of the first failure
+
+    bool failed() const { return timedOut || !errorText.empty(); }
 };
 
 /**
- * One serve request line for one job, up to (not including) the
+ * One serve request line for request @p r, up to (not including) the
  * `deadline_ms` and `trace` fields, which runShards appends.
  */
-using JobBuilder = std::function<std::string(std::uint32_t job,
-                                             std::uint32_t attempt)>;
-/** Run one job in-process, as a daemon would. */
-using LocalRunner = std::function<WorkerMsg(std::uint32_t job)>;
+using RequestBuilder = std::function<std::string(std::uint32_t r,
+                                                 std::uint32_t attempt)>;
+/** Run one request in-process, as a daemon would. */
+using LocalRunner = std::function<WorkerReply(std::uint32_t r)>;
 using ResultHandler = std::function<void(const WorkerMsg &msg)>;
 
 /**
- * Close every lane. Each daemon's reader sees EOF and
- * Disconnect-cancels the lane's in-flight jobs, so a Ctrl-C here
- * leaves no orphaned work on any host.
+ * Drive every lane to completion. @p requests lists the job indices
+ * each request covers, in dealing order; they are dealt round-robin
+ * over the hosts. Each lane sends its requests as @p cmd lines (at
+ * most kWindow in flight), polls its socket, dispatches the result
+ * documents, and is closed when it fails or hangs, its unanswered
+ * requests requeued (at most once per shard) onto a surviving host.
+ * Requests no host is left to take go to @p runLocal, one at a time
+ * on a `local` lane, once every connection is done. Throws
+ * CancelledError when @p cancel fires, std::runtime_error when a
+ * shard fails twice.
  */
 void
-closeAll(std::vector<Lane> &lanes)
-{
-    for (auto &w : lanes) {
-        if (w.fd >= 0)
-            ::close(w.fd);
-        w.fd = -1;
-    }
-}
-
-/**
- * Drive every lane to completion: send each lane its jobs as
- * `dse_job`/`phase_job` request lines (at most kWindow in flight),
- * poll the sockets, dispatch the result documents, close failed or
- * hung lanes and requeue their unfinished jobs (at most once per
- * shard) onto a surviving host. Jobs no host is left to take go to
- * @p runLocal, one at a time on a `local` lane, once every
- * connection is done. Throws CancelledError when @p cancel fires,
- * std::runtime_error when a shard fails twice.
- */
-void
-runShards(const std::vector<std::vector<std::uint32_t>> &shards,
+runShards(serve::Cmd cmd,
+          const std::vector<std::vector<std::uint32_t>> &requests,
           const DistOptions &options, const CancelToken *cancel,
-          const std::string &traceText, const JobBuilder &makeJob,
+          const std::string &traceText, const RequestBuilder &makeRequest,
           const LocalRunner &runLocal, const ResultHandler &onResult,
-          DistStats &stats, obs::TraceEventLog *traceLog,
-          const char *jobLabel)
+          DistStats &stats, obs::TraceEventLog *traceLog)
 {
     const std::int64_t timeoutMs =
         std::max<std::int64_t>(options.workerTimeoutMs, 1);
@@ -103,18 +91,44 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
     std::vector<char> hostDead(hosts.size(), 0);
 
     std::vector<Lane> lanes;
-    std::vector<std::uint32_t> local; ///< jobs for the in-process lane
+    // However this function ends, close every lane: each daemon's
+    // reader sees EOF and Disconnect-cancels the lane's in-flight
+    // requests, so a Ctrl-C or an abort leaves no orphaned work on any
+    // host.
+    struct CloseLanes
+    {
+        explicit CloseLanes(std::vector<Lane> &l) : lanes(l) {}
+        CloseLanes(const CloseLanes &) = delete;
+        CloseLanes &operator=(const CloseLanes &) = delete;
+        ~CloseLanes()
+        {
+            for (auto &w : lanes)
+                if (w.fd >= 0)
+                    ::close(w.fd);
+        }
+        std::vector<Lane> &lanes;
+    } closeLanes(lanes);
+    std::vector<std::uint32_t> local; ///< requests for the in-process lane
 
     // The activity timeout doubles as the request deadline (within
-    // the protocol's ceiling).
+    // the protocol's ceiling) and bounds every send.
     const std::string deadlineField =
         ", \"deadline_ms\": " +
         std::to_string(std::min(timeoutMs, serve::kMaxDeadlineMs));
-    const auto sendJob = [&](const Lane &w, std::uint32_t job) {
-        const std::string line = makeJob(job, w.attempt) +
+    const auto send = [&](Lane &w, std::uint32_t r) {
+        const std::string line = makeRequest(r, w.attempt) +
                                  deadlineField + ", \"trace\": \"" +
                                  traceJson + "\"}\n";
-        return sendAll(w.fd, line);
+        if (sendAll(w.fd, line, timeoutMs, cancel))
+            return true;
+        const int err = errno;
+        if (err == ETIMEDOUT)
+            w.timedOut = true;
+        else
+            w.errorText =
+                "send " + hosts[static_cast<std::size_t>(w.hostIdx)].label() +
+                ": " + std::strerror(err);
+        return false;
     };
 
     const auto openStatsRow = [&](const std::string &label) {
@@ -133,48 +147,36 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
     };
 
     /**
-     * Open a lane on hosts[hostIdx] and send the first kWindow jobs;
-     * the rest queue in `unsent` and flow as results land, so a lane
-     * always has work without a failure losing more than a window of
-     * in-flight requests. A lane that cannot connect or send is left
-     * born dead (fd == -1, errorText set) for the caller to route
-     * through reap().
+     * Open a lane on hosts[hostIdx] and send its first kWindow
+     * requests; the rest queue in `unsent` and flow as results land, so
+     * a lane always has work without a failure losing more than a
+     * window of in-flight requests. A lane that cannot connect or send
+     * is left failed() for the caller to route through reap().
      */
-    const auto addSlot = [&](const std::vector<std::uint32_t> &jobs,
+    const auto addSlot = [&](const std::vector<std::uint32_t> &assigned,
                              std::uint32_t attempt, int hostIdx) {
         const auto &host = hosts[static_cast<std::size_t>(hostIdx)];
         const auto slot = openStatsRow(host.label());
-        Lane w;
+        auto &w = lanes.emplace_back();
         w.fd = connectHost(host, w.errorText);
         if (w.fd < 0) // never a requeue target, even before its reap
             hostDead[static_cast<std::size_t>(hostIdx)] = 1;
         w.hostIdx = hostIdx;
         w.attempt = attempt;
-        w.pending = jobs;
-        w.unsent.assign(jobs.begin(), jobs.end());
+        w.pending = assigned;
+        w.unsent.assign(assigned.begin(), assigned.end());
         w.lastActivityUs = CancelToken::nowUs();
-        const std::size_t window = std::min(jobs.size(), kWindow);
-        for (std::size_t k = 0; k < window && w.fd >= 0; ++k) {
-            if (!sendJob(w, w.unsent.front())) {
-                w.errorText = "send " + host.label() + ": " +
-                              std::strerror(errno);
-                ::close(w.fd);
-                w.fd = -1;
+        for (std::size_t k = 0; k < kWindow && !w.unsent.empty(); ++k) {
+            if (w.failed() || !send(w, w.unsent.front()))
                 break;
-            }
             w.unsent.pop_front();
         }
-        if (w.fd >= 0) {
-            const int flags = ::fcntl(w.fd, F_GETFL, 0);
-            ::fcntl(w.fd, F_SETFL, flags | O_NONBLOCK);
-        }
-        lanes.push_back(std::move(w));
         return slot;
     };
 
     // Close one lane, decide clean vs failed, requeue. std::function
-    // so the born-dead replacement path can recurse (depth bounded by
-    // the two-attempt cap).
+    // so the failed-at-birth replacement path can recurse (depth
+    // bounded by the two-attempt cap).
     std::function<void(std::uint32_t)> reap =
         [&](std::uint32_t slot) {
         auto &w = lanes[slot];
@@ -182,7 +184,7 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             ::close(w.fd);
             w.fd = -1;
         }
-        if (w.pending.empty() && w.errorText.empty() && !w.timedOut)
+        if (w.pending.empty() && !w.failed())
             return; // finished cleanly
 
         const std::string reason = w.timedOut ? "timeout"
@@ -190,34 +192,35 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
                                        ? w.errorText
                                        : "connection closed";
 
-        // Lost work: results never arrive for dispatched-but-unfinished
-        // jobs nor for the queued window tail (both are in pending).
-        std::vector<std::uint32_t> lost = w.pending;
-        std::sort(lost.begin(), lost.end());
+        // Lost work: results never arrive for dispatched-but-unanswered
+        // requests nor for the queued window tail (both are in pending).
+        const std::vector<std::uint32_t> lost = w.pending;
 
         hostDead[static_cast<std::size_t>(w.hostIdx)] = 1;
         WorkerFailure failure;
         failure.worker = slot;
         failure.host = stats.hostOf[slot];
         failure.reason = reason;
-        failure.requeuedJobs = lost;
-        stats.failures.push_back(failure);
+        for (const auto r : lost)
+            failure.requeuedJobs.insert(failure.requeuedJobs.end(),
+                                        requests[r].begin(),
+                                        requests[r].end());
+        std::sort(failure.requeuedJobs.begin(), failure.requeuedJobs.end());
         warn("dist: host lane ", slot, " (", failure.host, ") failed (",
-             reason, "), ", lost.size(), " job(s) to requeue");
+             reason, "), ", failure.requeuedJobs.size(),
+             " job(s) to requeue");
+        stats.failures.push_back(std::move(failure));
 
         if (lost.empty())
-            return; // every assigned job already landed; nothing lost
-        if (w.attempt >= 2) {
-            closeAll(lanes);
-            throw std::runtime_error(
-                "dist: shard failed twice (last: " + reason +
-                "); aborting");
-        }
+            return; // every assigned request already answered
+        if (w.attempt >= 2)
+            throw std::runtime_error("dist: shard failed twice (last: " +
+                                     reason + "); aborting");
         const auto nextAttempt = w.attempt + 1;
         w.pending.clear();
         w.unsent.clear();
 
-        // Requeue onto the first surviving host, else keep the jobs
+        // Requeue onto the first surviving host, else keep the requests
         // for the in-process lane — the run converges either way.
         const auto alive =
             std::find(hostDead.begin(), hostDead.end(), 0);
@@ -226,79 +229,87 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             return;
         }
         const auto fresh = addSlot(
-            lost, nextAttempt,
-            static_cast<int>(alive - hostDead.begin()));
-        if (lanes[fresh].fd < 0)
-            reap(fresh); // born dead (connect/send failed): recurse
+            lost, nextAttempt, static_cast<int>(alive - hostDead.begin()));
+        if (lanes[fresh].failed())
+            reap(fresh); // failed at birth (connect/send): recurse
     };
 
-    // Book one result on @p slot and hand it to onResult.
-    const auto book = [&](std::uint32_t slot, const WorkerMsg &msg) {
-        ++stats.jobs[slot];
-        if (msg.cached)
-            ++stats.cacheHits[slot];
-        stats.wallUsSum[slot] += msg.wallUs;
+    // Book one answered request on @p slot and hand its results to
+    // onResult; the request's wall time is counted once.
+    const auto book = [&](std::uint32_t slot, const WorkerReply &reply) {
+        std::uint64_t hits = 0;
+        for (const auto &msg : reply.results) {
+            hits += msg.cached ? 1 : 0;
+            onResult(msg);
+        }
+        stats.jobs[slot] += reply.results.size();
+        stats.cacheHits[slot] += hits;
+        stats.wallUsSum[slot] += reply.wallUs;
         if constexpr (obs::kEnabled) {
             if (traceLog) {
                 const std::int64_t arrival = obs::wallMicros();
                 traceLog->complete(
-                    std::string(jobLabel) + " " +
-                        std::to_string(msg.index),
-                    obs::kPidDist, slot, arrival - msg.wallUs,
-                    std::max<std::int64_t>(msg.wallUs, 1),
-                    "\"cached\": " +
-                        std::string(msg.cached ? "true" : "false"));
+                    std::string(cmd == serve::Cmd::PhaseJob ? "phase "
+                                                            : "shard ") +
+                        std::to_string(reply.results.front().index),
+                    obs::kPidDist, slot, arrival - reply.wallUs,
+                    std::max<std::int64_t>(reply.wallUs, 1),
+                    "\"jobs\": " + std::to_string(reply.results.size()) +
+                        ", \"cache_hits\": " + std::to_string(hits));
             }
         }
-        onResult(msg);
     };
 
-    // One result document. On a protocol violation errorText gets a
-    // "protocol: " prefix and the lane is reaped.
-    const auto dispatch = [&](std::uint32_t slot,
-                              const WorkerMsg &msg) {
+    // One result document. It must answer a pending request exactly,
+    // the same job indices in the same order; otherwise errorText gets
+    // a "protocol: " prefix and the lane is reaped.
+    const auto dispatch = [&](std::uint32_t slot, const WorkerReply &reply) {
         auto &w = lanes[slot];
         w.lastActivityUs = CancelToken::nowUs();
-        const auto it =
-            std::find(w.pending.begin(), w.pending.end(), msg.index);
+        const auto it = std::find_if(
+            w.pending.begin(), w.pending.end(), [&](std::uint32_t r) {
+                return std::equal(
+                    requests[r].begin(), requests[r].end(),
+                    reply.results.begin(), reply.results.end(),
+                    [](std::uint32_t job, const WorkerMsg &msg) {
+                        return job == msg.index;
+                    });
+            });
         if (it == w.pending.end()) {
             w.errorText = "protocol: unexpected result for job " +
-                          std::to_string(msg.index);
+                          std::to_string(reply.results.front().index);
             return;
         }
         w.pending.erase(it);
-        book(slot, msg);
+        book(slot, reply);
         // Keep the window full.
-        if (!w.unsent.empty()) {
-            if (sendJob(w, w.unsent.front()))
-                w.unsent.pop_front();
-            else
-                w.errorText =
-                    std::string("send: ") + std::strerror(errno);
-        }
+        if (!w.unsent.empty() && send(w, w.unsent.front()))
+            w.unsent.pop_front();
     };
 
-    for (std::size_t i = 0; i < shards.size(); ++i) {
+    // Deal round-robin: request k goes to lane k % N, N = hosts
+    // clamped to the request count.
+    const auto n = std::max<std::size_t>(
+        1, std::min(hosts.size(), requests.size()));
+    std::vector<std::vector<std::uint32_t>> dealt(n);
+    for (std::uint32_t r = 0; r < requests.size(); ++r)
+        dealt[r % n].push_back(r);
+    for (std::size_t i = 0; i < n; ++i) {
         if (i < hosts.size())
-            addSlot(shards[i], 1, static_cast<int>(i));
+            addSlot(dealt[i], 1, static_cast<int>(i));
         else
-            local.insert(local.end(), shards[i].begin(),
-                         shards[i].end());
+            local.insert(local.end(), dealt[i].begin(), dealt[i].end());
     }
-    // Route lanes that were born dead through the failure path now.
-    // (pending nonempty distinguishes an unprocessed born-dead lane
-    // from one reap() already requeued recursively.)
+    // Route lanes that failed at birth through the failure path now.
+    // (pending nonempty distinguishes an unprocessed one from one
+    // reap() already requeued recursively.)
     for (std::uint32_t i = 0;
          i < static_cast<std::uint32_t>(lanes.size()); ++i)
-        if (lanes[i].fd < 0 && !lanes[i].errorText.empty() &&
-            !lanes[i].pending.empty())
+        if (lanes[i].failed() && !lanes[i].pending.empty())
             reap(i);
 
     while (true) {
-        if (cancel && cancel->cancelled()) {
-            closeAll(lanes);
-            throw CancelledError(cancel->reason());
-        }
+        checkCancel(cancel);
 
         std::vector<pollfd> fds;
         std::vector<std::uint32_t> slotOf;
@@ -327,21 +338,21 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             bool eof = false;
             char buf[65536];
             for (;;) {
-                const ssize_t n = ::read(w.fd, buf, sizeof buf);
-                if (n > 0) {
-                    w.lineBuf.append(buf, static_cast<std::size_t>(n));
+                const ssize_t got = ::read(w.fd, buf, sizeof buf);
+                if (got > 0) {
+                    w.lineBuf.append(buf, static_cast<std::size_t>(got));
                     continue;
                 }
-                if (n < 0 && errno == EINTR)
+                if (got < 0 && errno == EINTR)
                     continue;
-                eof = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+                eof = got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
                 break;
             }
 
-            // One serve reply per line; an ok reply wraps the job-wire
-            // result document.
+            // One serve reply per line; an ok reply to the command sent
+            // wraps the job-wire result document of that command.
             std::size_t start = 0;
-            while (w.errorText.empty()) {
+            while (!w.failed()) {
                 const auto nl = w.lineBuf.find('\n', start);
                 if (nl == std::string::npos)
                     break;
@@ -352,23 +363,26 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
                     continue;
                 const auto reply = serve::parseReply(line);
                 std::string err;
-                std::optional<WorkerMsg> msg;
+                std::optional<WorkerReply> result;
                 if (!reply)
                     w.errorText = "protocol: unparseable reply";
                 else if (!reply->ok)
                     w.errorText = reply->code + ": " + reply->message;
-                else if (!(msg = serve::parseWorkerMsg(reply->result,
-                                                       err)))
+                else if (reply->cmd != serve::cmdName(cmd))
+                    w.errorText = "protocol: '" + reply->cmd +
+                                  "' reply to a '" + serve::cmdName(cmd) +
+                                  "' request";
+                else if (!(result = serve::parseWorkerReply(reply->result,
+                                                            cmd, err)))
                     w.errorText = "protocol: " + err;
                 else
-                    dispatch(slot, *msg);
+                    dispatch(slot, *result);
             }
             w.lineBuf.erase(0, start);
-            if (w.errorText.empty() &&
-                w.lineBuf.size() > serve::kMaxRequestBytes)
+            if (!w.failed() && w.lineBuf.size() > serve::kMaxRequestBytes)
                 w.errorText = "protocol: oversized reply line";
             // An empty pending set is this lane's `done`.
-            if (!w.errorText.empty() || eof || w.pending.empty())
+            if (w.failed() || eof || w.pending.empty())
                 reap(slot);
         }
 
@@ -385,12 +399,10 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
 
     if (local.empty())
         return;
-    std::sort(local.begin(), local.end());
     const auto slot = openStatsRow("local");
-    for (const auto job : local) {
-        if (cancel && cancel->cancelled())
-            throw CancelledError(cancel->reason());
-        book(slot, runLocal(job));
+    for (const auto r : local) {
+        checkCancel(cancel);
+        book(slot, runLocal(r));
     }
 }
 
@@ -481,88 +493,95 @@ exploreDistributed(const trace::Trace &trace,
                 fatal("dist: seed ", seed,
                       " exceeds the wire's exact integer range");
 
-        std::vector<std::string> sigs(jobs.size());
-        std::vector<std::string> keys(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            sigs[i] = dse::jobSignature(jobs[i], config);
-            keys[i] = dse::jobKey(patternBytes, sigs[i]);
+        // A shard is every grid point sharing one (degree, restarts,
+        // seed). expand() nests those three outermost, so shard k is
+        // the index run [k·size, (k+1)·size), itself a cross-product
+        // grid that one dse::explore call runs, sharing its
+        // methodology and evaluation stages.
+        const auto &grid = config.grid;
+        const auto size = static_cast<std::uint32_t>(
+            grid.unidirectional.size() * grid.vcs.size() *
+            grid.phaseWindows.size());
+
+        // Content-hash dealing: order shards by their first point's
+        // cache key (ties by index), so the assignment depends only on
+        // workload content and grid, never on timing.
+        std::vector<std::pair<std::string, std::uint32_t>> dealing;
+        for (std::uint32_t first = 0; first < jobs.size(); first += size)
+            dealing.emplace_back(
+                dse::jobKey(patternBytes,
+                            dse::jobSignature(jobs[first], config)),
+                first);
+        std::sort(dealing.begin(), dealing.end());
+
+        // Each shard's job indices and sub-grid config, in dealing
+        // order. The coordinator records every point's telemetry
+        // itself, so a shard run in-process gets no sinks.
+        std::vector<std::vector<std::uint32_t>> shards;
+        std::vector<dse::ExploreConfig> shardConfigs;
+        for (const auto &[key, first] : dealing) {
+            auto &c = shardConfigs.emplace_back(config);
+            c.grid.maxDegrees = {jobs[first].maxDegree};
+            c.grid.restarts = {jobs[first].restarts};
+            c.grid.seeds = {jobs[first].seed};
+            c.metrics = nullptr;
+            c.traceLog = nullptr;
+            auto &shard = shards.emplace_back(size);
+            std::iota(shard.begin(), shard.end(), first);
         }
 
-        // Content-hash sharding: order jobs by cache key (ties by grid
-        // index) and deal them round-robin, so shards are balanced to
-        // ±1 job and the assignment depends only on workload content
-        // and grid, never on timing.
-        std::vector<std::uint32_t> order(jobs.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::sort(order.begin(), order.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                      return keys[a] != keys[b] ? keys[a] < keys[b]
-                                                : a < b;
-                  });
-        const auto n = std::max<std::size_t>(
-            1, std::min(options.hosts.size(), jobs.size()));
-        std::vector<std::vector<std::uint32_t>> shards(n);
-        for (std::size_t k = 0; k < order.size(); ++k)
-            shards[k % n].push_back(order[k]);
-        for (auto &shard : shards)
-            std::sort(shard.begin(), shard.end());
-
-        // One `dse_job` per grid point. `cache_dir` never crosses the
-        // socket: a daemon uses its own disk cache, the in-process
-        // lane the run's.
-        const auto makeJob = [&](std::uint32_t job,
-                                 std::uint32_t attempt) {
-            const auto &p = jobs[job];
-            std::string out = "{\"id\": \"" + std::to_string(job) +
-                              "\", \"cmd\": \"dse_job\"";
+        // One `dse_shard` per shard, its sub-grid in the explore grid
+        // fields. `cache_dir` never crosses the socket: a daemon uses
+        // its own disk cache, the in-process lane the run's.
+        const auto list = [](const auto &values) {
+            std::string out = "[";
+            for (std::size_t i = 0; i < values.size(); ++i)
+                out += (i ? ", " : "") + std::to_string(values[i]);
+            return out + "]";
+        };
+        const auto makeRequest = [&](std::uint32_t r,
+                                     std::uint32_t attempt) {
+            const auto &c = shardConfigs[r];
+            const auto &g = c.grid;
+            std::string out = "{\"id\": \"" + std::to_string(r) +
+                              "\", \"cmd\": \"dse_shard\"";
             out += ", \"attempt\": " + std::to_string(attempt);
-            out += ", \"job_index\": " + std::to_string(job);
-            out += ", \"sig\": \"" + serve::jsonEscape(sigs[job]) +
-                   "\"";
-            out += ", \"max_degree\": " + std::to_string(p.maxDegree);
-            out += ", \"restarts\": " + std::to_string(p.restarts);
-            out += ", \"seed\": " + std::to_string(p.seed);
-            out += std::string(", \"unidirectional\": ") +
-                   (p.unidirectional ? "1" : "0");
-            out += ", \"vcs\": " + std::to_string(p.numVcs);
-            out += ", \"vc_depth\": " + std::to_string(p.vcDepth);
-            out += ", \"phase_window\": " +
-                   std::to_string(p.phaseWindow);
+            out += ", \"job_index\": " + std::to_string(shards[r].front());
+            out += ", \"sig\": \"" + serve::shardSignature(c) + "\"";
+            out += ", \"degrees\": " + list(g.maxDegrees);
+            out += ", \"restarts\": " + list(g.restarts);
+            out += ", \"seeds\": " + list(g.seeds);
+            out += ", \"unidirectional\": " + list(g.unidirectional);
+            out += ", \"vcs\": " + list(g.vcs);
+            out += ", \"vc_depth\": " + std::to_string(g.vcDepth);
+            out += ", \"phase_windows\": " + list(g.phaseWindows);
             out += ", \"reconfig_cost\": " +
-                   std::to_string(config.phaseReconfigCost);
+                   std::to_string(c.phaseReconfigCost);
             out += ", \"threshold\": " +
-                   json::fmtDouble(config.phaseSegmenter.mergeThreshold);
+                   json::fmtDouble(c.phaseSegmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
-                   std::to_string(config.phaseSegmenter.minPhaseWindows);
+                   std::to_string(c.phaseSegmenter.minPhaseWindows);
             out += ", \"matrix_weight\": " +
-                   json::fmtDouble(config.phaseSegmenter.matrixWeight);
-            // Only off the default tier: static requests stay
-            // byte-identical to what pre-power daemons accept.
-            if (config.power.kind != topo::PowerModelKind::Static)
+                   json::fmtDouble(c.phaseSegmenter.matrixWeight);
+            if (c.power.kind != topo::PowerModelKind::Static)
                 out += std::string(", \"power\": \"") +
-                       topo::powerModelKindName(config.power.kind) +
-                       "\"";
+                       topo::powerModelKindName(c.power.kind) + "\"";
             return out;
         };
-        std::optional<core::CliqueSet> cliques;
-        const auto runLocal = [&](std::uint32_t job) {
-            if (!cliques) {
-                cliques = trace::analyzeByCall(trace);
-                cliques->prepareCaches();
-            }
-            return serve::runDseJob(trace, *cliques, job, jobs[job],
-                                    config, keys[job], sigs[job]);
+        const auto runLocal = [&](std::uint32_t r) {
+            return serve::runDseShard(trace, shardConfigs[r],
+                                      shards[r].front());
         };
         const auto onResult = [&](const WorkerMsg &msg) {
-            dse::DsePoint pt;
+            auto &pt = report.points[msg.index];
             pt.params = jobs[msg.index];
             pt.metrics = msg.metrics;
             pt.fromCache = msg.cached;
             dse::recordJobPoint(config, msg.index, pt);
-            report.points[msg.index] = std::move(pt);
         };
-        runShards(shards, options, config.cancel, patternBytes, makeJob,
-                  runLocal, onResult, stats, config.traceLog, "job");
+        runShards(serve::Cmd::DseShard, shards, options, config.cancel,
+                  patternBytes, makeRequest, runLocal, onResult, stats,
+                  config.traceLog);
     }
 
     dse::finalizeReport(report, config);
@@ -611,14 +630,13 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         const std::string traceText = patternStream.str();
         const std::string sig = serve::phasesSignature(config);
 
-        const auto n = std::max<std::size_t>(
-            1, std::min<std::size_t>(options.hosts.size(), nPhases));
-        std::vector<std::vector<std::uint32_t>> shards(n);
+        // One `phase_job` per phase, dealt in phase order.
+        std::vector<std::vector<std::uint32_t>> requests(nPhases);
         for (std::uint32_t p = 0; p < nPhases; ++p)
-            shards[p % n].push_back(p);
+            requests[p] = {p};
 
-        const auto makeJob = [&](std::uint32_t job,
-                                 std::uint32_t attempt) {
+        const auto makeRequest = [&](std::uint32_t job,
+                                     std::uint32_t attempt) {
             std::string out = "{\"id\": \"" + std::to_string(job) +
                               "\", \"cmd\": \"phase_job\"";
             out += ", \"attempt\": " + std::to_string(attempt);
@@ -650,20 +668,20 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         };
         const auto runLocal = [&](std::uint32_t p) {
             const std::int64_t t0 = CancelToken::nowUs();
-            WorkerMsg msg;
+            WorkerReply reply;
+            auto &msg = reply.results.emplace_back();
             msg.index = p;
-            msg.isPhaseRow = true;
             msg.row = phase::evalPhaseStandalone(
                 trace, seg, multi.cliques.standalone[p], p, config);
-            msg.wallUs = CancelToken::nowUs() - t0;
-            return msg;
+            reply.wallUs = CancelToken::nowUs() - t0;
+            return reply;
         };
         const auto onResult = [&](const WorkerMsg &msg) {
             rows.at(msg.index) = msg.row;
         };
-        runShards(shards, options, config.methodology.cancel, traceText,
-                  makeJob, runLocal, onResult, stats, config.traceLog,
-                  "phase");
+        runShards(serve::Cmd::PhaseJob, requests, options,
+                  config.methodology.cancel, traceText, makeRequest,
+                  runLocal, onResult, stats, config.traceLog);
     }
 
     auto report =

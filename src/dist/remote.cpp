@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -83,9 +84,11 @@ tryConnect(const HostSpec &host, std::string &err)
     if (fd < 0 && err.empty())
         err = "connect " + host.label() + ": no usable address";
     if (fd >= 0) {
-        // Job requests are single small lines; latency beats batching.
+        // Job requests are single lines; latency beats batching. No
+        // write may block: sendAll bounds every one.
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
         err.clear();
     }
     return fd;
@@ -113,23 +116,31 @@ connectHost(const HostSpec &host, std::string &err, int attempts)
 }
 
 bool
-sendAll(int fd, std::string_view data)
+sendAll(int fd, std::string_view data, std::int64_t stallMs,
+        const CancelToken *cancel)
 {
     std::size_t off = 0;
+    std::int64_t progressUs = CancelToken::nowUs();
     while (off < data.size()) {
+        checkCancel(cancel);
         const ssize_t n = ::send(fd, data.data() + off,
                                  data.size() - off, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                pollfd p{fd, POLLOUT, 0};
-                (void)::poll(&p, 1, 100);
-                continue;
-            }
+        if (n >= 0) {
+            off += static_cast<std::size_t>(n);
+            progressUs = CancelToken::nowUs();
+            continue;
+        }
+        if (errno == EINTR)
+            continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK)
+            return false;
+        if (CancelToken::nowUs() - progressUs > stallMs * 1000) {
+            errno = ETIMEDOUT;
             return false;
         }
-        off += static_cast<std::size_t>(n);
+        // A 100 ms wait keeps the cancel token polled.
+        pollfd p{fd, POLLOUT, 0};
+        (void)::poll(&p, 1, 100);
     }
     return true;
 }

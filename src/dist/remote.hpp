@@ -3,12 +3,13 @@
  * Remote lane transport: TCP plumbing that lets the coordinator
  * drive `minnoc serve` daemons as job backends.
  *
- * A remote lane speaks the serve NDJSON protocol: one `dse_job` /
+ * A remote lane speaks the serve NDJSON protocol: one `dse_shard` /
  * `phase_job` request per line, one reply per line.
  *
  * Scope: address parsing, connection establishment with bounded
- * exponential backoff, and a partial-write-safe send. The lane state
- * machine itself lives in the coordinator.
+ * exponential backoff, and a partial-write-safe send that neither a
+ * peer which stops reading nor a fired cancel token can wedge. The
+ * lane state machine itself lives in the coordinator.
  */
 
 #ifndef MINNOC_DIST_REMOTE_HPP
@@ -18,6 +19,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/cancel.hpp"
 
 namespace minnoc::dist {
 
@@ -44,14 +47,20 @@ std::vector<HostSpec> parseHostList(const std::string &spec);
 
 /**
  * Connect to @p host with up to @p attempts tries, exponential
- * backoff from 100 ms. Returns the connected fd, or -1 with @p err
- * filled. The fd is left in blocking mode; callers flip O_NONBLOCK.
+ * backoff from 100 ms. Returns the connected fd, already in
+ * non-blocking mode, or -1 with @p err filled.
  */
 int connectHost(const HostSpec &host, std::string &err,
                 int attempts = 5);
 
-/** Write all of @p data, riding out EINTR/EAGAIN; false on error. */
-bool sendAll(int fd, std::string_view data);
+/**
+ * Write all of @p data to the non-blocking socket @p fd, riding out
+ * EINTR and a full send buffer. Fails with errno = ETIMEDOUT once the
+ * peer has taken no byte for @p stallMs, and throws CancelledError
+ * once @p cancel (may be null) fires. False with errno set on failure.
+ */
+bool sendAll(int fd, std::string_view data, std::int64_t stallMs,
+             const CancelToken *cancel = nullptr);
 
 } // namespace minnoc::dist
 

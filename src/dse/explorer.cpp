@@ -144,6 +144,63 @@ networkBytes(core::FinalizedDesign design)
     return os.str();
 }
 
+/**
+ * Evaluate one phase-window job from scratch: segment the trace,
+ * synthesize one network per phase over that phase's standalone
+ * cliques, replay each sub-trace on its own network, and charge the
+ * reconfiguration penalty at every boundary: the execution stalls and
+ * the incoming network idles. Per-stage spans go on the DSE track
+ * with @p tid (the job's grid index) as the thread id.
+ */
+JobMetrics
+evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
+                 const ExploreConfig &config, std::uint32_t tid)
+{
+    auto mcfg = methodologyConfigFor(params);
+    mcfg.cancel = config.cancel;
+    const auto scfg = simConfigFor(params, config);
+    auto *const traceLog = config.traceLog;
+
+    JobMetrics m;
+    m.constraintsMet = true;
+    const auto t0 = obs::spanStart(traceLog);
+    const auto seg =
+        phase::segmentTrace(trace, segmenterFor(params, config));
+    const auto phaseCliques = phase::buildPhaseCliques(trace, seg);
+    std::uint64_t delivered = 0;
+    double latencyWeighted = 0.0;
+    double hopsWeighted = 0.0;
+    sim::Cycle reconfigCycles = 0;
+    double reconfigEnergy = 0.0;
+    for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
+        const auto t = obs::spanStart(traceLog);
+        const auto outcome =
+            core::runMethodology(phaseCliques.standalone[p], mcfg, nullptr);
+        obs::dseSpanEnd(traceLog, "methodology", tid, t);
+        const auto e = sim::evaluateDesign(
+            outcome.design, phase::phaseSubTrace(trace, seg, p),
+            config.floorplan, scfg, config.power,
+            config.phaseReconfigCost, traceLog, tid);
+        foldNetwork(m, designMetrics(outcome), evaluationMetrics(e));
+        const auto n = static_cast<double>(e.sim.packetsDelivered);
+        delivered += e.sim.packetsDelivered;
+        latencyWeighted += e.sim.avgPacketLatency * n;
+        hopsWeighted += e.sim.avgPacketHops * n;
+        if (p > 0) {
+            reconfigCycles += config.phaseReconfigCost;
+            reconfigEnergy += e.idleEnergy;
+        }
+    }
+    m.execTime += reconfigCycles;
+    m.energy += reconfigEnergy;
+    if (delivered) {
+        m.avgLatency = latencyWeighted / static_cast<double>(delivered);
+        m.avgHops = hopsWeighted / static_cast<double>(delivered);
+    }
+    obs::dseSpanEnd(traceLog, "time-multiplexed", tid, t0);
+    return m;
+}
+
 } // namespace
 
 std::vector<JobParams>
@@ -187,70 +244,6 @@ jobSignature(const JobParams &params, const ExploreConfig &config)
         sig += "|phase:" + segmenterFor(params, config).signature() +
                ";rc=" + std::to_string(config.phaseReconfigCost);
     return sig;
-}
-
-JobMetrics
-evaluateJob(const trace::Trace &trace, const core::CliqueSet &cliques,
-            const JobParams &params, const ExploreConfig &config,
-            obs::TraceEventLog *traceLog, std::uint32_t tid)
-{
-    auto mcfg = methodologyConfigFor(params);
-    mcfg.cancel = config.cancel;
-    const auto scfg = simConfigFor(params, config);
-
-    if (params.phaseWindow == 0) {
-        const auto t = obs::spanStart(traceLog);
-        const auto outcome = core::runMethodology(cliques, mcfg, nullptr);
-        obs::dseSpanEnd(traceLog, "methodology", tid, t);
-        return classicMetrics(
-            designMetrics(outcome),
-            evaluationMetrics(sim::evaluateDesign(
-                outcome.design, trace, config.floorplan, scfg,
-                config.power, 0, traceLog, tid)));
-    }
-
-    // Phase-aware job: segment, synthesize one network per phase over
-    // that phase's standalone cliques, replay each sub-trace on its own
-    // network, and charge the reconfiguration penalty at every
-    // boundary: the execution stalls and the incoming network idles.
-    JobMetrics m;
-    m.constraintsMet = true;
-    const auto t0 = obs::spanStart(traceLog);
-    const auto seg =
-        phase::segmentTrace(trace, segmenterFor(params, config));
-    const auto phaseCliques = phase::buildPhaseCliques(trace, seg);
-    std::uint64_t delivered = 0;
-    double latencyWeighted = 0.0;
-    double hopsWeighted = 0.0;
-    sim::Cycle reconfigCycles = 0;
-    double reconfigEnergy = 0.0;
-    for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
-        const auto t = obs::spanStart(traceLog);
-        const auto outcome =
-            core::runMethodology(phaseCliques.standalone[p], mcfg, nullptr);
-        obs::dseSpanEnd(traceLog, "methodology", tid, t);
-        const auto e = sim::evaluateDesign(
-            outcome.design, phase::phaseSubTrace(trace, seg, p),
-            config.floorplan, scfg, config.power,
-            config.phaseReconfigCost, traceLog, tid);
-        foldNetwork(m, designMetrics(outcome), evaluationMetrics(e));
-        const auto n = static_cast<double>(e.sim.packetsDelivered);
-        delivered += e.sim.packetsDelivered;
-        latencyWeighted += e.sim.avgPacketLatency * n;
-        hopsWeighted += e.sim.avgPacketHops * n;
-        if (p > 0) {
-            reconfigCycles += config.phaseReconfigCost;
-            reconfigEnergy += e.idleEnergy;
-        }
-    }
-    m.execTime += reconfigCycles;
-    m.energy += reconfigEnergy;
-    if (delivered) {
-        m.avgLatency = latencyWeighted / static_cast<double>(delivered);
-        m.avgHops = hopsWeighted / static_cast<double>(delivered);
-    }
-    obs::dseSpanEnd(traceLog, "time-multiplexed", tid, t0);
-    return m;
 }
 
 void
@@ -415,9 +408,8 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
         const auto start = obs::spanStart(config.traceLog);
         if (t >= methodologies.size()) {
             const auto i = phaseJobs[t - methodologies.size()];
-            storePoint(i, evaluateJob(trace, cliques, jobs[i], config,
-                                      config.traceLog,
-                                      static_cast<std::uint32_t>(i)));
+            storePoint(i, evaluatePhaseJob(trace, jobs[i], config,
+                                           static_cast<std::uint32_t>(i)));
             jobSpan(i, "phase", start);
             return;
         }

@@ -12,9 +12,14 @@
  * the on-disk ResultCache, so a warm rerun recomputes nothing. The jobs
  * that miss it share their work: one strictly sequential, re-entrant
  * methodology run per distinct methodology configuration, then one
- * evaluation per distinct (network, simulator configuration). Every
- * artifact (report JSON included) is byte-identical at any thread
- * count: job order is the grid expansion order, never completion order.
+ * evaluation per distinct (network, simulator configuration); a
+ * phase-window job runs its own per-phase pipeline. explore() is the
+ * only way a job is evaluated: a `--hosts` daemon and the distributed
+ * coordinator's in-process fallback run each shard of the grid (the
+ * points sharing one degree, restarts and seed) as a sub-grid through
+ * it. Every artifact (report JSON included) is byte-identical at any
+ * thread count: job order is the grid expansion order, never
+ * completion order.
  */
 
 #ifndef MINNOC_DSE_EXPLORER_HPP
@@ -26,7 +31,6 @@
 #include <vector>
 
 #include "cache.hpp"
-#include "core/clique_set.hpp"
 #include "job.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
@@ -153,23 +157,6 @@ struct ExploreReport
  */
 std::string jobSignature(const JobParams &params,
                          const ExploreConfig &config);
-
-/**
- * Evaluate one job from scratch, sharing nothing with other jobs:
- * methodology (sequential, re-entrant), floorplan, trace-driven
- * simulation, energy accounting; per phase for a phase-window job.
- * explore() runs phase-window jobs through here and gives classic jobs
- * the same metrics from shared stages; a single-job request (serve's
- * dse_job) calls it directly. When @p traceLog is given, per-stage
- * wall-time spans are emitted on the DSE track with @p tid (the job's
- * grid index) as the thread id.
- */
-JobMetrics evaluateJob(const trace::Trace &trace,
-                       const core::CliqueSet &cliques,
-                       const JobParams &params,
-                       const ExploreConfig &config,
-                       obs::TraceEventLog *traceLog = nullptr,
-                       std::uint32_t tid = 0);
 
 /**
  * Record one evaluated point's per-job telemetry: gauges keyed by grid

@@ -113,52 +113,64 @@ getString(const json::Value &obj, const char *key, std::string &out,
 } // namespace
 
 std::string
-encodeResult(std::uint32_t index, bool cached, std::int64_t wallUs,
-             const dse::JobMetrics &m)
+encodeShardResult(const WorkerReply &reply)
 {
-    std::string out = "{\"type\": \"result\", \"index\": " +
-                      std::to_string(index);
-    out += std::string(", \"cached\": ") + (cached ? "true" : "false");
-    out += ", \"wall_us\": " + std::to_string(wallUs);
-    out += ", \"metrics\": {";
-    out += "\"switches\": " + std::to_string(m.switches);
-    out += ", \"links\": " + std::to_string(m.links);
-    out += ", \"channels\": " + std::to_string(m.channels);
-    out += std::string(", \"constraints_met\": ") +
-           (m.constraintsMet ? "true" : "false");
-    out += ", \"violations\": " + std::to_string(m.violations);
-    out += ", \"rounds\": " + std::to_string(m.rounds);
-    out += ", \"switch_area\": " + std::to_string(m.switchArea);
-    out += ", \"link_area\": " + std::to_string(m.linkArea);
-    out += ", \"proc_link_area\": " + std::to_string(m.procLinkArea);
-    out += ", \"exec_time\": " + std::to_string(m.execTime);
-    out += ", \"avg_latency\": " + json::fmtDouble(m.avgLatency);
-    out += ", \"avg_hops\": " + json::fmtDouble(m.avgHops);
-    out += ", \"max_link_util\": " + json::fmtDouble(m.maxLinkUtil);
-    out += ", \"energy\": " + json::fmtDouble(m.energy);
-    out += "}}";
+    std::string out = "{\"type\": \"result\", \"wall_us\": " +
+                      std::to_string(reply.wallUs) + ", \"points\": [";
+    for (std::size_t k = 0; k < reply.results.size(); ++k) {
+        const auto &r = reply.results[k];
+        const auto &m = r.metrics;
+        out += k ? ", " : "";
+        out += "{\"index\": " + std::to_string(r.index);
+        out += std::string(", \"cached\": ") + (r.cached ? "true" : "false");
+        out += ", \"metrics\": {";
+        out += "\"switches\": " + std::to_string(m.switches);
+        out += ", \"links\": " + std::to_string(m.links);
+        out += ", \"channels\": " + std::to_string(m.channels);
+        out += std::string(", \"constraints_met\": ") +
+               (m.constraintsMet ? "true" : "false");
+        out += ", \"violations\": " + std::to_string(m.violations);
+        out += ", \"rounds\": " + std::to_string(m.rounds);
+        out += ", \"switch_area\": " + std::to_string(m.switchArea);
+        out += ", \"link_area\": " + std::to_string(m.linkArea);
+        out += ", \"proc_link_area\": " + std::to_string(m.procLinkArea);
+        out += ", \"exec_time\": " + std::to_string(m.execTime);
+        out += ", \"avg_latency\": " + json::fmtDouble(m.avgLatency);
+        out += ", \"avg_hops\": " + json::fmtDouble(m.avgHops);
+        out += ", \"max_link_util\": " + json::fmtDouble(m.maxLinkUtil);
+        out += ", \"energy\": " + json::fmtDouble(m.energy);
+        out += "}}";
+    }
+    out += "]}";
     return out;
 }
 
-WorkerMsg
-runDseJob(const trace::Trace &trace, const core::CliqueSet &cliques,
-          std::uint32_t index, const dse::JobParams &params,
-          const dse::ExploreConfig &config, const std::string &key,
-          const std::string &sig)
+WorkerReply
+runDseShard(const trace::Trace &trace, const dse::ExploreConfig &config,
+            std::uint32_t firstIndex)
 {
-    const dse::ResultCache cache(config.cacheDir, config.useCache);
     const std::int64_t t0 = CancelToken::nowUs();
-    WorkerMsg msg;
-    msg.index = index;
-    if (auto hit = cache.load(key, sig)) {
-        msg.metrics = *hit;
-        msg.cached = true;
-    } else {
-        msg.metrics = dse::evaluateJob(trace, cliques, params, config);
-        cache.store(key, sig, msg.metrics);
+    const auto report = dse::explore(trace, config);
+    WorkerReply reply;
+    for (std::size_t k = 0; k < report.points.size(); ++k) {
+        const auto &pt = report.points[k];
+        WorkerMsg msg;
+        msg.index = firstIndex + static_cast<std::uint32_t>(k);
+        msg.cached = pt.fromCache;
+        msg.metrics = pt.metrics;
+        reply.results.push_back(msg);
     }
-    msg.wallUs = CancelToken::nowUs() - t0;
-    return msg;
+    reply.wallUs = CancelToken::nowUs() - t0;
+    return reply;
+}
+
+std::string
+shardSignature(const dse::ExploreConfig &config)
+{
+    std::uint64_t h = dse::fnv1a64({});
+    for (const auto &params : config.grid.expand())
+        h = dse::fnv1a64(dse::jobSignature(params, config) + '\n', h);
+    return std::to_string(h);
 }
 
 std::string
@@ -195,8 +207,8 @@ phasesSignature(const phase::PhaseEvalConfig &config)
            ";rc=" + std::to_string(config.reconfigCost);
 }
 
-std::optional<WorkerMsg>
-parseWorkerMsg(const std::string &text, std::string &err)
+std::optional<WorkerReply>
+parseWorkerReply(const std::string &text, Cmd cmd, std::string &err)
 {
     const auto doc = json::parse(text);
     if (!doc || !doc->isObject()) {
@@ -210,37 +222,23 @@ parseWorkerMsg(const std::string &text, std::string &err)
         err = "unknown job message type '" + type + "'";
         return std::nullopt;
     }
-    WorkerMsg msg;
-    if (!getU32(*doc, "index", msg.index, err) ||
-        !getI64(*doc, "wall_us", msg.wallUs, err))
+    WorkerReply reply;
+    if (!getI64(*doc, "wall_us", reply.wallUs, err))
         return std::nullopt;
-    if (const auto *m = doc->find("metrics")) {
-        std::uint32_t violations = 0;
-        if (!getU32(*m, "switches", msg.metrics.switches, err) ||
-            !getU32(*m, "links", msg.metrics.links, err) ||
-            !getU32(*m, "channels", msg.metrics.channels, err) ||
-            !getBool(*m, "constraints_met", msg.metrics.constraintsMet,
-                     err) ||
-            !getU32(*m, "violations", violations, err) ||
-            !getU32(*m, "rounds", msg.metrics.rounds, err) ||
-            !getU32(*m, "switch_area", msg.metrics.switchArea, err) ||
-            !getU32(*m, "link_area", msg.metrics.linkArea, err) ||
-            !getU32(*m, "proc_link_area", msg.metrics.procLinkArea, err) ||
-            !getI64(*m, "exec_time", msg.metrics.execTime, err) ||
-            !getDouble(*m, "avg_latency", msg.metrics.avgLatency, err) ||
-            !getDouble(*m, "avg_hops", msg.metrics.avgHops, err) ||
-            !getDouble(*m, "max_link_util", msg.metrics.maxLinkUtil, err) ||
-            !getDouble(*m, "energy", msg.metrics.energy, err) ||
-            !getBool(*doc, "cached", msg.cached, err))
+
+    if (cmd == Cmd::PhaseJob) {
+        const auto *r = doc->find("row");
+        if (!r) {
+            err = "phase_job result lacks 'row'";
             return std::nullopt;
-        msg.metrics.violations = violations;
-    } else if (const auto *r = doc->find("row")) {
-        msg.isPhaseRow = true;
+        }
+        WorkerMsg msg;
         auto &v = msg.row.network;
         std::uint64_t packets = 0;
         std::uint64_t violations = 0;
         std::int64_t exec = 0;
-        if (!getU32(*r, "switches", v.switches, err) ||
+        if (!getU32(*doc, "index", msg.index, err) ||
+            !getU32(*r, "switches", v.switches, err) ||
             !getU32(*r, "links", v.links, err) ||
             !getU32(*r, "channels", v.channels, err) ||
             !getU32(*r, "area", v.area, err) ||
@@ -255,11 +253,43 @@ parseWorkerMsg(const std::string &text, std::string &err)
         v.execTime = exec;
         v.packetsDelivered = packets;
         v.violations = static_cast<std::size_t>(violations);
-    } else {
-        err = "job result lacks both 'metrics' and 'row'";
+        reply.results.push_back(msg);
+        return reply;
+    }
+
+    const auto *points = doc->find("points");
+    if (!points || !points->isArray() || points->asArray().empty()) {
+        err = "dse_shard result lacks a non-empty 'points' list";
         return std::nullopt;
     }
-    return msg;
+    for (const auto &pt : points->asArray()) {
+        WorkerMsg msg;
+        const auto *m = pt.find("metrics");
+        if (!m) {
+            err = "dse_shard point lacks 'metrics'";
+            return std::nullopt;
+        }
+        auto &metrics = msg.metrics;
+        if (!getU32(pt, "index", msg.index, err) ||
+            !getBool(pt, "cached", msg.cached, err) ||
+            !getU32(*m, "switches", metrics.switches, err) ||
+            !getU32(*m, "links", metrics.links, err) ||
+            !getU32(*m, "channels", metrics.channels, err) ||
+            !getBool(*m, "constraints_met", metrics.constraintsMet, err) ||
+            !getU32(*m, "violations", metrics.violations, err) ||
+            !getU32(*m, "rounds", metrics.rounds, err) ||
+            !getU32(*m, "switch_area", metrics.switchArea, err) ||
+            !getU32(*m, "link_area", metrics.linkArea, err) ||
+            !getU32(*m, "proc_link_area", metrics.procLinkArea, err) ||
+            !getI64(*m, "exec_time", metrics.execTime, err) ||
+            !getDouble(*m, "avg_latency", metrics.avgLatency, err) ||
+            !getDouble(*m, "avg_hops", metrics.avgHops, err) ||
+            !getDouble(*m, "max_link_util", metrics.maxLinkUtil, err) ||
+            !getDouble(*m, "energy", metrics.energy, err))
+            return std::nullopt;
+        reply.results.push_back(msg);
+    }
+    return reply;
 }
 
 } // namespace minnoc::serve

@@ -33,7 +33,7 @@ cmdName(Cmd cmd)
       case Cmd::Design: return "design";
       case Cmd::Explore: return "explore";
       case Cmd::Phases: return "phases";
-      case Cmd::DseJob: return "dse_job";
+      case Cmd::DseShard: return "dse_shard";
       case Cmd::PhaseJob: return "phase_job";
     }
     return "ping";
@@ -140,59 +140,51 @@ parseRequest(const std::string &line, RequestError &error)
         req.cmd = Cmd::Explore;
     else if (name == "phases")
         req.cmd = Cmd::Phases;
-    else if (name == "dse_job")
-        req.cmd = Cmd::DseJob;
+    else if (name == "dse_shard")
+        req.cmd = Cmd::DseShard;
     else if (name == "phase_job")
         req.cmd = Cmd::PhaseJob;
     else
         return fail(error, ErrorCode::ValidationError,
                     "unknown cmd '" + name + "'");
 
-    const bool compute = req.cmd == Cmd::Design ||
-                         req.cmd == Cmd::Explore ||
+    const bool compute = req.cmd != Cmd::Ping && req.cmd != Cmd::Status;
+    // Which parameter families a command takes: scalar methodology
+    // knobs, an explore grid, the priced-run knobs, the phase
+    // segmenter, and the coordinator's job dispatch fields.
+    const bool scalars = req.cmd == Cmd::Design ||
                          req.cmd == Cmd::Phases ||
-                         req.cmd == Cmd::DseJob ||
                          req.cmd == Cmd::PhaseJob;
+    const bool grid = req.cmd == Cmd::Explore || req.cmd == Cmd::DseShard;
+    const bool job = req.cmd == Cmd::DseShard || req.cmd == Cmd::PhaseJob;
+    const bool priced = grid || req.cmd == Cmd::Phases ||
+                        req.cmd == Cmd::PhaseJob;
+    const bool segmented = job || req.cmd == Cmd::Phases;
+    const bool windowed =
+        req.cmd == Cmd::Phases || req.cmd == Cmd::PhaseJob;
 
     // Strict field set: every key must be known AND applicable to the
     // command — a typoed or misplaced parameter is an error, not a
     // silently-ignored no-op.
     for (const auto &[key, value] : obj) {
         (void)value;
-        const bool common = key == "id" || key == "cmd";
-        const bool computeCommon =
-            compute && (key == "trace" || key == "deadline_ms");
-        const bool designKey =
-            req.cmd == Cmd::Design &&
-            (key == "max_degree" || key == "restarts" || key == "seed");
-        const bool exploreKey =
-            req.cmd == Cmd::Explore &&
-            (key == "degrees" || key == "restarts" || key == "seeds" ||
-             key == "vcs" || key == "unidirectional" ||
-             key == "vc_depth" || key == "phase_windows" ||
-             key == "reconfig_cost" || key == "power");
-        const bool phasesKey =
-            req.cmd == Cmd::Phases &&
-            (key == "window" || key == "threshold" ||
-             key == "min_phase_windows" || key == "reconfig_cost" ||
-             key == "max_degree" || key == "restarts" ||
-             key == "seed" || key == "power");
-        const bool jobCommon =
-            (req.cmd == Cmd::DseJob || req.cmd == Cmd::PhaseJob) &&
-            (key == "attempt" || key == "job_index" || key == "sig" ||
-             key == "max_degree" || key == "restarts" || key == "seed" ||
-             key == "reconfig_cost" || key == "threshold" ||
-             key == "min_phase_windows" || key == "matrix_weight" ||
-             key == "power");
-        const bool dseJobKey =
-            req.cmd == Cmd::DseJob &&
-            (key == "unidirectional" || key == "vcs" ||
-             key == "vc_depth" || key == "phase_window");
-        const bool phaseJobKey =
-            req.cmd == Cmd::PhaseJob &&
-            (key == "window" || key == "expected_phases");
-        if (!common && !computeCommon && !designKey && !exploreKey &&
-            !phasesKey && !jobCommon && !dseJobKey && !phaseJobKey)
+        const bool known =
+            key == "id" || key == "cmd" ||
+            (compute && (key == "trace" || key == "deadline_ms")) ||
+            (scalars && (key == "max_degree" || key == "restarts" ||
+                         key == "seed")) ||
+            (grid && (key == "degrees" || key == "restarts" ||
+                      key == "seeds" || key == "vcs" ||
+                      key == "unidirectional" || key == "vc_depth" ||
+                      key == "phase_windows")) ||
+            (priced && (key == "reconfig_cost" || key == "power")) ||
+            (segmented &&
+             (key == "threshold" || key == "min_phase_windows")) ||
+            (windowed && key == "window") ||
+            (job && (key == "attempt" || key == "job_index" ||
+                     key == "sig" || key == "matrix_weight")) ||
+            (req.cmd == Cmd::PhaseJob && key == "expected_phases");
+        if (!known)
             return fail(error, ErrorCode::ValidationError,
                         "unknown field '" + key + "' for cmd '" + name +
                             "'");
@@ -221,8 +213,7 @@ parseRequest(const std::string &line, RequestError &error)
                     std::string("'") + field + "' " + what);
     };
 
-    if (req.cmd == Cmd::Design || req.cmd == Cmd::Phases ||
-        req.cmd == Cmd::DseJob || req.cmd == Cmd::PhaseJob) {
+    if (scalars) {
         if (const auto *v = root->find("max_degree")) {
             if (!asUint(*v, 64, u) || u < 1)
                 return badField("max_degree",
@@ -242,20 +233,23 @@ parseRequest(const std::string &line, RequestError &error)
         }
     }
 
-    // Energy accounting tier: applies to every command that prices a
-    // simulated run (design emits no energy numbers).
-    if (req.cmd == Cmd::Explore || req.cmd == Cmd::Phases ||
-        req.cmd == Cmd::DseJob || req.cmd == Cmd::PhaseJob) {
-        if (const auto *v = root->find("power")) {
-            if (!v->isString() ||
-                !topo::powerModelKindFromName(v->asString()))
-                return badField("power",
-                                "must be 'static' or 'activity'");
-            req.power = v->asString();
-        }
+    // Energy accounting tier and reconfiguration penalty: every
+    // command that prices a simulated run takes them (design emits no
+    // energy numbers). The field check above already rejected them
+    // anywhere else, as it did every key parsed below.
+    if (const auto *v = root->find("power")) {
+        if (!v->isString() || !topo::powerModelKindFromName(v->asString()))
+            return badField("power", "must be 'static' or 'activity'");
+        req.power = v->asString();
+    }
+    if (const auto *v = root->find("reconfig_cost")) {
+        if (!asUint(*v, 1'000'000'000, u))
+            return badField("reconfig_cost",
+                            "must be an integer in [0, 1e9]");
+        req.reconfigCost = static_cast<std::int64_t>(u);
     }
 
-    if (req.cmd == Cmd::Explore) {
+    if (grid) {
         std::vector<std::uint64_t> list;
         if (const auto *v = root->find("degrees")) {
             if (!asUintList(*v, 1, 64, 64, list))
@@ -306,12 +300,6 @@ parseRequest(const std::string &line, RequestError &error)
                                 "in [0, 1000000]");
             req.grid.phaseWindows = narrow32(list);
         }
-        if (const auto *v = root->find("reconfig_cost")) {
-            if (!asUint(*v, 1'000'000'000, u))
-                return badField("reconfig_cost",
-                                "must be an integer in [0, 1e9]");
-            req.reconfigCost = static_cast<std::int64_t>(u);
-        }
 
         // Admission-time DoS guard: a request's grid expands
         // multiplicatively, so bound the job count before any work.
@@ -328,35 +316,25 @@ parseRequest(const std::string &line, RequestError &error)
                             std::to_string(kMaxGridJobs) + ")");
     }
 
-    if (req.cmd == Cmd::Phases) {
-        if (const auto *v = root->find("window")) {
-            if (!asUint(*v, 1'000'000'000, u) || u < 1)
-                return badField("window",
-                                "must be an integer in [1, 1e9]");
-            req.window = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("threshold")) {
-            if (!v->isNumber() || !(v->asNumber() >= 0.0) ||
-                !(v->asNumber() <= 1e6))
-                return badField("threshold",
-                                "must be a number in [0, 1e6]");
-            req.threshold = v->asNumber();
-        }
-        if (const auto *v = root->find("min_phase_windows")) {
-            if (!asUint(*v, 1'000'000, u) || u < 1)
-                return badField("min_phase_windows",
-                                "must be an integer in [1, 1e6]");
-            req.minPhaseWindows = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("reconfig_cost")) {
-            if (!asUint(*v, 1'000'000'000, u))
-                return badField("reconfig_cost",
-                                "must be an integer in [0, 1e9]");
-            req.reconfigCost = static_cast<std::int64_t>(u);
-        }
+    if (const auto *v = root->find("window")) {
+        if (!asUint(*v, 1'000'000'000, u) || u < 1)
+            return badField("window", "must be an integer in [1, 1e9]");
+        req.window = static_cast<std::uint32_t>(u);
+    }
+    if (const auto *v = root->find("threshold")) {
+        if (!v->isNumber() || !(v->asNumber() >= 0.0) ||
+            !(v->asNumber() <= 1e6))
+            return badField("threshold", "must be a number in [0, 1e6]");
+        req.threshold = v->asNumber();
+    }
+    if (const auto *v = root->find("min_phase_windows")) {
+        if (!asUint(*v, 1'000'000, u) || u < 1)
+            return badField("min_phase_windows",
+                            "must be an integer in [1, 1e6]");
+        req.minPhaseWindows = static_cast<std::uint32_t>(u);
     }
 
-    if (req.cmd == Cmd::DseJob || req.cmd == Cmd::PhaseJob) {
+    if (job) {
         if (const auto *v = root->find("attempt")) {
             if (!asUint(*v, 2, u) || u < 1)
                 return badField("attempt",
@@ -378,25 +356,6 @@ parseRequest(const std::string &line, RequestError &error)
                         "'sig' must be a non-empty string of at most "
                         "1024 bytes");
         req.sig = sig->asString();
-        if (const auto *v = root->find("reconfig_cost")) {
-            if (!asUint(*v, 1'000'000'000, u))
-                return badField("reconfig_cost",
-                                "must be an integer in [0, 1e9]");
-            req.reconfigCost = static_cast<std::int64_t>(u);
-        }
-        if (const auto *v = root->find("threshold")) {
-            if (!v->isNumber() || !(v->asNumber() >= 0.0) ||
-                !(v->asNumber() <= 1e6))
-                return badField("threshold",
-                                "must be a number in [0, 1e6]");
-            req.threshold = v->asNumber();
-        }
-        if (const auto *v = root->find("min_phase_windows")) {
-            if (!asUint(*v, 1'000'000, u) || u < 1)
-                return badField("min_phase_windows",
-                                "must be an integer in [1, 1e6]");
-            req.minPhaseWindows = static_cast<std::uint32_t>(u);
-        }
         if (const auto *v = root->find("matrix_weight")) {
             if (!v->isNumber() || !(v->asNumber() >= 0.0) ||
                 !(v->asNumber() <= 1.0))
@@ -406,44 +365,11 @@ parseRequest(const std::string &line, RequestError &error)
         }
     }
 
-    if (req.cmd == Cmd::DseJob) {
-        if (const auto *v = root->find("unidirectional")) {
-            if (!asUint(*v, 1, u))
-                return badField("unidirectional", "must be 0 or 1");
-            req.unidirectional = u != 0;
-        }
-        if (const auto *v = root->find("vcs")) {
-            if (!asUint(*v, 32, u) || u < 1)
-                return badField("vcs", "must be an integer in [1, 32]");
-            req.vcs = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("vc_depth")) {
-            if (!asUint(*v, 64, u) || u < 1)
-                return badField("vc_depth",
-                                "must be an integer in [1, 64]");
-            req.vcDepth = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("phase_window")) {
-            if (!asUint(*v, 1'000'000, u))
-                return badField("phase_window",
-                                "must be an integer in [0, 1e6]");
-            req.phaseWindow = static_cast<std::uint32_t>(u);
-        }
-    }
-
-    if (req.cmd == Cmd::PhaseJob) {
-        if (const auto *v = root->find("window")) {
-            if (!asUint(*v, 1'000'000'000, u) || u < 1)
-                return badField("window",
-                                "must be an integer in [1, 1e9]");
-            req.window = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("expected_phases")) {
-            if (!asUint(*v, 1'000'000, u))
-                return badField("expected_phases",
-                                "must be an integer in [0, 1e6]");
-            req.expectedPhases = static_cast<std::uint32_t>(u);
-        }
+    if (const auto *v = root->find("expected_phases")) {
+        if (!asUint(*v, 1'000'000, u))
+            return badField("expected_phases",
+                            "must be an integer in [0, 1e6]");
+        req.expectedPhases = static_cast<std::uint32_t>(u);
     }
 
     return req;

@@ -18,7 +18,12 @@
  * `explore`, `phases` (admitted into the bounded work queue). Compute
  * parameters mirror the CLI flags of the same name and default to the
  * same values, so a serve response is byte-identical to the
- * corresponding CLI command's output for the same trace.
+ * corresponding CLI command's output for the same trace. Two more
+ * queued commands are the `--hosts` coordinator's unit of remote work
+ * (see jobwire.hpp): `dse_shard`, an explore sub-grid given in the
+ * explore grid fields, and `phase_job`, one standalone phase row. Each
+ * carries the coordinator's `attempt`, `job_index` and expected
+ * signature `sig`.
  *
  * Response shape:
  *
@@ -75,7 +80,7 @@ enum class Cmd : std::uint8_t {
     Design,  ///< full methodology run -> design file bytes
     Explore, ///< DSE grid sweep -> explore report JSON
     Phases,  ///< phase segmentation + evaluation -> phases report JSON
-    DseJob,  ///< one explore grid point -> job-wire result document
+    DseShard, ///< one explore shard -> job-wire result document
     PhaseJob, ///< one phase standalone row -> job-wire result document
 };
 
@@ -102,7 +107,8 @@ struct Request
     std::uint32_t restarts = 16;
     std::uint64_t seed = 1;
 
-    // explore grid (defaults = ExploreGrid defaults = CLI defaults).
+    // explore / dse_shard grid (defaults = ExploreGrid defaults = CLI
+    // defaults).
     dse::ExploreGrid grid;
     std::int64_t reconfigCost = 500;
 
@@ -114,18 +120,14 @@ struct Request
     double threshold = phase::PhaseConfig{}.mergeThreshold;
     std::uint32_t minPhaseWindows = phase::PhaseConfig{}.minPhaseWindows;
 
-    // dse_job / phase_job scalars — the multi-host coordinator's
-    // per-job dispatch (defaults = JobParams / segmenter defaults).
-    /** Coordinator's dispatch attempt for this job (2 on requeue). */
+    // dse_shard / phase_job scalars — the multi-host coordinator's
+    // dispatch (defaults = segmenter defaults).
+    /** Coordinator's dispatch attempt for this request (2 on requeue). */
     std::uint32_t attempt = 1;
-    /** Grid index / phase index, echoed in the result document. */
+    /** Shard's first grid index / phase index of the result document. */
     std::uint32_t jobIndex = 0;
     /** Coordinator's expected parameter signature (drift guard). */
     std::string sig;
-    bool unidirectional = false;
-    std::uint32_t vcs = 3;
-    std::uint32_t vcDepth = 4;
-    std::uint32_t phaseWindow = 0;
     double matrixWeight = phase::PhaseConfig{}.matrixWeight;
     /** phase_job segmentation cross-check (phases the caller saw). */
     std::uint32_t expectedPhases = 0;

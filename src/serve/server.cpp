@@ -68,12 +68,8 @@ requestKey(const Request &req)
             << "|rc=" << req.reconfigCost << "|d=" << req.maxDegree
             << "|r=" << req.restarts << "|s=" << req.seed;
         break;
-      case Cmd::DseJob:
-        sig << "|j=" << req.jobIndex << "|sig=" << req.sig
-            << "|d=" << req.maxDegree << "|r=" << req.restarts
-            << "|s=" << req.seed << "|u=" << req.unidirectional
-            << "|v=" << req.vcs << "|vcd=" << req.vcDepth
-            << "|pw=" << req.phaseWindow << "|rc=" << req.reconfigCost;
+      case Cmd::DseShard:
+        sig << "|j=" << req.jobIndex << "|sig=" << req.sig;
         break;
       case Cmd::PhaseJob:
         sig << "|j=" << req.jobIndex << "|sig=" << req.sig
@@ -94,8 +90,9 @@ requestKey(const Request &req)
 
 /**
  * True when the dist test hook @p env is set to "serve", this is the
- * job's first dispatch attempt, and this server has already completed
- * a job — so the fault lands after the first result.
+ * request's first dispatch attempt, and this server has already
+ * completed a request — so the fault lands on the second request,
+ * after the first result.
  */
 bool
 serveHookFires(const char *env, std::uint32_t attempt,
@@ -606,7 +603,7 @@ Server::handleJob(Job &job, const std::uint32_t worker)
     // single-flight tier: the `cached` flag inside the result document
     // must tell the truth about this daemon's disk cache, and the
     // shared disk cache already dedups identical jobs across requests.
-    if (req.cmd == Cmd::DseJob || req.cmd == Cmd::PhaseJob) {
+    if (req.cmd == Cmd::DseShard || req.cmd == Cmd::PhaseJob) {
         (void)worker;
         if (job.token->cancelled()) {
             const auto [code, message] =
@@ -834,25 +831,50 @@ Server::compute(const Job &job)
         core::saveDesign(outcome.design, os);
         return os.str();
       }
-      case Cmd::Explore: {
+      case Cmd::Explore:
+      case Cmd::DseShard: {
+        if (req.cmd == Cmd::DseShard)
+            maybeInjectServeFault(req.attempt, _metrics);
         dse::ExploreConfig cfg;
         cfg.grid = req.grid;
         cfg.phaseReconfigCost =
             static_cast<sim::Cycle>(req.reconfigCost);
+        cfg.phaseSegmenter.mergeThreshold = req.threshold;
+        cfg.phaseSegmenter.minPhaseWindows = req.minPhaseWindows;
+        cfg.phaseSegmenter.matrixWeight = req.matrixWeight;
         // Request-level parallelism comes from the worker pool; each
-        // job runs its grid sequentially (reports are byte-identical
-        // at any thread count, so this is invisible to clients).
+        // request runs its grid sequentially (reports are
+        // byte-identical at any thread count, so this is invisible to
+        // clients).
         cfg.threads = 1;
+        // Always the daemon's OWN disk cache, never a client path —
+        // the socket is the trust boundary.
         cfg.cacheDir = _config.cacheDir;
         cfg.useCache = _config.useCache;
         cfg.power.kind = *topo::powerModelKindFromName(req.power);
         cfg.cancel = job.token.get();
-        const auto report = dse::explore(tr, cfg);
-        _metrics.counter("serve/disk_cache_hits")
-            .add(report.cacheHits);
-        _metrics.counter("serve/disk_cache_misses")
-            .add(report.cacheMisses);
-        return report.toJson();
+        if (req.cmd == Cmd::Explore) {
+            const auto report = dse::explore(tr, cfg);
+            _metrics.counter("serve/disk_cache_hits")
+                .add(report.cacheHits);
+            _metrics.counter("serve/disk_cache_misses")
+                .add(report.cacheMisses);
+            return report.toJson();
+        }
+
+        const auto sig = shardSignature(cfg);
+        if (sig != req.sig)
+            throw FatalError(
+                "shard signature drift: coordinator expects '" + req.sig +
+                "', daemon computes '" + sig + "'");
+        const auto reply = runDseShard(tr, cfg, req.jobIndex);
+        for (const auto &point : reply.results)
+            _metrics
+                .counter(point.cached ? "serve/job_cache_hits"
+                                      : "serve/job_cache_misses")
+                .add();
+        _metrics.counter("serve/dse_jobs").add(reply.results.size());
+        return encodeShardResult(reply);
       }
       case Cmd::Phases: {
         phase::PhaseEvalConfig cfg;
@@ -870,55 +892,6 @@ Server::compute(const Job &job)
         cfg.power.kind = *topo::powerModelKindFromName(req.power);
         cfg.threads = 1;
         return phase::evaluatePhases(tr, cfg).toJson();
-      }
-      case Cmd::DseJob: {
-        maybeInjectServeFault(req.attempt, _metrics);
-        dse::ExploreConfig cfg;
-        cfg.threads = 1;
-        // Always the daemon's OWN disk cache, never a client path —
-        // the socket is the trust boundary.
-        cfg.cacheDir = _config.cacheDir;
-        cfg.useCache = _config.useCache;
-        cfg.phaseSegmenter.mergeThreshold = req.threshold;
-        cfg.phaseSegmenter.minPhaseWindows = req.minPhaseWindows;
-        cfg.phaseSegmenter.matrixWeight = req.matrixWeight;
-        cfg.phaseReconfigCost =
-            static_cast<sim::Cycle>(req.reconfigCost);
-        cfg.power.kind = *topo::powerModelKindFromName(req.power);
-        cfg.cancel = job.token.get();
-
-        dse::JobParams params;
-        params.maxDegree = req.maxDegree;
-        params.restarts = req.restarts;
-        params.seed = req.seed;
-        params.unidirectional = req.unidirectional;
-        params.numVcs = req.vcs;
-        params.vcDepth = req.vcDepth;
-        params.phaseWindow = req.phaseWindow;
-
-        const auto sig = dse::jobSignature(params, cfg);
-        if (sig != req.sig)
-            throw FatalError(
-                "job signature drift: coordinator expects '" +
-                req.sig + "', daemon computes '" + sig + "'");
-
-        // Re-serialize so the cache key matches the coordinator's
-        // (save∘load round-trips bit-exactly).
-        std::ostringstream patternStream;
-        tr.save(patternStream);
-        const auto key = dse::jobKey(patternStream.str(), sig);
-
-        auto cliques = trace::analyzeByCall(tr);
-        cliques.prepareCaches();
-        const auto msg =
-            runDseJob(tr, cliques, req.jobIndex, params, cfg, key, sig);
-        _metrics
-            .counter(msg.cached ? "serve/job_cache_hits"
-                                : "serve/job_cache_misses")
-            .add();
-        _metrics.counter("serve/dse_jobs").add();
-        return encodeResult(msg.index, msg.cached, msg.wallUs,
-                            msg.metrics);
       }
       case Cmd::PhaseJob: {
         maybeInjectServeFault(req.attempt, _metrics);

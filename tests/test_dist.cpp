@@ -1,18 +1,19 @@
 /**
  * @file
- * Distributed exploration tests: the job result round trip,
+ * Distributed exploration tests: the shard result round trip and the
+ * check that a result document is of the kind its request asked for,
  * byte-identity of the coordinator's merged report against the
  * in-process explorer (across lane counts, warm shared caches, and a
- * crashed lane whose jobs fall back in-process), the abort on a
- * shard's second failure, Ctrl-C during the in-process fallback, and
- * the distributed phases evaluation. Every lane is a real `minnoc
- * serve` daemon on loopback (a forked DaemonProc).
+ * crashed lane whose shards fall back in-process), lanes that run only
+ * whole shards, the abort on a shard's second failure, Ctrl-C during
+ * the in-process fallback, and the distributed phases evaluation.
+ * Every lane is a real `minnoc serve` daemon on loopback (a forked
+ * DaemonProc).
  *
  * Fault injection uses the serve-side test hooks: a daemon started
- * with MINNOC_DIST_TEST_CRASH=serve dies with _exit(42) after its
- * first result on a job's first attempt, so every crash test
- * exercises the real requeue path with part of the shard already
- * delivered.
+ * with MINNOC_DIST_TEST_CRASH=serve dies with _exit(42) at its second
+ * request on a first attempt, so every crash test exercises the real
+ * requeue path with part of the lane's work already delivered.
  */
 
 #include <gtest/gtest.h>
@@ -94,24 +95,66 @@ totalJobs(const DistStats &stats)
 
 TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
 {
-    dse::JobMetrics m;
-    m.switches = 7;
-    m.avgHops = 2.7142857142857144; // not exactly representable in %g
-    m.energy = 1.2345678901234567e6;
-    m.maxLinkUtil = 0.33333333333333331;
+    // A multi-point shard document: every point keeps its index, its
+    // cached flag and its doubles bit for bit.
+    serve::WorkerReply shard;
+    shard.wallUs = 12345;
+    for (std::uint32_t k = 0; k < 3; ++k) {
+        auto &msg = shard.results.emplace_back();
+        msg.index = 11 + k;
+        msg.cached = k == 1;
+        msg.metrics.switches = 7 + k;
+        msg.metrics.execTime = 9007199254740992 - k; // 2^53 - k
+        // Not exactly representable in %g.
+        msg.metrics.avgHops = 2.7142857142857144 + k;
+        msg.metrics.energy = 1.2345678901234567e6 * (k + 1);
+        msg.metrics.maxLinkUtil = 0.33333333333333331 / (k + 1);
+    }
 
     std::string err;
-    const auto msg = serve::parseWorkerMsg(
-        serve::encodeResult(11, true, 12345, m), err);
-    ASSERT_TRUE(msg.has_value()) << err;
-    EXPECT_FALSE(msg->isPhaseRow);
-    EXPECT_EQ(msg->index, 11u);
-    EXPECT_TRUE(msg->cached);
-    EXPECT_EQ(msg->wallUs, 12345);
-    EXPECT_EQ(msg->metrics.switches, 7u);
-    EXPECT_EQ(msg->metrics.avgHops, m.avgHops);   // bit-exact
-    EXPECT_EQ(msg->metrics.energy, m.energy);     // bit-exact
-    EXPECT_EQ(msg->metrics.maxLinkUtil, m.maxLinkUtil);
+    const auto reply = serve::parseWorkerReply(
+        serve::encodeShardResult(shard), serve::Cmd::DseShard, err);
+    ASSERT_TRUE(reply.has_value()) << err;
+    EXPECT_EQ(reply->wallUs, 12345);
+    ASSERT_EQ(reply->results.size(), shard.results.size());
+    for (std::size_t k = 0; k < shard.results.size(); ++k) {
+        const auto &in = shard.results[k];
+        const auto &out = reply->results[k];
+        EXPECT_EQ(out.index, in.index);
+        EXPECT_EQ(out.cached, in.cached);
+        EXPECT_EQ(out.metrics, in.metrics); // doubles bit-exact
+    }
+}
+
+TEST(DistProtocol, PhaseRowIsNotAShardResult)
+{
+    phase::PhaseRowEval row;
+    row.network.switches = 3;
+    row.network.energy = 42.5;
+    std::string err;
+    EXPECT_FALSE(serve::parseWorkerReply(serve::encodePhaseResult(2, 10, row),
+                                         serve::Cmd::DseShard, err)
+                     .has_value());
+    EXPECT_NE(err.find("points"), std::string::npos) << err;
+    // The same document is a well-formed phase row.
+    err.clear();
+    const auto ok = serve::parseWorkerReply(
+        serve::encodePhaseResult(2, 10, row), serve::Cmd::PhaseJob, err);
+    ASSERT_TRUE(ok.has_value()) << err;
+    ASSERT_EQ(ok->results.size(), 1u);
+    EXPECT_EQ(ok->results[0].index, 2u);
+    EXPECT_EQ(ok->results[0].row.network.energy, 42.5);
+}
+
+TEST(DistProtocol, ShardResultIsNotAPhaseRow)
+{
+    serve::WorkerReply shard;
+    shard.results.emplace_back().index = 4;
+    std::string err;
+    EXPECT_FALSE(serve::parseWorkerReply(serve::encodeShardResult(shard),
+                                         serve::Cmd::PhaseJob, err)
+                     .has_value());
+    EXPECT_NE(err.find("row"), std::string::npos) << err;
 }
 
 TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
@@ -120,8 +163,10 @@ TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
     const auto cfg = smallConfig("", false);
     const auto base = dse::explore(tr, cfg);
 
+    // Two shards of two points each: degree 4 and degree 5.
+    const std::size_t shards = base.points.size() / 2;
     for (const std::size_t lanes : {1u, 2u, 5u}) {
-        Fleet fleet(lanes, noCache()); // 5 > jobs exercises the clamp
+        Fleet fleet(lanes, noCache()); // 5 > shards exercises the clamp
         ASSERT_TRUE(fleet.up());
         DistStats stats;
         const auto report =
@@ -129,9 +174,37 @@ TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
         EXPECT_EQ(base.toJson(), report.toJson()) << "lanes=" << lanes;
         EXPECT_EQ(totalJobs(stats), base.points.size())
             << "lanes=" << lanes;
-        EXPECT_EQ(stats.workers, std::min(lanes, base.points.size()));
+        EXPECT_EQ(stats.workers, std::min(lanes, shards));
         EXPECT_TRUE(stats.failures.empty());
     }
+}
+
+TEST(DistExplore, LanesRunWholeShards)
+{
+    // The default grid on CG-16: 3 degrees x 1 restarts x 1 seed
+    // shards of 2 directionalities x 2 VC counts = 4 points each.
+    trace::NasConfig ncfg;
+    ncfg.ranks = 16;
+    ncfg.iterations = 1;
+    const auto tr = trace::generateCG(ncfg);
+    dse::ExploreConfig cfg;
+    cfg.threads = 1;
+    cfg.useCache = false;
+    const auto base = dse::explore(tr, cfg);
+    ASSERT_EQ(base.points.size(), 12u);
+
+    Fleet fleet(2, noCache());
+    ASSERT_TRUE(fleet.up());
+    DistStats stats;
+    const auto report = exploreDistributed(tr, cfg, fleet.options, &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    ASSERT_EQ(stats.workers, 2u);
+    EXPECT_TRUE(stats.failures.empty());
+    for (const auto jobs : stats.jobs) {
+        EXPECT_GT(jobs, 0u);
+        EXPECT_EQ(jobs % 4, 0u) << "a lane ran part of a shard";
+    }
+    EXPECT_EQ(totalJobs(stats), base.points.size());
 }
 
 TEST(DistExplore, WarmRerunAcrossWorkerCountsIsAllHits)

@@ -3,16 +3,17 @@
  * Cross-host conformance and chaos tests for `--hosts`: the
  * coordinator drives real `minnoc serve` daemons on loopback (each a
  * forked DaemonProc) and the merged report must be byte-identical to
- * the in-process explorer and the forked-lane path — cold, warm, at
- * any host/worker mix, and under injected daemon failures.
+ * the in-process explorer — cold, warm, at any host mix, and under
+ * injected daemon failures.
  *
  * Chaos coverage reuses the dist fault hooks with the value "serve":
  * MINNOC_DIST_TEST_CRASH=serve makes a daemon _exit(42) at the start
- * of its second job's compute (so part of the shard is already
- * delivered, exercising the real partial-requeue path), and _HANG
- * parks it in an unresponsive loop for the coordinator's activity
- * timeout to catch. Harder failures — SIGKILL mid-run, a dead address,
- * an all-hosts-dead fallback that runs every job in-process — are
+ * of its second request's compute (so part of the lane's work is
+ * already delivered, exercising the real partial-requeue path), and
+ * _HANG parks it in an unresponsive loop for the coordinator's
+ * activity timeout to catch. Harder failures — SIGKILL mid-run, a
+ * dead address, a host that accepts connections but never reads them,
+ * an all-hosts-dead fallback that runs every shard in-process — are
  * induced directly.
  */
 
@@ -20,6 +21,10 @@
 
 #include <chrono>
 #include <thread>
+
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include "dist/coordinator.hpp"
 #include "dist_test_harness.hpp"
@@ -50,6 +55,67 @@ specsOf(std::initializer_list<const DaemonProc *> daemons)
     for (const auto *d : daemons)
         hosts.push_back(parseHostList(d->hostSpec())[0]);
     return hosts;
+}
+
+/**
+ * A loopback listener that never accepts or reads: a connect to it
+ * succeeds (the kernel completes the handshake into the backlog), and
+ * every send stalls once the socket buffers are full.
+ */
+class DeafListener
+{
+  public:
+    DeafListener()
+    {
+        _fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        // Accepted sockets inherit the small receive buffer.
+        const int small = 4096;
+        ::setsockopt(_fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        auto *sa = reinterpret_cast<sockaddr *>(&addr);
+        socklen_t len = sizeof addr;
+        if (::bind(_fd, sa, len) == 0 && ::listen(_fd, 4) == 0 &&
+            ::getsockname(_fd, sa, &len) == 0)
+            _port = ntohs(addr.sin_port);
+    }
+    ~DeafListener() { ::close(_fd); }
+
+    DeafListener(const DeafListener &) = delete;
+    DeafListener &operator=(const DeafListener &) = delete;
+
+    std::uint16_t port() const { return _port; }
+    HostSpec host() const { return {"127.0.0.1", _port}; }
+
+  private:
+    int _fd = -1;
+    std::uint16_t _port = 0;
+};
+
+/**
+ * CG-8 padded to ~3 MB: rank 0 ends with 250k one-cycle compute ops,
+ * which still evaluate in a fraction of a second per point. Four
+ * seeds make four one-point shards, so the first window is ~12 MB,
+ * more than the kernel buffers for a peer that never reads.
+ */
+trace::Trace
+paddedTrace()
+{
+    auto tr = cgTrace();
+    for (int i = 0; i < 250'000; ++i)
+        tr.push(0, trace::TraceOp::compute(1));
+    return tr;
+}
+
+dse::ExploreConfig
+fourShardConfig()
+{
+    auto cfg = smallConfig("", false);
+    cfg.grid.maxDegrees = {4};
+    cfg.grid.vcs = {2};
+    cfg.grid.seeds = {1, 2, 3, 4};
+    return cfg;
 }
 
 } // namespace
@@ -158,7 +224,8 @@ TEST(DistHosts, WarmRerunOnDaemonCachesIsAllHits)
 TEST(DistHosts, CrashedDaemonFailsOverAndReportUnchanged)
 {
     const auto tr = cgTrace();
-    const auto cfg = smallConfig("", false);
+    auto cfg = smallConfig("", false);
+    cfg.grid.seeds = {1, 2}; // 4 shards: two requests per daemon
     const auto base = dse::explore(tr, cfg);
 
     DaemonProc::Options armed;
@@ -178,8 +245,8 @@ TEST(DistHosts, CrashedDaemonFailsOverAndReportUnchanged)
     ASSERT_EQ(stats.failures.size(), 1u);
     EXPECT_EQ(stats.failures[0].host, a.hostSpec());
     EXPECT_EQ(stats.failures[0].reason, "connection closed");
-    // The hook fires after the first job, so the requeue is partial:
-    // the delivered result is never recomputed.
+    // The hook fires at the second request, so the requeue is
+    // partial: the delivered shard is never recomputed.
     EXPECT_FALSE(stats.failures[0].requeuedJobs.empty());
     EXPECT_LT(stats.failures[0].requeuedJobs.size(),
               base.points.size());
@@ -194,7 +261,8 @@ TEST(DistHosts, CrashedDaemonFailsOverAndReportUnchanged)
 TEST(DistHosts, HungDaemonTimesOutAndFailsOver)
 {
     const auto tr = cgTrace();
-    const auto cfg = smallConfig("", false);
+    auto cfg = smallConfig("", false);
+    cfg.grid.seeds = {1, 2}; // 4 shards: two requests per daemon
     const auto base = dse::explore(tr, cfg);
 
     DaemonProc::Options armed;
@@ -231,7 +299,7 @@ TEST(DistHosts, DeadAddressFailsOverToSurvivor)
     const auto hosts = specsOf({&a, &b});
 
     // Kill A before the run: its lane is born dead (connect refused
-    // after the bounded retries) and the whole shard requeues onto B.
+    // after the bounded retries) and its whole shard requeues onto B.
     a.kill(SIGKILL);
     ASSERT_EQ(a.await(), 128 + SIGKILL);
 
@@ -262,7 +330,7 @@ TEST(DistHosts, AllHostsDeadFallsBackInProcess)
     a.await();
 
     // Single (dead) host: the requeue has no surviving host, so the
-    // coordinator runs every job itself on one `local` lane.
+    // coordinator runs every shard itself on one `local` lane.
     DistStats stats;
     const auto report =
         exploreDistributed(tr, cfg, hostsOnly(hosts), &stats);
@@ -287,7 +355,7 @@ TEST(DistHosts, FallbackResultsLandInTheRunCache)
     a.kill(SIGKILL);
     a.await();
 
-    // Every job runs in-process against config.cacheDir, cold...
+    // Every shard runs in-process against config.cacheDir, cold...
     const auto cold = exploreDistributed(tr, cfg, hostsOnly(hosts));
     EXPECT_EQ(cold.cacheHits, 0u);
     EXPECT_EQ(cold.cacheMisses, cold.points.size());
@@ -364,6 +432,46 @@ TEST(DistHosts, CancelTokenUnwindsAndDaemonsSurvive)
     EXPECT_EQ(::kill(b.pid(), 0), 0);
     EXPECT_EQ(a.terminate(), 0);
     EXPECT_EQ(b.terminate(), 0);
+}
+
+TEST(DistHosts, CancelTokenUnwindsASendToADeafHost)
+{
+    const auto tr = paddedTrace();
+    auto cfg = fourShardConfig();
+    DeafListener deaf;
+    ASSERT_GT(deaf.port(), 0);
+
+    // The default activity timeout is ten minutes; only the token can
+    // end this send in time.
+    CancelToken token;
+    cfg.cancel = &token;
+    token.setDeadlineIn(1'000'000); // 1 s
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(exploreDistributed(tr, cfg, hostsOnly({deaf.host()})),
+                 CancelledError);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+}
+
+TEST(DistHosts, DeafHostTimesOutAndFallsBackInProcess)
+{
+    const auto tr = paddedTrace();
+    const auto cfg = fourShardConfig();
+    const auto base = dse::explore(tr, cfg);
+    DeafListener deaf;
+    ASSERT_GT(deaf.port(), 0);
+
+    auto opt = hostsOnly({deaf.host()});
+    opt.workerTimeoutMs = 1'000;
+    DistStats stats;
+    const auto report = exploreDistributed(tr, cfg, opt, &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    ASSERT_EQ(stats.failures.size(), 1u);
+    EXPECT_EQ(stats.failures[0].host, deaf.host().label());
+    EXPECT_EQ(stats.failures[0].reason, "timeout");
+    EXPECT_EQ(stats.failures[0].requeuedJobs.size(), base.points.size());
+    ASSERT_EQ(stats.hostOf.back(), "local");
+    EXPECT_EQ(stats.jobs.back(), base.points.size());
 }
 
 TEST(DistHostsPhases, ByteIdenticalToInProcessEvaluation)
@@ -466,8 +574,10 @@ roundTripLine(const HostSpec &host, const std::string &line)
     const int fd = connectHost(host, err, 2);
     if (fd < 0)
         return std::nullopt;
+    // This helper blocks for its one reply.
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
     std::optional<serve::Reply> reply;
-    if (sendAll(fd, line + "\n")) {
+    if (sendAll(fd, line + "\n", 60'000)) {
         std::string buf;
         char c = 0;
         while (::read(fd, &c, 1) == 1 && c != '\n')
@@ -480,7 +590,7 @@ roundTripLine(const HostSpec &host, const std::string &line)
 
 } // namespace
 
-TEST(DistHostsProtocol, DaemonSurvivesHostileDseJobLines)
+TEST(DistHostsProtocol, DaemonSurvivesHostileDseShardLines)
 {
     DaemonProc::Options dopt;
     dopt.useCache = false;
@@ -492,22 +602,22 @@ TEST(DistHostsProtocol, DaemonSurvivesHostileDseJobLines)
         // Garbage bytes.
         "not json at all",
         // Truncated object.
-        "{\"id\": \"x\", \"cmd\": \"dse_job\", \"sig",
+        "{\"id\": \"x\", \"cmd\": \"dse_shard\", \"sig",
         // Missing mandatory sig.
-        "{\"id\": \"x\", \"cmd\": \"dse_job\", \"trace\": \"t\"}",
+        "{\"id\": \"x\", \"cmd\": \"dse_shard\", \"trace\": \"t\"}",
         // Out-of-range attempt.
-        "{\"id\": \"x\", \"cmd\": \"dse_job\", \"trace\": \"t\","
+        "{\"id\": \"x\", \"cmd\": \"dse_shard\", \"trace\": \"t\","
         " \"sig\": \"s\", \"attempt\": 7}",
-        // Misplaced explore-only key.
-        "{\"id\": \"x\", \"cmd\": \"dse_job\", \"trace\": \"t\","
-        " \"sig\": \"s\", \"degrees\": [4]}",
+        // Misplaced scalar of design/phases/phase_job.
+        "{\"id\": \"x\", \"cmd\": \"dse_shard\", \"trace\": \"t\","
+        " \"sig\": \"s\", \"max_degree\": 4}",
         // Well-formed request whose trace bytes are garbage: the
         // compute-side fatal must come back structured, not kill the
         // daemon.
-        "{\"id\": \"x\", \"cmd\": \"dse_job\", \"trace\": \"t\","
+        "{\"id\": \"x\", \"cmd\": \"dse_shard\", \"trace\": \"t\","
         " \"sig\": \"s\"}",
         // Oversized line: rejected at the framing layer.
-        "{\"id\": \"x\", \"cmd\": \"dse_job\", \"pad\": \"" +
+        "{\"id\": \"x\", \"cmd\": \"dse_shard\", \"pad\": \"" +
             std::string(serve::kMaxRequestBytes + 1, 'a') + "\"}",
     };
     for (const auto &line : hostiles) {

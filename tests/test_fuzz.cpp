@@ -364,13 +364,13 @@ TEST(ServeFuzz, HostileParameterRangesAreValidationErrors)
     }
 }
 
-// ------------------------------------------------- dse_job request fuzz
+// ----------------------------------------------- dse_shard request fuzz
 
 namespace {
 
-/** A well-formed coordinator-style dse_job line to mutate. */
+/** A well-formed coordinator-style dse_shard line to mutate. */
 std::string
-validDseJobLine()
+validDseShardLine()
 {
     trace::NasConfig cfg;
     cfg.ranks = 8;
@@ -379,11 +379,11 @@ validDseJobLine()
     std::ostringstream traceOs;
     tr.save(traceOs);
     std::ostringstream os;
-    os << "{\"id\": \"3\", \"cmd\": \"dse_job\", \"attempt\": 1,"
-          " \"job_index\": 3, \"sig\": \"d=4;r=2;s=1\","
-          " \"max_degree\": 4, \"restarts\": 2, \"seed\": 1,"
-          " \"unidirectional\": 0, \"vcs\": 2, \"vc_depth\": 4,"
-          " \"phase_window\": 0, \"reconfig_cost\": 0,"
+    os << "{\"id\": \"3\", \"cmd\": \"dse_shard\", \"attempt\": 1,"
+          " \"job_index\": 3, \"sig\": \"1469598103934665603\","
+          " \"degrees\": [4], \"restarts\": [2], \"seeds\": [1],"
+          " \"unidirectional\": [0, 1], \"vcs\": [2, 3], \"vc_depth\": 4,"
+          " \"phase_windows\": [0], \"reconfig_cost\": 0,"
           " \"threshold\": 0.35, \"min_phase_windows\": 2,"
           " \"matrix_weight\": 0.5, \"power\": \"activity\","
           " \"deadline_ms\": 10000, \"trace\": \""
@@ -393,24 +393,26 @@ validDseJobLine()
 
 } // namespace
 
-TEST(ServeFuzz, WellFormedDseJobParses)
+TEST(ServeFuzz, WellFormedDseShardParses)
 {
     serve::RequestError error;
-    const auto req = serve::parseRequest(validDseJobLine(), error);
+    const auto req = serve::parseRequest(validDseShardLine(), error);
     ASSERT_TRUE(req.has_value()) << error.message;
-    EXPECT_EQ(req->cmd, serve::Cmd::DseJob);
+    EXPECT_EQ(req->cmd, serve::Cmd::DseShard);
     EXPECT_EQ(req->attempt, 1u);
     EXPECT_EQ(req->jobIndex, 3u);
-    EXPECT_EQ(req->sig, "d=4;r=2;s=1");
-    EXPECT_EQ(req->maxDegree, 4u);
-    EXPECT_EQ(req->vcs, 2u);
+    EXPECT_EQ(req->sig, "1469598103934665603");
+    EXPECT_EQ(req->grid.maxDegrees, std::vector<std::uint32_t>{4});
+    EXPECT_EQ(req->grid.vcs, (std::vector<std::uint32_t>{2, 3}));
+    EXPECT_EQ(req->grid.expand().size(), 4u);
+    EXPECT_EQ(req->matrixWeight, 0.5);
     EXPECT_EQ(req->deadlineMs, 10'000);
     EXPECT_EQ(req->power, "activity");
 }
 
-TEST_P(FuzzSeeds, MutatedDseJobsNeverCrashTheParser)
+TEST_P(FuzzSeeds, MutatedDseShardsNeverCrashTheParser)
 {
-    const auto full = validDseJobLine();
+    const auto full = validDseShardLine();
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 48611 + 7);
     for (int round = 0; round < 100; ++round) {
         std::string line = full;
@@ -422,45 +424,44 @@ TEST_P(FuzzSeeds, MutatedDseJobsNeverCrashTheParser)
     }
 }
 
-TEST(ServeFuzz, TruncatedDseJobsAlwaysParseError)
+TEST(ServeFuzz, TruncatedDseShardsAlwaysParseError)
 {
-    const auto full = validDseJobLine();
+    const auto full = validDseShardLine();
     for (std::size_t len = 0; len < full.size();
          len += (len + 64 < full.size() ? 37 : 1)) {
         serve::RequestError e;
         const auto req = serve::parseRequest(full.substr(0, len), e);
         EXPECT_FALSE(req.has_value())
-            << "truncated dse_job prefix of " << len << " bytes parsed";
+            << "truncated dse_shard prefix of " << len << " bytes parsed";
         EXPECT_FALSE(e.message.empty());
     }
 }
 
-TEST(ServeFuzz, HostileDseJobFieldsAreValidationErrors)
+TEST(ServeFuzz, HostileDseShardFieldsAreValidationErrors)
 {
     const std::string head =
-        "{\"id\": \"j\", \"cmd\": \"dse_job\", \"trace\": \"t\","
+        "{\"id\": \"j\", \"cmd\": \"dse_shard\", \"trace\": \"t\","
         " \"sig\": \"s\"";
     const char *tails[] = {
-        // Missing sig entirely (strip it by overriding cmd only).
-        nullptr, // placeholder; handled separately below
         // Unknown / misplaced fields from sibling commands.
-        ", \"degrees\": [4]}",       // explore-only key
         ", \"window\": 8}",          // phase_job-only key
         ", \"expected_phases\": 3}", // phase_job-only key
+        ", \"max_degree\": 4}",      // scalar of design/phases/phase_job
         ", \"bogus\": 1}",
-        // Out-of-range scalars.
+        // Out-of-range values.
         ", \"attempt\": 0}",
         ", \"attempt\": 3}",
-        ", \"vcs\": 0}",
-        ", \"vcs\": 33}",
+        ", \"vcs\": [0]}",
+        ", \"vcs\": [33]}",
         ", \"vc_depth\": 65}",
-        ", \"max_degree\": 65}",
+        ", \"degrees\": [65]}",
         ", \"matrix_weight\": 1.5}",
         ", \"reconfig_cost\": -1}",
-        ", \"seed\": 18446744073709551616}",
+        ", \"seeds\": [18446744073709551616]}",
         // Wrong types.
         ", \"job_index\": \"three\"}",
-        ", \"unidirectional\": [0]}",
+        ", \"unidirectional\": 0}",
+        ", \"restarts\": 2}",
         // Power tier: only the two model names are valid.
         ", \"power\": \"nuclear\"}",
         ", \"power\": \"\"}",
@@ -468,8 +469,6 @@ TEST(ServeFuzz, HostileDseJobFieldsAreValidationErrors)
         ", \"power\": [\"static\"]}",
     };
     for (const auto *tail : tails) {
-        if (!tail)
-            continue;
         serve::RequestError error;
         const std::string line = head + tail;
         EXPECT_FALSE(serve::parseRequest(line, error).has_value())
@@ -478,11 +477,30 @@ TEST(ServeFuzz, HostileDseJobFieldsAreValidationErrors)
             << line;
     }
 
+    // A shard's sub-grid is bounded like any explore grid: 2
+    // directionalities x 32 VC counts x 17 phase windows = 1088 jobs.
+    std::string vcs;
+    for (int v = 1; v <= 32; ++v)
+        vcs += (v > 1 ? ", " : "") + std::to_string(v);
+    std::string windows;
+    for (int w = 0; w <= 16; ++w)
+        windows += (w ? ", " : "") + std::to_string(w * 100);
+    const std::string big =
+        head + ", \"degrees\": [4], \"restarts\": [2], \"seeds\": [1]," +
+        " \"unidirectional\": [0, 1], \"vcs\": [" + vcs +
+        "], \"phase_windows\": [" + windows + "]}";
+    serve::RequestError bigError;
+    EXPECT_FALSE(serve::parseRequest(big, bigError).has_value());
+    EXPECT_EQ(bigError.code, serve::ErrorCode::ValidationError);
+    EXPECT_NE(bigError.message.find("grid expands to 1088 jobs"),
+              std::string::npos)
+        << bigError.message;
+
     // sig is mandatory and bounded: absent, empty and oversized all
     // fail closed.
     const char *sigLines[] = {
-        "{\"id\": \"j\", \"cmd\": \"dse_job\", \"trace\": \"t\"}",
-        "{\"id\": \"j\", \"cmd\": \"dse_job\", \"trace\": \"t\","
+        "{\"id\": \"j\", \"cmd\": \"dse_shard\", \"trace\": \"t\"}",
+        "{\"id\": \"j\", \"cmd\": \"dse_shard\", \"trace\": \"t\","
         " \"sig\": \"\"}",
     };
     for (const auto *line : sigLines) {
@@ -493,16 +511,16 @@ TEST(ServeFuzz, HostileDseJobFieldsAreValidationErrors)
     }
     serve::RequestError error;
     const std::string fat =
-        "{\"id\": \"j\", \"cmd\": \"dse_job\", \"trace\": \"t\","
+        "{\"id\": \"j\", \"cmd\": \"dse_shard\", \"trace\": \"t\","
         " \"sig\": \"" +
         std::string(2000, 'x') + "\"}";
     EXPECT_FALSE(serve::parseRequest(fat, error).has_value());
     EXPECT_EQ(error.code, serve::ErrorCode::ValidationError);
 
-    // phase_job has its own allowlist: dse_job-only keys are rejected.
+    // phase_job has its own allowlist: grid keys are rejected.
     const std::string pj =
         "{\"id\": \"p\", \"cmd\": \"phase_job\", \"trace\": \"t\","
-        " \"sig\": \"s\", \"window\": 8, \"unidirectional\": 0}";
+        " \"sig\": \"s\", \"window\": 8, \"unidirectional\": [0]}";
     serve::RequestError pe;
     EXPECT_FALSE(serve::parseRequest(pj, pe).has_value());
     EXPECT_EQ(pe.code, serve::ErrorCode::ValidationError);

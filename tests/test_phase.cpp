@@ -19,7 +19,6 @@
 #include "phase/evaluator.hpp"
 #include "phase/multi_design.hpp"
 #include "phase/segmenter.hpp"
-#include "trace/analyzer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/json.hpp"
 
@@ -250,21 +249,25 @@ TEST(Evaluator, PhaseWindowJobMatchesTimeMultiplexedVariant)
     const auto report = evaluatePhases(tr, cfg);
     ASSERT_GT(report.reconfigCount, 0u);
 
-    // The same segmenter, methodology, simulator and penalty as one
-    // phase-window explorer job.
+    // The same segmenter, methodology, simulator and penalty as a
+    // one-point explorer grid whose only job is phase-window.
     dse::ExploreConfig ecfg;
     ecfg.phaseSegmenter = cfg.segmenter;
     ecfg.phaseReconfigCost = cfg.reconfigCost;
     ecfg.sim = cfg.sim;
-    dse::JobParams params;
-    params.maxDegree = cfg.methodology.partitioner.constraints.maxDegree;
-    params.restarts = cfg.methodology.restarts;
-    params.seed = cfg.methodology.partitioner.seed;
-    params.numVcs = cfg.sim.numVcs;
-    params.vcDepth = cfg.sim.vcDepth;
-    params.phaseWindow = cfg.segmenter.windowMessages;
-    const auto m = dse::evaluateJob(tr, trace::analyzeByCall(tr), params,
-                                    ecfg);
+    ecfg.useCache = false;
+    ecfg.threads = 1;
+    auto &grid = ecfg.grid;
+    grid.maxDegrees = {cfg.methodology.partitioner.constraints.maxDegree};
+    grid.restarts = {cfg.methodology.restarts};
+    grid.seeds = {cfg.methodology.partitioner.seed};
+    grid.unidirectional = {0};
+    grid.vcs = {cfg.sim.numVcs};
+    grid.vcDepth = cfg.sim.vcDepth;
+    grid.phaseWindows = {cfg.segmenter.windowMessages};
+    const auto sweep = dse::explore(tr, ecfg);
+    ASSERT_EQ(sweep.points.size(), 1u);
+    const auto &m = sweep.points[0].metrics;
 
     const VariantResult &tm = report.timeMultiplexed;
     EXPECT_EQ(m.execTime, tm.execTime);

@@ -245,9 +245,11 @@ echo "=== phase 9: distributed explore (ASan) ==="
 cmake --build "$build" -j "$jobs" --target minnoc
 "$build/tools/minnoc" gen --bench CG --ranks 8 --iterations 1 \
     --out "$build/ci-dist.trace"
-# In-process reference every distributed sweep must reproduce.
+# In-process reference every distributed sweep must reproduce. Two
+# seeds make 4 shards (one per degree and seed), so each of two
+# daemons gets two requests.
 "$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --seeds 1,2 --cache 0 \
     --out "$build/dist_frontier_ref.json"
 # The same sweep over two loopback `minnoc serve` daemons.
 # Wait until a daemon accepts TCP on its port (or die with its log).
@@ -276,7 +278,7 @@ await_port "$host_b_pid" "$port_b" "$build/ci-hosts-b.log"
 # Cold sweep over both daemons: byte-identical to the in-process
 # reference above, no failures of either kind.
 "$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --seeds 1,2 --cache 0 \
     --hosts "127.0.0.1:$port_a,127.0.0.1:$port_b" \
     --dist-report "$build/hosts_status_cold.json" \
     --out "$build/hosts_frontier_cold.json"
@@ -286,7 +288,7 @@ grep -q '"host_failed": \[\]' "$build/hosts_status_cold.json" ||
     { echo "FAIL: clean --hosts run reports host failures"; exit 1; }
 # Warm rerun: every job must hit the caches the daemons populated.
 hosts_warm="$("$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --seeds 1,2 --cache 0 \
     --hosts "127.0.0.1:$port_a,127.0.0.1:$port_b" \
     --out "$build/hosts_frontier_warm.json")"
 echo "$hosts_warm"
@@ -297,7 +299,7 @@ cmp "$build/hosts_frontier_cold.json" "$build/hosts_frontier_warm.json" ||
 # A dead address as the only host: its shard falls back in-process
 # and must converge byte-identical, the failure in host_failed.
 "$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --seeds 1,2 --cache 0 \
     --hosts 127.0.0.1:1 \
     --dist-report "$build/hosts_status_dead.json" \
     --out "$build/hosts_frontier_dead.json"
@@ -306,10 +308,10 @@ cmp "$build/dist_frontier_ref.json" "$build/hosts_frontier_dead.json" ||
 grep -q '"host_failed": \[{' "$build/hosts_status_dead.json" ||
     { echo "FAIL: dead host not recorded in host_failed"; exit 1; }
 # Kill one daemon mid-sweep. The victim is armed with the serve hang
-# hook, so after its first job it wedges and the sweep provably cannot
-# finish until the SIGKILL lands — the kill always hits mid-run. The
-# coordinator must requeue onto the survivor and converge with
-# identical bytes and the death recorded in host_failed only.
+# hook, so after its first request it wedges and the sweep provably
+# cannot finish until the SIGKILL lands — the kill always hits
+# mid-run. The coordinator must requeue onto the survivor and converge
+# with identical bytes and the death recorded in host_failed only.
 MINNOC_DIST_TEST_HANG=serve "$build/tools/minnoc" serve \
     --port $port_c --workers 1 --max-deadline-ms 600000 \
     --cache-dir "$build/ci-hosts-cache-c" \
@@ -319,7 +321,7 @@ await_port "$host_c_pid" "$port_c" "$build/ci-hosts-c.log"
 ( sleep 2; kill -KILL "$host_c_pid" 2>/dev/null ) &
 killer_pid=$!
 "$build/tools/minnoc" explore "$build/ci-dist.trace" \
-    --degrees 4,5 --vcs 2,3 --restarts 2 --cache 0 \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --seeds 1,2 --cache 0 \
     --hosts "127.0.0.1:$port_c,127.0.0.1:$port_b" \
     --worker-timeout-ms 60000 \
     --dist-report "$build/hosts_status_kill.json" \
