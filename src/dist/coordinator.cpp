@@ -8,6 +8,7 @@
 #include <numeric>
 #include <optional>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -42,10 +43,11 @@ struct Lane
     std::string lineBuf; ///< NDJSON reply buffer
     /** Assigned requests not yet answered (dispatched or queued). */
     std::vector<std::uint32_t> pending;
-    /** Assigned requests not yet sent (dispatch window); ⊆ pending. */
+    /** Assigned requests not yet begun (dispatch window); ⊆ pending. */
     std::deque<std::uint32_t> unsent;
+    std::string out; ///< unwritten rest of the request line begun
     std::uint32_t attempt = 1;
-    std::int64_t lastActivityUs = 0;
+    std::int64_t lastActivityUs = 0; ///< last reply or byte written
     bool timedOut = false;
     std::string errorText; ///< "code: message" of the first failure
 
@@ -66,9 +68,11 @@ using ResultHandler = std::function<void(const WorkerMsg &msg)>;
  * Drive every lane to completion. @p requests lists the job indices
  * each request covers, in dealing order; they are dealt round-robin
  * over the hosts. Each lane sends its requests as @p cmd lines (at
- * most kWindow in flight), polls its socket, dispatches the result
- * documents, and is closed when it fails or hangs, its unanswered
- * requests requeued (at most once per shard) onto a surviving host.
+ * most kWindow in flight) whenever its socket takes bytes, polls it,
+ * dispatches the result documents, and is closed when it fails or
+ * hangs (neither answers nor takes a byte for the activity timeout),
+ * its unanswered requests requeued (at most once per shard) onto a
+ * surviving host.
  * Requests no host is left to take go to @p runLocal, one at a time
  * on a `local` lane, once every connection is done. Throws
  * CancelledError when @p cancel fires, std::runtime_error when a
@@ -111,24 +115,40 @@ runShards(serve::Cmd cmd,
     std::vector<std::uint32_t> local; ///< requests for the in-process lane
 
     // The activity timeout doubles as the request deadline (within
-    // the protocol's ceiling) and bounds every send.
+    // the protocol's ceiling).
     const std::string deadlineField =
         ", \"deadline_ms\": " +
         std::to_string(std::min(timeoutMs, serve::kMaxDeadlineMs));
-    const auto send = [&](Lane &w, std::uint32_t r) {
-        const std::string line = makeRequest(r, w.attempt) +
-                                 deadlineField + ", \"trace\": \"" +
-                                 traceJson + "\"}\n";
-        if (sendAll(w.fd, line, timeoutMs, cancel))
-            return true;
-        const int err = errno;
-        if (err == ETIMEDOUT)
-            w.timedOut = true;
-        else
-            w.errorText =
-                "send " + hosts[static_cast<std::size_t>(w.hostIdx)].label() +
-                ": " + std::strerror(err);
-        return false;
+    // Write what the socket takes without blocking: the request line in
+    // progress, then the next ones while fewer than kWindow are in
+    // flight. A peer that stops reading leaves the rest in `out` for
+    // the next POLLOUT and, past the timeout, gets the lane reaped.
+    const auto pump = [&](Lane &w) {
+        while (!w.failed()) {
+            if (w.out.empty()) {
+                if (w.unsent.empty() ||
+                    w.pending.size() - w.unsent.size() >= kWindow)
+                    return;
+                w.out = makeRequest(w.unsent.front(), w.attempt) +
+                        deadlineField + ", \"trace\": \"" + traceJson +
+                        "\"}\n";
+                w.unsent.pop_front();
+            }
+            const ssize_t n =
+                ::send(w.fd, w.out.data(), w.out.size(), MSG_NOSIGNAL);
+            if (n < 0) {
+                if (errno == EINTR)
+                    continue;
+                if (errno != EAGAIN && errno != EWOULDBLOCK)
+                    w.errorText =
+                        "send " +
+                        hosts[static_cast<std::size_t>(w.hostIdx)].label() +
+                        ": " + std::strerror(errno);
+                return;
+            }
+            w.lastActivityUs = CancelToken::nowUs();
+            w.out.erase(0, static_cast<std::size_t>(n));
+        }
     };
 
     const auto openStatsRow = [&](const std::string &label) {
@@ -147,7 +167,7 @@ runShards(serve::Cmd cmd,
     };
 
     /**
-     * Open a lane on hosts[hostIdx] and send its first kWindow
+     * Open a lane on hosts[hostIdx] and start sending its first kWindow
      * requests; the rest queue in `unsent` and flow as results land, so
      * a lane always has work without a failure losing more than a
      * window of in-flight requests. A lane that cannot connect or send
@@ -166,11 +186,8 @@ runShards(serve::Cmd cmd,
         w.pending = assigned;
         w.unsent.assign(assigned.begin(), assigned.end());
         w.lastActivityUs = CancelToken::nowUs();
-        for (std::size_t k = 0; k < kWindow && !w.unsent.empty(); ++k) {
-            if (w.failed() || !send(w, w.unsent.front()))
-                break;
-            w.unsent.pop_front();
-        }
+        if (w.fd >= 0)
+            pump(w);
         return slot;
     };
 
@@ -282,9 +299,7 @@ runShards(serve::Cmd cmd,
         }
         w.pending.erase(it);
         book(slot, reply);
-        // Keep the window full.
-        if (!w.unsent.empty() && send(w, w.unsent.front()))
-            w.unsent.pop_front();
+        pump(w); // keep the window full
     };
 
     // Deal round-robin: request k goes to lane k % N, N = hosts
@@ -314,8 +329,12 @@ runShards(serve::Cmd cmd,
         std::vector<pollfd> fds;
         std::vector<std::uint32_t> slotOf;
         for (std::uint32_t i = 0; i < lanes.size(); ++i) {
-            if (lanes[i].fd >= 0) {
-                fds.push_back({lanes[i].fd, POLLIN, 0});
+            const auto &w = lanes[i];
+            if (w.fd >= 0) {
+                fds.push_back({w.fd,
+                               static_cast<short>(
+                                   POLLIN | (w.out.empty() ? 0 : POLLOUT)),
+                               0});
                 slotOf.push_back(i);
             }
         }
@@ -328,12 +347,17 @@ runShards(serve::Cmd cmd,
             fatal("dist: poll: ", std::strerror(errno));
 
         for (std::size_t k = 0; k < fds.size(); ++k) {
-            if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
             const std::uint32_t slot = slotOf[k];
             auto &w = lanes[slot];
             if (w.fd < 0)
                 continue; // already reaped this tick
+            if (fds[k].revents & POLLOUT)
+                pump(w);
+            if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))) {
+                if (w.failed())
+                    reap(slot);
+                continue;
+            }
 
             bool eof = false;
             char buf[65536];
@@ -386,7 +410,7 @@ runShards(serve::Cmd cmd,
                 reap(slot);
         }
 
-        // Hang detection: no result for the whole window.
+        // Hang detection: no reply and no byte taken for the timeout.
         const std::int64_t now = CancelToken::nowUs();
         for (std::uint32_t i = 0; i < lanes.size(); ++i) {
             auto &w = lanes[i];
@@ -404,6 +428,62 @@ runShards(serve::Cmd cmd,
         checkCancel(cancel);
         book(slot, runLocal(r));
     }
+}
+
+/** One `dse_shard` request: grid indices [first, first + size). */
+struct Shard
+{
+    std::uint32_t first = 0;
+    std::uint32_t size = 0;
+    dse::ExploreConfig config; ///< the run's, on the shard's sub-grid
+};
+
+/**
+ * Cut @p config's grid (expanded as @p jobs) into shards, in grid
+ * order. A shard is a run of points sharing one (degree, restarts,
+ * seed) — expand() nests those outermost, so the run is contiguous —
+ * and itself a cross-product sub-grid, which one dse::explore call
+ * runs, sharing its methodology and evaluation stages. Phase-window
+ * points share no work, and a run one request cannot carry
+ * (serve::kMaxGridJobs points, serve::kMaxGridList values a list)
+ * would be refused, so either grid is cut into one-point shards
+ * instead, which spread over every host as its points would over
+ * threads. The coordinator records every point's telemetry, so shards
+ * get no sinks.
+ */
+std::vector<Shard>
+splitShards(const dse::ExploreConfig &config,
+            const std::vector<dse::JobParams> &jobs)
+{
+    const auto &grid = config.grid;
+    const std::size_t run = grid.unidirectional.size() *
+                            grid.vcs.size() * grid.phaseWindows.size();
+    const bool whole =
+        std::none_of(grid.phaseWindows.begin(), grid.phaseWindows.end(),
+                     [](std::uint32_t w) { return w > 0; }) &&
+        grid.unidirectional.size() <= serve::kMaxGridDirections &&
+        grid.vcs.size() <= serve::kMaxGridList &&
+        grid.phaseWindows.size() <= serve::kMaxGridList &&
+        run <= serve::kMaxGridJobs;
+    const auto size = static_cast<std::uint32_t>(whole ? run : 1);
+
+    std::vector<Shard> shards;
+    for (std::uint32_t first = 0; first < jobs.size(); first += size) {
+        const auto &p = jobs[first];
+        auto &shard = shards.emplace_back(Shard{first, size, config});
+        shard.config.metrics = nullptr;
+        shard.config.traceLog = nullptr;
+        auto &g = shard.config.grid;
+        g.maxDegrees = {p.maxDegree};
+        g.restarts = {p.restarts};
+        g.seeds = {p.seed};
+        if (!whole) {
+            g.unidirectional = {p.unidirectional};
+            g.vcs = {p.numVcs};
+            g.phaseWindows = {p.phaseWindow};
+        }
+    }
+    return shards;
 }
 
 /** Post-run telemetry shared by both distributed entry points. */
@@ -493,41 +573,24 @@ exploreDistributed(const trace::Trace &trace,
                 fatal("dist: seed ", seed,
                       " exceeds the wire's exact integer range");
 
-        // A shard is every grid point sharing one (degree, restarts,
-        // seed). expand() nests those three outermost, so shard k is
-        // the index run [k·size, (k+1)·size), itself a cross-product
-        // grid that one dse::explore call runs, sharing its
-        // methodology and evaluation stages.
-        const auto &grid = config.grid;
-        const auto size = static_cast<std::uint32_t>(
-            grid.unidirectional.size() * grid.vcs.size() *
-            grid.phaseWindows.size());
-
-        // Content-hash dealing: order shards by their first point's
-        // cache key (ties by index), so the assignment depends only on
-        // workload content and grid, never on timing.
+        // Deal shards in the order of their first point's cache key
+        // (ties by index), so the assignment depends only on workload
+        // content and grid, never on timing.
+        auto byIndex = splitShards(config, jobs);
         std::vector<std::pair<std::string, std::uint32_t>> dealing;
-        for (std::uint32_t first = 0; first < jobs.size(); first += size)
+        for (std::uint32_t k = 0; k < byIndex.size(); ++k)
             dealing.emplace_back(
                 dse::jobKey(patternBytes,
-                            dse::jobSignature(jobs[first], config)),
-                first);
+                            dse::jobSignature(jobs[byIndex[k].first],
+                                              config)),
+                k);
         std::sort(dealing.begin(), dealing.end());
-
-        // Each shard's job indices and sub-grid config, in dealing
-        // order. The coordinator records every point's telemetry
-        // itself, so a shard run in-process gets no sinks.
         std::vector<std::vector<std::uint32_t>> shards;
         std::vector<dse::ExploreConfig> shardConfigs;
-        for (const auto &[key, first] : dealing) {
-            auto &c = shardConfigs.emplace_back(config);
-            c.grid.maxDegrees = {jobs[first].maxDegree};
-            c.grid.restarts = {jobs[first].restarts};
-            c.grid.seeds = {jobs[first].seed};
-            c.metrics = nullptr;
-            c.traceLog = nullptr;
-            auto &shard = shards.emplace_back(size);
-            std::iota(shard.begin(), shard.end(), first);
+        for (const auto &[key, k] : dealing) {
+            shardConfigs.push_back(std::move(byIndex[k].config));
+            auto &shard = shards.emplace_back(byIndex[k].size);
+            std::iota(shard.begin(), shard.end(), byIndex[k].first);
         }
 
         // One `dse_shard` per shard, its sub-grid in the explore grid
@@ -570,7 +633,7 @@ exploreDistributed(const trace::Trace &trace,
         };
         const auto runLocal = [&](std::uint32_t r) {
             return serve::runDseShard(trace, shardConfigs[r],
-                                      shards[r].front());
+                                      shards[r].front(), nullptr);
         };
         const auto onResult = [&](const WorkerMsg &msg) {
             auto &pt = report.points[msg.index];

@@ -4,9 +4,11 @@
  *
  * Splits the explore grid into shards — every grid point sharing one
  * (degree, restarts, seed), a contiguous run of grid indices and
- * itself a cross-product grid — and deals them round-robin over the
- * lanes in the order of their first point's cache key, so the
- * assignment is independent of timing. Results are merged through the
+ * itself a cross-product grid, cut finer where a request could not
+ * carry it and point by point for phase-window grids, whose points
+ * share no work — and deals them round-robin over the lanes in the
+ * order of their first point's cache key, so the assignment is
+ * independent of timing. Results are merged through the
  * exact finalization path the in-process explorer uses. Reports are
  * therefore byte-identical to the single-process run by construction.
  *
@@ -14,7 +16,8 @@
  * reached over TCP and driven by one client path: one `dse_shard`
  * request line per shard (the daemon runs it through dse::explore) or
  * one `phase_job` line per phase, windowed so a lane always has work
- * queued, and one job-wire result document back per request.
+ * queued and written only as fast as the socket takes it, and one
+ * job-wire result document back per request.
  *
  * Fault handling: a lane that drops its connection, answers with an
  * error or a malformed document, stops reading its requests, or goes
@@ -29,7 +32,7 @@
  * whose bytes stay failure-independent.
  *
  * Cancellation: the caller's CancelToken is polled every scheduler
- * tick, during every send and before every in-process request; once
+ * tick and before every in-process request; once
  * fired, every connection is closed (each daemon then
  * Disconnect-cancels its in-flight requests) and the coordinator
  * unwinds with CancelledError.
@@ -59,7 +62,7 @@ struct DistOptions
     std::vector<HostSpec> hosts;
 
     /**
-     * A lane producing no result, or taking no request byte, for this
+     * A lane that neither answers nor takes a request byte for this
      * long is presumed hung, closed, and its requests requeued.
      * Generous by default: one DSE shard on a large pattern can
      * legitimately run minutes. It doubles as the per-request deadline

@@ -8,7 +8,6 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -85,7 +84,8 @@ tryConnect(const HostSpec &host, std::string &err)
         err = "connect " + host.label() + ": no usable address";
     if (fd >= 0) {
         // Job requests are single lines; latency beats batching. No
-        // write may block: sendAll bounds every one.
+        // write may block: the coordinator writes what poll() says the
+        // socket takes.
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
@@ -113,36 +113,6 @@ connectHost(const HostSpec &host, std::string &err, int attempts)
         }
     }
     return -1;
-}
-
-bool
-sendAll(int fd, std::string_view data, std::int64_t stallMs,
-        const CancelToken *cancel)
-{
-    std::size_t off = 0;
-    std::int64_t progressUs = CancelToken::nowUs();
-    while (off < data.size()) {
-        checkCancel(cancel);
-        const ssize_t n = ::send(fd, data.data() + off,
-                                 data.size() - off, MSG_NOSIGNAL);
-        if (n >= 0) {
-            off += static_cast<std::size_t>(n);
-            progressUs = CancelToken::nowUs();
-            continue;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno != EAGAIN && errno != EWOULDBLOCK)
-            return false;
-        if (CancelToken::nowUs() - progressUs > stallMs * 1000) {
-            errno = ETIMEDOUT;
-            return false;
-        }
-        // A 100 ms wait keeps the cancel token polled.
-        pollfd p{fd, POLLOUT, 0};
-        (void)::poll(&p, 1, 100);
-    }
-    return true;
 }
 
 } // namespace minnoc::dist

@@ -6,10 +6,9 @@
  * A remote lane speaks the serve NDJSON protocol: one `dse_shard` /
  * `phase_job` request per line, one reply per line.
  *
- * Scope: address parsing, connection establishment with bounded
- * exponential backoff, and a partial-write-safe send that neither a
- * peer which stops reading nor a fired cancel token can wedge. The
- * lane state machine itself lives in the coordinator.
+ * Scope: address parsing and connection establishment with bounded
+ * exponential backoff. The lane state machine, which only ever writes
+ * what a non-blocking socket takes, lives in the coordinator.
  */
 
 #ifndef MINNOC_DIST_REMOTE_HPP
@@ -17,10 +16,7 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
-
-#include "util/cancel.hpp"
 
 namespace minnoc::dist {
 
@@ -52,15 +48,6 @@ std::vector<HostSpec> parseHostList(const std::string &spec);
  */
 int connectHost(const HostSpec &host, std::string &err,
                 int attempts = 5);
-
-/**
- * Write all of @p data to the non-blocking socket @p fd, riding out
- * EINTR and a full send buffer. Fails with errno = ETIMEDOUT once the
- * peer has taken no byte for @p stallMs, and throws CancelledError
- * once @p cancel (may be null) fires. False with errno set on failure.
- */
-bool sendAll(int fd, std::string_view data, std::int64_t stallMs,
-             const CancelToken *cancel = nullptr);
 
 } // namespace minnoc::dist
 

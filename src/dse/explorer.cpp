@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -305,6 +304,20 @@ finalizeReport(ExploreReport &report, const ExploreConfig &config)
 ExploreReport
 explore(const trace::Trace &trace, const ExploreConfig &config)
 {
+    const auto threads = std::min<std::size_t>(
+        config.threads ? config.threads
+                       : std::thread::hardware_concurrency(),
+        config.grid.expand().size());
+    if (threads <= 1)
+        return explore(trace, config, nullptr);
+    ThreadPool pool(static_cast<unsigned>(threads));
+    return explore(trace, config, &pool);
+}
+
+ExploreReport
+explore(const trace::Trace &trace, const ExploreConfig &config,
+        ThreadPool *pool)
+{
     // The pattern bytes are the first cache-key ingredient: the exact
     // serialized trace, so any change to the workload re-keys its jobs.
     std::ostringstream patternStream;
@@ -324,17 +337,8 @@ explore(const trace::Trace &trace, const ExploreConfig &config)
     report.ranks = trace.numRanks();
     report.points.resize(jobs.size());
 
-    std::uint32_t threads =
-        config.threads ? config.threads
-                       : std::thread::hardware_concurrency();
-    threads = std::min<std::uint32_t>(
-        std::max(threads, 1u),
-        static_cast<std::uint32_t>(std::max<std::size_t>(jobs.size(), 1)));
-    std::optional<ThreadPool> pool;
-    if (threads > 1)
-        pool.emplace(threads);
-    const auto runAll = [&pool](std::size_t n,
-                                const std::function<void(std::size_t)> &fn) {
+    const auto runAll = [pool](std::size_t n,
+                               const std::function<void(std::size_t)> &fn) {
         if (pool) {
             pool->parallelFor(n, fn);
         } else {

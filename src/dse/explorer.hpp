@@ -15,9 +15,9 @@
  * evaluation per distinct (network, simulator configuration); a
  * phase-window job runs its own per-phase pipeline. explore() is the
  * only way a job is evaluated: a `--hosts` daemon and the distributed
- * coordinator's in-process fallback run each shard of the grid (the
- * points sharing one degree, restarts and seed) as a sub-grid through
- * it. Every artifact (report JSON included) is byte-identical at any
+ * coordinator's in-process fallback run each shard of the grid (a
+ * contiguous cross-product run of points, see dist/coordinator.hpp) as
+ * a sub-grid through it. Every artifact (report JSON included) is byte-identical at any
  * thread count: job order is the grid expansion order, never
  * completion order.
  */
@@ -39,6 +39,10 @@
 #include "topo/floorplan.hpp"
 #include "topo/power.hpp"
 #include "trace/trace.hpp"
+
+namespace minnoc {
+class ThreadPool;
+}
 
 namespace minnoc::dse {
 
@@ -185,6 +189,16 @@ void finalizeReport(ExploreReport &report, const ExploreConfig &config);
  */
 ExploreReport explore(const trace::Trace &trace,
                       const ExploreConfig &config);
+
+/**
+ * Re-entrant variant for callers that own a worker pool (the serve
+ * daemon): every task runs on @p pool, alongside whatever else the
+ * caller schedules there, and config.threads is ignored; with
+ * pool == nullptr the run is strictly sequential and inline. The
+ * report is identical either way.
+ */
+ExploreReport explore(const trace::Trace &trace,
+                      const ExploreConfig &config, ThreadPool *pool);
 
 } // namespace minnoc::dse
 

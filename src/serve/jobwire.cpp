@@ -147,10 +147,11 @@ encodeShardResult(const WorkerReply &reply)
 
 WorkerReply
 runDseShard(const trace::Trace &trace, const dse::ExploreConfig &config,
-            std::uint32_t firstIndex)
+            std::uint32_t firstIndex, ThreadPool *pool)
 {
     const std::int64_t t0 = CancelToken::nowUs();
-    const auto report = dse::explore(trace, config);
+    const auto report = pool ? dse::explore(trace, config, pool)
+                             : dse::explore(trace, config);
     WorkerReply reply;
     for (std::size_t k = 0; k < report.points.size(); ++k) {
         const auto &pt = report.points[k];

@@ -65,14 +65,16 @@ std::optional<WorkerReply> parseWorkerReply(const std::string &text,
 
 /**
  * One shard as a job backend runs it: dse::explore over @p config's
- * (sub-)grid, against the cache @p config names. Result k is grid
- * index @p firstIndex + k, its `cached` flag the cache's answer.
- * Serve's `dse_shard` and the coordinator's in-process fallback both
- * call this. wallUs covers the whole shard.
+ * (sub-)grid, against the cache @p config names, its tasks on
+ * @p pool (the daemon's shared pool) or, when null, on
+ * config.threads threads of its own. Result k is grid index
+ * @p firstIndex + k, its `cached` flag the cache's answer. Serve's
+ * `dse_shard` and the coordinator's in-process fallback both call
+ * this. wallUs covers the whole shard.
  */
 WorkerReply runDseShard(const trace::Trace &trace,
                         const dse::ExploreConfig &config,
-                        std::uint32_t firstIndex);
+                        std::uint32_t firstIndex, ThreadPool *pool);
 
 /**
  * The drift guard of a shard: FNV-1a over the job signatures of

@@ -252,14 +252,14 @@ parseRequest(const std::string &line, RequestError &error)
     if (grid) {
         std::vector<std::uint64_t> list;
         if (const auto *v = root->find("degrees")) {
-            if (!asUintList(*v, 1, 64, 64, list))
+            if (!asUintList(*v, 1, 64, kMaxGridList, list))
                 return badField("degrees",
                                 "must be a non-empty array of integers "
                                 "in [1, 64]");
             req.grid.maxDegrees = narrow32(list);
         }
         if (const auto *v = root->find("restarts")) {
-            if (!asUintList(*v, 1, 1024, 64, list))
+            if (!asUintList(*v, 1, 1024, kMaxGridList, list))
                 return badField("restarts",
                                 "must be a non-empty array of integers "
                                 "in [1, 1024]");
@@ -267,22 +267,22 @@ parseRequest(const std::string &line, RequestError &error)
         }
         if (const auto *v = root->find("seeds")) {
             if (!asUintList(*v, 0,
-                            static_cast<std::uint64_t>(kMaxExactInt), 64,
-                            list))
+                            static_cast<std::uint64_t>(kMaxExactInt),
+                            kMaxGridList, list))
                 return badField("seeds",
                                 "must be a non-empty array of "
                                 "non-negative integers");
             req.grid.seeds = list;
         }
         if (const auto *v = root->find("vcs")) {
-            if (!asUintList(*v, 1, 32, 64, list))
+            if (!asUintList(*v, 1, 32, kMaxGridList, list))
                 return badField("vcs",
                                 "must be a non-empty array of integers "
                                 "in [1, 32]");
             req.grid.vcs = narrow32(list);
         }
         if (const auto *v = root->find("unidirectional")) {
-            if (!asUintList(*v, 0, 1, 2, list))
+            if (!asUintList(*v, 0, 1, kMaxGridDirections, list))
                 return badField("unidirectional",
                                 "must be a non-empty array of 0/1");
             req.grid.unidirectional = narrow32(list);
@@ -294,7 +294,7 @@ parseRequest(const std::string &line, RequestError &error)
             req.grid.vcDepth = static_cast<std::uint32_t>(u);
         }
         if (const auto *v = root->find("phase_windows")) {
-            if (!asUintList(*v, 0, 1'000'000, 64, list))
+            if (!asUintList(*v, 0, 1'000'000, kMaxGridList, list))
                 return badField("phase_windows",
                                 "must be a non-empty array of integers "
                                 "in [0, 1000000]");

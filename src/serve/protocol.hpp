@@ -56,6 +56,9 @@ namespace minnoc::serve {
 inline constexpr std::size_t kMaxRequestBytes = 8u << 20; ///< one line
 inline constexpr std::uint32_t kMaxTraceRanks = 4096;
 inline constexpr std::size_t kMaxGridJobs = 1024;
+/** Longest grid list a request may carry; `unidirectional`: two. */
+inline constexpr std::size_t kMaxGridList = 64;
+inline constexpr std::size_t kMaxGridDirections = 2;
 /** Largest `deadline_ms` a request may carry (24 h). */
 inline constexpr std::int64_t kMaxDeadlineMs = 86'400'000;
 

@@ -842,19 +842,18 @@ Server::compute(const Job &job)
         cfg.phaseSegmenter.mergeThreshold = req.threshold;
         cfg.phaseSegmenter.minPhaseWindows = req.minPhaseWindows;
         cfg.phaseSegmenter.matrixWeight = req.matrixWeight;
-        // Request-level parallelism comes from the worker pool; each
-        // request runs its grid sequentially (reports are
-        // byte-identical at any thread count, so this is invisible to
-        // clients).
-        cfg.threads = 1;
         // Always the daemon's OWN disk cache, never a client path —
         // the socket is the trust boundary.
         cfg.cacheDir = _config.cacheDir;
         cfg.useCache = _config.useCache;
         cfg.power.kind = *topo::powerModelKindFromName(req.power);
         cfg.cancel = job.token.get();
+        // The grid's methodologies and evaluations run on the shared
+        // inner pool, so a shard fills an idle daemon while concurrent
+        // requests share its threads (reports are byte-identical at
+        // any thread count, so this is invisible to clients).
         if (req.cmd == Cmd::Explore) {
-            const auto report = dse::explore(tr, cfg);
+            const auto report = dse::explore(tr, cfg, _innerPool.get());
             _metrics.counter("serve/disk_cache_hits")
                 .add(report.cacheHits);
             _metrics.counter("serve/disk_cache_misses")
@@ -867,7 +866,8 @@ Server::compute(const Job &job)
             throw FatalError(
                 "shard signature drift: coordinator expects '" + req.sig +
                 "', daemon computes '" + sig + "'");
-        const auto reply = runDseShard(tr, cfg, req.jobIndex);
+        const auto reply =
+            runDseShard(tr, cfg, req.jobIndex, _innerPool.get());
         for (const auto &point : reply.results)
             _metrics
                 .counter(point.cached ? "serve/job_cache_hits"

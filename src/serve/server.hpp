@@ -96,7 +96,10 @@ struct ServerConfig
     /** Disable the disk tier entirely. */
     bool useCache = true;
 
-    /** Threads of the shared methodology pool (0 = hardware). */
+    /**
+     * Threads of the shared pool that design restarts and explore /
+     * dse_shard grids run on (0 = hardware).
+     */
     std::uint32_t innerThreads = 0;
 
     /** When non-empty, stop() dumps the metrics registry here. */
@@ -222,7 +225,7 @@ class Server
     std::unordered_map<std::uint64_t, std::shared_ptr<Flight>> _flights;
 
     LruCache _lru;
-    /** Shared restart pool for design jobs (re-entrant methodology). */
+    /** Shared pool: design restarts, explore and dse_shard grid tasks. */
     std::unique_ptr<ThreadPool> _innerPool;
 
     obs::MetricsRegistry _metrics;

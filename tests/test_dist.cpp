@@ -5,7 +5,8 @@
  * byte-identity of the coordinator's merged report against the
  * in-process explorer (across lane counts, warm shared caches, and a
  * crashed lane whose shards fall back in-process), lanes that run only
- * whole shards, the abort on a shard's second failure, Ctrl-C during
+ * whole shards, grids dealt point by point (phase windows, runs past
+ * the request limits), the abort on a shard's second failure, Ctrl-C during
  * the in-process fallback, and the distributed phases evaluation.
  * Every lane is a real `minnoc serve` daemon on loopback (a forked
  * DaemonProc).
@@ -205,6 +206,53 @@ TEST(DistExplore, LanesRunWholeShards)
         EXPECT_EQ(jobs % 4, 0u) << "a lane ran part of a shard";
     }
     EXPECT_EQ(totalJobs(stats), base.points.size());
+}
+
+TEST(DistExplore, ShardPastTheWireLimitsGoesPointByPoint)
+{
+    // One (degree, restarts, seed) run of 2 x 64 x 9 = 1152 points:
+    // more than a request may carry (kMaxGridJobs), so it travels as
+    // 1152 one-point shards. A 4-rank ring keeps each cheap.
+    const auto tr = trace::traceFromCliques(trace::ringPattern(4),
+                                            "ring-4", 64, 1);
+    auto cfg = smallConfig("", false);
+    cfg.grid.maxDegrees = {4};
+    cfg.grid.unidirectional = {0, 1};
+    cfg.grid.vcs.clear();
+    for (int i = 0; i < 32; ++i)
+        cfg.grid.vcs.insert(cfg.grid.vcs.end(), {2, 3});
+    cfg.grid.phaseWindows.assign(9, 0);
+    const auto base = dse::explore(tr, cfg);
+    ASSERT_EQ(base.points.size(), 1152u);
+    ASSERT_GT(base.points.size(), serve::kMaxGridJobs);
+
+    Fleet fleet(2, noCache());
+    ASSERT_TRUE(fleet.up());
+    DistStats stats;
+    const auto report = exploreDistributed(tr, cfg, fleet.options, &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    EXPECT_TRUE(stats.failures.empty());
+    EXPECT_EQ(stats.jobs, (std::vector<std::uint64_t>{576, 576}));
+}
+
+TEST(DistExplore, PhaseWindowPointsAreDealtOneByOne)
+{
+    // Phase-window points share no work: a one-seed grid of two
+    // windows is two one-point shards, one per host, not one shard.
+    const auto tr = cgTrace();
+    auto cfg = smallConfig("", false);
+    cfg.grid.maxDegrees = {4};
+    cfg.grid.vcs = {2};
+    cfg.grid.phaseWindows = {4, 8};
+    const auto base = dse::explore(tr, cfg);
+
+    Fleet fleet(2, noCache());
+    ASSERT_TRUE(fleet.up());
+    DistStats stats;
+    const auto report = exploreDistributed(tr, cfg, fleet.options, &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    EXPECT_TRUE(stats.failures.empty());
+    EXPECT_EQ(stats.jobs, (std::vector<std::uint64_t>{1, 1}));
 }
 
 TEST(DistExplore, WarmRerunAcrossWorkerCountsIsAllHits)

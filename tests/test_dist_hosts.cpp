@@ -577,7 +577,9 @@ roundTripLine(const HostSpec &host, const std::string &line)
     // This helper blocks for its one reply.
     ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
     std::optional<serve::Reply> reply;
-    if (sendAll(fd, line + "\n", 60'000)) {
+    const std::string out = line + "\n";
+    if (::send(fd, out.data(), out.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(out.size())) {
         std::string buf;
         char c = 0;
         while (::read(fd, &c, 1) == 1 && c != '\n')
