@@ -6,8 +6,11 @@
  * and flit corruption and one run with a SimObserver attached. Every
  * case pins execution time, the exact bits of mean latency and hops,
  * delivery and recovery counts, retransmissions, the flits each link
- * carried and the three activity-power counters, so a change to the
- * simulator's internals that moves any simulated result fails here.
+ * carried, the three activity-power counters, each rank's finish and
+ * communication time and the cycles the network was stepped, so a
+ * change to the simulator's internals that moves any simulated result
+ * fails here. The per-rank lines guard the trace driver's scheduling:
+ * exec_time is only their maximum and can hide a rank woken late.
  *
  * The torus runs on one shallow VC with a short deadlock timeout, so
  * its fully adaptive routing deadlocks and the regressive recovery
@@ -28,6 +31,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/methodology.hpp"
 #include "dse/cache.hpp"
@@ -96,10 +100,43 @@ bits(double v)
     return buf;
 }
 
+/** Comma-separated values of @p v. */
+template <class T>
+std::string
+joined(const std::vector<T> &v)
+{
+    std::string out;
+    for (std::size_t i = 0; i < v.size(); ++i)
+        out += (i ? "," : "") + std::to_string(v[i]);
+    return out;
+}
+
+/** One replay and how many cycles its network was stepped. */
+struct Run
+{
+    sim::SimResult result;
+    std::uint64_t steppedCycles = 0;
+};
+
+Run
+run(const trace::Trace &tr, const topo::BuiltNetwork &net,
+    const sim::SimConfig &config = {}, const sim::FaultConfig &faults = {},
+    obs::SimObserver *observer = nullptr)
+{
+    sim::Network network(*net.topo, *net.routing, config,
+                         sim::FaultModel(*net.topo, faults));
+    network.setObserver(observer);
+    Run out;
+    out.result = sim::runTrace(tr, network);
+    out.steppedCycles = network.steppedCycles();
+    return out;
+}
+
 /** Render one case's pinned fields in the golden file format. */
 std::string
-render(const std::string &name, const sim::SimResult &r)
+render(const std::string &name, const Run &run)
 {
+    const sim::SimResult &r = run.result;
     std::ostringstream oss;
     oss << "[" << name << "]\n"
         << "exec_time=" << r.execTime << "\n"
@@ -117,7 +154,10 @@ render(const std::string &name, const sim::SimResult &r)
         << "link_flits=";
     for (std::size_t l = 0; l < r.linkFlits.size(); ++l)
         oss << (l ? "," : "") << r.linkFlits[l];
-    oss << "\n";
+    oss << "\n"
+        << "finish_times=" << joined(r.finishTime) << "\n"
+        << "comm_times=" << joined(r.commTime) << "\n"
+        << "stepped_cycles=" << run.steppedCycles << "\n";
     return oss.str();
 }
 
@@ -162,15 +202,10 @@ corpus()
         const auto mesh = topo::buildMesh(kRanks);
         const auto torus = topo::buildTorus(kRanks);
         const auto gen = generatedNetwork(tr);
-        out += render(name + "/crossbar",
-                      sim::runTrace(tr, *xbar.topo, *xbar.routing));
-        out += render(name + "/mesh",
-                      sim::runTrace(tr, *mesh.topo, *mesh.routing));
-        out += render(name + "/torus",
-                      sim::runTrace(tr, *torus.topo, *torus.routing,
-                                    recoveryConfig()));
-        out += render(name + "/generated",
-                      sim::runTrace(tr, *gen.topo, *gen.routing));
+        out += render(name + "/crossbar", run(tr, xbar));
+        out += render(name + "/mesh", run(tr, mesh));
+        out += render(name + "/torus", run(tr, torus, recoveryConfig()));
+        out += render(name + "/generated", run(tr, gen));
     }
 
     // Faults: two inter-switch links fail mid-run (purge and requeue
@@ -185,9 +220,7 @@ corpus()
         faults.flitErrorRate = 0.05;
         faults.maxRetransmits = 1;
         faults.seed = 7;
-        out += render("CG/mesh/faults",
-                      sim::runTrace(tr, *mesh.topo, *mesh.routing,
-                                    sim::SimConfig{}, faults));
+        out += render("CG/mesh/faults", run(tr, mesh, {}, faults));
     }
 
     // Observer: the sampled series and histograms it exports.
@@ -195,9 +228,7 @@ corpus()
         const auto tr = nasTrace(trace::Benchmark::MG);
         const auto mesh = topo::buildMesh(kRanks);
         obs::SimObserver observer;
-        out += render("MG/mesh/observed",
-                      sim::runTrace(tr, *mesh.topo, *mesh.routing,
-                                    sim::SimConfig{}, &observer));
+        out += render("MG/mesh/observed", run(tr, mesh, {}, {}, &observer));
         out += "metrics_fnv=" + metricsDigest(observer) + "\n";
     }
     return out;
@@ -244,7 +275,9 @@ TEST(SimGolden, CorpusExercisesRecoveryAndFaults)
             section = line;
         const auto eq = line.find('=');
         if (eq == std::string::npos || line.rfind("link_flits", 0) == 0 ||
-            line.rfind("avg_", 0) == 0 || line.rfind("metrics_", 0) == 0) {
+            line.rfind("avg_", 0) == 0 || line.rfind("metrics_", 0) == 0 ||
+            line.rfind("finish_times", 0) == 0 ||
+            line.rfind("comm_times", 0) == 0) {
             continue;
         }
         const auto value = std::stoull(line.substr(eq + 1));
