@@ -29,35 +29,44 @@ Network::Network(const topo::Topology &topo,
       _faults(std::move(faults))
 {
     const auto numLinks = static_cast<std::uint32_t>(topo.numLinks());
-    _inputs.resize(numLinks);
-    _outputs.resize(numLinks);
-    _pipes.resize(numLinks);
+    const std::size_t numSlots = std::size_t{numLinks} * config.numVcs;
+    // Links into end-nodes are drained instantly by the NI (their input
+    // slots stay unowned) but keep uniform sender-side credits.
+    _links.resize(numLinks);
     for (topo::LinkId l = 0; l < numLinks; ++l) {
-        // Links into switches get receive buffers; links into end-nodes
-        // are drained instantly by the NI (modeled without an input
-        // unit), but keep uniform sender-side credit bookkeeping.
-        if (!topo.isProc(topo.link(l).to))
-            _inputs[l].vcs.resize(config.numVcs);
-        auto &out = _outputs[l];
-        out.credits.assign(config.numVcs, config.vcDepth);
-        out.vcOwner.assign(config.numVcs, kNoPacket);
-        out.tailSent.assign(config.numVcs, false);
-        out.outstanding.assign(config.numVcs, 0);
+        _links[l].delay = topo.link(l).delay();
+        _links[l].toProc = topo.isProc(topo.link(l).to);
     }
-    _sources.resize(topo.numProcs());
-    _flitPipes.resize(numLinks);
-    _creditPipes.resize(numLinks);
-    _unrouted.resize(std::size_t{numLinks} * config.numVcs);
-    _requestedOutputs.resize(numLinks);
-    _queuedSources.resize(topo.numProcs());
-    _requesters.resize(numLinks);
-    _inRank.assign(numLinks, 0);
     for (topo::NodeIdx n = 0; n < topo.numNodes(); ++n) {
         const auto &in = topo.inLinks(n);
         for (std::uint32_t i = 0; i < in.size(); ++i)
-            _inRank[in[i]] = i;
+            _links[in[i]].inRank = i;
     }
-    _inputUsedAt.assign(numLinks, -1);
+    std::uint32_t ring = 0;
+    std::uint32_t maxDelay = 1;
+    for (auto &link : _links) {
+        link.ring = ring;
+        link.ringMask = std::bit_ceil(link.delay) - 1;
+        ring += link.ringMask + 1;
+        maxDelay = std::max(maxDelay, link.delay);
+    }
+    _inFlight.resize(ring);
+    const std::uint32_t wheel = std::bit_ceil(maxDelay + 1);
+    _flitWheel.resize(wheel);
+    for (auto &due : _flitWheel)
+        due.resize(numLinks);
+    _creditWheel.resize(wheel);
+    _wheelMask = wheel - 1;
+    _inVcs.resize(numSlots);
+    _outVcs.assign(numSlots, OutputVc{kNoPacket, config.vcDepth, 0, false});
+    _candidates.resize(numSlots);
+    _sources.resize(topo.numProcs());
+    for (core::ProcId p = 0; p < topo.numProcs(); ++p)
+        _sources[p].inj = topo.injectionLink(p);
+    _unrouted.resize(numSlots);
+    _requestedOutputs.resize(numLinks);
+    _queuedSources.resize(topo.numProcs());
+    _requesters.resize(numLinks);
     _stats.linkFlits.assign(numLinks, 0);
 
     // Fail-from-start link faults: swap in the degraded routing before
@@ -66,10 +75,21 @@ Network::Network(const topo::Topology &topo,
         activateFaults(0);
 }
 
-bool
-Network::isTail(const FlitRef &f) const
+FlowId
+Network::flow(core::ProcId dst, core::ProcId src)
 {
-    return f.seq + 1 == _packets.at(f.packet).numFlits;
+    const auto [it, added] = _flowIds.try_emplace(
+        std::uint64_t{dst} << 32 | src, static_cast<FlowId>(_flows.size()));
+    if (added)
+        _flows.push_back(Flow{dst, src, {}, 0, false});
+    return it->second;
+}
+
+const Network::Flow *
+Network::findFlow(core::ProcId dst, core::ProcId src) const
+{
+    const auto it = _flowIds.find(std::uint64_t{dst} << 32 | src);
+    return it == _flowIds.end() ? nullptr : &_flows[it->second];
 }
 
 PacketId
@@ -91,12 +111,15 @@ Network::enqueue(core::ProcId src, core::ProcId dst, std::uint64_t bytes,
                 (bytes + _config.flitBytes - 1) / _config.flitBytes);
     pkt.enqueuedAt = now;
     pkt.lastProgress = now;
-    pkt.channelSeq = _sendSeq[{dst, src}]++;
+    pkt.flow = flow(dst, src);
+    auto &fl = _flows[pkt.flow];
+    pkt.channelSeq = fl.sent.size();
+    fl.sent.push_back(pkt.id);
     pkt.checksum = packetChecksum(pkt.id, src, dst, bytes);
     pkt.wireChecksum = pkt.checksum;
     _packets.push_back(pkt);
     ++_stats.packetsEnqueued;
-    if (_deadChannels.count({dst, src})) {
+    if (fl.dead) {
         // The channel has no surviving path: give up immediately so the
         // sender unblocks and the receiver learns the sequence is lost.
         dropPacket(pkt.id, "channel disconnected by link failure");
@@ -113,31 +136,45 @@ Network::injected(PacketId id) const
     return pkt.dropped || pkt.flitsInjected == pkt.numFlits;
 }
 
-bool
-Network::hasDelivered(core::ProcId dst, core::ProcId src) const
+PacketId
+Network::nextInFlow(FlowId f) const
 {
     // In-order matching: only the next-in-sequence message is visible,
     // even if later ones overtook it through the virtual channels.
-    const auto it = _delivered.find({dst, src});
-    if (it == _delivered.end() || it->second.empty())
-        return false;
-    const auto seqIt = _consumeSeq.find({dst, src});
-    const std::uint64_t next = seqIt == _consumeSeq.end() ? 0
-                                                          : seqIt->second;
-    return it->second.begin()->first == next;
+    const Flow &fl = _flows[f];
+    return fl.consumed < fl.sent.size() ? fl.sent[fl.consumed] : kNoPacket;
+}
+
+bool
+Network::hasDelivered(FlowId f) const
+{
+    const PacketId id = nextInFlow(f);
+    return id != kNoPacket && _packets[id].delivered();
 }
 
 PacketId
-Network::consumeDelivered(core::ProcId dst, core::ProcId src)
+Network::consumeDelivered(FlowId f)
 {
-    if (!hasDelivered(dst, src))
-        panic("Network::consumeDelivered: nothing from ", src, " at ",
-              dst);
-    auto &buffer = _delivered[{dst, src}];
-    const PacketId id = buffer.begin()->second;
-    buffer.erase(buffer.begin());
-    ++_consumeSeq[{dst, src}];
-    return id;
+    if (!hasDelivered(f))
+        panic("Network::consumeDelivered: nothing from ", _flows[f].src,
+              " at ", _flows[f].dst);
+    return _flows[f].sent[_flows[f].consumed++];
+}
+
+bool
+Network::nextDeliveryLost(FlowId f) const
+{
+    const PacketId id = nextInFlow(f);
+    return id != kNoPacket && _packets[id].dropped;
+}
+
+void
+Network::skipLostDelivery(FlowId f)
+{
+    if (!nextDeliveryLost(f))
+        panic("Network::skipLostDelivery: next message from ",
+              _flows[f].src, " at ", _flows[f].dst, " is not lost");
+    ++_flows[f].consumed;
 }
 
 void
@@ -145,6 +182,8 @@ Network::step(Cycle now)
 {
     if (now <= _lastStep)
         panic("Network::step: non-monotone clock");
+    if (now > _lastStep + 1 && _flitsInNetwork != 0)
+        panic("Network::step: cycles skipped with flits in flight");
     _lastStep = now;
     ++_steppedCycles;
 
@@ -180,25 +219,33 @@ Network::step(Cycle now)
 void
 Network::arriveCredits(Cycle now)
 {
-    _creditPipes.forEach([&](std::size_t l) {
-        auto &pipe = _pipes[l];
-        auto &out = _outputs[l];
-        while (!pipe.credits.empty() && pipe.credits.front().arrive <= now) {
-            const auto vc = pipe.credits.front().vc;
-            pipe.credits.pop_front();
-            ++out.credits[vc];
-            if (out.outstanding[vc] == 0)
-                panic("Network: credit underflow on link ", l);
-            --out.outstanding[vc];
-            if (out.tailSent[vc] && out.outstanding[vc] == 0) {
+    // A credit changes only its own slot, so the order of arrivals
+    // within a cycle is unobservable. The buckets of cycles the driver
+    // fast-forwarded over are drained too.
+    for (Cycle t = std::max(_creditsArrived, now - _wheelMask - 1) + 1;
+         t <= now; ++t) {
+        auto &due = _creditWheel[t & _wheelMask];
+        for (const auto s : due) {
+            auto &out = _outVcs[s];
+            ++out.credits;
+            if (out.outstanding == 0)
+                panic("Network: credit underflow on slot ", s);
+            if (--out.outstanding == 0 && out.tailSent) {
                 // Downstream VC fully drained: release the reservation.
-                out.vcOwner[vc] = kNoPacket;
-                out.tailSent[vc] = false;
+                out.owner = kNoPacket;
+                out.tailSent = false;
             }
         }
-        if (pipe.credits.empty())
-            _creditPipes.erase(l);
-    });
+        due.clear();
+    }
+    _creditsArrived = now;
+}
+
+void
+Network::returnCredit(topo::LinkId l, std::uint32_t vc, Cycle now)
+{
+    _creditWheel[(now + _links[l].delay) & _wheelMask].push_back(
+        static_cast<std::uint32_t>(slot(l, vc)));
 }
 
 void
@@ -206,43 +253,50 @@ Network::arriveFlits(Cycle now)
 {
     // Ascending link order is observable: a corruption NACK delivered
     // here purges the packet's traffic on other links mid-pass.
-    _flitPipes.forEach([&](std::size_t i) {
+    auto &due = _flitWheel[now & _wheelMask];
+    due.forEach([&](std::size_t i) {
+        due.erase(i);
         const auto l = static_cast<topo::LinkId>(i);
-        auto &pipe = _pipes[l];
-        while (!pipe.flits.empty() && pipe.flits.front().arrive <= now) {
-            const auto in = pipe.flits.front();
-            pipe.flits.pop_front();
-            const auto toNode = _topo->link(l).to;
-            if (_topo->isProc(toNode)) {
-                deliverAtProc(in.flit, l, in.vc, now);
-            } else {
-                auto &vc = _inputs[l].vcs.at(in.vc);
-                if (in.flit.isHead()) {
-                    if (vc.owner != kNoPacket)
-                        panic("Network: head arrival on owned VC");
-                    vc.owner = in.flit.packet;
-                    _unrouted.insert(i * _config.numVcs + in.vc);
-                }
-                if (vc.owner != in.flit.packet)
-                    panic("Network: flit arrival on foreign VC");
-                vc.buffer.push_back(in.flit);
-                ++_stats.bufferWrites;
-                _packets[in.flit.packet].lastProgress = now;
-            }
+        const LinkState &link = _links[l];
+        InFlit &entry = _inFlight[link.ring + (now & link.ringMask)];
+        if (!entry.valid)
+            return; // purged
+        const InFlit in = entry;
+        entry.valid = false;
+        if (link.toProc) {
+            deliverAtProc(l, in.vc, in.tail, now);
+            return;
         }
-        if (pipe.flits.empty())
-            _flitPipes.erase(l);
+        const std::size_t s = slot(l, in.vc);
+        auto &vc = _inVcs[s];
+        const PacketId id = _outVcs[s].owner;
+        if (in.head) {
+            if (vc.owner != kNoPacket)
+                panic("Network: head arrival on owned VC");
+            vc.owner = id;
+            _unrouted.insert(s);
+        }
+        if (vc.owner != id)
+            panic("Network: flit arrival on foreign VC");
+        ++vc.count;
+        vc.tailIn = in.tail;
+        ++_stats.bufferWrites;
+        _packets[id].lastProgress = now;
     });
 }
 
 std::uint32_t
-Network::allocateVc(OutputState &out)
+Network::allocateVc(topo::LinkId l, PacketId id)
 {
-    const auto n = static_cast<std::uint32_t>(out.vcOwner.size());
+    const std::uint32_t n = _config.numVcs;
+    auto &rr = _links[l].rrVc;
     for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t vc = (out.rrVc + i) % n;
-        if (out.vcOwner[vc] == kNoPacket) {
-            out.rrVc = (vc + 1) % n;
+        const std::uint32_t vc = (rr + i) % n;
+        auto &out = _outVcs[slot(l, vc)];
+        if (out.owner == kNoPacket) {
+            rr = (vc + 1) % n;
+            out.owner = id;
+            out.tailSent = false;
             return vc;
         }
     }
@@ -258,13 +312,12 @@ Network::chooseOutput(const std::vector<topo::LinkId> &candidates)
     topo::LinkId best = topo::kNoLink;
     std::uint64_t bestCredits = 0;
     for (const auto cand : candidates) {
-        const auto &out = _outputs[cand];
         bool freeVc = false;
         std::uint64_t credits = 0;
-        for (std::uint32_t v = 0; v < out.vcOwner.size(); ++v) {
-            if (out.vcOwner[v] == kNoPacket)
-                freeVc = true;
-            credits += out.credits[v];
+        for (std::uint32_t v = 0; v < _config.numVcs; ++v) {
+            const auto &out = _outVcs[slot(cand, v)];
+            freeVc |= out.owner == kNoPacket;
+            credits += out.credits;
         }
         if (!freeVc)
             continue;
@@ -281,63 +334,60 @@ Network::routeAndAllocate()
 {
     // (link, VC) order: VC allocation round-robin depends on it.
     const std::uint32_t numVcs = _config.numVcs;
-    _unrouted.forEach([&](std::size_t i) {
-        const auto l = static_cast<topo::LinkId>(i / numVcs);
-        const auto v = static_cast<std::uint32_t>(i % numVcs);
-        auto &vc = _inputs[l].vcs[v];
-        if (vc.buffer.empty() || vc.outAssigned) {
-            _unrouted.erase(i);
+    _unrouted.forEach([&](std::size_t s) {
+        const auto l = static_cast<topo::LinkId>(s / numVcs);
+        const auto v = static_cast<std::uint32_t>(s % numVcs);
+        auto &vc = _inVcs[s];
+        if (vc.count == 0 || vc.outLink != topo::kNoLink) {
+            _unrouted.erase(s);
             return;
         }
-        if (!vc.buffer.front().isHead())
+        if (vc.next != 0)
             panic("Network: non-head flit awaiting route");
-        const Packet &pkt = _packets[vc.buffer.front().packet];
-        if (vc.candidates.empty()) {
+        const Packet &pkt = _packets[vc.owner];
+        auto &candidates = _candidates[s];
+        if (candidates.empty()) {
             // Route once per hop; a stalled head keeps its candidates
             // and re-chooses among them by live credits each cycle.
-            vc.candidates =
+            candidates =
                 _routing->candidates(_topo->link(l).to, pkt.src, pkt.dst);
-            if (vc.candidates.empty())
+            if (candidates.empty())
                 panic("Network: routing returned no candidates");
         }
-        const auto out = chooseOutput(vc.candidates);
+        const auto out = chooseOutput(candidates);
         if (out == topo::kNoLink)
             return; // every candidate VC busy: stall
-        auto &outState = _outputs[out];
-        const auto w = allocateVc(outState);
+        const auto w = allocateVc(out, pkt.id);
         if (w == kNoVc)
             return;
-        outState.vcOwner[w] = pkt.id;
-        outState.tailSent[w] = false;
-        vc.candidates.clear();
+        candidates.clear();
         vc.outLink = out;
         vc.outVc = w;
-        vc.outAssigned = true;
-        _unrouted.erase(i);
-        addRequester(out, l, v);
+        _unrouted.erase(s);
+        addRequester(l, v);
     });
 }
 
 void
-Network::addRequester(topo::LinkId out, topo::LinkId inLink,
-                      std::uint32_t inVc)
+Network::addRequester(topo::LinkId inLink, std::uint32_t inVc)
 {
-    auto &list = _requesters[out];
-    const Requester req{inLink, inVc,
-                        _inRank[inLink] * _config.numVcs + inVc};
+    const auto &vc = _inVcs[slot(inLink, inVc)];
+    auto &list = _requesters[vc.outLink];
+    const Requester req{inLink, inVc, vc.outVc,
+                        _links[inLink].inRank * _config.numVcs + inVc};
     const auto pos = std::upper_bound(
         list.begin(), list.end(), req,
         [](const Requester &a, const Requester &b) {
             return a.rank < b.rank;
         });
     list.insert(pos, req);
-    _requestedOutputs.insert(out);
+    _requestedOutputs.insert(vc.outLink);
 }
 
 void
-Network::removeRequester(topo::LinkId out, topo::LinkId inLink,
-                         std::uint32_t inVc)
+Network::removeRequester(topo::LinkId inLink, std::uint32_t inVc)
 {
+    const auto out = _inVcs[slot(inLink, inVc)].outLink;
     auto &list = _requesters[out];
     const auto it =
         std::find_if(list.begin(), list.end(), [&](const Requester &r) {
@@ -351,54 +401,66 @@ Network::removeRequester(topo::LinkId out, topo::LinkId inLink,
 }
 
 void
-Network::releaseInputVc(topo::LinkId inLink, std::uint32_t inVc,
-                        VcState &vc)
+Network::releaseInputVc(topo::LinkId inLink, std::uint32_t inVc)
 {
-    if (vc.outAssigned)
-        removeRequester(vc.outLink, inLink, inVc);
-    vc.owner = kNoPacket;
-    vc.candidates.clear();
-    vc.outAssigned = false;
-    vc.outLink = topo::kNoLink;
-    vc.outVc = kNoVc;
+    const std::size_t s = slot(inLink, inVc);
+    if (_inVcs[s].outLink != topo::kNoLink)
+        removeRequester(inLink, inVc);
+    _inVcs[s] = InputVc{};
+    _candidates[s].clear();
 }
 
 void
-Network::forwardFlit(topo::LinkId inLink, std::uint32_t inVc, VcState &vc,
-                     Cycle now)
+Network::sendFlit(topo::LinkId l, std::uint32_t vc, const FlitRef &flit,
+                  Cycle now)
 {
-    const FlitRef flit = vc.buffer.front();
-    vc.buffer.pop_front();
-    ++_stats.bufferReads;
-    auto &out = _outputs[vc.outLink];
-
-    if (out.credits[vc.outVc] == 0)
-        panic("Network: forwarding without credit");
-    --out.credits[vc.outVc];
-    ++out.outstanding[vc.outVc];
-    _pipes[vc.outLink].flits.push_back(LinkPipe::InFlit{
-        now + _topo->link(vc.outLink).delay(), flit, vc.outVc});
-    _flitPipes.insert(vc.outLink);
-    maybeCorrupt(flit);
+    auto &out = _outVcs[slot(l, vc)];
+    if (out.credits == 0)
+        panic("Network: sending without credit");
+    --out.credits;
+    ++out.outstanding;
+    out.tailSent |= flit.tail;
+    const LinkState &link = _links[l];
+    const Cycle arrive = now + link.delay;
+    InFlit &entry = _inFlight[link.ring + (arrive & link.ringMask)];
+    if (entry.valid)
+        panic("Network: pipe overrun on link ", l);
+    entry = InFlit{vc, flit.isHead(), flit.tail, true};
+    _flitWheel[arrive & _wheelMask].insert(l);
     ++_stats.flitHops;
-    ++_stats.linkFlits[vc.outLink];
-    if (flit.isHead())
-        ++_packets[flit.packet].hops;
-    _packets[flit.packet].lastProgress = now;
+    ++_stats.linkFlits[l];
+    Packet &pkt = _packets[flit.packet];
+    pkt.lastProgress = now;
+    if (flit.isHead()) {
+        ++pkt.hops;
+        // One Bernoulli draw per packet per link traversal (taken when
+        // the head enters the link): "did any flit of this worm get hit
+        // while crossing?". Per-flit draws would make large packets
+        // undeliverable at any rate worth simulating.
+        if (_faults.corruptsTraversal()) {
+            ++_stats.corruptedFlits;
+            pkt.wireChecksum ^= _faults.corruptionWord();
+        }
+    }
+}
+
+void
+Network::forwardFlit(topo::LinkId inLink, std::uint32_t inVc, Cycle now)
+{
+    auto &vc = _inVcs[slot(inLink, inVc)];
+    const FlitRef flit{vc.owner, vc.next, vc.tailIn && vc.count == 1};
+    ++vc.next;
+    --vc.count;
+    ++_stats.bufferReads;
+    sendFlit(vc.outLink, vc.outVc, flit, now);
 
     // The freed input buffer slot becomes a credit for the upstream
     // sender of `inLink` after the wire's return delay.
-    _pipes[inLink].credits.push_back(LinkPipe::InCredit{
-        now + _topo->link(inLink).delay(), inVc});
-    _creditPipes.insert(inLink);
+    returnCredit(inLink, inVc, now);
 
-    if (isTail(flit)) {
-        out.tailSent[vc.outVc] = true;
-        if (!vc.buffer.empty())
-            panic("Network: flits behind tail in VC");
-        releaseInputVc(inLink, inVc, vc);
-    }
-    _inputUsedAt[inLink] = now;
+    if (flit.tail)
+        releaseInputVc(inLink, inVc);
+    _links[inLink].inputUsedAt = now;
 }
 
 void
@@ -410,24 +472,35 @@ Network::switchAllocation(Cycle now)
     // every later output this cycle.
     _requestedOutputs.forEach([&](std::size_t o) {
         const auto out = static_cast<topo::LinkId>(o);
-        auto &state = _outputs[out];
-        _requests.clear();
-        for (const auto &req : _requesters[out]) {
-            if (_inputUsedAt[req.link] == now)
-                continue;
-            const auto &vc = _inputs[req.link].vcs[req.vc];
-            if (vc.buffer.empty() || state.credits[vc.outVc] == 0)
-                continue;
-            _requests.push_back(req);
-        }
-        if (_requests.empty())
+        const auto ready = [&](const Requester &req) {
+            return _links[req.link].inputUsedAt != now &&
+                   _inVcs[slot(req.link, req.vc)].count != 0 &&
+                   _outVcs[slot(out, req.outVc)].credits != 0;
+        };
+        // Round-robin over the ready requesters, counted first so that
+        // no list of them is built. rr % n, and (rr + 1) % n after it,
+        // without dividing in the common case rr < n.
+        const auto &list = _requesters[out];
+        auto &rr = _links[out].rrReq;
+        if (list.size() == 1) {
+            if (ready(list.front())) {
+                rr = 0;
+                forwardFlit(list.front().link, list.front().vc, now);
+            }
             return;
-        auto &rr = state.rrReq;
-        const Requester winner = _requests[rr % _requests.size()];
-        rr = (rr + 1) % std::max<std::uint32_t>(
-                            1, static_cast<std::uint32_t>(_requests.size()));
-        forwardFlit(winner.link, winner.vc,
-                    _inputs[winner.link].vcs[winner.vc], now);
+        }
+        const auto n = static_cast<std::uint32_t>(
+            std::count_if(list.begin(), list.end(), ready));
+        if (n == 0)
+            return;
+        std::uint32_t pick = rr < n ? rr : rr % n;
+        rr = pick + 1 == n ? 0 : pick + 1;
+        for (const auto &req : list) {
+            if (ready(req) && pick-- == 0) {
+                forwardFlit(req.link, req.vc, now);
+                return;
+            }
+        }
     });
 }
 
@@ -445,64 +518,43 @@ Network::injectFromSources(Cycle now)
         Packet &pkt = _packets[src.queue.front()];
         if (now < pkt.holdUntil)
             return;
-        const auto inj = _topo->injectionLink(p);
-        auto &out = _outputs[inj];
-
-        if (!src.vcAssigned) {
-            const auto w = allocateVc(out);
-            if (w == kNoVc)
+        if (src.vc == kNoVc) {
+            src.vc = allocateVc(src.inj, pkt.id);
+            if (src.vc == kNoVc)
                 return;
-            out.vcOwner[w] = pkt.id;
-            out.tailSent[w] = false;
-            src.vc = w;
-            src.vcAssigned = true;
         }
-        if (out.credits[src.vc] == 0)
+        if (_outVcs[slot(src.inj, src.vc)].credits == 0)
             return;
 
-        const FlitRef flit{pkt.id, pkt.flitsInjected};
-        --out.credits[src.vc];
-        ++out.outstanding[src.vc];
-        _pipes[inj].flits.push_back(LinkPipe::InFlit{
-            now + _topo->link(inj).delay(), flit, src.vc});
-        _flitPipes.insert(inj);
-        maybeCorrupt(flit);
+        const FlitRef flit{pkt.id, pkt.flitsInjected,
+                           pkt.flitsInjected + 1 == pkt.numFlits};
+        sendFlit(src.inj, src.vc, flit, now);
         ++pkt.flitsInjected;
         ++_flitsInNetwork;
-        ++_stats.flitHops;
-        ++_stats.linkFlits[inj];
-        if (flit.isHead()) {
-            ++pkt.hops;
+        if (flit.isHead())
             _alivePackets.insert(pkt.id);
-        }
-        pkt.lastProgress = now;
-
-        if (pkt.flitsInjected == pkt.numFlits) {
-            out.tailSent[src.vc] = true;
+        if (flit.tail) {
             src.queue.pop_front();
             --_queuedPackets;
-            src.vcAssigned = false;
             src.vc = kNoVc;
         }
     });
 }
 
 void
-Network::deliverAtProc(const FlitRef &flit, topo::LinkId link,
-                       std::uint32_t vc, Cycle now)
+Network::deliverAtProc(topo::LinkId link, std::uint32_t vc, bool tail,
+                       Cycle now)
 {
-    Packet &pkt = _packets[flit.packet];
+    Packet &pkt = _packets[_outVcs[slot(link, vc)].owner];
     ++pkt.flitsDelivered;
     --_flitsInNetwork;
     pkt.lastProgress = now;
 
     // The NI drains instantly; the freed slot is credited back to the
     // last switch after the wire's return delay.
-    _pipes[link].credits.push_back(LinkPipe::InCredit{
-        now + _topo->link(link).delay(), vc});
-    _creditPipes.insert(link);
+    returnCredit(link, vc, now);
 
-    if (isTail(flit)) {
+    if (tail) {
         if (pkt.flitsDelivered != pkt.numFlits)
             panic("Network: tail delivered before body (packet ", pkt.id,
                   ")");
@@ -524,7 +576,7 @@ Network::deliverAtProc(const FlitRef &flit, topo::LinkId link,
         }
         pkt.deliveredAt = now;
         _alivePackets.erase(pkt.id);
-        _delivered[{pkt.dst, pkt.src}][pkt.channelSeq] = pkt.id;
+        _wakes.push_back(pkt.id);
         ++_stats.packetsDelivered;
         _stats.packetLatency.sample(
             static_cast<double>(now - pkt.enqueuedAt));
@@ -588,36 +640,34 @@ Network::purgePacket(PacketId id)
 {
     // Purge in-flight flits (treat as never sent: restore the sender's
     // credit, cancel the outstanding count).
-    for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
-        auto &pipe = _pipes[l];
-        auto &out = _outputs[l];
-        pipe.flits.eraseIf([&](const LinkPipe::InFlit &in) {
-            if (in.flit.packet != id)
-                return false;
-            ++out.credits[in.vc];
-            --out.outstanding[in.vc];
+    for (topo::LinkId l = 0; l < _links.size(); ++l) {
+        const LinkState &link = _links[l];
+        for (std::uint32_t e = 0; e <= link.ringMask; ++e) {
+            InFlit &in = _inFlight[link.ring + e];
+            auto &out = _outVcs[slot(l, in.vc)];
+            if (!in.valid || out.owner != id)
+                continue;
+            in.valid = false;
+            ++out.credits;
+            --out.outstanding;
             --_flitsInNetwork;
-            return true;
-        });
+        }
     }
 
     // Purge buffered flits and free the victim's input VCs.
-    for (topo::LinkId l = 0; l < _inputs.size(); ++l) {
-        auto &out = _outputs[l];
-        for (std::uint32_t v = 0; v < _inputs[l].vcs.size(); ++v) {
-            auto &vc = _inputs[l].vcs[v];
-            if (vc.owner != id)
-                continue;
-            const auto k =
-                static_cast<std::uint32_t>(vc.buffer.size());
-            vc.buffer.clear();
-            releaseInputVc(l, v, vc);
-            out.credits[v] += k;
-            if (out.outstanding[v] < k)
-                panic("Network: recovery outstanding underflow");
-            out.outstanding[v] -= k;
-            _flitsInNetwork -= k;
-        }
+    const std::uint32_t numVcs = _config.numVcs;
+    for (std::size_t s = 0; s < _inVcs.size(); ++s) {
+        if (_inVcs[s].owner != id)
+            continue;
+        const auto k = _inVcs[s].count;
+        releaseInputVc(static_cast<topo::LinkId>(s / numVcs),
+                       static_cast<std::uint32_t>(s % numVcs));
+        auto &out = _outVcs[s];
+        out.credits += k;
+        if (out.outstanding < k)
+            panic("Network: recovery outstanding underflow");
+        out.outstanding -= k;
+        _flitsInNetwork -= k;
     }
 
     // Release every downstream VC reservation held by the victim. A
@@ -626,33 +676,29 @@ Network::purgePacket(PacketId id)
     // own flits (already consumed downstream) — absorb it now rather
     // than waiting out the wire delay. This happens on corruption
     // NACKs, where the purge fires the same cycle the tail delivers.
-    for (topo::LinkId l = 0; l < _outputs.size(); ++l) {
-        auto &out = _outputs[l];
-        auto &pipe = _pipes[l];
-        for (std::uint32_t v = 0; v < out.vcOwner.size(); ++v) {
-            if (out.vcOwner[v] != id)
-                continue;
-            pipe.credits.eraseIf([&](const LinkPipe::InCredit &c) {
-                if (c.vc != v || out.outstanding[v] == 0)
-                    return false;
-                ++out.credits[v];
-                --out.outstanding[v];
-                return true;
-            });
-            if (out.outstanding[v] != 0)
-                panic("Network: recovery left outstanding flits");
-            out.vcOwner[v] = kNoPacket;
-            out.tailSent[v] = false;
-        }
+    for (auto &due : _creditWheel) {
+        std::erase_if(due, [&](std::uint32_t s) {
+            auto &out = _outVcs[s];
+            if (out.owner != id || out.outstanding == 0)
+                return false;
+            ++out.credits;
+            --out.outstanding;
+            return true;
+        });
+    }
+    for (auto &out : _outVcs) {
+        if (out.owner != id)
+            continue;
+        if (out.outstanding != 0)
+            panic("Network: recovery left outstanding flits");
+        out.owner = kNoPacket;
+        out.tailSent = false;
     }
 
     // If the source NI was mid-wormhole on this packet, reset it.
-    Packet &pkt = _packets.at(id);
-    auto &src = _sources[pkt.src];
-    if (!src.queue.empty() && src.queue.front() == id) {
-        src.vcAssigned = false;
+    auto &src = _sources[_packets.at(id).src];
+    if (!src.queue.empty() && src.queue.front() == id)
         src.vc = kNoVc;
-    }
 }
 
 void
@@ -679,12 +725,12 @@ Network::requeuePacket(PacketId id, Cycle now, Cycle backoff)
         // front packet mid-wormhole: its remaining flits must follow
         // the head down the VC it already claimed.
         auto pos = src.queue.begin();
-        if (src.vcAssigned && !src.queue.empty())
+        if (src.vc != kNoVc && !src.queue.empty())
             ++pos;
         queueAtSource(pkt.src, pos, id);
     }
     if (src.queue.front() == id)
-        src.vcAssigned = false;
+        src.vc = kNoVc;
     pkt.flitsInjected = 0;
     pkt.flitsDelivered = 0;
     pkt.hops = 0;
@@ -702,7 +748,7 @@ Network::dropPacket(PacketId id, const char *why)
     const auto it = std::find(src.queue.begin(), src.queue.end(), id);
     if (it != src.queue.end()) {
         if (it == src.queue.begin())
-            src.vcAssigned = false;
+            src.vc = kNoVc;
         src.queue.erase(it);
         --_queuedPackets;
     }
@@ -710,9 +756,9 @@ Network::dropPacket(PacketId id, const char *why)
     pkt.flitsInjected = 0;
     pkt.flitsDelivered = 0;
     ++_stats.packetsDropped;
-    // The receiver matches in channel-sequence order; record the hole so
-    // it can skip this message instead of blocking forever.
-    _lostSeqs[{pkt.dst, pkt.src}].insert(pkt.channelSeq);
+    // The receiver matches in channel-sequence order; the wake lets it
+    // skip this message instead of blocking forever.
+    _wakes.push_back(pkt.id);
     warn("Network: dropping packet ", id, " (", pkt.src, "->", pkt.dst,
          ", seq ", pkt.channelSeq, "): ", why);
 }
@@ -736,7 +782,7 @@ Network::activateFaults(Cycle now)
 
     auto degraded = rerouteAroundFaults(*_topo, _faults.failedMask());
     for (const auto &[s, d] : degraded.disconnected)
-        _deadChannels.insert({d, s});
+        _flows[flow(d, s)].dead = true;
     _stats.disconnectedPairs =
         static_cast<std::uint32_t>(degraded.disconnected.size());
     _degradedRouting = std::move(degraded.routing);
@@ -748,54 +794,16 @@ Network::activateFaults(Cycle now)
 
     // Give up on queued packets whose channel no longer exists.
     for (auto &pkt : _packets) {
-        if (!pkt.delivered() && !pkt.dropped &&
-            _deadChannels.count({pkt.dst, pkt.src})) {
+        if (!pkt.delivered() && !pkt.dropped && _flows[pkt.flow].dead)
             dropPacket(pkt.id, "channel disconnected by link failure");
-        }
     }
-}
-
-void
-Network::maybeCorrupt(const FlitRef &flit)
-{
-    // One Bernoulli draw per packet per link traversal (taken when the
-    // head enters the link): "did any flit of this worm get hit while
-    // crossing?". Per-flit draws would make large packets undeliverable
-    // at any rate worth simulating.
-    if (!flit.isHead())
-        return;
-    if (_faults.corruptsTraversal()) {
-        ++_stats.corruptedFlits;
-        _packets[flit.packet].wireChecksum ^= _faults.corruptionWord();
-    }
-}
-
-bool
-Network::nextDeliveryLost(core::ProcId dst, core::ProcId src) const
-{
-    const auto it = _lostSeqs.find({dst, src});
-    if (it == _lostSeqs.end())
-        return false;
-    const auto seqIt = _consumeSeq.find({dst, src});
-    const std::uint64_t next =
-        seqIt == _consumeSeq.end() ? 0 : seqIt->second;
-    return it->second.count(next) != 0;
-}
-
-void
-Network::skipLostDelivery(core::ProcId dst, core::ProcId src)
-{
-    if (!nextDeliveryLost(dst, src))
-        panic("Network::skipLostDelivery: next message from ", src,
-              " at ", dst, " is not lost");
-    auto &lost = _lostSeqs[{dst, src}];
-    lost.erase(_consumeSeq[{dst, src}]++);
 }
 
 bool
 Network::channelDisconnected(core::ProcId src, core::ProcId dst) const
 {
-    return _deadChannels.count({dst, src}) != 0;
+    const Flow *fl = findFlow(dst, src);
+    return fl && fl->dead;
 }
 
 bool
@@ -810,70 +818,89 @@ Network::checkInvariants() const
 {
     const std::uint32_t numVcs = _config.numVcs;
     std::uint64_t flits = 0;
-    for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
-        const auto &pipe = _pipes[l];
-        flits += pipe.flits.size();
-        if ((!pipe.flits.empty() && !_flitPipes.contains(l)) ||
-            (!pipe.credits.empty() && !_creditPipes.contains(l))) {
-            panic("Network invariant: link ", l,
-                  " has traffic in flight but is not active");
-        }
-        const auto &out = _outputs[l];
-        for (std::uint32_t v = 0; v < numVcs; ++v) {
-            if (out.credits[v] + out.outstanding[v] != _config.vcDepth)
-                panic("Network invariant: credits not conserved on link ",
-                      l, " VC ", v);
-            if (out.vcOwner[v] == kNoPacket)
+    /** Per slot: flits and credits in flight on its VC. */
+    std::vector<std::uint32_t> inFlight(_outVcs.size(), 0);
+    for (topo::LinkId l = 0; l < _links.size(); ++l) {
+        const LinkState &link = _links[l];
+        for (std::uint32_t e = 0; e <= link.ringMask; ++e) {
+            const InFlit &in = _inFlight[link.ring + e];
+            if (!in.valid)
                 continue;
-            const Packet &pkt = _packets.at(out.vcOwner[v]);
-            if (pkt.dropped || (!out.tailSent[v] && pkt.delivered()))
-                panic("Network invariant: link ", l, " VC ", v,
-                      " reserved by finished packet ", pkt.id);
+            const auto s = slot(l, in.vc);
+            // Entry e holds the flit arriving at the one cycle t within
+            // the link's delay after now with t & ringMask == e.
+            const Cycle arrive =
+                _lastStep + 1 + ((e - _lastStep - 1) & link.ringMask);
+            if (_outVcs[s].owner == kNoPacket ||
+                !_flitWheel[arrive & _wheelMask].contains(l)) {
+                panic("Network invariant: flit in flight on link ", l,
+                      " unreserved or untracked");
+            }
+            ++flits;
+            ++inFlight[s];
         }
         const auto &reqs = _requesters[l];
         if (reqs.empty() == _requestedOutputs.contains(l))
             panic("Network invariant: requested set wrong for link ", l);
         for (std::size_t i = 0; i < reqs.size(); ++i) {
-            const auto &vc = _inputs[reqs[i].link].vcs[reqs[i].vc];
-            if (!vc.outAssigned || vc.outLink != l ||
+            const auto &vc = _inVcs[slot(reqs[i].link, reqs[i].vc)];
+            if (vc.outLink != l || vc.outVc != reqs[i].outVc ||
                 (i > 0 && reqs[i - 1].rank >= reqs[i].rank)) {
                 panic("Network invariant: stale or unordered requester "
                       "on link ", l);
             }
         }
     }
-    for (topo::LinkId l = 0; l < _inputs.size(); ++l) {
-        for (std::uint32_t v = 0; v < _inputs[l].vcs.size(); ++v) {
-            const auto &vc = _inputs[l].vcs[v];
-            flits += vc.buffer.size();
-            if (vc.owner == kNoPacket) {
-                if (!vc.buffer.empty() || vc.outAssigned)
-                    panic("Network invariant: unowned VC in use on link ",
-                          l);
-                continue;
-            }
-            const Packet &pkt = _packets.at(vc.owner);
-            if (pkt.delivered() || pkt.dropped)
+    for (const auto &due : _creditWheel) {
+        for (const auto s : due)
+            ++inFlight[s];
+    }
+    for (std::size_t s = 0; s < _outVcs.size(); ++s) {
+        const auto &out = _outVcs[s];
+        const auto &vc = _inVcs[s];
+        const auto l = s / numVcs;
+        const auto v = s % numVcs;
+        flits += vc.count;
+        if (out.credits + out.outstanding != _config.vcDepth)
+            panic("Network invariant: credits not conserved on link ", l,
+                  " VC ", v);
+        if (out.outstanding != inFlight[s] + vc.count)
+            panic("Network invariant: link ", l, " VC ", v, " has ",
+                  out.outstanding, " flits outstanding but ",
+                  inFlight[s] + vc.count, " in flight or buffered");
+        if (out.owner != kNoPacket) {
+            const Packet &pkt = _packets.at(out.owner);
+            if (pkt.dropped || (!out.tailSent && pkt.delivered()))
                 panic("Network invariant: link ", l, " VC ", v,
-                      " owned by finished packet ", pkt.id);
-            for (std::size_t i = 0; i < vc.buffer.size(); ++i) {
-                if (vc.buffer[i].packet != vc.owner)
-                    panic("Network invariant: foreign flit in VC");
-            }
-            if (vc.outAssigned) {
-                const auto &reqs = _requesters[vc.outLink];
-                const auto n = std::count_if(
-                    reqs.begin(), reqs.end(), [&](const Requester &r) {
-                        return r.link == l && r.vc == v;
-                    });
-                if (n != 1)
-                    panic("Network invariant: routed VC listed ", n,
-                          " times as requester");
-            } else if (!vc.buffer.empty() &&
-                       !_unrouted.contains(std::size_t{l} * numVcs + v)) {
-                panic("Network invariant: unrouted head not tracked on "
-                      "link ", l);
-            }
+                      " reserved by finished packet ", pkt.id);
+        }
+        if (vc.owner == kNoPacket) {
+            if (vc.count != 0 || vc.tailIn || vc.outLink != topo::kNoLink)
+                panic("Network invariant: unowned VC in use on link ", l);
+            continue;
+        }
+        const Packet &pkt = _packets.at(vc.owner);
+        if (pkt.delivered() || pkt.dropped)
+            panic("Network invariant: link ", l, " VC ", v,
+                  " owned by finished packet ", pkt.id);
+        // The run is flits [next, next + count) of the packet holding
+        // the upstream reservation, and ends at the tail once it is in.
+        if (out.owner != vc.owner || vc.next + vc.count > pkt.numFlits ||
+            vc.tailIn != (vc.next + vc.count == pkt.numFlits)) {
+            panic("Network invariant: broken run on link ", l, " VC ", v);
+        }
+        if (vc.outLink != topo::kNoLink) {
+            const auto &reqs = _requesters[vc.outLink];
+            const auto n = std::count_if(
+                reqs.begin(), reqs.end(), [&](const Requester &r) {
+                    return r.link == l && r.vc == v;
+                });
+            if (n != 1)
+                panic("Network invariant: routed VC listed ", n,
+                      " times as requester");
+        } else if (vc.count != 0 && !_unrouted.contains(s)) {
+            panic("Network invariant: unrouted head not tracked on link ",
+                  l);
         }
     }
     if (flits != _flitsInNetwork)
@@ -894,6 +921,24 @@ Network::checkInvariants() const
         if (alive != (_alivePackets.count(pkt.id) != 0))
             panic("Network invariant: alive set wrong for packet ",
                   pkt.id);
+    }
+
+    // Flows: each holds its packets in sequence order, and everything
+    // before the consume point was delivered or dropped.
+    if (_flowIds.size() != _flows.size())
+        panic("Network invariant: flow index out of step");
+    for (FlowId f = 0; f < _flows.size(); ++f) {
+        const Flow &fl = _flows[f];
+        if (findFlow(fl.dst, fl.src) != &fl || fl.consumed > fl.sent.size())
+            panic("Network invariant: flow ", f, " misindexed");
+        for (std::size_t seq = 0; seq < fl.sent.size(); ++seq) {
+            const Packet &pkt = _packets.at(fl.sent[seq]);
+            if (pkt.flow != f || pkt.channelSeq != seq ||
+                (seq < fl.consumed && !pkt.delivered() && !pkt.dropped)) {
+                panic("Network invariant: flow ", f, " sequence ", seq,
+                      " does not match packet ", pkt.id);
+            }
+        }
     }
 }
 #endif

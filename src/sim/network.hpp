@@ -26,9 +26,9 @@
 
 #include <bit>
 #include <deque>
-#include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "config.hpp"
@@ -171,31 +171,51 @@ class Network
      *  dropped — senders must not block on an undeliverable packet). */
     bool injected(PacketId id) const;
 
-    /** True if a delivered-but-unconsumed message from src waits at dst. */
-    bool hasDelivered(core::ProcId dst, core::ProcId src) const;
+    /** The dense id of channel (src -> dst), assigned on first use. */
+    FlowId flow(core::ProcId dst, core::ProcId src);
 
     /**
-     * Consume the oldest delivered message from src at dst; returns its
+     * True if the next in-sequence message of flow @p f was delivered
+     * and not yet consumed. Later messages that overtook it through the
+     * virtual channels stay invisible until it arrives.
+     */
+    bool hasDelivered(FlowId f) const;
+
+    /**
+     * Consume the oldest delivered message of flow @p f; returns its
      * packet id (panics when none is pending).
      */
-    PacketId consumeDelivered(core::ProcId dst, core::ProcId src);
+    PacketId consumeDelivered(FlowId f);
 
-    /** Advance the network one cycle (call with monotone `now`). */
+    /**
+     * True when the next in-sequence message of flow @p f is known
+     * lost (dropped packet) and will never be delivered. The consumer
+     * should acknowledge it via skipLostDelivery() and move on instead
+     * of blocking.
+     */
+    bool nextDeliveryLost(FlowId f) const;
+
+    /** Advance the flow past a lost message (panics when none). */
+    void skipLostDelivery(FlowId f);
+
+    /**
+     * Packets delivered or dropped since clearWakes(), in event order.
+     * A receiver blocked on a flow, or a sender waiting for a packet to
+     * leave, need not look again before one of them shows up here (or,
+     * for the sender, before the remaining flits could have left at
+     * one per cycle).
+     */
+    const std::vector<PacketId> &wakes() const { return _wakes; }
+    void clearWakes() { _wakes.clear(); }
+
+    /**
+     * Advance the network one cycle. Call with monotone `now`; cycles
+     * may be skipped only while no flit is in flight.
+     */
     void step(Cycle now);
 
     /** True when no flits exist anywhere and no injections are pending. */
     bool idle() const;
-
-    /**
-     * True when the next in-sequence message from @p src at @p dst is
-     * known lost (dropped packet) and will never be delivered. The
-     * consumer should acknowledge it via skipLostDelivery() and move
-     * on instead of blocking.
-     */
-    bool nextDeliveryLost(core::ProcId dst, core::ProcId src) const;
-
-    /** Advance the channel past a lost message (panics when none). */
-    void skipLostDelivery(core::ProcId dst, core::ProcId src);
 
     /** True when link failures left (src -> dst) without any path. */
     bool channelDisconnected(core::ProcId src, core::ProcId dst) const;
@@ -261,102 +281,43 @@ class Network
         std::vector<std::uint64_t> _words;
     };
 
-    /**
-     * FIFO in one growable ring: push and pop allocate nothing once
-     * the ring has grown to the peak occupancy, which credit flow
-     * control bounds by numVcs * vcDepth per link.
-     */
-    template <class T>
-    class Fifo
+    /** Per-link state, with the topology facts the flit path needs. */
+    struct LinkState
     {
-      public:
-        bool empty() const { return _size == 0; }
-        std::size_t size() const { return _size; }
-        T &front() { return _items[_head]; }
-        const T &operator[](std::size_t i) const { return _items[slot(i)]; }
-        void clear() { _head = _size = 0; }
-
-        void
-        push_back(const T &item)
-        {
-            if (_size == _items.size())
-                grow();
-            _items[slot(_size)] = item;
-            ++_size;
-        }
-
-        void
-        pop_front()
-        {
-            _head = slot(1);
-            --_size;
-        }
-
-        /** Remove the items @p drop picks, asked front to back. */
-        template <class Drop>
-        void
-        eraseIf(Drop &&drop)
-        {
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < _size; ++i) {
-                const T item = _items[slot(i)];
-                if (!drop(item))
-                    _items[slot(kept++)] = item;
-            }
-            _size = kept;
-        }
-
-      private:
-        std::size_t
-        slot(std::size_t i) const
-        {
-            const std::size_t s = _head + i;
-            return s >= _items.size() ? s - _items.size() : s;
-        }
-
-        void
-        grow()
-        {
-            std::vector<T> items(std::max<std::size_t>(4, 2 * _items.size()));
-            for (std::size_t i = 0; i < _size; ++i)
-                items[i] = _items[slot(i)];
-            _items = std::move(items);
-            _head = 0;
-        }
-
-        std::vector<T> _items;
-        std::size_t _head = 0;
-        std::size_t _size = 0;
+        std::uint32_t delay = 1;  ///< wire delay, cycles
+        std::uint32_t inRank = 0; ///< position in inLinks() of its sink
+        std::uint32_t ring = 0;   ///< its pipe's first entry in _inFlight
+        std::uint32_t ringMask = 0; ///< pipe entries - 1 (2^k >= delay)
+        std::uint32_t rrVc = 0;   ///< VC allocation round-robin
+        std::uint32_t rrReq = 0;  ///< switch allocation round-robin
+        Cycle inputUsedAt = -1;   ///< cycle its input last forwarded
+        bool toProc = false;      ///< enters an end-node: no input unit
     };
 
-    /** Receiver-side state of one virtual channel of one link. */
-    struct VcState
+    /**
+     * Receiver side of one (link, VC) slot. The buffer only ever holds
+     * its owner's flits, in order, so it is a run: flits
+     * [next, next + count) of the owner, the last of them the tail
+     * once tailIn is set.
+     */
+    struct InputVc
     {
         PacketId owner = kNoPacket;
-        Fifo<FlitRef> buffer;
-        /** Routing candidates of the waiting head (empty once routed). */
-        std::vector<topo::LinkId> candidates;
-        /** Output chosen for the owner (valid once head routed). */
+        std::uint32_t next = 0;  ///< seq of the front flit
+        std::uint32_t count = 0; ///< flits buffered
+        /** Output chosen for the owner (kNoLink until the head routes). */
         topo::LinkId outLink = topo::kNoLink;
         std::uint32_t outVc = kNoVc;
-        bool outAssigned = false;
+        bool tailIn = false;
     };
 
-    /** Receiver side of a link (absent for links into end-nodes). */
-    struct InputUnit
+    /** Sender side of one (link, VC) slot. */
+    struct OutputVc
     {
-        std::vector<VcState> vcs;
-    };
-
-    /** Sender-side bookkeeping of a link. */
-    struct OutputState
-    {
-        std::vector<std::uint32_t> credits; ///< free downstream slots
-        std::vector<PacketId> vcOwner;      ///< reserved downstream VC
-        std::vector<bool> tailSent;         ///< tail handed to the link
-        std::vector<std::uint32_t> outstanding; ///< flits not yet credited
-        std::uint32_t rrVc = 0;             ///< VC allocation round-robin
-        std::uint32_t rrReq = 0;            ///< switch allocation rr
+        PacketId owner = kNoPacket;    ///< reserved downstream VC
+        std::uint32_t credits = 0;     ///< free downstream slots
+        std::uint32_t outstanding = 0; ///< flits not yet credited
+        bool tailSent = false;         ///< tail handed to the link
     };
 
     /**
@@ -368,36 +329,51 @@ class Network
     {
         topo::LinkId link;
         std::uint32_t vc;
+        std::uint32_t outVc; ///< the output VC its head reserved
         std::uint32_t rank;
     };
 
-    /** Flits and credits in flight on a link. */
-    struct LinkPipe
+    /**
+     * A flit in flight on a link: one pipe entry. A link sends at most
+     * one flit per cycle and each arrives exactly its delay later, so
+     * the entry of a flit arriving at cycle t is t & ringMask. It stays
+     * uncredited until it leaves the next buffer, so its packet is the
+     * owner of the link's output slot for its VC.
+     */
+    struct InFlit
     {
-        struct InFlit
-        {
-            Cycle arrive;
-            FlitRef flit;
-            std::uint32_t vc;
-        };
-        struct InCredit
-        {
-            Cycle arrive;
-            std::uint32_t vc;
-        };
-        Fifo<InFlit> flits;
-        Fifo<InCredit> credits;
+        std::uint32_t vc = 0;
+        bool head = false;
+        bool tail = false;
+        bool valid = false;
     };
 
     /** Per-processor source NI. */
     struct SourceNi
     {
         std::deque<PacketId> queue;
-        std::uint32_t vc = kNoVc;
-        bool vcAssigned = false;
+        topo::LinkId inj = topo::kNoLink; ///< injection link
+        std::uint32_t vc = kNoVc;         ///< VC of the front packet
     };
 
-    bool isTail(const FlitRef &f) const;
+    /** One (src, dst) channel: its packets in sequence order. */
+    struct Flow
+    {
+        core::ProcId dst;
+        core::ProcId src;
+        std::vector<PacketId> sent; ///< packet of each sequence number
+        std::size_t consumed = 0;   ///< sequence numbers consumed/skipped
+        bool dead = false;          ///< link failures left no path
+    };
+
+    std::size_t
+    slot(topo::LinkId l, std::uint32_t vc) const
+    {
+        return std::size_t{l} * _config.numVcs + vc;
+    }
+    const Flow *findFlow(core::ProcId dst, core::ProcId src) const;
+    /** Packet of the next unconsumed sequence number (or kNoPacket). */
+    PacketId nextInFlow(FlowId f) const;
     void arriveFlits(Cycle now);
     void arriveCredits(Cycle now);
     void routeAndAllocate();
@@ -409,21 +385,23 @@ class Network
     void requeuePacket(PacketId id, Cycle now, Cycle backoff);
     void dropPacket(PacketId id, const char *why);
     void activateFaults(Cycle now);
-    void maybeCorrupt(const FlitRef &flit);
     void queueAtSource(core::ProcId src,
                        std::deque<PacketId>::iterator pos, PacketId id);
-    void addRequester(topo::LinkId out, topo::LinkId inLink,
-                      std::uint32_t inVc);
-    void removeRequester(topo::LinkId out, topo::LinkId inLink,
-                         std::uint32_t inVc);
-    void releaseInputVc(topo::LinkId inLink, std::uint32_t inVc,
-                        VcState &vc);
-    std::uint32_t allocateVc(OutputState &out);
+    /** List routed input VC (@p inLink, @p inVc) at its output. */
+    void addRequester(topo::LinkId inLink, std::uint32_t inVc);
+    void removeRequester(topo::LinkId inLink, std::uint32_t inVc);
+    void releaseInputVc(topo::LinkId inLink, std::uint32_t inVc);
+    /** Reserve a free VC of output @p l for @p id (kNoVc: none). */
+    std::uint32_t allocateVc(topo::LinkId l, PacketId id);
     topo::LinkId chooseOutput(const std::vector<topo::LinkId> &candidates);
-    void forwardFlit(topo::LinkId inLink, std::uint32_t inVc,
-                     VcState &vc, Cycle now);
-    void deliverAtProc(const FlitRef &flit, topo::LinkId link,
-                       std::uint32_t vc, Cycle now);
+    /** Hand @p flit to link @p l on VC @p vc (one credit spent). */
+    void sendFlit(topo::LinkId l, std::uint32_t vc, const FlitRef &flit,
+                  Cycle now);
+    void forwardFlit(topo::LinkId inLink, std::uint32_t inVc, Cycle now);
+    /** Credit slot (@p l, @p vc) back to its sender after the wire delay. */
+    void returnCredit(topo::LinkId l, std::uint32_t vc, Cycle now);
+    void deliverAtProc(topo::LinkId link, std::uint32_t vc, bool tail,
+                       Cycle now);
 #ifdef MINNOC_SANITIZE
     void checkInvariants() const;
 #endif
@@ -435,29 +413,33 @@ class Network
     bool _faultsActive = false;
     /** Replacement routing once link failures are active. */
     std::unique_ptr<topo::TableRouting> _degradedRouting;
-    /** (dst, src) channels link failures disconnected. */
-    std::set<std::pair<core::ProcId, core::ProcId>> _deadChannels;
-    /** Per-channel sequence numbers of dropped (never-arriving) packets. */
-    std::map<std::pair<core::ProcId, core::ProcId>,
-             std::set<std::uint64_t>>
-        _lostSeqs;
 
     std::vector<Packet> _packets;
-    std::vector<InputUnit> _inputs;   ///< per link (empty for proc sinks)
-    std::vector<OutputState> _outputs; ///< per link
-    std::vector<LinkPipe> _pipes;      ///< per link
-    std::vector<SourceNi> _sources;    ///< per proc
+    std::vector<LinkState> _links;  ///< per link
+    std::vector<InFlit> _inFlight;  ///< every link's pipe entries
+    /**
+     * Flits and credits in flight, bucketed by arrival cycle modulo the
+     * wheel size, a power of two above every link delay: links with a
+     * flit arriving (a superset: a purge leaves its bit behind) and the
+     * (link, VC) slot each credit frees.
+     */
+    std::vector<IndexSet> _flitWheel;
+    std::vector<std::vector<std::uint32_t>> _creditWheel;
+    Cycle _wheelMask = 0;
+    /** Last cycle whose credits have arrived. */
+    Cycle _creditsArrived = 0;
+    std::vector<InputVc> _inVcs;    ///< per (link, VC) slot
+    std::vector<OutputVc> _outVcs;  ///< per (link, VC) slot
+    /** Per slot: routing candidates of the waiting head. */
+    std::vector<std::vector<topo::LinkId>> _candidates;
+    std::vector<SourceNi> _sources; ///< per proc
 
-    /** Per-channel reorder buffers: (dst, src) -> seq -> packet id. */
-    std::map<std::pair<core::ProcId, core::ProcId>,
-             std::map<std::uint64_t, PacketId>>
-        _delivered;
-    /** Next sequence to hand to the consumer, per channel. */
-    std::map<std::pair<core::ProcId, core::ProcId>, std::uint64_t>
-        _consumeSeq;
-    /** Next sequence to assign at the source, per channel. */
-    std::map<std::pair<core::ProcId, core::ProcId>, std::uint64_t>
-        _sendSeq;
+    /** Channels that carried or awaited a packet, by FlowId. */
+    std::vector<Flow> _flows;
+    /** (dst << 32 | src) -> FlowId: O(channels), never P². */
+    std::unordered_map<std::uint64_t, FlowId> _flowIds;
+    /** Packets delivered or dropped since clearWakes(). */
+    std::vector<PacketId> _wakes;
 
     /*
      * Active sets: each cycle touches only what they name. Every set is
@@ -465,10 +447,6 @@ class Network
      * of links, (link, VC) slots or procs would take, so the simulated
      * results do not depend on them (DESIGN.md §5m).
      */
-    /** Links that may have flits in flight (superset). */
-    IndexSet _flitPipes;
-    /** Links that may have credits in flight (superset). */
-    IndexSet _creditPipes;
     /** (link * numVcs + vc) slots that may hold an unrouted head. */
     IndexSet _unrouted;
     /** Output links with a non-empty requester list (exact). */
@@ -477,16 +455,10 @@ class Network
     IndexSet _queuedSources;
     /** Per output link: input VCs routed to it, ascending rank. */
     std::vector<std::vector<Requester>> _requesters;
-    /** Position of each link in inLinks() of the node it enters. */
-    std::vector<std::uint32_t> _inRank;
     /** Packets with flits injected and not yet delivered or dropped. */
     std::set<PacketId> _alivePackets;
     /** Packets waiting in source queues, over all procs. */
     std::uint64_t _queuedPackets = 0;
-    /** Cycle in which each input link last forwarded a flit. */
-    std::vector<Cycle> _inputUsedAt;
-    /** switchAllocation scratch: the requests of one output. */
-    std::vector<Requester> _requests;
 
     std::uint64_t _flitsInNetwork = 0;
     std::uint64_t _steppedCycles = 0;

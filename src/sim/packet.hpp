@@ -24,6 +24,9 @@ using PacketId = std::uint64_t;
 
 constexpr PacketId kNoPacket = static_cast<PacketId>(-1);
 
+/** Dense id of one (src, dst) channel of a network. */
+using FlowId = std::uint32_t;
+
 /** One in-flight or completed packet. */
 struct Packet
 {
@@ -78,6 +81,9 @@ struct Packet
      */
     std::uint64_t channelSeq = 0;
 
+    /** The (src, dst) channel. */
+    FlowId flow = 0;
+
     /** Earliest cycle the source may (re)start injecting. */
     Cycle holdUntil = 0;
 
@@ -89,6 +95,7 @@ struct FlitRef
 {
     PacketId packet = kNoPacket;
     std::uint32_t seq = 0;
+    bool tail = false;
 
     bool isHead() const { return seq == 0; }
 };

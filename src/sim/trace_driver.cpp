@@ -50,6 +50,10 @@ struct RankState
     PacketId pending = kNoPacket;
     Cycle commTime = 0;
     Cycle finishedAt = -1;
+    /** Flow a WaitRecv rank waits on. */
+    FlowId waitFlow = 0;
+    /** A delivery or drop it waits on since the rank was last polled. */
+    bool woken = false;
 
     /** True when the rank can only be unblocked by the clock. */
     bool
@@ -57,6 +61,21 @@ struct RankState
     {
         return phase == Phase::Busy || phase == Phase::SendOverhead ||
                phase == Phase::RecvOverhead;
+    }
+
+    /**
+     * True when polling could change the rank at @p now. A rank in
+     * WaitRecv checked its flow when it entered the phase; only a
+     * delivery or drop on that flow can unblock it. A rank in
+     * WaitInject sleeps until its last flit could have left the NI, at
+     * one flit per cycle, unless its packet is dropped first.
+     */
+    bool
+    due(Cycle now) const
+    {
+        if (phase == Phase::WaitRecv)
+            return woken;
+        return phase != Phase::Done && (woken || now >= readyAt);
     }
 };
 
@@ -71,6 +90,7 @@ runTrace(const trace::Trace &trace, Network &network)
 
     std::uint64_t recvsLost = 0;
     std::set<std::pair<core::ProcId, core::ProcId>> lostChannels;
+    std::uint32_t ranksDone = 0;
 
     auto progress = [&](core::ProcId r, Cycle now) {
         auto &st = state[r];
@@ -88,6 +108,7 @@ runTrace(const trace::Trace &trace, Network &network)
                 if (st.cursor == tl.size()) {
                     st.phase = RankState::Phase::Done;
                     st.finishedAt = now;
+                    ++ranksDone;
                     return;
                 }
                 const auto &op = tl[st.cursor];
@@ -102,6 +123,7 @@ runTrace(const trace::Trace &trace, Network &network)
                 } else {
                     st.opStart = now;
                     st.phase = RankState::Phase::WaitRecv;
+                    st.waitFlow = network.flow(r, op.peer);
                 }
                 break;
               }
@@ -115,8 +137,11 @@ runTrace(const trace::Trace &trace, Network &network)
                 break;
               }
               case RankState::Phase::WaitInject:
-                if (!network.injected(st.pending))
+                if (!network.injected(st.pending)) {
+                    const Packet &pkt = network.packet(st.pending);
+                    st.readyAt = now + (pkt.numFlits - pkt.flitsInjected);
                     return;
+                }
                 st.commTime += now - st.opStart;
                 st.pending = kNoPacket;
                 ++st.cursor;
@@ -124,18 +149,18 @@ runTrace(const trace::Trace &trace, Network &network)
                 break;
               case RankState::Phase::WaitRecv: {
                 const auto &op = tl[st.cursor];
-                if (network.hasDelivered(r, op.peer)) {
-                    network.consumeDelivered(r, op.peer);
+                if (network.hasDelivered(st.waitFlow)) {
+                    network.consumeDelivered(st.waitFlow);
                     st.readyAt = now + cfg.recvOverhead;
                     st.phase = RankState::Phase::RecvOverhead;
                     break;
                 }
-                if (network.nextDeliveryLost(r, op.peer)) {
+                if (network.nextDeliveryLost(st.waitFlow)) {
                     // The message this receive would match was dropped
                     // (disconnected channel or exhausted retries):
                     // record the loss and move on instead of blocking
                     // forever — graceful degradation.
-                    network.skipLostDelivery(r, op.peer);
+                    network.skipLostDelivery(st.waitFlow);
                     ++recvsLost;
                     lostChannels.insert({op.peer, r});
                     st.commTime += now - st.opStart;
@@ -156,6 +181,20 @@ runTrace(const trace::Trace &trace, Network &network)
         }
     };
 
+    // Mark the ranks a delivered or dropped packet may unblock.
+    auto wake = [&] {
+        for (const PacketId id : network.wakes()) {
+            const Packet &pkt = network.packet(id);
+            auto &dst = state[pkt.dst];
+            auto &src = state[pkt.src];
+            dst.woken |= dst.phase == RankState::Phase::WaitRecv &&
+                         dst.waitFlow == pkt.flow;
+            src.woken |= src.phase == RankState::Phase::WaitInject &&
+                         src.pending == id;
+        }
+        network.clearWakes();
+    };
+
     // Cancellation epoch: poll the token every 4096 scheduler
     // iterations (not simulated cycles — compute fast-forwards can
     // leap millions of cycles in one iteration), cheap enough to be
@@ -174,15 +213,31 @@ runTrace(const trace::Trace &trace, Network &network)
         if (cfg.cancel && ++iterations % kCancelEpoch == 0)
             cfg.cancel->checkpoint();
         network.step(now);
+        wake();
 
-        bool allDone = true;
+        // Ascending rank order: enqueues made here number the packets.
         for (core::ProcId r = 0; r < ranks; ++r) {
-            // A rank waiting on the clock cannot move before readyAt.
-            if (!state[r].timeBound() || now >= state[r].readyAt)
+            if (state[r].due(now)) {
+                state[r].woken = false;
                 progress(r, now);
-            allDone &= state[r].phase == RankState::Phase::Done;
+                wake(); // an enqueue may drop a packet on a dead channel
+            }
         }
-        if (allDone && network.idle())
+#ifdef MINNOC_SANITIZE
+        // A rank left asleep could have moved: a wake-up went missing.
+        for (const auto &st : state) {
+            const bool recv = st.phase == RankState::Phase::WaitRecv &&
+                              (network.hasDelivered(st.waitFlow) ||
+                               network.nextDeliveryLost(st.waitFlow));
+            const bool inject =
+                st.phase == RankState::Phase::WaitInject &&
+                network.injected(st.pending);
+            if ((recv || inject) && !st.due(now + 1))
+                panic("runTrace invariant: a rank sleeps through the "
+                      "event it waits on");
+        }
+#endif
+        if (ranksDone == ranks && network.idle())
             break;
 
         // Fast-forward through pure-compute stretches: when the network

@@ -173,10 +173,10 @@ TEST(FaultNetwork, RetryBudgetExhaustionDropsPacket)
     EXPECT_EQ(net.stats().retryExhaustions, 1u);
     EXPECT_EQ(net.stats().retransmissions, 2u);
     // The receiver is told the message is lost rather than left waiting.
-    EXPECT_FALSE(net.hasDelivered(1, 0));
-    EXPECT_TRUE(net.nextDeliveryLost(1, 0));
-    net.skipLostDelivery(1, 0);
-    EXPECT_FALSE(net.nextDeliveryLost(1, 0));
+    EXPECT_FALSE(net.hasDelivered(net.flow(1, 0)));
+    EXPECT_TRUE(net.nextDeliveryLost(net.flow(1, 0)));
+    net.skipLostDelivery(net.flow(1, 0));
+    EXPECT_FALSE(net.nextDeliveryLost(net.flow(1, 0)));
 }
 
 TEST(FaultNetwork, FailedFromStartDisconnectsChannel)

@@ -177,13 +177,12 @@ TEST_P(FuzzSeeds, SimulatorConservesPackets)
     // FIFO order.
     EXPECT_EQ(net.stats().packetsDelivered, count);
     for (const auto &[channel, ids] : perChannel) {
+        const auto flow = net.flow(channel.first, channel.second);
         for (const auto id : ids) {
-            EXPECT_TRUE(net.hasDelivered(channel.first, channel.second));
-            EXPECT_EQ(net.consumeDelivered(channel.first,
-                                           channel.second),
-                      id);
+            EXPECT_TRUE(net.hasDelivered(flow));
+            EXPECT_EQ(net.consumeDelivered(flow), id);
         }
-        EXPECT_FALSE(net.hasDelivered(channel.first, channel.second));
+        EXPECT_FALSE(net.hasDelivered(flow));
     }
 }
 

@@ -49,9 +49,9 @@ TEST(NetworkSim, SinglePacketLatencyOnCrossbar)
     // and strictly more than the pure serialization time.
     EXPECT_GE(pkt.deliveredAt - pkt.enqueuedAt, 16 + 2);
     EXPECT_LE(pkt.deliveredAt - pkt.enqueuedAt, 16 + 12);
-    EXPECT_TRUE(net.hasDelivered(1, 0));
-    EXPECT_EQ(net.consumeDelivered(1, 0), id);
-    EXPECT_FALSE(net.hasDelivered(1, 0));
+    EXPECT_TRUE(net.hasDelivered(net.flow(1, 0)));
+    EXPECT_EQ(net.consumeDelivered(net.flow(1, 0)), id);
+    EXPECT_FALSE(net.hasDelivered(net.flow(1, 0)));
 }
 
 TEST(NetworkSim, ZeroByteMessageIsOneFlit)
@@ -131,8 +131,8 @@ TEST(NetworkSim, FifoDeliveryPerChannel)
     const auto a = net.enqueue(0, 1, 40, 0, 0);
     const auto b = net.enqueue(0, 1, 40, 1, 0);
     runUntilIdle(net);
-    EXPECT_EQ(net.consumeDelivered(1, 0), a);
-    EXPECT_EQ(net.consumeDelivered(1, 0), b);
+    EXPECT_EQ(net.consumeDelivered(net.flow(1, 0)), a);
+    EXPECT_EQ(net.consumeDelivered(net.flow(1, 0)), b);
 }
 
 TEST(NetworkSim, MeshMultiHopDelivers)
