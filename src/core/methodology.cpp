@@ -240,6 +240,9 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                 if (combinedProcs + 1 > dc.maxDegree)
                     continue;
 
+                // One checkpoint per candidate: a full consolidate and
+                // finalize each, seconds in all on a large pattern.
+                checkCancel(config.cancel);
                 ++candidates;
                 DesignNetwork snapshot = net;
                 const std::vector<ProcId> procs = net.procsOf(t);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/methodology.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
@@ -142,4 +144,35 @@ TEST(Methodology, HistoryEndsWithFinalize)
     ASSERT_FALSE(outcome.history.empty());
     EXPECT_EQ(outcome.history.back().kind,
               PartitionStep::Kind::Finalize);
+}
+
+TEST(Methodology, CancelStopsSwitchMergeMidway)
+{
+    // BT-36 over four restarts: the switch merge after them takes about
+    // five times as long as the restarts themselves, so a deadline half
+    // a restart phase after they end fires mid-merge, and the run must
+    // stop well before the merge would have ended. Without a checkpoint
+    // inside the merge it runs to completion and throws nothing.
+    const auto ks = benchCliques(trace::Benchmark::BT, 36);
+    MethodologyConfig cfg;
+    cfg.partitioner.constraints.maxDegree = 5;
+    cfg.restarts = 4;
+    cfg.threads = 1;
+    using Clock = std::chrono::steady_clock;
+    const auto seconds = [](Clock::time_point since) {
+        return std::chrono::duration<double>(Clock::now() - since).count();
+    };
+
+    cfg.mergeSwitches = false;
+    auto start = Clock::now();
+    runMethodology(ks, cfg);
+    const double restarts = seconds(start);
+
+    cfg.mergeSwitches = true;
+    CancelToken token;
+    cfg.cancel = &token;
+    token.setDeadlineIn(static_cast<std::int64_t>(1.5e6 * restarts));
+    start = Clock::now();
+    EXPECT_THROW(runMethodology(ks, cfg), CancelledError);
+    EXPECT_LT(seconds(start), 3 * restarts);
 }
