@@ -5,10 +5,12 @@
  * closed-form scale patterns, the cached CommBitset popcount, the
  * incremental Theorem-1 verifier, byte-identity of a 256-rank design
  * across thread counts and reruns, and a 4096-rank mesh ring that must
- * build and simulate without any all-pairs state.
+ * build and simulate without any all-pairs state, in bounded memory.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <sstream>
 
@@ -318,4 +320,16 @@ TEST(Scale, MeshRing4096)
     const auto res = minnoc::sim::runTrace(tr, *net.topo, *net.routing);
     EXPECT_EQ(res.packetsDelivered, 8192u);
     EXPECT_EQ(res.deadlockRecoveries, 0u);
+
+    // Memory stays bounded: a per-pair table at 4096 ranks alone would
+    // add 16 M entries. Sanitizers inflate memory, and a process that
+    // ran other tests first may already have peaked higher, so only an
+    // unsanitized process running this test alone (as ctest runs each
+    // test) is held to the bound.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    if (::testing::UnitTest::GetInstance()->test_to_run_count() == 1)
+        EXPECT_LT(usage.ru_maxrss, 40 * 1024) << "peak RSS in KiB";
+#endif
 }
