@@ -99,6 +99,14 @@ SimObserver::exportTo(MetricsRegistry &registry) const
     registry.counter("sim/stepped_cycles").add(_final.steppedCycles);
     registry.gauge("sim/exec_time")
         .set(static_cast<double>(_final.execTime));
+    if (_final.runSeconds > 0.0) {
+        const double s = _final.runSeconds;
+        registry.gauge("sim/time/run_us", true).set(1e6 * s);
+        registry.gauge("sim/time/cycles_per_s", true)
+            .set(static_cast<double>(_final.execTime) / s);
+        registry.gauge("sim/time/flit_hops_per_s", true)
+            .set(static_cast<double>(_final.flitHops) / s);
+    }
 
     publishHistogram(registry, "sim/latency", _latency);
     publishHistogram(registry, "sim/latency_clean", _cleanLatency);

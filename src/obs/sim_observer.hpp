@@ -11,7 +11,9 @@
  * (merging adjacent samples) whenever the sample count would exceed a
  * fixed cap, so memory stays bounded no matter how long the run is.
  * All state is driven by simulated cycles, never wall clocks, so the
- * collected content is deterministic for a deterministic run.
+ * collected content is deterministic for a deterministic run; the one
+ * exception, the replay's own throughput, is exported as timing
+ * metrics only.
  */
 
 #ifndef MINNOC_OBS_SIM_OBSERVER_HPP
@@ -82,6 +84,8 @@ class SimObserver
         std::int64_t execTime = 0;
         /** Cycles the network was stepped (fast-forwarded ones not). */
         std::uint64_t steppedCycles = 0;
+        /** Wall-clock seconds the replay took (timing metrics only). */
+        double runSeconds = 0.0;
     };
 
     /** Record end-of-run aggregates and close the last epoch. */

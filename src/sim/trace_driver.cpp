@@ -1,6 +1,7 @@
 #include "trace_driver.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <utility>
 
@@ -84,6 +85,7 @@ struct RankState
 SimResult
 runTrace(const trace::Trace &trace, Network &network)
 {
+    const auto start = std::chrono::steady_clock::now();
     const std::uint32_t ranks = trace.numRanks();
     std::vector<RankState> state(ranks);
     const SimConfig &cfg = network.config();
@@ -325,6 +327,9 @@ runTrace(const trace::Trace &trace, Network &network)
             fc.recoveryExhaustions = ns.recoveryExhaustions;
             fc.execTime = result.execTime;
             fc.steppedCycles = network.steppedCycles();
+            fc.runSeconds = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
             observer->finish(fc, result.execTime,
                              network.flitsInNetwork(), ns.linkFlits);
         }

@@ -77,7 +77,8 @@ struct SimResult
  * Drive @p trace through @p network until every rank completes.
  * The network must be freshly constructed for the trace's rank count.
  * An observer attached to the network is finalized (end-of-run counter
- * snapshot, last epoch closed) before the result is returned.
+ * snapshot, last epoch closed, the replay's wall time for its timing
+ * metrics) before the result is returned.
  */
 SimResult runTrace(const trace::Trace &trace, Network &network);
 

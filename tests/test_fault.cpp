@@ -261,6 +261,26 @@ TEST(FaultTraceDriver, LostMessageSkipsRecvInsteadOfHanging)
     EXPECT_EQ(res.undeliverableChannels[0].second, 1u);
 }
 
+TEST(FaultTraceDriver, DropMidInjectionReleasesSenderThatCycle)
+{
+    // Proc 0's injection link fails at cycle 100 while its 1025-flit
+    // packet is still leaving the NI: the packet is dropped then, and
+    // the blocked sender (send issued at cycle 1) and the receiver move
+    // on in that same cycle, long before the last flit could have left.
+    const auto built = topo::buildMesh(4);
+    const auto tr = oneMessageTrace(4, 0, 1, 4096);
+    FaultConfig fcfg;
+    fcfg.failLinks = {built.topo->injectionLink(0)};
+    fcfg.failAtCycle = 100;
+    const auto res = sim::runTrace(tr, *built.topo, *built.routing,
+                                   SimConfig{}, fcfg);
+    EXPECT_EQ(res.packetsDropped, 1u);
+    EXPECT_EQ(res.recvsLost, 1u);
+    EXPECT_EQ(res.finishTime[0], 100);
+    EXPECT_EQ(res.commTime[0], 99);
+    EXPECT_EQ(res.finishTime[1], 100);
+}
+
 TEST(FaultTraceDriver, CleanNetworkReportsFullDelivery)
 {
     const auto built = topo::buildMesh(4);

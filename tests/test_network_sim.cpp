@@ -381,3 +381,27 @@ TEST(NetworkSim, ObserverReportsSteppedCycles)
     EXPECT_GT(stepped, 0u);
     EXPECT_LT(stepped, static_cast<std::uint64_t>(result.execTime) / 10);
 }
+
+TEST(NetworkSim, ObserverReportsThroughputAsTimingMetrics)
+{
+    // The replay's wall time is a timing metric: present on request,
+    // absent from the default dump that byte-identity checks compare.
+    trace::Trace tr("throughput", 2);
+    tr.push(0, trace::TraceOp::send(1, 4096, 0));
+    tr.push(1, trace::TraceOp::recv(0, 4096, 0));
+    const auto built = topo::buildMesh(2);
+    obs::SimObserver observer;
+    runTrace(tr, *built.topo, *built.routing, SimConfig{}, &observer);
+
+    obs::MetricsRegistry registry;
+    observer.exportTo(registry);
+    const char *names[] = {"sim/time/run_us", "sim/time/cycles_per_s",
+                           "sim/time/flit_hops_per_s"};
+    for (const char *name : names) {
+        EXPECT_EQ(registry.toJson().find(name), std::string::npos);
+        if (obs::kEnabled) {
+            EXPECT_NE(registry.toJson(true).find(name), std::string::npos);
+            EXPECT_GT(registry.gauge(name, true).value(), 0.0) << name;
+        }
+    }
+}
