@@ -16,9 +16,10 @@
  * paper assumes (Section 4.2).
  *
  * A cycle costs O(live flits), not O(links x VCs): the network keeps
- * active sets of links with traffic in flight, VCs holding an unrouted
- * head, outputs with requesting VCs and sources with queued packets,
- * and visits each in the order a full scan would.
+ * wheels of the flits and credits arriving each cycle, and active sets
+ * of VCs holding an unrouted head, outputs with requesting VCs and
+ * sources with queued packets, and visits each in the order a full
+ * scan would (DESIGN.md §5m).
  */
 
 #ifndef MINNOC_SIM_NETWORK_HPP

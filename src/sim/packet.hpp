@@ -5,8 +5,8 @@
  * A message becomes one packet: a head flit (carrying the route header)
  * followed by ceil(bytes / flitBytes) payload flits; the last flit is
  * the tail. Flits are referenced by (packet id, sequence) — the
- * simulator tracks buffer occupancy by these references rather than
- * materializing per-flit payloads.
+ * simulator tracks a buffer as a run of one packet's sequence numbers
+ * rather than materializing per-flit payloads.
  */
 
 #ifndef MINNOC_SIM_PACKET_HPP
