@@ -329,7 +329,8 @@ TEST(Scale, MeshRing4096)
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
-    if (::testing::UnitTest::GetInstance()->test_to_run_count() == 1)
+    if (::testing::UnitTest::GetInstance()->test_to_run_count() == 1) {
         EXPECT_LT(usage.ru_maxrss, 40 * 1024) << "peak RSS in KiB";
+    }
 #endif
 }
