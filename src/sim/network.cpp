@@ -482,13 +482,6 @@ Network::switchAllocation(Cycle now)
         // without dividing in the common case rr < n.
         const auto &list = _requesters[out];
         auto &rr = _links[out].rrReq;
-        if (list.size() == 1) {
-            if (ready(list.front())) {
-                rr = 0;
-                forwardFlit(list.front().link, list.front().vc, now);
-            }
-            return;
-        }
         const auto n = static_cast<std::uint32_t>(
             std::count_if(list.begin(), list.end(), ready));
         if (n == 0)

@@ -201,10 +201,8 @@ class Network
 
     /**
      * Packets delivered or dropped since clearWakes(), in event order.
-     * A receiver blocked on a flow, or a sender waiting for a packet to
-     * leave, need not look again before one of them shows up here (or,
-     * for the sender, before the remaining flits could have left at
-     * one per cycle).
+     * A receiver blocked on a flow need not look again before a packet
+     * of that flow shows up here.
      */
     const std::vector<PacketId> &wakes() const { return _wakes; }
     void clearWakes() { _wakes.clear(); }

@@ -67,16 +67,14 @@ struct RankState
     /**
      * True when polling could change the rank at @p now. A rank in
      * WaitRecv checked its flow when it entered the phase; only a
-     * delivery or drop on that flow can unblock it. A rank in
-     * WaitInject sleeps until its last flit could have left the NI, at
-     * one flit per cycle, unless its packet is dropped first.
+     * delivery or drop on that flow can unblock it.
      */
     bool
     due(Cycle now) const
     {
         if (phase == Phase::WaitRecv)
             return woken;
-        return phase != Phase::Done && (woken || now >= readyAt);
+        return phase != Phase::Done && (!timeBound() || now >= readyAt);
     }
 };
 
@@ -139,11 +137,8 @@ runTrace(const trace::Trace &trace, Network &network)
                 break;
               }
               case RankState::Phase::WaitInject:
-                if (!network.injected(st.pending)) {
-                    const Packet &pkt = network.packet(st.pending);
-                    st.readyAt = now + (pkt.numFlits - pkt.flitsInjected);
+                if (!network.injected(st.pending))
                     return;
-                }
                 st.commTime += now - st.opStart;
                 st.pending = kNoPacket;
                 ++st.cursor;
@@ -188,11 +183,8 @@ runTrace(const trace::Trace &trace, Network &network)
         for (const PacketId id : network.wakes()) {
             const Packet &pkt = network.packet(id);
             auto &dst = state[pkt.dst];
-            auto &src = state[pkt.src];
             dst.woken |= dst.phase == RankState::Phase::WaitRecv &&
                          dst.waitFlow == pkt.flow;
-            src.woken |= src.phase == RankState::Phase::WaitInject &&
-                         src.pending == id;
         }
         network.clearWakes();
     };
@@ -228,13 +220,10 @@ runTrace(const trace::Trace &trace, Network &network)
 #ifdef MINNOC_SANITIZE
         // A rank left asleep could have moved: a wake-up went missing.
         for (const auto &st : state) {
-            const bool recv = st.phase == RankState::Phase::WaitRecv &&
-                              (network.hasDelivered(st.waitFlow) ||
-                               network.nextDeliveryLost(st.waitFlow));
-            const bool inject =
-                st.phase == RankState::Phase::WaitInject &&
-                network.injected(st.pending);
-            if ((recv || inject) && !st.due(now + 1))
+            if (st.phase == RankState::Phase::WaitRecv &&
+                (network.hasDelivered(st.waitFlow) ||
+                 network.nextDeliveryLost(st.waitFlow)) &&
+                !st.woken)
                 panic("runTrace invariant: a rank sleeps through the "
                       "event it waits on");
         }
