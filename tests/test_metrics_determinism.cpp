@@ -104,9 +104,10 @@ TEST(MetricsDeterminism, MethodologyIdenticalAcrossThreadCounts)
     const auto tr = cgTrace(16);
     const auto one = methodologyMetricsJson(tr, 1);
     const auto four = methodologyMetricsJson(tr, 4);
-    if (obs::kEnabled)
+    if (obs::kEnabled) {
         EXPECT_NE(one.find("methodology/restart/0/cost_curve"),
                   std::string::npos);
+    }
     EXPECT_EQ(one, four)
         << "restart telemetry must replay identically at any "
            "thread count";
@@ -138,8 +139,9 @@ TEST(MetricsDeterminism, SimulateIdenticalAcrossRuns)
     const auto tr = cgTrace(16);
     const auto a = simulateMetricsJson(tr);
     const auto b = simulateMetricsJson(tr);
-    if (obs::kEnabled)
+    if (obs::kEnabled) {
         EXPECT_NE(a.find("sim/latency"), std::string::npos);
+    }
     EXPECT_EQ(a, b)
         << "simulator metrics must be byte-identical across reruns";
 }

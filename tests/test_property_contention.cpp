@@ -191,15 +191,17 @@ TEST(PropertyContention, Theorem1HoldsOnEveryDesign)
                 std::set<std::uint32_t> bwd;
                 for (const auto c : clique.comms) {
                     if (auto it = pipe.fwdLink.find(c);
-                        it != pipe.fwdLink.end())
+                        it != pipe.fwdLink.end()) {
                         EXPECT_TRUE(fwd.insert(it->second).second)
                             << "seed " << seed
                             << ": contending comms share a fwd link";
+                    }
                     if (auto it = pipe.bwdLink.find(c);
-                        it != pipe.bwdLink.end())
+                        it != pipe.bwdLink.end()) {
                         EXPECT_TRUE(bwd.insert(it->second).second)
                             << "seed " << seed
                             << ": contending comms share a bwd link";
+                    }
                 }
                 EXPECT_GE(pipe.linksFwd, fwd.size()) << "seed " << seed;
                 EXPECT_GE(pipe.linksBwd, bwd.size()) << "seed " << seed;

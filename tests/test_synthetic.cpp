@@ -59,8 +59,9 @@ TEST(PhaseShift, CallIdsSegregateByEpoch)
     // phase are what the segmenter's Jaccard term keys on.
     for (core::ProcId r = 0; r < cfg.ranks; ++r) {
         for (const auto &op : tr.timeline(r)) {
-            if (op.kind == OpKind::Send)
+            if (op.kind == OpKind::Send) {
                 EXPECT_LT(op.callId, 2 * cfg.sitesPerPhase);
+            }
         }
     }
 }
