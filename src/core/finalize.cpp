@@ -82,12 +82,18 @@ FinalizedDesign::toString() const
 namespace {
 
 /**
+ * Branch-and-bound node budget per conflict graph before falling back
+ * to the DSATUR heuristic color count.
+ */
+constexpr std::uint64_t kExactNodeBudget = 2'000'000;
+
+/**
  * Color one directional comm set of a pipe: build the conflict graph
  * from clique co-occurrence and exact-color it.
  */
 graph::Coloring
 colorDirection(const CliqueSet &cliques, const CommBitset &comms,
-               const FinalizeConfig &config, bool &exact)
+               bool &exact)
 {
     const std::vector<CommId> ids = comms.toVector();
     graph::Ugraph cg(ids.size());
@@ -100,7 +106,7 @@ colorDirection(const CliqueSet &cliques, const CommBitset &comms,
     }
     bool wasExact = true;
     auto coloring =
-        graph::exactColoring(cg, config.exactNodeBudget, &wasExact);
+        graph::exactColoring(cg, kExactNodeBudget, &wasExact);
     if (!wasExact)
         exact = false;
     return coloring;
@@ -163,9 +169,9 @@ finalizeDesign(const DesignNetwork &net, const FinalizeConfig &config)
         const std::vector<CommId> fwdIds = p.fwd.toVector();
         const std::vector<CommId> bwdIds = p.bwd.toVector();
         const auto fwdColoring =
-            colorDirection(cliques, p.fwd, config, out.colorsExact);
+            colorDirection(cliques, p.fwd, out.colorsExact);
         const auto bwdColoring =
-            colorDirection(cliques, p.bwd, config, out.colorsExact);
+            colorDirection(cliques, p.bwd, out.colorsExact);
 
         for (std::size_t i = 0; i < fwdIds.size(); ++i)
             fp.fwdLink[fwdIds[i]] = fwdColoring.color[i];

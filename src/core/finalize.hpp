@@ -24,15 +24,9 @@
 
 namespace minnoc::core {
 
-/** Exact-coloring knobs. */
+/** Finalization knobs. */
 struct FinalizeConfig
 {
-    /**
-     * Branch-and-bound node budget per conflict graph before falling
-     * back to the DSATUR heuristic color count (0 = unlimited).
-     */
-    std::uint64_t exactNodeBudget = 2'000'000;
-
     /**
      * Provision unidirectional links instead of full-duplex pairs
      * (paper footnote 1): each pipe direction gets exactly the

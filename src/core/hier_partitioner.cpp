@@ -351,8 +351,6 @@ hierarchicalPrePartition(DesignNetwork &net,
 
     // Depth-first over the partition tree; the pop order (and with it
     // every new switch id) is deterministic.
-    const std::uint64_t tol = std::max<std::uint64_t>(
-        config.maxImbalance, 1);
     std::vector<std::pair<SwitchId, std::vector<ProcId>>> work;
     work.emplace_back(SwitchId{0}, net.procsOf(0));
     while (!work.empty()) {
@@ -362,7 +360,8 @@ hierarchicalPrePartition(DesignNetwork &net,
             ++stats.leaves;
             continue;
         }
-        auto [sideA, sideB] = multilevelBisect(group, adj, tol, stats);
+        auto [sideA, sideB] =
+            multilevelBisect(group, adj, kMaxImbalance, stats);
         const SwitchId t = net.splitSwitchInto(s, sideB);
         ++stats.splits;
         ++result.numSplits;

@@ -10,23 +10,35 @@
 
 namespace minnoc::core {
 
+namespace {
+
+/**
+ * Maximum number of partition/finalize rounds: finalization can reveal
+ * that exact colors exceed the Fast_Color estimates, in which case the
+ * violating switches are split further and the design is re-finalized
+ * (paper Appendix, steps 2-3).
+ */
+constexpr std::uint32_t kMaxRounds = 8;
+
+} // namespace
+
 std::string
 MethodologyConfig::signature() const
 {
     const auto &p = partitioner;
     std::ostringstream oss;
+    // imb, mps, anneal..mpl, cp, budget and rounds print the fixed
+    // values of former knobs, so cache keys recorded while those were
+    // settable still hit. Changing one of the constants behind them is
+    // a model change and bumps the cache salt.
     oss << "deg=" << p.constraints.maxDegree
         << ";pps=" << p.constraints.maxProcsPerSwitch
-        << ";seed=" << p.seed << ";imb=" << p.maxImbalance
-        << ";splits=" << p.maxSplits << ";mps=" << p.maxMovesPerSplit
-        << ";anneal=" << p.anneal << ";t0=" << p.annealT0
-        << ";alpha=" << p.annealAlpha << ";mpl=" << p.annealMovesPerLevel
+        << ";seed=" << p.seed << ";imb=2;splits=" << p.maxSplits
+        << ";mps=0;anneal=0;t0=2;alpha=0.85;mpl=8"
         << ";opt=" << p.optimizeRoutes << ";cons=" << p.consolidate
-        << ";cp=" << p.consolidatePasses
-        << ";ucost=" << p.unidirectionalCost
-        << ";budget=" << finalize.exactNodeBudget
-        << ";uni=" << finalize.unidirectional << ";rounds=" << maxRounds
-        << ";reduce=" << reduceCliques << ";restarts=" << restarts
+        << ";cp=4;ucost=" << p.unidirectionalCost
+        << ";budget=2000000;uni=" << finalize.unidirectional
+        << ";rounds=8;reduce=" << reduceCliques << ";restarts=" << restarts
         << ";merge=" << mergeSwitches;
     // Appended only when non-default so signatures of pre-existing
     // configurations — and the cache keys derived from them — are
@@ -85,7 +97,7 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
         pcfg.unidirectionalCost = true;
     Rng rng(seed);
 
-    for (std::uint32_t round = 0; round < config.maxRounds; ++round) {
+    for (std::uint32_t round = 0; round < kMaxRounds; ++round) {
         outcome.rounds = round + 1;
 
         // Phase 1: partition under Fast_Color estimates.
@@ -122,7 +134,7 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
                     !big &&
                     refineProcSwaps(net, pcfg.constraints, rng, 2);
                 const auto cs = consolidateRoutes(
-                    net, pcfg.consolidatePasses,
+                    net, kConsolidatePasses,
                     pcfg.constraints.maxDegree, &rng,
                     pcfg.unidirectionalCost);
                 if (!swapped && cs.committedMoves == 0)
@@ -248,7 +260,7 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                 const std::vector<ProcId> procs = net.procsOf(t);
                 for (const ProcId p : procs)
                     net.moveProc(p, s);
-                consolidateRoutes(net, pcfg.consolidatePasses,
+                consolidateRoutes(net, kConsolidatePasses,
                                   dc.maxDegree, &rng,
                                   pcfg.unidirectionalCost);
                 if (estimatesSatisfied(net, dc)) {

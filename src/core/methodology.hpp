@@ -36,14 +36,6 @@ struct MethodologyConfig
     FinalizeConfig finalize;
 
     /**
-     * Maximum number of partition/finalize rounds: finalization can
-     * reveal that exact colors exceed the Fast_Color estimates, in which
-     * case the violating switches are split further and the design is
-     * re-finalized (paper Appendix, steps 2-3).
-     */
-    std::uint32_t maxRounds = 8;
-
-    /**
      * Reduce the clique set to the communication maximum clique set
      * before partitioning (paper: yes; exposed for ablation).
      */

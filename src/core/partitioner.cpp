@@ -1,7 +1,7 @@
 #include "partitioner.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "hier_partitioner.hpp"
@@ -52,8 +52,7 @@ struct MoveCandidate
  * have anyway right after a split).
  */
 std::vector<MoveCandidate>
-enumerateMoves(DesignNetwork &net, SwitchId si, SwitchId sj,
-               std::uint32_t maxImbalance)
+enumerateMoves(DesignNetwork &net, SwitchId si, SwitchId sj)
 {
     std::vector<MoveCandidate> candidates;
     const std::uint32_t before = cutCost(net, si, sj);
@@ -70,7 +69,7 @@ enumerateMoves(DesignNetwork &net, SwitchId si, SwitchId sj,
         // guard: un-splitting a switch would loop the algorithm.
         if (fromSize < 1 ||
             std::llabs(toSize - fromSize) >
-                static_cast<std::int64_t>(maxImbalance)) {
+                static_cast<std::int64_t>(kMaxImbalance)) {
             return;
         }
         const std::vector<ProcId> procs = net.procsOf(from); // copy
@@ -176,51 +175,31 @@ splitAndSettle(DesignNetwork &net, const PartitionerConfig &config,
     }
 
     // Steps 7-9: processor moves across the cut while the estimated
-    // link demand improves (or, with annealing, probabilistically).
+    // link demand strictly improves. The moves are capped because
+    // Best_Route runs between them and can make the reverse of a
+    // just-committed move look improving again; the paper's greedy loop
+    // would oscillate without a bound.
     const std::uint32_t cutSize = static_cast<std::uint32_t>(
         net.procsOf(si).size() + net.procsOf(sj).size());
-    const std::uint32_t maxMoves = config.maxMovesPerSplit
-                                       ? config.maxMovesPerSplit
-                                       : 4 * cutSize + 8;
-    std::uint32_t movesDone = 0;
-    double temperature = config.annealT0;
-    std::uint32_t annealBudget =
-        config.anneal ? config.annealMovesPerLevel *
-                            static_cast<std::uint32_t>(
-                                net.procsOf(si).size() +
-                                net.procsOf(sj).size())
-                      : 0;
-    while (movesDone < maxMoves) {
-        auto candidates = enumerateMoves(net, si, sj, config.maxImbalance);
+    const std::uint32_t maxMoves = 4 * cutSize + 8;
+    for (std::uint32_t movesDone = 0; movesDone < maxMoves; ++movesDone) {
+        const auto candidates = enumerateMoves(net, si, sj);
         result.movesEvaluated += candidates.size();
         if (candidates.empty())
             break;
 
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const MoveCandidate &x, const MoveCandidate &y) {
-                      if (x.delta != y.delta)
-                          return x.delta < y.delta;
-                      return x.proc < y.proc;
-                  });
-        const MoveCandidate *chosen = nullptr;
-        if (candidates.front().delta < 0) {
-            chosen = &candidates.front();
-        } else if (config.anneal && annealBudget > 0) {
-            const auto &cand = candidates[rng.below(candidates.size())];
-            const double accept =
-                std::exp(-static_cast<double>(cand.delta) /
-                         std::max(temperature, 1e-9));
-            if (rng.chance(accept))
-                chosen = &cand;
-            temperature *= config.annealAlpha;
-            --annealBudget;
-        }
-        if (!chosen)
+        const auto *chosen = &*std::min_element(
+            candidates.begin(), candidates.end(),
+            [](const MoveCandidate &x, const MoveCandidate &y) {
+                if (x.delta != y.delta)
+                    return x.delta < y.delta;
+                return x.proc < y.proc;
+            });
+        if (chosen->delta >= 0)
             break;
 
         net.moveProc(chosen->proc, chosen->to);
         ++result.numMoves;
-        ++movesDone;
         if (config.paranoid)
             net.checkInvariants();
         record(PartitionStep{
@@ -261,7 +240,7 @@ partitionNetwork(DesignNetwork &net, const PartitionerConfig &config,
         // constraints: direct routes systematically overestimate the
         // degree a switch really needs.
         if (config.consolidate)
-            consolidateRoutes(net, config.consolidatePasses,
+            consolidateRoutes(net, kConsolidatePasses,
                               config.constraints.maxDegree, &rng,
                               config.unidirectionalCost);
         if (config.paranoid)

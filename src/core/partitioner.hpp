@@ -5,10 +5,9 @@
  * Starting from a single megaswitch connecting every processor, switches
  * violating the design constraints are recursively bisected. After each
  * split, Best_Route redistributes communications between the two halves
- * and an annealing loop moves processors across the fresh cut while the
- * Fast_Color estimate of the required links keeps improving (the paper's
- * default accepts only improving, balance-preserving moves; an optional
- * temperature schedule generalizes this to true simulated annealing).
+ * and processors move across the fresh cut while each move strictly
+ * improves the Fast_Color estimate of the required links and keeps the
+ * balance skew at most 2 (the paper's acceptance rule).
  */
 
 #ifndef MINNOC_CORE_PARTITIONER_HPP
@@ -24,6 +23,15 @@
 #include "util/rng.hpp"
 
 namespace minnoc::core {
+
+/**
+ * Maximum processor imbalance tolerated between freshly split switches
+ * after a move (the paper uses 2).
+ */
+inline constexpr std::uint32_t kMaxImbalance = 2;
+
+/** Route-consolidation passes per constraint check. */
+inline constexpr std::uint32_t kConsolidatePasses = 4;
 
 /** Design constraints a finished network must satisfy (Section 3.4). */
 struct DesignConstraints
@@ -59,31 +67,9 @@ struct PartitionerConfig
     std::uint64_t seed = 1;
 
     /**
-     * Maximum processor imbalance tolerated between freshly split
-     * switches after a move (the paper uses 2).
+     * Hard cap on split operations (safety valve; 0 = 4 * numProcs + 8).
      */
-    std::uint32_t maxImbalance = 2;
-
-    /** Hard cap on split operations (safety valve; 0 = 4 * numProcs). */
     std::uint32_t maxSplits = 0;
-
-    /**
-     * Cap on committed processor moves per split (0 = automatic,
-     * 4 * cut size + 8). Needed because Best_Route runs between moves
-     * and can make the reverse of a just-committed move look improving
-     * again; the paper's greedy loop would oscillate without a bound.
-     */
-    std::uint32_t maxMovesPerSplit = 0;
-
-    /**
-     * Enable a true simulated-annealing acceptance rule: worsening
-     * moves are accepted with probability exp(-delta / T). When false
-     * (the paper's formulation) only strictly improving moves commit.
-     */
-    bool anneal = false;
-    double annealT0 = 2.0;
-    double annealAlpha = 0.85;
-    std::uint32_t annealMovesPerLevel = 8;
 
     /** Run Best_Route after each split / move (paper: yes). */
     bool optimizeRoutes = true;
@@ -96,9 +82,6 @@ struct PartitionerConfig
      * onto shared links first and only splits when truly necessary.
      */
     bool consolidate = true;
-
-    /** Consolidation passes per constraint check. */
-    std::uint32_t consolidatePasses = 4;
 
     /**
      * Price pipes as unidirectional channel pairs (fwd + bwd) instead
@@ -176,7 +159,7 @@ struct PartitionResult
  *
  * @param net the design network to refine
  * @param config algorithm knobs
- * @param rng random source (switch choice, split halves, annealing)
+ * @param rng random source (switch choice, split halves)
  * @return run statistics and history
  */
 PartitionResult partitionNetwork(DesignNetwork &net,

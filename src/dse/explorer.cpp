@@ -13,6 +13,7 @@
 #include "pareto.hpp"
 #include "phase/multi_design.hpp"
 #include "sim/evaluate.hpp"
+#include "topo/floorplan.hpp"
 #include "trace/analyzer.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -178,7 +179,7 @@ evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
         obs::dseSpanEnd(traceLog, "methodology", tid, t);
         const auto e = sim::evaluateDesign(
             outcome.design, phase::phaseSubTrace(trace, seg, p),
-            config.floorplan, scfg, config.power,
+            topo::FloorplanConfig{}, scfg, config.power,
             config.phaseReconfigCost, traceLog, tid);
         foldNetwork(m, designMetrics(outcome), evaluationMetrics(e));
         const auto n = static_cast<double>(e.sim.packetsDelivered);
@@ -234,7 +235,7 @@ std::string
 jobSignature(const JobParams &params, const ExploreConfig &config)
 {
     std::string sig = methodologyConfigFor(params).signature() + "|" +
-                      config.floorplan.signature() + "|" +
+                      topo::FloorplanConfig{}.signature() + "|" +
                       config.power.signature() + "|" +
                       simConfigFor(params, config).signature();
     // Appended only when phase-aware evaluation is on, so classic jobs
@@ -476,9 +477,10 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
         // Only the scalars outlive the evaluation: its floorplan, built
         // network and per-link counts are freed here.
         const auto eval = evaluationMetrics(sim::evaluateDesign(
-            methodologies[task.methodology].design, trace, config.floorplan,
-            simConfigFor(jobs[first], config), config.power, 0,
-            config.traceLog, static_cast<std::uint32_t>(first)));
+            methodologies[task.methodology].design, trace,
+            topo::FloorplanConfig{}, simConfigFor(jobs[first], config),
+            config.power, 0, config.traceLog,
+            static_cast<std::uint32_t>(first)));
         for (const auto i : task.jobs)
             storePoint(i, classicMetrics(
                               methodologies[methodologyOf[i]].metrics, eval));

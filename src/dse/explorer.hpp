@@ -36,7 +36,6 @@
 #include "obs/trace_event.hpp"
 #include "phase/segmenter.hpp"
 #include "sim/config.hpp"
-#include "topo/floorplan.hpp"
 #include "topo/power.hpp"
 #include "trace/trace.hpp"
 
@@ -85,7 +84,6 @@ struct ExploreConfig
     bool useCache = true;
 
     /** Fixed per-run stage configurations (hashed into job keys). */
-    topo::FloorplanConfig floorplan;
     topo::PowerModel power;
     /** Base simulator config; the grid overrides numVcs / vcDepth. */
     sim::SimConfig sim;

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "sim/evaluate.hpp"
+#include "topo/floorplan.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -23,7 +24,7 @@ PhaseRowEval
 evalVariant(const core::FinalizedDesign &design, std::size_t violations,
             const trace::Trace &tr, const PhaseEvalConfig &config)
 {
-    const auto e = sim::evaluateDesign(design, tr, config.floorplan,
+    const auto e = sim::evaluateDesign(design, tr, topo::FloorplanConfig{},
                                        config.sim, config.power,
                                        config.reconfigCost);
     PhaseRowEval row;

@@ -28,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "sim/config.hpp"
-#include "topo/floorplan.hpp"
 #include "topo/power.hpp"
 
 namespace minnoc::phase {
@@ -38,7 +37,6 @@ struct PhaseEvalConfig
 {
     PhaseConfig segmenter;
     core::MethodologyConfig methodology;
-    topo::FloorplanConfig floorplan;
     topo::PowerModel power;
     sim::SimConfig sim;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "dse/cache.hpp"
+#include "topo/floorplan.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
 
@@ -202,7 +203,7 @@ std::string
 phasesSignature(const phase::PhaseEvalConfig &config)
 {
     return config.methodology.signature() + "|" +
-           config.floorplan.signature() + "|" +
+           topo::FloorplanConfig{}.signature() + "|" +
            config.power.signature() + "|" + config.sim.signature() +
            "|" + config.segmenter.signature() +
            ";rc=" + std::to_string(config.reconfigCost);

@@ -11,11 +11,11 @@ namespace minnoc::topo {
 std::string
 FloorplanConfig::signature() const
 {
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << "fpseed=" << seed << ";sweeps=" << sweeps << ";t0=" << t0
-        << ";alpha=" << alpha;
-    return oss.str();
+    // sweeps, t0 and alpha print the fixed annealing schedule below, so
+    // cache keys recorded while it was settable still hit. Changing the
+    // schedule is a model change and bumps the cache salt.
+    return "fpseed=" + std::to_string(seed) +
+           ";sweeps=64;t0=4;alpha=0.92000000000000004";
 }
 
 std::uint32_t
@@ -88,6 +88,12 @@ crossbarAreas(std::uint32_t procs)
 }
 
 namespace {
+
+/** Annealing sweeps, each of 4 x numProcs random tile-swap attempts. */
+constexpr std::uint32_t kSweeps = 64;
+/** Starting temperature and its per-sweep cooling factor. */
+constexpr double kT0 = 4.0;
+constexpr double kAlpha = 0.92;
 
 /** Offsets of a tile's four corners, in candidate order. */
 constexpr GridPoint kCornerOffsets[] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
@@ -251,8 +257,8 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
     std::vector<GridPoint> trial;
     std::uint32_t cost = evaluator.evaluate(plan.procTile, corners);
     Rng rng(config.seed);
-    double temperature = config.t0;
-    for (std::uint32_t sweep = 0; sweep < config.sweeps; ++sweep) {
+    double temperature = kT0;
+    for (std::uint32_t sweep = 0; sweep < kSweeps; ++sweep) {
         const std::uint32_t attempts = design.numProcs * 4;
         for (std::uint32_t i = 0; i < attempts; ++i) {
             const auto a =
@@ -275,7 +281,7 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
                 std::swap(plan.procTile[a], plan.procTile[b]);
             }
         }
-        temperature *= config.alpha;
+        temperature *= kAlpha;
     }
 
     // Final greedy polish (temperature zero).

@@ -51,11 +51,8 @@ manhattan(const GridPoint &a, const GridPoint &b)
 /** Floorplanner knobs. */
 struct FloorplanConfig
 {
+    /** Seed of the annealer's tile-swap choices. */
     std::uint64_t seed = 1;
-    /** Annealing sweeps, each of 4 x numProcs random tile-swap attempts. */
-    std::uint32_t sweeps = 64;
-    double t0 = 4.0;
-    double alpha = 0.92;
 
     /**
      * Canonical parameter string for content-addressed caching: equal

@@ -130,23 +130,6 @@ TEST(Partitioner, MaxProcsPerSwitchConstraint)
         EXPECT_LE(net.procsOf(s).size(), 2u);
 }
 
-TEST(Partitioner, AnnealModeStillConverges)
-{
-    CliqueSet ks = cgCliques(16);
-    DesignNetwork net(ks);
-    PartitionerConfig cfg;
-    cfg.constraints.maxDegree = 5;
-    cfg.anneal = true;
-    cfg.paranoid = true;
-    const auto result = partitionNetwork(net, cfg);
-    EXPECT_TRUE(result.feasible);
-    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
-        if (!net.procsOf(s).empty()) {
-            EXPECT_LE(net.estimatedDegree(s), 5u);
-        }
-    }
-}
-
 TEST(Partitioner, SplitBudgetStopsRunaway)
 {
     CliqueSet ks = cgCliques(16);
