@@ -66,9 +66,7 @@ struct PartitionerConfig
     /** RNG seed; equal seeds reproduce the same network. */
     std::uint64_t seed = 1;
 
-    /**
-     * Hard cap on split operations (safety valve; 0 = 4 * numProcs + 8).
-     */
+    /** Hard cap on split operations (safety valve; 0 = 4 * numProcs + 8). */
     std::uint32_t maxSplits = 0;
 
     /** Run Best_Route after each split / move (paper: yes). */
