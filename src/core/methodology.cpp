@@ -316,7 +316,7 @@ exactViolation(const FinalizedDesign &d, const DesignConstraints &dc)
 
 /**
  * Publish one consumed restart's telemetry: quality gauges plus the
- * annealing cost curve (estimated links after every recorded step).
+ * partitioning cost curve (estimated links after every recorded step).
  * Called from the selection fold only, which replays the sequential
  * seed order at any thread count — so the recorded content is
  * thread-count-invariant by construction.

@@ -69,7 +69,7 @@ struct MethodologyConfig
 
     /**
      * Optional telemetry sinks (not owned, may be null). The driver
-     * records per-restart annealing cost curves and design quality into
+     * records per-restart partitioning cost curves and design quality into
      * @p metrics — only for the restarts the sequential preference
      * order consumes, so the recorded content is identical at every
      * thread count — and per-phase wall-time spans into @p traceLog.
