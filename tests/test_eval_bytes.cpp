@@ -192,6 +192,17 @@ TEST(EvalBytes, PhaseReport)
               "a22f5c1a04f3f156");
 }
 
+TEST(EvalBytes, PhaseReportFourThreads)
+{
+    phase::PhaseEvalConfig cfg;
+    cfg.methodology.partitioner.constraints.maxDegree = 5;
+    cfg.methodology.restarts = 4;
+    cfg.threads = 4;
+    EXPECT_EQ(hex(dse::fnv1a64(
+                  phase::evaluatePhases(shiftTrace(), cfg).toJson())),
+              "a22f5c1a04f3f156");
+}
+
 namespace {
 
 /**
