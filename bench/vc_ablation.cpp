@@ -43,7 +43,7 @@ main()
                 *topo::buildBaseline(name, 16), tr, cfg);
             std::printf(" %12lld", static_cast<long long>(e.sim.execTime));
         }
-        const auto e = sim::evaluateDesign(outcome.design, tr, {}, cfg);
+        const auto e = sim::evaluateDesign(outcome.design, tr, cfg);
         std::printf(" %12lld\n", static_cast<long long>(e.sim.execTime));
     }
     std::printf(

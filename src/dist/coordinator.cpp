@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include "dse/cache.hpp"
-#include "phase/multi_design.hpp"
 #include "remote.hpp"
 #include "serve/jobwire.hpp"
 #include "serve/protocol.hpp"
@@ -624,8 +623,6 @@ exploreDistributed(const trace::Trace &trace,
                    json::fmtDouble(c.phaseSegmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
                    std::to_string(c.phaseSegmenter.minPhaseWindows);
-            out += ", \"matrix_weight\": " +
-                   json::fmtDouble(c.phaseSegmenter.matrixWeight);
             if (c.power.kind != topo::PowerModelKind::Static)
                 out += std::string(", \"power\": \"") +
                        topo::powerModelKindName(c.power.kind) + "\"";
@@ -657,34 +654,19 @@ evaluatePhasesDistributed(const trace::Trace &trace,
                           const phase::PhaseEvalConfig &config,
                           const DistOptions &options, DistStats *statsOut)
 {
-    const phase::Segmentation seg =
-        phase::segmentTrace(trace, config.segmenter);
-
     DistStats localStats;
     DistStats &stats = statsOut ? *statsOut : localStats;
     stats = DistStats{};
 
-    // Whole-trace artifacts stay in-process: the monolithic and union
-    // designs need the full workload, and the per-phase standalone
-    // designs (the bulk of the work) never feed into them — see
-    // DESIGN.md §5j.
-    phase::MultiPhaseResult multi;
-    {
-        std::uint32_t threads =
-            config.threads ? config.threads
-                           : std::thread::hardware_concurrency();
-        threads = std::max(threads, 1u);
-        std::optional<ThreadPool> pool;
-        if (threads > 1)
-            pool.emplace(threads);
-        multi = phase::synthesizeMultiPhase(
-            trace, seg, config.methodology, pool ? &*pool : nullptr,
-            /*withPhaseDesigns=*/false);
-    }
-
-    const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
-    std::vector<phase::PhaseRowEval> rows(nPhases);
-    if (nPhases > 0) {
+    // The hosts are the rows' lanes. The whole-trace half needs the
+    // full workload, so it stays in-process, on a pool of its own
+    // beside the dispatch loop (DESIGN.md §5j).
+    const auto rows = [&](const phase::Segmentation &seg,
+                          const phase::PhaseCliques &cliques) {
+        const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
+        std::vector<phase::PhaseRowEval> phaseRows(nPhases);
+        if (nPhases == 0)
+            return phaseRows;
         if (config.methodology.partitioner.seed > (1ull << 53))
             fatal("dist: seed ", config.methodology.partitioner.seed,
                   " exceeds the wire's exact integer range");
@@ -711,8 +693,6 @@ evaluatePhasesDistributed(const trace::Trace &trace,
                    json::fmtDouble(config.segmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
                    std::to_string(config.segmenter.minPhaseWindows);
-            out += ", \"matrix_weight\": " +
-                   json::fmtDouble(config.segmenter.matrixWeight);
             out += ", \"max_degree\": " +
                    std::to_string(config.methodology.partitioner
                                       .constraints.maxDegree);
@@ -735,20 +715,27 @@ evaluatePhasesDistributed(const trace::Trace &trace,
             auto &msg = reply.results.emplace_back();
             msg.index = p;
             msg.row = phase::evalPhaseStandalone(
-                trace, seg, multi.cliques.standalone[p], p, config);
+                trace, seg, cliques.standalone[p], p, config);
             reply.wallUs = CancelToken::nowUs() - t0;
             return reply;
         };
         const auto onResult = [&](const WorkerMsg &msg) {
-            rows.at(msg.index) = msg.row;
+            phaseRows.at(msg.index) = msg.row;
         };
         runShards(serve::Cmd::PhaseJob, requests, options,
                   config.methodology.cancel, traceText, makeRequest,
                   runLocal, onResult, stats, config.traceLog);
-    }
+        return phaseRows;
+    };
 
-    auto report =
-        phase::assemblePhaseReport(trace, config, seg, multi, rows);
+    const auto threads = config.threads
+                             ? config.threads
+                             : std::thread::hardware_concurrency();
+    std::optional<ThreadPool> pool;
+    if (threads > 1)
+        pool.emplace(1);
+    auto report = phase::runPhasePipeline(trace, config,
+                                          pool ? &*pool : nullptr, rows);
     recordDistTelemetry(config.metrics, config.traceLog, stats);
     return report;
 }

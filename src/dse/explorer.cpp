@@ -11,7 +11,7 @@
 #include "core/design_io.hpp"
 #include "core/methodology.hpp"
 #include "pareto.hpp"
-#include "phase/multi_design.hpp"
+#include "phase/evaluator.hpp"
 #include "sim/evaluate.hpp"
 #include "topo/floorplan.hpp"
 #include "trace/analyzer.hpp"
@@ -87,38 +87,17 @@ evaluationMetrics(const sim::DesignEvaluation &e)
     return v;
 }
 
-/**
- * Fold one network's design and evaluation into @p m: maxima on the
- * provisioned-resource axes (a reconfigurable fabric must host the
- * largest phase network), sums on time and energy. The latency axes
- * are the caller's.
- */
-void
-foldNetwork(JobMetrics &m, const JobMetrics &design, const JobMetrics &eval)
-{
-    m.switches = std::max(m.switches, design.switches);
-    m.links = std::max(m.links, design.links);
-    m.channels = std::max(m.channels, design.channels);
-    m.constraintsMet = m.constraintsMet && design.constraintsMet;
-    m.violations += design.violations;
-    m.rounds = std::max(m.rounds, design.rounds);
-    m.switchArea = std::max(m.switchArea, eval.switchArea);
-    m.linkArea = std::max(m.linkArea, eval.linkArea);
-    m.procLinkArea = std::max(m.procLinkArea, eval.procLinkArea);
-    m.execTime += eval.execTime;
-    m.maxLinkUtil = std::max(m.maxLinkUtil, eval.maxLinkUtil);
-    m.energy += eval.energy;
-}
-
-/** A classic job's metrics: its one network, latency axes included. */
+/** A classic job's metrics: its one network's design and evaluation. */
 JobMetrics
 classicMetrics(const JobMetrics &design, const JobMetrics &eval)
 {
-    JobMetrics m;
-    m.constraintsMet = true;
-    foldNetwork(m, design, eval);
-    m.avgLatency = eval.avgLatency;
-    m.avgHops = eval.avgHops;
+    JobMetrics m = eval;
+    m.switches = design.switches;
+    m.links = design.links;
+    m.channels = design.channels;
+    m.constraintsMet = design.constraintsMet;
+    m.violations = design.violations;
+    m.rounds = design.rounds;
     return m;
 }
 
@@ -145,59 +124,43 @@ networkBytes(core::FinalizedDesign design)
 }
 
 /**
- * Evaluate one phase-window job from scratch: segment the trace,
- * synthesize one network per phase over that phase's standalone
- * cliques, replay each sub-trace on its own network, and charge the
- * reconfiguration penalty at every boundary: the execution stalls and
- * the incoming network idles. Per-stage spans go on the DSE track
- * with @p tid (the job's grid index) as the thread id.
+ * Evaluate one phase-window job from scratch: the time-multiplexed
+ * variant of phase::evaluateTimeMultiplexed under the job's
+ * parameters. Per-stage spans go on the DSE track with @p tid (the
+ * job's grid index) as the thread id.
  */
 JobMetrics
 evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
                  const ExploreConfig &config, std::uint32_t tid)
 {
-    auto mcfg = methodologyConfigFor(params);
-    mcfg.cancel = config.cancel;
-    const auto scfg = simConfigFor(params, config);
-    auto *const traceLog = config.traceLog;
+    phase::PhaseEvalConfig pcfg;
+    pcfg.segmenter = segmenterFor(params, config);
+    pcfg.methodology = methodologyConfigFor(params);
+    pcfg.methodology.cancel = config.cancel;
+    pcfg.power = config.power;
+    pcfg.sim = simConfigFor(params, config);
+    pcfg.reconfigCost = config.phaseReconfigCost;
+
+    const auto t0 = obs::spanStart(config.traceLog);
+    const auto v =
+        phase::evaluateTimeMultiplexed(trace, pcfg, config.traceLog, tid);
+    obs::dseSpanEnd(config.traceLog, "time-multiplexed", tid, t0);
 
     JobMetrics m;
-    m.constraintsMet = true;
-    const auto t0 = obs::spanStart(traceLog);
-    const auto seg =
-        phase::segmentTrace(trace, segmenterFor(params, config));
-    const auto phaseCliques = phase::buildPhaseCliques(trace, seg);
-    std::uint64_t delivered = 0;
-    double latencyWeighted = 0.0;
-    double hopsWeighted = 0.0;
-    sim::Cycle reconfigCycles = 0;
-    double reconfigEnergy = 0.0;
-    for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
-        const auto t = obs::spanStart(traceLog);
-        const auto outcome =
-            core::runMethodology(phaseCliques.standalone[p], mcfg, nullptr);
-        obs::dseSpanEnd(traceLog, "methodology", tid, t);
-        const auto e = sim::evaluateDesign(
-            outcome.design, phase::phaseSubTrace(trace, seg, p),
-            topo::FloorplanConfig{}, scfg, config.power,
-            config.phaseReconfigCost, traceLog, tid);
-        foldNetwork(m, designMetrics(outcome), evaluationMetrics(e));
-        const auto n = static_cast<double>(e.sim.packetsDelivered);
-        delivered += e.sim.packetsDelivered;
-        latencyWeighted += e.sim.avgPacketLatency * n;
-        hopsWeighted += e.sim.avgPacketHops * n;
-        if (p > 0) {
-            reconfigCycles += config.phaseReconfigCost;
-            reconfigEnergy += e.idleEnergy;
-        }
-    }
-    m.execTime += reconfigCycles;
-    m.energy += reconfigEnergy;
-    if (delivered) {
-        m.avgLatency = latencyWeighted / static_cast<double>(delivered);
-        m.avgHops = hopsWeighted / static_cast<double>(delivered);
-    }
-    obs::dseSpanEnd(traceLog, "time-multiplexed", tid, t0);
+    m.switches = v.switches;
+    m.links = v.links;
+    m.channels = v.channels;
+    m.constraintsMet = v.constraintsMet;
+    m.violations = static_cast<std::uint32_t>(v.violations);
+    m.rounds = v.rounds;
+    m.switchArea = v.switchArea;
+    m.linkArea = v.linkArea;
+    m.procLinkArea = v.procLinkArea;
+    m.execTime = v.execTime;
+    m.avgLatency = v.avgLatency;
+    m.avgHops = v.avgHops;
+    m.maxLinkUtil = v.maxLinkUtil;
+    m.energy = v.energy;
     return m;
 }
 
@@ -478,9 +441,8 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
         // network and per-link counts are freed here.
         const auto eval = evaluationMetrics(sim::evaluateDesign(
             methodologies[task.methodology].design, trace,
-            topo::FloorplanConfig{}, simConfigFor(jobs[first], config),
-            config.power, 0, config.traceLog,
-            static_cast<std::uint32_t>(first)));
+            simConfigFor(jobs[first], config), config.power, 0,
+            config.traceLog, static_cast<std::uint32_t>(first)));
         for (const auto i : task.jobs)
             storePoint(i, classicMetrics(
                               methodologies[methodologyOf[i]].metrics, eval));

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
+#include <future>
 #include <sstream>
 #include <thread>
 
 #include "sim/evaluate.hpp"
-#include "topo/floorplan.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -17,38 +16,59 @@ namespace {
 
 /**
  * The evaluation step on one design, flattened into a report row. The
- * idle price is one reconfiguration window; assemblePhaseReport charges
- * it only for phase rows after the first.
+ * idle price is one reconfiguration window; the fold charges it only
+ * for phase rows after the first.
  */
 PhaseRowEval
 evalVariant(const core::FinalizedDesign &design, std::size_t violations,
-            const trace::Trace &tr, const PhaseEvalConfig &config)
+            const trace::Trace &tr, const PhaseEvalConfig &config,
+            obs::TraceEventLog *traceLog = nullptr, std::uint32_t tid = 0)
 {
-    const auto e = sim::evaluateDesign(design, tr, topo::FloorplanConfig{},
-                                       config.sim, config.power,
-                                       config.reconfigCost);
+    const auto e = sim::evaluateDesign(design, tr, config.sim, config.power,
+                                       config.reconfigCost, traceLog, tid);
     PhaseRowEval row;
-    row.network.switches = design.numSwitches;
-    row.network.links = design.totalLinks();
-    row.network.channels = design.totalChannels();
-    row.network.area = e.plan.totalArea();
-    row.network.execTime = e.sim.execTime;
-    row.network.avgLatency = e.sim.avgPacketLatency;
-    row.network.energy = e.energy.total();
-    row.network.packetsDelivered = e.sim.packetsDelivered;
-    row.network.violations = violations;
+    auto &v = row.network;
+    v.switches = design.numSwitches;
+    v.links = design.totalLinks();
+    v.channels = design.totalChannels();
+    v.area = e.plan.totalArea();
+    v.execTime = e.sim.execTime;
+    v.avgLatency = e.sim.avgPacketLatency;
+    v.energy = e.energy.total();
+    v.packetsDelivered = e.sim.packetsDelivered;
+    v.violations = violations;
+    v.switchArea = e.plan.switchArea;
+    v.linkArea = e.plan.linkArea;
+    v.procLinkArea = e.plan.procLinkArea;
+    v.avgHops = e.sim.avgPacketHops;
+    v.maxLinkUtil = e.sim.maxLinkUtilization;
     row.reconfigIdleEnergy = e.idleEnergy;
     return row;
 }
 
-/** Evaluate phase @p p's design on the phase's own sub-trace. */
-PhaseRowEval
-evalPhaseRow(const trace::Trace &trace, const Segmentation &seg,
-             const core::DesignOutcome &outcome, std::uint32_t p,
-             const PhaseEvalConfig &config)
+/**
+ * Every phase's row: one task each on @p pool, or in phase order on
+ * the calling thread when it is null.
+ */
+std::vector<PhaseRowEval>
+phaseRows(const trace::Trace &trace, const Segmentation &seg,
+          const PhaseCliques &cliques, const PhaseEvalConfig &config,
+          ThreadPool *pool, obs::TraceEventLog *traceLog = nullptr,
+          std::uint32_t tid = 0)
 {
-    return evalVariant(outcome.design, outcome.violations.size(),
-                       phaseSubTrace(trace, seg, p), config);
+    std::vector<PhaseRowEval> rows(seg.phases.size());
+    const auto row = [&](std::size_t p) {
+        rows[p] = evalPhaseStandalone(trace, seg, cliques.standalone[p],
+                                      static_cast<std::uint32_t>(p),
+                                      config, traceLog, tid);
+    };
+    if (pool) {
+        pool->parallelFor(rows.size(), row);
+    } else {
+        for (std::size_t p = 0; p < rows.size(); ++p)
+            row(p);
+    }
+    return rows;
 }
 
 void
@@ -76,30 +96,16 @@ jsonVariant(const VariantResult &v)
     return oss.str();
 }
 
-} // namespace
-
-PhaseRowEval
-evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
-                    const core::CliqueSet &standalone, std::uint32_t p,
-                    const PhaseEvalConfig &config)
+/**
+ * Fill @p report around its whole-trace variants: the segmentation,
+ * the phase rows and their time-multiplexed fold, then the metrics and
+ * trace events.
+ */
+void
+assembleReport(PhaseReport &report, const trace::Trace &trace,
+               const PhaseEvalConfig &config, const Segmentation &seg,
+               const std::vector<PhaseRowEval> &rows)
 {
-    // Mirror synthesizeMultiPhase's inner runs: telemetry off, strictly
-    // sequential. Designs are thread-count-invariant, so this
-    // reproduces the pooled in-process outcome exactly.
-    core::MethodologyConfig quiet = config.methodology;
-    quiet.metrics = nullptr;
-    quiet.traceLog = nullptr;
-    const auto outcome = core::runMethodology(standalone, quiet, nullptr);
-    return evalPhaseRow(trace, seg, outcome, p, config);
-}
-
-PhaseReport
-assemblePhaseReport(const trace::Trace &trace,
-                    const PhaseEvalConfig &config, const Segmentation &seg,
-                    const MultiPhaseResult &multi,
-                    const std::vector<PhaseRowEval> &rows)
-{
-    PhaseReport report;
     report.pattern = trace.name();
     report.ranks = trace.numRanks();
     report.methodologySignature = config.methodology.signature();
@@ -108,64 +114,10 @@ assemblePhaseReport(const trace::Trace &trace,
     report.numMessages = seg.numMessages;
     report.numWindows = seg.numWindows;
     report.distances = seg.distances;
-    report.monolithic =
-        evalVariant(multi.monolithic.design,
-                    multi.monolithic.violations.size(), trace, config)
-            .network;
-    report.unionVariant = evalVariant(multi.unionDesign,
-                                      multi.unionViolationCount(), trace,
-                                      config)
-                              .network;
-    for (const auto &v : multi.unionPhaseViolations)
-        report.unionPhaseViolations.push_back(v.size());
 
-    // Time-multiplexed: each phase's sub-trace on its own network, a
-    // drain+swap stall at every boundary, and the incoming network
-    // leaking (zero traffic) while it is swapped in.
-    std::uint64_t tmDelivered = 0;
-    double tmLatencyWeighted = 0.0;
-    for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
-        const VariantResult &net = rows.at(p).network;
-
-        PhaseRow row;
-        row.index = p;
-        row.firstWindow = seg.phases[p].firstWindow;
-        row.lastWindow = seg.phases[p].lastWindow;
-        row.calls = seg.phases[p].calls.size();
-        row.messages = seg.phases[p].messages;
-        row.bytes = seg.phases[p].bytes;
-        row.network = net;
-        report.phases.push_back(row);
-
-        report.timeMultiplexed.switches =
-            std::max(report.timeMultiplexed.switches, net.switches);
-        report.timeMultiplexed.links =
-            std::max(report.timeMultiplexed.links, net.links);
-        report.timeMultiplexed.channels =
-            std::max(report.timeMultiplexed.channels, net.channels);
-        report.timeMultiplexed.area =
-            std::max(report.timeMultiplexed.area, net.area);
-        report.timeMultiplexed.execTime += net.execTime;
-        report.timeMultiplexed.energy += net.energy;
-        report.timeMultiplexed.packetsDelivered += net.packetsDelivered;
-        report.timeMultiplexed.violations += net.violations;
-        tmDelivered += net.packetsDelivered;
-        tmLatencyWeighted +=
-            net.avgLatency * static_cast<double>(net.packetsDelivered);
-
-        if (p > 0) {
-            // The incoming network idles for the drain+swap window.
-            ++report.reconfigCount;
-            report.reconfigCycles += config.reconfigCost;
-            report.reconfigEnergy += rows.at(p).reconfigIdleEnergy;
-        }
-    }
-    report.timeMultiplexed.execTime += report.reconfigCycles;
-    report.timeMultiplexed.energy += report.reconfigEnergy;
-    report.timeMultiplexed.avgLatency =
-        tmDelivered ? tmLatencyWeighted / static_cast<double>(tmDelivered)
-                    : 0.0;
-
+    for (std::size_t p = 0; p < seg.phases.size(); ++p)
+        report.phases.push_back({seg.phases[p], rows.at(p).network});
+    foldTimeMultiplexed(rows, config.reconfigCost, report);
     if constexpr (obs::kEnabled) {
         if (config.metrics) {
             auto &m = *config.metrics;
@@ -177,13 +129,13 @@ assemblePhaseReport(const trace::Trace &trace,
                 .set(static_cast<double>(seg.numMessages));
             for (const PhaseRow &row : report.phases) {
                 const std::string prefix =
-                    "phase/" + std::to_string(row.index) + "/";
+                    "phase/" + std::to_string(row.info.index) + "/";
                 m.gauge(prefix + "calls")
-                    .set(static_cast<double>(row.calls));
+                    .set(static_cast<double>(row.info.calls.size()));
                 m.gauge(prefix + "messages")
-                    .set(static_cast<double>(row.messages));
+                    .set(static_cast<double>(row.info.messages));
                 m.gauge(prefix + "bytes")
-                    .set(static_cast<double>(row.bytes));
+                    .set(static_cast<double>(row.info.bytes));
                 recordVariantMetrics(m, prefix, row.network);
             }
             recordVariantMetrics(m, "phase/variant/monolithic/",
@@ -218,13 +170,13 @@ assemblePhaseReport(const trace::Trace &trace,
             }
             std::int64_t clock = 0;
             for (const PhaseRow &row : report.phases) {
-                if (row.index > 0) {
+                if (row.info.index > 0) {
                     log.complete("reconfig", obs::kPidPhase, 1, clock,
                                  std::max<sim::Cycle>(config.reconfigCost,
                                                       1));
                     clock += config.reconfigCost;
                 }
-                log.complete("phase " + std::to_string(row.index) +
+                log.complete("phase " + std::to_string(row.info.index) +
                                  " exec",
                              obs::kPidPhase, 1, clock,
                              std::max<sim::Cycle>(row.network.execTime,
@@ -233,35 +185,155 @@ assemblePhaseReport(const trace::Trace &trace,
             }
         }
     }
+}
+
+} // namespace
+
+PhaseRowEval
+evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
+                    const core::CliqueSet &standalone, std::uint32_t p,
+                    const PhaseEvalConfig &config,
+                    obs::TraceEventLog *traceLog, std::uint32_t tid)
+{
+    // Telemetry off and strictly sequential: the caller provides the
+    // parallelism, and designs are thread-count-invariant.
+    core::MethodologyConfig quiet = config.methodology;
+    quiet.metrics = nullptr;
+    quiet.traceLog = nullptr;
+    const auto t = obs::spanStart(traceLog);
+    const auto outcome = core::runMethodology(standalone, quiet, nullptr);
+    obs::dseSpanEnd(traceLog, "methodology", tid, t);
+    auto row = evalVariant(outcome.design, outcome.violations.size(),
+                           phaseSubTrace(trace, seg, p), config, traceLog,
+                           tid);
+    row.network.rounds = outcome.rounds;
+    row.network.constraintsMet = outcome.constraintsMet;
+    return row;
+}
+
+void
+foldTimeMultiplexed(const std::vector<PhaseRowEval> &rows,
+                    sim::Cycle reconfigCost, PhaseReport &report)
+{
+    VariantResult &v = report.timeMultiplexed;
+    v.constraintsMet = true;
+    double latencyWeighted = 0.0;
+    double hopsWeighted = 0.0;
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+        const VariantResult &net = rows[p].network;
+        v.switches = std::max(v.switches, net.switches);
+        v.links = std::max(v.links, net.links);
+        v.channels = std::max(v.channels, net.channels);
+        v.area = std::max(v.area, net.area);
+        v.switchArea = std::max(v.switchArea, net.switchArea);
+        v.linkArea = std::max(v.linkArea, net.linkArea);
+        v.procLinkArea = std::max(v.procLinkArea, net.procLinkArea);
+        v.maxLinkUtil = std::max(v.maxLinkUtil, net.maxLinkUtil);
+        v.rounds = std::max(v.rounds, net.rounds);
+        v.constraintsMet = v.constraintsMet && net.constraintsMet;
+        v.execTime += net.execTime;
+        v.energy += net.energy;
+        v.packetsDelivered += net.packetsDelivered;
+        v.violations += net.violations;
+        const auto n = static_cast<double>(net.packetsDelivered);
+        latencyWeighted += net.avgLatency * n;
+        hopsWeighted += net.avgHops * n;
+        if (p > 0) {
+            // The incoming network idles for the drain+swap window.
+            ++report.reconfigCount;
+            report.reconfigCycles += reconfigCost;
+            report.reconfigEnergy += rows[p].reconfigIdleEnergy;
+        }
+    }
+    v.execTime += report.reconfigCycles;
+    v.energy += report.reconfigEnergy;
+    if (v.packetsDelivered) {
+        const auto delivered = static_cast<double>(v.packetsDelivered);
+        v.avgLatency = latencyWeighted / delivered;
+        v.avgHops = hopsWeighted / delivered;
+    }
+}
+
+VariantResult
+evaluateTimeMultiplexed(const trace::Trace &trace,
+                        const PhaseEvalConfig &config,
+                        obs::TraceEventLog *traceLog, std::uint32_t tid)
+{
+    const auto seg = segmentTrace(trace, config.segmenter);
+    PhaseReport report;
+    foldTimeMultiplexed(phaseRows(trace, seg, buildPhaseCliques(trace, seg),
+                                  config, nullptr, traceLog, tid),
+                        config.reconfigCost, report);
+    return report.timeMultiplexed;
+}
+
+PhaseReport
+runPhasePipeline(const trace::Trace &trace, const PhaseEvalConfig &config,
+                 ThreadPool *pool, const PhaseRowSource &rows)
+{
+    const Segmentation seg = segmentTrace(trace, config.segmenter);
+    const PhaseCliques cliques = buildPhaseCliques(trace, seg);
+
+    // The whole-trace half reads only the merged and shared clique sets
+    // and writes only its own report fields, so it runs beside the
+    // rows, which read only the standalone sets.
+    PhaseReport report;
+    const auto wholeTrace = [&] {
+        const auto multi = synthesizeMultiPhase(cliques, config.methodology);
+        report.monolithic =
+            evalVariant(multi.monolithic.design,
+                        multi.monolithic.violations.size(), trace, config)
+                .network;
+        report.unionVariant =
+            evalVariant(multi.unionDesign, multi.unionViolationCount(),
+                        trace, config)
+                .network;
+        for (const auto &v : multi.unionPhaseViolations)
+            report.unionPhaseViolations.push_back(v.size());
+    };
+    std::future<void> whole;
+    if (pool)
+        whole = pool->submit(wholeTrace);
+    else
+        wholeTrace();
+
+    std::vector<PhaseRowEval> phaseRowEvals;
+    try {
+        phaseRowEvals = rows(seg, cliques);
+    } catch (...) {
+        // The task reads this frame: let it finish before unwinding.
+        if (whole.valid())
+            whole.wait();
+        throw;
+    }
+    if (whole.valid())
+        whole.get();
+
+    assembleReport(report, trace, config, seg, phaseRowEvals);
     return report;
+}
+
+PhaseReport
+evaluatePhases(const trace::Trace &trace, const PhaseEvalConfig &config,
+               ThreadPool *pool)
+{
+    return runPhasePipeline(
+        trace, config, pool,
+        [&](const Segmentation &seg, const PhaseCliques &cliques) {
+            return phaseRows(trace, seg, cliques, config, pool);
+        });
 }
 
 PhaseReport
 evaluatePhases(const trace::Trace &trace, const PhaseEvalConfig &config)
 {
-    const Segmentation seg = segmentTrace(trace, config.segmenter);
-
-    // One shared pool for every methodology run's restart loop; the
-    // runs themselves stay sequential, so the produced designs are
-    // thread-count-invariant.
-    std::uint32_t threads =
-        config.threads ? config.threads
-                       : std::thread::hardware_concurrency();
-    threads = std::max(threads, 1u);
-    std::optional<ThreadPool> pool;
-    if (threads > 1)
-        pool.emplace(threads);
-
-    const MultiPhaseResult multi = synthesizeMultiPhase(
-        trace, seg, config.methodology, pool ? &*pool : nullptr);
-
-    std::vector<PhaseRowEval> rows;
-    rows.reserve(seg.phases.size());
-    for (std::uint32_t p = 0; p < seg.phases.size(); ++p)
-        rows.push_back(
-            evalPhaseRow(trace, seg, multi.phases[p].outcome, p, config));
-
-    return assemblePhaseReport(trace, config, seg, multi, rows);
+    const auto threads = config.threads
+                             ? config.threads
+                             : std::thread::hardware_concurrency();
+    if (threads <= 1)
+        return evaluatePhases(trace, config, nullptr);
+    ThreadPool pool(threads);
+    return evaluatePhases(trace, config, &pool);
 }
 
 std::string
@@ -284,12 +356,12 @@ PhaseReport::toJson() const
     oss << "],\n"
         << "  \"phases\": [\n";
     for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseRow &r = phases[i];
+        const PhaseInfo &r = phases[i].info;
         oss << "    {\"index\": " << r.index << ", \"first_window\": "
             << r.firstWindow << ", \"last_window\": " << r.lastWindow
-            << ", \"calls\": " << r.calls << ", \"messages\": "
+            << ", \"calls\": " << r.calls.size() << ", \"messages\": "
             << r.messages << ", \"bytes\": " << r.bytes
-            << ", \"network\": " << jsonVariant(r.network) << "}"
+            << ", \"network\": " << jsonVariant(phases[i].network) << "}"
             << (i + 1 < phases.size() ? "," : "") << "\n";
     }
     oss << "  ],\n"

@@ -21,6 +21,7 @@
 #ifndef MINNOC_PHASE_EVALUATOR_HPP
 #define MINNOC_PHASE_EVALUATOR_HPP
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,8 +45,9 @@ struct PhaseEvalConfig
     sim::Cycle reconfigCost = 500;
 
     /**
-     * Worker threads for the methodology restart loops (0 = hardware
-     * concurrency). Results are identical at every thread count.
+     * Workers of the pool the whole-trace half and the phase rows run
+     * on (0 = hardware concurrency, 1 = everything on the calling
+     * thread). Results are identical at every thread count.
      */
     std::uint32_t threads = 0;
 
@@ -54,29 +56,36 @@ struct PhaseEvalConfig
     obs::TraceEventLog *traceLog = nullptr;
 };
 
-/** Simulated metrics of one design variant over the full workload. */
+/**
+ * Simulated metrics of one design variant over its workload; the
+ * report prints the first block, phase-window jobs read all of it.
+ */
 struct VariantResult
 {
     std::uint32_t switches = 0;
     std::uint32_t links = 0;
     std::uint32_t channels = 0;
+    /** Total floorplan area. */
     std::uint32_t area = 0;
     sim::Cycle execTime = 0;
     double avgLatency = 0.0;
     double energy = 0.0;
     std::uint64_t packetsDelivered = 0;
     std::size_t violations = 0;
+
+    std::uint32_t switchArea = 0; ///< the paper's split of `area`
+    std::uint32_t linkArea = 0;
+    std::uint32_t procLinkArea = 0;
+    double avgHops = 0.0;
+    double maxLinkUtil = 0.0;
+    std::uint32_t rounds = 0; ///< methodology rounds, if synthesized
+    bool constraintsMet = false;
 };
 
 /** Per-phase row of the report. */
 struct PhaseRow
 {
-    std::uint32_t index = 0;
-    std::uint32_t firstWindow = 0;
-    std::uint32_t lastWindow = 0;
-    std::size_t calls = 0;
-    std::size_t messages = 0;
-    std::uint64_t bytes = 0;
+    PhaseInfo info;
     /** The phase's own network, driven by the phase's sub-trace. */
     VariantResult network;
 };
@@ -116,11 +125,10 @@ struct PhaseReport
 };
 
 /**
- * One phase's contribution to the time-multiplexed comparison: the
- * phase network's VariantResult over its own sub-trace plus the energy
- * that network leaks while idling one reconfiguration window.
- * Everything the report assembly needs and nothing design-shaped, so a
- * distributed worker ships it as a handful of numbers.
+ * One phase's row: its network's VariantResult over the phase's
+ * sub-trace plus the energy that network leaks idling one
+ * reconfiguration window. Nothing design-shaped, so a daemon ships it
+ * as a handful of numbers.
  */
 struct PhaseRowEval
 {
@@ -130,36 +138,65 @@ struct PhaseRowEval
 };
 
 /**
- * Worker-side unit of the distributed phases pipeline: synthesize
- * phase @p p's standalone design (sequential, telemetry off — exactly
- * how synthesizeMultiPhase runs it) and evaluate it. Produces the same
- * row evaluatePhases computes for the same phase at any thread count.
+ * The per-phase step every row comes from: synthesize phase @p p's
+ * network over its @p standalone cliques (sequentially, telemetry off)
+ * and evaluate it on the phase's sub-trace. With a @p traceLog, a
+ * "methodology" span and the evaluation's spans go on DSE track @p tid.
  */
 PhaseRowEval evalPhaseStandalone(const trace::Trace &trace,
                                  const Segmentation &seg,
                                  const core::CliqueSet &standalone,
                                  std::uint32_t p,
-                                 const PhaseEvalConfig &config);
+                                 const PhaseEvalConfig &config,
+                                 obs::TraceEventLog *traceLog = nullptr,
+                                 std::uint32_t tid = 0);
 
 /**
- * Evaluate @p multi's whole-trace variants (monolithic and union, each
- * replaying the full trace) and assemble the full PhaseReport around
- * them and the pre-computed phase rows (@p rows is one PhaseRowEval
- * per detected phase, in phase order): time-multiplexed aggregation,
- * reconfiguration accounting, metrics and trace-event emission. The
- * merge point evaluatePhases and the distributed coordinator share,
- * so their reports are byte-identical by construction.
+ * Fold @p rows (in phase order) into @p report's time-multiplexed
+ * variant and reconfiguration accounting: maxima on the provisioned
+ * resources (`area` is the largest total, each split term its own
+ * maximum), sums on time, energy, packets and violations, the boundary
+ * stalls and idle energies added last, and latency and hops weighted
+ * by delivered packets.
  */
-PhaseReport assemblePhaseReport(const trace::Trace &trace,
-                                const PhaseEvalConfig &config,
-                                const Segmentation &seg,
-                                const MultiPhaseResult &multi,
-                                const std::vector<PhaseRowEval> &rows);
+void foldTimeMultiplexed(const std::vector<PhaseRowEval> &rows,
+                         sim::Cycle reconfigCost, PhaseReport &report);
 
 /**
- * Segment @p trace, synthesize the three variants, replay each, and
- * assemble the comparison report.
+ * The time-multiplexed variant alone, as a phase-window job prices it:
+ * every row in order on the calling thread (spans as
+ * evalPhaseStandalone's), folded.
  */
+VariantResult
+evaluateTimeMultiplexed(const trace::Trace &trace,
+                        const PhaseEvalConfig &config,
+                        obs::TraceEventLog *traceLog = nullptr,
+                        std::uint32_t tid = 0);
+
+/** One PhaseRowEval per detected phase of @p seg, in phase order. */
+using PhaseRowSource = std::function<std::vector<PhaseRowEval>(
+    const Segmentation &seg, const PhaseCliques &cliques)>;
+
+/**
+ * The phase comparison around a source of rows, shared by
+ * evaluatePhases and the distributed coordinator so their reports are
+ * byte-identical by construction. The whole-trace half (monolithic
+ * methodology, then the union design, each replaying the full trace)
+ * runs as one task on @p pool while @p rows runs on the calling thread;
+ * with no pool it runs first, inline.
+ */
+PhaseReport runPhasePipeline(const trace::Trace &trace,
+                             const PhaseEvalConfig &config, ThreadPool *pool,
+                             const PhaseRowSource &rows);
+
+/**
+ * runPhasePipeline with each row its own task on @p pool (in order on
+ * the calling thread when null); identical at every pool size.
+ */
+PhaseReport evaluatePhases(const trace::Trace &trace,
+                           const PhaseEvalConfig &config, ThreadPool *pool);
+
+/** evaluatePhases on a pool of config.threads workers. */
 PhaseReport evaluatePhases(const trace::Trace &trace,
                            const PhaseEvalConfig &config);
 

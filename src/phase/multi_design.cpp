@@ -96,9 +96,8 @@ imposePartition(const core::CliqueSet &cliques,
 } // namespace
 
 MultiPhaseResult
-synthesizeMultiPhase(const trace::Trace &trace, const Segmentation &seg,
-                     const core::MethodologyConfig &config,
-                     ThreadPool *pool, bool withPhaseDesigns)
+synthesizeMultiPhase(const PhaseCliques &cliques,
+                     const core::MethodologyConfig &config, ThreadPool *pool)
 {
     // Inner telemetry off: phase-level metrics are the evaluator's job,
     // and repeated monolithic-style recordings would collide.
@@ -106,40 +105,22 @@ synthesizeMultiPhase(const trace::Trace &trace, const Segmentation &seg,
     quiet.metrics = nullptr;
     quiet.traceLog = nullptr;
 
-    const auto run = [&quiet, pool](const core::CliqueSet &cliques) {
-        return pool ? core::runMethodology(cliques, quiet, pool)
-                    : core::runMethodology(cliques, quiet);
-    };
-
-    MultiPhaseResult result;
-    result.cliques = buildPhaseCliques(trace, seg);
-
     // Monolithic baseline over the merged set (runMethodology reduces
     // internally when the config asks; reduction never reindexes comms,
     // so the baseline's registry equals the merged registry).
-    result.monolithic = run(result.cliques.merged);
-
-    if (withPhaseDesigns) {
-        result.phases.reserve(seg.phases.size());
-        for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
-            PhaseDesign pd;
-            pd.phase = p;
-            pd.outcome = run(result.cliques.standalone[p]);
-            result.phases.push_back(std::move(pd));
-        }
-    }
+    MultiPhaseResult result;
+    result.monolithic = core::runMethodology(cliques.merged, quiet, pool);
 
     // Union design: monolithic partition, direct routes, one exact
     // coloring over the unreduced merged cliques.
-    const core::DesignNetwork net =
-        imposePartition(result.cliques.merged, result.monolithic.design,
-                        quiet.partitioner.seed);
+    const core::DesignNetwork net = imposePartition(
+        cliques.merged, result.monolithic.design, quiet.partitioner.seed);
     result.unionDesign = core::finalizeDesign(net, quiet.finalize);
 
-    result.unionPhaseViolations.reserve(seg.phases.size());
-    for (std::uint32_t p = 0; p < seg.phases.size(); ++p)
-        result.unionPhaseViolations.push_back(core::checkContentionFree(
-            result.unionDesign, result.cliques.shared[p]));
+    result.unionPhaseViolations.reserve(cliques.shared.size());
+    for (const auto &shared : cliques.shared)
+        result.unionPhaseViolations.push_back(
+            core::checkContentionFree(result.unionDesign, shared));
 
     return result;
 }

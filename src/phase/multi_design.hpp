@@ -2,21 +2,18 @@
  * @file
  * Multi-phase network synthesis.
  *
- * Given a segmented trace, runs the paper's methodology once per phase
- * and derives two multi-phase artifacts from the per-phase designs:
- *
- *  - the union design: the monolithic partition re-finalized over the
- *    *unreduced* merged clique set with purely direct routes, then
- *    re-verified contention-free against every phase's cliques
- *    individually. Because cross-phase communications never co-occur in
- *    a clique, the union's exact coloring decomposes per phase, so its
- *    pipe widths match the monolithic design's — a provable no-gain
- *    result this subsystem makes measurable (see DESIGN.md §5g);
- *
- *  - the time-multiplexed design: one independent network per phase,
- *    swapped at each phase boundary for a configurable drain+swap
- *    penalty. This is where phase awareness actually pays: each phase's
- *    network only provisions that phase's contention.
+ * Given a segmented trace, builds the clique sets of its phases and
+ * the two whole-trace designs the phase comparison measures against:
+ * the monolithic design (the whole trace through one methodology run)
+ * and the union design — the monolithic partition re-finalized over
+ * the *unreduced* merged clique set with purely direct routes, then
+ * re-verified contention-free against every phase's cliques
+ * individually. Because cross-phase communications never co-occur in
+ * a clique, the union's exact coloring decomposes per phase, so its
+ * pipe widths match the monolithic design's — a provable no-gain
+ * result this subsystem makes measurable (see DESIGN.md §5g). The
+ * per-phase networks, where phase awareness actually pays, come from
+ * evalPhaseStandalone (evaluator.hpp) over the standalone sets.
  */
 
 #ifndef MINNOC_PHASE_MULTI_DESIGN_HPP
@@ -69,23 +66,11 @@ struct PhaseCliques
 PhaseCliques buildPhaseCliques(const trace::Trace &trace,
                                const Segmentation &seg);
 
-/** One phase's independent synthesis result. */
-struct PhaseDesign
-{
-    std::uint32_t phase = 0;
-    core::DesignOutcome outcome;
-};
-
-/** Everything synthesizeMultiPhase produces. */
+/** The whole-trace designs synthesizeMultiPhase produces. */
 struct MultiPhaseResult
 {
-    PhaseCliques cliques;
-
     /** Baseline: the whole trace through one methodology run. */
     core::DesignOutcome monolithic;
-
-    /** Per-phase networks (the time-multiplexed configurations). */
-    std::vector<PhaseDesign> phases;
 
     /**
      * The union design: monolithic partition, direct routes, finalized
@@ -102,23 +87,17 @@ struct MultiPhaseResult
 };
 
 /**
- * Synthesize the monolithic, per-phase, and union designs for @p seg.
- * Runs are sequential (one methodology run at a time) with restarts
- * parallelized on @p pool when one is given — the produced designs are
- * identical at every thread count, nullptr included. Telemetry sinks in
- * @p config are ignored for the inner runs (the evaluator records
- * phase-level telemetry instead).
- *
- * @p withPhaseDesigns false skips the per-phase standalone runs
- * (result.phases stays empty) while still producing the monolithic,
- * union, and per-phase violation artifacts — the distributed
- * coordinator farms the standalone runs out to daemons instead.
+ * Synthesize the monolithic design over @p cliques' merged set, then
+ * the union design from its partition, verified against every phase's
+ * shared set. Reads only the merged and shared sets, so phase rows may
+ * read the standalone sets concurrently. Restarts run on @p pool when
+ * one is given, else sequentially on the calling thread; the designs
+ * are identical either way. Telemetry sinks in @p config are ignored
+ * (the evaluator records phase-level telemetry instead).
  */
-MultiPhaseResult synthesizeMultiPhase(const trace::Trace &trace,
-                                      const Segmentation &seg,
+MultiPhaseResult synthesizeMultiPhase(const PhaseCliques &cliques,
                                       const core::MethodologyConfig &config,
-                                      ThreadPool *pool = nullptr,
-                                      bool withPhaseDesigns = true);
+                                      ThreadPool *pool = nullptr);
 
 } // namespace minnoc::phase
 

@@ -43,13 +43,19 @@ windowFeatures(const std::vector<core::Message> &msgs,
 }
 
 /**
+ * Weight of the traffic-matrix term in the blended distance; the
+ * call-set term gets 1 - kMatrixWeight. PhaseConfig::signature()
+ * prints it as `mw=0.5`.
+ */
+constexpr double kMatrixWeight = 0.5;
+
+/**
  * Blended pattern distance in [0, 1]: half the L1 distance between the
  * normalized traffic matrices (0 = identical flows, 1 = disjoint)
  * weighted against the Jaccard dissimilarity of the call-site sets.
  */
 double
-patternDistance(const WindowFeatures &a, const WindowFeatures &b,
-                const PhaseConfig &config)
+patternDistance(const WindowFeatures &a, const WindowFeatures &b)
 {
     double l1 = 0.0;
     auto ia = a.matrix.begin();
@@ -77,8 +83,8 @@ patternDistance(const WindowFeatures &a, const WindowFeatures &b,
         unioned ? static_cast<double>(common) / static_cast<double>(unioned)
                 : 1.0;
 
-    const double w = config.matrixWeight;
-    return w * (l1 / 2.0) + (1.0 - w) * (1.0 - jaccard);
+    return kMatrixWeight * (l1 / 2.0) +
+           (1.0 - kMatrixWeight) * (1.0 - jaccard);
 }
 
 } // namespace
@@ -89,22 +95,7 @@ PhaseConfig::signature() const
     std::ostringstream oss;
     oss.precision(17);
     oss << "win=" << windowMessages << ";thresh=" << mergeThreshold
-        << ";minwin=" << minPhaseWindows << ";mw=" << matrixWeight;
-    return oss.str();
-}
-
-std::string
-Segmentation::toString() const
-{
-    std::ostringstream oss;
-    oss << phases.size() << " phase(s) over " << numMessages
-        << " messages / " << numWindows << " windows\n";
-    for (const PhaseInfo &p : phases) {
-        oss << "  phase " << p.index << ": windows [" << p.firstWindow
-            << ", " << p.lastWindow << "], " << p.calls.size()
-            << " call site(s), " << p.messages << " message(s), " << p.bytes
-            << " bytes, t=[" << p.startTime << ", " << p.endTime << "]\n";
-    }
+        << ";minwin=" << minPhaseWindows << ";mw=0.5";
     return oss.str();
 }
 
@@ -113,8 +104,6 @@ segmentTrace(const trace::Trace &trace, const PhaseConfig &config)
 {
     if (config.windowMessages == 0)
         fatal("phase: --window must be positive");
-    if (config.matrixWeight < 0.0 || config.matrixWeight > 1.0)
-        fatal("phase: matrix weight must be within [0, 1]");
 
     Segmentation seg;
     seg.config = config;
@@ -153,8 +142,7 @@ segmentTrace(const trace::Trace &trace, const PhaseConfig &config)
 
     seg.distances.assign(numWindows, 0.0);
     for (std::uint32_t w = 1; w < numWindows; ++w)
-        seg.distances[w] =
-            patternDistance(features[w - 1], features[w], config);
+        seg.distances[w] = patternDistance(features[w - 1], features[w]);
 
     // Raw change points, then the minimum-length rule: a segment
     // shorter than minPhaseWindows merges forward into its successor

@@ -43,12 +43,6 @@ struct PhaseConfig
     std::uint32_t minPhaseWindows = 2;
 
     /**
-     * Weight of the traffic-matrix L1 term in the blended distance;
-     * the call-set Jaccard dissimilarity gets 1 - matrixWeight.
-     */
-    double matrixWeight = 0.5;
-
-    /**
      * Canonical parameter string covering every knob that changes the
      * segmentation (content-addressed caches hash it).
      */
@@ -107,9 +101,6 @@ struct Segmentation
      * (earliest phase on ties), so ownership partitions the call sites.
      */
     std::vector<std::uint32_t> callPhase;
-
-    /** Human-readable summary (one line per phase). */
-    std::string toString() const;
 };
 
 /**

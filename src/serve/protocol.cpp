@@ -182,7 +182,7 @@ parseRequest(const std::string &line, RequestError &error)
              (key == "threshold" || key == "min_phase_windows")) ||
             (windowed && key == "window") ||
             (job && (key == "attempt" || key == "job_index" ||
-                     key == "sig" || key == "matrix_weight")) ||
+                     key == "sig")) ||
             (req.cmd == Cmd::PhaseJob && key == "expected_phases");
         if (!known)
             return fail(error, ErrorCode::ValidationError,
@@ -356,13 +356,6 @@ parseRequest(const std::string &line, RequestError &error)
                         "'sig' must be a non-empty string of at most "
                         "1024 bytes");
         req.sig = sig->asString();
-        if (const auto *v = root->find("matrix_weight")) {
-            if (!v->isNumber() || !(v->asNumber() >= 0.0) ||
-                !(v->asNumber() <= 1.0))
-                return badField("matrix_weight",
-                                "must be a number in [0, 1]");
-            req.matrixWeight = v->asNumber();
-        }
     }
 
     if (const auto *v = root->find("expected_phases")) {

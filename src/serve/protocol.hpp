@@ -131,7 +131,6 @@ struct Request
     std::uint32_t jobIndex = 0;
     /** Coordinator's expected parameter signature (drift guard). */
     std::string sig;
-    double matrixWeight = phase::PhaseConfig{}.matrixWeight;
     /** phase_job segmentation cross-check (phases the caller saw). */
     std::uint32_t expectedPhases = 0;
 };

@@ -21,7 +21,6 @@
 #include "dse/explorer.hpp"
 #include "jobwire.hpp"
 #include "phase/evaluator.hpp"
-#include "phase/multi_design.hpp"
 #include "phase/segmenter.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/trace.hpp"
@@ -161,6 +160,27 @@ setSocketTimeouts(int fd)
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv);
     timeval snd{5, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
+}
+
+/**
+ * The phase evaluation a `phases` or `phase_job` request's scalars
+ * select, polling @p cancel.
+ */
+phase::PhaseEvalConfig
+phaseEvalConfigFor(const Request &req, const CancelToken *cancel)
+{
+    phase::PhaseEvalConfig cfg;
+    cfg.segmenter.windowMessages = req.window;
+    cfg.segmenter.mergeThreshold = req.threshold;
+    cfg.segmenter.minPhaseWindows = req.minPhaseWindows;
+    cfg.methodology.partitioner.constraints.maxDegree = req.maxDegree;
+    cfg.methodology.partitioner.seed = req.seed;
+    cfg.methodology.restarts = req.restarts;
+    cfg.methodology.cancel = cancel;
+    cfg.sim.cancel = cancel;
+    cfg.reconfigCost = static_cast<sim::Cycle>(req.reconfigCost);
+    cfg.power.kind = *topo::powerModelKindFromName(req.power);
+    return cfg;
 }
 
 } // namespace
@@ -841,7 +861,6 @@ Server::compute(const Job &job)
             static_cast<sim::Cycle>(req.reconfigCost);
         cfg.phaseSegmenter.mergeThreshold = req.threshold;
         cfg.phaseSegmenter.minPhaseWindows = req.minPhaseWindows;
-        cfg.phaseSegmenter.matrixWeight = req.matrixWeight;
         // Always the daemon's OWN disk cache, never a client path —
         // the socket is the trust boundary.
         cfg.cacheDir = _config.cacheDir;
@@ -876,42 +895,16 @@ Server::compute(const Job &job)
         _metrics.counter("serve/dse_jobs").add(reply.results.size());
         return encodeShardResult(reply);
       }
-      case Cmd::Phases: {
-        phase::PhaseEvalConfig cfg;
-        cfg.segmenter.windowMessages = req.window;
-        cfg.segmenter.mergeThreshold = req.threshold;
-        cfg.segmenter.minPhaseWindows = req.minPhaseWindows;
-        cfg.reconfigCost =
-            static_cast<sim::Cycle>(req.reconfigCost);
-        cfg.methodology.partitioner.constraints.maxDegree =
-            req.maxDegree;
-        cfg.methodology.restarts = req.restarts;
-        cfg.methodology.partitioner.seed = req.seed;
-        cfg.methodology.cancel = job.token.get();
-        cfg.sim.cancel = job.token.get();
-        cfg.power.kind = *topo::powerModelKindFromName(req.power);
-        cfg.threads = 1;
-        return phase::evaluatePhases(tr, cfg).toJson();
-      }
+      case Cmd::Phases:
+        // The whole-trace half and the phase rows run as tasks on the
+        // shared inner pool, like a shard's methodologies.
+        return phase::evaluatePhases(
+                   tr, phaseEvalConfigFor(req, job.token.get()),
+                   _innerPool.get())
+            .toJson();
       case Cmd::PhaseJob: {
         maybeInjectServeFault(req.attempt, _metrics);
-        phase::PhaseEvalConfig cfg;
-        cfg.segmenter.windowMessages = req.window;
-        cfg.segmenter.mergeThreshold = req.threshold;
-        cfg.segmenter.minPhaseWindows = req.minPhaseWindows;
-        cfg.segmenter.matrixWeight = req.matrixWeight;
-        cfg.methodology.partitioner.constraints.maxDegree =
-            req.maxDegree;
-        cfg.methodology.partitioner.seed = req.seed;
-        cfg.methodology.restarts = req.restarts;
-        cfg.methodology.threads = 1;
-        cfg.methodology.cancel = job.token.get();
-        cfg.sim.cancel = job.token.get();
-        cfg.reconfigCost =
-            static_cast<sim::Cycle>(req.reconfigCost);
-        cfg.power.kind = *topo::powerModelKindFromName(req.power);
-        cfg.threads = 1;
-
+        const auto cfg = phaseEvalConfigFor(req, job.token.get());
         const auto sig = phasesSignature(cfg);
         if (sig != req.sig)
             throw FatalError(

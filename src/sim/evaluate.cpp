@@ -25,15 +25,13 @@ evaluateNetwork(const topo::BuiltNetwork &net, const trace::Trace &trace,
 
 DesignEvaluation
 evaluateDesign(const core::FinalizedDesign &design,
-               const trace::Trace &trace,
-               const topo::FloorplanConfig &floorplan,
-               const SimConfig &config, const topo::PowerModel &power,
-               Cycle idleCycles, obs::TraceEventLog *traceLog,
-               std::uint32_t tid)
+               const trace::Trace &trace, const SimConfig &config,
+               const topo::PowerModel &power, Cycle idleCycles,
+               obs::TraceEventLog *traceLog, std::uint32_t tid)
 {
     DesignEvaluation e;
     auto t = obs::spanStart(traceLog);
-    e.plan = topo::planFloor(design, floorplan);
+    e.plan = topo::planFloor(design);
     obs::dseSpanEnd(traceLog, "floorplan", tid, t);
 
     t = obs::spanStart(traceLog);

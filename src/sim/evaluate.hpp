@@ -61,12 +61,12 @@ NetworkEvaluation evaluateNetwork(const topo::BuiltNetwork &net,
                                   std::uint32_t tid = 0);
 
 /**
- * Floorplan and build @p design, then evaluateNetwork() it. With a
- * @p traceLog, "floorplan" and "build" spans precede "simulate".
+ * Floorplan (default FloorplanConfig) and build @p design, then
+ * evaluateNetwork() it. With a @p traceLog, "floorplan" and "build"
+ * spans precede "simulate".
  */
 DesignEvaluation evaluateDesign(const core::FinalizedDesign &design,
                                 const trace::Trace &trace,
-                                const topo::FloorplanConfig &floorplan = {},
                                 const SimConfig &config = {},
                                 const topo::PowerModel &power = {},
                                 Cycle idleCycles = 0,

@@ -243,7 +243,7 @@ class Parser
         Array arr;
         skipWs();
         if (consume(']'))
-            return Value(std::move(arr));
+            return std::optional<Value>(std::in_place, std::move(arr));
         while (true) {
             skipWs();
             auto v = parseValue();
@@ -252,7 +252,7 @@ class Parser
             arr.push_back(std::move(*v));
             skipWs();
             if (consume(']'))
-                return Value(std::move(arr));
+                return std::optional<Value>(std::in_place, std::move(arr));
             if (!consume(','))
                 return std::nullopt;
         }
@@ -266,7 +266,7 @@ class Parser
         Object obj;
         skipWs();
         if (consume('}'))
-            return Value(std::move(obj));
+            return std::optional<Value>(std::in_place, std::move(obj));
         while (true) {
             skipWs();
             auto key = parseString();
@@ -282,7 +282,7 @@ class Parser
             obj.emplace(std::move(*key), std::move(*v));
             skipWs();
             if (consume('}'))
-                return Value(std::move(obj));
+                return std::optional<Value>(std::in_place, std::move(obj));
             if (!consume(','))
                 return std::nullopt;
         }

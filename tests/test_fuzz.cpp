@@ -384,7 +384,7 @@ validDseShardLine()
           " \"unidirectional\": [0, 1], \"vcs\": [2, 3], \"vc_depth\": 4,"
           " \"phase_windows\": [0], \"reconfig_cost\": 0,"
           " \"threshold\": 0.35, \"min_phase_windows\": 2,"
-          " \"matrix_weight\": 0.5, \"power\": \"activity\","
+          " \"power\": \"activity\","
           " \"deadline_ms\": 10000, \"trace\": \""
        << serve::jsonEscape(traceOs.str()) << "\"}";
     return os.str();
@@ -404,7 +404,6 @@ TEST(ServeFuzz, WellFormedDseShardParses)
     EXPECT_EQ(req->grid.maxDegrees, std::vector<std::uint32_t>{4});
     EXPECT_EQ(req->grid.vcs, (std::vector<std::uint32_t>{2, 3}));
     EXPECT_EQ(req->grid.expand().size(), 4u);
-    EXPECT_EQ(req->matrixWeight, 0.5);
     EXPECT_EQ(req->deadlineMs, 10'000);
     EXPECT_EQ(req->power, "activity");
 }

@@ -129,10 +129,6 @@ TEST(Segmenter, RejectsBadConfig)
     cfg.windowMessages = 0;
     EXPECT_EXIT(segmentTrace(tr, cfg), ::testing::ExitedWithCode(1),
                 "window");
-    cfg = PhaseConfig{};
-    cfg.matrixWeight = 1.5;
-    EXPECT_EXIT(segmentTrace(tr, cfg), ::testing::ExitedWithCode(1),
-                "matrix weight");
 }
 
 TEST(SubTrace, PartitionsMessagesAndStaysWellFormed)
@@ -177,14 +173,15 @@ TEST(MultiDesign, UnionDesignIsContentionFreePerPhase)
     core::MethodologyConfig mcfg;
     mcfg.partitioner.constraints.maxDegree = 5;
     mcfg.restarts = 4;
-    const auto multi = synthesizeMultiPhase(tr, seg, mcfg);
+    const auto cliques = buildPhaseCliques(tr, seg);
+    const auto multi = synthesizeMultiPhase(cliques, mcfg);
 
     ASSERT_EQ(multi.unionPhaseViolations.size(), seg.phases.size());
     EXPECT_EQ(multi.unionViolationCount(), 0u);
     // And re-check independently against each phase's shared cliques.
     for (std::uint32_t p = 0; p < seg.phases.size(); ++p) {
         EXPECT_TRUE(core::checkContentionFree(multi.unionDesign,
-                                              multi.cliques.shared[p])
+                                              cliques.shared[p])
                         .empty())
             << "phase " << p;
     }

@@ -162,8 +162,8 @@ TEST(TraceEventLog, EvaluationStepSpansEachStage)
     const auto outcome = core::runMethodology(trace::analyzeByCall(tr), mcfg);
 
     obs::TraceEventLog log;
-    sim::evaluateDesign(outcome.design, tr, topo::FloorplanConfig{},
-                        sim::SimConfig{}, topo::PowerModel{}, 0, &log, 5);
+    sim::evaluateDesign(outcome.design, tr, sim::SimConfig{},
+                        topo::PowerModel{}, 0, &log, 5);
     const auto dump = log.toJson();
     expectValidTraceEventJson(dump);
     const auto parsed = json::parse(dump);

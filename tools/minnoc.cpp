@@ -547,7 +547,7 @@ cmdCompare(const Args &args)
             *topo::buildBaseline(name, tr.numRanks()), tr, {}, power);
         printResult(name, e.sim, e.energy.total(), false);
     }
-    const auto e = sim::evaluateDesign(outcome.design, tr, {}, {}, power);
+    const auto e = sim::evaluateDesign(outcome.design, tr, {}, power);
     printResult("generated", e.sim, e.energy.total(), false);
     return 0;
 }
