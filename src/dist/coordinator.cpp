@@ -10,7 +10,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sstream>
-#include <thread>
 #include <unistd.h>
 
 #include "dse/cache.hpp"
@@ -659,8 +658,8 @@ evaluatePhasesDistributed(const trace::Trace &trace,
     stats = DistStats{};
 
     // The hosts are the rows' lanes. The whole-trace half needs the
-    // full workload, so it stays in-process, on a pool of its own
-    // beside the dispatch loop (DESIGN.md §5j).
+    // full workload, so it stays in-process, on a one-worker pool
+    // beside the dispatch loop unless --threads 1 (DESIGN.md §5j).
     const auto rows = [&](const phase::Segmentation &seg,
                           const phase::PhaseCliques &cliques) {
         const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
@@ -728,11 +727,8 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         return phaseRows;
     };
 
-    const auto threads = config.threads
-                             ? config.threads
-                             : std::thread::hardware_concurrency();
     std::optional<ThreadPool> pool;
-    if (threads > 1)
+    if (config.threads != 1)
         pool.emplace(1);
     auto report = phase::runPhasePipeline(trace, config,
                                           pool ? &*pool : nullptr, rows);

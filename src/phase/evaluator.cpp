@@ -97,6 +97,58 @@ jsonVariant(const VariantResult &v)
 }
 
 /**
+ * Fold @p rows (in phase order) into @p report's time-multiplexed
+ * variant and reconfiguration accounting: maxima on the provisioned
+ * resources (a reconfigurable fabric must host the largest phase
+ * network; `area` is the largest total, each split term its own
+ * maximum), sums on time, energy, packets and violations, the boundary
+ * stalls and idle energies added last, and latency and hops weighted
+ * by delivered packets. The only fold of phase rows.
+ */
+void
+foldTimeMultiplexed(const std::vector<PhaseRowEval> &rows,
+                    sim::Cycle reconfigCost, PhaseReport &report)
+{
+    VariantResult &v = report.timeMultiplexed;
+    v.constraintsMet = true;
+    double latencyWeighted = 0.0;
+    double hopsWeighted = 0.0;
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+        const VariantResult &net = rows[p].network;
+        v.switches = std::max(v.switches, net.switches);
+        v.links = std::max(v.links, net.links);
+        v.channels = std::max(v.channels, net.channels);
+        v.area = std::max(v.area, net.area);
+        v.switchArea = std::max(v.switchArea, net.switchArea);
+        v.linkArea = std::max(v.linkArea, net.linkArea);
+        v.procLinkArea = std::max(v.procLinkArea, net.procLinkArea);
+        v.maxLinkUtil = std::max(v.maxLinkUtil, net.maxLinkUtil);
+        v.rounds = std::max(v.rounds, net.rounds);
+        v.constraintsMet = v.constraintsMet && net.constraintsMet;
+        v.execTime += net.execTime;
+        v.energy += net.energy;
+        v.packetsDelivered += net.packetsDelivered;
+        v.violations += net.violations;
+        const auto n = static_cast<double>(net.packetsDelivered);
+        latencyWeighted += net.avgLatency * n;
+        hopsWeighted += net.avgHops * n;
+        if (p > 0) {
+            // The incoming network idles for the drain+swap window.
+            ++report.reconfigCount;
+            report.reconfigCycles += reconfigCost;
+            report.reconfigEnergy += rows[p].reconfigIdleEnergy;
+        }
+    }
+    v.execTime += report.reconfigCycles;
+    v.energy += report.reconfigEnergy;
+    if (v.packetsDelivered) {
+        const auto delivered = static_cast<double>(v.packetsDelivered);
+        v.avgLatency = latencyWeighted / delivered;
+        v.avgHops = hopsWeighted / delivered;
+    }
+}
+
+/**
  * Fill @p report around its whole-trace variants: the segmentation,
  * the phase rows and their time-multiplexed fold, then the metrics and
  * trace events.
@@ -209,49 +261,6 @@ evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
     row.network.rounds = outcome.rounds;
     row.network.constraintsMet = outcome.constraintsMet;
     return row;
-}
-
-void
-foldTimeMultiplexed(const std::vector<PhaseRowEval> &rows,
-                    sim::Cycle reconfigCost, PhaseReport &report)
-{
-    VariantResult &v = report.timeMultiplexed;
-    v.constraintsMet = true;
-    double latencyWeighted = 0.0;
-    double hopsWeighted = 0.0;
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-        const VariantResult &net = rows[p].network;
-        v.switches = std::max(v.switches, net.switches);
-        v.links = std::max(v.links, net.links);
-        v.channels = std::max(v.channels, net.channels);
-        v.area = std::max(v.area, net.area);
-        v.switchArea = std::max(v.switchArea, net.switchArea);
-        v.linkArea = std::max(v.linkArea, net.linkArea);
-        v.procLinkArea = std::max(v.procLinkArea, net.procLinkArea);
-        v.maxLinkUtil = std::max(v.maxLinkUtil, net.maxLinkUtil);
-        v.rounds = std::max(v.rounds, net.rounds);
-        v.constraintsMet = v.constraintsMet && net.constraintsMet;
-        v.execTime += net.execTime;
-        v.energy += net.energy;
-        v.packetsDelivered += net.packetsDelivered;
-        v.violations += net.violations;
-        const auto n = static_cast<double>(net.packetsDelivered);
-        latencyWeighted += net.avgLatency * n;
-        hopsWeighted += net.avgHops * n;
-        if (p > 0) {
-            // The incoming network idles for the drain+swap window.
-            ++report.reconfigCount;
-            report.reconfigCycles += reconfigCost;
-            report.reconfigEnergy += rows[p].reconfigIdleEnergy;
-        }
-    }
-    v.execTime += report.reconfigCycles;
-    v.energy += report.reconfigEnergy;
-    if (v.packetsDelivered) {
-        const auto delivered = static_cast<double>(v.packetsDelivered);
-        v.avgLatency = latencyWeighted / delivered;
-        v.avgHops = hopsWeighted / delivered;
-    }
 }
 
 VariantResult

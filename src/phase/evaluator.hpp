@@ -57,8 +57,9 @@ struct PhaseEvalConfig
 };
 
 /**
- * Simulated metrics of one design variant over its workload; the
- * report prints the first block, phase-window jobs read all of it.
+ * Simulated metrics of one design variant over its workload. The
+ * report prints the first block, which is all a `phase_job` result
+ * carries; phase-window jobs read the rest too.
  */
 struct VariantResult
 {
@@ -152,20 +153,9 @@ PhaseRowEval evalPhaseStandalone(const trace::Trace &trace,
                                  std::uint32_t tid = 0);
 
 /**
- * Fold @p rows (in phase order) into @p report's time-multiplexed
- * variant and reconfiguration accounting: maxima on the provisioned
- * resources (`area` is the largest total, each split term its own
- * maximum), sums on time, energy, packets and violations, the boundary
- * stalls and idle energies added last, and latency and hops weighted
- * by delivered packets.
- */
-void foldTimeMultiplexed(const std::vector<PhaseRowEval> &rows,
-                         sim::Cycle reconfigCost, PhaseReport &report);
-
-/**
  * The time-multiplexed variant alone, as a phase-window job prices it:
  * every row in order on the calling thread (spans as
- * evalPhaseStandalone's), folded.
+ * evalPhaseStandalone's), folded as the report folds them.
  */
 VariantResult
 evaluateTimeMultiplexed(const trace::Trace &trace,

@@ -193,14 +193,6 @@ encodePhaseResult(std::uint32_t index, std::int64_t wallUs,
     out += ", \"energy\": " + json::fmtDouble(v.energy);
     out += ", \"packets\": " + std::to_string(v.packetsDelivered);
     out += ", \"violations\": " + std::to_string(v.violations);
-    out += ", \"switch_area\": " + std::to_string(v.switchArea);
-    out += ", \"link_area\": " + std::to_string(v.linkArea);
-    out += ", \"proc_link_area\": " + std::to_string(v.procLinkArea);
-    out += ", \"avg_hops\": " + json::fmtDouble(v.avgHops);
-    out += ", \"max_link_util\": " + json::fmtDouble(v.maxLinkUtil);
-    out += ", \"rounds\": " + std::to_string(v.rounds);
-    out += std::string(", \"constraints_met\": ") +
-           (v.constraintsMet ? "true" : "false");
     out += ", \"reconfig_idle_energy\": " +
            json::fmtDouble(row.reconfigIdleEnergy);
     out += "}}";
@@ -244,27 +236,24 @@ parseWorkerReply(const std::string &text, Cmd cmd, std::string &err)
         }
         WorkerMsg msg;
         auto &v = msg.row.network;
+        std::uint64_t packets = 0;
         std::uint64_t violations = 0;
+        std::int64_t exec = 0;
         if (!getU32(*doc, "index", msg.index, err) ||
             !getU32(*r, "switches", v.switches, err) ||
             !getU32(*r, "links", v.links, err) ||
             !getU32(*r, "channels", v.channels, err) ||
             !getU32(*r, "area", v.area, err) ||
-            !getI64(*r, "exec_time", v.execTime, err) ||
+            !getI64(*r, "exec_time", exec, err) ||
             !getDouble(*r, "avg_latency", v.avgLatency, err) ||
             !getDouble(*r, "energy", v.energy, err) ||
-            !getU64(*r, "packets", v.packetsDelivered, err) ||
+            !getU64(*r, "packets", packets, err) ||
             !getU64(*r, "violations", violations, err) ||
-            !getU32(*r, "switch_area", v.switchArea, err) ||
-            !getU32(*r, "link_area", v.linkArea, err) ||
-            !getU32(*r, "proc_link_area", v.procLinkArea, err) ||
-            !getDouble(*r, "avg_hops", v.avgHops, err) ||
-            !getDouble(*r, "max_link_util", v.maxLinkUtil, err) ||
-            !getU32(*r, "rounds", v.rounds, err) ||
-            !getBool(*r, "constraints_met", v.constraintsMet, err) ||
             !getDouble(*r, "reconfig_idle_energy",
                        msg.row.reconfigIdleEnergy, err))
             return std::nullopt;
+        v.execTime = exec;
+        v.packetsDelivered = packets;
         v.violations = static_cast<std::size_t>(violations);
         reply.results.push_back(msg);
         return reply;
