@@ -12,24 +12,40 @@ namespace minnoc::core {
 namespace {
 
 // Process-wide so the bench can aggregate over the many short-lived
-// DesignNetwork instances a methodology run creates (one per restart).
-std::atomic<std::uint64_t> g_fcCalls{0};
-std::atomic<std::uint64_t> g_fcHits{0};
+// DesignNetwork instances a methodology run creates (one per restart),
+// and sharded by thread: one counter bumped by every worker would
+// bounce its cache line between cores on each query.
+struct alignas(64) FcShard
+{
+    std::atomic<std::uint64_t> calls{0};
+    std::atomic<std::uint64_t> hits{0};
+};
+FcShard g_fc[16];
+std::atomic<std::size_t> g_fcThreads{0};
+thread_local FcShard &t_fc =
+    g_fc[g_fcThreads.fetch_add(1, std::memory_order_relaxed) %
+         std::size(g_fc)];
 
 } // namespace
 
 FastColorStats
 fastColorStats()
 {
-    return FastColorStats{g_fcCalls.load(std::memory_order_relaxed),
-                          g_fcHits.load(std::memory_order_relaxed)};
+    FastColorStats s;
+    for (const auto &shard : g_fc) {
+        s.calls += shard.calls.load(std::memory_order_relaxed);
+        s.cacheHits += shard.hits.load(std::memory_order_relaxed);
+    }
+    return s;
 }
 
 void
 resetFastColorStats()
 {
-    g_fcCalls.store(0, std::memory_order_relaxed);
-    g_fcHits.store(0, std::memory_order_relaxed);
+    for (auto &shard : g_fc) {
+        shard.calls.store(0, std::memory_order_relaxed);
+        shard.hits.store(0, std::memory_order_relaxed);
+    }
 }
 
 DesignNetwork::DesignNetwork(const CliqueSet &cliques)
@@ -240,7 +256,7 @@ DesignNetwork::computeFastColor(const CommBitset &comms) const
 std::uint32_t
 DesignNetwork::fastColorSet(const CommBitset &comms) const
 {
-    g_fcCalls.fetch_add(1, std::memory_order_relaxed);
+    t_fc.calls.fetch_add(1, std::memory_order_relaxed);
     return computeFastColor(comms);
 }
 
@@ -248,7 +264,7 @@ std::uint32_t
 DesignNetwork::fastColorSetPlus(const CommBitset &comms, std::uint32_t fc,
                                 CommId extra) const
 {
-    g_fcCalls.fetch_add(1, std::memory_order_relaxed);
+    t_fc.calls.fetch_add(1, std::memory_order_relaxed);
 #ifdef MINNOC_SANITIZE
     if (comms.test(extra))
         panic("fastColorSetPlus: comm ", extra, " already in the set");
@@ -304,13 +320,13 @@ DesignNetwork::fastColorSetReference(const std::set<CommId> &comms) const
 std::uint32_t
 DesignNetwork::pipeFastColor(const Pipe &p) const
 {
-    g_fcCalls.fetch_add(1, std::memory_order_relaxed);
+    t_fc.calls.fetch_add(1, std::memory_order_relaxed);
     if (p.dirty) {
         p.fcFwd = computeFastColor(p.fwd);
         p.fcBwd = computeFastColor(p.bwd);
         p.dirty = false;
     } else {
-        g_fcHits.fetch_add(1, std::memory_order_relaxed);
+        t_fc.hits.fetch_add(1, std::memory_order_relaxed);
     }
     return std::max(p.fcFwd, p.fcBwd);
 }
@@ -321,8 +337,8 @@ DesignNetwork::fastColor(const PipeKey &key) const
     const auto it = _pipes.find(key);
     if (it == _pipes.end()) {
         // An absent pipe is trivially zero; count it as a served query.
-        g_fcCalls.fetch_add(1, std::memory_order_relaxed);
-        g_fcHits.fetch_add(1, std::memory_order_relaxed);
+        t_fc.calls.fetch_add(1, std::memory_order_relaxed);
+        t_fc.hits.fetch_add(1, std::memory_order_relaxed);
         return 0;
     }
     return pipeFastColor(it->second);

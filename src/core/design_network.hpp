@@ -84,7 +84,7 @@ struct FastColorStats
     std::uint64_t cacheHits = 0; ///< queries answered from a pipe cache
 };
 
-/** Process-wide Fast_Color counters (atomic; cheap, thread-safe). */
+/** Process-wide Fast_Color counters (atomic, sharded by thread). */
 FastColorStats fastColorStats();
 void resetFastColorStats();
 
