@@ -170,6 +170,7 @@ assembleReport(PhaseReport &report, const trace::Trace &trace,
     for (std::size_t p = 0; p < seg.phases.size(); ++p)
         report.phases.push_back({seg.phases[p], rows.at(p).network});
     foldTimeMultiplexed(rows, config.reconfigCost, report);
+
     if constexpr (obs::kEnabled) {
         if (config.metrics) {
             auto &m = *config.metrics;
