@@ -10,6 +10,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sstream>
+#include <thread>
 #include <unistd.h>
 
 #include "dse/cache.hpp"
@@ -658,8 +659,9 @@ evaluatePhasesDistributed(const trace::Trace &trace,
     stats = DistStats{};
 
     // The hosts are the rows' lanes. The whole-trace half needs the
-    // full workload, so it stays in-process, on a one-worker pool
-    // beside the dispatch loop unless --threads 1 (DESIGN.md §5j).
+    // full workload, so it stays in-process beside the dispatch loop,
+    // its restarts on a pool of config.threads workers, or inline
+    // first at --threads 1 (DESIGN.md §5j).
     const auto rows = [&](const phase::Segmentation &seg,
                           const phase::PhaseCliques &cliques) {
         const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
@@ -729,7 +731,8 @@ evaluatePhasesDistributed(const trace::Trace &trace,
 
     std::optional<ThreadPool> pool;
     if (config.threads != 1)
-        pool.emplace(1);
+        pool.emplace(config.threads ? config.threads
+                                    : std::thread::hardware_concurrency());
     auto report = phase::runPhasePipeline(trace, config,
                                           pool ? &*pool : nullptr, rows);
     recordDistTelemetry(config.metrics, config.traceLog, stats);

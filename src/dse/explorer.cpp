@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -142,7 +141,7 @@ evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
     pcfg.reconfigCost = config.phaseReconfigCost;
 
     const auto t0 = obs::spanStart(config.traceLog);
-    const auto v =
+    const auto [v, d] =
         phase::evaluateTimeMultiplexed(trace, pcfg, config.traceLog, tid);
     obs::dseSpanEnd(config.traceLog, "time-multiplexed", tid, t0);
 
@@ -150,16 +149,16 @@ evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
     m.switches = v.switches;
     m.links = v.links;
     m.channels = v.channels;
-    m.constraintsMet = v.constraintsMet;
+    m.constraintsMet = d.constraintsMet;
     m.violations = static_cast<std::uint32_t>(v.violations);
-    m.rounds = v.rounds;
-    m.switchArea = v.switchArea;
-    m.linkArea = v.linkArea;
-    m.procLinkArea = v.procLinkArea;
+    m.rounds = d.rounds;
+    m.switchArea = d.switchArea;
+    m.linkArea = d.linkArea;
+    m.procLinkArea = d.procLinkArea;
     m.execTime = v.execTime;
     m.avgLatency = v.avgLatency;
-    m.avgHops = v.avgHops;
-    m.maxLinkUtil = v.maxLinkUtil;
+    m.avgHops = d.avgHops;
+    m.maxLinkUtil = d.maxLinkUtil;
     m.energy = v.energy;
     return m;
 }
@@ -301,15 +300,6 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
     report.ranks = trace.numRanks();
     report.points.resize(jobs.size());
 
-    const auto runAll = [pool](std::size_t n,
-                               const std::function<void(std::size_t)> &fn) {
-        if (pool) {
-            pool->parallelFor(n, fn);
-        } else {
-            for (std::size_t i = 0; i < n; ++i)
-                fn(i);
-        }
-    };
     // Every task is one "job <i>" span, <i> the first grid index that
     // needs it, so lanes stay attributable to jobs.
     const auto jobSpan = [&config](std::size_t i, const char *stage,
@@ -324,7 +314,7 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
     // epoch loop.
     std::vector<std::string> keys(jobs.size());
     std::vector<std::string> sigs(jobs.size());
-    runAll(jobs.size(), [&](std::size_t i) {
+    parallelFor(pool, jobs.size(), [&](std::size_t i) {
         checkCancel(config.cancel);
         const auto start = obs::spanStart(config.traceLog);
         sigs[i] = jobSignature(jobs[i], config);
@@ -371,7 +361,8 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
         methodologyOf[i] = it->second;
     }
     std::vector<std::string> networks(methodologies.size());
-    runAll(methodologies.size() + phaseJobs.size(), [&](std::size_t t) {
+    const auto tasks = methodologies.size() + phaseJobs.size();
+    parallelFor(pool, tasks, [&](std::size_t t) {
         checkCancel(config.cancel);
         const auto start = obs::spanStart(config.traceLog);
         if (t >= methodologies.size()) {
@@ -432,7 +423,7 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
             evaluations.push_back({network, {}});
         evaluations[it->second].jobs.push_back(i);
     }
-    runAll(evaluations.size(), [&](std::size_t t) {
+    parallelFor(pool, evaluations.size(), [&](std::size_t t) {
         checkCancel(config.cancel);
         const auto start = obs::spanStart(config.traceLog);
         const auto &task = evaluations[t];

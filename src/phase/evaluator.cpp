@@ -37,11 +37,12 @@ evalVariant(const core::FinalizedDesign &design, std::size_t violations,
     v.energy = e.energy.total();
     v.packetsDelivered = e.sim.packetsDelivered;
     v.violations = violations;
-    v.switchArea = e.plan.switchArea;
-    v.linkArea = e.plan.linkArea;
-    v.procLinkArea = e.plan.procLinkArea;
-    v.avgHops = e.sim.avgPacketHops;
-    v.maxLinkUtil = e.sim.maxLinkUtilization;
+    auto &d = row.detail;
+    d.switchArea = e.plan.switchArea;
+    d.linkArea = e.plan.linkArea;
+    d.procLinkArea = e.plan.procLinkArea;
+    d.avgHops = e.sim.avgPacketHops;
+    d.maxLinkUtil = e.sim.maxLinkUtilization;
     row.reconfigIdleEnergy = e.idleEnergy;
     return row;
 }
@@ -62,12 +63,7 @@ phaseRows(const trace::Trace &trace, const Segmentation &seg,
                                       static_cast<std::uint32_t>(p),
                                       config, traceLog, tid);
     };
-    if (pool) {
-        pool->parallelFor(rows.size(), row);
-    } else {
-        for (std::size_t p = 0; p < rows.size(); ++p)
-            row(p);
-    }
+    parallelFor(pool, rows.size(), row);
     return rows;
 }
 
@@ -82,20 +78,6 @@ recordVariantMetrics(obs::MetricsRegistry &m, const std::string &prefix,
     m.gauge(prefix + "violations").set(static_cast<double>(v.violations));
 }
 
-std::string
-jsonVariant(const VariantResult &v)
-{
-    std::ostringstream oss;
-    oss << "{\"switches\": " << v.switches << ", \"links\": " << v.links
-        << ", \"channels\": " << v.channels << ", \"area\": " << v.area
-        << ", \"exec_time\": " << v.execTime << ", \"avg_latency\": "
-        << json::fmtDouble(v.avgLatency) << ", \"energy\": "
-        << json::fmtDouble(v.energy) << ", \"packets\": "
-        << v.packetsDelivered << ", \"violations\": " << v.violations
-        << "}";
-    return oss.str();
-}
-
 /**
  * Fold @p rows (in phase order) into @p report's time-multiplexed
  * variant and reconfiguration accounting: maxima on the provisioned
@@ -103,35 +85,38 @@ jsonVariant(const VariantResult &v)
  * network; `area` is the largest total, each split term its own
  * maximum), sums on time, energy, packets and violations, the boundary
  * stalls and idle energies added last, and latency and hops weighted
- * by delivered packets. The only fold of phase rows.
+ * by delivered packets. Returns the rows' folded details, which only
+ * a phase-window job reads. The only fold of phase rows.
  */
-void
+NetworkDetail
 foldTimeMultiplexed(const std::vector<PhaseRowEval> &rows,
                     sim::Cycle reconfigCost, PhaseReport &report)
 {
     VariantResult &v = report.timeMultiplexed;
-    v.constraintsMet = true;
+    NetworkDetail d;
+    d.constraintsMet = true;
     double latencyWeighted = 0.0;
     double hopsWeighted = 0.0;
     for (std::size_t p = 0; p < rows.size(); ++p) {
         const VariantResult &net = rows[p].network;
+        const NetworkDetail &detail = rows[p].detail;
         v.switches = std::max(v.switches, net.switches);
         v.links = std::max(v.links, net.links);
         v.channels = std::max(v.channels, net.channels);
         v.area = std::max(v.area, net.area);
-        v.switchArea = std::max(v.switchArea, net.switchArea);
-        v.linkArea = std::max(v.linkArea, net.linkArea);
-        v.procLinkArea = std::max(v.procLinkArea, net.procLinkArea);
-        v.maxLinkUtil = std::max(v.maxLinkUtil, net.maxLinkUtil);
-        v.rounds = std::max(v.rounds, net.rounds);
-        v.constraintsMet = v.constraintsMet && net.constraintsMet;
+        d.switchArea = std::max(d.switchArea, detail.switchArea);
+        d.linkArea = std::max(d.linkArea, detail.linkArea);
+        d.procLinkArea = std::max(d.procLinkArea, detail.procLinkArea);
+        d.maxLinkUtil = std::max(d.maxLinkUtil, detail.maxLinkUtil);
+        d.rounds = std::max(d.rounds, detail.rounds);
+        d.constraintsMet = d.constraintsMet && detail.constraintsMet;
         v.execTime += net.execTime;
         v.energy += net.energy;
         v.packetsDelivered += net.packetsDelivered;
         v.violations += net.violations;
         const auto n = static_cast<double>(net.packetsDelivered);
         latencyWeighted += net.avgLatency * n;
-        hopsWeighted += net.avgHops * n;
+        hopsWeighted += detail.avgHops * n;
         if (p > 0) {
             // The incoming network idles for the drain+swap window.
             ++report.reconfigCount;
@@ -144,8 +129,9 @@ foldTimeMultiplexed(const std::vector<PhaseRowEval> &rows,
     if (v.packetsDelivered) {
         const auto delivered = static_cast<double>(v.packetsDelivered);
         v.avgLatency = latencyWeighted / delivered;
-        v.avgHops = hopsWeighted / delivered;
+        d.avgHops = hopsWeighted / delivered;
     }
+    return d;
 }
 
 /**
@@ -259,22 +245,23 @@ evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
     auto row = evalVariant(outcome.design, outcome.violations.size(),
                            phaseSubTrace(trace, seg, p), config, traceLog,
                            tid);
-    row.network.rounds = outcome.rounds;
-    row.network.constraintsMet = outcome.constraintsMet;
+    row.detail.rounds = outcome.rounds;
+    row.detail.constraintsMet = outcome.constraintsMet;
     return row;
 }
 
-VariantResult
+std::pair<VariantResult, NetworkDetail>
 evaluateTimeMultiplexed(const trace::Trace &trace,
                         const PhaseEvalConfig &config,
                         obs::TraceEventLog *traceLog, std::uint32_t tid)
 {
     const auto seg = segmentTrace(trace, config.segmenter);
     PhaseReport report;
-    foldTimeMultiplexed(phaseRows(trace, seg, buildPhaseCliques(trace, seg),
-                                  config, nullptr, traceLog, tid),
-                        config.reconfigCost, report);
-    return report.timeMultiplexed;
+    const NetworkDetail detail = foldTimeMultiplexed(
+        phaseRows(trace, seg, buildPhaseCliques(trace, seg), config,
+                  nullptr, traceLog, tid),
+        config.reconfigCost, report);
+    return {report.timeMultiplexed, detail};
 }
 
 PhaseReport
@@ -289,7 +276,8 @@ runPhasePipeline(const trace::Trace &trace, const PhaseEvalConfig &config,
     // rows, which read only the standalone sets.
     PhaseReport report;
     const auto wholeTrace = [&] {
-        const auto multi = synthesizeMultiPhase(cliques, config.methodology);
+        const auto multi =
+            synthesizeMultiPhase(cliques, config.methodology, pool);
         report.monolithic =
             evalVariant(multi.monolithic.design,
                         multi.monolithic.violations.size(), trace, config)
@@ -301,21 +289,17 @@ runPhasePipeline(const trace::Trace &trace, const PhaseEvalConfig &config,
         for (const auto &v : multi.unionPhaseViolations)
             report.unionPhaseViolations.push_back(v.size());
     };
+    // Its own thread, not a pool task: it waits on its restarts, and no
+    // task on a pool may wait on that pool. An async future joins in
+    // its destructor, so a throwing row source unwinds this frame only
+    // after the thread is done with it.
     std::future<void> whole;
     if (pool)
-        whole = pool->submit(wholeTrace);
+        whole = std::async(std::launch::async, wholeTrace);
     else
         wholeTrace();
 
-    std::vector<PhaseRowEval> phaseRowEvals;
-    try {
-        phaseRowEvals = rows(seg, cliques);
-    } catch (...) {
-        // The task reads this frame: let it finish before unwinding.
-        if (whole.valid())
-            whole.wait();
-        throw;
-    }
+    const std::vector<PhaseRowEval> phaseRowEvals = rows(seg, cliques);
     if (whole.valid())
         whole.get();
 
@@ -347,6 +331,19 @@ evaluatePhases(const trace::Trace &trace, const PhaseEvalConfig &config)
 }
 
 std::string
+VariantResult::toJson() const
+{
+    std::ostringstream oss;
+    oss << "{\"switches\": " << switches << ", \"links\": " << links
+        << ", \"channels\": " << channels << ", \"area\": " << area
+        << ", \"exec_time\": " << execTime << ", \"avg_latency\": "
+        << json::fmtDouble(avgLatency) << ", \"energy\": "
+        << json::fmtDouble(energy) << ", \"packets\": "
+        << packetsDelivered << ", \"violations\": " << violations << "}";
+    return oss.str();
+}
+
+std::string
 PhaseReport::toJson() const
 {
     std::ostringstream oss;
@@ -371,7 +368,7 @@ PhaseReport::toJson() const
             << r.firstWindow << ", \"last_window\": " << r.lastWindow
             << ", \"calls\": " << r.calls.size() << ", \"messages\": "
             << r.messages << ", \"bytes\": " << r.bytes
-            << ", \"network\": " << jsonVariant(phases[i].network) << "}"
+            << ", \"network\": " << phases[i].network.toJson() << "}"
             << (i + 1 < phases.size() ? "," : "") << "\n";
     }
     oss << "  ],\n"
@@ -380,9 +377,9 @@ PhaseReport::toJson() const
         oss << (i ? ", " : "") << unionPhaseViolations[i];
     oss << "],\n"
         << "  \"variants\": {\n"
-        << "    \"monolithic\": " << jsonVariant(monolithic) << ",\n"
-        << "    \"union\": " << jsonVariant(unionVariant) << ",\n"
-        << "    \"time_multiplexed\": " << jsonVariant(timeMultiplexed)
+        << "    \"monolithic\": " << monolithic.toJson() << ",\n"
+        << "    \"union\": " << unionVariant.toJson() << ",\n"
+        << "    \"time_multiplexed\": " << timeMultiplexed.toJson()
         << "\n  },\n"
         << "  \"reconfig\": {\"count\": " << reconfigCount
         << ", \"cycles\": " << reconfigCycles << ", \"energy\": "

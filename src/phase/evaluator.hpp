@@ -23,6 +23,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "multi_design.hpp"
@@ -45,9 +46,10 @@ struct PhaseEvalConfig
     sim::Cycle reconfigCost = 500;
 
     /**
-     * Workers of the pool the whole-trace half and the phase rows run
-     * on (0 = hardware concurrency, 1 = everything on the calling
-     * thread). Results are identical at every thread count.
+     * Workers of the pool the phase rows and the monolithic restarts
+     * run on, beside a thread for the whole-trace half (0 = hardware
+     * concurrency, 1 = everything on the calling thread). Results are
+     * identical at every thread count.
      */
     std::uint32_t threads = 0;
 
@@ -57,9 +59,9 @@ struct PhaseEvalConfig
 };
 
 /**
- * Simulated metrics of one design variant over its workload. The
- * report prints the first block, which is all a `phase_job` result
- * carries; phase-window jobs read the rest too.
+ * Simulated metrics of one design variant over its workload: what the
+ * report prints and a `phase_job` result carries, filled the same way
+ * on every path.
  */
 struct VariantResult
 {
@@ -74,12 +76,23 @@ struct VariantResult
     std::uint64_t packetsDelivered = 0;
     std::size_t violations = 0;
 
+    /** One-line JSON object, as the report and a `phase_job` print it. */
+    std::string toJson() const;
+};
+
+/**
+ * What a phase-window job reads of a phase network besides its
+ * VariantResult. Only the in-process per-phase step fills it; a
+ * `phase_job` result does not carry it and the report never reads it.
+ */
+struct NetworkDetail
+{
     std::uint32_t switchArea = 0; ///< the paper's split of `area`
     std::uint32_t linkArea = 0;
     std::uint32_t procLinkArea = 0;
     double avgHops = 0.0;
     double maxLinkUtil = 0.0;
-    std::uint32_t rounds = 0; ///< methodology rounds, if synthesized
+    std::uint32_t rounds = 0; ///< methodology rounds
     bool constraintsMet = false;
 };
 
@@ -134,6 +147,8 @@ struct PhaseReport
 struct PhaseRowEval
 {
     VariantResult network;
+    /** In-process rows only (see NetworkDetail). */
+    NetworkDetail detail;
     /** computeEnergy of this network idling reconfigCost cycles. */
     double reconfigIdleEnergy = 0.0;
 };
@@ -155,9 +170,10 @@ PhaseRowEval evalPhaseStandalone(const trace::Trace &trace,
 /**
  * The time-multiplexed variant alone, as a phase-window job prices it:
  * every row in order on the calling thread (spans as
- * evalPhaseStandalone's), folded as the report folds them.
+ * evalPhaseStandalone's), folded as the report folds them, with the
+ * same fold of the rows' details.
  */
-VariantResult
+std::pair<VariantResult, NetworkDetail>
 evaluateTimeMultiplexed(const trace::Trace &trace,
                         const PhaseEvalConfig &config,
                         obs::TraceEventLog *traceLog = nullptr,
@@ -172,8 +188,10 @@ using PhaseRowSource = std::function<std::vector<PhaseRowEval>(
  * evaluatePhases and the distributed coordinator so their reports are
  * byte-identical by construction. The whole-trace half (monolithic
  * methodology, then the union design, each replaying the full trace)
- * runs as one task on @p pool while @p rows runs on the calling thread;
- * with no pool it runs first, inline.
+ * runs on a thread of its own, its monolithic restarts on @p pool,
+ * while @p rows runs on the calling thread; with no pool it runs
+ * first, inline. No task on @p pool waits on it, so the pool may be
+ * shared.
  */
 PhaseReport runPhasePipeline(const trace::Trace &trace,
                              const PhaseEvalConfig &config, ThreadPool *pool,
@@ -181,7 +199,8 @@ PhaseReport runPhasePipeline(const trace::Trace &trace,
 
 /**
  * runPhasePipeline with each row its own task on @p pool (in order on
- * the calling thread when null); identical at every pool size.
+ * the calling thread when null), each row's methodology sequential
+ * inside its task; identical at every pool size.
  */
 PhaseReport evaluatePhases(const trace::Trace &trace,
                            const PhaseEvalConfig &config, ThreadPool *pool);

@@ -179,24 +179,12 @@ std::string
 encodePhaseResult(std::uint32_t index, std::int64_t wallUs,
                   const phase::PhaseRowEval &row)
 {
-    const auto &v = row.network;
-    std::string out = "{\"type\": \"result\", \"index\": " +
-                      std::to_string(index);
-    out += ", \"wall_us\": " + std::to_string(wallUs);
-    out += ", \"row\": {";
-    out += "\"switches\": " + std::to_string(v.switches);
-    out += ", \"links\": " + std::to_string(v.links);
-    out += ", \"channels\": " + std::to_string(v.channels);
-    out += ", \"area\": " + std::to_string(v.area);
-    out += ", \"exec_time\": " + std::to_string(v.execTime);
-    out += ", \"avg_latency\": " + json::fmtDouble(v.avgLatency);
-    out += ", \"energy\": " + json::fmtDouble(v.energy);
-    out += ", \"packets\": " + std::to_string(v.packetsDelivered);
-    out += ", \"violations\": " + std::to_string(v.violations);
-    out += ", \"reconfig_idle_energy\": " +
-           json::fmtDouble(row.reconfigIdleEnergy);
-    out += "}}";
-    return out;
+    std::string network = row.network.toJson();
+    network.pop_back(); // reopened for the idle energy
+    return "{\"type\": \"result\", \"index\": " + std::to_string(index) +
+           ", \"wall_us\": " + std::to_string(wallUs) + ", \"row\": " +
+           network + ", \"reconfig_idle_energy\": " +
+           json::fmtDouble(row.reconfigIdleEnergy) + "}}";
 }
 
 std::string

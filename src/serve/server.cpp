@@ -896,8 +896,8 @@ Server::compute(const Job &job)
         return encodeShardResult(reply);
       }
       case Cmd::Phases:
-        // The whole-trace half and the phase rows run as tasks on the
-        // shared inner pool, like a shard's methodologies.
+        // The phase rows and the monolithic restarts run as tasks on
+        // the shared inner pool, like a shard's methodologies.
         return phase::evaluatePhases(
                    tr, phaseEvalConfigFor(req, job.token.get()),
                    _innerPool.get())

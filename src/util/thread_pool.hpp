@@ -121,6 +121,17 @@ class ThreadPool
     std::vector<std::jthread> _workers; ///< keep last: joins first
 };
 
+/** @p pool->parallelFor, or @p fn(i) in order inline when null. */
+inline void
+parallelFor(ThreadPool *pool, std::size_t n,
+            const std::function<void(std::size_t)> &fn)
+{
+    if (pool)
+        return pool->parallelFor(n, fn);
+    for (std::size_t i = 0; i < n; ++i)
+        fn(i);
+}
+
 } // namespace minnoc
 
 #endif // MINNOC_UTIL_THREAD_POOL_HPP

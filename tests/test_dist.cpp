@@ -408,6 +408,32 @@ TEST(DistPhases, ByteIdenticalToInProcessEvaluation)
     EXPECT_EQ(stats.hostOf.back(), live.hostSpec());
 }
 
+TEST(DistPhases, FourThreadsByteIdenticalToInProcessEvaluation)
+{
+    // At --threads 4 the whole-trace half runs its monolithic restarts
+    // on a pool of the coordinator beside the dispatch loop.
+    const auto tr = trace::phaseShift({trace::Pattern::Neighbor,
+                                       trace::Pattern::Transpose,
+                                       trace::Pattern::Hotspot});
+    phase::PhaseEvalConfig cfg;
+    cfg.methodology.partitioner.constraints.maxDegree = 5;
+    cfg.methodology.restarts = 4;
+    cfg.threads = 1;
+    const auto base = phase::evaluatePhases(tr, cfg);
+
+    DaemonProc live(noCache());
+    ASSERT_GT(live.port(), 0);
+    DistOptions opt;
+    opt.hosts = parseHostList(live.hostSpec());
+    cfg.threads = 4;
+    DistStats stats;
+    const auto report =
+        evaluatePhasesDistributed(tr, cfg, opt, &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    EXPECT_EQ(totalJobs(stats), report.phases.size());
+    EXPECT_TRUE(stats.failures.empty());
+}
+
 TEST(DistPhases, CrashedWorkerStillYieldsIdenticalReport)
 {
     const auto tr = trace::phaseShift(

@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <set>
+#include <thread>
 
 #include "core/verify.hpp"
 #include "dse/explorer.hpp"
@@ -20,7 +23,9 @@
 #include "phase/multi_design.hpp"
 #include "phase/segmenter.hpp"
 #include "trace/synthetic.hpp"
+#include "util/cancel.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace minnoc;
 using namespace minnoc::phase;
@@ -237,6 +242,36 @@ TEST(Evaluator, ReconfigCostRaisesTimeMultiplexedExecTime)
     // never pay the penalty.
     EXPECT_EQ(dear.monolithic.execTime, cheap.monolithic.execTime);
     EXPECT_EQ(dear.unionVariant.execTime, cheap.unionVariant.execTime);
+}
+
+TEST(Evaluator, CancelWhileQueuedOnSharedPoolThrowsWithoutHanging)
+{
+    const auto tr = shiftTrace();
+    auto cfg = fastEvalConfig();
+    const auto expected = evaluatePhases(tr, cfg).toJson();
+
+    // A shared one-worker pool held by another task: the monolithic
+    // restarts and every row queue behind it while the token fires.
+    ThreadPool pool(1);
+    std::promise<void> gate;
+    auto held = pool.submit([opened = gate.get_future().share()] {
+        opened.wait();
+    });
+    CancelToken token;
+    auto cancelled = cfg;
+    cancelled.methodology.cancel = &token;
+    cancelled.sim.cancel = &token;
+    std::thread release([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        token.cancel(CancelReason::Deadline);
+        gate.set_value();
+    });
+    EXPECT_THROW(evaluatePhases(tr, cancelled, &pool), CancelledError);
+    release.join();
+    held.get();
+
+    // Nothing of the cancelled run is left on the pool.
+    EXPECT_EQ(evaluatePhases(tr, cfg, &pool).toJson(), expected);
 }
 
 TEST(Evaluator, PhaseWindowJobMatchesTimeMultiplexedVariant)

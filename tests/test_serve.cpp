@@ -10,6 +10,9 @@
  *    instance sharing the cache directory).
  *  - A request whose deadline has expired is cancelled and answered
  *    with a structured `timeout` error, never computed to completion.
+ *  - `phases` runs on the daemon's shared inner pool, byte-identical to
+ *    the CLI even with another `phases` request beside it, and a
+ *    deadline cancels it.
  *  - N concurrent identical submissions trigger exactly one
  *    computation and all receive byte-identical responses.
  *  - Admission control rejects work past the queue high-water mark
@@ -29,11 +32,13 @@
 #include "core/design_io.hpp"
 #include "core/methodology.hpp"
 #include "dse/explorer.hpp"
+#include "phase/evaluator.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
+#include "trace/synthetic.hpp"
 
 using namespace minnoc;
 using namespace minnoc::serve;
@@ -131,6 +136,44 @@ expectedExplore(const std::string &traceStr, const std::string &cacheDir)
     cfg.threads = 1;
     cfg.cacheDir = cacheDir;
     return dse::explore(tr, cfg).toJson();
+}
+
+/** A three-epoch phase-shift trace (neighbor, transpose, hotspot). */
+std::string
+phaseShiftText()
+{
+    const auto tr = trace::phaseShift({trace::Pattern::Neighbor,
+                                       trace::Pattern::Transpose,
+                                       trace::Pattern::Hotspot});
+    std::ostringstream os;
+    tr.save(os);
+    return os.str();
+}
+
+/** `phases` request at the daemon's defaults except restarts 2. */
+std::string
+phasesRequest(const std::string &id, const std::string &trace,
+              std::uint64_t seed, std::int64_t deadlineMs = 0)
+{
+    std::ostringstream os;
+    os << "{\"id\": \"" << id << "\", \"cmd\": \"phases\", \"trace\": \""
+       << jsonEscape(trace) << "\", \"restarts\": 2, \"seed\": " << seed;
+    if (deadlineMs > 0)
+        os << ", \"deadline_ms\": " << deadlineMs;
+    os << "}";
+    return os.str();
+}
+
+/** What the CLI must produce for phasesRequest(). */
+std::string
+expectedPhases(const std::string &traceStr, std::uint64_t seed)
+{
+    phase::PhaseEvalConfig cfg;
+    cfg.methodology.partitioner.constraints.maxDegree = 5;
+    cfg.methodology.restarts = 2;
+    cfg.methodology.partitioner.seed = seed;
+    cfg.threads = 1;
+    return phase::evaluatePhases(loadTrace(traceStr), cfg).toJson();
 }
 
 Reply
@@ -346,6 +389,54 @@ TEST(Serve, ExpiredDeadlineCancelsJobWithTimeoutError)
     const auto pong =
         roundTrip(client, "{\"id\": \"p\", \"cmd\": \"ping\"}");
     EXPECT_TRUE(pong.ok);
+}
+
+TEST(Serve, PhasesOnSharedInnerPoolByteIdenticalToCli)
+{
+    const auto trace = phaseShiftText();
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.innerThreads = 4;
+    LiveServer live("serve-phases", cfg);
+
+    // Two different requests at once: their monolithic restarts and
+    // phase rows interleave on the one inner pool.
+    std::vector<Reply> replies(2);
+    {
+        std::vector<std::jthread> wave;
+        for (std::size_t i = 0; i < replies.size(); ++i) {
+            wave.emplace_back([&, i] {
+                auto client = live.client();
+                replies[i] = roundTrip(
+                    client, phasesRequest("p" + std::to_string(i), trace,
+                                          i + 1));
+            });
+        }
+    }
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+        ASSERT_TRUE(replies[i].ok)
+            << replies[i].code << ": " << replies[i].message;
+        EXPECT_EQ(replies[i].result, expectedPhases(trace, i + 1));
+    }
+}
+
+TEST(Serve, ExpiredDeadlineCancelsPhasesWithTimeoutError)
+{
+    const auto trace = phaseShiftText();
+    ServerConfig cfg;
+    cfg.innerThreads = 2;
+    LiveServer live("serve-phases-deadline", cfg);
+    auto client = live.client();
+
+    const auto r = roundTrip(client, phasesRequest("d1", trace, 1, 1));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, "timeout");
+    EXPECT_EQ(r.id, "d1");
+
+    // The inner pool holds nothing of the cancelled request.
+    const auto ok = roundTrip(client, phasesRequest("d2", trace, 1));
+    ASSERT_TRUE(ok.ok) << ok.code << ": " << ok.message;
+    EXPECT_EQ(ok.result, expectedPhases(trace, 1));
 }
 
 TEST(Serve, ConcurrentIdenticalSubmissionsComputeExactlyOnce)

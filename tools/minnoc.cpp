@@ -116,6 +116,24 @@ writeFileOrDie(const std::string &path, const std::string &content)
 }
 
 /**
+ * Write a report's @p json to --out, or to stdout without one, and
+ * return the stream for the human summary: the other one, so
+ * `minnoc <cmd> t | jq .` stays parseable.
+ */
+std::FILE *
+emitJson(const Args &args, const std::string &json)
+{
+    const auto out = args.get("out");
+    if (out.empty()) {
+        std::fputs(json.c_str(), stdout);
+        return stderr;
+    }
+    writeFileOrDie(out, json);
+    std::printf("wrote %s\n", out.c_str());
+    return stdout;
+}
+
+/**
  * Honor the shared observability flags: dump the metrics registry to
  * --metrics-out (deterministic content, timing metrics excluded) and
  * the trace-event log to --chrome-trace (open in Perfetto /
@@ -613,22 +631,7 @@ cmdExplore(const Args &args)
         return 1;
     }
     exportObservability(args, metrics, traceLog);
-    const auto json = report.toJson();
-
-    // JSON is the machine artifact; keep the human summary off its
-    // stream so `minnoc explore t | jq .` stays parseable.
-    const auto out = args.get("out");
-    std::FILE *human = stdout;
-    if (out.empty()) {
-        std::fputs(json.c_str(), stdout);
-        human = stderr;
-    } else {
-        std::ofstream os(out);
-        if (!os)
-            fatal("cannot write '", out, "'");
-        os << json;
-        std::fprintf(human, "wrote %s\n", out.c_str());
-    }
+    std::FILE *const human = emitJson(args, report.toJson());
     std::fprintf(human, "explored %s-%u: %zu points, %zu on frontier\n",
                  report.pattern.c_str(), report.ranks,
                  report.points.size(), report.frontier.size());
@@ -701,19 +704,7 @@ cmdPhases(const Args &args)
         return 1;
     }
     exportObservability(args, metrics, traceLog);
-    const auto json = report.toJson();
-
-    // JSON is the machine artifact; keep the human summary off its
-    // stream so `minnoc phases t | jq .` stays parseable.
-    const auto out = args.get("out");
-    std::FILE *human = stdout;
-    if (out.empty()) {
-        std::fputs(json.c_str(), stdout);
-        human = stderr;
-    } else {
-        writeFileOrDie(out, json);
-        std::fprintf(human, "wrote %s\n", out.c_str());
-    }
+    std::FILE *const human = emitJson(args, report.toJson());
     std::fprintf(human, "phases %s-%u:\n", report.pattern.c_str(),
                  report.ranks);
     std::fputs(report.summaryTable().c_str(), human);
