@@ -7,18 +7,23 @@
  * state. This pool is deliberately small — a queue of type-erased tasks
  * drained by std::jthread workers — because the parallelism it hosts is
  * coarse (whole partitioning restarts, chunked pipe scans), not
- * fine-grained.
+ * fine-grained. A task may wait on its own pool: a waiting worker runs
+ * its own batch's items meanwhile.
  */
 
 #ifndef MINNOC_UTIL_THREAD_POOL_HPP
 #define MINNOC_UTIL_THREAD_POOL_HPP
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -70,35 +75,58 @@ class ThreadPool
     }
 
     /**
-     * Run @p fn(i) for every i in [0, @p n) across the workers and wait
-     * for all of them. Every task is waited on even when one throws, so
-     * no task can outlive the references @p fn captures; the first
-     * exception is then rethrown.
+     * Run @p fn(i) for every i in [0, @p n) and wait for all of them.
+     * min(n, size()) queued tickets drain the batch, and so does a
+     * caller that is a worker of this pool while it waits: it runs only
+     * its own batch, whose claimed items are all running, so the wait
+     * ends. Every item returns before the lowest throwing index's
+     * exception is rethrown, so none outlives what @p fn captures.
      */
     void
     parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
     {
-        std::vector<std::future<void>> futures;
-        futures.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            futures.push_back(submit([&fn, i] { fn(i); }));
-        std::exception_ptr first;
-        for (auto &f : futures) {
-            try {
-                f.get();
-            } catch (...) {
-                if (!first)
-                    first = std::current_exception();
-            }
-        }
-        if (first)
-            std::rethrow_exception(first);
+        const auto batch =
+            std::make_shared<Batch>(fn, std::vector<std::exception_ptr>(n));
+        for (std::size_t t = std::min<std::size_t>(n, size()); t > 0; --t)
+            submit([batch] { batch->drain(); });
+        if (tWorkerOf == this)
+            batch->drain();
+        for (std::size_t done; (done = batch->done.load()) < n;)
+            batch->done.wait(done);
+        for (const auto &error : batch->errors)
+            if (error)
+                std::rethrow_exception(error);
     }
 
   private:
+    /** One parallelFor call; tickets outlive it but touch fn no more. */
+    struct Batch
+    {
+        const std::function<void(std::size_t)> &fn;
+        std::vector<std::exception_ptr> errors; ///< one slot per item
+        std::atomic<std::size_t> next{0};
+        std::atomic<std::size_t> done{0};
+
+        /** Run unclaimed items until none are left. */
+        void
+        drain()
+        {
+            for (std::size_t i; (i = next.fetch_add(1)) < errors.size();) {
+                try {
+                    fn(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+                if (done.fetch_add(1) + 1 == errors.size())
+                    done.notify_all();
+            }
+        }
+    };
+
     void
     workerLoop()
     {
+        tWorkerOf = this;
         for (;;) {
             std::packaged_task<void()> task;
             {
@@ -113,6 +141,9 @@ class ThreadPool
             task(); // exceptions land in the task's future
         }
     }
+
+    /** The pool whose worker this thread is, if any. */
+    static inline thread_local const ThreadPool *tWorkerOf = nullptr;
 
     std::mutex _mutex;
     std::condition_variable _ready;
@@ -130,6 +161,21 @@ parallelFor(ThreadPool *pool, std::size_t n,
         return pool->parallelFor(n, fn);
     for (std::size_t i = 0; i < n; ++i)
         fn(i);
+}
+
+/**
+ * The pool for a run asking for @p threads workers (0 = hardware
+ * concurrency) over at most @p work items that can run at once: that
+ * many workers, capped at the work, or none when that is one or fewer.
+ */
+inline std::unique_ptr<ThreadPool>
+makePool(unsigned threads, std::size_t work = SIZE_MAX)
+{
+    const std::size_t n = std::min<std::size_t>(
+        threads ? threads : std::thread::hardware_concurrency(), work);
+    if (n <= 1)
+        return nullptr;
+    return std::make_unique<ThreadPool>(static_cast<unsigned>(n));
 }
 
 } // namespace minnoc

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -94,4 +97,69 @@ TEST(ThreadPool, ReusableAcrossManyRounds)
         });
     }
     EXPECT_EQ(total.load(), 20 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
+}
+
+TEST(ThreadPool, NestedParallelForOnOneWorkerCompletes)
+{
+    // The only worker waits on batches it is running itself: it drains
+    // them instead of blocking on tickets queued behind its own task.
+    ThreadPool pool(1);
+    std::atomic<int> leaves{0};
+    pool.parallelFor(3, [&](std::size_t) {
+        pool.parallelFor(4, [&](std::size_t) {
+            pool.parallelFor(2, [&leaves](std::size_t) {
+                leaves.fetch_add(1, std::memory_order_relaxed);
+            });
+        });
+    });
+    EXPECT_EQ(leaves.load(), 3 * 4 * 2);
+}
+
+TEST(ThreadPool, NestedWaiterRunsOnlyItsOwnBatch)
+{
+    ThreadPool pool(1);
+    std::promise<void> started;
+    std::promise<void> queued;
+    std::atomic<bool> otherRan{false};
+    bool ranBeforeBatchReturned = true;
+    auto outer = pool.submit([&, go = queued.get_future().share()] {
+        started.set_value();
+        go.wait();
+        pool.parallelFor(8, [](std::size_t) {});
+        // The one worker is still inside this task, so the unrelated
+        // task can only have run if the waiter picked it up.
+        ranBeforeBatchReturned = otherRan.load();
+    });
+    started.get_future().wait();
+    auto other = pool.submit([&otherRan] { otherRan = true; });
+    queued.set_value();
+    outer.get();
+    EXPECT_FALSE(ranBeforeBatchReturned);
+    other.get();
+    EXPECT_TRUE(otherRan.load());
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestThrowingIndex)
+{
+    ThreadPool pool(4);
+    std::atomic<bool> highThrown{false};
+    try {
+        pool.parallelFor(16, [&highThrown](std::size_t i) {
+            if (i == 11) {
+                highThrown = true;
+                throw std::runtime_error("11");
+            }
+            if (i == 5) {
+                // Throw after index 11 has, so completion order alone
+                // would pick the wrong one. Index 11 is claimed after 5
+                // by another worker, so this wait ends.
+                while (!highThrown)
+                    std::this_thread::yield();
+                throw std::runtime_error("5");
+            }
+        });
+        FAIL() << "parallelFor swallowed both exceptions";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), "5");
+    }
 }
