@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "route_optimizer.hpp"
 #include "util/log.hpp"
@@ -414,38 +413,25 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
     const std::int64_t restartsStart =
         config.traceLog || config.metrics ? obs::wallMicros() : 0;
 
-    if (!pool) {
-        for (std::uint32_t i = 0; i < attempts; ++i) {
-            // Restart granularity is the cancellation checkpoint: a
-            // fired token abandons the search before the next attempt.
+    // Waves of independent restarts (one at a time without a pool);
+    // selection then replays the wave in seed order and discards
+    // anything past the sequential stopping point, so the winner
+    // matches threads = 1 exactly.
+    bool done = false;
+    for (std::uint32_t i = 0; i < attempts && !done;) {
+        const std::uint32_t wave = std::min(threads, attempts - i);
+        std::vector<std::optional<SeedResult>> results(wave);
+        parallelFor(pool, wave, [&](std::size_t w) {
+            // Restart granularity is the cancellation checkpoint; the
+            // wave's first CancelledError is rethrown once it returns.
             checkCancel(config.cancel);
-            auto result =
-                runOnce(cliques, config, config.partitioner.seed + i);
-            if (select(result, i))
-                break;
-        }
-    } else {
-        // Waves of independent restarts; selection then replays the
-        // wave in seed order and discards anything past the sequential
-        // stopping point, so the winner matches threads = 1 exactly.
-        bool done = false;
-        for (std::uint32_t i = 0; i < attempts && !done;) {
-            const std::uint32_t wave = std::min(threads, attempts - i);
-            std::vector<std::optional<SeedResult>> results(wave);
-            pool->parallelFor(wave, [&](std::size_t w) {
-                // Same per-restart checkpoint as the sequential path;
-                // parallelFor rethrows the first CancelledError after
-                // every task of the wave has returned.
-                checkCancel(config.cancel);
-                results[w].emplace(runOnce(
-                    cliques, config,
-                    config.partitioner.seed + i +
-                        static_cast<std::uint32_t>(w)));
-            });
-            for (std::uint32_t w = 0; w < wave && !done; ++w)
-                done = select(*results[w], i + w);
-            i += wave;
-        }
+            results[w].emplace(runOnce(cliques, config,
+                                       config.partitioner.seed + i +
+                                           static_cast<std::uint32_t>(w)));
+        });
+        for (std::uint32_t w = 0; w < wave && !done; ++w)
+            done = select(*results[w], i + w);
+        i += wave;
     }
     best.restartsUsed = restartsUsed;
     if (!best.constraintsMet) {
@@ -522,16 +508,8 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
 DesignOutcome
 runMethodology(const CliqueSet &cliques, const MethodologyConfig &config)
 {
-    const std::uint32_t attempts = std::max(1u, config.restarts);
-    std::uint32_t threads =
-        config.threads ? config.threads
-                       : std::thread::hardware_concurrency();
-    threads = std::min(std::max(threads, 1u), attempts);
-
-    std::optional<ThreadPool> pool;
-    if (threads > 1)
-        pool.emplace(threads);
-    return runMethodology(cliques, config, pool ? &*pool : nullptr);
+    const auto pool = makePool(config.threads, std::max(1u, config.restarts));
+    return runMethodology(cliques, config, pool.get());
 }
 
 } // namespace minnoc::core

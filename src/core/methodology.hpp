@@ -62,8 +62,8 @@ struct MethodologyConfig
      * Worker threads for the restart loop (restarts are independent and
      * run in waves). 0 = hardware concurrency. The wave selection
      * replays the sequential preference order, so the chosen design is
-     * identical at every thread count; threads = 1 runs the exact
-     * single-threaded code path.
+     * identical at every thread count; threads = 1 runs every restart
+     * on the calling thread.
      */
     std::uint32_t threads = 0;
 
@@ -131,12 +131,11 @@ DesignOutcome runMethodology(const CliqueSet &cliques,
                              const MethodologyConfig &config = {});
 
 /**
- * Re-entrant variant for callers that already run inside a worker pool
- * (e.g. the DSE explorer evaluating many configurations at once).
- * Restarts are scheduled on @p pool when one is given; with
- * pool == nullptr the run is strictly sequential and inline —
- * no threads are spawned regardless of `config.threads` or the
- * hardware concurrency, so nested parallelism never oversubscribes.
+ * Variant for callers that own a worker pool (the DSE explorer, the
+ * phase evaluator, the serve daemon), `config.threads` ignored.
+ * Restarts run in waves of @p pool's size on it, from any thread
+ * (a pool task waiting here helps its own restarts); with
+ * pool == nullptr they run one after another on the calling thread.
  * The produced design is identical either way.
  */
 DesignOutcome runMethodology(const CliqueSet &cliques,

@@ -10,7 +10,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sstream>
-#include <thread>
 #include <unistd.h>
 
 #include "dse/cache.hpp"
@@ -660,8 +659,9 @@ evaluatePhasesDistributed(const trace::Trace &trace,
 
     // The hosts are the rows' lanes. The whole-trace half needs the
     // full workload, so it stays in-process beside the dispatch loop,
-    // its restarts on a pool of config.threads workers, or inline
-    // first at --threads 1 (DESIGN.md §5j).
+    // both on one pool of config.threads workers with every restart,
+    // or inline, the whole-trace half first (DESIGN.md §5j).
+    const auto pool = makePool(config.threads);
     const auto rows = [&](const phase::Segmentation &seg,
                           const phase::PhaseCliques &cliques) {
         const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
@@ -716,7 +716,7 @@ evaluatePhasesDistributed(const trace::Trace &trace,
             auto &msg = reply.results.emplace_back();
             msg.index = p;
             msg.row = phase::evalPhaseStandalone(
-                trace, seg, cliques.standalone[p], p, config);
+                trace, seg, cliques.standalone[p], p, config, pool.get());
             reply.wallUs = CancelToken::nowUs() - t0;
             return reply;
         };
@@ -729,12 +729,7 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         return phaseRows;
     };
 
-    std::optional<ThreadPool> pool;
-    if (config.threads != 1)
-        pool.emplace(config.threads ? config.threads
-                                    : std::thread::hardware_concurrency());
-    auto report = phase::runPhasePipeline(trace, config,
-                                          pool ? &*pool : nullptr, rows);
+    auto report = phase::runPhasePipeline(trace, config, pool.get(), rows);
     recordDistTelemetry(config.metrics, config.traceLog, stats);
     return report;
 }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "core/design_io.hpp"
@@ -30,9 +29,6 @@ methodologyConfigFor(const JobParams &params)
     mcfg.partitioner.seed = params.seed;
     mcfg.restarts = params.restarts;
     mcfg.finalize.unidirectional = params.unidirectional;
-    // Jobs parallelize across the grid, not within a run; the
-    // re-entrant runMethodology overload below ignores this anyway.
-    mcfg.threads = 1;
     return mcfg;
 }
 
@@ -267,14 +263,12 @@ finalizeReport(ExploreReport &report, const ExploreConfig &config)
 ExploreReport
 explore(const trace::Trace &trace, const ExploreConfig &config)
 {
-    const auto threads = std::min<std::size_t>(
-        config.threads ? config.threads
-                       : std::thread::hardware_concurrency(),
-        config.grid.expand().size());
-    if (threads <= 1)
-        return explore(trace, config, nullptr);
-    ThreadPool pool(static_cast<unsigned>(threads));
-    return explore(trace, config, &pool);
+    // At most every job's restarts run at once.
+    std::size_t work = 0;
+    for (const auto &job : config.grid.expand())
+        work += std::max(1u, job.restarts);
+    const auto pool = makePool(config.threads, work);
+    return explore(trace, config, pool.get());
 }
 
 ExploreReport
@@ -372,12 +366,10 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
             jobSpan(i, "phase", start);
             return;
         }
-        // Re-entrant, strictly sequential run: the explorer's pool
-        // provides the parallelism, one methodology per worker.
         auto &task = methodologies[t];
         auto mcfg = methodologyConfigFor(jobs[task.first]);
         mcfg.cancel = config.cancel;
-        auto outcome = core::runMethodology(cliques, mcfg, nullptr);
+        auto outcome = core::runMethodology(cliques, mcfg, pool);
         obs::dseSpanEnd(config.traceLog, "methodology", task.first, start);
         task.metrics = designMetrics(outcome);
         networks[t] = networkBytes(outcome.design);

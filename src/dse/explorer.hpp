@@ -10,8 +10,8 @@
  * worker pool and reduces the evaluated points to a Pareto frontier
  * over (area, latency, energy). Jobs are content-hashed and memoized in
  * the on-disk ResultCache, so a warm rerun recomputes nothing. The jobs
- * that miss it share their work: one strictly sequential, re-entrant
- * methodology run per distinct methodology configuration, then one
+ * that miss it share their work: one methodology run per distinct
+ * methodology configuration, its restarts on the same pool, then one
  * evaluation per distinct (network, simulator configuration); a
  * phase-window job runs its own per-phase pipeline. explore() is the
  * only way a job is evaluated: a `--hosts` daemon and the distributed
@@ -189,11 +189,11 @@ ExploreReport explore(const trace::Trace &trace,
                       const ExploreConfig &config);
 
 /**
- * Re-entrant variant for callers that own a worker pool (the serve
- * daemon): every task runs on @p pool, alongside whatever else the
- * caller schedules there, and config.threads is ignored; with
- * pool == nullptr the run is strictly sequential and inline. The
- * report is identical either way.
+ * Variant for callers that own a worker pool (the serve daemon): every
+ * task and every methodology's restarts run on @p pool, alongside
+ * whatever else the caller schedules there, and config.threads is
+ * ignored; with pool == nullptr everything runs in order on the
+ * calling thread. The report is identical either way.
  */
 ExploreReport explore(const trace::Trace &trace,
                       const ExploreConfig &config, ThreadPool *pool);

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <sstream>
-#include <thread>
 
 #include "sim/evaluate.hpp"
 #include "util/json.hpp"
@@ -48,8 +46,8 @@ evalVariant(const core::FinalizedDesign &design, std::size_t violations,
 }
 
 /**
- * Every phase's row: one task each on @p pool, or in phase order on
- * the calling thread when it is null.
+ * Every phase's row: one task each on @p pool, each row's restarts on
+ * it too, or in phase order on the calling thread when it is null.
  */
 std::vector<PhaseRowEval>
 phaseRows(const trace::Trace &trace, const Segmentation &seg,
@@ -58,12 +56,11 @@ phaseRows(const trace::Trace &trace, const Segmentation &seg,
           std::uint32_t tid = 0)
 {
     std::vector<PhaseRowEval> rows(seg.phases.size());
-    const auto row = [&](std::size_t p) {
+    parallelFor(pool, rows.size(), [&](std::size_t p) {
         rows[p] = evalPhaseStandalone(trace, seg, cliques.standalone[p],
                                       static_cast<std::uint32_t>(p),
-                                      config, traceLog, tid);
-    };
-    parallelFor(pool, rows.size(), row);
+                                      config, pool, traceLog, tid);
+    });
     return rows;
 }
 
@@ -231,16 +228,15 @@ assembleReport(PhaseReport &report, const trace::Trace &trace,
 PhaseRowEval
 evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
                     const core::CliqueSet &standalone, std::uint32_t p,
-                    const PhaseEvalConfig &config,
+                    const PhaseEvalConfig &config, ThreadPool *pool,
                     obs::TraceEventLog *traceLog, std::uint32_t tid)
 {
-    // Telemetry off and strictly sequential: the caller provides the
-    // parallelism, and designs are thread-count-invariant.
+    // Telemetry off; designs are thread-count-invariant.
     core::MethodologyConfig quiet = config.methodology;
     quiet.metrics = nullptr;
     quiet.traceLog = nullptr;
     const auto t = obs::spanStart(traceLog);
-    const auto outcome = core::runMethodology(standalone, quiet, nullptr);
+    const auto outcome = core::runMethodology(standalone, quiet, pool);
     obs::dseSpanEnd(traceLog, "methodology", tid, t);
     auto row = evalVariant(outcome.design, outcome.violations.size(),
                            phaseSubTrace(trace, seg, p), config, traceLog,
@@ -275,7 +271,12 @@ runPhasePipeline(const trace::Trace &trace, const PhaseEvalConfig &config,
     // and writes only its own report fields, so it runs beside the
     // rows, which read only the standalone sets.
     PhaseReport report;
-    const auto wholeTrace = [&] {
+    std::vector<PhaseRowEval> phaseRowEvals;
+    parallelFor(pool, 2, [&](std::size_t half) {
+        if (half == 1) {
+            phaseRowEvals = rows(seg, cliques);
+            return;
+        }
         const auto multi =
             synthesizeMultiPhase(cliques, config.methodology, pool);
         report.monolithic =
@@ -288,20 +289,7 @@ runPhasePipeline(const trace::Trace &trace, const PhaseEvalConfig &config,
                 .network;
         for (const auto &v : multi.unionPhaseViolations)
             report.unionPhaseViolations.push_back(v.size());
-    };
-    // Its own thread, not a pool task: it waits on its restarts, and no
-    // task on a pool may wait on that pool. An async future joins in
-    // its destructor, so a throwing row source unwinds this frame only
-    // after the thread is done with it.
-    std::future<void> whole;
-    if (pool)
-        whole = std::async(std::launch::async, wholeTrace);
-    else
-        wholeTrace();
-
-    const std::vector<PhaseRowEval> phaseRowEvals = rows(seg, cliques);
-    if (whole.valid())
-        whole.get();
+    });
 
     assembleReport(report, trace, config, seg, phaseRowEvals);
     return report;
@@ -321,13 +309,8 @@ evaluatePhases(const trace::Trace &trace, const PhaseEvalConfig &config,
 PhaseReport
 evaluatePhases(const trace::Trace &trace, const PhaseEvalConfig &config)
 {
-    const auto threads = config.threads
-                             ? config.threads
-                             : std::thread::hardware_concurrency();
-    if (threads <= 1)
-        return evaluatePhases(trace, config, nullptr);
-    ThreadPool pool(threads);
-    return evaluatePhases(trace, config, &pool);
+    const auto pool = makePool(config.threads);
+    return evaluatePhases(trace, config, pool.get());
 }
 
 std::string

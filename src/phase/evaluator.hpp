@@ -155,8 +155,9 @@ struct PhaseRowEval
 
 /**
  * The per-phase step every row comes from: synthesize phase @p p's
- * network over its @p standalone cliques (sequentially, telemetry off)
- * and evaluate it on the phase's sub-trace. With a @p traceLog, a
+ * network over its @p standalone cliques (restarts on @p pool, or in
+ * order on the calling thread when it is null; telemetry off) and
+ * evaluate it on the phase's sub-trace. With a @p traceLog, a
  * "methodology" span and the evaluation's spans go on DSE track @p tid.
  */
 PhaseRowEval evalPhaseStandalone(const trace::Trace &trace,
@@ -164,6 +165,7 @@ PhaseRowEval evalPhaseStandalone(const trace::Trace &trace,
                                  const core::CliqueSet &standalone,
                                  std::uint32_t p,
                                  const PhaseEvalConfig &config,
+                                 ThreadPool *pool,
                                  obs::TraceEventLog *traceLog = nullptr,
                                  std::uint32_t tid = 0);
 
@@ -188,19 +190,18 @@ using PhaseRowSource = std::function<std::vector<PhaseRowEval>(
  * evaluatePhases and the distributed coordinator so their reports are
  * byte-identical by construction. The whole-trace half (monolithic
  * methodology, then the union design, each replaying the full trace)
- * runs on a thread of its own, its monolithic restarts on @p pool,
- * while @p rows runs on the calling thread; with no pool it runs
- * first, inline. No task on @p pool waits on it, so the pool may be
- * shared.
+ * and @p rows are two tasks on @p pool, the monolithic restarts on it
+ * too; with no pool the whole-trace half runs first, inline. The pool
+ * may be shared, and the call may itself run on one of its workers.
  */
 PhaseReport runPhasePipeline(const trace::Trace &trace,
                              const PhaseEvalConfig &config, ThreadPool *pool,
                              const PhaseRowSource &rows);
 
 /**
- * runPhasePipeline with each row its own task on @p pool (in order on
- * the calling thread when null), each row's methodology sequential
- * inside its task; identical at every pool size.
+ * runPhasePipeline with each row its own task on @p pool, its restarts
+ * on the same pool (all in order on the calling thread when null);
+ * identical at every pool size.
  */
 PhaseReport evaluatePhases(const trace::Trace &trace,
                            const PhaseEvalConfig &config, ThreadPool *pool);

@@ -829,9 +829,9 @@ Server::compute(const Job &job)
         mcfg.restarts = req.restarts;
         mcfg.partitioner.seed = req.seed;
         mcfg.cancel = job.token.get();
-        // The re-entrant overload shards restarts across the shared
-        // pool; the wave selection keeps the design byte-identical to
-        // the CLI's at any concurrency.
+        // The pool overload shards restarts across the shared pool;
+        // the wave selection keeps the design byte-identical to the
+        // CLI's at any concurrency.
         const auto partStart = CancelToken::nowUs();
         const auto outcome = core::runMethodology(
             trace::analyzeByCall(tr), mcfg, _innerPool.get());
@@ -896,8 +896,8 @@ Server::compute(const Job &job)
         return encodeShardResult(reply);
       }
       case Cmd::Phases:
-        // The phase rows and the monolithic restarts run as tasks on
-        // the shared inner pool, like a shard's methodologies.
+        // The phase rows and every methodology's restarts run as
+        // tasks on the shared inner pool, like a shard's.
         return phase::evaluatePhases(
                    tr, phaseEvalConfigFor(req, job.token.get()),
                    _innerPool.get())
@@ -929,7 +929,7 @@ Server::compute(const Job &job)
         const std::int64_t t0 = CancelToken::nowUs();
         const auto row = phase::evalPhaseStandalone(
             tr, seg, cliques.standalone[req.jobIndex], req.jobIndex,
-            cfg);
+            cfg, _innerPool.get());
         const std::int64_t wallUs = CancelToken::nowUs() - t0;
         _metrics.counter("serve/phase_jobs").add();
         return encodePhaseResult(req.jobIndex, wallUs, row);

@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -33,14 +33,32 @@ TEST(Log, ConcurrentWarnLinesStayWhole)
         th.join();
     const auto captured = testing::internal::GetCapturedStderr();
 
-    const std::regex whole("^warn: partitioner: thread [0-9]+ line [0-9]+$");
+    // The whole line is "warn: partitioner: thread <digits> line
+    // <digits>", nothing before, between or after.
+    const auto whole = [](const std::string &line) {
+        std::size_t at = 0;
+        const auto literal = [&](std::string_view text) {
+            if (line.compare(at, text.size(), text) != 0)
+                return false;
+            at += text.size();
+            return true;
+        };
+        const auto digits = [&] {
+            const std::size_t from = at;
+            while (at < line.size() && line[at] >= '0' && line[at] <= '9')
+                ++at;
+            return at > from;
+        };
+        return literal("warn: partitioner: thread ") && digits() &&
+               literal(" line ") && digits() && at == line.size();
+    };
     std::istringstream in(captured);
     std::string line;
     int lines = 0;
     int torn = 0;
     while (std::getline(in, line)) {
         ++lines;
-        if (!std::regex_match(line, whole))
+        if (!whole(line))
             ++torn;
     }
     EXPECT_EQ(lines, kThreads * kLinesPerThread);

@@ -7,8 +7,9 @@
 #  1. ASan + UBSan build tree running the full ctest suite.
 #  2. TSan build tree running the concurrency-sensitive tests (thread
 #     pool, parallel-restart determinism, Fast_Color cache under the
-#     pool) — ASan and TSan cannot share a binary, hence the second
-#     tree.
+#     pool, and the nested-pool users: the phase evaluator and the
+#     explorer's thread-count invariance) — ASan and TSan cannot share
+#     a binary, hence the second tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
 #     and the simulator golden corpus, floorplan plan pins, routing
@@ -88,11 +89,14 @@ cmake -S "$repo" -B "$build_tsan" \
     -DMINNOC_SANITIZE_THREAD=ON
 cmake --build "$build_tsan" -j "$jobs" \
     --target test_thread_pool test_threads_determinism \
-    test_fastcolor_diff
+    test_fastcolor_diff test_phase test_dse
 export TSAN_OPTIONS="halt_on_error=1"
 "$build_tsan/tests/test_thread_pool"
 "$build_tsan/tests/test_threads_determinism"
 "$build_tsan/tests/test_fastcolor_diff"
+"$build_tsan/tests/test_phase" --gtest_filter='Evaluator.*'
+"$build_tsan/tests/test_dse" \
+    --gtest_filter='ExplorerTest.ReportIsThreadCountInvariant'
 
 echo "=== phase 3: Release bench smoke ==="
 cmake -S "$repo" -B "$build_bench" -DCMAKE_BUILD_TYPE=Release
