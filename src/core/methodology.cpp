@@ -385,8 +385,8 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
     cliques.prepareCaches();
 
     const std::uint32_t attempts = std::max(1u, config.restarts);
-    const std::uint32_t threads =
-        pool ? std::min(pool->size(), attempts) : 1u;
+    const std::uint32_t minSampled = std::min(attempts, 4u);
+    const std::uint32_t threads = pool ? pool->size() : 1u;
 
     DesignOutcome best;
     std::optional<DesignNetwork> bestNet;
@@ -407,19 +407,21 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
             best = std::move(result.outcome);
             bestNet.emplace(std::move(result.net));
         }
-        return best.constraintsMet && i + 1 >= std::min(attempts, 4u);
+        return best.constraintsMet && i + 1 >= minSampled;
     };
 
     const std::int64_t restartsStart =
         config.traceLog || config.metrics ? obs::wallMicros() : 0;
 
-    // Waves of independent restarts (one at a time without a pool);
-    // selection then replays the wave in seed order and discards
-    // anything past the sequential stopping point, so the winner
-    // matches threads = 1 exactly.
+    // Waves of independent restarts (one at a time without a pool),
+    // none crossing minSampled, where the rule may first stop; selection
+    // replays each wave in seed order and discards anything past the
+    // sequential stopping point, so the winner matches threads = 1
+    // exactly and a feasible start runs no restart threads = 1 skips.
     bool done = false;
     for (std::uint32_t i = 0; i < attempts && !done;) {
-        const std::uint32_t wave = std::min(threads, attempts - i);
+        const std::uint32_t wave = std::min(
+            threads, (i < minSampled ? minSampled : attempts) - i);
         std::vector<std::optional<SeedResult>> results(wave);
         parallelFor(pool, wave, [&](std::size_t w) {
             // Restart granularity is the cancellation checkpoint; the

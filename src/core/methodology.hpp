@@ -133,8 +133,8 @@ DesignOutcome runMethodology(const CliqueSet &cliques,
 /**
  * Variant for callers that own a worker pool (the DSE explorer, the
  * phase evaluator, the serve daemon), `config.threads` ignored.
- * Restarts run in waves of @p pool's size on it, from any thread
- * (a pool task waiting here helps its own restarts); with
+ * Restarts run in waves of up to @p pool's size on it, from any
+ * thread (a pool task waiting here helps its own restarts); with
  * pool == nullptr they run one after another on the calling thread.
  * The produced design is identical either way.
  */

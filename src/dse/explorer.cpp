@@ -126,7 +126,8 @@ networkBytes(core::FinalizedDesign design)
  */
 JobMetrics
 evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
-                 const ExploreConfig &config, std::uint32_t tid)
+                 const ExploreConfig &config, ThreadPool *pool,
+                 std::uint32_t tid)
 {
     phase::PhaseEvalConfig pcfg;
     pcfg.segmenter = segmenterFor(params, config);
@@ -137,8 +138,8 @@ evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
     pcfg.reconfigCost = config.phaseReconfigCost;
 
     const auto t0 = obs::spanStart(config.traceLog);
-    const auto [v, d] =
-        phase::evaluateTimeMultiplexed(trace, pcfg, config.traceLog, tid);
+    const auto [v, d] = phase::evaluateTimeMultiplexed(
+        trace, pcfg, pool, config.traceLog, tid);
     obs::dseSpanEnd(config.traceLog, "time-multiplexed", tid, t0);
 
     JobMetrics m;
@@ -361,7 +362,7 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
         const auto start = obs::spanStart(config.traceLog);
         if (t >= methodologies.size()) {
             const auto i = phaseJobs[t - methodologies.size()];
-            storePoint(i, evaluatePhaseJob(trace, jobs[i], config,
+            storePoint(i, evaluatePhaseJob(trace, jobs[i], config, pool,
                                            static_cast<std::uint32_t>(i)));
             jobSpan(i, "phase", start);
             return;

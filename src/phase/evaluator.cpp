@@ -248,14 +248,14 @@ evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
 
 std::pair<VariantResult, NetworkDetail>
 evaluateTimeMultiplexed(const trace::Trace &trace,
-                        const PhaseEvalConfig &config,
+                        const PhaseEvalConfig &config, ThreadPool *pool,
                         obs::TraceEventLog *traceLog, std::uint32_t tid)
 {
     const auto seg = segmentTrace(trace, config.segmenter);
     PhaseReport report;
     const NetworkDetail detail = foldTimeMultiplexed(
-        phaseRows(trace, seg, buildPhaseCliques(trace, seg), config,
-                  nullptr, traceLog, tid),
+        phaseRows(trace, seg, buildPhaseCliques(trace, seg), config, pool,
+                  traceLog, tid),
         config.reconfigCost, report);
     return {report.timeMultiplexed, detail};
 }

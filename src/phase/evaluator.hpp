@@ -171,13 +171,13 @@ PhaseRowEval evalPhaseStandalone(const trace::Trace &trace,
 
 /**
  * The time-multiplexed variant alone, as a phase-window job prices it:
- * every row in order on the calling thread (spans as
+ * every row a task on @p pool as evaluatePhases runs them (spans as
  * evalPhaseStandalone's), folded as the report folds them, with the
  * same fold of the rows' details.
  */
 std::pair<VariantResult, NetworkDetail>
 evaluateTimeMultiplexed(const trace::Trace &trace,
-                        const PhaseEvalConfig &config,
+                        const PhaseEvalConfig &config, ThreadPool *pool,
                         obs::TraceEventLog *traceLog = nullptr,
                         std::uint32_t tid = 0);
 

@@ -91,10 +91,9 @@ struct MultiPhaseResult
  * the union design from its partition, verified against every phase's
  * shared set. Reads only the merged and shared sets, so phase rows may
  * read the standalone sets concurrently. Restarts run on @p pool (the
- * caller may be one of its workers), else in order on the calling
- * thread; the designs are identical either way. Telemetry sinks in
- * @p config are ignored (the evaluator records phase-level telemetry
- * instead).
+ * caller may be one of its workers) or in order on the calling thread,
+ * with identical designs. Telemetry sinks in @p config are ignored (the
+ * evaluator records phase-level telemetry instead).
  */
 MultiPhaseResult synthesizeMultiPhase(const PhaseCliques &cliques,
                                       const core::MethodologyConfig &config,

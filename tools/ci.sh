@@ -7,9 +7,8 @@
 #  1. ASan + UBSan build tree running the full ctest suite.
 #  2. TSan build tree running the concurrency-sensitive tests (thread
 #     pool, parallel-restart determinism, Fast_Color cache under the
-#     pool, and the nested-pool users: the phase evaluator and the
-#     explorer's thread-count invariance) — ASan and TSan cannot share
-#     a binary, hence the second tree.
+#     pool, the phase evaluator and explorer on nested pools) — ASan
+#     and TSan cannot share a binary, hence the second tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
 #     and the simulator golden corpus, floorplan plan pins, routing
