@@ -130,7 +130,7 @@ designRequest(const std::string &id, const std::string &trace,
 {
     std::ostringstream os;
     os << "{\"id\": \"" << id << "\", \"cmd\": \"design\", \"trace\": \""
-       << serve::jsonEscape(trace) << "\", \"seed\": " << seed
+       << json::escape(trace) << "\", \"seed\": " << seed
        << ", \"restarts\": 2, \"deadline_ms\": " << deadlineMs << "}";
     return os.str();
 }
@@ -142,7 +142,7 @@ exploreRequest(const std::string &id, const std::string &trace,
     std::ostringstream os;
     os << "{\"id\": \"" << id
        << "\", \"cmd\": \"explore\", \"trace\": \""
-       << serve::jsonEscape(trace)
+       << json::escape(trace)
        << "\", \"degrees\": [4], \"restarts\": [2], \"vcs\": [2], "
           "\"unidirectional\": [0], \"deadline_ms\": "
        << deadlineMs << "}";
@@ -175,7 +175,7 @@ dseShardRequest(const std::string &id, const std::string &trace,
        << "], \"unidirectional\": [0], \"vcs\": [2], \"vc_depth\": 4,"
           " \"phase_windows\": [0], \"deadline_ms\": 60000,"
           " \"trace\": \""
-       << serve::jsonEscape(trace) << "\"}";
+       << json::escape(trace) << "\"}";
     return os.str();
 }
 

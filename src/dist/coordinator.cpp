@@ -86,7 +86,7 @@ runShards(serve::Cmd cmd,
 {
     const std::int64_t timeoutMs =
         std::max<std::int64_t>(options.workerTimeoutMs, 1);
-    const std::string traceJson = serve::jsonEscape(traceText);
+    const std::string traceJson = json::escape(traceText);
     const auto &hosts = options.hosts;
     // A host that failed once is never retried: its replacement lane
     // must not inherit the same fault.
@@ -522,7 +522,7 @@ DistStats::toJson(const std::string &task) const
     for (std::uint32_t w = 0; w < workers; ++w) {
         oss << "    {\"worker\": " << w;
         if (w < hostOf.size() && !hostOf[w].empty())
-            oss << ", \"host\": \"" << serve::jsonEscape(hostOf[w])
+            oss << ", \"host\": \"" << json::escape(hostOf[w])
                 << "\"";
         oss << ", \"jobs\": " << jobs[w]
             << ", \"cache_hits\": " << cacheHits[w]
@@ -534,8 +534,8 @@ DistStats::toJson(const std::string &task) const
     for (std::size_t i = 0; i < failures.size(); ++i) {
         const auto &f = failures[i];
         oss << (i ? ", " : "") << "{\"worker\": " << f.worker
-            << ", \"host\": \"" << serve::jsonEscape(f.host)
-            << "\", \"reason\": \"" << serve::jsonEscape(f.reason)
+            << ", \"host\": \"" << json::escape(f.host)
+            << "\", \"reason\": \"" << json::escape(f.reason)
             << "\", \"requeued_jobs\": [";
         for (std::size_t j = 0; j < f.requeuedJobs.size(); ++j)
             oss << (j ? ", " : "") << f.requeuedJobs[j];
@@ -687,7 +687,7 @@ evaluatePhasesDistributed(const trace::Trace &trace,
                               "\", \"cmd\": \"phase_job\"";
             out += ", \"attempt\": " + std::to_string(attempt);
             out += ", \"job_index\": " + std::to_string(job);
-            out += ", \"sig\": \"" + serve::jsonEscape(sig) + "\"";
+            out += ", \"sig\": \"" + json::escape(sig) + "\"";
             out += ", \"window\": " +
                    std::to_string(config.segmenter.windowMessages);
             out += ", \"threshold\": " +

@@ -1,43 +1,12 @@
 #include "metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace minnoc::obs {
-
-namespace {
-
-/** Minimal JSON string escape (control chars, quote, backslash). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::uint64_t
 LatencyHistogram::quantile(double q) const
@@ -145,7 +114,7 @@ MetricsRegistry::toJson(bool includeTimings) const
         if (e.timing && !includeTimings)
             continue;
         oss << (first ? "" : ",\n") << "    {\"name\": \""
-            << escapeJson(name) << "\", ";
+            << json::escape(name) << "\", ";
         if (e.counter) {
             oss << "\"type\": \"counter\", \"value\": "
                 << e.counter->value() << "}";

@@ -2,42 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 
 #include "metrics.hpp"
 #include "util/json.hpp"
 
 namespace minnoc::obs {
-
-namespace {
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::int64_t
 wallMicros()
@@ -104,7 +74,7 @@ TraceEventLog::processName(std::uint32_t pid, const std::string &name)
     e.phase = 'M';
     e.name = "process_name";
     e.pid = pid;
-    e.argsJson = "\"name\": \"" + escapeJson(name) + "\"";
+    e.argsJson = "\"name\": \"" + json::escape(name) + "\"";
     push(std::move(e));
 }
 
@@ -117,7 +87,7 @@ TraceEventLog::threadName(std::uint32_t pid, std::uint32_t tid,
     e.name = "thread_name";
     e.pid = pid;
     e.tid = tid;
-    e.argsJson = "\"name\": \"" + escapeJson(name) + "\"";
+    e.argsJson = "\"name\": \"" + json::escape(name) + "\"";
     push(std::move(e));
 }
 
@@ -154,7 +124,7 @@ TraceEventLog::toJson() const
     for (std::size_t i = 0; i < events.size(); ++i) {
         const auto &e = events[i];
         oss << "  {\"ph\": \"" << e.phase << "\", \"name\": \""
-            << escapeJson(e.name) << "\", \"pid\": " << e.pid
+            << json::escape(e.name) << "\", \"pid\": " << e.pid
             << ", \"tid\": " << e.tid << ", \"ts\": " << e.ts;
         if (e.phase == 'X')
             oss << ", \"dur\": " << e.dur;

@@ -1,7 +1,6 @@
 #include "protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "topo/power.hpp"
@@ -369,38 +368,12 @@ parseRequest(const std::string &line, RequestError &error)
 }
 
 std::string
-jsonEscape(std::string_view raw)
-{
-    std::string out;
-    out.reserve(raw.size() + raw.size() / 8);
-    for (const char c : raw) {
-        const auto u = static_cast<unsigned char>(c);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (u < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", u);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 okResponse(const std::string &id, Cmd cmd, std::string_view payload)
 {
-    std::string out = "{\"id\": \"" + jsonEscape(id) +
+    std::string out = "{\"id\": \"" + json::escape(id) +
                       "\", \"status\": \"ok\", \"cmd\": \"" +
                       cmdName(cmd) + "\", \"result\": \"" +
-                      jsonEscape(payload) + "\"}\n";
+                      json::escape(payload) + "\"}\n";
     return out;
 }
 
@@ -408,10 +381,10 @@ std::string
 errorResponse(const std::string &id, ErrorCode code,
               std::string_view message)
 {
-    std::string out = "{\"id\": \"" + jsonEscape(id) +
+    std::string out = "{\"id\": \"" + json::escape(id) +
                       "\", \"status\": \"error\", \"code\": \"" +
                       errorCodeName(code) + "\", \"message\": \"" +
-                      jsonEscape(message) + "\"}\n";
+                      json::escape(message) + "\"}\n";
     return out;
 }
 

@@ -150,9 +150,6 @@ struct RequestError
 std::optional<Request> parseRequest(const std::string &line,
                                     RequestError &error);
 
-/** JSON string escaping for payload embedding (ASCII-safe). */
-std::string jsonEscape(std::string_view raw);
-
 /** One-line success response carrying @p payload as a JSON string. */
 std::string okResponse(const std::string &id, Cmd cmd,
                        std::string_view payload);

@@ -32,62 +32,6 @@ namespace minnoc::serve {
 namespace {
 
 /**
- * Content hash of a compute request: command, canonical parameter
- * string, then the raw trace bytes chained through FNV-1a. Deadline
- * and id are deliberately excluded — they never change the result.
- */
-std::uint64_t
-requestKey(const Request &req)
-{
-    std::ostringstream sig;
-    sig << std::setprecision(17) << cmdName(req.cmd);
-    const auto list = [&sig](const char *name, const auto &values) {
-        sig << '|' << name << '=';
-        for (std::size_t i = 0; i < values.size(); ++i)
-            sig << (i ? "," : "") << values[i];
-    };
-    switch (req.cmd) {
-      case Cmd::Design:
-        sig << "|d=" << req.maxDegree << "|r=" << req.restarts
-            << "|s=" << req.seed;
-        break;
-      case Cmd::Explore:
-        list("deg", req.grid.maxDegrees);
-        list("res", req.grid.restarts);
-        list("seed", req.grid.seeds);
-        list("uni", req.grid.unidirectional);
-        list("vcs", req.grid.vcs);
-        list("pw", req.grid.phaseWindows);
-        sig << "|vcd=" << req.grid.vcDepth
-            << "|rc=" << req.reconfigCost;
-        break;
-      case Cmd::Phases:
-        sig << "|w=" << req.window << "|t=" << req.threshold
-            << "|m=" << req.minPhaseWindows
-            << "|rc=" << req.reconfigCost << "|d=" << req.maxDegree
-            << "|r=" << req.restarts << "|s=" << req.seed;
-        break;
-      case Cmd::DseShard:
-        sig << "|j=" << req.jobIndex << "|sig=" << req.sig;
-        break;
-      case Cmd::PhaseJob:
-        sig << "|j=" << req.jobIndex << "|sig=" << req.sig
-            << "|w=" << req.window << "|ep=" << req.expectedPhases;
-        break;
-      case Cmd::Ping:
-      case Cmd::Status:
-        break;
-    }
-    // Appended only off the default tier so historical keys for
-    // static-power requests are unchanged (same discipline as
-    // PowerModel::signature()).
-    if (req.power != "static")
-        sig << "|pm=" << req.power;
-    const auto h = dse::fnv1a64(sig.str());
-    return dse::fnv1a64(req.traceText, h);
-}
-
-/**
  * True when the dist test hook @p env is set to "serve", this is the
  * request's first dispatch attempt, and this server has already
  * completed a request — so the fault lands on the second request,
@@ -162,6 +106,39 @@ setSocketTimeouts(int fd)
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
 }
 
+/** The methodology a `design` request's scalars select, polling @p cancel. */
+core::MethodologyConfig
+designConfigFor(const Request &req, const CancelToken *cancel)
+{
+    core::MethodologyConfig cfg;
+    cfg.partitioner.constraints.maxDegree = req.maxDegree;
+    cfg.partitioner.seed = req.seed;
+    cfg.restarts = req.restarts;
+    cfg.cancel = cancel;
+    return cfg;
+}
+
+/**
+ * The grid an `explore` or `dse_shard` request selects, polling
+ * @p cancel. It always uses the daemon's OWN disk cache, never a
+ * client path: the socket is the trust boundary.
+ */
+dse::ExploreConfig
+exploreConfigFor(const Request &req, const ServerConfig &server,
+                 const CancelToken *cancel)
+{
+    dse::ExploreConfig cfg;
+    cfg.grid = req.grid;
+    cfg.phaseReconfigCost = static_cast<sim::Cycle>(req.reconfigCost);
+    cfg.phaseSegmenter.mergeThreshold = req.threshold;
+    cfg.phaseSegmenter.minPhaseWindows = req.minPhaseWindows;
+    cfg.cacheDir = server.cacheDir;
+    cfg.useCache = server.useCache;
+    cfg.power.kind = *topo::powerModelKindFromName(req.power);
+    cfg.cancel = cancel;
+    return cfg;
+}
+
 /**
  * The phase evaluation a `phases` or `phase_job` request's scalars
  * select, polling @p cancel.
@@ -173,14 +150,30 @@ phaseEvalConfigFor(const Request &req, const CancelToken *cancel)
     cfg.segmenter.windowMessages = req.window;
     cfg.segmenter.mergeThreshold = req.threshold;
     cfg.segmenter.minPhaseWindows = req.minPhaseWindows;
-    cfg.methodology.partitioner.constraints.maxDegree = req.maxDegree;
-    cfg.methodology.partitioner.seed = req.seed;
-    cfg.methodology.restarts = req.restarts;
-    cfg.methodology.cancel = cancel;
+    cfg.methodology = designConfigFor(req, cancel);
     cfg.sim.cancel = cancel;
     cfg.reconfigCost = static_cast<sim::Cycle>(req.reconfigCost);
     cfg.power.kind = *topo::powerModelKindFromName(req.power);
     return cfg;
+}
+
+/**
+ * Response-LRU key of a `design`, `explore` or `phases` request: the
+ * command, the signature of the config it selects (the one the disk
+ * cache and the drift guards trust), then the raw trace bytes, chained
+ * through FNV-1a. Deadline and id never change the result.
+ */
+std::uint64_t
+requestKey(const Request &req, const ServerConfig &server)
+{
+    std::string sig = cmdName(req.cmd);
+    if (req.cmd == Cmd::Design)
+        sig += '|' + designConfigFor(req, nullptr).signature();
+    else if (req.cmd == Cmd::Explore)
+        sig += '|' + shardSignature(exploreConfigFor(req, server, nullptr));
+    else
+        sig += '|' + phasesSignature(phaseEvalConfigFor(req, nullptr));
+    return dse::fnv1a64(req.traceText, dse::fnv1a64(sig));
 }
 
 } // namespace
@@ -276,10 +269,6 @@ Server::start(std::string &error)
                                ? _config.innerThreads
                                : std::thread::hardware_concurrency();
     _innerPool = std::make_unique<ThreadPool>(inner);
-    const auto workers = _config.workers ? _config.workers : 1u;
-    _workers.reserve(workers);
-    for (std::uint32_t i = 0; i < workers; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i); });
     _acceptThread = std::jthread([this] { acceptLoop(); });
     return true;
 }
@@ -327,9 +316,7 @@ Server::stop()
 
     // Phase 1: let in-flight and queued work finish inside the drain
     // budget. Readers stay alive so responses still reach clients.
-    const auto pred = [this] {
-        return _queue.empty() && _inFlight.load() == 0;
-    };
+    const auto pred = [this] { return _queued == 0 && _inFlight == 0; };
     const auto budget = std::chrono::milliseconds(
         _config.drainMs > 0 ? _config.drainMs : 0);
     bool drained = false;
@@ -340,8 +327,9 @@ Server::stop()
     }
 
     // Phase 2: past the budget, cancel every outstanding token with
-    // Shutdown — workers unwind at the next checkpoint and answer
-    // `shutting_down`, so no request is silently dropped.
+    // Shutdown — requests unwind at the next checkpoint and answer
+    // `shutting_down`, so no request is silently dropped. The wait has
+    // no deadline: no request task may outlive the pool below.
     if (!drained) {
         {
             const std::scoped_lock lock(_connsMutex);
@@ -353,16 +341,13 @@ Server::stop()
             }
         }
         std::unique_lock lock(_queueMutex);
-        _queueDrained.wait_until(
-            lock, std::chrono::steady_clock::now() + budget, pred);
+        _queueDrained.wait(lock, pred);
     }
 
-    {
-        const std::scoped_lock lock(_queueMutex);
-        _stopWorkers = true;
-    }
-    _queueReady.notify_all();
-    _workers.clear(); // jthreads join here
+    // Every admitted request is answered, and handleLine admits none
+    // once _draining is set (it checks under _queueMutex), so the pool
+    // holds no request task: this joins its idle workers.
+    _innerPool.reset();
 
     closeAllConnections();
 
@@ -545,25 +530,18 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
         return;
     }
 
-    if (_draining.load()) {
-        respondError(conn, parsed->id, ErrorCode::ShuttingDown,
-                     "server shutting down");
-        return;
-    }
-
     Job job;
     job.req = std::move(*parsed);
     job.conn = conn;
     job.token = std::make_shared<CancelToken>();
     // The deadline covers queue wait too: a request that sat behind a
-    // full queue for its whole budget times out instead of running.
+    // busy pool for its whole budget times out instead of running.
     const auto deadlineMs =
         job.req.deadlineMs > 0
             ? std::min(job.req.deadlineMs, _config.maxDeadlineMs)
             : _config.defaultDeadlineMs;
     if (deadlineMs > 0)
         job.token->setDeadlineIn(deadlineMs * 1000);
-    job.key = requestKey(job.req);
     job.enqueuedUs = CancelToken::nowUs();
 
     {
@@ -574,103 +552,64 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
     }
 
     {
+        // Checked under the lock stop() drains with, so no request is
+        // submitted once stop() has begun.
         const std::scoped_lock lock(_queueMutex);
-        if (_queue.size() >= _config.queueCapacity) {
-            respondError(conn, job.req.id, ErrorCode::QueueFull,
-                         "work queue is full (" +
-                             std::to_string(_config.queueCapacity) +
-                             " pending requests)");
+        if (!_draining.load() && _queued < _config.queueCapacity) {
+            ++_queued;
+            _innerPool->submit([this, job = std::move(job)] {
+                {
+                    // Queued to in flight in one step, so the drain
+                    // never sees both counts at zero in between.
+                    const std::scoped_lock started(_queueMutex);
+                    --_queued;
+                    ++_inFlight;
+                }
+                handleJob(job);
+                {
+                    const std::scoped_lock done(_queueMutex);
+                    --_inFlight;
+                }
+                _queueDrained.notify_all();
+            });
             return;
         }
-        _queue.push_back(std::move(job));
     }
-    _queueReady.notify_one();
+    if (_draining.load())
+        respondError(conn, job.req.id, ErrorCode::ShuttingDown,
+                     "server shutting down");
+    else
+        respondError(conn, job.req.id, ErrorCode::QueueFull,
+                     "work queue is full (" +
+                         std::to_string(_config.queueCapacity) +
+                         " pending requests)");
 }
 
 void
-Server::workerLoop(std::uint32_t worker)
+Server::handleJob(const Job &job)
 {
-    // Per-worker registration + counters: a skewed jobs distribution
-    // across rows in `status` flags a stuck worker or lock contention.
-    auto &jobsCounter = _metrics.counter(
-        "serve/worker/" + std::to_string(worker) + "/jobs");
-    for (;;) {
-        Job job;
-        {
-            std::unique_lock lock(_queueMutex);
-            _queueReady.wait(lock, [this] {
-                return _stopWorkers || !_queue.empty();
-            });
-            if (_queue.empty())
-                return; // stopping and drained
-            job = std::move(_queue.front());
-            _queue.pop_front();
-        }
-        _inFlight.fetch_add(1);
-        jobsCounter.add();
-        handleJob(job, worker);
-        _inFlight.fetch_sub(1);
-        _queueDrained.notify_all();
-    }
-}
-
-void
-Server::handleJob(Job &job, const std::uint32_t worker)
-{
-    const auto &req = job.req;
-
     // Coordinator job dispatch bypasses the response LRU and the
     // single-flight tier: the `cached` flag inside the result document
     // must tell the truth about this daemon's disk cache, and the
     // shared disk cache already dedups identical jobs across requests.
-    if (req.cmd == Cmd::DseShard || req.cmd == Cmd::PhaseJob) {
-        (void)worker;
-        if (job.token->cancelled()) {
-            const auto [code, message] =
-                cancelError(job.token->reason());
-            respondError(job.conn, req.id, code, message);
-        } else {
-            try {
-                const auto payload = compute(job);
-                _metrics.counter("serve/responses_ok").add();
-                respond(job.conn,
-                        okResponse(req.id, req.cmd, payload));
-            } catch (const CancelledError &) {
-                const auto [code, message] =
-                    cancelError(job.token->reason());
-                respondError(job.conn, req.id, code, message);
-            } catch (const FatalError &e) {
-                respondError(job.conn, req.id,
-                             ErrorCode::ValidationError, e.what());
-            } catch (const std::exception &e) {
-                respondError(job.conn, req.id, ErrorCode::Internal,
-                             e.what());
-            }
-        }
+    if (job.req.cmd == Cmd::DseShard || job.req.cmd == Cmd::PhaseJob) {
+        answer(job, job.token->cancelled() ? Outcome::cancellation()
+                                           : tryCompute(job));
         recordLatency(job);
         return;
     }
 
+    const auto key = requestKey(job.req, _config);
     for (;;) {
         if (job.token->cancelled()) {
-            const auto [code, message] =
-                cancelError(job.token->reason());
-            respondError(job.conn, req.id, code, message);
+            answer(job, Outcome::cancellation());
             break;
         }
 
         // Tier 1: response LRU — the exact bytes of the first
         // computation for this content hash.
-        if (auto hit = _lru.get(job.key)) {
-            // Count before the socket write: a client that has seen
-            // the reply must never observe a stale counter.
-            _metrics.counter("serve/responses_ok").add();
-            _metrics
-                .counter("serve/worker/" + std::to_string(worker) +
-                         "/cache_hits")
-                .add();
-            respond(job.conn,
-                    okResponse(req.id, req.cmd, *hit));
+        if (auto hit = _lru.get(key)) {
+            answer(job, Outcome::success(std::move(*hit)));
             break;
         }
 
@@ -680,10 +619,10 @@ Server::handleJob(Job &job, const std::uint32_t worker)
         bool leader = false;
         {
             const std::scoped_lock lock(_flightsMutex);
-            const auto it = _flights.find(job.key);
+            const auto it = _flights.find(key);
             if (it == _flights.end()) {
                 flight = std::make_shared<Flight>();
-                _flights.emplace(job.key, flight);
+                _flights.emplace(key, flight);
                 leader = true;
             } else {
                 flight = it->second;
@@ -691,41 +630,22 @@ Server::handleJob(Job &job, const std::uint32_t worker)
         }
 
         if (leader) {
-            bool ok = false;
-            bool abandoned = false;
-            std::string payload;
-            ErrorCode code = ErrorCode::Internal;
-            std::string message;
             // Re-check the LRU now that we hold the flight: a prior
             // leader for this key publishes to the LRU before retiring
             // its flight, so a request that missed the LRU, found no
             // flight and got here either predates that leader (true
             // miss) or is guaranteed to hit now — exactly-once compute
             // with no window in between.
-            if (auto hit = _lru.get(job.key)) {
-                ok = true;
-                payload = std::move(*hit);
-                _metrics
-                    .counter("serve/worker/" + std::to_string(worker) +
-                             "/cache_hits")
-                    .add();
+            Outcome outcome;
+            if (auto hit = _lru.get(key)) {
+                outcome = Outcome::success(std::move(*hit));
             } else {
-                try {
-                    payload = compute(job);
-                    ok = true;
+                // A cancellation is the leader's own (its deadline,
+                // its client): followers re-elect instead of
+                // inheriting it.
+                outcome = tryCompute(job);
+                if (outcome.ok)
                     _metrics.counter("serve/computations").add();
-                } catch (const CancelledError &) {
-                    // Leader-specific cancellation (its deadline, its
-                    // client): followers must not inherit it — they
-                    // re-elect a leader instead.
-                    abandoned = true;
-                } catch (const FatalError &e) {
-                    code = ErrorCode::ValidationError;
-                    message = e.what();
-                } catch (const std::exception &e) {
-                    code = ErrorCode::Internal;
-                    message = e.what();
-                }
             }
 
             // Publish to the LRU before retiring the flight (see the
@@ -733,45 +653,29 @@ Server::handleJob(Job &job, const std::uint32_t worker)
             // marking it done: a retrying follower must find either
             // no flight (become leader) or a live one — never a
             // completed husk.
-            if (ok)
-                _lru.put(job.key, payload);
+            if (outcome.ok)
+                _lru.put(key, outcome.payload);
             {
                 const std::scoped_lock lock(_flightsMutex);
-                _flights.erase(job.key);
+                _flights.erase(key);
             }
             {
                 const std::scoped_lock lock(flight->mutex);
                 flight->done = true;
-                flight->abandoned = abandoned;
-                flight->ok = ok;
-                flight->payload = payload;
-                flight->code = code;
-                flight->message = message;
+                flight->outcome = outcome;
             }
             flight->cv.notify_all();
-
-            if (ok) {
-                _metrics.counter("serve/responses_ok").add();
-                respond(job.conn,
-                        okResponse(req.id, req.cmd, payload));
-            } else if (abandoned) {
-                const auto [c, m] = cancelError(job.token->reason());
-                respondError(job.conn, req.id, c, m);
-            } else {
-                respondError(job.conn, req.id, code, message);
-            }
+            answer(job, outcome);
             break;
         }
 
         // Follower: wait for the leader, slicing against our own
-        // deadline/disconnect — a follower's fate is its own.
+        // deadline/disconnect — a follower's fate is its own. It holds
+        // a pool worker meanwhile; the leader is already running, so
+        // the wait ends.
         _metrics.counter("serve/dedup_joins").add();
         bool done = false;
-        bool abandoned = false;
-        bool ok = false;
-        std::string payload;
-        ErrorCode code = ErrorCode::Internal;
-        std::string message;
+        Outcome outcome;
         {
             std::unique_lock lock(flight->mutex);
             while (!flight->done) {
@@ -781,29 +685,50 @@ Server::handleJob(Job &job, const std::uint32_t worker)
                     break;
             }
             done = flight->done;
-            abandoned = flight->abandoned;
-            ok = flight->ok;
-            payload = flight->payload;
-            code = flight->code;
-            message = flight->message;
+            outcome = flight->outcome;
         }
         if (!done) {
-            const auto [c, m] = cancelError(job.token->reason());
-            respondError(job.conn, req.id, c, m);
+            answer(job, Outcome::cancellation());
             break;
         }
-        if (abandoned)
+        if (outcome.cancelled)
             continue; // retry: maybe become the leader this time
-        if (ok) {
-            _metrics.counter("serve/responses_ok").add();
-            respond(job.conn, okResponse(req.id, req.cmd, payload));
-        } else {
-            respondError(job.conn, req.id, code, message);
-        }
+        answer(job, outcome);
         break;
     }
 
     recordLatency(job);
+}
+
+Server::Outcome
+Server::tryCompute(const Job &job)
+{
+    try {
+        return Outcome::success(compute(job));
+    } catch (const CancelledError &) {
+        return Outcome::cancellation();
+    } catch (const FatalError &e) {
+        return Outcome::failure(ErrorCode::ValidationError, e.what());
+    } catch (const std::exception &e) {
+        return Outcome::failure(ErrorCode::Internal, e.what());
+    }
+}
+
+void
+Server::answer(const Job &job, const Outcome &outcome)
+{
+    const auto &req = job.req;
+    if (outcome.ok) {
+        // Count before the socket write: a client that has seen the
+        // reply must never observe a stale counter.
+        _metrics.counter("serve/responses_ok").add();
+        respond(job.conn, okResponse(req.id, req.cmd, outcome.payload));
+    } else if (outcome.cancelled) {
+        const auto [code, message] = cancelError(job.token->reason());
+        respondError(job.conn, req.id, code, message);
+    } else {
+        respondError(job.conn, req.id, outcome.code, outcome.message);
+    }
 }
 
 std::string
@@ -824,17 +749,13 @@ Server::compute(const Job &job)
 
     switch (req.cmd) {
       case Cmd::Design: {
-        core::MethodologyConfig mcfg;
-        mcfg.partitioner.constraints.maxDegree = req.maxDegree;
-        mcfg.restarts = req.restarts;
-        mcfg.partitioner.seed = req.seed;
-        mcfg.cancel = job.token.get();
         // The pool overload shards restarts across the shared pool;
         // the wave selection keeps the design byte-identical to the
         // CLI's at any concurrency.
         const auto partStart = CancelToken::nowUs();
         const auto outcome = core::runMethodology(
-            trace::analyzeByCall(tr), mcfg, _innerPool.get());
+            trace::analyzeByCall(tr),
+            designConfigFor(req, job.token.get()), _innerPool.get());
         const auto partUs = CancelToken::nowUs() - partStart;
         _metrics.counter("serve/designs_total").add();
         _metrics.counter("serve/design_restarts_used")
@@ -855,18 +776,7 @@ Server::compute(const Job &job)
       case Cmd::DseShard: {
         if (req.cmd == Cmd::DseShard)
             maybeInjectServeFault(req.attempt, _metrics);
-        dse::ExploreConfig cfg;
-        cfg.grid = req.grid;
-        cfg.phaseReconfigCost =
-            static_cast<sim::Cycle>(req.reconfigCost);
-        cfg.phaseSegmenter.mergeThreshold = req.threshold;
-        cfg.phaseSegmenter.minPhaseWindows = req.minPhaseWindows;
-        // Always the daemon's OWN disk cache, never a client path —
-        // the socket is the trust boundary.
-        cfg.cacheDir = _config.cacheDir;
-        cfg.useCache = _config.useCache;
-        cfg.power.kind = *topo::powerModelKindFromName(req.power);
-        cfg.cancel = job.token.get();
+        const auto cfg = exploreConfigFor(req, _config, job.token.get());
         // The grid's methodologies and evaluations run on the shared
         // inner pool, so a shard fills an idle daemon while concurrent
         // requests share its threads (reports are byte-identical at
@@ -988,7 +898,7 @@ void
 Server::recordLatency(const Job &job)
 {
     const auto us = CancelToken::nowUs() - job.enqueuedUs;
-    // The histogram is single-writer by contract; serialize workers.
+    // The histogram is single-writer by contract; serialize requests.
     const std::scoped_lock lock(_latencyMutex);
     _metrics.histogram("serve/request_latency_us", true)
         .record(us > 0 ? static_cast<std::uint64_t>(us) : 0);
@@ -997,10 +907,11 @@ Server::recordLatency(const Job &job)
 std::string
 Server::statusJson()
 {
-    std::size_t depth = 0;
+    std::size_t depth = 0, inFlight = 0;
     {
         const std::scoped_lock lock(_queueMutex);
-        depth = _queue.size();
+        depth = _queued;
+        inFlight = _inFlight;
     }
     const auto counter = [this](const char *name) {
         return _metrics.counter(name).value();
@@ -1045,7 +956,7 @@ Server::statusJson()
     std::ostringstream os;
     os << "{\"queue_depth\": " << depth
        << ", \"queue_capacity\": " << _config.queueCapacity
-       << ", \"in_flight\": " << _inFlight.load()
+       << ", \"in_flight\": " << inFlight
        << ", \"draining\": "
        << (_draining.load() ? "true" : "false")
        << ", \"requests_total\": " << counter("serve/requests_total")
@@ -1081,17 +992,7 @@ Server::statusJson()
        << counter("serve/design_restarts_used")
        << ", \"partitioner_wall_us\": {\"count\": " << partCount
        << ", \"p50\": " << partP50 << ", \"p99\": " << partP99
-       << ", \"max\": " << partMax << "}"
-       << ", \"workers\": [";
-    const auto nWorkers = _config.workers ? _config.workers : 1u;
-    for (std::uint32_t w = 0; w < nWorkers; ++w) {
-        const auto base = "serve/worker/" + std::to_string(w) + "/";
-        os << (w ? ", " : "") << "{\"worker\": " << w
-           << ", \"jobs\": " << _metrics.counter(base + "jobs").value()
-           << ", \"cache_hits\": "
-           << _metrics.counter(base + "cache_hits").value() << "}";
-    }
-    os << "]}";
+       << ", \"max\": " << partMax << "}}";
     return os.str();
 }
 

@@ -5,19 +5,23 @@
  *
  * Architecture (one box per thread kind):
  *
- *   accept thread ──► reader thread per connection ──► bounded queue
- *                       │  (parse, admit, inline                │
- *                       │   ping/status, backpressure)          ▼
- *                       │                               worker threads
- *                       ◄── responses (per-conn write mutex) ───┘
+ *   accept thread ──► reader thread per connection ──► shared pool
+ *                       │  (parse, admit, inline            │
+ *                       │   ping/status, backpressure)      ▼
+ *                       │                      one task per request
+ *                       │                      (its restarts, grid jobs
+ *                       │                       and phase rows nest on
+ *                       │                       the same pool)
+ *                       ◄── responses (per-conn write mutex) ──┘
  *
  * Robustness properties, each load-bearing:
  *
- *  - **Admission control**: the work queue is a bounded deque; a
- *    request arriving past the high-water mark is rejected immediately
- *    with `queue_full` instead of queueing unboundedly. `ping` and
- *    `status` are answered inline by the reader and never queued, so
- *    health checks work under full load.
+ *  - **Admission control**: at most `queueCapacity` admitted requests
+ *    wait for a pool worker; a request arriving past that high-water
+ *    mark is rejected immediately with `queue_full` instead of
+ *    queueing unboundedly. `ping` and `status` are answered inline by
+ *    the reader and never queued, so health checks work under full
+ *    load.
  *  - **Deadlines**: every compute request gets a CancelToken whose
  *    deadline covers queue wait plus compute; the token is polled
  *    cooperatively at partitioner-restart, DSE-job and simulator-epoch
@@ -51,7 +55,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,9 +78,10 @@ struct ServerConfig
     /** TCP loopback port; 0 = ephemeral (see Server::boundPort()). */
     int port = -1;
 
-    /** Worker threads draining the compute queue. */
-    std::uint32_t workers = 2;
-    /** Queue high-water mark; past it requests get `queue_full`. */
+    /**
+     * Admitted requests that may wait for a pool worker; past it
+     * requests get `queue_full`.
+     */
     std::size_t queueCapacity = 64;
 
     /** Deadline applied when a request does not ask for one (ms). */
@@ -97,8 +101,9 @@ struct ServerConfig
     bool useCache = true;
 
     /**
-     * Threads of the shared pool that design restarts and explore /
-     * dse_shard grids run on (0 = hardware).
+     * Threads of the shared pool (0 = hardware): it bounds both how
+     * many requests run at once and the restarts, grid jobs and phase
+     * rows nested inside them.
      */
     std::uint32_t innerThreads = 0;
 
@@ -116,7 +121,8 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Bind the listener and spawn the accept + worker threads.
+     * Bind the listener, build the shared pool and spawn the accept
+     * thread.
      * Returns false (with a description in @p error) when the socket
      * cannot be bound.
      */
@@ -164,8 +170,28 @@ class Server
         Request req;
         std::shared_ptr<Conn> conn;
         std::shared_ptr<CancelToken> token;
-        std::uint64_t key = 0; ///< content hash (cmd|params|trace)
         std::int64_t enqueuedUs = 0;
+    };
+
+    /** What compute() made of a job: its payload, or why there is none. */
+    struct Outcome
+    {
+        bool ok = false;
+        /** The job's token fired; the error is its reason. */
+        bool cancelled = false;
+        std::string payload;
+        ErrorCode code = ErrorCode::Internal;
+        std::string message;
+
+        static Outcome success(std::string payload)
+        {
+            return {true, false, std::move(payload), {}, {}};
+        }
+        static Outcome cancellation() { return {false, true, {}, {}, {}}; }
+        static Outcome failure(ErrorCode code, std::string message)
+        {
+            return {false, false, {}, code, std::move(message)};
+        }
     };
 
     /** One deduplicated computation; followers wait on the leader. */
@@ -174,25 +200,25 @@ class Server
         std::mutex mutex;
         std::condition_variable cv;
         bool done = false;
-        /** Leader was cancelled; followers retry for leadership. */
-        bool abandoned = false;
-        bool ok = false;
-        std::string payload;
-        ErrorCode code = ErrorCode::Internal;
-        std::string message;
+        /** outcome.cancelled: the leader was; followers re-elect. */
+        Outcome outcome;
     };
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Conn> conn);
-    void workerLoop(std::uint32_t worker);
 
     /** Parse + admit one request line from @p conn. */
     void handleLine(const std::shared_ptr<Conn> &conn,
                     const std::string &line);
-    void handleJob(Job &job, std::uint32_t worker);
+    /** Answer one admitted job; runs as a task on the shared pool. */
+    void handleJob(const Job &job);
 
     /** Run the actual pipeline for @p job; returns the payload. */
     std::string compute(const Job &job);
+    /** compute(), with every failure mapped onto an error code. */
+    Outcome tryCompute(const Job &job);
+    /** Send @p job's response for @p outcome. */
+    void answer(const Job &job, const Outcome &outcome);
 
     void respond(const std::shared_ptr<Conn> &conn,
                  const std::string &line);
@@ -214,18 +240,17 @@ class Server
     std::atomic<bool> _draining{false};
     std::atomic<bool> _stopped{false};
 
+    /** Guards the two counts below and admission to the pool. */
     std::mutex _queueMutex;
-    std::condition_variable _queueReady;
     std::condition_variable _queueDrained;
-    std::deque<Job> _queue;
-    bool _stopWorkers = false;
-    std::atomic<std::uint64_t> _inFlight{0};
+    std::size_t _queued = 0;   ///< admitted, not started
+    std::size_t _inFlight = 0; ///< started, not answered
 
     std::mutex _flightsMutex;
     std::unordered_map<std::uint64_t, std::shared_ptr<Flight>> _flights;
 
     LruCache _lru;
-    /** Shared pool: design restarts, explore and dse_shard grid tasks. */
+    /** Shared pool: every request, and all the work nested in it. */
     std::unique_ptr<ThreadPool> _innerPool;
 
     obs::MetricsRegistry _metrics;
@@ -235,7 +260,6 @@ class Server
     std::vector<std::pair<std::shared_ptr<Conn>, std::jthread>> _conns;
 
     std::jthread _acceptThread;
-    std::vector<std::jthread> _workers;
 };
 
 } // namespace minnoc::serve

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -30,6 +31,33 @@ fmtDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
+}
+
+/** @p raw as the body of a JSON string literal (ASCII-safe). */
+inline std::string
+escape(std::string_view raw)
+{
+    std::string out;
+    out.reserve(raw.size() + raw.size() / 8);
+    for (const char c : raw) {
+        const auto u = static_cast<unsigned char>(c);
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (u < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", u);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 class Value;

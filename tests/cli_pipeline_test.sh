@@ -85,14 +85,17 @@ cmp "$DIR/explore.json" "$DIR/explore4.json"
 test -s "$DIR/seed64.design"
 
 # One process parallelizes with --threads and machines with --hosts;
-# explore and phases have no --workers flag.
-for cmd in explore phases; do
+# explore, phases and serve have no --workers flag. A daemon that
+# accepted it would never exit: the timeout turns that into rc 124.
+for cmd in explore phases serve; do
     rc=0
-    "$MINNOC" $cmd "$DIR/cg.trace" --workers 2 \
-        --out "$DIR/workers.json" 2>"$DIR/workers.log" || rc=$?
+    timeout 20 "$MINNOC" $cmd "$DIR/cg.trace" --workers 2 \
+        --out "$DIR/workers.json" --socket "$DIR/workers.sock" \
+        2>"$DIR/workers.log" || rc=$?
     test "$rc" -eq 1
     grep -q "unknown flag --workers" "$DIR/workers.log"
     test ! -e "$DIR/workers.json"
+    test ! -e "$DIR/workers.sock"
 done
 
 # Distributed explore: a zero --worker-timeout-ms, or one whose

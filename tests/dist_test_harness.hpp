@@ -98,7 +98,12 @@ class DaemonProc
   public:
     struct Options
     {
-        std::uint32_t workers = 1;
+        /**
+         * Pool threads. One runs one request at a time, which the
+         * serve-side chaos hooks need: they fire on the request after
+         * the first one completes.
+         */
+        std::uint32_t threads = 1;
         std::size_t queueCapacity = 64;
         std::string cacheDir;
         bool useCache = true;
@@ -181,7 +186,7 @@ class DaemonProc
                 ::setenv(name.c_str(), value.c_str(), 1);
             serve::ServerConfig cfg;
             cfg.port = 0; // ephemeral
-            cfg.workers = options.workers;
+            cfg.innerThreads = options.threads;
             cfg.queueCapacity = options.queueCapacity;
             cfg.cacheDir = options.cacheDir;
             cfg.useCache = options.useCache;

@@ -28,6 +28,7 @@
 #include "topo/builders.hpp"
 #include "topo/floorplan.hpp"
 #include "trace/nas_generators.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 using namespace minnoc;
@@ -246,7 +247,7 @@ validServeRequest()
     tr.save(traceOs);
     std::ostringstream os;
     os << "{\"id\": \"fuzz\", \"cmd\": \"design\", \"trace\": \""
-       << serve::jsonEscape(traceOs.str())
+       << json::escape(traceOs.str())
        << "\", \"restarts\": 2, \"seed\": 1}";
     return os.str();
 }
@@ -386,7 +387,7 @@ validDseShardLine()
           " \"threshold\": 0.35, \"min_phase_windows\": 2,"
           " \"power\": \"activity\","
           " \"deadline_ms\": 10000, \"trace\": \""
-       << serve::jsonEscape(traceOs.str()) << "\"}";
+       << json::escape(traceOs.str()) << "\"}";
     return os.str();
 }
 

@@ -13,8 +13,12 @@
  *  - `phases` runs on the daemon's shared inner pool, byte-identical to
  *    the CLI even with another `phases` request beside it, and a
  *    deadline cancels it.
+ *  - A daemon on a one-thread pool still answers requests whose
+ *    restarts and phase rows nest on that pool.
  *  - N concurrent identical submissions trigger exactly one
- *    computation and all receive byte-identical responses.
+ *    computation and all receive byte-identical responses, and a
+ *    request differing in any field that changes the result misses
+ *    the response LRU.
  *  - Admission control rejects work past the queue high-water mark
  *    with `queue_full` while the daemon keeps answering `ping`.
  *  - stop() drains in-flight work: a response already being computed
@@ -39,6 +43,7 @@
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 #include "trace/synthetic.hpp"
+#include "util/json.hpp"
 
 using namespace minnoc;
 using namespace minnoc::serve;
@@ -81,12 +86,22 @@ designRequest(const std::string &id, const std::string &trace,
 {
     std::ostringstream os;
     os << "{\"id\": \"" << id << "\", \"cmd\": \"design\", \"trace\": \""
-       << jsonEscape(trace) << "\", \"restarts\": " << restarts
+       << json::escape(trace) << "\", \"restarts\": " << restarts
        << ", \"seed\": " << seed;
     if (deadlineMs > 0)
         os << ", \"deadline_ms\": " << deadlineMs;
     os << "}";
     return os.str();
+}
+
+/** A @p cmd request on @p trace with the extra JSON @p fields. */
+std::string
+request(const char *cmd, const std::string &id, const std::string &trace,
+        const std::string &fields)
+{
+    return "{\"id\": \"" + id + "\", \"cmd\": \"" + cmd +
+           "\", \"trace\": \"" + json::escape(trace) + "\", " + fields +
+           "}";
 }
 
 /** Small 2-job `explore` request (degrees {4,5}, restarts 2). */
@@ -96,7 +111,7 @@ exploreRequest(const std::string &id, const std::string &trace,
 {
     std::ostringstream os;
     os << "{\"id\": \"" << id
-       << "\", \"cmd\": \"explore\", \"trace\": \"" << jsonEscape(trace)
+       << "\", \"cmd\": \"explore\", \"trace\": \"" << json::escape(trace)
        << "\", \"degrees\": [4, 5], \"restarts\": [2], \"vcs\": [2]"
        << ", \"unidirectional\": [0]";
     if (deadlineMs > 0)
@@ -157,7 +172,7 @@ phasesRequest(const std::string &id, const std::string &trace,
 {
     std::ostringstream os;
     os << "{\"id\": \"" << id << "\", \"cmd\": \"phases\", \"trace\": \""
-       << jsonEscape(trace) << "\", \"restarts\": 2, \"seed\": " << seed;
+       << json::escape(trace) << "\", \"restarts\": 2, \"seed\": " << seed;
     if (deadlineMs > 0)
         os << ", \"deadline_ms\": " << deadlineMs;
     os << "}";
@@ -395,7 +410,6 @@ TEST(Serve, PhasesOnSharedInnerPoolByteIdenticalToCli)
 {
     const auto trace = phaseShiftText();
     ServerConfig cfg;
-    cfg.workers = 2;
     cfg.innerThreads = 4;
     LiveServer live("serve-phases", cfg);
 
@@ -439,11 +453,68 @@ TEST(Serve, ExpiredDeadlineCancelsPhasesWithTimeoutError)
     EXPECT_EQ(ok.result, expectedPhases(trace, 1));
 }
 
+TEST(Serve, NestedWorkOnOneThreadPoolMatchesCli)
+{
+    // Each request task waits on its own one-worker pool for its
+    // restarts (and phase rows); only the helping wait lets it finish.
+    ServerConfig cfg;
+    cfg.innerThreads = 1;
+    LiveServer live("serve-one-thread", cfg);
+    auto client = live.client();
+
+    const auto cg = traceText(trace::Benchmark::CG, 8);
+    const auto design = roundTrip(client, designRequest("d", cg, 4));
+    ASSERT_TRUE(design.ok) << design.code << ": " << design.message;
+    EXPECT_EQ(design.result, expectedDesign(cg, 4));
+
+    const auto shift = phaseShiftText();
+    const auto phases = roundTrip(client, phasesRequest("p", shift, 1));
+    ASSERT_TRUE(phases.ok) << phases.code << ": " << phases.message;
+    EXPECT_EQ(phases.result, expectedPhases(shift, 1));
+}
+
+TEST(Serve, ChangingAnyResultFieldMissesTheLru)
+{
+    const auto trace = traceText(trace::Benchmark::CG, 8);
+    LiveServer live("serve-lru-key");
+    auto client = live.client();
+
+    // Each request differs from the first of its command in one field.
+    const std::vector<std::pair<const char *, std::string>> requests = {
+        {"design", "\"restarts\": 2"},
+        {"design", "\"restarts\": 2, \"max_degree\": 6"},
+        {"design", "\"restarts\": 3"},
+        {"design", "\"restarts\": 2, \"seed\": 2"},
+        {"phases", "\"restarts\": 2"},
+        {"phases", "\"restarts\": 2, \"window\": 32"},
+        {"phases", "\"restarts\": 2, \"threshold\": 0.5"},
+        {"phases", "\"restarts\": 2, \"min_phase_windows\": 3"},
+        {"phases", "\"restarts\": 2, \"reconfig_cost\": 100"},
+        {"phases", "\"restarts\": 2, \"power\": \"activity\""},
+    };
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const auto &[cmd, fields] = requests[i];
+        const auto r = roundTrip(
+            client, request(cmd, std::to_string(i), trace, fields));
+        ASSERT_TRUE(r.ok) << fields << ": " << r.code << ": " << r.message;
+        EXPECT_EQ(live.counter("serve/computations"),
+                  static_cast<double>(i + 1))
+            << cmd << " " << fields;
+    }
+
+    // Asked again, every one of them is an LRU hit.
+    for (const auto &[cmd, fields] : requests)
+        ASSERT_TRUE(
+            roundTrip(client, request(cmd, "again", trace, fields)).ok);
+    EXPECT_EQ(live.counter("serve/computations"),
+              static_cast<double>(requests.size()));
+}
+
 TEST(Serve, ConcurrentIdenticalSubmissionsComputeExactlyOnce)
 {
     const auto trace = traceText(trace::Benchmark::MG, 16);
     ServerConfig cfg;
-    cfg.workers = 4;
+    cfg.innerThreads = 4;
     LiveServer live("serve-dedup", cfg);
 
     constexpr int kWave = 6;
@@ -478,12 +549,12 @@ TEST(Serve, AdmissionControlRejectsPastHighWaterMark)
 {
     const auto trace = traceText(trace::Benchmark::MG, 16);
     ServerConfig cfg;
-    cfg.workers = 1;
+    cfg.innerThreads = 1;
     cfg.queueCapacity = 1;
     LiveServer live("serve-backpressure", cfg);
     auto client = live.client();
 
-    // Occupy the single worker...
+    // Occupy the pool's single worker...
     ASSERT_TRUE(client.sendLine(exploreRequest("q0", trace)));
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     // ...then flood: one fits the queue, the rest must be rejected

@@ -7,8 +7,9 @@
 #  1. ASan + UBSan build tree running the full ctest suite.
 #  2. TSan build tree running the concurrency-sensitive tests (thread
 #     pool, parallel-restart determinism, Fast_Color cache under the
-#     pool, the phase evaluator and explorer on nested pools) — ASan
-#     and TSan cannot share a binary, hence the second tree.
+#     pool, the phase evaluator and explorer on nested pools, the serve
+#     daemon's requests on its one pool) — ASan and TSan cannot share
+#     a binary, hence the second tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
 #     and the simulator golden corpus, floorplan plan pins, routing
@@ -88,9 +89,10 @@ cmake -S "$repo" -B "$build_tsan" \
     -DMINNOC_SANITIZE_THREAD=ON
 cmake --build "$build_tsan" -j "$jobs" \
     --target test_thread_pool test_threads_determinism \
-    test_fastcolor_diff test_phase test_dse
+    test_fastcolor_diff test_phase test_dse test_serve
 export TSAN_OPTIONS="halt_on_error=1"
 "$build_tsan/tests/test_thread_pool"
+"$build_tsan/tests/test_serve"
 "$build_tsan/tests/test_threads_determinism"
 "$build_tsan/tests/test_fastcolor_diff"
 "$build_tsan/tests/test_phase" --gtest_filter='Evaluator.*'
@@ -195,7 +197,7 @@ echo "=== phase 7: serve daemon chaos (ASan) ==="
 serve_sock="$build/ci-serve.sock"
 serve_cache="$build/ci-serve-cache"
 rm -rf "$serve_sock" "$serve_cache"
-"$build/tools/minnoc" serve --socket "$serve_sock" --workers 4 \
+"$build/tools/minnoc" serve --socket "$serve_sock" --threads 4 \
     --cache-dir "$serve_cache" 2>"$build/ci-serve.log" &
 serve_pid=$!
 for _ in $(seq 50); do
@@ -268,11 +270,11 @@ await_port() { # pid port log
 }
 port_a=18871; port_b=18872; port_c=18873
 rm -rf "$build"/ci-hosts-cache-*
-"$build/tools/minnoc" serve --port $port_a --workers 1 \
+"$build/tools/minnoc" serve --port $port_a --threads 1 \
     --max-deadline-ms 600000 --cache-dir "$build/ci-hosts-cache-a" \
     2>"$build/ci-hosts-a.log" &
 host_a_pid=$!
-"$build/tools/minnoc" serve --port $port_b --workers 1 \
+"$build/tools/minnoc" serve --port $port_b --threads 1 \
     --max-deadline-ms 600000 --cache-dir "$build/ci-hosts-cache-b" \
     2>"$build/ci-hosts-b.log" &
 host_b_pid=$!
@@ -316,7 +318,7 @@ grep -q '"host_failed": \[{' "$build/hosts_status_dead.json" ||
 # mid-run. The coordinator must requeue onto the survivor and converge
 # with identical bytes and the death recorded in host_failed only.
 MINNOC_DIST_TEST_HANG=serve "$build/tools/minnoc" serve \
-    --port $port_c --workers 1 --max-deadline-ms 600000 \
+    --port $port_c --threads 1 --max-deadline-ms 600000 \
     --cache-dir "$build/ci-hosts-cache-c" \
     2>"$build/ci-hosts-c.log" &
 host_c_pid=$!

@@ -729,7 +729,6 @@ cmdServe(const Args &args)
         cfg.port = static_cast<int>(args.getU32("port", 0));
     if (cfg.socketPath.empty() && cfg.port < 0)
         fatal("serve: need --socket PATH or --port N");
-    cfg.workers = args.getU32("workers", cfg.workers);
     cfg.queueCapacity = args.getU32(
         "queue", static_cast<std::uint32_t>(cfg.queueCapacity));
     cfg.defaultDeadlineMs = static_cast<std::int64_t>(args.getU64(
@@ -846,10 +845,10 @@ usage()
         "           the JSON report is byte-identical at any --threads\n"
         "           and with or without --hosts)\n"
         "  serve    --socket PATH | --port N   (0 = ephemeral port)\n"
-        "           [--workers W] [--queue Q] [--deadline-ms D]\n"
+        "           [--threads T] [--queue Q] [--deadline-ms D]\n"
         "           [--max-deadline-ms M] [--drain-ms MS]\n"
         "           [--idle-timeout-ms MS] [--lru N] [--cache-dir DIR]\n"
-        "           [--cache 0|1] [--threads T] [--metrics-out FILE]\n"
+        "           [--cache 0|1] [--metrics-out FILE]\n"
         "           (synthesis-as-a-service daemon: newline-delimited\n"
         "           JSON requests, bounded queue with queue_full\n"
         "           backpressure, per-request deadlines, two-tier\n"
@@ -885,7 +884,7 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
       "metrics-out", "chrome-trace", "hosts", "worker-timeout-ms",
       "dist-report"}},
     {"serve",
-     {"socket", "port", "workers", "queue", "deadline-ms",
+     {"socket", "port", "queue", "deadline-ms",
       "max-deadline-ms", "drain-ms", "idle-timeout-ms", "lru",
       "cache-dir", "cache", "threads", "metrics-out"}},
     {"dot", {"out"}},
