@@ -99,11 +99,11 @@ class DaemonProc
     struct Options
     {
         /**
-         * Pool threads. One runs one request at a time, which the
-         * serve-side chaos hooks need: they fire on the request after
-         * the first one completes.
+         * Pool threads (0 = hardware concurrency). A daemon armed with
+         * a serve-side chaos hook needs 1, one request at a time: the
+         * hook fires on the request after the first one completes.
          */
-        std::uint32_t threads = 1;
+        std::uint32_t threads = 0;
         std::size_t queueCapacity = 64;
         std::string cacheDir;
         bool useCache = true;

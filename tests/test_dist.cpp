@@ -297,6 +297,7 @@ TEST(DistExplore, CrashedWorkerIsRequeuedAndReportUnchanged)
     // the coordinator runs the undelivered jobs in-process.
     auto armed = noCache();
     armed.env = {{"MINNOC_DIST_TEST_CRASH", "serve"}};
+    armed.threads = 1; // the hook needs one request at a time
     Fleet fleet(1, armed);
     ASSERT_TRUE(fleet.up());
     DistStats stats;
@@ -449,6 +450,7 @@ TEST(DistPhases, CrashedWorkerStillYieldsIdenticalReport)
     // in-process.
     auto armed = noCache();
     armed.env = {{"MINNOC_DIST_TEST_CRASH", "serve"}};
+    armed.threads = 1; // the hook needs one request at a time
     Fleet fleet(1, armed);
     ASSERT_TRUE(fleet.up());
     DistStats stats;

@@ -231,6 +231,7 @@ TEST(DistHosts, CrashedDaemonFailsOverAndReportUnchanged)
     DaemonProc::Options armed;
     armed.useCache = false;
     armed.env = {{"MINNOC_DIST_TEST_CRASH", "serve"}};
+    armed.threads = 1; // the hook needs one request at a time
     DaemonProc::Options clean;
     clean.useCache = false;
     DaemonProc a(armed), b(clean);
@@ -268,6 +269,7 @@ TEST(DistHosts, HungDaemonTimesOutAndFailsOver)
     DaemonProc::Options armed;
     armed.useCache = false;
     armed.env = {{"MINNOC_DIST_TEST_HANG", "serve"}};
+    armed.threads = 1; // the hook needs one request at a time
     DaemonProc::Options clean;
     clean.useCache = false;
     DaemonProc a(armed), b(clean);
@@ -518,6 +520,7 @@ TEST(DistHostsPhases, CrashedDaemonStillYieldsIdenticalReport)
     DaemonProc::Options armed;
     armed.useCache = false;
     armed.env = {{"MINNOC_DIST_TEST_CRASH", "serve"}};
+    armed.threads = 1; // the hook needs one request at a time
     DaemonProc::Options clean;
     clean.useCache = false;
     DaemonProc a(armed), b(clean);

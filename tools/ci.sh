@@ -270,11 +270,11 @@ await_port() { # pid port log
 }
 port_a=18871; port_b=18872; port_c=18873
 rm -rf "$build"/ci-hosts-cache-*
-"$build/tools/minnoc" serve --port $port_a --threads 1 \
+"$build/tools/minnoc" serve --port $port_a \
     --max-deadline-ms 600000 --cache-dir "$build/ci-hosts-cache-a" \
     2>"$build/ci-hosts-a.log" &
 host_a_pid=$!
-"$build/tools/minnoc" serve --port $port_b --threads 1 \
+"$build/tools/minnoc" serve --port $port_b \
     --max-deadline-ms 600000 --cache-dir "$build/ci-hosts-cache-b" \
     2>"$build/ci-hosts-b.log" &
 host_b_pid=$!
