@@ -21,6 +21,7 @@
 #include "core/methodology.hpp"
 #include "core/route_optimizer.hpp"
 #include "dse/cache.hpp"
+#include "obs/metrics.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 #include "util/rng.hpp"
@@ -115,13 +116,14 @@ routesDigest(const DesignNetwork &net, const RouteOptStats &stats)
 }
 
 std::string
-designDigest(std::uint32_t threads)
+designDigest(std::uint32_t threads, obs::MetricsRegistry *metrics = nullptr)
 {
     MethodologyConfig cfg;
     cfg.partitioner.constraints.maxDegree = 5;
     cfg.partitioner.seed = 1;
     cfg.restarts = 16;
     cfg.threads = threads;
+    cfg.metrics = metrics;
     const auto outcome =
         runMethodology(nasCliques(trace::Benchmark::BT, 36), cfg);
     std::ostringstream oss;
@@ -139,6 +141,19 @@ TEST(RouteBytes, DesignBT36OneThread)
 TEST(RouteBytes, DesignBT36TwoThreads)
 {
     EXPECT_EQ(designDigest(2), "3831479271074523");
+}
+
+TEST(RouteBytes, MergeScanBT36)
+{
+    // The merge scan draws every candidate's consolidation shuffles from
+    // one Rng, so its candidate count pins how much of that stream the
+    // scan consumes, not just the design it ends on.
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "metrics compiled out (MINNOC_OBS=OFF)";
+    obs::MetricsRegistry metrics;
+    EXPECT_EQ(designDigest(1, &metrics), "3831479271074523");
+    EXPECT_EQ(metrics.counter("methodology/merge/candidates").value(), 1433u);
+    EXPECT_EQ(metrics.counter("methodology/merge/accepted").value(), 4u);
 }
 
 TEST(RouteBytes, ConsolidateDuplexMirroredPairs)
