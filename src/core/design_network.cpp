@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <deque>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -12,27 +15,57 @@ namespace minnoc::core {
 namespace {
 
 // Process-wide so the bench can aggregate over the many short-lived
-// DesignNetwork instances a methodology run creates (one per restart),
-// and sharded by thread: one counter bumped by every worker would
-// bounce its cache line between cores on each query.
+// DesignNetwork instances a methodology run creates (one per restart).
+// A thread leases a shard on its first query and returns it at exit; as
+// the only writer it bumps it with a plain load and store, no locked
+// instruction. Shards are never freed, so fastColorStats can read them
+// any time, and the mutex publishes a shard's counts to its next owner.
 struct alignas(64) FcShard
 {
     std::atomic<std::uint64_t> calls{0};
     std::atomic<std::uint64_t> hits{0};
+    bool leased = false; // guarded by g_fcMutex
 };
-FcShard g_fc[16];
-std::atomic<std::size_t> g_fcThreads{0};
-thread_local FcShard &t_fc =
-    g_fc[g_fcThreads.fetch_add(1, std::memory_order_relaxed) %
-         std::size(g_fc)];
+std::mutex g_fcMutex;
+std::deque<FcShard> &g_fcShards = *new std::deque<FcShard>; // never freed
+constinit thread_local FcShard *t_fc = nullptr;
+
+[[gnu::cold]] FcShard &
+leaseShard()
+{
+    static thread_local struct Lease
+    {
+        ~Lease()
+        {
+            const std::lock_guard lock(g_fcMutex);
+            std::exchange(t_fc, nullptr)->leased = false;
+        }
+    } lease;
+    const std::lock_guard lock(g_fcMutex);
+    const auto it = std::ranges::find(g_fcShards, false, &FcShard::leased);
+    t_fc = it == g_fcShards.end() ? &g_fcShards.emplace_back() : &*it;
+    t_fc->leased = true;
+    return *t_fc;
+}
+
+/** Count one Fast_Color query, and a cache hit when @p hit. */
+void
+countQuery(bool hit)
+{
+    FcShard &shard = t_fc ? *t_fc : leaseShard();
+    constexpr auto relaxed = std::memory_order_relaxed;
+    shard.calls.store(shard.calls.load(relaxed) + 1, relaxed);
+    shard.hits.store(shard.hits.load(relaxed) + hit, relaxed);
+}
 
 } // namespace
 
 FastColorStats
 fastColorStats()
 {
+    const std::lock_guard lock(g_fcMutex);
     FastColorStats s;
-    for (const auto &shard : g_fc) {
+    for (const auto &shard : g_fcShards) {
         s.calls += shard.calls.load(std::memory_order_relaxed);
         s.cacheHits += shard.hits.load(std::memory_order_relaxed);
     }
@@ -42,7 +75,8 @@ fastColorStats()
 void
 resetFastColorStats()
 {
-    for (auto &shard : g_fc) {
+    const std::lock_guard lock(g_fcMutex);
+    for (auto &shard : g_fcShards) {
         shard.calls.store(0, std::memory_order_relaxed);
         shard.hits.store(0, std::memory_order_relaxed);
     }
@@ -114,21 +148,46 @@ DesignNetwork::normalized(std::vector<SwitchId> r)
     return out;
 }
 
-void
-DesignNetwork::linkNeighbor(SwitchId s, SwitchId t)
+std::uint32_t
+DesignNetwork::slotOf(SwitchId s, SwitchId t) const
 {
-    auto &v = _nbrs[s];
-    v.insert(std::lower_bound(v.begin(), v.end(), t), t);
+    if (s >= _nbrs.size())
+        return kNoSlot;
+    const auto &v = _nbrs[s];
+    const auto it = std::lower_bound(v.begin(), v.end(), Neighbor{t, 0});
+    return it != v.end() && it->sw == t ? it->slot : kNoSlot;
+}
+
+std::uint32_t
+DesignNetwork::ensurePipe(SwitchId from, SwitchId to)
+{
+    std::uint32_t slot = slotOf(from, to);
+    if (slot != kNoSlot)
+        return slot;
+    if (_freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(_pipes.size());
+        _pipes.emplace_back().fwd.resize(_numComms);
+        _pipes.back().bwd.resize(_numComms);
+    } else {
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
+    }
+    _pipes[slot].key = PipeKey(from, to);
+    _nbrs[from].push_back({to, slot});
+    _nbrs[to].push_back({from, slot});
+    std::ranges::sort(_nbrs[from]);
+    std::ranges::sort(_nbrs[to]);
+    return slot;
 }
 
 void
-DesignNetwork::unlinkNeighbor(SwitchId s, SwitchId t)
+DesignNetwork::freePipe(std::uint32_t slot)
 {
-    auto &v = _nbrs[s];
-    const auto it = std::lower_bound(v.begin(), v.end(), t);
-    if (it == v.end() || *it != t)
-        panic("DesignNetwork: neighbor index missing ", t, " at ", s);
-    v.erase(it);
+    PipeKey &key = _pipes[slot].key;
+    std::erase(_nbrs[key.a], Neighbor{key.b, slot});
+    std::erase(_nbrs[key.b], Neighbor{key.a, slot});
+    key = PipeKey();
+    _freeSlots.push_back(slot);
 }
 
 void
@@ -137,14 +196,7 @@ DesignNetwork::addRouteToPipes(CommId c, const std::vector<SwitchId> &r)
     for (std::size_t i = 0; i + 1 < r.size(); ++i) {
         const SwitchId from = r[i];
         const SwitchId to = r[i + 1];
-        auto [it, created] = _pipes.try_emplace(PipeKey(from, to));
-        Pipe &p = it->second;
-        if (created) {
-            p.fwd.resize(_numComms);
-            p.bwd.resize(_numComms);
-            linkNeighbor(from, to);
-            linkNeighbor(to, from);
-        }
+        Pipe &p = _pipes[ensurePipe(from, to)];
         auto &dir = (from < to) ? p.fwd : p.bwd;
         if (!dir.insert(c))
             panic("DesignNetwork: comm ", c, " crosses pipe ", from, "-",
@@ -159,18 +211,16 @@ DesignNetwork::removeRouteFromPipes(CommId c, const std::vector<SwitchId> &r)
     for (std::size_t i = 0; i + 1 < r.size(); ++i) {
         const SwitchId from = r[i];
         const SwitchId to = r[i + 1];
-        const auto it = _pipes.find(PipeKey(from, to));
-        if (it == _pipes.end())
+        const std::uint32_t slot = slotOf(from, to);
+        if (slot == kNoSlot)
             panic("DesignNetwork: route segment on missing pipe");
-        auto &dir = (from < to) ? it->second.fwd : it->second.bwd;
+        Pipe &p = _pipes[slot];
+        auto &dir = (from < to) ? p.fwd : p.bwd;
         if (!dir.erase(c))
             panic("DesignNetwork: comm ", c, " missing from pipe set");
-        it->second.dirty = true;
-        if (it->second.empty()) {
-            _pipes.erase(it);
-            unlinkNeighbor(from, to);
-            unlinkNeighbor(to, from);
-        }
+        p.dirty = true;
+        if (p.empty())
+            freePipe(slot);
     }
 }
 
@@ -193,9 +243,11 @@ std::vector<PipeKey>
 DesignNetwork::pipes() const
 {
     std::vector<PipeKey> keys;
-    keys.reserve(_pipes.size());
-    for (const auto &[key, pipe] : _pipes)
-        keys.push_back(key);
+    for (const Pipe &p : _pipes) {
+        if (p.key.a != kNoSwitch)
+            keys.push_back(p.key);
+    }
+    std::sort(keys.begin(), keys.end());
     return keys;
 }
 
@@ -208,8 +260,8 @@ DesignNetwork::pipesOf(SwitchId s) const
     if (s >= _nbrs.size())
         return keys;
     keys.reserve(_nbrs[s].size());
-    for (const SwitchId t : _nbrs[s])
-        keys.emplace_back(s, t);
+    for (const Neighbor &n : _nbrs[s])
+        keys.emplace_back(s, n.sw);
     return keys;
 }
 
@@ -217,8 +269,8 @@ const Pipe &
 DesignNetwork::pipe(const PipeKey &key) const
 {
     static const Pipe kEmpty;
-    const auto it = _pipes.find(key);
-    return it == _pipes.end() ? kEmpty : it->second;
+    const std::uint32_t slot = slotOf(key.a, key.b);
+    return slot == kNoSlot ? kEmpty : _pipes[slot];
 }
 
 std::uint32_t
@@ -256,7 +308,7 @@ DesignNetwork::computeFastColor(const CommBitset &comms) const
 std::uint32_t
 DesignNetwork::fastColorSet(const CommBitset &comms) const
 {
-    t_fc.calls.fetch_add(1, std::memory_order_relaxed);
+    countQuery(false);
     return computeFastColor(comms);
 }
 
@@ -264,7 +316,7 @@ std::uint32_t
 DesignNetwork::fastColorSetPlus(const CommBitset &comms, std::uint32_t fc,
                                 CommId extra) const
 {
-    t_fc.calls.fetch_add(1, std::memory_order_relaxed);
+    countQuery(false);
 #ifdef MINNOC_SANITIZE
     if (comms.test(extra))
         panic("fastColorSetPlus: comm ", extra, " already in the set");
@@ -320,13 +372,11 @@ DesignNetwork::fastColorSetReference(const std::set<CommId> &comms) const
 std::uint32_t
 DesignNetwork::pipeFastColor(const Pipe &p) const
 {
-    t_fc.calls.fetch_add(1, std::memory_order_relaxed);
+    countQuery(!p.dirty);
     if (p.dirty) {
         p.fcFwd = computeFastColor(p.fwd);
         p.fcBwd = computeFastColor(p.bwd);
         p.dirty = false;
-    } else {
-        t_fc.hits.fetch_add(1, std::memory_order_relaxed);
     }
     return std::max(p.fcFwd, p.fcBwd);
 }
@@ -334,23 +384,13 @@ DesignNetwork::pipeFastColor(const Pipe &p) const
 std::uint32_t
 DesignNetwork::fastColor(const PipeKey &key) const
 {
-    const auto it = _pipes.find(key);
-    if (it == _pipes.end()) {
+    const std::uint32_t slot = slotOf(key.a, key.b);
+    if (slot == kNoSlot) {
         // An absent pipe is trivially zero; count it as a served query.
-        t_fc.calls.fetch_add(1, std::memory_order_relaxed);
-        t_fc.hits.fetch_add(1, std::memory_order_relaxed);
+        countQuery(true);
         return 0;
     }
-    return pipeFastColor(it->second);
-}
-
-std::pair<std::uint32_t, std::uint32_t>
-DesignNetwork::fastColorDirs(const PipeKey &key) const
-{
-    const auto it = _pipes.find(key);
-    if (it == _pipes.end())
-        return {0, 0};
-    return fastColorDirs(it->second);
+    return pipeFastColor(_pipes[slot]);
 }
 
 std::pair<std::uint32_t, std::uint32_t>
@@ -365,12 +405,8 @@ DesignNetwork::estimatedDegree(SwitchId s) const
 {
     std::uint32_t degree =
         static_cast<std::uint32_t>(procsOf(s).size());
-    for (const SwitchId t : _nbrs[s]) {
-        const auto it = _pipes.find(PipeKey(s, t));
-        if (it == _pipes.end())
-            panic("DesignNetwork: neighbor index lists missing pipe");
-        degree += pipeFastColor(it->second);
-    }
+    for (const Neighbor &n : _nbrs[s])
+        degree += pipeFastColor(_pipes[n.slot]);
     return degree;
 }
 
@@ -380,10 +416,12 @@ DesignNetwork::estimatedDegrees() const
     std::vector<std::uint32_t> degrees(_switchProcs.size());
     for (SwitchId s = 0; s < _switchProcs.size(); ++s)
         degrees[s] = static_cast<std::uint32_t>(_switchProcs[s].size());
-    for (const auto &[key, pipe] : _pipes) {
-        const std::uint32_t fc = pipeFastColor(pipe);
-        degrees[key.a] += fc;
-        degrees[key.b] += fc;
+    for (const Pipe &p : _pipes) {
+        if (p.key.a == kNoSwitch)
+            continue;
+        const std::uint32_t fc = pipeFastColor(p);
+        degrees[p.key.a] += fc;
+        degrees[p.key.b] += fc;
     }
     return degrees;
 }
@@ -392,8 +430,10 @@ std::uint32_t
 DesignNetwork::totalEstimatedLinks() const
 {
     std::uint32_t total = 0;
-    for (const auto &[key, pipe] : _pipes)
-        total += pipeFastColor(pipe);
+    for (const Pipe &p : _pipes) {
+        if (p.key.a != kNoSwitch)
+            total += pipeFastColor(p);
+    }
     return total;
 }
 
@@ -403,21 +443,13 @@ DesignNetwork::cutEstimate(SwitchId si, SwitchId sj) const
     // Each incident pipe counted once: all of si's, then sj's minus
     // the shared (si, sj) pipe already visited from si's side.
     std::uint32_t total = 0;
-    for (const SwitchId t : _nbrs[si]) {
-        const auto it = _pipes.find(PipeKey(si, t));
-        if (it == _pipes.end())
-            panic("DesignNetwork: neighbor index lists missing pipe");
-        total += pipeFastColor(it->second);
-    }
+    for (const Neighbor &n : _nbrs[si])
+        total += pipeFastColor(_pipes[n.slot]);
     if (si == sj)
         return total;
-    for (const SwitchId t : _nbrs[sj]) {
-        if (t == si)
-            continue;
-        const auto it = _pipes.find(PipeKey(sj, t));
-        if (it == _pipes.end())
-            panic("DesignNetwork: neighbor index lists missing pipe");
-        total += pipeFastColor(it->second);
+    for (const Neighbor &n : _nbrs[sj]) {
+        if (n.sw != si)
+            total += pipeFastColor(_pipes[n.slot]);
     }
     return total;
 }
@@ -468,14 +500,6 @@ DesignNetwork::splitSwitchInto(SwitchId s,
     for (const ProcId p : procs_to_move)
         moveProc(p, t);
     return t;
-}
-
-const std::vector<CommId> &
-DesignNetwork::commsOf(ProcId p) const
-{
-    if (p >= _procComms.size())
-        panic("DesignNetwork::commsOf: bad proc ", p);
-    return _procComms[p];
 }
 
 void
@@ -563,30 +587,30 @@ DesignNetwork::checkInvariants() const
                 .insert(c);
         }
     }
-    if (rebuilt.size() != _pipes.size())
-        panic("invariant: pipe map size mismatch");
 
-    // The neighbor index mirrors the pipe map exactly.
-    std::size_t nbrEdges = 0;
-    if (_nbrs.size() != _switchProcs.size())
-        panic("invariant: neighbor index size mismatch");
-    for (SwitchId s = 0; s < _nbrs.size(); ++s) {
-        if (!std::is_sorted(_nbrs[s].begin(), _nbrs[s].end()))
-            panic("invariant: neighbor list of switch ", s, " not sorted");
-        for (const SwitchId t : _nbrs[s]) {
-            if (!_pipes.contains(PipeKey(s, t)))
-                panic("invariant: neighbor index lists absent pipe ", s,
-                      "-", t);
-        }
-        nbrEdges += _nbrs[s].size();
+    // Each live slot holds its key's rebuilt pipe and both neighbor
+    // entries of the key name it; each free slot is empty and listed
+    // once on the free list.
+    std::vector<std::uint32_t> listed(_pipes.size(), 0);
+    for (const std::uint32_t slot : _freeSlots) {
+        if (slot >= _pipes.size() || ++listed[slot] > 1)
+            panic("invariant: free list repeats or overruns slot ", slot);
     }
-    if (nbrEdges != 2 * _pipes.size())
-        panic("invariant: neighbor index edge count mismatch");
-    for (const auto &[key, pipe] : _pipes) {
+    std::size_t live = 0;
+    for (std::uint32_t slot = 0; slot < _pipes.size(); ++slot) {
+        const Pipe &pipe = _pipes[slot];
+        const PipeKey &key = pipe.key;
+        const bool isFree = key.a == kNoSwitch;
+        if (listed[slot] != isFree || (isFree && !pipe.empty()))
+            panic("invariant: free list and slot ", slot, " disagree");
+        if (isFree)
+            continue;
+        ++live;
         const auto it = rebuilt.find(key);
-        if (it == rebuilt.end() || it->second.fwd != pipe.fwd ||
-            it->second.bwd != pipe.bwd) {
-            panic("invariant: pipe comm sets out of sync");
+        if (slotOf(key.a, key.b) != slot ||
+            slotOf(key.b, key.a) != slot || it == rebuilt.end() ||
+            it->second.fwd != pipe.fwd || it->second.bwd != pipe.bwd) {
+            panic("invariant: pipe slot ", slot, " out of sync");
         }
         // The estimation cache must match a from-scratch Fast_Color.
         if (!pipe.dirty &&
@@ -596,6 +620,23 @@ DesignNetwork::checkInvariants() const
                   "-", key.b);
         }
     }
+    if (live != rebuilt.size() || live != pipes().size())
+        panic("invariant: ", live, " live slots for ", rebuilt.size(),
+              " routed pipes");
+
+    // Strictly ascending neighbor lists holding the two entries of
+    // every live slot and nothing else.
+    std::size_t nbrEdges = 0;
+    if (_nbrs.size() != _switchProcs.size())
+        panic("invariant: neighbor index size mismatch");
+    for (const auto &v : _nbrs) {
+        if (std::adjacent_find(v.begin(), v.end(),
+                               std::greater_equal<>()) != v.end())
+            panic("invariant: neighbor list not strictly ascending");
+        nbrEdges += v.size();
+    }
+    if (nbrEdges != 2 * live)
+        panic("invariant: neighbor index edge count mismatch");
 }
 
 std::string
@@ -603,7 +644,7 @@ DesignNetwork::toString() const
 {
     std::ostringstream oss;
     oss << "DesignNetwork(" << numSwitches() << " switches, "
-        << _pipes.size() << " pipes, est links " << totalEstimatedLinks()
+        << _pipes.size() - _freeSlots.size() << " pipes, est links " << totalEstimatedLinks()
         << ")\n";
     for (SwitchId s = 0; s < _switchProcs.size(); ++s) {
         oss << "  S" << s << ": procs {";
@@ -614,9 +655,10 @@ DesignNetwork::toString() const
         }
         oss << "} est degree " << estimatedDegree(s) << "\n";
     }
-    for (const auto &[key, pipe] : _pipes) {
+    for (const PipeKey &key : pipes()) {
+        const Pipe &p = pipe(key);
         oss << "  pipe S" << key.a << "-S" << key.b << ": "
-            << pipe.fwd.size() << " fwd, " << pipe.bwd.size()
+            << p.fwd.size() << " fwd, " << p.bwd.size()
             << " bwd, est links " << fastColor(key) << "\n";
     }
     return oss.str();

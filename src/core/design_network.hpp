@@ -25,7 +25,6 @@
 #ifndef MINNOC_CORE_DESIGN_NETWORK_HPP
 #define MINNOC_CORE_DESIGN_NETWORK_HPP
 
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -66,6 +65,8 @@ struct PipeKey
  */
 struct Pipe
 {
+    /** The switch pair; both kNoSwitch while the slot is free. */
+    PipeKey key;
     CommBitset fwd;
     CommBitset bwd;
 
@@ -84,9 +85,17 @@ struct FastColorStats
     std::uint64_t cacheHits = 0; ///< queries answered from a pipe cache
 };
 
-/** Process-wide Fast_Color counters (atomic, sharded by thread). */
+/** Process-wide Fast_Color counters (exact, one shard per thread). */
 FastColorStats fastColorStats();
 void resetFastColorStats();
+
+/** A pipe incident to a switch: its far end and its slot. */
+struct Neighbor
+{
+    SwitchId sw;
+    std::uint32_t slot;
+    auto operator<=>(const Neighbor &o) const = default;
+};
 
 /**
  * Mutable partitioning state: switches, processor homes, routes, pipes.
@@ -132,12 +141,19 @@ class DesignNetwork
     /** Non-empty pipes incident to switch @p s. */
     std::vector<PipeKey> pipesOf(SwitchId s) const;
 
-    /** Pipe neighbors of switch @p s, ascending. */
-    const std::vector<SwitchId> &
+    /** Pipe neighbors of switch @p s with their slots, ascending. */
+    const std::vector<Neighbor> &
     neighbors(SwitchId s) const
     {
         return _nbrs[s];
     }
+
+    /** Slot of the pipe joining @p s and @p t, or kNoSlot. */
+    std::uint32_t slotOf(SwitchId s, SwitchId t) const;
+    static constexpr auto kNoSlot = static_cast<std::uint32_t>(-1);
+
+    /** The pipe in @p slot (a slot from neighbors or slotOf). */
+    const Pipe &pipeAt(std::uint32_t slot) const { return _pipes[slot]; }
 
     /** The pipe record for @p key (empty record if absent). */
     const Pipe &pipe(const PipeKey &key) const;
@@ -150,11 +166,7 @@ class DesignNetwork
      */
     std::uint32_t fastColor(const PipeKey &key) const;
 
-    /** Cached per-direction Fast_Color of @p key: (fwd, bwd). */
-    std::pair<std::uint32_t, std::uint32_t>
-    fastColorDirs(const PipeKey &key) const;
-
-    /** Same, for a pipe reference already in hand (skips the lookup). */
+    /** Cached per-direction Fast_Color of pipe @p p: (fwd, bwd). */
     std::pair<std::uint32_t, std::uint32_t>
     fastColorDirs(const Pipe &p) const;
 
@@ -225,9 +237,6 @@ class DesignNetwork
      */
     void moveProc(ProcId p, SwitchId to);
 
-    /** Communications with source or destination attached to @p p. */
-    const std::vector<CommId> &commsOf(ProcId p) const;
-
     /** Validate all internal invariants; panics on violation (tests). */
     void checkInvariants() const;
 
@@ -239,8 +248,8 @@ class DesignNetwork
     void removeRouteFromPipes(CommId c, const std::vector<SwitchId> &r);
     void recomputeEndpoints(CommId c);
     static std::vector<SwitchId> normalized(std::vector<SwitchId> r);
-    void linkNeighbor(SwitchId s, SwitchId t);
-    void unlinkNeighbor(SwitchId s, SwitchId t);
+    std::uint32_t ensurePipe(SwitchId from, SwitchId to); ///< its slot
+    void freePipe(std::uint32_t slot);                     ///< now empty
 
     /** Cached duplex estimate of @p p; recomputes when dirty. */
     std::uint32_t pipeFastColor(const Pipe &p) const;
@@ -254,16 +263,18 @@ class DesignNetwork
     std::vector<SwitchId> _home;              // per proc
     std::vector<std::vector<SwitchId>> _routes; // per comm
     std::vector<std::vector<CommId>> _procComms; // per proc
-    std::map<PipeKey, Pipe> _pipes;
+
+    /** Pipe slots; a freed one keeps its cleared bitsets for reuse. */
+    std::vector<Pipe> _pipes;
+    std::vector<std::uint32_t> _freeSlots;
 
     /**
-     * Per-switch sorted list of pipe neighbors, maintained on pipe
-     * creation/erasure. Turns pipesOf / estimatedDegree / cutEstimate
-     * into O(degree) incidence walks instead of full pipe-map scans —
-     * the scans were quadratic-in-switches inside the move loop and
-     * dominated at four-digit rank counts.
+     * Per-switch list of pipe neighbors and their slots, ascending by
+     * neighbor, maintained on pipe creation/erasure. Turns pipe lookups
+     * into a binary search and pipesOf / estimatedDegree / cutEstimate
+     * into O(degree) incidence walks.
      */
-    std::vector<std::vector<SwitchId>> _nbrs;
+    std::vector<std::vector<Neighbor>> _nbrs;
 };
 
 } // namespace minnoc::core

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
+#include <span>
 #include <tuple>
 
 #include "util/log.hpp"
@@ -168,13 +168,6 @@ violation(const std::vector<std::uint32_t> &degrees,
     return total;
 }
 
-/** Total degree violation over all switches. */
-std::uint64_t
-degreeViolation(const DesignNetwork &net, std::uint32_t max_degree)
-{
-    return violation(net.estimatedDegrees(), max_degree);
-}
-
 /**
  * The reverse of @p c when it exists and currently mirrors c's route,
  * else kNoComm. A mirrored pair is priced and rerouted jointly:
@@ -218,15 +211,22 @@ class HopPricer
   public:
     static constexpr std::uint32_t kAbsent = static_cast<std::uint32_t>(-1);
 
-    HopPricer(const DesignNetwork &net, CommId c, CommId rev)
-        : _net(net), _c(c), _rev(rev)
+    explicit HopPricer(const DesignNetwork &net) : _net(net) {}
+
+    /** Price reroutes of @p c (and @p rev) from now on. */
+    const HopPricer &
+    reset(CommId c, CommId rev)
     {
-        const auto &r = net.route(c);
-        for (std::size_t i = 0; i + 1 < r.size(); ++i) {
-            Victim &v = _victims.emplace_back();
-            v.key = PipeKey(r[i], r[i + 1]);
-            const Pipe &p = net.pipe(v.key);
-            v.fwd = p.fwd;
+        _c = c;
+        _rev = rev;
+        const auto &r = _net.route(c);
+        _numVictims = r.size() - 1;
+        _victims.resize(std::max(_victims.size(), _numVictims));
+        for (std::size_t i = 0; i < _numVictims; ++i) {
+            Victim &v = _victims[i];
+            v.slot = _net.slotOf(r[i], r[i + 1]);
+            const Pipe &p = _net.pipeAt(v.slot);
+            v.fwd = p.fwd; // copy-assignment reuses the capacity
             v.bwd = p.bwd;
             for (const CommId x : {c, rev}) {
                 if (x != CliqueSet::kNoComm) {
@@ -234,38 +234,37 @@ class HopPricer
                     v.bwd.erase(x);
                 }
             }
-            v.fcFwd = net.fastColorSet(v.fwd);
-            v.fcBwd = net.fastColorSet(v.bwd);
+            v.fcFwd = _net.fastColorSet(v.fwd);
+            v.fcBwd = _net.fastColorSet(v.bwd);
         }
+        return *this;
     }
 
     /**
-     * Links the victims add by riding hop (@p u, @p v): c from u to v
-     * and, when paired, rev back. A full-duplex pipe needs the max of
-     * its two directions; under @p uni_cost each direction is its own
-     * channel set and the cost is their sum. kAbsent when no pipe joins
-     * u and v.
+     * Links the victims add by riding hop (@p u, @p v) over the pipe in
+     * @p slot: c from u to v and, when paired, rev back. A full-duplex
+     * pipe needs the max of its two directions; under @p uni_cost each
+     * direction is its own channel set and the cost is their sum.
+     * kAbsent when no pipe joins u and v (@p slot is kNoSlot).
      */
     std::uint32_t
-    added(SwitchId u, SwitchId v, bool uni_cost) const
+    added(SwitchId u, SwitchId v, std::uint32_t slot, bool uni_cost) const
     {
-        const PipeKey key(u, v);
+        if (slot == DesignNetwork::kNoSlot)
+            return kAbsent;
         const CommBitset *fwd = nullptr;
         const CommBitset *bwd = nullptr;
         std::uint32_t fcFwd = 0;
         std::uint32_t fcBwd = 0;
-        const auto it = std::find_if(
-            _victims.begin(), _victims.end(),
-            [&key](const Victim &x) { return x.key == key; });
-        if (it != _victims.end()) {
+        const auto live = std::span(_victims).first(_numVictims);
+        const auto it = std::ranges::find(live, slot, &Victim::slot);
+        if (it != live.end()) {
             fwd = &it->fwd;
             bwd = &it->bwd;
             fcFwd = it->fcFwd;
             fcBwd = it->fcBwd;
         } else {
-            const Pipe &p = _net.pipe(key);
-            if (p.empty())
-                return kAbsent;
+            const Pipe &p = _net.pipeAt(slot);
             fwd = &p.fwd;
             bwd = &p.bwd;
             std::tie(fcFwd, fcBwd) = _net.fastColorDirs(p);
@@ -286,7 +285,7 @@ class HopPricer
     /** A pipe on the victims' route, with the victims removed. */
     struct Victim
     {
-        PipeKey key;
+        std::uint32_t slot = 0;
         CommBitset fwd;
         CommBitset bwd;
         std::uint32_t fcFwd = 0;
@@ -294,9 +293,10 @@ class HopPricer
     };
 
     const DesignNetwork &_net;
-    CommId _c;
-    CommId _rev;
-    std::vector<Victim> _victims;
+    CommId _c = 0;
+    CommId _rev = 0;
+    std::vector<Victim> _victims; ///< the first _numVictims are current
+    std::size_t _numVictims = 0;
 };
 
 /**
@@ -311,12 +311,16 @@ class ShortestPaths
     static constexpr std::uint64_t kUnreached =
         static_cast<std::uint64_t>(-1);
 
-    ShortestPaths(std::size_t switches, SwitchId src)
-        : _dist(switches, kUnreached), _parent(switches, kNoSwitch),
-          _src(src)
+    /** Start a search from @p src over @p switches switches. */
+    ShortestPaths &
+    reset(std::size_t switches, SwitchId src)
     {
+        _dist.assign(switches, kUnreached);
+        _parent.assign(switches, kNoSwitch);
+        _frontier.assign(1, {0, src});
+        _src = src;
         _dist[src] = 0;
-        _frontier.emplace(0, src);
+        return *this;
     }
 
     /** Pop the next settled switch into (@p d, @p v); false when done. */
@@ -324,8 +328,10 @@ class ShortestPaths
     pop(std::uint64_t &d, SwitchId &v)
     {
         while (!_frontier.empty()) {
-            std::tie(d, v) = _frontier.top();
-            _frontier.pop();
+            std::pop_heap(_frontier.begin(), _frontier.end(),
+                          std::greater<>());
+            std::tie(d, v) = _frontier.back();
+            _frontier.pop_back();
             if (d == _dist[v])
                 return true;
         }
@@ -338,7 +344,9 @@ class ShortestPaths
         if (nd < _dist[w]) {
             _dist[w] = nd;
             _parent[w] = from;
-            _frontier.emplace(nd, w);
+            _frontier.emplace_back(nd, w);
+            std::push_heap(_frontier.begin(), _frontier.end(),
+                           std::greater<>());
         }
     }
 
@@ -360,9 +368,18 @@ class ShortestPaths
 
     std::vector<std::uint64_t> _dist;
     std::vector<SwitchId> _parent;
-    SwitchId _src;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
-        _frontier;
+    std::vector<Entry> _frontier; ///< a min-heap
+    SwitchId _src = kNoSwitch;
+};
+
+/** What every reroute attempt of one pass reuses instead of allocating. */
+struct RouteScratch
+{
+    explicit RouteScratch(const DesignNetwork &net) : pricer(net) {}
+
+    HopPricer pricer;
+    ShortestPaths sp;
+    std::vector<SwitchId> oldRoute;
 };
 
 /**
@@ -374,15 +391,16 @@ class ShortestPaths
  */
 bool
 consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
-               bool uni_cost, std::vector<std::uint32_t> &degrees)
+               bool uni_cost, std::vector<std::uint32_t> &degrees,
+               RouteScratch &scratch)
 {
-    const std::vector<SwitchId> oldRoute = net.route(c);
-    if (oldRoute.size() < 2)
+    const std::vector<SwitchId> &route = net.route(c);
+    if (route.size() < 2)
         return false; // intra-switch: nothing to optimize
-    const SwitchId src = oldRoute.front();
-    const SwitchId dst = oldRoute.back();
+    const SwitchId src = route.front();
+    const SwitchId dst = route.back();
     const CommId rev = mirroredReverse(net, c);
-    const HopPricer pricer(net, c, rev);
+    const HopPricer &pricer = scratch.pricer.reset(c, rev);
 
     // Weighted hop price: links dominate, hop count breaks ties, and
     // hops touching a switch already beyond the degree budget are
@@ -392,9 +410,10 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     constexpr std::uint64_t kLink = 1024;
     constexpr std::uint64_t kOverload = 64;
     constexpr std::uint64_t kHop = 1;
-    auto hopPrice = [&](SwitchId u, SwitchId v) -> std::uint64_t {
+    auto hopPrice = [&](SwitchId u, SwitchId v,
+                        std::uint32_t slot) -> std::uint64_t {
         std::uint64_t price =
-            static_cast<std::uint64_t>(pricer.added(u, v, uni_cost)) *
+            static_cast<std::uint64_t>(pricer.added(u, v, slot, uni_cost)) *
                 kLink +
             kHop;
         if (max_degree)
@@ -404,8 +423,9 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     };
 
     std::uint64_t currentCost = 0;
-    for (std::size_t i = 0; i + 1 < oldRoute.size(); ++i)
-        currentCost += hopPrice(oldRoute[i], oldRoute[i + 1]);
+    for (std::size_t i = 0; i + 1 < route.size(); ++i)
+        currentCost += hopPrice(route[i], route[i + 1],
+                                net.slotOf(route[i], route[i + 1]));
 
     // Dijkstra over existing pipes from src's switch to dst's switch,
     // relaxing neighbors in ascending id order. Only a path cheaper
@@ -413,14 +433,14 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     // at or above currentCost is recorded: the frontier runs dry once
     // nothing cheaper remains, and every distance and parent below
     // currentCost is the one an unpruned search would settle.
-    ShortestPaths sp(net.numSwitches(), src);
+    ShortestPaths &sp = scratch.sp.reset(net.numSwitches(), src);
     std::uint64_t d = 0;
     SwitchId v = kNoSwitch;
     while (sp.pop(d, v) && v != dst) {
-        for (const SwitchId w : net.neighbors(v)) {
-            const std::uint64_t nd = d + hopPrice(v, w);
+        for (const Neighbor &n : net.neighbors(v)) {
+            const std::uint64_t nd = d + hopPrice(v, n.sw, n.slot);
             if (nd < currentCost)
-                sp.relax(w, nd, v);
+                sp.relax(n.sw, nd, v);
         }
     }
     if (sp.dist(dst) >= currentCost)
@@ -430,11 +450,12 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     // Commit (both directions when paired). With a degree budget in
     // force, revert any commit that worsens the total degree violation
     // — link savings must not undo repairDegrees' spreading.
+    scratch.oldRoute = route;
     routePair(net, c, rev, path);
     if (max_degree) {
         std::vector<std::uint32_t> after = net.estimatedDegrees();
         if (violation(after, max_degree) > violation(degrees, max_degree)) {
-            routePair(net, c, rev, oldRoute);
+            routePair(net, c, rev, scratch.oldRoute);
             return false;
         }
         degrees = std::move(after);
@@ -448,13 +469,14 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
  * if the global (violation, links) measure improves.
  */
 bool
-repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
+repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
+          RouteScratch &scratch)
 {
-    const std::vector<SwitchId> oldRoute = net.route(c);
-    if (oldRoute.size() < 2)
+    const std::vector<SwitchId> &route = net.route(c);
+    if (route.size() < 2)
         return false;
-    const SwitchId src = oldRoute.front();
-    const SwitchId dst = oldRoute.back();
+    const SwitchId src = route.front();
+    const SwitchId dst = route.back();
 
     // One bulk degree pass feeds both the overload map and the spare
     // budget (for pricing new pipes).
@@ -467,7 +489,7 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
         spare[s] = static_cast<std::int64_t>(max_degree) -
                    static_cast<std::int64_t>(degrees[s]);
     }
-    for (const SwitchId s : oldRoute)
+    for (const SwitchId s : route)
         touches |= overloaded[s];
     if (!touches)
         return false;
@@ -476,7 +498,7 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
     // with the victim pair removed (riding an existing link
     // conflict-free is much cheaper than widening).
     const CommId rev = mirroredReverse(net, c);
-    const HopPricer pricer(net, c, rev);
+    const HopPricer &pricer = scratch.pricer.reset(c, rev);
 
     // Dijkstra proposal: width widening is expensive, overloaded
     // interiors are avoided hard, a new pipe is allowed when both ends
@@ -485,9 +507,10 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
     constexpr std::uint64_t kLink = 1024;
     constexpr std::uint64_t kNewPipe = 512;
     constexpr std::uint64_t kHop = 1;
-    auto price = [&](SwitchId u, SwitchId v) -> std::uint64_t {
+    auto price = [&](SwitchId u, SwitchId v,
+                     std::uint32_t slot) -> std::uint64_t {
         std::uint64_t p = kHop;
-        const std::uint32_t widen = pricer.added(u, v, false);
+        const std::uint32_t widen = pricer.added(u, v, slot, false);
         if (widen == HopPricer::kAbsent) {
             // New pipe: one fresh link, both endpoints must afford it.
             if (spare[u] < 1 || spare[v] < 1)
@@ -521,7 +544,7 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
     // check anyway. Small nets keep the dense loop so existing designs
     // reproduce byte for byte.
     const bool sparseRelax = net.numProcs() > 64;
-    ShortestPaths sp(net.numSwitches(), src);
+    ShortestPaths &sp = scratch.sp.reset(net.numSwitches(), src);
     bool bulkDone[2] = {false, false};
     std::uint64_t d = 0;
     SwitchId v = kNoSwitch;
@@ -529,12 +552,12 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
         if (!sparseRelax) {
             for (SwitchId w = 0; w < net.numSwitches(); ++w) {
                 if (w != v)
-                    sp.relax(w, d + price(v, w), v);
+                    sp.relax(w, d + price(v, w, net.slotOf(v, w)), v);
             }
             continue;
         }
-        for (const SwitchId w : net.neighbors(v))
-            sp.relax(w, d + price(v, w), v);
+        for (const Neighbor &n : net.neighbors(v))
+            sp.relax(n.sw, d + price(v, n.sw, n.slot), v);
         if (spare[v] < 1)
             continue;
         const bool pen = v != src && overloaded[v];
@@ -554,14 +577,16 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
     if (sp.dist(dst) == ShortestPaths::kUnreached)
         return false;
     const std::vector<SwitchId> path = sp.path(dst);
-    if (path == oldRoute)
+    if (path == route)
         return false;
 
     // Trial apply; accept only if (violation, links) improves.
     const std::uint64_t violBefore = violation(degrees, max_degree);
     const std::uint32_t linksBefore = net.totalEstimatedLinks();
+    scratch.oldRoute = route;
     routePair(net, c, rev, path);
-    const std::uint64_t violAfter = degreeViolation(net, max_degree);
+    const std::uint64_t violAfter =
+        violation(net.estimatedDegrees(), max_degree);
     const std::uint32_t linksAfter = net.totalEstimatedLinks();
     // Feasibility buys link slack: shedding a violation is worth up to
     // one extra link (consolidation claws links back afterwards).
@@ -569,7 +594,7 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
         (violAfter < violBefore && linksAfter <= linksBefore + 1) ||
         (violAfter == violBefore && linksAfter < linksBefore);
     if (!accept) {
-        routePair(net, c, rev, oldRoute);
+        routePair(net, c, rev, scratch.oldRoute);
         return false;
     }
     return true;
@@ -587,15 +612,16 @@ repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
     std::vector<CommId> order(numComms);
     for (CommId c = 0; c < numComms; ++c)
         order[c] = c;
+    RouteScratch scratch(net);
     for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
-        if (degreeViolation(net, max_degree) == 0)
+        if (violation(net.estimatedDegrees(), max_degree) == 0)
             break;
         if (rng)
             rng->shuffle(order);
         bool changed = false;
         for (const CommId c : order) {
             ++stats.triedMoves;
-            if (repairOne(net, c, max_degree)) {
+            if (repairOne(net, c, max_degree, scratch)) {
                 ++stats.committedMoves;
                 changed = true;
             }
@@ -621,6 +647,7 @@ consolidateRoutes(DesignNetwork &net, std::uint32_t max_passes,
     std::vector<std::uint32_t> degrees;
     if (max_degree)
         degrees = net.estimatedDegrees();
+    RouteScratch scratch(net);
     for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
         const std::uint32_t before = net.totalEstimatedLinks();
         if (rng)
@@ -628,7 +655,8 @@ consolidateRoutes(DesignNetwork &net, std::uint32_t max_passes,
         bool changed = false;
         for (const CommId c : order) {
             ++stats.triedMoves;
-            if (consolidateOne(net, c, max_degree, uni_cost, degrees)) {
+            if (consolidateOne(net, c, max_degree, uni_cost, degrees,
+                               scratch)) {
                 ++stats.committedMoves;
                 changed = true;
             }

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/design_network.hpp"
 #include "util/rng.hpp"
 
@@ -239,4 +243,97 @@ TEST(DesignNetwork, EstimatedDegreeCountsProcsAndLinks)
         net.moveProc(p, sj);
     EXPECT_EQ(net.estimatedDegree(0), 8u + 4u);
     EXPECT_EQ(net.estimatedDegree(sj), 8u + 4u);
+}
+
+namespace {
+
+/** checkInvariants plus the key-order contract of pipes(). */
+void
+expectConsistent(const DesignNetwork &net)
+{
+    net.checkInvariants();
+    const auto keys = net.pipes();
+    for (std::size_t i = 1; i < keys.size(); ++i)
+        ASSERT_LT(keys[i - 1], keys[i]) << "pipes() not strictly ascending";
+}
+
+/** Every route, in comm order: what a restored network must match. */
+std::vector<std::vector<SwitchId>>
+allRoutes(const DesignNetwork &net)
+{
+    std::vector<std::vector<SwitchId>> out;
+    for (CommId c = 0; c < net.cliques().numComms(); ++c)
+        out.push_back(net.route(c));
+    return out;
+}
+
+} // namespace
+
+TEST(DesignNetwork, SlotChurnKeepsInvariants)
+{
+    // Pipes come and go in every step below, so freed slots are reused
+    // out of key order; the invariants, the sorted pipes() and copies
+    // taken along the way must not notice.
+    const CliqueSet ks = figure1Cliques();
+    DesignNetwork net(ks);
+    Rng rng(2024);
+    const auto numComms = static_cast<CommId>(ks.numComms());
+    for (int step = 0; step < 400; ++step) {
+        const DesignNetwork copy = net;
+        const std::string copyDump = copy.toString();
+        const auto copyRoutes = allRoutes(copy);
+
+        switch (rng.below(4)) {
+        case 0: { // split the fullest switch, up to eight switches
+            SwitchId big = 0;
+            for (SwitchId s = 1; s < net.numSwitches(); ++s) {
+                if (net.procsOf(s).size() > net.procsOf(big).size())
+                    big = s;
+            }
+            if (net.numSwitches() < 8 && net.procsOf(big).size() >= 2)
+                net.splitSwitch(big, rng);
+            break;
+        }
+        case 1: // move a processor
+            net.moveProc(static_cast<ProcId>(rng.below(net.numProcs())),
+                         static_cast<SwitchId>(
+                             rng.below(net.numSwitches())));
+            break;
+        case 2: { // detour a comm through a switch off its route, and
+                  // sometimes revert
+            const auto c = static_cast<CommId>(rng.below(numComms));
+            const auto old = net.route(c);
+            const auto mid =
+                static_cast<SwitchId>(rng.below(net.numSwitches()));
+            if (old.size() < 2 ||
+                std::find(old.begin(), old.end(), mid) != old.end())
+                break;
+            auto detour = old;
+            detour.insert(detour.begin() + 1, mid);
+            net.setRoute(c, detour);
+            expectConsistent(net);
+            if (rng.chance(0.5))
+                net.setRoute(c, old);
+            break;
+        }
+        default: { // the merge's snapshot / mutate / restore cycle
+            const auto s = static_cast<SwitchId>(rng.below(net.numSwitches()));
+            const auto t = static_cast<SwitchId>(rng.below(net.numSwitches()));
+            const DesignNetwork snapshot = net;
+            for (const ProcId p : std::vector<ProcId>(net.procsOf(t)))
+                net.moveProc(p, s);
+            expectConsistent(net);
+            net = snapshot;
+            EXPECT_EQ(net.toString(), copyDump);
+            EXPECT_EQ(allRoutes(net), copyRoutes);
+            break;
+        }
+        }
+        expectConsistent(net);
+        // The copy owns its slots: mutating the original leaves it be.
+        expectConsistent(copy);
+        ASSERT_EQ(copy.toString(), copyDump) << "step " << step;
+        ASSERT_EQ(allRoutes(copy), copyRoutes) << "step " << step;
+    }
+    EXPECT_GT(net.pipes().size(), 0u);
 }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/design_network.hpp"
@@ -63,7 +65,7 @@ expectAllPipesMatch(const DesignNetwork &net)
         const auto refBwd = net.fastColorSetReference(asSet(p.bwd));
         EXPECT_EQ(net.fastColor(key), std::max(refFwd, refBwd))
             << "pipe " << key.a << "-" << key.b;
-        const auto [fcFwd, fcBwd] = net.fastColorDirs(key);
+        const auto [fcFwd, fcBwd] = net.fastColorDirs(p);
         EXPECT_EQ(fcFwd, refFwd);
         EXPECT_EQ(fcBwd, refBwd);
         EXPECT_EQ(net.fastColorSet(p.fwd), refFwd);
@@ -273,4 +275,35 @@ TEST(FastColorDiff, StatsCountCallsAndHits)
     // Second scan is served entirely from the per-pipe caches.
     EXPECT_EQ(afterWarm.cacheHits - afterCold.cacheHits,
               afterWarm.calls - afterCold.calls);
+}
+
+TEST(FastColorDiff, StatsExactAcrossThreads)
+{
+    // More threads than the counters ever had fixed shards, all alive
+    // at once, twice over so the second wave reuses handed-back shards.
+    constexpr int kThreads = 20;
+    constexpr std::uint64_t kQueries = 200000;
+    const auto before = fastColorStats();
+    for (int wave = 0; wave < 2; ++wave) {
+        std::latch ready(kThreads);
+        std::vector<std::thread> threads;
+        for (int i = 0; i < kThreads; ++i) {
+            threads.emplace_back([&ready, i] {
+                const CliqueSet ks = randomCliques(12, 3, 100 + i);
+                const DesignNetwork net(ks);
+                CommBitset comms(ks.numComms());
+                comms.insert(0);
+                ready.arrive_and_wait();
+                for (std::uint64_t q = 0; q < kQueries; ++q) {
+                    net.fastColorSet(comms);    // a call
+                    net.fastColor(PipeKey(0, 1)); // an absent pipe: a hit
+                }
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+    }
+    const auto after = fastColorStats();
+    EXPECT_EQ(after.calls - before.calls, 2 * kThreads * 2 * kQueries);
+    EXPECT_EQ(after.cacheHits - before.cacheHits, 2 * kThreads * kQueries);
 }

@@ -6,10 +6,11 @@
 # Eleven phases:
 #  1. ASan + UBSan build tree running the full ctest suite.
 #  2. TSan build tree running the concurrency-sensitive tests (thread
-#     pool, parallel-restart determinism, Fast_Color cache under the
-#     pool, the phase evaluator and explorer on nested pools, the serve
-#     daemon's requests on its one pool) — ASan and TSan cannot share
-#     a binary, hence the second tree.
+#     pool, parallel-restart determinism, Fast_Color cache and counters
+#     under the pool, pipe slots, a two-thread BT-36 design, the phase
+#     evaluator and explorer on nested pools, the serve daemon's
+#     requests on its one pool) — ASan and TSan cannot share a binary,
+#     hence the second tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
 #     and the simulator golden corpus, floorplan plan pins, routing
@@ -89,12 +90,16 @@ cmake -S "$repo" -B "$build_tsan" \
     -DMINNOC_SANITIZE_THREAD=ON
 cmake --build "$build_tsan" -j "$jobs" \
     --target test_thread_pool test_threads_determinism \
-    test_fastcolor_diff test_phase test_dse test_serve
+    test_fastcolor_diff test_design_network test_route_bytes test_phase \
+    test_dse test_serve
 export TSAN_OPTIONS="halt_on_error=1"
 "$build_tsan/tests/test_thread_pool"
 "$build_tsan/tests/test_serve"
 "$build_tsan/tests/test_threads_determinism"
 "$build_tsan/tests/test_fastcolor_diff"
+"$build_tsan/tests/test_design_network"
+"$build_tsan/tests/test_route_bytes" \
+    --gtest_filter='RouteBytes.DesignBT36TwoThreads'
 "$build_tsan/tests/test_phase" --gtest_filter='Evaluator.*'
 "$build_tsan/tests/test_dse" \
     --gtest_filter='ExplorerTest.ReportIsThreadCountInvariant'
