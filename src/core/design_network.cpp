@@ -30,7 +30,7 @@ std::mutex g_fcMutex;
 std::deque<FcShard> &g_fcShards = *new std::deque<FcShard>; // never freed
 constinit thread_local FcShard *t_fc = nullptr;
 
-[[gnu::cold]] FcShard &
+[[gnu::cold, gnu::noinline]] FcShard &
 leaseShard()
 {
     static thread_local struct Lease
@@ -49,7 +49,7 @@ leaseShard()
 }
 
 /** Count one Fast_Color query, and a cache hit when @p hit. */
-void
+[[gnu::always_inline]] inline void
 countQuery(bool hit)
 {
     FcShard &shard = t_fc ? *t_fc : leaseShard();
