@@ -644,8 +644,8 @@ DesignNetwork::toString() const
 {
     std::ostringstream oss;
     oss << "DesignNetwork(" << numSwitches() << " switches, "
-        << _pipes.size() - _freeSlots.size() << " pipes, est links " << totalEstimatedLinks()
-        << ")\n";
+        << _pipes.size() - _freeSlots.size() << " pipes, est links "
+        << totalEstimatedLinks() << ")\n";
     for (SwitchId s = 0; s < _switchProcs.size(); ++s) {
         oss << "  S" << s << ": procs {";
         for (std::size_t i = 0; i < _switchProcs[s].size(); ++i) {

@@ -279,8 +279,8 @@ TEST(FastColorDiff, StatsCountCallsAndHits)
 
 TEST(FastColorDiff, StatsExactAcrossThreads)
 {
-    // More threads than the counters ever had fixed shards, all alive
-    // at once, twice over so the second wave reuses handed-back shards.
+    // Twenty threads query at once, in two waves, so the second wave
+    // runs on the shards the first handed back; no count may be lost.
     constexpr int kThreads = 20;
     constexpr std::uint64_t kQueries = 200000;
     const auto before = fastColorStats();
