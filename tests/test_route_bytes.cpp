@@ -182,6 +182,39 @@ TEST(RouteBytes, ConsolidateUnidirectionalCost)
     EXPECT_EQ(routesDigest(net, stats), "ab3a336d5cdb29cf");
 }
 
+TEST(RouteBytes, ConsolidateDegreeFreeMultiPass)
+{
+    // max_degree 0: no overload surcharge and no degree revert. The
+    // hub detours leave work for three committing passes and a quiet
+    // fourth.
+    const CliqueSet ks = nasCliques(trace::Benchmark::FFT, 16);
+    DesignNetwork net(ks);
+    Rng rng(37);
+    splitTo(net, 8, rng);
+    detourThroughHub(net);
+    const auto stats = consolidateRoutes(net, 8, 0, &rng, false);
+    EXPECT_GT(stats.committedMoves, 0u);
+    EXPECT_GT(stats.triedMoves, ks.numComms()); // more than one pass
+    net.checkInvariants();
+    EXPECT_EQ(routesDigest(net, stats), "de5dee705e8558b0");
+}
+
+TEST(RouteBytes, ConsolidateStopsAtPassCap)
+{
+    // Two passes that both commit, so the cap and not a quiet pass
+    // ends the call: one more pass still finds a move.
+    const CliqueSet ks = nasCliques(trace::Benchmark::FFT, 16);
+    DesignNetwork net(ks);
+    Rng rng(29);
+    splitTo(net, 12, rng);
+    detourThroughHub(net);
+    const auto stats = consolidateRoutes(net, 2, 5, &rng, false);
+    EXPECT_EQ(stats.triedMoves, 2 * ks.numComms());
+    net.checkInvariants();
+    EXPECT_EQ(routesDigest(net, stats), "bac63e48c7d44695");
+    EXPECT_GT(consolidateRoutes(net, 1, 5, &rng, false).committedMoves, 0u);
+}
+
 TEST(RouteBytes, RepairDenseRelaxation)
 {
     // <= 64 procs: every popped switch offers a pipe to every other.
