@@ -95,39 +95,12 @@ CliqueSet::buildMaskCaches() const
         for (const CommId c : _cliques[m].comms)
             _commCliques[c].push_back(m);
     }
+    _reverse.resize(_comms.size());
+    for (CommId c = 0; c < _comms.size(); ++c) {
+        const CommId rev = findComm(_comms[c].reversed());
+        _reverse[c] = rev == c ? kNoComm : rev;
+    }
     _masksValid = true;
-}
-
-const std::vector<CommBitset> &
-CliqueSet::cliqueMasks() const
-{
-    if (!_masksValid)
-        buildMaskCaches();
-    return _masks;
-}
-
-const std::vector<CliqueSet::MaskInfo> &
-CliqueSet::maskInfos() const
-{
-    if (!_masksValid)
-        buildMaskCaches();
-    return _maskInfos;
-}
-
-const std::vector<std::uint32_t> &
-CliqueSet::masksBySize() const
-{
-    if (!_masksValid)
-        buildMaskCaches();
-    return _masksBySize;
-}
-
-const std::vector<std::uint32_t> &
-CliqueSet::cliquesOf(CommId c) const
-{
-    if (!_masksValid)
-        buildMaskCaches();
-    return _commCliques.at(c);
 }
 
 void

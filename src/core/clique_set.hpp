@@ -91,7 +91,13 @@ class CliqueSet
      * clique), sized to numComms(). Built lazily and cached; this is
      * what turns Fast_Color into AND + popcount.
      */
-    const std::vector<CommBitset> &cliqueMasks() const;
+    const std::vector<CommBitset> &
+    cliqueMasks() const
+    {
+        if (!_masksValid)
+            buildMaskCaches();
+        return _masks;
+    }
 
     /**
      * Sparse companion to cliqueMasks(): per-clique skip list of the
@@ -106,7 +112,13 @@ class CliqueSet
         /** Popcount of the mask (= clique size). */
         std::uint32_t popcount = 0;
     };
-    const std::vector<MaskInfo> &maskInfos() const;
+    const std::vector<MaskInfo> &
+    maskInfos() const
+    {
+        if (!_masksValid)
+            buildMaskCaches();
+        return _maskInfos;
+    }
 
     /**
      * Clique indices ordered by descending popcount (stable, so the
@@ -114,19 +126,48 @@ class CliqueSet
      * Fast_Color stop as soon as the remaining cliques are too small to
      * beat the best intersection found so far.
      */
-    const std::vector<std::uint32_t> &masksBySize() const;
+    const std::vector<std::uint32_t> &
+    masksBySize() const
+    {
+        if (!_masksValid)
+            buildMaskCaches();
+        return _masksBySize;
+    }
 
     /**
      * Indices of the cliques containing comm @p c, in masksBySize()
      * order. Built and invalidated together with the clique masks.
      */
-    const std::vector<std::uint32_t> &cliquesOf(CommId c) const;
+    const std::vector<std::uint32_t> &
+    cliquesOf(CommId c) const
+    {
+        if (!_masksValid)
+            buildMaskCaches();
+#ifdef MINNOC_SANITIZE
+        return _commCliques.at(c);
+#else
+        return _commCliques[c];
+#endif
+    }
+
+    /**
+     * The id of @p c's reverse communication (dst to src), or kNoComm
+     * when the pattern lacks it or @p c is its own reverse. Built and
+     * invalidated together with the clique masks.
+     */
+    CommId
+    reverseOf(CommId c) const
+    {
+        if (!_masksValid)
+            buildMaskCaches();
+        return _reverse[c];
+    }
 
     /**
      * Force-build every lazy cache (clique masks, per-comm clique
-     * lists, contention index). The lazy builders mutate shared state
-     * and are not safe to race; call this once before handing the set
-     * to concurrent readers.
+     * lists and reverses, contention index). The lazy builders mutate
+     * shared state and are not safe to race; call this once before
+     * handing the set to concurrent readers.
      */
     void prepareCaches() const;
 
@@ -182,6 +223,7 @@ class CliqueSet
     mutable std::vector<MaskInfo> _maskInfos;
     mutable std::vector<std::uint32_t> _masksBySize;
     mutable std::vector<std::vector<std::uint32_t>> _commCliques;
+    mutable std::vector<CommId> _reverse;
     mutable bool _masksValid = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <span>
 #include <tuple>
 
@@ -155,16 +156,21 @@ bestRoute(DesignNetwork &net, SwitchId si, SwitchId sj)
 
 namespace {
 
+/** How far one degree @p d exceeds the budget @p max_degree. */
+std::uint64_t
+excess(std::uint32_t d, std::uint32_t max_degree)
+{
+    return d > max_degree ? d - max_degree : 0;
+}
+
 /** Total violation of @p degrees over the budget @p max_degree. */
 std::uint64_t
 violation(const std::vector<std::uint32_t> &degrees,
           std::uint32_t max_degree)
 {
     std::uint64_t total = 0;
-    for (const auto d : degrees) {
-        if (d > max_degree)
-            total += d - max_degree;
-    }
+    for (const auto d : degrees)
+        total += excess(d, max_degree);
     return total;
 }
 
@@ -178,9 +184,8 @@ violation(const std::vector<std::uint32_t> &degrees,
 CommId
 mirroredReverse(const DesignNetwork &net, CommId c)
 {
-    const CliqueSet &cliques = net.cliques();
-    const CommId rev = cliques.findComm(cliques.comm(c).reversed());
-    if (rev == c || rev == CliqueSet::kNoComm)
+    const CommId rev = net.cliques().reverseOf(c);
+    if (rev == CliqueSet::kNoComm)
         return CliqueSet::kNoComm;
     const auto &r = net.route(c);
     const auto &rr = net.route(rev);
@@ -372,28 +377,115 @@ class ShortestPaths
     SwitchId _src = kNoSwitch;
 };
 
-/** What every reroute attempt of one pass reuses instead of allocating. */
+/**
+ * What one consolidateRoutes or repairDegrees call keeps across its
+ * attempts: the buffers an attempt reuses instead of allocating, the
+ * estimated degrees (current after every commit), the comm order and
+ * runPass's clean stamps.
+ */
 struct RouteScratch
 {
-    explicit RouteScratch(const DesignNetwork &net) : pricer(net) {}
+    explicit RouteScratch(const DesignNetwork &net)
+        : pricer(net), order(net.cliques().numComms()),
+          cleanAt(order.size(), static_cast<std::uint32_t>(-1))
+    {
+        std::iota(order.begin(), order.end(), CommId{0});
+    }
 
     HopPricer pricer;
     ShortestPaths sp;
     std::vector<SwitchId> oldRoute;
+    std::vector<std::uint32_t> degrees;
+    /** The switches a trial move touches and their degrees after it. */
+    std::vector<std::pair<SwitchId, std::uint32_t>> fresh;
+    std::vector<CommId> order;
+    std::uint32_t commits = 0;          ///< moves committed so far
+    std::vector<std::uint32_t> cleanAt; ///< per comm: commits when clean
 };
+
+/**
+ * Price a trial move of @p c from scratch.oldRoute to its current
+ * route. Only pipes on the two routes changed, so only switches on
+ * them can change degree; they and their new degrees go to
+ * scratch.fresh. @return their violation (before, after) the move
+ */
+std::pair<std::uint64_t, std::uint64_t>
+trialDegrees(const DesignNetwork &net, CommId c, std::uint32_t max_degree,
+             RouteScratch &scratch)
+{
+    std::uint64_t before = 0;
+    std::uint64_t after = 0;
+    scratch.fresh.clear();
+    auto visit = [&](SwitchId s) {
+        const std::uint32_t d = net.estimatedDegree(s);
+        before += excess(scratch.degrees[s], max_degree);
+        after += excess(d, max_degree);
+        scratch.fresh.emplace_back(s, d);
+    };
+    std::ranges::for_each(scratch.oldRoute, visit);
+    for (const SwitchId s : net.route(c)) {
+        if (std::ranges::find(scratch.oldRoute, s) == scratch.oldRoute.end())
+            visit(s);
+    }
+    return {before, after};
+}
+
+/** Keep a trial move's degrees; sanitized builds recheck them all. */
+void
+commitDegrees([[maybe_unused]] const DesignNetwork &net,
+              RouteScratch &scratch)
+{
+    for (const auto &[s, d] : scratch.fresh)
+        scratch.degrees[s] = d;
+#ifdef MINNOC_SANITIZE
+    if (scratch.degrees != net.estimatedDegrees())
+        panic("route optimizer: locally refreshed degrees are stale");
+#endif
+}
+
+/**
+ * One pass of @p attempt over scratch.order; @return whether a move
+ * committed. A failed attempt leaves the routes as it found them, so
+ * it fails again until some move commits (DESIGN.md §5d): it is
+ * stamped with the commit count and skipped while that is current.
+ * A skip still counts in triedMoves; sanitized builds rerun it and
+ * panic if it commits.
+ */
+template <typename Attempt>
+bool
+runPass(RouteScratch &scratch, RouteOptStats &stats, Attempt attempt)
+{
+    const std::uint32_t start = scratch.commits;
+    for (const CommId c : scratch.order) {
+        ++stats.triedMoves;
+        if (scratch.cleanAt[c] == scratch.commits) {
+#ifdef MINNOC_SANITIZE
+            if (attempt(c))
+                panic("route optimizer: skipped clean comm ", c,
+                      " would commit a move");
+#endif
+        } else if (attempt(c)) {
+            ++scratch.commits;
+        } else {
+            scratch.cleanAt[c] = scratch.commits;
+        }
+    }
+    stats.committedMoves += scratch.commits - start;
+    return scratch.commits != start;
+}
 
 /**
  * One consolidation attempt for a single communication (jointly with
  * its mirrored reverse, see mirroredReverse): find the cheapest path
  * over existing pipes and reroute if it beats the current route. With
- * a degree budget, @p degrees holds the current estimated degrees;
- * only a committed move changes them, and it refreshes them.
+ * a degree budget, scratch.degrees holds the current estimated
+ * degrees; only a committed move changes them, and it refreshes them.
  */
 bool
 consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
-               bool uni_cost, std::vector<std::uint32_t> &degrees,
-               RouteScratch &scratch)
+               bool uni_cost, RouteScratch &scratch)
 {
+    const std::vector<std::uint32_t> &degrees = scratch.degrees;
     const std::vector<SwitchId> &route = net.route(c);
     if (route.size() < 2)
         return false; // intra-switch: nothing to optimize
@@ -449,16 +541,18 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
 
     // Commit (both directions when paired). With a degree budget in
     // force, revert any commit that worsens the total degree violation
-    // — link savings must not undo repairDegrees' spreading.
+    // — link savings must not undo repairDegrees' spreading. Switches
+    // off both routes keep their degrees, so the touched ones decide.
     scratch.oldRoute = route;
     routePair(net, c, rev, path);
     if (max_degree) {
-        std::vector<std::uint32_t> after = net.estimatedDegrees();
-        if (violation(after, max_degree) > violation(degrees, max_degree)) {
+        const auto [before, after] =
+            trialDegrees(net, c, max_degree, scratch);
+        if (after > before) {
             routePair(net, c, rev, scratch.oldRoute);
             return false;
         }
-        degrees = std::move(after);
+        commitDegrees(net, scratch);
     }
     return true;
 }
@@ -466,32 +560,25 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
 /**
  * Propose an alternative route for @p c (and commit its mirrored pair
  * when applicable) that avoids overloaded switches, then keep it only
- * if the global (violation, links) measure improves.
+ * if the global (violation, links) measure improves. scratch.degrees
+ * holds the current estimated degrees; a committed move refreshes them.
  */
 bool
 repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
           RouteScratch &scratch)
 {
+    const std::vector<std::uint32_t> &degrees = scratch.degrees;
     const std::vector<SwitchId> &route = net.route(c);
     if (route.size() < 2)
         return false;
     const SwitchId src = route.front();
     const SwitchId dst = route.back();
 
-    // One bulk degree pass feeds both the overload map and the spare
-    // budget (for pricing new pipes).
-    const auto degrees = net.estimatedDegrees();
-    std::vector<bool> overloaded(net.numSwitches(), false);
-    std::vector<std::int64_t> spare(net.numSwitches(), 0);
-    bool touches = false;
-    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
-        overloaded[s] = degrees[s] > max_degree;
-        spare[s] = static_cast<std::int64_t>(max_degree) -
-                   static_cast<std::int64_t>(degrees[s]);
-    }
-    for (const SwitchId s : route)
-        touches |= overloaded[s];
-    if (!touches)
+    // The degrees feed both the overload test and the spare budget
+    // (for pricing new pipes).
+    auto overloaded = [&](SwitchId s) { return degrees[s] > max_degree; };
+    auto hasSpare = [&](SwitchId s) { return degrees[s] < max_degree; };
+    if (std::ranges::none_of(route, overloaded))
         return false;
 
     // Candidate hops are priced by their marginal width contribution
@@ -513,20 +600,20 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         const std::uint32_t widen = pricer.added(u, v, slot, false);
         if (widen == HopPricer::kAbsent) {
             // New pipe: one fresh link, both endpoints must afford it.
-            if (spare[u] < 1 || spare[v] < 1)
+            if (!hasSpare(u) || !hasSpare(v))
                 return static_cast<std::uint64_t>(-1) / 8;
             p += kLink + kNewPipe;
         } else {
             p += static_cast<std::uint64_t>(widen) * kLink;
             // Widening a pipe consumes endpoint degree too.
-            if (widen && (spare[u] < 1 || spare[v] < 1) &&
-                !(overloaded[u] || overloaded[v])) {
+            if (widen && (!hasSpare(u) || !hasSpare(v)) &&
+                !(overloaded(u) || overloaded(v))) {
                 p += kNewPipe;
             }
         }
-        if (v != dst && overloaded[v])
+        if (v != dst && overloaded(v))
             p += kAvoid;
-        if (u != src && overloaded[u])
+        if (u != src && overloaded(u))
             p += kAvoid;
         return p;
     };
@@ -558,19 +645,19 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         }
         for (const Neighbor &n : net.neighbors(v))
             sp.relax(n.sw, d + price(v, n.sw, n.slot), v);
-        if (spare[v] < 1)
+        if (!hasSpare(v))
             continue;
-        const bool pen = v != src && overloaded[v];
+        const bool pen = v != src && overloaded(v);
         if (bulkDone[pen])
             continue; // a cheaper same-class vertex already broadcast
         bulkDone[pen] = true;
         const std::uint64_t basePrice =
             d + kHop + kLink + kNewPipe + (pen ? kAvoid : 0);
         for (SwitchId w = 0; w < net.numSwitches(); ++w) {
-            if (w == v || spare[w] < 1)
+            if (w == v || !hasSpare(w))
                 continue;
             const std::uint64_t surcharge =
-                w != dst && overloaded[w] ? kAvoid : 0;
+                w != dst && overloaded(w) ? kAvoid : 0;
             sp.relax(w, basePrice + surcharge, v);
         }
     }
@@ -580,13 +667,16 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     if (path == route)
         return false;
 
-    // Trial apply; accept only if (violation, links) improves.
+    // Trial apply; accept only if (violation, links) improves. Switches
+    // off both routes keep their degrees, so the touched ones give the
+    // change in violation.
     const std::uint64_t violBefore = violation(degrees, max_degree);
     const std::uint32_t linksBefore = net.totalEstimatedLinks();
     scratch.oldRoute = route;
     routePair(net, c, rev, path);
-    const std::uint64_t violAfter =
-        violation(net.estimatedDegrees(), max_degree);
+    const auto [touchedBefore, touchedAfter] =
+        trialDegrees(net, c, max_degree, scratch);
+    const std::uint64_t violAfter = violBefore - touchedBefore + touchedAfter;
     const std::uint32_t linksAfter = net.totalEstimatedLinks();
     // Feasibility buys link slack: shedding a violation is worth up to
     // one extra link (consolidation claws links back afterwards).
@@ -597,6 +687,7 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         routePair(net, c, rev, scratch.oldRoute);
         return false;
     }
+    commitDegrees(net, scratch);
     return true;
 }
 
@@ -607,26 +698,16 @@ repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
               std::uint32_t max_passes, Rng *rng)
 {
     RouteOptStats stats;
-    const auto numComms =
-        static_cast<CommId>(net.cliques().numComms());
-    std::vector<CommId> order(numComms);
-    for (CommId c = 0; c < numComms; ++c)
-        order[c] = c;
     RouteScratch scratch(net);
+    scratch.degrees = net.estimatedDegrees();
     for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
-        if (violation(net.estimatedDegrees(), max_degree) == 0)
+        if (violation(scratch.degrees, max_degree) == 0)
             break;
         if (rng)
-            rng->shuffle(order);
-        bool changed = false;
-        for (const CommId c : order) {
-            ++stats.triedMoves;
-            if (repairOne(net, c, max_degree, scratch)) {
-                ++stats.committedMoves;
-                changed = true;
-            }
-        }
-        if (!changed)
+            rng->shuffle(scratch.order);
+        if (!runPass(scratch, stats, [&](CommId c) {
+                return repairOne(net, c, max_degree, scratch);
+            }))
             break;
     }
     return stats;
@@ -637,30 +718,18 @@ consolidateRoutes(DesignNetwork &net, std::uint32_t max_passes,
                   std::uint32_t max_degree, Rng *rng, bool uni_cost)
 {
     RouteOptStats stats;
-    const auto numComms =
-        static_cast<CommId>(net.cliques().numComms());
-    std::vector<CommId> order(numComms);
-    for (CommId c = 0; c < numComms; ++c)
-        order[c] = c;
     // Degrees move only when a move commits (a reverted move restores
     // the same routes), so consolidateOne keeps this copy current.
-    std::vector<std::uint32_t> degrees;
-    if (max_degree)
-        degrees = net.estimatedDegrees();
     RouteScratch scratch(net);
+    if (max_degree)
+        scratch.degrees = net.estimatedDegrees();
     for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
         const std::uint32_t before = net.totalEstimatedLinks();
         if (rng)
-            rng->shuffle(order);
-        bool changed = false;
-        for (const CommId c : order) {
-            ++stats.triedMoves;
-            if (consolidateOne(net, c, max_degree, uni_cost, degrees,
-                               scratch)) {
-                ++stats.committedMoves;
-                changed = true;
-            }
-        }
+            rng->shuffle(scratch.order);
+        const bool changed = runPass(scratch, stats, [&](CommId c) {
+            return consolidateOne(net, c, max_degree, uni_cost, scratch);
+        });
         const std::uint32_t after = net.totalEstimatedLinks();
         stats.linksSaved += before > after ? before - after : 0;
         if (!changed)

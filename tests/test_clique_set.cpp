@@ -130,6 +130,22 @@ TEST(CliqueSet, ContendIndexInvalidatedOnMutation)
     EXPECT_TRUE(ks.contend(a, b)); // rebuilt after the new clique
 }
 
+TEST(CliqueSet, ReverseOfPairsMirroredComms)
+{
+    CliqueSet ks(8);
+    const CommId a = ks.internComm(Comm(0, 1));
+    const CommId b = ks.internComm(Comm(2, 3));
+    const CommId self = ks.internComm(Comm(4, 4));
+    ks.addCliqueByIds({a, b, self});
+    EXPECT_EQ(ks.reverseOf(a), CliqueSet::kNoComm); // (1, 0) not yet seen
+    const CommId ra = ks.internComm(Comm(1, 0));
+    ks.addCliqueByIds({ra});
+    EXPECT_EQ(ks.reverseOf(a), ra); // rebuilt after the new comm
+    EXPECT_EQ(ks.reverseOf(ra), a);
+    EXPECT_EQ(ks.reverseOf(b), CliqueSet::kNoComm);
+    EXPECT_EQ(ks.reverseOf(self), CliqueSet::kNoComm);
+}
+
 TEST(CliqueSet, ContentionSetTuples)
 {
     CliqueSet ks(8);

@@ -14,8 +14,9 @@
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
 #     and the simulator golden corpus, floorplan plan pins, routing
-#     path pins, evaluation and explore report pins and the explorer
-#     tests, so simulated results, placements, routes and shared DSE
+#     path pins, route consolidation and repair pins, scale pins,
+#     evaluation and explore report pins and the explorer tests, so
+#     simulated results, placements, routes, designs and shared DSE
 #     work hold under the -O3 build the figure benches use.
 #  4. Explore cache smoke: a tiny DSE grid on CG-8 run twice against a
 #     fresh cache dir under the build tree — the warm rerun must hit
@@ -107,13 +108,16 @@ export TSAN_OPTIONS="halt_on_error=1"
 echo "=== phase 3: Release bench smoke ==="
 cmake -S "$repo" -B "$build_bench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_bench" -j "$jobs" --target partitioner_perf \
-    test_sim_golden test_floorplan test_routing test_eval_bytes test_dse
+    test_sim_golden test_floorplan test_routing test_route_bytes \
+    test_scale test_eval_bytes test_dse
 "$build_bench/bench/partitioner_perf" \
     --bench CG --ranks 8 --iterations 1 \
     --out "$build_bench/partitioner_perf.json"
 "$build_bench/tests/test_sim_golden"
 "$build_bench/tests/test_floorplan"
 "$build_bench/tests/test_routing"
+"$build_bench/tests/test_route_bytes"
+"$build_bench/tests/test_scale"
 "$build_bench/tests/test_eval_bytes"
 "$build_bench/tests/test_dse"
 
