@@ -554,8 +554,11 @@ TEST(Serve, AdmissionControlRejectsPastHighWaterMark)
     LiveServer live("serve-backpressure", cfg);
     auto client = live.client();
 
-    // Occupy the pool's single worker...
-    ASSERT_TRUE(client.sendLine(exploreRequest("q0", trace)));
+    // Occupy the pool's single worker with a request that outlasts the
+    // pause below by far (the MG-16 grid can finish inside it, leaving
+    // the flood a free worker and no queue to fill)...
+    ASSERT_TRUE(client.sendLine(
+        exploreRequest("q0", traceText(trace::Benchmark::BT, 36))));
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     // ...then flood: one fits the queue, the rest must be rejected
     // immediately with queue_full (not stall, not queue unboundedly).
