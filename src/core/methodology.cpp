@@ -76,6 +76,18 @@ exactViolators(const FinalizedDesign &design, const DesignConstraints &dc)
     return bad;
 }
 
+/**
+ * The partitioner knobs a run uses: a design finalized with
+ * unidirectional links is also priced per channel while partitioning.
+ */
+PartitionerConfig
+partitionerOf(const MethodologyConfig &config)
+{
+    PartitionerConfig pcfg = config.partitioner;
+    pcfg.unidirectionalCost |= config.finalize.unidirectional;
+    return pcfg;
+}
+
 /** One partition/finalize attempt plus its final network state. */
 struct SeedResult
 {
@@ -90,10 +102,8 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
 {
     DesignOutcome outcome;
     DesignNetwork net(cliques);
-    PartitionerConfig pcfg = config.partitioner;
+    PartitionerConfig pcfg = partitionerOf(config);
     pcfg.seed = seed;
-    if (config.finalize.unidirectional)
-        pcfg.unidirectionalCost = true;
     Rng rng(seed);
 
     for (std::uint32_t round = 0; round < kMaxRounds; ++round) {
@@ -139,12 +149,9 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
                 if (!swapped && cs.committedMoves == 0)
                     break;
                 auto polished = finalizeDesign(net, config.finalize);
-                const auto measure = [](const FinalizedDesign &d) {
-                    return d.unidirectional ? d.totalChannels()
-                                            : 2 * d.totalLinks();
-                };
                 if (exactViolators(polished, pcfg.constraints).empty() &&
-                    measure(polished) < measure(outcome.design) &&
+                    polished.totalChannels() <
+                        outcome.design.totalChannels() &&
                     verifier.check(polished).empty()) {
                     outcome.design = std::move(polished);
                     snapshot = net;
@@ -190,19 +197,6 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
     return SeedResult{std::move(outcome), std::move(net)};
 }
 
-/** Estimate-level constraint violations (mirror of the partitioner's). */
-bool
-estimatesSatisfied(const DesignNetwork &net, const DesignConstraints &dc)
-{
-    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
-        const auto procs =
-            static_cast<std::uint32_t>(net.procsOf(s).size());
-        if (!dc.satisfied(net.estimatedDegree(s), procs))
-            return false;
-    }
-    return true;
-}
-
 /**
  * Switch-merge polish: the recursive-bisection loop tends to over-split
  * dense patterns down to one processor per switch even when pairs of
@@ -214,8 +208,9 @@ estimatesSatisfied(const DesignNetwork &net, const DesignConstraints &dc)
 void
 mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
               const MethodologyConfig &config, const CliqueSet &cliques,
-              const PartitionerConfig &pcfg, Rng &rng)
+              Rng &rng)
 {
+    const PartitionerConfig pcfg = partitionerOf(config);
     const auto &dc = pcfg.constraints;
     // Merge candidates differ from the incumbent in the few pipes around
     // the merged pair; the incremental verifier re-checks only those.
@@ -262,21 +257,13 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                 consolidateRoutes(net, kConsolidatePasses,
                                   dc.maxDegree, &rng,
                                   pcfg.unidirectionalCost);
-                if (estimatesSatisfied(net, dc)) {
+                if (violatingSwitches(net, dc).empty()) {
                     auto merged = finalizeDesign(net, config.finalize);
-                    const auto linkBudget =
-                        (merged.unidirectional
-                             ? outcome.design.totalChannels()
-                             : 2 * outcome.design.totalLinks()) +
-                        2;
-                    const auto mergedLinks =
-                        merged.unidirectional
-                            ? merged.totalChannels()
-                            : 2 * merged.totalLinks();
                     if (exactViolators(merged, dc).empty() &&
                         merged.numSwitches <
                             outcome.design.numSwitches &&
-                        mergedLinks <= linkBudget &&
+                        merged.totalChannels() <=
+                            outcome.design.totalChannels() + 2 &&
                         totalHops(merged) <= hopBudget &&
                         verifier.check(merged).empty()) {
                         outcome.design = std::move(merged);
@@ -305,11 +292,8 @@ std::uint64_t
 exactViolation(const FinalizedDesign &d, const DesignConstraints &dc)
 {
     std::uint64_t total = 0;
-    for (SwitchId s = 0; s < d.numSwitches; ++s) {
-        const auto deg = d.switchDegree(s);
-        if (deg > dc.maxDegree)
-            total += deg - dc.maxDegree;
-    }
+    for (SwitchId s = 0; s < d.numSwitches; ++s)
+        total += degreeExcess(d.switchDegree(s), dc.maxDegree);
     return total;
 }
 
@@ -356,16 +340,9 @@ betterThan(const DesignOutcome &a, const DesignOutcome &b,
         if (va != vb)
             return va < vb;
     }
-    // Unidirectional designs compete on channel count; duplex designs
-    // on full-duplex link count.
-    const auto linksA = a.design.unidirectional
-                            ? a.design.totalChannels()
-                            : 2 * a.design.totalLinks();
-    const auto linksB = b.design.unidirectional
-                            ? b.design.totalChannels()
-                            : 2 * b.design.totalLinks();
-    if (linksA != linksB)
-        return linksA < linksB;
+    // Designs compete on directed channels: a duplex link is two.
+    if (a.design.totalChannels() != b.design.totalChannels())
+        return a.design.totalChannels() < b.design.totalChannels();
     return a.design.numSwitches < b.design.numSwitches;
 }
 
@@ -440,13 +417,8 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
         warn("methodology: no seed met the design constraints after ",
              attempts, " restarts; returning best effort");
     }
-    if constexpr (obs::kEnabled) {
-        if (config.traceLog) {
-            config.traceLog->complete(
-                "restarts", obs::kPidMethodology, 0, restartsStart,
-                obs::wallMicros() - restartsStart);
-        }
-    }
+    obs::spanEnd(config.traceLog, obs::kPidMethodology, "restarts", 0,
+                 restartsStart);
 
     // Switch-merge polish on the winner (see mergeSwitches). Quadratic
     // in switches with a full consolidate + finalize per candidate, so
@@ -455,34 +427,24 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
     const bool big =
         config.partitioner.largeScale(cliques.numProcs());
     if (!big && best.constraintsMet && config.mergeSwitches && bestNet) {
-        const std::int64_t mergeStart =
-            config.traceLog ? obs::wallMicros() : 0;
-        PartitionerConfig pcfg = config.partitioner;
-        if (config.finalize.unidirectional)
-            pcfg.unidirectionalCost = true;
+        const auto mergeStart = obs::spanStart(config.traceLog);
         Rng rng(config.partitioner.seed ^ 0x5bd1e995);
-        mergeSwitches(*bestNet, best, config, cliques, pcfg, rng);
-        if constexpr (obs::kEnabled) {
-            if (config.traceLog) {
-                config.traceLog->complete(
-                    "merge_switches", obs::kPidMethodology, 0,
-                    mergeStart, obs::wallMicros() - mergeStart);
-            }
-        }
+        mergeSwitches(*bestNet, best, config, cliques, rng);
+        obs::spanEnd(config.traceLog, obs::kPidMethodology,
+                     "merge_switches", 0, mergeStart);
     }
 
     // Theorem-1 verification of the final design.
-    const std::int64_t verifyStart =
-        config.traceLog ? obs::wallMicros() : 0;
+    const auto verifyStart = obs::spanStart(config.traceLog);
     best.violations = checkContentionFree(best.design, cliques);
     if constexpr (obs::kEnabled) {
-        if (config.traceLog) {
+        if (config.traceLog)
             config.traceLog->processName(obs::kPidMethodology,
                                          "minnoc methodology");
-            config.traceLog->complete("verify", obs::kPidMethodology, 0,
-                                      verifyStart,
-                                      obs::wallMicros() - verifyStart);
-        }
+    }
+    obs::spanEnd(config.traceLog, obs::kPidMethodology, "verify", 0,
+                 verifyStart);
+    if constexpr (obs::kEnabled) {
         if (config.metrics) {
             auto &m = *config.metrics;
             m.gauge("methodology/links")

@@ -12,30 +12,6 @@ namespace minnoc::core {
 
 namespace {
 
-/** Cost a move is judged by: summed link estimate of the cut's pipes. */
-std::uint32_t
-cutCost(const DesignNetwork &net, SwitchId si, SwitchId sj)
-{
-    // One incidence scan over cached Fast_Color values; no per-call key
-    // vector to build, sort, and dedupe.
-    return net.cutEstimate(si, sj);
-}
-
-/** Switches currently violating the constraints (by estimate). */
-std::vector<SwitchId>
-violatingSwitches(const DesignNetwork &net, const DesignConstraints &dc)
-{
-    std::vector<SwitchId> bad;
-    const auto degrees = net.estimatedDegrees();
-    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
-        const auto procs =
-            static_cast<std::uint32_t>(net.procsOf(s).size());
-        if (!dc.satisfied(degrees[s], procs))
-            bad.push_back(s);
-    }
-    return bad;
-}
-
 /** A candidate processor move across the fresh cut. */
 struct MoveCandidate
 {
@@ -46,16 +22,17 @@ struct MoveCandidate
 };
 
 /**
- * Evaluate every balanced processor move between @p si and @p sj by
- * temporarily applying it (the paper evaluates with direct routes; our
- * endpoint recomputation preserves route interiors, which direct routes
- * have anyway right after a split).
+ * Score every balanced processor move between @p si and @p sj by the
+ * change in the cut's link estimate (cutEstimate), temporarily applying
+ * it (the paper evaluates with direct routes; our endpoint
+ * recomputation preserves route interiors, which direct routes have
+ * anyway right after a split).
  */
 std::vector<MoveCandidate>
 enumerateMoves(DesignNetwork &net, SwitchId si, SwitchId sj)
 {
     std::vector<MoveCandidate> candidates;
-    const std::uint32_t before = cutCost(net, si, sj);
+    const std::uint32_t before = net.cutEstimate(si, sj);
 
     auto consider = [&](SwitchId from, SwitchId to) {
         // Every candidate is applied and undone, so the switch sizes —
@@ -75,7 +52,7 @@ enumerateMoves(DesignNetwork &net, SwitchId si, SwitchId sj)
         const std::vector<ProcId> procs = net.procsOf(from); // copy
         for (const ProcId p : procs) {
             net.moveProc(p, to);
-            const std::uint32_t after = cutCost(net, si, sj);
+            const std::uint32_t after = net.cutEstimate(si, sj);
             net.moveProc(p, from);
             candidates.push_back(MoveCandidate{
                 p, from, to,
@@ -93,17 +70,25 @@ enumerateMoves(DesignNetwork &net, SwitchId si, SwitchId sj)
 std::pair<std::uint64_t, std::uint32_t>
 placementMeasure(const DesignNetwork &net, const DesignConstraints &dc)
 {
-    std::uint64_t viol = 0;
-    const auto degrees = net.estimatedDegrees();
-    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
-        const auto d = degrees[s];
-        if (d > dc.maxDegree)
-            viol += d - dc.maxDegree;
-    }
-    return {viol, net.totalEstimatedLinks()};
+    return {degreeViolation(net.estimatedDegrees(), dc.maxDegree),
+            net.totalEstimatedLinks()};
 }
 
 } // namespace
+
+std::vector<SwitchId>
+violatingSwitches(const DesignNetwork &net, const DesignConstraints &dc)
+{
+    std::vector<SwitchId> bad;
+    const auto degrees = net.estimatedDegrees();
+    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
+        const auto procs =
+            static_cast<std::uint32_t>(net.procsOf(s).size());
+        if (!dc.satisfied(degrees[s], procs))
+            bad.push_back(s);
+    }
+    return bad;
+}
 
 bool
 refineProcSwaps(DesignNetwork &net, const DesignConstraints &dc, Rng &rng,

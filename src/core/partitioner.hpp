@@ -33,6 +33,27 @@ inline constexpr std::uint32_t kMaxImbalance = 2;
 /** Route-consolidation passes per constraint check. */
 inline constexpr std::uint32_t kConsolidatePasses = 4;
 
+/**
+ * How far a switch of @p degree exceeds the budget @p max_degree: the
+ * one degree-excess rule every trial move and design comparison uses.
+ */
+inline std::uint64_t
+degreeExcess(std::uint32_t degree, std::uint32_t max_degree)
+{
+    return degree > max_degree ? degree - max_degree : 0;
+}
+
+/** Summed degreeExcess of @p degrees: a network's total violation. */
+inline std::uint64_t
+degreeViolation(const std::vector<std::uint32_t> &degrees,
+                std::uint32_t max_degree)
+{
+    std::uint64_t total = 0;
+    for (const std::uint32_t d : degrees)
+        total += degreeExcess(d, max_degree);
+    return total;
+}
+
 /** Design constraints a finished network must satisfy (Section 3.4). */
 struct DesignConstraints
 {
@@ -50,7 +71,7 @@ struct DesignConstraints
     bool
     satisfied(std::uint32_t degree, std::uint32_t procs) const
     {
-        if (degree > maxDegree)
+        if (degreeExcess(degree, maxDegree))
             return false;
         if (maxProcsPerSwitch && procs > maxProcsPerSwitch)
             return false;
@@ -180,6 +201,14 @@ PartitionResult partitionNetwork(DesignNetwork &net,
  */
 SwitchId splitAndSettle(DesignNetwork &net, const PartitionerConfig &config,
                         Rng &rng, SwitchId si, PartitionResult &result);
+
+/**
+ * Switches of @p net violating @p dc by their Fast_Color degree
+ * estimates, in id order: what the partitioner splits and what a
+ * switch merge must leave empty.
+ */
+std::vector<SwitchId> violatingSwitches(const DesignNetwork &net,
+                                        const DesignConstraints &dc);
 
 /**
  * Kernighan-Lin style refinement over the whole network: try swapping

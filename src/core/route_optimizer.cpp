@@ -6,6 +6,7 @@
 #include <span>
 #include <tuple>
 
+#include "partitioner.hpp"
 #include "util/log.hpp"
 
 namespace minnoc::core {
@@ -155,24 +156,6 @@ bestRoute(DesignNetwork &net, SwitchId si, SwitchId sj)
 }
 
 namespace {
-
-/** How far one degree @p d exceeds the budget @p max_degree. */
-std::uint64_t
-excess(std::uint32_t d, std::uint32_t max_degree)
-{
-    return d > max_degree ? d - max_degree : 0;
-}
-
-/** Total violation of @p degrees over the budget @p max_degree. */
-std::uint64_t
-violation(const std::vector<std::uint32_t> &degrees,
-          std::uint32_t max_degree)
-{
-    std::uint64_t total = 0;
-    for (const auto d : degrees)
-        total += excess(d, max_degree);
-    return total;
-}
 
 /**
  * The reverse of @p c when it exists and currently mirrors c's route,
@@ -403,23 +386,32 @@ struct RouteScratch
     std::vector<std::uint32_t> cleanAt; ///< per comm: commits when clean
 };
 
+/** A trial move's effect, read off the switches it touches. */
+struct Trial
+{
+    std::uint64_t violBefore = 0; ///< their degree violation before
+    std::uint64_t violAfter = 0;  ///< and after the move
+    std::int64_t linkDelta = 0;   ///< change in totalEstimatedLinks()
+};
+
 /**
  * Price a trial move of @p c from scratch.oldRoute to its current
  * route. Only pipes on the two routes changed, so only switches on
  * them can change degree; they and their new degrees go to
- * scratch.fresh. @return their violation (before, after) the move
+ * scratch.fresh. Each changed pipe has both ends among them, so their
+ * summed degree change is twice the link change (DESIGN.md §5d).
  */
-std::pair<std::uint64_t, std::uint64_t>
+Trial
 trialDegrees(const DesignNetwork &net, CommId c, std::uint32_t max_degree,
              RouteScratch &scratch)
 {
-    std::uint64_t before = 0;
-    std::uint64_t after = 0;
+    Trial t;
     scratch.fresh.clear();
     auto visit = [&](SwitchId s) {
         const std::uint32_t d = net.estimatedDegree(s);
-        before += excess(scratch.degrees[s], max_degree);
-        after += excess(d, max_degree);
+        t.violBefore += degreeExcess(scratch.degrees[s], max_degree);
+        t.violAfter += degreeExcess(d, max_degree);
+        t.linkDelta += std::int64_t{d} - scratch.degrees[s];
         scratch.fresh.emplace_back(s, d);
     };
     std::ranges::for_each(scratch.oldRoute, visit);
@@ -427,7 +419,8 @@ trialDegrees(const DesignNetwork &net, CommId c, std::uint32_t max_degree,
         if (std::ranges::find(scratch.oldRoute, s) == scratch.oldRoute.end())
             visit(s);
     }
-    return {before, after};
+    t.linkDelta /= 2;
+    return t;
 }
 
 /** Keep a trial move's degrees; sanitized builds recheck them all. */
@@ -546,9 +539,8 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     scratch.oldRoute = route;
     routePair(net, c, rev, path);
     if (max_degree) {
-        const auto [before, after] =
-            trialDegrees(net, c, max_degree, scratch);
-        if (after > before) {
+        const Trial t = trialDegrees(net, c, max_degree, scratch);
+        if (t.violAfter > t.violBefore) {
             routePair(net, c, rev, scratch.oldRoute);
             return false;
         }
@@ -560,8 +552,9 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
 /**
  * Propose an alternative route for @p c (and commit its mirrored pair
  * when applicable) that avoids overloaded switches, then keep it only
- * if the global (violation, links) measure improves. scratch.degrees
- * holds the current estimated degrees; a committed move refreshes them.
+ * if the network's (violation, links) measure improves, as trialDegrees
+ * reads it off the touched switches. scratch.degrees holds the current
+ * estimated degrees; a committed move refreshes them.
  */
 bool
 repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
@@ -667,22 +660,22 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     if (path == route)
         return false;
 
-    // Trial apply; accept only if (violation, links) improves. Switches
-    // off both routes keep their degrees, so the touched ones give the
-    // change in violation.
-    const std::uint64_t violBefore = violation(degrees, max_degree);
-    const std::uint32_t linksBefore = net.totalEstimatedLinks();
+    // Trial apply; accept only if (violation, links) improves.
+#ifdef MINNOC_SANITIZE
+    const std::int64_t linksBefore = net.totalEstimatedLinks();
+#endif
     scratch.oldRoute = route;
     routePair(net, c, rev, path);
-    const auto [touchedBefore, touchedAfter] =
-        trialDegrees(net, c, max_degree, scratch);
-    const std::uint64_t violAfter = violBefore - touchedBefore + touchedAfter;
-    const std::uint32_t linksAfter = net.totalEstimatedLinks();
+    const Trial t = trialDegrees(net, c, max_degree, scratch);
+#ifdef MINNOC_SANITIZE
+    if (net.totalEstimatedLinks() - linksBefore != t.linkDelta)
+        panic("repairOne: touched switches give link change ", t.linkDelta,
+              ", a full scan ", net.totalEstimatedLinks() - linksBefore);
+#endif
     // Feasibility buys link slack: shedding a violation is worth up to
     // one extra link (consolidation claws links back afterwards).
-    const bool accept =
-        (violAfter < violBefore && linksAfter <= linksBefore + 1) ||
-        (violAfter == violBefore && linksAfter < linksBefore);
+    const bool accept = (t.violAfter < t.violBefore && t.linkDelta <= 1) ||
+                        (t.violAfter == t.violBefore && t.linkDelta < 0);
     if (!accept) {
         routePair(net, c, rev, scratch.oldRoute);
         return false;
@@ -701,7 +694,7 @@ repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
     RouteScratch scratch(net);
     scratch.degrees = net.estimatedDegrees();
     for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
-        if (violation(scratch.degrees, max_degree) == 0)
+        if (degreeViolation(scratch.degrees, max_degree) == 0)
             break;
         if (rng)
             rng->shuffle(scratch.order);

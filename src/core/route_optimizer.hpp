@@ -15,7 +15,9 @@
 namespace minnoc::core {
 
 /**
- * Statistics returned by a Best_Route pass.
+ * Statistics returned by bestRoute, consolidateRoutes and
+ * repairDegrees. repairDegrees leaves linksSaved at 0; the route pins
+ * (tests/test_route_bytes.cpp) digest it as such.
  */
 struct RouteOptStats
 {
@@ -54,7 +56,7 @@ RouteOptStats bestRoute(DesignNetwork &net, SwitchId si, SwitchId sj);
  * pass is the natural closure of that idea and is what lets dense
  * patterns (MG's allreduce, BT/SP sweeps) meet a node-degree-5
  * constraint by sharing links across contention periods. Toggleable
- * for ablation via PartitionerConfig::consolidateRoutes.
+ * for ablation via PartitionerConfig::consolidate.
  *
  * @return statistics (triedMoves counts examined comms)
  */
@@ -68,8 +70,10 @@ RouteOptStats consolidateRoutes(DesignNetwork &net,
  * Degree repair: when some switches exceed the degree budget and
  * cannot be split further, reroute traffic away from them — over
  * existing pipes or over *new* pipes between switches that both have
- * spare degree — accepting any move that lexicographically reduces
- * (total degree violation, total links). This trades links for
+ * spare degree — accepting a move that lowers the total degree
+ * violation at a cost of at most one link, or keeps it and saves
+ * links. Both totals are read off the switches on the move's old and
+ * new routes, which alone change degree. This trades links for
  * feasibility, the opposite bias of consolidateRoutes; the partitioner
  * runs it only when it is otherwise stuck.
  *

@@ -140,7 +140,8 @@ evaluatePhaseJob(const trace::Trace &trace, const JobParams &params,
     const auto t0 = obs::spanStart(config.traceLog);
     const auto [v, d] = phase::evaluateTimeMultiplexed(
         trace, pcfg, pool, config.traceLog, tid);
-    obs::dseSpanEnd(config.traceLog, "time-multiplexed", tid, t0);
+    obs::spanEnd(config.traceLog, obs::kPidDse, "time-multiplexed", tid,
+                 t0);
 
     JobMetrics m;
     m.switches = v.switches;
@@ -299,8 +300,9 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
     // needs it, so lanes stay attributable to jobs.
     const auto jobSpan = [&config](std::size_t i, const char *stage,
                                    std::int64_t start) {
-        obs::dseSpanEnd(config.traceLog, "job " + std::to_string(i), i,
-                        start, "\"stage\": \"" + std::string(stage) + "\"");
+        obs::spanEnd(config.traceLog, obs::kPidDse,
+                     "job " + std::to_string(i), i, start,
+                     "\"stage\": \"" + std::string(stage) + "\"");
     };
 
     // Cache lookups. The cancel checkpoints here and before every task
@@ -371,7 +373,8 @@ explore(const trace::Trace &trace, const ExploreConfig &config,
         auto mcfg = methodologyConfigFor(jobs[task.first]);
         mcfg.cancel = config.cancel;
         auto outcome = core::runMethodology(cliques, mcfg, pool);
-        obs::dseSpanEnd(config.traceLog, "methodology", task.first, start);
+        obs::spanEnd(config.traceLog, obs::kPidDse, "methodology",
+                     task.first, start);
         task.metrics = designMetrics(outcome);
         networks[t] = networkBytes(outcome.design);
         task.design = std::move(outcome.design);

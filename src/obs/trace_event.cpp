@@ -20,13 +20,13 @@ wallMicros()
 }
 
 void
-dseSpanEnd(TraceEventLog *log, const std::string &name, std::size_t tid,
-           std::int64_t start, const std::string &argsJson)
+spanEnd(TraceEventLog *log, std::uint32_t pid, const std::string &name,
+        std::size_t tid, std::int64_t start, const std::string &argsJson)
 {
     if constexpr (kEnabled) {
         if (log)
-            log->complete(name, kPidDse, static_cast<std::uint32_t>(tid),
-                          start, wallMicros() - start, argsJson);
+            log->complete(name, pid, static_cast<std::uint32_t>(tid), start,
+                          wallMicros() - start, argsJson);
     }
 }
 

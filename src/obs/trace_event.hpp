@@ -99,12 +99,12 @@ spanStart(const TraceEventLog *log)
 }
 
 /**
- * Close a wall-clock span opened at @p start on DSE track @p tid of
- * @p log; a no-op without a log or under -DMINNOC_OBS=OFF.
+ * Close a wall-clock span opened at @p start on track (@p pid, @p tid)
+ * of @p log; a no-op without a log or under -DMINNOC_OBS=OFF.
  */
-void dseSpanEnd(TraceEventLog *log, const std::string &name,
-                std::size_t tid, std::int64_t start,
-                const std::string &argsJson = "");
+void spanEnd(TraceEventLog *log, std::uint32_t pid, const std::string &name,
+             std::size_t tid, std::int64_t start,
+             const std::string &argsJson = "");
 
 } // namespace minnoc::obs
 

@@ -237,7 +237,7 @@ evalPhaseStandalone(const trace::Trace &trace, const Segmentation &seg,
     quiet.traceLog = nullptr;
     const auto t = obs::spanStart(traceLog);
     const auto outcome = core::runMethodology(standalone, quiet, pool);
-    obs::dseSpanEnd(traceLog, "methodology", tid, t);
+    obs::spanEnd(traceLog, obs::kPidDse, "methodology", tid, t);
     auto row = evalVariant(outcome.design, outcome.violations.size(),
                            phaseSubTrace(trace, seg, p), config, traceLog,
                            tid);

@@ -13,7 +13,7 @@ evaluateNetwork(const topo::BuiltNetwork &net, const trace::Trace &trace,
     NetworkEvaluation e;
     const auto t = obs::spanStart(traceLog);
     e.sim = runTrace(trace, *net.topo, *net.routing, config);
-    obs::dseSpanEnd(traceLog, "simulate", tid, t);
+    obs::spanEnd(traceLog, obs::kPidDse, "simulate", tid, t);
 
     e.energy = topo::computeEnergy(*net.topo, e.sim.linkFlits,
                                    e.sim.execTime, e.sim.activity, power);
@@ -32,11 +32,11 @@ evaluateDesign(const core::FinalizedDesign &design,
     DesignEvaluation e;
     auto t = obs::spanStart(traceLog);
     e.plan = topo::planFloor(design);
-    obs::dseSpanEnd(traceLog, "floorplan", tid, t);
+    obs::spanEnd(traceLog, obs::kPidDse, "floorplan", tid, t);
 
     t = obs::spanStart(traceLog);
     e.net = topo::buildFromDesign(design, e.plan);
-    obs::dseSpanEnd(traceLog, "build", tid, t);
+    obs::spanEnd(traceLog, obs::kPidDse, "build", tid, t);
 
     static_cast<NetworkEvaluation &>(e) = evaluateNetwork(
         e.net, trace, config, power, idleCycles, traceLog, tid);

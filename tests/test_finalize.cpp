@@ -20,12 +20,13 @@ using minnoc::Rng;
 namespace {
 
 DesignNetwork
-partitionedCg(CliqueSet &ks, std::uint32_t ranks, std::uint32_t degree)
+partitioned(CliqueSet &ks, minnoc::trace::Benchmark bench,
+            std::uint32_t ranks, std::uint32_t degree)
 {
     minnoc::trace::NasConfig cfg;
     cfg.ranks = ranks;
     cfg.iterations = 1;
-    const auto tr = minnoc::trace::generateCG(cfg);
+    const auto tr = minnoc::trace::generateBenchmark(bench, cfg);
     ks = minnoc::trace::analyzeByCall(tr);
     ks.reduceToMaximum();
     DesignNetwork net(ks);
@@ -52,9 +53,12 @@ TEST(Finalize, MegaswitchFinalizesToOneSwitch)
 
 TEST(Finalize, LinkCountsMatchChromaticNumbers)
 {
-    // Two conflicting comms on one pipe per direction: exactly 2 links.
+    // Two conflicting comms one way and one comm back on one pipe:
+    // exactly 2 links, which only a unidirectional design may provision
+    // as 2 + 1 channels instead of 2 + 2.
     CliqueSet ks(4);
     ks.addClique({Comm(0, 2), Comm(1, 3)});
+    ks.addClique({Comm(2, 0)});
     DesignNetwork net(ks);
     Rng rng(1);
     const SwitchId sj = net.splitSwitch(0, rng);
@@ -65,6 +69,10 @@ TEST(Finalize, LinkCountsMatchChromaticNumbers)
     const auto design = finalizeDesign(net);
     ASSERT_EQ(design.pipes.size(), 1u);
     EXPECT_EQ(design.pipes[0].links, 2u);
+    EXPECT_EQ(design.totalChannels(), 4u);
+    const auto uni = finalizeDesign(net, FinalizeConfig{true});
+    EXPECT_EQ(uni.totalLinks(), 2u);
+    EXPECT_EQ(uni.totalChannels(), 3u);
     // Conflicting comms must receive distinct link colors.
     const auto &fwd = design.pipes[0].fwdLink;
     ASSERT_EQ(fwd.size(), 2u);
@@ -137,7 +145,7 @@ TEST(Finalize, ConnectivityPatchJoinsIslands)
 TEST(Finalize, CgSixteenIsConnectedAndWithinDegree)
 {
     CliqueSet ks;
-    auto net = partitionedCg(ks, 16, 5);
+    auto net = partitioned(ks, minnoc::trace::Benchmark::CG, 16, 5);
     const auto design = finalizeDesign(net);
 
     minnoc::graph::Digraph sg(design.numSwitches);
@@ -151,10 +159,25 @@ TEST(Finalize, CgSixteenIsConnectedAndWithinDegree)
     EXPECT_TRUE(design.colorsExact);
 }
 
+TEST(Finalize, DuplexDesignsProvisionTwoChannelsPerLink)
+{
+    // The methodology compares every design by totalChannels(); for a
+    // duplex design that must be 2 * totalLinks(). A unidirectional
+    // design may provision fewer (LinkCountsMatchChromaticNumbers).
+    for (const auto bench : minnoc::trace::kAllBenchmarks) {
+        SCOPED_TRACE(minnoc::trace::benchmarkName(bench));
+        CliqueSet ks;
+        const auto duplex = finalizeDesign(partitioned(ks, bench, 16, 5));
+        EXPECT_GT(duplex.totalLinks(), 0u);
+        EXPECT_EQ(duplex.totalChannels(), 2 * duplex.totalLinks());
+    }
+
+}
+
 TEST(Finalize, RoutesSurviveRemapping)
 {
     CliqueSet ks;
-    auto net = partitionedCg(ks, 16, 5);
+    auto net = partitioned(ks, minnoc::trace::Benchmark::CG, 16, 5);
     const auto design = finalizeDesign(net);
     for (CommId c = 0; c < design.comms.size(); ++c) {
         const auto &route = design.routes[c];
