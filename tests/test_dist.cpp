@@ -1,7 +1,8 @@
 /**
  * @file
- * Distributed exploration tests: the shard result round trip and the
- * check that a result document is of the kind its request asked for,
+ * Distributed exploration tests: the shard result round trip, the
+ * pinned bytes of a shard and a phase-row result, the check that a
+ * result document is of the kind its request asked for,
  * byte-identity of the coordinator's merged report against the
  * in-process explorer (across lane counts, warm shared caches, and a
  * crashed lane whose shards fall back in-process), lanes that run only
@@ -125,6 +126,101 @@ TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
         EXPECT_EQ(out.cached, in.cached);
         EXPECT_EQ(out.metrics, in.metrics); // doubles bit-exact
     }
+}
+
+TEST(DistProtocol, ShardResultBytesArePinned)
+{
+    // One cached point that met its constraints and one computed point
+    // that did not; avg_hops is a double %g would round.
+    serve::WorkerReply shard;
+    shard.wallUs = 250;
+    for (std::uint32_t k = 0; k < 2; ++k) {
+        auto &msg = shard.results.emplace_back();
+        auto &m = msg.metrics;
+        msg.index = 3 + k;
+        msg.cached = k == 0;
+        m.switches = 7 + k;
+        m.links = 12;
+        m.channels = 24;
+        m.constraintsMet = k == 0;
+        m.violations = k;
+        m.rounds = 3;
+        m.switchArea = 7;
+        m.linkArea = 12;
+        m.procLinkArea = 5;
+        m.execTime = 123456789;
+        m.avgLatency = 41.125;
+        m.avgHops = 2.7142857142857144;
+        m.maxLinkUtil = 0.33333333333333331;
+        m.energy = 1.2345678901234567e6;
+    }
+    const std::string pinned =
+        "{\"type\": \"result\", \"wall_us\": 250, \"points\": ["
+        "{\"index\": 3, \"cached\": true, \"metrics\": {"
+        "\"switches\": 7, \"links\": 12, \"channels\": 24, "
+        "\"constraints_met\": true, \"violations\": 0, \"rounds\": 3, "
+        "\"switch_area\": 7, \"link_area\": 12, \"proc_link_area\": 5, "
+        "\"exec_time\": 123456789, \"avg_latency\": 41.125, "
+        "\"avg_hops\": 2.7142857142857144, "
+        "\"max_link_util\": 0.33333333333333331, "
+        "\"energy\": 1234567.8901234567}}, "
+        "{\"index\": 4, \"cached\": false, \"metrics\": {"
+        "\"switches\": 8, \"links\": 12, \"channels\": 24, "
+        "\"constraints_met\": false, \"violations\": 1, \"rounds\": 3, "
+        "\"switch_area\": 7, \"link_area\": 12, \"proc_link_area\": 5, "
+        "\"exec_time\": 123456789, \"avg_latency\": 41.125, "
+        "\"avg_hops\": 2.7142857142857144, "
+        "\"max_link_util\": 0.33333333333333331, "
+        "\"energy\": 1234567.8901234567}}]}";
+    EXPECT_EQ(serve::encodeShardResult(shard), pinned);
+
+    std::string err;
+    const auto reply =
+        serve::parseWorkerReply(pinned, serve::Cmd::DseShard, err);
+    ASSERT_TRUE(reply.has_value()) << err;
+    EXPECT_EQ(reply->wallUs, shard.wallUs);
+    ASSERT_EQ(reply->results.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+        EXPECT_EQ(reply->results[k].index, shard.results[k].index);
+        EXPECT_EQ(reply->results[k].cached, shard.results[k].cached);
+        EXPECT_EQ(reply->results[k].metrics, shard.results[k].metrics);
+    }
+}
+
+TEST(DistProtocol, PhaseResultBytesArePinned)
+{
+    phase::PhaseRowEval row;
+    auto &v = row.network;
+    v.switches = 6;
+    v.links = 9;
+    v.channels = 18;
+    v.area = 31;
+    v.execTime = 4567;
+    v.avgLatency = 2.7142857142857144;
+    v.energy = 1.2345678901234567e6;
+    v.packetsDelivered = 880;
+    v.violations = 1;
+    row.reconfigIdleEnergy = 0.33333333333333331;
+    const std::string pinned =
+        "{\"type\": \"result\", \"index\": 2, \"wall_us\": 99, "
+        "\"row\": {\"switches\": 6, \"links\": 9, \"channels\": 18, "
+        "\"area\": 31, \"exec_time\": 4567, "
+        "\"avg_latency\": 2.7142857142857144, "
+        "\"energy\": 1234567.8901234567, \"packets\": 880, "
+        "\"violations\": 1, "
+        "\"reconfig_idle_energy\": 0.33333333333333331}}";
+    EXPECT_EQ(serve::encodePhaseResult(2, 99, row), pinned);
+
+    std::string err;
+    const auto reply =
+        serve::parseWorkerReply(pinned, serve::Cmd::PhaseJob, err);
+    ASSERT_TRUE(reply.has_value()) << err;
+    EXPECT_EQ(reply->wallUs, 99);
+    ASSERT_EQ(reply->results.size(), 1u);
+    const auto &out = reply->results[0];
+    EXPECT_EQ(out.index, 2u);
+    EXPECT_EQ(out.row.network.toJson(), v.toJson());
+    EXPECT_EQ(out.row.reconfigIdleEnergy, row.reconfigIdleEnergy);
 }
 
 TEST(DistProtocol, PhaseRowIsNotAShardResult)

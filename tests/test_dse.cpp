@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "dse/cache.hpp"
@@ -135,6 +137,112 @@ TEST(DseCache, RoundTripsRecordExactly)
     const auto loaded = cache.load("00000000deadbeef", "sig-a");
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(*loaded, metrics); // bit-exact, doubles included
+}
+
+namespace {
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeFile(const std::filesystem::path &path, const std::string &text)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/** sampleMetrics() under "deg=5;r=2|fp|vcs=3" as a record on disk. */
+const std::string kPinnedRecord =
+    "{\n"
+    "  \"schema\": \"minnoc-dse-3\",\n"
+    "  \"checksum\": \"dea16e51e3aa1e8c\",\n"
+    "  \"params\": \"deg=5;r=2|fp|vcs=3\",\n"
+    "  \"switches\": 7,\n"
+    "  \"links\": 12,\n"
+    "  \"channels\": 24,\n"
+    "  \"constraints_met\": 1,\n"
+    "  \"violations\": 0,\n"
+    "  \"rounds\": 3,\n"
+    "  \"switch_area\": 7,\n"
+    "  \"link_area\": 12,\n"
+    "  \"proc_link_area\": 5,\n"
+    "  \"exec_time\": 123456789,\n"
+    "  \"avg_latency\": 41.125,\n"
+    "  \"avg_hops\": 2.7142857142857144,\n"
+    "  \"max_link_util\": 0.33333333333333331,\n"
+    "  \"energy\": 1234567.8901234567\n"
+    "}\n";
+
+/** @p record with its checksum recomputed over its payload bytes. */
+std::string
+resealed(std::string record)
+{
+    const auto payload = record.find("  \"params\"");
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(
+                      std::string_view(record).substr(payload))));
+    const auto at = record.find("\"checksum\": \"") + 13;
+    record.replace(at, record.find('"', at) - at, hex);
+    return record;
+}
+
+} // namespace
+
+TEST(DseCache, RecordBytesArePinned)
+{
+    // Records already on disk must keep hitting: the store writes these
+    // exact bytes, and these bytes load back bit for bit.
+    const auto dir = tempCacheDir("dse-pinned");
+    const ResultCache cache(dir);
+    const auto path = std::filesystem::path(dir) / "0123456789abcdef.json";
+    cache.store("0123456789abcdef", "deg=5;r=2|fp|vcs=3", sampleMetrics());
+    EXPECT_EQ(readFile(path), kPinnedRecord);
+
+    writeFile(path, kPinnedRecord);
+    const auto loaded = cache.load("0123456789abcdef", "deg=5;r=2|fp|vcs=3");
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, sampleMetrics());
+}
+
+TEST(DseCache, OtherSchemaIsAPlainMiss)
+{
+    // A record written under another salt is how invalidation works:
+    // a miss, and not a corruption to quarantine.
+    const auto dir = tempCacheDir("dse-other-schema");
+    const ResultCache cache(dir);
+    const auto path = std::filesystem::path(dir) / "0123456789abcdef.json";
+    cache.store("0123456789abcdef", "sig", sampleMetrics());
+    auto text = readFile(path);
+    text.replace(text.find("minnoc-dse-3"), 12, "minnoc-dse-2");
+    writeFile(path, text);
+
+    EXPECT_FALSE(cache.load("0123456789abcdef", "sig").has_value());
+    EXPECT_TRUE(std::filesystem::exists(path));
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::path(dir) / "0123456789abcdef.json.corrupt"));
+}
+
+TEST(DseCache, UnparseableFieldUnderAValidChecksumIsQuarantined)
+{
+    // The checksum verifies, but "links" is not a number: a record from
+    // a buggy or hostile producer is quarantined like a corrupt one.
+    const auto dir = tempCacheDir("dse-unparseable");
+    const ResultCache cache(dir);
+    const auto path = std::filesystem::path(dir) / "0123456789abcdef.json";
+    cache.store("0123456789abcdef", "sig", sampleMetrics());
+    auto text = readFile(path);
+    text.replace(text.find("\"links\": 12"), 11, "\"links\": \"twelve\"");
+    writeFile(path, resealed(text));
+
+    EXPECT_FALSE(cache.load("0123456789abcdef", "sig").has_value());
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_TRUE(std::filesystem::exists(
+        std::filesystem::path(dir) / "0123456789abcdef.json.corrupt"));
 }
 
 TEST(DseCache, MissesOnUnknownKey)

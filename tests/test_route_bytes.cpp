@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -97,6 +98,23 @@ detourThroughHub(DesignNetwork &net)
         const auto r = net.route(c);
         if (r.size() == 2 && r[0] != 0 && r[1] != 0)
             net.setRoute(c, {r[0], 0, r[1]});
+    }
+}
+
+/**
+ * Detour every second single-hop communication through a random third
+ * switch, so repair can shed load onto switches off the old route.
+ */
+void
+detourThroughRandom(DesignNetwork &net, Rng &rng)
+{
+    for (CommId c = 0; c < net.cliques().numComms(); c += 2) {
+        const auto r = net.route(c);
+        if (r.size() != 2)
+            continue;
+        const auto w = static_cast<SwitchId>(rng.below(net.numSwitches()));
+        if (w != r[0] && w != r[1])
+            net.setRoute(c, {r[0], w, r[1]});
     }
 }
 
@@ -227,6 +245,26 @@ TEST(RouteBytes, RepairDenseRelaxation)
     EXPECT_GT(stats.committedMoves, 0u);
     net.checkInvariants();
     EXPECT_EQ(routesDigest(net, stats), "436548610a846ed9");
+}
+
+TEST(RouteBytes, RepairDenseRelaxationOpensAPipe)
+{
+    // <= 64 procs again, but the repair has to open a pipe the detoured
+    // network lacks, so a committed route runs through a switch that
+    // was not on the route it replaced.
+    const CliqueSet ks = nasCliques(trace::Benchmark::CG, 32);
+    DesignNetwork net(ks);
+    Rng rng(13);
+    splitTo(net, 12, rng);
+    detourThroughRandom(net, rng);
+    const auto before = net.pipes();
+    const auto stats = repairDegrees(net, 8, 4, &rng);
+    EXPECT_GT(stats.committedMoves, 0u);
+    EXPECT_TRUE(std::ranges::any_of(net.pipes(), [&](const PipeKey &k) {
+        return std::ranges::find(before, k) == before.end();
+    }));
+    net.checkInvariants();
+    EXPECT_EQ(routesDigest(net, stats), "2510be2982c86d3f");
 }
 
 TEST(RouteBytes, RepairSparseRelaxation)
