@@ -1,13 +1,12 @@
 #include "cache.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include <unistd.h>
 
@@ -40,118 +39,7 @@ foldLength(std::uint64_t h, std::size_t n)
                    h);
 }
 
-} // namespace
-
-std::string
-jobKey(std::string_view patternBytes, std::string_view paramSignature)
-{
-    std::uint64_t h = fnv1a64(kCacheSalt);
-    h = foldLength(h, patternBytes.size());
-    h = fnv1a64(patternBytes, h);
-    h = foldLength(h, paramSignature.size());
-    h = fnv1a64(paramSignature, h);
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return hex;
-}
-
-std::string
-defaultCacheDir()
-{
-    if (const char *dir = std::getenv("MINNOC_CACHE_DIR"); dir && *dir)
-        return dir;
-    if (const char *xdg = std::getenv("XDG_CACHE_HOME"); xdg && *xdg)
-        return std::string(xdg) + "/minnoc";
-    if (const char *home = std::getenv("HOME"); home && *home)
-        return std::string(home) + "/.cache/minnoc";
-    return ".minnoc-cache";
-}
-
-namespace {
-
-/**
- * Pull the raw token following `"key":` out of a flat JSON object —
- * the only JSON this store ever writes, so a scanner beats a parser.
- */
-std::optional<std::string>
-rawField(const std::string &text, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    pos += needle.size();
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])))
-        ++pos;
-    if (pos >= text.size())
-        return std::nullopt;
-    if (text[pos] == '"') {
-        const auto end = text.find('"', pos + 1);
-        if (end == std::string::npos)
-            return std::nullopt;
-        return text.substr(pos + 1, end - pos - 1);
-    }
-    auto end = text.find_first_of(",}\n", pos);
-    if (end == std::string::npos)
-        return std::nullopt;
-    auto token = text.substr(pos, end - pos);
-    while (!token.empty() &&
-           std::isspace(static_cast<unsigned char>(token.back())))
-        token.pop_back();
-    return token.empty() ? std::nullopt
-                         : std::optional<std::string>(token);
-}
-
-bool
-readU32(const std::string &text, const std::string &key,
-        std::uint32_t &out)
-{
-    const auto raw = rawField(text, key);
-    if (!raw)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const auto v = std::strtoull(raw->c_str(), &end, 10);
-    if (errno || *end != '\0' || v > 0xffffffffull)
-        return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-bool
-readI64(const std::string &text, const std::string &key,
-        std::int64_t &out)
-{
-    const auto raw = rawField(text, key);
-    if (!raw)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const auto v = std::strtoll(raw->c_str(), &end, 10);
-    if (errno || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-readDouble(const std::string &text, const std::string &key, double &out)
-{
-    const auto raw = rawField(text, key);
-    if (!raw)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const auto v = std::strtod(raw->c_str(), &end);
-    if (errno || end == raw->c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-/** 16 lowercase hex digits of @p h (the record checksum format). */
+/** 16 lowercase hex digits of @p h (the key and checksum format). */
 std::string
 fmtHash(std::uint64_t h)
 {
@@ -169,7 +57,46 @@ fmtHash(std::uint64_t h)
  */
 constexpr std::string_view kPayloadAnchor = "  \"params\"";
 
+/** Read one record field; a bool is stored as 1/0. */
+template <class T>
+bool
+readRecordField(const json::Value &doc, const char *name, T &out,
+                std::string &err)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        std::uint32_t n = 0;
+        const bool ok = json::readField(doc, name, n, err);
+        out = n != 0;
+        return ok;
+    } else {
+        return json::readField(doc, name, out, err);
+    }
+}
+
 } // namespace
+
+std::string
+jobKey(std::string_view patternBytes, std::string_view paramSignature)
+{
+    std::uint64_t h = fnv1a64(kCacheSalt);
+    h = foldLength(h, patternBytes.size());
+    h = fnv1a64(patternBytes, h);
+    h = foldLength(h, paramSignature.size());
+    h = fnv1a64(paramSignature, h);
+    return fmtHash(h);
+}
+
+std::string
+defaultCacheDir()
+{
+    if (const char *dir = std::getenv("MINNOC_CACHE_DIR"); dir && *dir)
+        return dir;
+    if (const char *xdg = std::getenv("XDG_CACHE_HOME"); xdg && *xdg)
+        return std::string(xdg) + "/minnoc";
+    if (const char *home = std::getenv("HOME"); home && *home)
+        return std::string(home) + "/.cache/minnoc";
+    return ".minnoc-cache";
+}
 
 ResultCache::ResultCache(std::string dir, bool enabled)
     : _dir(dir.empty() ? defaultCacheDir() : std::move(dir)),
@@ -210,56 +137,51 @@ ResultCache::load(const std::string &key,
     std::stringstream buf;
     buf << in.rdbuf();
     const std::string text = buf.str();
+    const auto doc = json::parse(text);
+    if (!doc) {
+        quarantine(key, "not JSON");
+        return std::nullopt;
+    }
 
     // A record written under a different salt is a plain miss (that is
     // how invalidation works), never corruption.
-    const auto schema = rawField(text, "schema");
-    if (!schema || *schema != kCacheSalt)
+    std::string schema, checksum, params, err;
+    if (!json::readField(*doc, "schema", schema, err) ||
+        schema != kCacheSalt)
         return std::nullopt;
 
     // Verify the payload checksum before trusting anything else the
     // record claims: a flipped bit anywhere in the payload quarantines
     // the file and reads as a miss, so the job is recomputed.
-    const auto checksum = rawField(text, "checksum");
     const auto payloadPos = text.find(kPayloadAnchor);
-    if (!checksum || checksum->size() != 16 ||
-        payloadPos == std::string::npos) {
+    if (!json::readField(*doc, "checksum", checksum, err) ||
+        checksum.size() != 16 || payloadPos == std::string::npos) {
         quarantine(key, "missing checksum or payload");
         return std::nullopt;
     }
-    const auto computed = fmtHash(
-        fnv1a64(std::string_view(text).substr(payloadPos)));
-    if (*checksum != computed) {
+    if (checksum !=
+        fmtHash(fnv1a64(std::string_view(text).substr(payloadPos)))) {
         quarantine(key, "checksum mismatch");
         return std::nullopt;
     }
 
-    const auto params = rawField(text, "params");
-    if (!params || *params != paramSignature)
+    // Signatures hold no quote or backslash, so the parsed string is
+    // the bytes store() wrote.
+    if (!json::readField(*doc, "params", params, err) ||
+        params != paramSignature)
         return std::nullopt; // hash collision guard: a true miss
 
     JobMetrics m;
-    std::uint32_t met = 0;
-    if (!readU32(text, "switches", m.switches) ||
-        !readU32(text, "links", m.links) ||
-        !readU32(text, "channels", m.channels) ||
-        !readU32(text, "constraints_met", met) ||
-        !readU32(text, "violations", m.violations) ||
-        !readU32(text, "rounds", m.rounds) ||
-        !readU32(text, "switch_area", m.switchArea) ||
-        !readU32(text, "link_area", m.linkArea) ||
-        !readU32(text, "proc_link_area", m.procLinkArea) ||
-        !readI64(text, "exec_time", m.execTime) ||
-        !readDouble(text, "avg_latency", m.avgLatency) ||
-        !readDouble(text, "avg_hops", m.avgHops) ||
-        !readDouble(text, "max_link_util", m.maxLinkUtil) ||
-        !readDouble(text, "energy", m.energy)) {
+    bool ok = true;
+    forEachField(m, [&](const char *name, auto &v) {
+        ok = ok && readRecordField(*doc, name, v, err);
+    });
+    if (!ok) {
         // Checksum verified but the fields do not parse: a record
         // written by a buggy or hostile producer. Same treatment.
         quarantine(key, "unparseable payload");
         return std::nullopt;
     }
-    m.constraintsMet = met != 0;
     return m;
 }
 
@@ -280,32 +202,20 @@ ResultCache::store(const std::string &key,
     // The checksum covers the payload (params line through the final
     // brace); it is computed over the exact bytes written so the read
     // side can verify without re-canonicalizing.
-    std::ostringstream payload;
-    payload
-        << "  \"params\": \"" << paramSignature << "\",\n"
-        << "  \"switches\": " << m.switches << ",\n"
-        << "  \"links\": " << m.links << ",\n"
-        << "  \"channels\": " << m.channels << ",\n"
-        << "  \"constraints_met\": " << (m.constraintsMet ? 1 : 0)
-        << ",\n"
-        << "  \"violations\": " << m.violations << ",\n"
-        << "  \"rounds\": " << m.rounds << ",\n"
-        << "  \"switch_area\": " << m.switchArea << ",\n"
-        << "  \"link_area\": " << m.linkArea << ",\n"
-        << "  \"proc_link_area\": " << m.procLinkArea << ",\n"
-        << "  \"exec_time\": " << m.execTime << ",\n"
-        << "  \"avg_latency\": " << json::fmtDouble(m.avgLatency) << ",\n"
-        << "  \"avg_hops\": " << json::fmtDouble(m.avgHops) << ",\n"
-        << "  \"max_link_util\": " << json::fmtDouble(m.maxLinkUtil) << ",\n"
-        << "  \"energy\": " << json::fmtDouble(m.energy) << "\n"
-        << "}\n";
+    std::string payload =
+        "  \"params\": \"" + std::string(paramSignature) + "\"";
+    forEachField(m, [&](const char *name, auto v) {
+        // `+v` prints constraints_met as 1/0, the record's layout.
+        payload += ",\n  \"" + std::string(name) +
+                   "\": " + json::fmtValue(+v);
+    });
+    payload += "\n}\n";
 
     std::ostringstream oss;
     oss << "{\n"
         << "  \"schema\": \"" << kCacheSalt << "\",\n"
-        << "  \"checksum\": \"" << fmtHash(fnv1a64(payload.str()))
-        << "\",\n"
-        << payload.str();
+        << "  \"checksum\": \"" << fmtHash(fnv1a64(payload)) << "\",\n"
+        << payload;
 
     // Write-then-rename: readers only ever see complete records. Each
     // writer gets its own temp file (pid + per-process sequence), so

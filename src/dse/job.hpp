@@ -5,9 +5,9 @@
  * One job = one full methodology pipeline run — design (partition +
  * finalize), floorplan, simulate, power — under one parameter tuple.
  * JobParams is the swept tuple; JobMetrics is the flat result record
- * the Pareto reduction and the on-disk cache operate on. Everything
- * here is plain data: evaluation lives in explorer.cpp, persistence in
- * cache.cpp.
+ * the Pareto reduction and the on-disk cache operate on, with the one
+ * list of its fields. Everything here is plain data: evaluation lives
+ * in explorer.cpp, persistence in cache.cpp.
  */
 
 #ifndef MINNOC_DSE_JOB_HPP
@@ -82,6 +82,33 @@ struct JobMetrics
 
     bool operator==(const JobMetrics &o) const = default;
 };
+
+/**
+ * Visit every JobMetrics field of @p m (const or not) as
+ * f(name, member), in record order. The cache record and the
+ * `dse_shard` wire point both print and read through this one list;
+ * ExploreReport::toJson keeps its own row, which adds `area` and
+ * drops `rounds`.
+ */
+template <class M, class F>
+void
+forEachField(M &m, F &&f)
+{
+    f("switches", m.switches);
+    f("links", m.links);
+    f("channels", m.channels);
+    f("constraints_met", m.constraintsMet);
+    f("violations", m.violations);
+    f("rounds", m.rounds);
+    f("switch_area", m.switchArea);
+    f("link_area", m.linkArea);
+    f("proc_link_area", m.procLinkArea);
+    f("exec_time", m.execTime);
+    f("avg_latency", m.avgLatency);
+    f("avg_hops", m.avgHops);
+    f("max_link_util", m.maxLinkUtil);
+    f("energy", m.energy);
+}
 
 /** One explored point: parameters, metrics, and reduction flags. */
 struct DsePoint

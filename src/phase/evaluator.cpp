@@ -326,6 +326,23 @@ VariantResult::toJson() const
     return oss.str();
 }
 
+std::optional<VariantResult>
+VariantResult::fromJson(const json::Value &obj, std::string &err)
+{
+    VariantResult v;
+    if (!json::readField(obj, "switches", v.switches, err) ||
+        !json::readField(obj, "links", v.links, err) ||
+        !json::readField(obj, "channels", v.channels, err) ||
+        !json::readField(obj, "area", v.area, err) ||
+        !json::readField(obj, "exec_time", v.execTime, err) ||
+        !json::readField(obj, "avg_latency", v.avgLatency, err) ||
+        !json::readField(obj, "energy", v.energy, err) ||
+        !json::readField(obj, "packets", v.packetsDelivered, err) ||
+        !json::readField(obj, "violations", v.violations, err))
+        return std::nullopt;
+    return v;
+}
+
 std::string
 PhaseReport::toJson() const
 {

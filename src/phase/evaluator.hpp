@@ -22,6 +22,7 @@
 #define MINNOC_PHASE_EVALUATOR_HPP
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "obs/trace_event.hpp"
 #include "sim/config.hpp"
 #include "topo/power.hpp"
+#include "util/json.hpp"
 
 namespace minnoc::phase {
 
@@ -78,6 +80,14 @@ struct VariantResult
 
     /** One-line JSON object, as the report and a `phase_job` print it. */
     std::string toJson() const;
+
+    /**
+     * Read toJson()'s fields back from @p obj (extra members are
+     * ignored); nullopt with @p err naming the field on a missing or
+     * malformed one.
+     */
+    static std::optional<VariantResult> fromJson(const json::Value &obj,
+                                                 std::string &err);
 };
 
 /**

@@ -15,8 +15,11 @@
  * shard's sub-grid, and feeds the coordinator the same values.
  *
  * Determinism contract (inherited by every user): integers cross as
- * decimal and are rejected beyond 2^53; doubles cross as %.17g, which
- * strtod round-trips bit-exactly.
+ * decimal, doubles as %.17g, which strtod round-trips bit-exactly.
+ * Every field is read back by json::readField, the strict reader the
+ * cache record shares, which rejects integers beyond 2^53. A shard
+ * point's fields are dse::forEachField's list; a phase row's are
+ * phase::VariantResult's toJson/fromJson.
  */
 
 #ifndef MINNOC_SERVE_JOBWIRE_HPP

@@ -1,6 +1,5 @@
 #include "protocol.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "topo/power.hpp"
@@ -40,9 +39,6 @@ cmdName(Cmd cmd)
 
 namespace {
 
-/** Largest integer a JSON double carries exactly. */
-constexpr double kMaxExactInt = 9007199254740992.0; // 2^53
-
 /** Set @p error and return nullopt — the single failure-path helper. */
 std::optional<Request>
 fail(RequestError &error, ErrorCode code, std::string message)
@@ -56,13 +52,9 @@ fail(RequestError &error, ErrorCode code, std::string message)
 bool
 asUint(const json::Value &v, std::uint64_t max, std::uint64_t &out)
 {
-    if (!v.isNumber())
+    if (!json::isExactInt(v, 0.0, static_cast<double>(max)))
         return false;
-    const double d = v.asNumber();
-    if (!(d >= 0.0) || d > kMaxExactInt || d != std::floor(d) ||
-        d > static_cast<double>(max))
-        return false;
-    out = static_cast<std::uint64_t>(d);
+    out = static_cast<std::uint64_t>(v.asNumber());
     return true;
 }
 
@@ -226,7 +218,8 @@ parseRequest(const std::string &line, RequestError &error)
             req.restarts = static_cast<std::uint32_t>(u);
         }
         if (const auto *v = root->find("seed")) {
-            if (!asUint(*v, static_cast<std::uint64_t>(kMaxExactInt), u))
+            if (!asUint(*v, static_cast<std::uint64_t>(json::kMaxExactInt),
+                        u))
                 return badField("seed", "must be a non-negative integer");
             req.seed = u;
         }
@@ -266,7 +259,7 @@ parseRequest(const std::string &line, RequestError &error)
         }
         if (const auto *v = root->find("seeds")) {
             if (!asUintList(*v, 0,
-                            static_cast<std::uint64_t>(kMaxExactInt),
+                            static_cast<std::uint64_t>(json::kMaxExactInt),
                             kMaxGridList, list))
                 return badField("seeds",
                                 "must be a non-empty array of "

@@ -1,24 +1,28 @@
 /**
  * @file
  * Minimal header-only JSON support without an external dependency:
- * the one number formatter every emitter shares, and a parser just
- * large enough to validate the emitted documents (metrics dumps,
- * Chrome trace-event files, reports, job records). The parser is
- * strict on structure, permissive on nothing: any malformed input
- * returns std::nullopt rather than a partial tree.
+ * the one number formatter every emitter shares, a parser just large
+ * enough to validate the emitted documents (metrics dumps, Chrome
+ * trace-event files, reports, job records), and the one strict typed
+ * field reader every record reader shares. The parser is strict on
+ * structure, permissive on nothing: any malformed input returns
+ * std::nullopt rather than a partial tree.
  */
 
 #ifndef MINNOC_UTIL_JSON_HPP
 #define MINNOC_UTIL_JSON_HPP
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -31,6 +35,19 @@ fmtDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
+}
+
+/** @p v as a JSON literal: true/false, a decimal integer or fmtDouble. */
+template <class T>
+std::string
+fmtValue(T v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return v ? "true" : "false";
+    else if constexpr (std::is_floating_point_v<T>)
+        return fmtDouble(v);
+    else
+        return std::to_string(v);
 }
 
 /** @p raw as the body of a JSON string literal (ASCII-safe). */
@@ -327,6 +344,59 @@ inline std::optional<Value>
 parse(const std::string &text)
 {
     return detail::Parser(text).run();
+}
+
+/** Largest integer a JSON number (a double) carries exactly: 2^53. */
+inline constexpr double kMaxExactInt = 9007199254740992.0;
+
+/**
+ * Whether @p v is an integral number in [@p lo, @p hi] and within
+ * +-2^53, where a double holds every integer exactly.
+ */
+inline bool
+isExactInt(const Value &v, double lo, double hi)
+{
+    if (!v.isNumber())
+        return false;
+    const double d = v.asNumber();
+    return d >= lo && d <= hi && d >= -kMaxExactInt && d <= kMaxExactInt &&
+           d == std::floor(d);
+}
+
+/**
+ * Read member @p key of object @p obj into @p out, strictly: the key
+ * must be present with @p out's JSON type (bool, string or number),
+ * and an integer must be integral, within @p out's range and within
+ * +-2^53. On failure names the key in @p err and returns false.
+ */
+template <class T>
+bool
+readField(const Value &obj, const char *key, T &out, std::string &err)
+{
+    const Value *v = obj.find(key);
+    bool ok = v != nullptr;
+    if constexpr (std::is_same_v<T, bool>) {
+        ok = ok && v->isBool();
+        if (ok)
+            out = v->asBool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        ok = ok && v->isString();
+        if (ok)
+            out = v->asString();
+    } else if constexpr (std::is_floating_point_v<T>) {
+        ok = ok && v->isNumber();
+        if (ok)
+            out = v->asNumber();
+    } else {
+        using Limits = std::numeric_limits<T>;
+        ok = ok && isExactInt(*v, static_cast<double>(Limits::min()),
+                              static_cast<double>(Limits::max()));
+        if (ok)
+            out = static_cast<T>(v->asNumber());
+    }
+    if (!ok)
+        err = std::string(v ? "malformed '" : "missing '") + key + "'";
+    return ok;
 }
 
 } // namespace minnoc::json

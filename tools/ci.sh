@@ -15,11 +15,12 @@
 #     small pattern as a smoke test (its JSON lands in the build dir),
 #     and the simulator golden corpus, floorplan plan pins, routing
 #     path pins, route consolidation and repair pins, scale pins,
-#     evaluation and explore report pins, the explorer tests, the
-#     golden designs and the switch-merge tests, so simulated results,
-#     placements, routes, designs, the methodology's acceptance rules
-#     and shared DSE work hold under the -O3 build the figure benches
-#     use.
+#     evaluation and explore report pins, the explorer tests and cache
+#     record pins, the job-wire byte pins (DistProtocol.*), the golden
+#     designs and the switch-merge tests, so simulated results,
+#     placements, routes, designs, the methodology's acceptance rules,
+#     shared DSE work and the result record bytes hold under the -O3
+#     build the figure benches use.
 #  4. Explore cache smoke: a tiny DSE grid on CG-8 run twice against a
 #     fresh cache dir under the build tree — the warm rerun must hit
 #     the cache on every job (zero design recomputations) and its
@@ -111,7 +112,8 @@ echo "=== phase 3: Release bench smoke ==="
 cmake -S "$repo" -B "$build_bench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_bench" -j "$jobs" --target partitioner_perf \
     test_sim_golden test_floorplan test_routing test_route_bytes \
-    test_scale test_eval_bytes test_dse test_golden_designs test_merge
+    test_scale test_eval_bytes test_dse test_dist test_golden_designs \
+    test_merge
 "$build_bench/bench/partitioner_perf" \
     --bench CG --ranks 8 --iterations 1 \
     --out "$build_bench/partitioner_perf.json"
@@ -122,6 +124,7 @@ cmake --build "$build_bench" -j "$jobs" --target partitioner_perf \
 "$build_bench/tests/test_scale"
 "$build_bench/tests/test_eval_bytes"
 "$build_bench/tests/test_dse"
+"$build_bench/tests/test_dist" --gtest_filter='DistProtocol.*'
 "$build_bench/tests/test_golden_designs"
 "$build_bench/tests/test_merge"
 
