@@ -82,9 +82,10 @@ class ResultCache
      * Load the record for @p key. Returns nullopt on a miss, an
      * unreadable file or a record whose embedded parameter signature
      * disagrees with @p paramSignature (hash-collision guard). A
-     * present record of the current schema whose payload checksum does
-     * not verify is quarantined (renamed to `<key>.json.corrupt`) and
-     * reported as a miss so the caller recomputes.
+     * present record that is not JSON, or of the current schema whose
+     * payload checksum does not verify or whose fields do not read, is
+     * quarantined (renamed to `<key>.json.corrupt`) and reported as a
+     * miss so the caller recomputes.
      */
     std::optional<JobMetrics> load(const std::string &key,
                                    std::string_view paramSignature) const;
