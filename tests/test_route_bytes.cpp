@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
+#include "trace/scale_patterns.hpp"
 #include "util/rng.hpp"
 
 using namespace minnoc;
@@ -118,6 +119,25 @@ detourThroughRandom(DesignNetwork &net, Rng &rng)
     }
 }
 
+/**
+ * Detour every second single-hop communication through two random
+ * switches, so consolidation can shorten a route by one hop at the
+ * same link and overload price.
+ */
+void
+detourTwice(DesignNetwork &net, Rng &rng)
+{
+    for (CommId c = 0; c < net.cliques().numComms(); c += 2) {
+        const auto r = net.route(c);
+        if (r.size() != 2)
+            continue;
+        const auto w1 = static_cast<SwitchId>(rng.below(net.numSwitches()));
+        const auto w2 = static_cast<SwitchId>(rng.below(net.numSwitches()));
+        if (w1 != w2 && w1 != r[0] && w1 != r[1] && w2 != r[0] && w2 != r[1])
+            net.setRoute(c, {r[0], w1, w2, r[1]});
+    }
+}
+
 /** Digest of every route plus the pass statistics. */
 std::string
 routesDigest(const DesignNetwork &net, const RouteOptStats &stats)
@@ -133,20 +153,28 @@ routesDigest(const DesignNetwork &net, const RouteOptStats &stats)
     return hex(dse::fnv1a64(oss.str()));
 }
 
+/** Digest of the design runMethodology makes of @p ks at degree 5. */
 std::string
-designDigest(std::uint32_t threads, obs::MetricsRegistry *metrics = nullptr)
+designDigest(const CliqueSet &ks, std::uint32_t restarts,
+             std::uint32_t threads, obs::MetricsRegistry *metrics = nullptr)
 {
     MethodologyConfig cfg;
     cfg.partitioner.constraints.maxDegree = 5;
     cfg.partitioner.seed = 1;
-    cfg.restarts = 16;
+    cfg.restarts = restarts;
     cfg.threads = threads;
     cfg.metrics = metrics;
-    const auto outcome =
-        runMethodology(nasCliques(trace::Benchmark::BT, 36), cfg);
+    const auto outcome = runMethodology(ks, cfg);
     std::ostringstream oss;
     saveDesign(outcome.design, oss);
     return hex(dse::fnv1a64(oss.str()));
+}
+
+std::string
+designDigest(std::uint32_t threads, obs::MetricsRegistry *metrics = nullptr)
+{
+    return designDigest(nasCliques(trace::Benchmark::BT, 36), 16, threads,
+                        metrics);
 }
 
 } // namespace
@@ -172,6 +200,15 @@ TEST(RouteBytes, MergeScanBT36)
     EXPECT_EQ(designDigest(1, &metrics), "3831479271074523");
     EXPECT_EQ(metrics.counter("methodology/merge/candidates").value(), 1433u);
     EXPECT_EQ(metrics.counter("methodology/merge/accepted").value(), 4u);
+}
+
+TEST(RouteBytes, DesignNeighbor256)
+{
+    // Large N: hierarchical pre-partition, sparse repair, and no seed
+    // meets degree 5, so every restart runs and repair works hard.
+    const CliqueSet ks = trace::nearestNeighborPattern(256);
+    EXPECT_EQ(designDigest(ks, 3, 1), "b00760c98a6c081f");
+    EXPECT_EQ(designDigest(ks, 3, 4), "b00760c98a6c081f");
 }
 
 TEST(RouteBytes, ConsolidateDuplexMirroredPairs)
@@ -231,6 +268,27 @@ TEST(RouteBytes, ConsolidateStopsAtPassCap)
     net.checkInvariants();
     EXPECT_EQ(routesDigest(net, stats), "bac63e48c7d44695");
     EXPECT_GT(consolidateRoutes(net, 1, 5, &rng, false).committedMoves, 0u);
+}
+
+TEST(RouteBytes, ConsolidateTowardOverloadedSwitches)
+{
+    // Degree 5 leaves 10 of the 12 switches over budget, destinations
+    // among them, so a hop into one pays the overload surcharge. Some
+    // committed reroutes beat their route by one hop alone; a search
+    // bound that overcharges the rest of a path by a hop, or by a
+    // second surcharge at the destination, loses them.
+    const CliqueSet ks = nasCliques(trace::Benchmark::CG, 16);
+    DesignNetwork net(ks);
+    Rng rng(43);
+    splitTo(net, 12, rng);
+    detourTwice(net, rng);
+    EXPECT_EQ(std::ranges::count_if(net.estimatedDegrees(),
+                                    [](std::uint32_t d) { return d > 5; }),
+              10);
+    const auto stats = consolidateRoutes(net, 8, 5, &rng, false);
+    EXPECT_GT(stats.committedMoves, 0u);
+    net.checkInvariants();
+    EXPECT_EQ(routesDigest(net, stats), "7c8770f38921dc07");
 }
 
 TEST(RouteBytes, RepairDenseRelaxation)
