@@ -227,6 +227,9 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
         totalHops(outcome.design) + totalHops(outcome.design) / 4;
     std::uint64_t candidates = 0;
     std::uint64_t accepted = 0;
+    // The network of the accepted design. A rejected candidate is undone
+    // by copy-assigning it back, which reuses the buffers of net.
+    DesignNetwork incumbent = net;
     bool improved = true;
     while (improved) {
         improved = false;
@@ -250,7 +253,6 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                 // finalize each, seconds in all on a large pattern.
                 checkCancel(config.cancel);
                 ++candidates;
-                DesignNetwork snapshot = net;
                 const std::vector<ProcId> procs = net.procsOf(t);
                 for (const ProcId p : procs)
                     net.moveProc(p, s);
@@ -267,12 +269,13 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                         totalHops(merged) <= hopBudget &&
                         verifier.check(merged).empty()) {
                         outcome.design = std::move(merged);
+                        incumbent = net;
                         ++accepted;
                         improved = true;
                         break;
                     }
                 }
-                net = std::move(snapshot);
+                net = incumbent;
             }
         }
     }

@@ -363,13 +363,14 @@ class ShortestPaths
 /**
  * What one consolidateRoutes or repairDegrees call keeps across its
  * attempts: the buffers an attempt reuses instead of allocating, the
- * estimated degrees (current after every commit), the comm order and
- * runPass's clean stamps.
+ * estimated degrees (current after every commit), the comm order,
+ * runPass's clean stamps and consolidateOne's destination stamps.
  */
 struct RouteScratch
 {
     explicit RouteScratch(const DesignNetwork &net)
-        : pricer(net), order(net.cliques().numComms()),
+        : pricer(net), nearDst(net.numSwitches(), 0),
+          order(net.cliques().numComms()),
           cleanAt(order.size(), static_cast<std::uint32_t>(-1))
     {
         std::iota(order.begin(), order.end(), CommId{0});
@@ -377,6 +378,9 @@ struct RouteScratch
 
     HopPricer pricer;
     ShortestPaths sp;
+    std::uint32_t searches = 0; ///< consolidateOne searches so far
+    /** Per switch: the last search whose dst it is a pipe neighbor of. */
+    std::vector<std::uint32_t> nearDst;
     std::vector<SwitchId> oldRoute;
     std::vector<std::uint32_t> degrees;
     /** The switches a trial move touches and their degrees after it. */
@@ -495,16 +499,22 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     constexpr std::uint64_t kLink = 1024;
     constexpr std::uint64_t kOverload = 64;
     constexpr std::uint64_t kHop = 1;
-    auto hopPrice = [&](SwitchId u, SwitchId v,
-                        std::uint32_t slot) -> std::uint64_t {
-        std::uint64_t price =
-            static_cast<std::uint64_t>(pricer.added(u, v, slot, uni_cost)) *
-                kLink +
-            kHop;
-        if (max_degree)
-            price += kOverload * ((degrees[u] > max_degree) +
-                                  (degrees[v] > max_degree));
-        return price;
+    auto overload = [&](SwitchId s) -> std::uint64_t {
+        return max_degree && degrees[s] > max_degree ? kOverload : 0;
+    };
+    // The price of a hop that adds no link, needing no pricer: a lower
+    // bound on the hop's price.
+    auto basePrice = [&](SwitchId u, SwitchId v) -> std::uint64_t {
+        return kHop + overload(u) + overload(v);
+    };
+    auto addedPrice = [&](SwitchId u, SwitchId v,
+                          std::uint32_t slot) -> std::uint64_t {
+        return static_cast<std::uint64_t>(
+                   pricer.added(u, v, slot, uni_cost)) *
+               kLink;
+    };
+    auto hopPrice = [&](SwitchId u, SwitchId v, std::uint32_t slot) {
+        return basePrice(u, v) + addedPrice(u, v, slot);
     };
 
     std::uint64_t currentCost = 0;
@@ -512,25 +522,66 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         currentCost += hopPrice(route[i], route[i + 1],
                                 net.slotOf(route[i], route[i + 1]));
 
+    // rest(w), a price-free lower bound on the rest of any path from w
+    // to dst: nothing at dst, else at least the hop into dst, and a
+    // second hop when w is no pipe neighbor of dst. It is consistent,
+    // rest(u) <= price(u, w) + rest(w) for every hop (DESIGN.md §5d).
+    const std::uint32_t stamp = ++scratch.searches;
+    for (const Neighbor &n : net.neighbors(dst))
+        scratch.nearDst[n.sw] = stamp;
+    const std::uint64_t intoDst = kHop + overload(dst);
+    auto rest = [&](SwitchId w) -> std::uint64_t {
+        if (w == dst)
+            return 0;
+        return scratch.nearDst[w] == stamp ? intoDst : intoDst + kHop;
+    };
+
     // Dijkstra over existing pipes from src's switch to dst's switch,
     // relaxing neighbors in ascending id order. Only a path cheaper
-    // than the current route can be committed, so no tentative distance
-    // at or above currentCost is recorded: the frontier runs dry once
-    // nothing cheaper remains, and every distance and parent below
-    // currentCost is the one an unpruned search would settle.
+    // than the current route can be committed, so a hop (v, w) whose
+    // bound d + basePrice + rest(w) reaches currentCost is skipped
+    // before it is priced, and a priced one is kept only while
+    // d + price + rest(w) stays below it. A switch w with
+    // dist(w) + rest(w) < currentCost has, by consistency, its whole
+    // shortest path through such switches, and every hop that could
+    // tie or beat dist(w) passes both tests; so w keeps the exact
+    // distance, the parent and the (dist, id) pop turn of an unpruned
+    // search, and so does the committed path.
     ShortestPaths &sp = scratch.sp.reset(net.numSwitches(), src);
     std::uint64_t d = 0;
     SwitchId v = kNoSwitch;
     while (sp.pop(d, v) && v != dst) {
         for (const Neighbor &n : net.neighbors(v)) {
-            const std::uint64_t nd = d + hopPrice(v, n.sw, n.slot);
-            if (nd < currentCost)
+            const std::uint64_t lb = d + basePrice(v, n.sw);
+            const std::uint64_t toGo = rest(n.sw);
+            if (lb + toGo >= currentCost)
+                continue;
+            const std::uint64_t nd = lb + addedPrice(v, n.sw, n.slot);
+            if (nd + toGo < currentCost)
                 sp.relax(n.sw, nd, v);
         }
     }
-    if (sp.dist(dst) >= currentCost)
+    const bool found = sp.dist(dst) < currentCost;
+    const std::vector<SwitchId> path =
+        found ? sp.path(dst) : std::vector<SwitchId>{};
+#ifdef MINNOC_SANITIZE
+    // Rerun the search pricing every hop: it must find the same path.
+    ShortestPaths &full = scratch.sp.reset(net.numSwitches(), src);
+    while (full.pop(d, v) && v != dst) {
+        for (const Neighbor &n : net.neighbors(v)) {
+            const std::uint64_t nd = d + hopPrice(v, n.sw, n.slot);
+            if (nd < currentCost)
+                full.relax(n.sw, nd, v);
+        }
+    }
+    if ((full.dist(dst) < currentCost) != found ||
+        (found && full.path(dst) != path)) {
+        panic("consolidateOne: the bounded search for comm ", c,
+              " disagrees with the unpruned one");
+    }
+#endif
+    if (!found)
         return false; // nothing beats the current route
-    const std::vector<SwitchId> path = sp.path(dst);
 
     // Commit (both directions when paired). With a degree budget in
     // force, revert any commit that worsens the total degree violation
