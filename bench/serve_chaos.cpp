@@ -220,8 +220,9 @@ clientLoop(const Options &opt, unsigned threadIdx, unsigned requests,
                 std::chrono::milliseconds(10));
             continue;
         }
-        const std::string id =
-            "c" + std::to_string(threadIdx) + "-" + std::to_string(i);
+        std::string id = "c";
+        id.append(std::to_string(threadIdx)).append("-").append(
+            std::to_string(i));
         const auto &trace = traces[rng() % traces.size()];
 
         switch (rng() % 14) {

@@ -174,7 +174,7 @@ phaseShift(const std::vector<Pattern> &patterns,
 
     std::string name = "phase-shift";
     for (const Pattern p : patterns)
-        name += "-" + patternName(p);
+        name.append("-").append(patternName(p));
     Trace trace(name, cfg.ranks);
 
     Rng rng(cfg.seed);

@@ -51,7 +51,9 @@ struct Fleet
         std::string spec;
         for (std::size_t i = 0; i < n; ++i) {
             daemons.push_back(std::make_unique<DaemonProc>(dopt));
-            spec += (i ? "," : "") + daemons.back()->hostSpec();
+            if (i)
+                spec += ',';
+            spec += daemons.back()->hostSpec();
         }
         options.hosts = parseHostList(spec);
     }

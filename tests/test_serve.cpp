@@ -50,6 +50,15 @@ using namespace minnoc::serve;
 
 namespace {
 
+/** The request id @p prefix followed by @p i, such as "w3". */
+std::string
+requestId(char prefix, int i)
+{
+    std::string id(1, prefix);
+    id += std::to_string(i);
+    return id;
+}
+
 std::string
 traceText(trace::Benchmark bench, std::uint32_t ranks)
 {
@@ -422,7 +431,7 @@ TEST(Serve, PhasesOnSharedInnerPoolByteIdenticalToCli)
             wave.emplace_back([&, i] {
                 auto client = live.client();
                 replies[i] = roundTrip(
-                    client, phasesRequest("p" + std::to_string(i), trace,
+                    client, phasesRequest(requestId('p', i), trace,
                                           i + 1));
             });
         }
@@ -527,7 +536,7 @@ TEST(Serve, ConcurrentIdenticalSubmissionsComputeExactlyOnce)
                 auto client = live.client();
                 replies[static_cast<std::size_t>(i)] = roundTrip(
                     client,
-                    designRequest("w" + std::to_string(i), trace, 2));
+                    designRequest(requestId('w', i), trace, 2));
             });
         }
     }
@@ -536,7 +545,7 @@ TEST(Serve, ConcurrentIdenticalSubmissionsComputeExactlyOnce)
         ASSERT_TRUE(replies[static_cast<std::size_t>(i)].ok)
             << replies[static_cast<std::size_t>(i)].code;
         EXPECT_EQ(replies[static_cast<std::size_t>(i)].id,
-                  "w" + std::to_string(i));
+                  requestId('w', i));
         EXPECT_EQ(replies[static_cast<std::size_t>(i)].result,
                   replies[0].result); // byte-identical fan-out
     }
@@ -565,7 +574,7 @@ TEST(Serve, AdmissionControlRejectsPastHighWaterMark)
     constexpr int kFlood = 4;
     for (int i = 1; i <= kFlood; ++i)
         ASSERT_TRUE(client.sendLine(
-            exploreRequest("q" + std::to_string(i), trace)));
+            exploreRequest(requestId('q', i), trace)));
 
     int ok = 0, queueFull = 0;
     for (int i = 0; i <= kFlood; ++i) {

@@ -106,8 +106,11 @@ std::string
 joined(const std::vector<T> &v)
 {
     std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out += (i ? "," : "") + std::to_string(v[i]);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i)
+            out += ',';
+        out += std::to_string(v[i]);
+    }
     return out;
 }
 

@@ -240,8 +240,10 @@ TEST(Dot, DesignExportContainsAllElements)
     const auto dot = oss.str();
     EXPECT_NE(dot.find("graph design {"), std::string::npos);
     for (core::ProcId p = 0; p < 8; ++p) {
-        EXPECT_NE(dot.find("P" + std::to_string(p) + " "),
-                  std::string::npos);
+        std::string node = "P";
+        node += std::to_string(p);
+        node += ' ';
+        EXPECT_NE(dot.find(node), std::string::npos);
     }
     // One edge line per pipe.
     std::size_t edges = 0;
