@@ -357,12 +357,15 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
 {
     // Work on a private copy so the (optional) maximum-clique reduction
     // does not mutate the caller's set.
+    const auto prepareStart = obs::spanStart(config.traceLog);
     CliqueSet cliques = cliquesIn;
     if (config.reduceCliques)
         cliques.reduceToMaximum();
     // Restart workers share the clique set read-only; its lazy caches
     // (clique masks, contention index) must exist before they race.
     cliques.prepareCaches();
+    obs::spanEnd(config.traceLog, obs::kPidMethodology, "prepare", 0,
+                 prepareStart);
 
     const std::uint32_t attempts = std::max(1u, config.restarts);
     const std::uint32_t minSampled = std::min(attempts, 4u);
@@ -475,8 +478,14 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
 DesignOutcome
 runMethodology(const CliqueSet &cliques, const MethodologyConfig &config)
 {
-    const auto pool = makePool(config.threads, std::max(1u, config.restarts));
-    return runMethodology(cliques, config, pool.get());
+    auto pool = makePool(config.threads, std::max(1u, config.restarts));
+    DesignOutcome outcome = runMethodology(cliques, config, pool.get());
+    // Joining the restart threads is part of the run's wall time.
+    const auto joinStart = obs::spanStart(config.traceLog);
+    pool.reset();
+    obs::spanEnd(config.traceLog, obs::kPidMethodology, "pool_join", 0,
+                 joinStart);
+    return outcome;
 }
 
 } // namespace minnoc::core
