@@ -525,7 +525,7 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     // rest(w), a price-free lower bound on the rest of any path from w
     // to dst: nothing at dst, else at least the hop into dst, and a
     // second hop when w is no pipe neighbor of dst. It is consistent,
-    // rest(u) <= price(u, w) + rest(w) for every hop (DESIGN.md §5d).
+    // rest(u) <= price(u, w) + rest(w) for every hop (DESIGN.md §5i).
     const std::uint32_t stamp = ++scratch.searches;
     for (const Neighbor &n : net.neighbors(dst))
         scratch.nearDst[n.sw] = stamp;
