@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "core/methodology.hpp"
 #include "dse/cache.hpp"
+#include "sim/fault.hpp"
 #include "topo/builders.hpp"
 #include "topo/routing.hpp"
 #include "trace/analyzer.hpp"
@@ -21,48 +24,150 @@ using namespace minnoc::topo;
 namespace {
 
 /**
- * The link path of (@p s, @p d) on @p net, got by following the first
- * candidate from the source end-node to the destination end-node.
+ * The link path of (@p s, @p d) under @p routing, got by following the
+ * first candidate from the source end-node to the destination end-node.
  */
 std::vector<LinkId>
-walkPath(const BuiltNetwork &net, core::ProcId s, core::ProcId d)
+walkPath(const Topology &topo, const RoutingFunction &routing,
+         core::ProcId s, core::ProcId d)
 {
     std::vector<LinkId> path;
-    NodeIdx cur = net.topo->procNode(s);
-    while (cur != net.topo->procNode(d)) {
-        const auto cands = net.routing->candidates(cur, s, d);
-        if (cands.empty() || path.size() > net.topo->numNodes())
+    NodeIdx cur = topo.procNode(s);
+    while (cur != topo.procNode(d)) {
+        const auto cands = routing.candidates(cur, s, d);
+        if (cands.empty() || path.size() > topo.numNodes())
             return {};
         path.push_back(cands.front());
-        cur = net.topo->link(cands.front()).to;
+        cur = topo.link(cands.front()).to;
     }
     return path;
 }
 
+std::vector<LinkId>
+walkPath(const BuiltNetwork &net, core::ProcId s, core::ProcId d)
+{
+    return walkPath(*net.topo, *net.routing, s, d);
+}
+
+using ProcPairs = std::vector<std::pair<core::ProcId, core::ProcId>>;
+
 /**
- * FNV-1a digest (16 hex digits) of every (s, d) link path of @p net,
- * pairs in (s, d) order, each path's link ids as text.
+ * FNV-1a digest (16 hex digits) of every (s, d) link path of @p routing
+ * on @p topo, pairs in (s, d) order, each path's link ids as text.
+ * Pairs listed in @p disconnected are not walked; the list itself is
+ * hashed after the paths, in its order.
  */
 std::string
-routingDigest(const BuiltNetwork &net)
+routingDigest(const Topology &topo, const RoutingFunction &routing,
+              const ProcPairs &disconnected = {})
 {
+    const std::set<std::pair<core::ProcId, core::ProcId>> skip(
+        disconnected.begin(), disconnected.end());
     std::uint64_t h = 14695981039346656037ull;
-    const core::ProcId procs = net.topo->numProcs();
+    const core::ProcId procs = topo.numProcs();
     for (core::ProcId s = 0; s < procs; ++s) {
         for (core::ProcId d = 0; d < procs; ++d) {
-            if (s == d)
+            if (s == d || skip.count({s, d}))
                 continue;
             std::string bytes;
-            for (const LinkId id : walkPath(net, s, d))
+            for (const LinkId id : walkPath(topo, routing, s, d))
                 bytes += std::to_string(id) + ",";
             bytes += ";";
             h = dse::fnv1a64(bytes, h);
         }
     }
+    for (const auto &[s, d] : disconnected)
+        h = dse::fnv1a64(std::to_string(s) + ">" + std::to_string(d) + ";",
+                         h);
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(h));
     return buf;
+}
+
+std::string
+routingDigest(const BuiltNetwork &net)
+{
+    return routingDigest(*net.topo, *net.routing);
+}
+
+/** A generated network for @p ks at degree @p maxDegree. */
+BuiltNetwork
+designNetwork(const core::CliqueSet &ks, std::uint32_t maxDegree,
+              bool unidirectional = false)
+{
+    core::MethodologyConfig mcfg;
+    mcfg.partitioner.constraints.maxDegree = maxDegree;
+    mcfg.finalize.unidirectional = unidirectional;
+    const auto outcome = core::runMethodology(ks, mcfg);
+    return buildFromDesign(outcome.design, planFloor(outcome.design));
+}
+
+/** The generated network of a one-iteration NAS trace. */
+BuiltNetwork
+nasNetwork(trace::Benchmark bench, std::uint32_t ranks,
+           std::uint32_t maxDegree)
+{
+    trace::NasConfig cfg;
+    cfg.ranks = ranks;
+    cfg.iterations = 1;
+    return designNetwork(
+        trace::analyzeByCall(trace::generateBenchmark(bench, cfg)),
+        maxDegree);
+}
+
+/** The CG-16 generated network at degree 5, built once. */
+const BuiltNetwork &
+cg16Network()
+{
+    static const BuiltNetwork net = nasNetwork(trace::Benchmark::CG, 16, 5);
+    return net;
+}
+
+/**
+ * MG-8 at degree 6: two switches joined by one multi-link pipe, so
+ * round-robin over parallel links shows in the paths. Built once.
+ */
+const BuiltNetwork &
+mg8Network()
+{
+    static const BuiltNetwork net = nasNetwork(trace::Benchmark::MG, 8, 6);
+    return net;
+}
+
+/**
+ * A unidirectional design for a one-way 16-ring: its pipes carry one
+ * direction only, so the fallback graph holds one-way edges. Built once.
+ */
+const BuiltNetwork &
+ringNetwork()
+{
+    static const BuiltNetwork net = [] {
+        core::CliqueSet ring(16);
+        std::vector<core::Comm> comms;
+        for (core::ProcId p = 0; p < 16; ++p)
+            comms.emplace_back(p, static_cast<core::ProcId>((p + 1) % 16));
+        ring.addClique(comms);
+        return designNetwork(ring, 5, true);
+    }();
+    return net;
+}
+
+/**
+ * Digest of the degraded routing on @p topo after @p randomLinks
+ * seeded inter-switch failures plus the ejection link of @p deadProc.
+ */
+std::string
+degradedDigest(const Topology &topo, std::uint32_t randomLinks,
+               core::ProcId deadProc, std::uint64_t seed)
+{
+    sim::FaultConfig cfg;
+    cfg.failLinks = {topo.ejectionLink(deadProc)};
+    cfg.randomFailLinks = randomLinks;
+    cfg.seed = seed;
+    const sim::FaultModel faults(topo, cfg);
+    const auto degraded = sim::rerouteAroundFaults(topo, faults.failedMask());
+    return routingDigest(topo, *degraded.routing, degraded.disconnected);
 }
 
 /** Source-oblivious test routing that bounces between switches s, s^1. */
@@ -327,4 +432,37 @@ TEST(RoutingBytes, Crossbar)
 {
     EXPECT_EQ(routingDigest(buildCrossbar(16)), "fbcc5f173698aaad");
     EXPECT_EQ(routingDigest(buildCrossbar(64)), "ff4d1491c049616d");
+}
+
+// The irregular tables: every (s, d) path of the generated networks'
+// fallback, of up*/down* and of degraded routing, pinned so the way the
+// tables are built can change without changing a single route.
+TEST(RoutingBytes, DesignFallback)
+{
+    EXPECT_EQ(routingDigest(cg16Network()), "71d07063c1b2f4ba");
+    EXPECT_EQ(routingDigest(mg8Network()), "5e7032f1bb0f3445");
+    EXPECT_EQ(routingDigest(ringNetwork()), "52147848d0c3d7b9");
+}
+
+TEST(RoutingBytes, UpDown)
+{
+    auto updown = [](const BuiltNetwork &net) {
+        return routingDigest(*net.topo, *makeUpDownRouting(*net.topo));
+    };
+    EXPECT_EQ(updown(cg16Network()), "137a0812956f5852");
+    EXPECT_EQ(updown(mg8Network()), "f6ed1d6021d3ea43");
+    EXPECT_EQ(updown(buildMesh(16)), "38c68706a5ffe75d");
+    EXPECT_EQ(updown(buildTorus(16)), "eca46dcfa0042f81");
+}
+
+TEST(RoutingBytes, Degraded)
+{
+    // 8x8 mesh: six failed inter-switch links and proc 9's ejection.
+    EXPECT_EQ(degradedDigest(*buildMesh(64).topo, 6, 9, 7),
+              "1b2eff87e5e5c2bc");
+    EXPECT_EQ(degradedDigest(*cg16Network().topo, 3, 5, 7),
+              "ef88e897a739fdeb");
+    // The ring's failures split its switches: unreachable pairs too.
+    EXPECT_EQ(degradedDigest(*ringNetwork().topo, 3, 5, 7),
+              "5f6547ab3e915037");
 }
