@@ -1,8 +1,6 @@
 #include "connectivity.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 
 #include "util/log.hpp"
 
@@ -93,95 +91,28 @@ isStronglyConnected(const Digraph &g)
     return g.numNodes() > 0 && numScc(g) == 1;
 }
 
-std::vector<EdgeId>
-shortestPathEdges(const Digraph &g, NodeId src, NodeId dst)
+BfsTree
+bfs(const Digraph &g, NodeId root)
 {
-    if (src == dst)
-        return {};
     const std::size_t n = g.numNodes();
-    std::vector<EdgeId> parentEdge(n, kNoEdge);
-    std::vector<bool> visited(n, false);
-    std::deque<NodeId> queue;
-    queue.push_back(src);
-    visited[src] = true;
-
-    while (!queue.empty()) {
-        const NodeId v = queue.front();
-        queue.pop_front();
-        for (EdgeId e : g.outEdges(v)) {
+    BfsTree tree{std::vector<EdgeId>(n, kNoEdge),
+                 std::vector<std::int64_t>(n, -1), {}};
+    tree.order.reserve(n);
+    tree.dist[root] = 0;
+    tree.order.push_back(root);
+    // The settle order doubles as the FIFO queue.
+    for (std::size_t head = 0; head < tree.order.size(); ++head) {
+        const NodeId v = tree.order[head];
+        for (const EdgeId e : g.outEdges(v)) {
             const NodeId w = g.edge(e).dst;
-            if (visited[w])
+            if (tree.dist[w] >= 0)
                 continue;
-            visited[w] = true;
-            parentEdge[w] = e;
-            if (w == dst) {
-                // Reconstruct the edge path back to src.
-                std::vector<EdgeId> path;
-                NodeId cur = dst;
-                while (cur != src) {
-                    const EdgeId pe = parentEdge[cur];
-                    path.push_back(pe);
-                    cur = g.edge(pe).src;
-                }
-                std::reverse(path.begin(), path.end());
-                return path;
-            }
-            queue.push_back(w);
+            tree.dist[w] = tree.dist[v] + 1;
+            tree.parent[w] = e;
+            tree.order.push_back(w);
         }
     }
-    return {kNoEdge};
-}
-
-std::vector<std::int64_t>
-bfsDistances(const Digraph &g, NodeId src)
-{
-    const std::size_t n = g.numNodes();
-    std::vector<std::int64_t> dist(n, -1);
-    std::deque<NodeId> queue;
-    dist[src] = 0;
-    queue.push_back(src);
-    while (!queue.empty()) {
-        const NodeId v = queue.front();
-        queue.pop_front();
-        for (const NodeId w : g.successors(v)) {
-            if (dist[w] < 0) {
-                dist[w] = dist[v] + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    return dist;
-}
-
-std::int64_t
-diameter(const Digraph &g)
-{
-    if (g.numNodes() == 0)
-        return -1;
-    std::int64_t best = 0;
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-        for (const auto d : bfsDistances(g, v))
-            best = std::max(best, d);
-    }
-    return best;
-}
-
-double
-averageDistance(const Digraph &g)
-{
-    std::int64_t total = 0;
-    std::int64_t pairs = 0;
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-        const auto dist = bfsDistances(g, v);
-        for (NodeId w = 0; w < g.numNodes(); ++w) {
-            if (w != v && dist[w] >= 0) {
-                total += dist[w];
-                ++pairs;
-            }
-        }
-    }
-    return pairs ? static_cast<double>(total) / static_cast<double>(pairs)
-                 : 0.0;
+    return tree;
 }
 
 } // namespace minnoc::graph

@@ -4,8 +4,10 @@
  *
  * The paper's Definition 1 requires the system graph to be strongly
  * connected; this module provides the Tarjan SCC check used by the
- * methodology's validity assertions, plus BFS shortest paths used by the
- * topology layer to materialize routes.
+ * methodology's validity assertions, plus the breadth-first search tree
+ * from which every all-pairs route table is built: one search per
+ * source switch gives the shortest path to every destination at once
+ * (topo::treePath turns a tree path into links).
  */
 
 #ifndef MINNOC_GRAPH_CONNECTIVITY_HPP
@@ -29,25 +31,29 @@ std::size_t numScc(const Digraph &g);
 /** True if @p g has exactly one SCC (and at least one node). */
 bool isStronglyConnected(const Digraph &g);
 
-/**
- * BFS shortest path from @p src to @p dst as a sequence of edge ids.
- * Returns an empty vector when src == dst, and when dst is unreachable the
- * result contains the single sentinel kNoEdge.
- */
-std::vector<EdgeId> shortestPathEdges(const Digraph &g, NodeId src,
-                                      NodeId dst);
+/** A breadth-first search tree over a Digraph, from one root. */
+struct BfsTree
+{
+    /**
+     * Per node, the edge the search first reached it by; kNoEdge at
+     * the root and at unreached nodes.
+     */
+    std::vector<EdgeId> parent;
+    /** Per node, hops from the root; -1 when unreached. */
+    std::vector<std::int64_t> dist;
+    /** The reached nodes in the order the search settled them. */
+    std::vector<NodeId> order;
+};
 
 /**
- * All-destination BFS hop distances from @p src.
- * Unreachable nodes get distance -1.
+ * Breadth-first search from @p root over the live edges of @p g. Nodes
+ * settle first in, first out, and each scans its out-edges in insertion
+ * order; the first edge to reach a node becomes its parent. Following
+ * parents back from any reached node gives a shortest path from
+ * @p root, with ties going to the earliest-settled predecessor and then
+ * to its earliest edge.
  */
-std::vector<std::int64_t> bfsDistances(const Digraph &g, NodeId src);
-
-/** Graph diameter in hops over reachable pairs; -1 for empty graphs. */
-std::int64_t diameter(const Digraph &g);
-
-/** Average hop distance over all ordered reachable pairs (excluding self). */
-double averageDistance(const Digraph &g);
+BfsTree bfs(const Digraph &g, NodeId root);
 
 } // namespace minnoc::graph
 

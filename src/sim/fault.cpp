@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/connectivity.hpp"
-#include "graph/digraph.hpp"
 #include "util/log.hpp"
 
 namespace minnoc::sim {
@@ -69,9 +67,9 @@ rerouteAroundFaults(const topo::Topology &topo,
     };
 
     // Surviving inter-switch digraph; edge tags carry the originating
-    // LinkId so BFS edge paths map back to link paths. Routing stays at
-    // the switch level — paths never cut through another processor's
-    // network interface.
+    // LinkId, the link each tree path takes. Routing stays at the switch
+    // level — paths never cut through another processor's network
+    // interface.
     graph::Digraph g(topo.numSwitches());
     for (topo::LinkId l = 0; l < topo.numLinks(); ++l) {
         if (failed(l))
@@ -85,31 +83,24 @@ rerouteAroundFaults(const topo::Topology &topo,
 
     DegradedRouting out;
     out.routing = std::make_unique<topo::TableRouting>(topo, "degraded");
+    const auto pick = [&](graph::EdgeId e) {
+        return static_cast<topo::LinkId>(g.edge(e).tag);
+    };
     for (core::ProcId s = 0; s < topo.numProcs(); ++s) {
         const auto inj = topo.injectionLink(s);
+        const auto tree = graph::bfs(g, topo.switchOf(topo.link(inj).to));
         for (core::ProcId d = 0; d < topo.numProcs(); ++d) {
             if (s == d)
                 continue;
             const auto ej = topo.ejectionLink(d);
-            if (failed(inj) || failed(ej)) {
+            const auto dw = topo.switchOf(topo.link(ej).from);
+            if (failed(inj) || failed(ej) || tree.dist[dw] < 0) {
                 out.disconnected.emplace_back(s, d);
                 continue;
             }
-            const auto sw = topo.switchOf(topo.link(inj).to);
-            const auto dw = topo.switchOf(topo.link(ej).from);
-            std::vector<topo::LinkId> path{inj};
-            if (sw != dw) {
-                const auto edges = graph::shortestPathEdges(g, sw, dw);
-                if (edges.size() == 1 && edges.front() == graph::kNoEdge) {
-                    out.disconnected.emplace_back(s, d);
-                    continue;
-                }
-                for (const auto e : edges)
-                    path.push_back(
-                        static_cast<topo::LinkId>(g.edge(e).tag));
-            }
-            path.push_back(ej);
-            out.routing->setPath(s, d, std::move(path));
+            out.routing->setPath(s, d,
+                                 topo::treePath(topo, g, tree, s, d, dw,
+                                                pick));
         }
     }
     return out;

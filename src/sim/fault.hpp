@@ -10,10 +10,12 @@
  *  - **Permanent link failures**: a set of links (named explicitly or
  *    drawn at random from a seed) stops carrying flits, either from the
  *    start of the run or at a configured cycle. The network responds by
- *    recomputing a shortest-path TableRouting over the surviving links;
- *    (src, dst) pairs with no surviving path are reported as
- *    disconnected and the simulator degrades to a delivered-fraction
- *    metric instead of hanging.
+ *    recomputing a shortest-path TableRouting over the surviving links:
+ *    one breadth-first search per source switch (graph::bfs) yields its
+ *    path to every destination, each tree edge taking the surviving
+ *    link it is tagged with (topo::treePath). (src, dst) pairs with no
+ *    surviving path are reported as disconnected and the simulator
+ *    degrades to a delivered-fraction metric instead of hanging.
  *
  *  - **Transient faults**: every time a packet traverses a link, one
  *    Bernoulli draw decides whether some flit of the worm was corrupted
@@ -152,9 +154,10 @@ struct DegradedRouting
 
 /**
  * Fault-aware rerouting: BFS shortest paths over the links of @p topo
- * not marked in @p failedMask (which may be empty for "no failures").
- * Every connected (src, dst) pair gets a path; the rest are reported
- * in DegradedRouting::disconnected.
+ * not marked in @p failedMask (which may be empty for "no failures"),
+ * one search per source. Every connected (src, dst) pair gets a path;
+ * the rest are reported in DegradedRouting::disconnected, in (src, dst)
+ * order.
  */
 DegradedRouting rerouteAroundFaults(const topo::Topology &topo,
                                     const std::vector<bool> &failedMask);

@@ -1,14 +1,47 @@
 #include "routing.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 
-#include "graph/connectivity.hpp"
-#include "graph/digraph.hpp"
 #include "util/log.hpp"
 
 namespace minnoc::topo {
+
+namespace {
+
+/**
+ * A switch graph, one edge per switch pair, whose edges pick their
+ * physical link round-robin over the parallel links from one switch to
+ * the other, with a counter per edge.
+ */
+struct RoundRobinGraph
+{
+    explicit RoundRobinGraph(std::uint32_t switches) : g(switches) {}
+
+    graph::Digraph g;
+    std::vector<std::vector<LinkId>> links;
+    std::vector<std::uint32_t> next;
+
+    /** Adds from -> to unless no link runs that way. */
+    void
+    add(const Topology &topo, core::SwitchId from, core::SwitchId to)
+    {
+        auto parallel =
+            topo.findLinks(topo.switchNode(from), topo.switchNode(to));
+        if (parallel.empty())
+            return;
+        g.addEdge(from, to);
+        links.push_back(std::move(parallel));
+        next.push_back(0);
+    }
+
+    LinkId
+    pick(graph::EdgeId e)
+    {
+        return links[e][next[e]++ % links[e].size()];
+    }
+};
+
+} // namespace
 
 void
 TableRouting::setPath(core::ProcId src, core::ProcId dst,
@@ -220,6 +253,28 @@ validateRouting(const Topology &topo, const RoutingFunction &routing)
     }
 }
 
+std::vector<LinkId>
+treePath(const Topology &topo, const graph::Digraph &g,
+         const graph::BfsTree &tree, core::ProcId src, core::ProcId dst,
+         graph::NodeId target,
+         const std::function<LinkId(graph::EdgeId)> &pick)
+{
+    const auto hops = static_cast<std::size_t>(tree.dist[target]);
+    std::vector<LinkId> path(hops + 2);
+    path.front() = topo.injectionLink(src);
+    path.back() = topo.ejectionLink(dst);
+    // The parent edges fill the hop slots from the target back up to the
+    // root; the links are then picked root first.
+    graph::NodeId n = target;
+    for (std::size_t i = hops; i > 0; --i) {
+        path[i] = tree.parent[n];
+        n = g.edge(tree.parent[n]).src;
+    }
+    for (std::size_t i = 1; i <= hops; ++i)
+        path[i] = pick(path[i]);
+    return path;
+}
+
 std::unique_ptr<TableRouting>
 makeDesignRouting(const Topology &topo, const core::FinalizedDesign &design)
 {
@@ -262,45 +317,26 @@ makeDesignRouting(const Topology &topo, const core::FinalizedDesign &design)
     }
 
     // Fallback for pairs the design never saw (cross-pattern runs):
-    // BFS-shortest switch paths, round-robin over parallel links.
-    // Pipes may be one-directional (linksFwd xor linksBwd), so only
-    // directions with at least one physical link enter the graph.
-    graph::Digraph sg(design.numSwitches);
+    // BFS-shortest switch paths, round-robin over parallel links, the
+    // counters advancing in (s, d) order. Pipes may be one-directional
+    // (linksFwd xor linksBwd), so only directions with at least one
+    // physical link enter the graph.
+    RoundRobinGraph sg(design.numSwitches);
     for (const auto &pipe : design.pipes) {
-        if (!topo.findLinks(topo.switchNode(pipe.key.a),
-                            topo.switchNode(pipe.key.b)).empty())
-            sg.addEdge(pipe.key.a, pipe.key.b);
-        if (!topo.findLinks(topo.switchNode(pipe.key.b),
-                            topo.switchNode(pipe.key.a)).empty())
-            sg.addEdge(pipe.key.b, pipe.key.a);
+        sg.add(topo, pipe.key.a, pipe.key.b);
+        sg.add(topo, pipe.key.b, pipe.key.a);
     }
-    std::map<std::pair<core::SwitchId, core::SwitchId>, std::uint32_t> rr;
+    const auto pick = [&](graph::EdgeId e) { return sg.pick(e); };
     for (core::ProcId s = 0; s < topo.numProcs(); ++s) {
+        const auto tree = graph::bfs(sg.g, design.procHome[s]);
         for (core::ProcId d = 0; d < topo.numProcs(); ++d) {
             if (s == d || routing->hasPath(s, d))
                 continue;
-            const auto sw = design.procHome[s];
             const auto dw = design.procHome[d];
-            std::vector<LinkId> path{topo.injectionLink(s)};
-            if (sw != dw) {
-                const auto hops = graph::shortestPathEdges(sg, sw, dw);
-                if (hops.size() == 1 && hops.front() == graph::kNoEdge)
-                    panic("makeDesignRouting: switch graph disconnected");
-                for (const auto e : hops) {
-                    const auto from =
-                        static_cast<core::SwitchId>(sg.edge(e).src);
-                    const auto to =
-                        static_cast<core::SwitchId>(sg.edge(e).dst);
-                    const auto parallel =
-                        topo.findLinks(topo.switchNode(from),
-                                       topo.switchNode(to));
-                    auto &counter = rr[{from, to}];
-                    path.push_back(parallel[counter % parallel.size()]);
-                    ++counter;
-                }
-            }
-            path.push_back(topo.ejectionLink(d));
-            routing->setPath(s, d, std::move(path));
+            if (tree.dist[dw] < 0)
+                panic("makeDesignRouting: switch graph disconnected");
+            routing->setPath(s, d,
+                             treePath(topo, sg.g, tree, s, d, dw, pick));
         }
     }
     return routing;
@@ -313,17 +349,20 @@ makeUpDownRouting(const Topology &topo)
     if (numSw == 0)
         panic("makeUpDownRouting: no switches");
 
-    // Undirected switch adjacency from the inter-switch links.
-    graph::Digraph sg(numSw);
+    // Undirected switch adjacency from the inter-switch links, one edge
+    // per switch pair however many links join it.
+    RoundRobinGraph sg(numSw);
     for (const auto &link : topo.links()) {
-        if (!topo.isProc(link.from) && !topo.isProc(link.to)) {
-            sg.addEdge(topo.switchOf(link.from),
-                       topo.switchOf(link.to));
-        }
+        if (topo.isProc(link.from) || topo.isProc(link.to))
+            continue;
+        const auto from = topo.switchOf(link.from);
+        const auto to = topo.switchOf(link.to);
+        if (sg.g.findEdge(from, to) == graph::kNoEdge)
+            sg.add(topo, from, to);
     }
 
     // BFS levels from switch 0 define the up orientation.
-    const auto level = graph::bfsDistances(sg, 0);
+    const auto level = graph::bfs(sg.g, 0).dist;
     for (core::SwitchId s = 0; s < numSw; ++s) {
         if (level[s] < 0)
             panic("makeUpDownRouting: switch graph disconnected");
@@ -334,81 +373,50 @@ makeUpDownRouting(const Topology &topo)
         return to < from; // tie-break by id
     };
 
-    // Shortest legal (up* then down*) switch paths via BFS over
-    // (switch, phase) states, phase = "has taken a down hop yet".
-    auto legalPath = [&](core::SwitchId src,
-                         core::SwitchId dst) -> std::vector<core::SwitchId> {
-        if (src == dst)
-            return {src};
-        struct Prev
-        {
-            core::SwitchId sw = core::kNoSwitch;
-            bool phase = false;
-        };
-        std::vector<std::array<Prev, 2>> parent(numSw);
-        std::vector<std::array<bool, 2>> visited(numSw,
-                                                 {false, false});
-        std::deque<std::pair<core::SwitchId, bool>> frontier;
-        visited[src][0] = true;
-        frontier.push_back({src, false});
-        while (!frontier.empty()) {
-            const auto [sw, down] = frontier.front();
-            frontier.pop_front();
-            for (const auto next : sg.successors(sw)) {
+    // Legal (up* then down*) hops between (switch, phase) states, state
+    // 2 * switch + phase, phase = "has taken a down hop yet"; each state
+    // edge is tagged with its switch edge.
+    graph::Digraph states(2 * numSw);
+    for (core::SwitchId sw = 0; sw < numSw; ++sw) {
+        for (const bool down : {false, true}) {
+            for (const auto e : sg.g.outEdges(sw)) {
+                const auto next = sg.g.edge(e).dst;
                 const bool hopUp = isUp(sw, next);
                 if (down && hopUp)
                     continue; // down -> up is illegal
-                const bool nextDown = down || !hopUp;
-                if (visited[next][nextDown])
-                    continue;
-                visited[next][nextDown] = true;
-                parent[next][nextDown] = Prev{sw, down};
-                if (next == dst) {
-                    std::vector<core::SwitchId> path{dst};
-                    core::SwitchId cur = dst;
-                    bool phase = nextDown;
-                    while (cur != src) {
-                        const Prev &pv = parent[cur][phase];
-                        path.push_back(pv.sw);
-                        phase = pv.phase;
-                        cur = pv.sw;
-                    }
-                    std::reverse(path.begin(), path.end());
-                    return path;
-                }
-                frontier.push_back({next, nextDown});
+                states.addEdge(2 * sw + down, 2 * next + (down || !hopUp),
+                               1, e);
             }
         }
-        panic("makeUpDownRouting: no legal path between S", src,
-              " and S", dst);
-    };
+    }
 
+    // One search per source; each switch keeps whichever phase reached
+    // it first, so its path is a shortest legal one.
     auto routing = std::make_unique<TableRouting>(topo, "up-down");
-    std::map<std::pair<core::SwitchId, core::SwitchId>, std::uint32_t> rr;
+    const auto pick = [&](graph::EdgeId e) {
+        return sg.pick(static_cast<graph::EdgeId>(states.edge(e).tag));
+    };
+    std::vector<graph::NodeId> first(numSw);
     for (core::ProcId s = 0; s < topo.numProcs(); ++s) {
         const auto sw =
             topo.switchOf(topo.link(topo.injectionLink(s)).to);
+        const auto tree = graph::bfs(states, 2 * sw);
+        std::fill(first.begin(), first.end(), graph::kNoNode);
+        for (const auto state : tree.order) {
+            if (first[state / 2] == graph::kNoNode)
+                first[state / 2] = state;
+        }
         for (core::ProcId d = 0; d < topo.numProcs(); ++d) {
             if (s == d)
                 continue;
             const auto dw =
                 topo.switchOf(topo.link(topo.injectionLink(d)).to);
-            std::vector<LinkId> path{topo.injectionLink(s)};
-            if (sw != dw) {
-                const auto hops = legalPath(sw, dw);
-                for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-                    const auto parallel =
-                        topo.findLinks(topo.switchNode(hops[i]),
-                                       topo.switchNode(hops[i + 1]));
-                    if (parallel.empty())
-                        panic("makeUpDownRouting: missing link");
-                    auto &counter = rr[{hops[i], hops[i + 1]}];
-                    path.push_back(parallel[counter % parallel.size()]);
-                    ++counter;
-                }
-            }
-            path.push_back(topo.ejectionLink(d));
-            routing->setPath(s, d, std::move(path));
+            if (first[dw] == graph::kNoNode)
+                panic("makeUpDownRouting: no legal path between S", sw,
+                      " and S", dw);
+            routing->setPath(s, d,
+                             treePath(topo, states, tree, s, d, first[dw],
+                                      pick));
         }
     }
     return routing;

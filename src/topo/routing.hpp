@@ -14,6 +14,7 @@
 #define MINNOC_TOPO_ROUTING_HPP
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -21,6 +22,7 @@
 
 #include "core/finalize.hpp"
 #include "core/types.hpp"
+#include "graph/connectivity.hpp"
 #include "topology.hpp"
 
 namespace minnoc::topo {
@@ -179,6 +181,20 @@ class TorusAdaptiveRouting : public RoutingFunction
  * all procs^2 pairs.
  */
 void validateRouting(const Topology &topo, const RoutingFunction &routing);
+
+/**
+ * The link path from processor @p src to processor @p dst through a
+ * search @p tree over @p g: @p src's injection link, one link per tree
+ * edge from the root down to @p target, then @p dst's ejection link.
+ * @p pick maps each tree edge, root first, to the link taken over it.
+ * The tree must reach @p target. Every TableRouting builder runs one
+ * search per source and assembles all its paths with this.
+ */
+std::vector<LinkId>
+treePath(const Topology &topo, const graph::Digraph &g,
+         const graph::BfsTree &tree, core::ProcId src, core::ProcId dst,
+         graph::NodeId target,
+         const std::function<LinkId(graph::EdgeId)> &pick);
 
 /**
  * Source routing for a generated network: communications known to the

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "graph/connectivity.hpp"
@@ -20,6 +21,17 @@ directedCycle(std::size_t n)
     for (NodeId v = 0; v < n; ++v)
         g.addEdge(v, (v + 1) % n);
     return g;
+}
+
+/** The tree path to @p node as edge ids, root first. */
+std::vector<EdgeId>
+pathTo(const Digraph &g, const BfsTree &tree, NodeId node)
+{
+    std::vector<EdgeId> path;
+    for (; tree.parent[node] != kNoEdge; node = g.edge(path.back()).src)
+        path.push_back(tree.parent[node]);
+    std::reverse(path.begin(), path.end());
+    return path;
 }
 
 } // namespace
@@ -85,7 +97,10 @@ TEST(Bfs, ShortestPathTrivial)
 {
     Digraph g(2);
     g.addEdge(0, 1);
-    EXPECT_TRUE(shortestPathEdges(g, 0, 0).empty());
+    const auto tree = bfs(g, 0);
+    EXPECT_EQ(tree.dist[0], 0);
+    EXPECT_EQ(tree.parent[0], kNoEdge);
+    EXPECT_TRUE(pathTo(g, tree, 0).empty());
 }
 
 TEST(Bfs, ShortestPathFollowsEdges)
@@ -95,23 +110,21 @@ TEST(Bfs, ShortestPathFollowsEdges)
     const EdgeId e12 = g.addEdge(1, 2);
     g.addEdge(0, 3);
     g.addEdge(3, 2); // alternative same-length path
-    const auto path = shortestPathEdges(g, 0, 2);
-    ASSERT_EQ(path.size(), 2u);
-    // Either two-hop route is acceptable; verify continuity.
-    EXPECT_EQ(g.edge(path[0]).src, 0u);
-    EXPECT_EQ(g.edge(path[1]).dst, 2u);
-    EXPECT_EQ(g.edge(path[0]).dst, g.edge(path[1]).src);
-    (void)e01;
-    (void)e12;
+    const auto tree = bfs(g, 0);
+    // The tie goes to the predecessor settled first: 1 before 3.
+    EXPECT_EQ(pathTo(g, tree, 2), (std::vector<EdgeId>{e01, e12}));
+    EXPECT_EQ(tree.dist[2], 2);
+    EXPECT_EQ(tree.order, (std::vector<NodeId>{0, 1, 3, 2}));
 }
 
 TEST(Bfs, UnreachableSentinel)
 {
     Digraph g(3);
     g.addEdge(0, 1);
-    const auto path = shortestPathEdges(g, 0, 2);
-    ASSERT_EQ(path.size(), 1u);
-    EXPECT_EQ(path[0], kNoEdge);
+    const auto tree = bfs(g, 0);
+    EXPECT_EQ(tree.parent[2], kNoEdge);
+    EXPECT_EQ(tree.dist[2], -1);
+    EXPECT_EQ(tree.order, (std::vector<NodeId>{0, 1}));
 }
 
 TEST(Bfs, DistancesAndUnreachable)
@@ -119,7 +132,7 @@ TEST(Bfs, DistancesAndUnreachable)
     Digraph g(4);
     g.addEdge(0, 1);
     g.addEdge(1, 2);
-    const auto dist = bfsDistances(g, 0);
+    const auto dist = bfs(g, 0).dist;
     EXPECT_EQ(dist[0], 0);
     EXPECT_EQ(dist[1], 1);
     EXPECT_EQ(dist[2], 2);
@@ -130,32 +143,5 @@ TEST(Bfs, RespectsDirection)
 {
     Digraph g(2);
     g.addEdge(0, 1);
-    EXPECT_EQ(bfsDistances(g, 1)[0], -1);
-}
-
-TEST(Diameter, CycleDiameter)
-{
-    const auto g = directedCycle(5);
-    EXPECT_EQ(diameter(g), 4);
-}
-
-TEST(Diameter, EmptyGraph)
-{
-    Digraph g;
-    EXPECT_EQ(diameter(g), -1);
-}
-
-TEST(AverageDistance, CompleteBidirectionalPair)
-{
-    Digraph g(2);
-    g.addEdge(0, 1);
-    g.addEdge(1, 0);
-    EXPECT_DOUBLE_EQ(averageDistance(g), 1.0);
-}
-
-TEST(AverageDistance, DirectedCycleAverage)
-{
-    // In a directed n-cycle the distances from any node are 1..n-1.
-    const auto g = directedCycle(4);
-    EXPECT_DOUBLE_EQ(averageDistance(g), (1.0 + 2.0 + 3.0) / 3.0);
+    EXPECT_EQ(bfs(g, 1).dist[0], -1);
 }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "sim/fault.hpp"
 #include "sim/trace_driver.hpp"
 #include "topo/builders.hpp"
@@ -133,6 +135,74 @@ TEST(FaultRerouting, EjectionLinkFailureDisconnectsExactlyOneColumn)
     EXPECT_EQ(degraded.disconnected.size(), 15u);
     for (const auto &[s, d] : degraded.disconnected)
         EXPECT_EQ(d, 5u);
+}
+
+TEST(FaultRerouting, PathsAreMinimalOverSurvivingLinks)
+{
+    const auto built = topo::buildMesh(256); // 16x16
+    const auto &topo = *built.topo;
+    const core::ProcId dead = 37;
+    FaultConfig cfg;
+    cfg.failLinks = {topo.ejectionLink(dead)};
+    cfg.randomFailLinks = 8;
+    cfg.seed = 3;
+    const FaultModel faults(topo, cfg);
+    const auto &mask = faults.failedMask();
+    const auto degraded = rerouteAroundFaults(topo, mask);
+
+    // Switch-to-switch hop distances over the surviving inter-switch
+    // links, by a plain BFS from every switch.
+    const std::uint32_t sw = topo.numSwitches();
+    std::vector<std::vector<topo::NodeIdx>> next(sw);
+    for (topo::LinkId l = 0; l < topo.numLinks(); ++l) {
+        const auto &link = topo.link(l);
+        if (!mask[l] && !topo.isProc(link.from) && !topo.isProc(link.to))
+            next[topo.switchOf(link.from)].push_back(
+                topo.switchOf(link.to));
+    }
+    std::vector<std::vector<int>> hops(sw, std::vector<int>(sw, -1));
+    for (std::uint32_t root = 0; root < sw; ++root) {
+        std::vector<std::uint32_t> queue{root};
+        hops[root][root] = 0;
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            for (const auto w : next[queue[i]]) {
+                if (hops[root][w] < 0) {
+                    hops[root][w] = hops[root][queue[i]] + 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+    }
+
+    std::vector<std::pair<core::ProcId, core::ProcId>> expectDisconnected;
+    std::size_t detours = 0;
+    for (core::ProcId s = 0; s < 256; ++s) {
+        for (core::ProcId d = 0; d < 256; ++d) {
+            if (s == d)
+                continue;
+            if (d == dead) {
+                expectDisconnected.emplace_back(s, d);
+                EXPECT_FALSE(degraded.routing->hasPath(s, d));
+                continue;
+            }
+            ASSERT_TRUE(degraded.routing->hasPath(s, d)) << s << "->" << d;
+            const auto &path = degraded.routing->path(s, d);
+            for (const auto l : path)
+                ASSERT_FALSE(mask[l]) << s << "->" << d;
+            const auto from = topo.switchOf(topo.link(path.front()).to);
+            const auto to = topo.switchOf(topo.link(path.back()).from);
+            ASSERT_GE(hops[from][to], 0);
+            EXPECT_EQ(path.size() - 2,
+                      static_cast<std::size_t>(hops[from][to]))
+                << s << "->" << d;
+            const auto manhattan = std::abs(int(from % 16) - int(to % 16)) +
+                                   std::abs(int(from / 16) - int(to / 16));
+            detours += hops[from][to] > manhattan;
+        }
+    }
+    EXPECT_EQ(degraded.disconnected, expectDisconnected);
+    // The failures force some pairs off their healthy minimal length.
+    EXPECT_GT(detours, 0u);
 }
 
 TEST(FaultNetwork, TransientCorruptionRetransmitsAndDelivers)
