@@ -1,14 +1,15 @@
 /**
  * @file
- * Minimal fixed-size worker pool for the methodology's parallel phases.
+ * Minimal fixed-size worker pool for the coarse parallel work.
  *
- * The restart loop and the route-optimizer baseline builds are
- * embarrassingly parallel: independent work items over shared read-only
- * state. This pool is deliberately small — a queue of type-erased tasks
- * drained by std::jthread workers — because the parallelism it hosts is
- * coarse (whole partitioning restarts, chunked pipe scans), not
- * fine-grained. A task may wait on its own pool: a waiting worker runs
- * its own batch's items meanwhile.
+ * It hosts independent work items over shared read-only state: the
+ * methodology's partitioning restarts, explore's grid jobs, the phase
+ * evaluator's rows, and the requests a serve daemon answers (parallelFor
+ * and submit). This pool is deliberately small — a queue of type-erased
+ * tasks drained by std::jthread workers — because each item is a whole
+ * restart, job, row or request, not fine-grained work. A task may wait
+ * on its own pool: a waiting worker runs its own batch's items
+ * meanwhile.
  */
 
 #ifndef MINNOC_UTIL_THREAD_POOL_HPP

@@ -14,7 +14,9 @@
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
 #     and the simulator golden corpus, floorplan plan pins, routing
-#     path pins, route consolidation and repair pins, scale pins,
+#     path pins (mesh and crossbar, plus the irregular tables: the
+#     design fallback, up*/down* and degraded routing, RoutingBytes.*
+#     in test_routing), route consolidation and repair pins, scale pins,
 #     evaluation and explore report pins, the explorer tests and cache
 #     record pins, the job-wire byte pins (DistProtocol.*), the golden
 #     designs and the switch-merge tests, so simulated results,
