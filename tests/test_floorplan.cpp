@@ -2,10 +2,11 @@
  * @file
  * Unit tests for the tile floorplanner and area model, and byte pins of
  * the plans it produces: FNV-1a digests of `Floorplan::toString()` and
- * the three area terms for the five NAS designs at 16 ranks and the
- * CG-64 perfbench design, each at two floorplan seeds. A change that
- * moves a digest changes where the paper's area model places a
- * network, not just how fast it gets there.
+ * the three area terms for the five NAS designs at 16 ranks, the CG-64
+ * and BT-36 perfbench designs, a 128-rank neighbor design and a
+ * hand-built design with a processor-less switch and a self-loop pipe.
+ * A change that moves a digest changes where the paper's area model
+ * places a network, not just how fast it gets there.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "topo/floorplan.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
+#include "trace/scale_patterns.hpp"
 
 using namespace minnoc;
 using namespace minnoc::topo;
@@ -184,23 +186,30 @@ planDigest(const core::FinalizedDesign &design, std::uint64_t seed)
     return buf;
 }
 
-/** The 16-rank NAS design the plan pins place. */
+/** The degree-5 design of @p cliques, as `minnoc design` makes it. */
 core::FinalizedDesign
-nasDesign(trace::Benchmark bench)
+degree5Design(const core::CliqueSet &cliques, std::uint32_t restarts)
 {
-    trace::NasConfig tcfg;
-    tcfg.ranks = 16;
-    tcfg.iterations = 1;
-    tcfg.seed = 1;
     core::MethodologyConfig mcfg;
     mcfg.partitioner.constraints.maxDegree = 5;
     mcfg.partitioner.seed = 1;
-    mcfg.restarts = 2;
+    mcfg.restarts = restarts;
     mcfg.threads = 1;
-    return core::runMethodology(
-               trace::analyzeByCall(trace::generateBenchmark(bench, tcfg)),
-               mcfg)
-        .design;
+    return core::runMethodology(cliques, mcfg).design;
+}
+
+/** The NAS design of @p ranks ranks the plan pins place. */
+core::FinalizedDesign
+nasDesign(trace::Benchmark bench, std::uint32_t ranks = 16,
+          std::uint32_t restarts = 2)
+{
+    trace::NasConfig tcfg;
+    tcfg.ranks = ranks;
+    tcfg.iterations = 1;
+    tcfg.seed = 1;
+    return degree5Design(
+        trace::analyzeByCall(trace::generateBenchmark(bench, tcfg)),
+        restarts);
 }
 
 /** Largest number of processors any one switch of @p design owns. */
@@ -263,4 +272,63 @@ TEST(FloorplanBytes, CG64PerfbenchDesign)
     const auto design = core::loadDesign(file);
     EXPECT_EQ(planDigest(design, 1), "c0ddc7cbbbb0f8a7");
     EXPECT_EQ(planDigest(design, 7), "dca50b7b5fbab817");
+}
+
+TEST(FloorplanBytes, BT36PerfbenchDesign)
+{
+    // The design the design-bt36 benchmark workload synthesizes at seed
+    // 1: 36 processors on 32 switches, so some switches own several.
+    const auto design = nasDesign(trace::Benchmark::BT, 36, 16);
+    std::ostringstream saved;
+    core::saveDesign(design, saved);
+    char fnv[17];
+    std::snprintf(fnv, sizeof fnv, "%016llx",
+                  static_cast<unsigned long long>(dse::fnv1a64(saved.str())));
+    ASSERT_EQ(std::string(fnv), "3831479271074523");
+    EXPECT_GT(maxProcsPerSwitch(design), 1u);
+    EXPECT_EQ(planDigest(design, 1), "9b770119bc3dcd6e");
+    EXPECT_EQ(planDigest(design, 7), "56b406e0c7a1094a");
+}
+
+TEST(FloorplanBytes, Neighbor128)
+{
+    // A large sparse fabric: nearly one switch per processor, so a tile
+    // swap disturbs few of the many switches.
+    const auto design =
+        degree5Design(trace::makeScalePattern("neighbor", 128), 2);
+    EXPECT_GE(design.numSwitches, 100u);
+    EXPECT_EQ(planDigest(design, 1), "d0e82fa066759041");
+}
+
+TEST(FloorplanBytes, SwitchWithoutProcessors)
+{
+    // Hand-built: switch 1 owns no processor, so its corner stays at the
+    // origin and pulls its pipes' far ends there; switch 3 has a
+    // self-loop pipe, whose cost reads the switch's own corner.
+    core::FinalizedDesign design;
+    design.numProcs = 12;
+    design.numSwitches = 5;
+    design.switchProcs = {{0, 1, 2, 3}, {}, {4, 5, 6}, {7, 8}, {9, 10, 11}};
+    for (core::SwitchId s = 0; s < design.numSwitches; ++s) {
+        for (const auto p : design.switchProcs[s]) {
+            design.procHome.resize(std::max<std::size_t>(
+                design.procHome.size(), p + 1));
+            design.procHome[p] = s;
+        }
+    }
+    const auto pipe = [&](core::SwitchId a, core::SwitchId b,
+                          std::uint32_t links) {
+        core::FinalizedPipe fp;
+        fp.key = core::PipeKey(a, b);
+        fp.links = fp.linksFwd = fp.linksBwd = links;
+        design.pipes.push_back(fp);
+    };
+    pipe(0, 1, 2);
+    pipe(0, 4, 1);
+    pipe(1, 2, 1);
+    pipe(1, 4, 1);
+    pipe(2, 3, 1);
+    pipe(3, 3, 1);
+    EXPECT_EQ(planDigest(design, 1), "ab8e5a5b5fda4e8a");
+    EXPECT_EQ(planDigest(design, 7), "d02c1608ca604294");
 }
