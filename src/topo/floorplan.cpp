@@ -1,6 +1,8 @@
 #include "floorplan.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -110,11 +112,33 @@ tileCornerDistance(const GridPoint &tile, const GridPoint &point)
                                       gap(tile.y, point.y));
 }
 
-/** Full placement cost evaluator: relaxes switch corners, sums areas. */
+/** Gauss-Seidel passes that relax the switch corners. */
+constexpr int kPasses = 3;
+
+/**
+ * Placement cost of the processor tiles, kept over tile swaps.
+ *
+ * A placement's cost is its link + proc-link area once every switch is
+ * snapped to its best member-tile corner. Corners start at each
+ * switch's first processor's tile and relax by up to kPasses passes in
+ * switch order, stopping after a pass that moved no switch.
+ *
+ * The committed evaluation (the record) keeps the corners after
+ * initialisation and after each pass. A pass that moved nothing is a
+ * fixed point, so its corners also stand for every later pass. A trial
+ * swap of two tiles recomputes switch s in pass k only when an input of
+ * snap() differs from the record's at that pass: its member tiles, its
+ * lower-id neighbours' pass-k corners, or its higher-id neighbours' and
+ * its own pass-(k-1) corners. Every other switch keeps the record's
+ * corner. snap() is deterministic, so a trial's corners, moves and cost
+ * equal those of a full relaxation.
+ */
 class PlacementCost
 {
   public:
-    PlacementCost(const core::FinalizedDesign &design)
+    /** Evaluate @p procTile in full and commit it. */
+    PlacementCost(const core::FinalizedDesign &design,
+                  const std::vector<GridPoint> &procTile)
         : _design(design), _incident(design.numSwitches)
     {
         for (const auto &pipe : design.pipes) {
@@ -122,40 +146,137 @@ class PlacementCost
             if (pipe.key.b != pipe.key.a)
                 _incident[pipe.key.b].emplace_back(pipe.key.a, pipe.links);
         }
+        const std::size_t words = (design.numSwitches + 63) / 64;
+        for (int k = 0; k <= kPasses; ++k) {
+            _rec[k].resize(design.numSwitches);
+            _changed[k].reserve(design.numSwitches);
+            _dirty[k].assign(words, 0);
+        }
+        relaxAll(procTile, _rec, _recMoved);
+        _trial = _rec;
+        _cost = totalCost(procTile, _rec[kPasses]);
+#ifdef MINNOC_SANITIZE
+        _check = _rec;
+#endif
     }
 
+    /** Cost of the committed placement. */
+    std::uint32_t cost() const { return _cost; }
+
+    /** Switch corners of the committed placement. */
+    const std::vector<GridPoint> &corners() const { return _rec[kPasses]; }
+
     /**
-     * Given processor tiles, choose switch corners by a few relaxation
-     * sweeps and return the total link + proc-link area.
+     * Cost of @p procTile: the committed placement with the tiles of
+     * procs @p a and @p b swapped. accept() commits this trial; the
+     * next trial drops it.
      */
     std::uint32_t
-    evaluate(const std::vector<GridPoint> &procTile,
-             std::vector<GridPoint> &corners) const
+    trySwap(const std::vector<GridPoint> &procTile, core::ProcId a,
+            core::ProcId b)
     {
-        const auto numSwitches = _design.numSwitches;
-        corners.assign(numSwitches, GridPoint{});
-
-        // Initialize each switch at the first corner of its first proc's
-        // tile (every switch owns at least one proc after partitioning;
-        // guard anyway).
-        for (core::SwitchId s = 0; s < numSwitches; ++s) {
-            if (!_design.switchProcs[s].empty()) {
-                const auto p = _design.switchProcs[s].front();
-                corners[s] = procTile[p];
-            }
+        // The trial corners equal the record's except where the last
+        // trial changed them.
+        for (int k = 0; k <= kPasses; ++k) {
+            for (const auto s : _changed[k])
+                _trial[k][s] = _rec[k][s];
+            _changed[k].clear();
+        }
+        const core::SwitchId homes[] = {_design.procHome[a],
+                                        _design.procHome[b]};
+        const int numHomes = homes[0] == homes[1] ? 1 : 2;
+        for (int i = 0; i < numHomes; ++i) {
+            // Their member tiles are inputs of every pass.
+            const auto s = homes[i];
+            update(0, s, procTile[_design.switchProcs[s].front()]);
+            for (int k = 1; k <= kPasses; ++k)
+                mark(k, s);
         }
 
-        // Relax: move each switch to the member-tile corner minimizing
-        // its local cost, holding the others fixed. A pass that moves
-        // no switch leaves nothing for the next one to do.
-        for (int pass = 0; pass < 3; ++pass) {
-            bool moved = false;
-            for (core::SwitchId s = 0; s < numSwitches; ++s)
-                moved |= relaxSwitch(s, procTile, corners);
-            if (!moved)
+        int pass = 1;
+        for (; pass <= kPasses; ++pass) {
+            // Dirty switches in id order; marks made on the way are for
+            // higher ids, which the scan has yet to reach.
+            auto &dirty = _dirty[pass];
+            for (std::size_t w = 0; w < dirty.size(); ++w) {
+                while (dirty[w]) {
+                    const auto s = static_cast<core::SwitchId>(
+                        w * 64 + std::countr_zero(dirty[w]));
+                    dirty[w] &= dirty[w] - 1;
+                    update(pass, s,
+                           snap(s, procTile, _trial[pass], _trial[pass - 1]));
+                }
+            }
+            _trialMoved[pass] = countMoved(pass);
+            if (!_trialMoved[pass])
                 break;
         }
-        return totalCost(procTile, corners);
+        extendFixedPoint(pass);
+        _trialCost = costAfterSwap(procTile, a, b, homes, numHomes);
+
+#ifdef MINNOC_SANITIZE
+        relaxAll(procTile, _check, _checkMoved);
+        for (int k = 0; k <= kPasses; ++k) {
+            if (_check[k] != _trial[k] || _checkMoved[k] != _trialMoved[k])
+                panic("floorplan: swapping procs ", a, " and ", b,
+                      " gives other pass-", k,
+                      " corners than a full relaxation");
+        }
+        if (totalCost(procTile, _check[kPasses]) != _trialCost)
+            panic("floorplan: swapping procs ", a, " and ", b, " costs ",
+                  _trialCost, " incrementally, ",
+                  totalCost(procTile, _check[kPasses]), " in full");
+#endif
+        return _trialCost;
+    }
+
+    /** Commit the last trial. */
+    void
+    accept()
+    {
+        for (int k = 0; k <= kPasses; ++k) {
+            for (const auto s : _changed[k])
+                _rec[k][s] = _trial[k][s];
+        }
+        _recMoved = _trialMoved;
+        _cost = _trialCost;
+    }
+
+  private:
+    /** Corners after initialisation (0) and after each pass. */
+    using Passes = std::array<std::vector<GridPoint>, kPasses + 1>;
+    /** Switches that moved in each pass. */
+    using Moves = std::array<std::uint32_t, kPasses + 1>;
+
+    /** Initialise and relax every switch: the full evaluation. */
+    void
+    relaxAll(const std::vector<GridPoint> &procTile, Passes &corners,
+             Moves &moved) const
+    {
+        // Each switch starts at the first corner of its first proc's
+        // tile (every switch owns at least one proc after partitioning;
+        // guard anyway).
+        for (core::SwitchId s = 0; s < _design.numSwitches; ++s) {
+            const auto &members = _design.switchProcs[s];
+            corners[0][s] =
+                members.empty() ? GridPoint{} : procTile[members.front()];
+        }
+        moved[0] = 0;
+        int pass = 1;
+        for (; pass <= kPasses; ++pass) {
+            moved[pass] = 0;
+            for (core::SwitchId s = 0; s < _design.numSwitches; ++s) {
+                corners[pass][s] = snap(s, procTile, corners[pass],
+                                        corners[pass - 1]);
+                moved[pass] += corners[pass][s] != corners[pass - 1][s];
+            }
+            if (!moved[pass])
+                break;
+        }
+        for (int k = pass + 1; k <= kPasses; ++k) {
+            corners[k] = corners[pass];
+            moved[k] = 0;
+        }
     }
 
     std::uint32_t
@@ -174,22 +295,28 @@ class PlacementCost
         return cost;
     }
 
-  private:
-    /** Snap switch @p s to its best member-tile corner; true if it moved. */
-    bool
-    relaxSwitch(core::SwitchId s, const std::vector<GridPoint> &procTile,
-                std::vector<GridPoint> &corners) const
+    /**
+     * Best member-tile corner of switch @p s, given the corners of this
+     * pass (@p cur, for lower ids) and of the previous one (@p prev, for
+     * s and higher ids). A switch without procs stays where it was.
+     */
+    GridPoint
+    snap(core::SwitchId s, const std::vector<GridPoint> &procTile,
+         const std::vector<GridPoint> &cur,
+         const std::vector<GridPoint> &prev) const
     {
         const auto &members = _design.switchProcs[s];
         std::uint32_t bestCost = static_cast<std::uint32_t>(-1);
-        GridPoint bestCorner = corners[s];
+        GridPoint bestCorner = prev[s];
         for (const auto p : members) {
             for (const auto &offset : kCornerOffsets) {
                 const GridPoint cand{procTile[p].x + offset.x,
                                      procTile[p].y + offset.y};
                 std::uint32_t cost = 0;
-                for (const auto &[other, links] : _incident[s])
-                    cost += links * manhattan(cand, corners[other]);
+                for (const auto &[other, links] : _incident[s]) {
+                    cost += links * manhattan(cand, other < s ? cur[other]
+                                                              : prev[other]);
+                }
                 for (const auto q : members)
                     cost += tileCornerDistance(procTile[q], cand);
                 if (cost < bestCost) {
@@ -198,15 +325,150 @@ class PlacementCost
                 }
             }
         }
-        const bool moved = bestCorner != corners[s];
-        corners[s] = bestCorner;
-        return moved;
+        return bestCorner;
+    }
+
+    /** Queue switch @p s for recomputation in pass @p k. */
+    void
+    mark(int k, core::SwitchId s)
+    {
+        _dirty[k][s / 64] |= std::uint64_t{1} << (s % 64);
+    }
+
+    /** Set the trial's pass-@p k corner of @p s; true if the record's differs. */
+    bool
+    put(int k, core::SwitchId s, const GridPoint &corner)
+    {
+        if (corner == _rec[k][s])
+            return false;
+        _trial[k][s] = corner;
+        _changed[k].push_back(s);
+        return true;
+    }
+
+    /**
+     * Set the pass-@p k corner of @p s; if it differs from the record's,
+     * queue the relaxations that read it: higher-id neighbours in this
+     * pass, itself and lower-id neighbours in the next.
+     */
+    void
+    update(int k, core::SwitchId s, const GridPoint &corner)
+    {
+        if (!put(k, s, corner))
+            return;
+        const bool next = k < kPasses;
+        if (next)
+            mark(k + 1, s);
+        for (const auto &[other, links] : _incident[s]) {
+            if (other < s && next)
+                mark(k + 1, other);
+            else if (other > s && k > 0)
+                mark(k, other);
+        }
+    }
+
+    /**
+     * Switches the trial moved in pass @p k: the record's count,
+     * corrected where the trial changed either corner it compares.
+     */
+    std::uint32_t
+    countMoved(int k) const
+    {
+        std::int64_t moved = _recMoved[k];
+        const auto correct = [&](core::SwitchId s) {
+            moved += (_trial[k][s] != _trial[k - 1][s]) -
+                     (_rec[k][s] != _rec[k - 1][s]);
+        };
+        for (const auto s : _changed[k])
+            correct(s);
+        for (const auto s : _changed[k - 1]) {
+            if (_trial[k][s] == _rec[k][s])
+                correct(s);
+        }
+        return static_cast<std::uint32_t>(moved);
+    }
+
+    /**
+     * The trial stopped after pass @p last (past kPasses if every pass
+     * moved), so its corners stand for every later pass.
+     */
+    void
+    extendFixedPoint(int last)
+    {
+        // Where the record too was fixed by then, its later passes
+        // repeat pass `last`, and only the trial's changes differ.
+        const bool recordFixed = last < kPasses && !_recMoved[last + 1];
+        for (int k = last + 1; k <= kPasses; ++k) {
+            std::fill(_dirty[k].begin(), _dirty[k].end(), 0);
+            _trialMoved[k] = 0;
+            if (recordFixed) {
+                for (const auto s : _changed[last])
+                    put(k, s, _trial[last][s]);
+            } else {
+                for (core::SwitchId s = 0; s < _design.numSwitches; ++s)
+                    put(k, s, _trial[last][s]);
+            }
+        }
+    }
+
+    /** Record's cost plus the change over the moved switches and homes. */
+    std::uint32_t
+    costAfterSwap(const std::vector<GridPoint> &procTile, core::ProcId a,
+                  core::ProcId b, const core::SwitchId *homes,
+                  int numHomes) const
+    {
+        const auto &now = _trial[kPasses];
+        const auto &was = _rec[kPasses];
+        const auto moved = [&](core::SwitchId s) { return now[s] != was[s]; };
+        std::int64_t delta = 0;
+        const auto members = [&](core::SwitchId s) {
+            for (const auto q : _design.switchProcs[s]) {
+                const auto &tileWas =
+                    q == a ? procTile[b] : q == b ? procTile[a] : procTile[q];
+                delta += static_cast<std::int64_t>(
+                             tileCornerDistance(procTile[q], now[s])) -
+                         tileCornerDistance(tileWas, was[s]);
+            }
+        };
+        for (const auto s : _changed[kPasses]) {
+            for (const auto &[other, links] : _incident[s]) {
+                if (other < s && moved(other))
+                    continue; // counted from the other end
+                delta += static_cast<std::int64_t>(links) *
+                         (static_cast<std::int64_t>(
+                              manhattan(now[s], now[other])) -
+                          manhattan(was[s], was[other]));
+            }
+            members(s);
+        }
+        for (int i = 0; i < numHomes; ++i) {
+            if (!moved(homes[i]))
+                members(homes[i]);
+        }
+        return static_cast<std::uint32_t>(_cost + delta);
     }
 
     const core::FinalizedDesign &_design;
     /** (other switch, links) of each switch's pipes; self-loops once. */
     std::vector<std::vector<std::pair<core::SwitchId, std::uint32_t>>>
         _incident;
+    /** The committed evaluation. */
+    Passes _rec;
+    Moves _recMoved{};
+    std::uint32_t _cost = 0;
+    /** The trial: the record's corners except at _changed. */
+    Passes _trial;
+    Moves _trialMoved{};
+    std::uint32_t _trialCost = 0;
+    /** Switches whose trial corner differs from the record's, by pass. */
+    std::array<std::vector<core::SwitchId>, kPasses + 1> _changed;
+    /** Bitmaps of the switches a trial recomputes, by pass (0 unused). */
+    std::array<std::vector<std::uint64_t>, kPasses + 1> _dirty;
+#ifdef MINNOC_SANITIZE
+    /** A full relaxation of each trial, to check it against. */
+    Passes _check;
+    Moves _checkMoved{};
+#endif
 };
 
 } // namespace
@@ -252,10 +514,7 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
     }
 
     // Simulated annealing over processor tile swaps.
-    PlacementCost evaluator(design);
-    std::vector<GridPoint> corners;
-    std::vector<GridPoint> trial;
-    std::uint32_t cost = evaluator.evaluate(plan.procTile, corners);
+    PlacementCost evaluator(design, plan.procTile);
     Rng rng(config.seed);
     double temperature = kT0;
     for (std::uint32_t sweep = 0; sweep < kSweeps; ++sweep) {
@@ -268,15 +527,13 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
             if (a == b)
                 continue;
             std::swap(plan.procTile[a], plan.procTile[b]);
-            const std::uint32_t newCost =
-                evaluator.evaluate(plan.procTile, trial);
-            const auto delta = static_cast<double>(newCost) -
-                               static_cast<double>(cost);
+            const auto delta =
+                static_cast<double>(evaluator.trySwap(plan.procTile, a, b)) -
+                static_cast<double>(evaluator.cost());
             if (delta <= 0 ||
                 rng.chance(std::exp(-delta /
                                     std::max(temperature, 1e-9)))) {
-                cost = newCost;
-                corners.swap(trial);
+                evaluator.accept();
             } else {
                 std::swap(plan.procTile[a], plan.procTile[b]);
             }
@@ -289,19 +546,16 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
         for (core::ProcId a = 0; a < design.numProcs; ++a) {
             for (core::ProcId b = a + 1; b < design.numProcs; ++b) {
                 std::swap(plan.procTile[a], plan.procTile[b]);
-                const std::uint32_t newCost =
-                    evaluator.evaluate(plan.procTile, trial);
-                if (newCost < cost) {
-                    cost = newCost;
-                    corners.swap(trial);
-                } else {
+                if (evaluator.trySwap(plan.procTile, a, b) <
+                    evaluator.cost())
+                    evaluator.accept();
+                else
                     std::swap(plan.procTile[a], plan.procTile[b]);
-                }
             }
         }
     }
 
-    plan.switchCorner = corners;
+    plan.switchCorner = evaluator.corners();
     plan.switchArea = design.numSwitches;
     // A full-duplex connection of Manhattan distance d costs d units of
     // area (Figure 6); a lone unidirectional channel costs half that.
