@@ -34,6 +34,21 @@ head -1 "$DIR/cg.design" | grep -q "minnoc-design 1"
     | grep -q "deadlocks=0"
 "$MINNOC" simulate "$DIR/cg.trace" --network mesh | grep -q "exec="
 
+# A traced design simulation shows where its set-up went: the
+# floorplan and build spans precede the simulator's epochs. Tracing
+# leaves the metrics dump as it is.
+"$MINNOC" simulate "$DIR/cg.trace" --network "$DIR/cg.design" \
+    --metrics-out "$DIR/sim_metrics.json" >/dev/null
+"$MINNOC" simulate "$DIR/cg.trace" --network "$DIR/cg.design" \
+    --metrics-out "$DIR/sim_metrics_traced.json" \
+    --chrome-trace "$DIR/sim_trace.json" >/dev/null
+cmp "$DIR/sim_metrics.json" "$DIR/sim_metrics_traced.json"
+lint_json "$DIR/sim_trace.json"
+if grep -q '"name": "epoch"' "$DIR/sim_trace.json"; then
+    grep -q '"name": "floorplan"' "$DIR/sim_trace.json"
+    grep -q '"name": "build"' "$DIR/sim_trace.json"
+fi
+
 # Section 4's comparison: the crossbar, mesh, torus and generated lines
 # of `compare` are pinned, and identical at any thread count.
 GOLDEN="$(dirname "$0")/golden"

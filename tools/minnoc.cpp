@@ -468,6 +468,12 @@ cmdSimulate(const Args &args)
         fatal("simulate: missing trace file");
     const auto tr = loadTrace(args.positional[0]);
     const auto name = args.get("network", "mesh");
+    // The network's set-up gets the "floorplan" and "build" spans of
+    // sim::evaluateDesign, next to the simulator's epochs.
+    obs::TraceEventLog traceLog;
+    obs::TraceEventLog *spans =
+        args.has("chrome-trace") ? &traceLog : nullptr;
+    auto t = obs::spanStart(spans);
     auto net = topo::buildBaseline(name, tr.numRanks());
     if (!net) {
         // Otherwise: a design file.
@@ -475,8 +481,13 @@ cmdSimulate(const Args &args)
         if (design.numProcs != tr.numRanks())
             fatal("design '", name, "' is for ", design.numProcs,
                   " procs but the trace has ", tr.numRanks());
-        net = topo::buildFromDesign(design, topo::planFloor(design));
+        t = obs::spanStart(spans);
+        const auto plan = topo::planFloor(design);
+        obs::spanEnd(spans, obs::kPidDse, "floorplan", 0, t);
+        t = obs::spanStart(spans);
+        net = topo::buildFromDesign(design, plan);
     }
+    obs::spanEnd(spans, obs::kPidDse, "build", 0, t);
 
     sim::SimConfig scfg;
     scfg.maxRecoveries = args.getU32("max-recoveries", scfg.maxRecoveries);
@@ -513,7 +524,6 @@ cmdSimulate(const Args &args)
     }
     if (observe) {
         obs::MetricsRegistry metrics;
-        obs::TraceEventLog traceLog;
         observer.exportTo(metrics);
         observer.exportTrace(traceLog);
         exportObservability(args, metrics, traceLog);
