@@ -146,6 +146,15 @@ class PlacementCost
             if (pipe.key.b != pipe.key.a)
                 _incident[pipe.key.b].emplace_back(pipe.key.a, pipe.links);
         }
+        for (core::SwitchId s = 0; s < design.numSwitches; ++s) {
+            auto &adj = _incident[s];
+            std::sort(adj.begin(), adj.end());
+            _numLower.push_back(static_cast<std::uint32_t>(
+                std::lower_bound(adj.begin(), adj.end(),
+                                 std::pair<core::SwitchId, std::uint32_t>(
+                                     s, 0)) -
+                adj.begin()));
+        }
         const std::size_t words = (design.numSwitches + 63) / 64;
         for (int k = 0; k <= kPasses; ++k) {
             _rec[k].resize(design.numSwitches);
@@ -306,6 +315,8 @@ class PlacementCost
          const std::vector<GridPoint> &prev) const
     {
         const auto &members = _design.switchProcs[s];
+        const auto &adj = _incident[s];
+        const std::size_t numLower = _numLower[s];
         std::uint32_t bestCost = static_cast<std::uint32_t>(-1);
         GridPoint bestCorner = prev[s];
         for (const auto p : members) {
@@ -313,10 +324,10 @@ class PlacementCost
                 const GridPoint cand{procTile[p].x + offset.x,
                                      procTile[p].y + offset.y};
                 std::uint32_t cost = 0;
-                for (const auto &[other, links] : _incident[s]) {
-                    cost += links * manhattan(cand, other < s ? cur[other]
-                                                              : prev[other]);
-                }
+                for (std::size_t i = 0; i < numLower; ++i)
+                    cost += adj[i].second * manhattan(cand, cur[adj[i].first]);
+                for (std::size_t i = numLower; i < adj.size(); ++i)
+                    cost += adj[i].second * manhattan(cand, prev[adj[i].first]);
                 for (const auto q : members)
                     cost += tileCornerDistance(procTile[q], cand);
                 if (cost < bestCost) {
@@ -449,9 +460,14 @@ class PlacementCost
     }
 
     const core::FinalizedDesign &_design;
-    /** (other switch, links) of each switch's pipes; self-loops once. */
+    /**
+     * (other switch, links) of each switch's pipes in id order;
+     * self-loops once.
+     */
     std::vector<std::vector<std::pair<core::SwitchId, std::uint32_t>>>
         _incident;
+    /** How many of each switch's pipes lead to a lower id. */
+    std::vector<std::uint32_t> _numLower;
     /** The committed evaluation. */
     Passes _rec;
     Moves _recMoved{};
