@@ -148,12 +148,11 @@ class PlacementCost
         }
         for (core::SwitchId s = 0; s < design.numSwitches; ++s) {
             auto &adj = _incident[s];
-            std::sort(adj.begin(), adj.end());
-            _numLower.push_back(static_cast<std::uint32_t>(
-                std::lower_bound(adj.begin(), adj.end(),
-                                 std::pair<core::SwitchId, std::uint32_t>(
-                                     s, 0)) -
-                adj.begin()));
+            const auto higher = std::partition(
+                adj.begin(), adj.end(),
+                [s](const auto &pipe) { return pipe.first < s; });
+            _numLower.push_back(
+                static_cast<std::uint32_t>(higher - adj.begin()));
         }
         const std::size_t words = (design.numSwitches + 63) / 64;
         for (int k = 0; k <= kPasses; ++k) {
@@ -231,10 +230,10 @@ class PlacementCost
                       " gives other pass-", k,
                       " corners than a full relaxation");
         }
-        if (totalCost(procTile, _check[kPasses]) != _trialCost)
+        if (const auto full = totalCost(procTile, _check[kPasses]);
+            full != _trialCost)
             panic("floorplan: swapping procs ", a, " and ", b, " costs ",
-                  _trialCost, " incrementally, ",
-                  totalCost(procTile, _check[kPasses]), " in full");
+                  _trialCost, " incrementally, ", full, " in full");
 #endif
         return _trialCost;
     }
@@ -346,7 +345,10 @@ class PlacementCost
         _dirty[k][s / 64] |= std::uint64_t{1} << (s % 64);
     }
 
-    /** Set the trial's pass-@p k corner of @p s; true if the record's differs. */
+    /**
+     * Set the trial's pass-@p k corner of @p s; true if it differs from
+     * the record's.
+     */
     bool
     put(int k, core::SwitchId s, const GridPoint &corner)
     {
@@ -461,8 +463,8 @@ class PlacementCost
 
     const core::FinalizedDesign &_design;
     /**
-     * (other switch, links) of each switch's pipes in id order;
-     * self-loops once.
+     * (other switch, links) of each switch's pipes, those to lower ids
+     * first; self-loops once.
      */
     std::vector<std::vector<std::pair<core::SwitchId, std::uint32_t>>>
         _incident;
