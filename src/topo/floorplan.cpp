@@ -130,8 +130,8 @@ constexpr int kPasses = 3;
  * snap() differs from the record's at that pass: its member tiles, its
  * lower-id neighbours' pass-k corners, or its higher-id neighbours' and
  * its own pass-(k-1) corners. Every other switch keeps the record's
- * corner. snap() is deterministic, so a trial's corners, moves and cost
- * equal those of a full relaxation.
+ * corner. snap() is deterministic, so a trial's corners, the pass it
+ * stops after and its cost equal those of a full relaxation.
  */
 class PlacementCost
 {
@@ -160,7 +160,7 @@ class PlacementCost
             _changed[k].reserve(design.numSwitches);
             _dirty[k].assign(words, 0);
         }
-        relaxAll(procTile, _rec, _recMoved);
+        relaxAll(procTile, _rec);
         _trial = _rec;
         _cost = totalCost(procTile, _rec[kPasses]);
 #ifdef MINNOC_SANITIZE
@@ -215,17 +215,16 @@ class PlacementCost
                            snap(s, procTile, _trial[pass], _trial[pass - 1]));
                 }
             }
-            _trialMoved[pass] = countMoved(pass);
-            if (!_trialMoved[pass])
+            if (_trial[pass] == _trial[pass - 1])
                 break;
         }
         extendFixedPoint(pass);
         _trialCost = costAfterSwap(procTile, a, b, homes, numHomes);
 
 #ifdef MINNOC_SANITIZE
-        relaxAll(procTile, _check, _checkMoved);
+        relaxAll(procTile, _check);
         for (int k = 0; k <= kPasses; ++k) {
-            if (_check[k] != _trial[k] || _checkMoved[k] != _trialMoved[k])
+            if (_check[k] != _trial[k])
                 panic("floorplan: swapping procs ", a, " and ", b,
                       " gives other pass-", k,
                       " corners than a full relaxation");
@@ -246,20 +245,16 @@ class PlacementCost
             for (const auto s : _changed[k])
                 _rec[k][s] = _trial[k][s];
         }
-        _recMoved = _trialMoved;
         _cost = _trialCost;
     }
 
   private:
     /** Corners after initialisation (0) and after each pass. */
     using Passes = std::array<std::vector<GridPoint>, kPasses + 1>;
-    /** Switches that moved in each pass. */
-    using Moves = std::array<std::uint32_t, kPasses + 1>;
 
     /** Initialise and relax every switch: the full evaluation. */
     void
-    relaxAll(const std::vector<GridPoint> &procTile, Passes &corners,
-             Moves &moved) const
+    relaxAll(const std::vector<GridPoint> &procTile, Passes &corners) const
     {
         // Each switch starts at the first corner of its first proc's
         // tile (every switch owns at least one proc after partitioning;
@@ -269,22 +264,17 @@ class PlacementCost
             corners[0][s] =
                 members.empty() ? GridPoint{} : procTile[members.front()];
         }
-        moved[0] = 0;
         int pass = 1;
         for (; pass <= kPasses; ++pass) {
-            moved[pass] = 0;
             for (core::SwitchId s = 0; s < _design.numSwitches; ++s) {
                 corners[pass][s] = snap(s, procTile, corners[pass],
                                         corners[pass - 1]);
-                moved[pass] += corners[pass][s] != corners[pass - 1][s];
             }
-            if (!moved[pass])
+            if (corners[pass] == corners[pass - 1])
                 break;
         }
-        for (int k = pass + 1; k <= kPasses; ++k) {
+        for (int k = pass + 1; k <= kPasses; ++k)
             corners[k] = corners[pass];
-            moved[k] = 0;
-        }
     }
 
     std::uint32_t
@@ -381,46 +371,16 @@ class PlacementCost
     }
 
     /**
-     * Switches the trial moved in pass @p k: the record's count,
-     * corrected where the trial changed either corner it compares.
-     */
-    std::uint32_t
-    countMoved(int k) const
-    {
-        std::int64_t moved = _recMoved[k];
-        const auto correct = [&](core::SwitchId s) {
-            moved += (_trial[k][s] != _trial[k - 1][s]) -
-                     (_rec[k][s] != _rec[k - 1][s]);
-        };
-        for (const auto s : _changed[k])
-            correct(s);
-        for (const auto s : _changed[k - 1]) {
-            if (_trial[k][s] == _rec[k][s])
-                correct(s);
-        }
-        return static_cast<std::uint32_t>(moved);
-    }
-
-    /**
      * The trial stopped after pass @p last (past kPasses if every pass
      * moved), so its corners stand for every later pass.
      */
     void
     extendFixedPoint(int last)
     {
-        // Where the record too was fixed by then, its later passes
-        // repeat pass `last`, and only the trial's changes differ.
-        const bool recordFixed = last < kPasses && !_recMoved[last + 1];
         for (int k = last + 1; k <= kPasses; ++k) {
             std::fill(_dirty[k].begin(), _dirty[k].end(), 0);
-            _trialMoved[k] = 0;
-            if (recordFixed) {
-                for (const auto s : _changed[last])
-                    put(k, s, _trial[last][s]);
-            } else {
-                for (core::SwitchId s = 0; s < _design.numSwitches; ++s)
-                    put(k, s, _trial[last][s]);
-            }
+            for (core::SwitchId s = 0; s < _design.numSwitches; ++s)
+                put(k, s, _trial[last][s]);
         }
     }
 
@@ -472,11 +432,9 @@ class PlacementCost
     std::vector<std::uint32_t> _numLower;
     /** The committed evaluation. */
     Passes _rec;
-    Moves _recMoved{};
     std::uint32_t _cost = 0;
     /** The trial: the record's corners except at _changed. */
     Passes _trial;
-    Moves _trialMoved{};
     std::uint32_t _trialCost = 0;
     /** Switches whose trial corner differs from the record's, by pass. */
     std::array<std::vector<core::SwitchId>, kPasses + 1> _changed;
@@ -485,7 +443,6 @@ class PlacementCost
 #ifdef MINNOC_SANITIZE
     /** A full relaxation of each trial, to check it against. */
     Passes _check;
-    Moves _checkMoved{};
 #endif
 };
 

@@ -15,7 +15,11 @@
  *    corner of its tile and costs the corner distance otherwise.
  *
  * Placement of the generated (irregular) networks is automated with
- * simulated annealing over processor-to-tile assignments.
+ * simulated annealing over processor-to-tile swaps and a greedy
+ * pairwise-swap polish. Each candidate is scored with every switch
+ * snapped to its cheapest member-tile corner; a swap recomputes only
+ * the switches whose snap it disturbs, and scores exactly as snapping
+ * them all would (DESIGN.md §5 item 6).
  */
 
 #ifndef MINNOC_TOPO_FLOORPLAN_HPP
