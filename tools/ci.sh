@@ -13,7 +13,9 @@
 #     hence the second tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
-#     and the simulator golden corpus, floorplan plan pins, routing
+#     and the simulator golden corpus, floorplan plan pins (the NAS
+#     16-rank designs, the CG-64 and BT-36 perfbench designs, a
+#     128-rank neighbor design and a switch without processors), routing
 #     path pins (mesh and crossbar, plus the irregular tables: the
 #     design fallback, up*/down* and degraded routing, RoutingBytes.*
 #     in test_routing), route consolidation and repair pins, scale pins,
@@ -45,7 +47,9 @@
 #  8. Scale-curve smoke: the hierarchical partitioner synthesizes
 #     256-rank designs under ASan/UBSan within a wall-time budget,
 #     every design Theorem-1-verified; the curve JSON lands in the
-#     build dir.
+#     build dir. Then `minnoc simulate` floorplans a 128-rank design,
+#     where the sanitized build rescores every tile swap by a full
+#     relaxation and panics on any difference.
 #  9. Distributed explore (ASan) over `--hosts` (loopback `minnoc
 #     serve` daemons): a cold sweep over two daemons must be
 #     byte-identical to the in-process run with no host failures, its
@@ -263,6 +267,18 @@ echo "scale_curve wall time: ${elapsed}s (budget ${scale_budget}s)"
 grep -q '"verified": false' "$build/scale_curve.json" &&
     { echo "FAIL: scale_curve JSON contains unverified designs"; exit 1; }
 echo "scale curve artifact: $build/scale_curve.json"
+cmake --build "$build" -j "$jobs" --target minnoc
+"$build/tools/minnoc" gen --scale-pattern neighbor --ranks 128 \
+    --out "$build/ci-neighbor128.trace"
+# Exit 2: no restart met the degree bound; the best effort is kept.
+rc=0
+"$build/tools/minnoc" design "$build/ci-neighbor128.trace" --restarts 2 \
+    --out "$build/ci-neighbor128.design" >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 0 ] || [ "$rc" -eq 2 ] ||
+    { echo "FAIL: 128-rank neighbor design exited $rc"; exit 1; }
+"$build/tools/minnoc" simulate "$build/ci-neighbor128.trace" \
+    --network "$build/ci-neighbor128.design" | grep -q "deadlocks=0" ||
+    { echo "FAIL: 128-rank neighbor simulation"; exit 1; }
 
 echo "=== phase 9: distributed explore (ASan) ==="
 cmake --build "$build" -j "$jobs" --target minnoc
