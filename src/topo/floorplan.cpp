@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -190,12 +191,12 @@ class PlacementCost
                 _trial[k][s] = _rec[k][s];
             _changed[k].clear();
         }
-        const core::SwitchId homes[] = {_design.procHome[a],
-                                        _design.procHome[b]};
-        const int numHomes = homes[0] == homes[1] ? 1 : 2;
-        for (int i = 0; i < numHomes; ++i) {
+        const core::SwitchId homeIds[] = {_design.procHome[a],
+                                          _design.procHome[b]};
+        const std::span<const core::SwitchId> homes(
+            homeIds, homeIds[0] == homeIds[1] ? 1 : 2);
+        for (const auto s : homes) {
             // Their member tiles are inputs of every pass.
-            const auto s = homes[i];
             update(0, s, procTile[_design.switchProcs[s].front()]);
             for (int k = 1; k <= kPasses; ++k)
                 mark(k, s);
@@ -219,7 +220,7 @@ class PlacementCost
                 break;
         }
         extendFixedPoint(pass);
-        _trialCost = costAfterSwap(procTile, a, b, homes, numHomes);
+        _trialCost = costAfterSwap(procTile, a, b, homes);
 
 #ifdef MINNOC_SANITIZE
         relaxAll(procTile, _check);
@@ -387,8 +388,8 @@ class PlacementCost
     /** Record's cost plus the change over the moved switches and homes. */
     std::uint32_t
     costAfterSwap(const std::vector<GridPoint> &procTile, core::ProcId a,
-                  core::ProcId b, const core::SwitchId *homes,
-                  int numHomes) const
+                  core::ProcId b,
+                  std::span<const core::SwitchId> homes) const
     {
         const auto &now = _trial[kPasses];
         const auto &was = _rec[kPasses];
@@ -414,9 +415,9 @@ class PlacementCost
             }
             members(s);
         }
-        for (int i = 0; i < numHomes; ++i) {
-            if (!moved(homes[i]))
-                members(homes[i]);
+        for (const auto s : homes) {
+            if (!moved(s))
+                members(s);
         }
         return static_cast<std::uint32_t>(_cost + delta);
     }
