@@ -309,12 +309,10 @@ TEST(FloorplanBytes, SwitchWithoutProcessors)
     design.numProcs = 12;
     design.numSwitches = 5;
     design.switchProcs = {{0, 1, 2, 3}, {}, {4, 5, 6}, {7, 8}, {9, 10, 11}};
+    design.procHome.resize(design.numProcs);
     for (core::SwitchId s = 0; s < design.numSwitches; ++s) {
-        for (const auto p : design.switchProcs[s]) {
-            design.procHome.resize(std::max<std::size_t>(
-                design.procHome.size(), p + 1));
+        for (const auto p : design.switchProcs[s])
             design.procHome[p] = s;
-        }
     }
     const auto pipe = [&](core::SwitchId a, core::SwitchId b,
                           std::uint32_t links) {
