@@ -5,9 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "core/design_io.hpp"
+#include "dse/cache.hpp"
 #include "sim/trace_driver.hpp"
 #include "topo/builders.hpp"
+#include "topo/floorplan.hpp"
 #include "trace/nas_generators.hpp"
+#include "trace/scale_patterns.hpp"
 
 using namespace minnoc;
 using namespace minnoc::sim;
@@ -160,4 +169,91 @@ TEST(TraceDriver, DeterministicAcrossRuns)
     const auto b = runTrace(tr, *mesh.topo, *mesh.routing);
     EXPECT_EQ(a.execTime, b.execTime);
     EXPECT_EQ(a.commTime, b.commTime);
+}
+
+namespace {
+
+/**
+ * Digest of what the driver's schedule decides: each rank's finish and
+ * communication time, the cycles the network was stepped and the
+ * flits each link carried. A rank woken a cycle early or late moves it.
+ */
+std::string
+scheduleDigest(const Trace &tr, const topo::BuiltNetwork &net,
+               const FaultConfig &faults = {})
+{
+    Network network(*net.topo, *net.routing, SimConfig{},
+                    FaultModel(*net.topo, faults));
+    const auto res = runTrace(tr, network);
+    std::ostringstream oss;
+    const auto list = [&](const char *key, const auto &values) {
+        oss << key << "=";
+        for (std::size_t i = 0; i < values.size(); ++i)
+            oss << (i ? "," : "") << values[i];
+        oss << "\n";
+    };
+    list("finish_times", res.finishTime);
+    list("comm_times", res.commTime);
+    oss << "stepped_cycles=" << network.steppedCycles() << "\n";
+    list("link_flits", res.linkFlits);
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(dse::fnv1a64(oss.str())));
+    return buf;
+}
+
+} // namespace
+
+TEST(ScheduleBytes, Neighbor128Mesh)
+{
+    // More ranks than one 64-bit word holds: a rank set spans words.
+    const auto tr = minnoc::trace::traceFromCliques(
+        minnoc::trace::makeScalePattern("neighbor", 128), "neighbor-128",
+        1024, 2);
+    EXPECT_EQ(scheduleDigest(tr, topo::buildMesh(128)), "badf14527b7e67ad");
+}
+
+TEST(ScheduleBytes, DisconnectedFromStart)
+{
+    // Proc 5's ejection and proc 9's injection fail before the first
+    // cycle: every send to 5 and every send from 9 is dropped as it is
+    // enqueued, waking a receiver whose id lies below or above the
+    // sender's in the same pass.
+    minnoc::trace::NasConfig cfg;
+    cfg.ranks = 16;
+    cfg.iterations = 1;
+    cfg.seed = 1;
+    const auto tr = generateBenchmark(minnoc::trace::Benchmark::CG, cfg);
+    const auto mesh = topo::buildMesh(16);
+    FaultConfig faults;
+    faults.failLinks = {mesh.topo->ejectionLink(5),
+                        mesh.topo->injectionLink(9)};
+    const auto res = runTrace(tr, *mesh.topo, *mesh.routing, SimConfig{},
+                              faults);
+    bool lowerDst = false;
+    bool higherDst = false;
+    for (const auto &[src, dst] : res.undeliverableChannels) {
+        lowerDst |= dst < src;
+        higherDst |= dst > src;
+    }
+    EXPECT_TRUE(lowerDst);
+    EXPECT_TRUE(higherDst);
+    EXPECT_EQ(scheduleDigest(tr, mesh, faults), "d9bc757cd3abfe4a");
+}
+
+TEST(ScheduleBytes, CG64PerfbenchDesign)
+{
+    // Contended: 64 ranks on the 64-switch generated design, where
+    // senders spend most cycles waiting for their tail to inject.
+    std::ifstream file(std::string(MINNOC_TESTS_DIR) +
+                       "/../perfbench/data/cg64_design.txt");
+    ASSERT_TRUE(file);
+    const auto design = core::loadDesign(file);
+    minnoc::trace::NasConfig cfg;
+    cfg.ranks = 64;
+    cfg.iterations = 1;
+    cfg.seed = 1;
+    const auto tr = generateBenchmark(minnoc::trace::Benchmark::CG, cfg);
+    const auto net = topo::buildFromDesign(design, topo::planFloor(design));
+    EXPECT_EQ(scheduleDigest(tr, net), "589e1e1871ef73ed");
 }
