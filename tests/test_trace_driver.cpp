@@ -217,8 +217,8 @@ TEST(ScheduleBytes, DisconnectedFromStart)
 {
     // Proc 5's ejection and proc 9's injection fail before the first
     // cycle: every send to 5 and every send from 9 is dropped as it is
-    // enqueued, waking a receiver whose id lies below or above the
-    // sender's in the same pass.
+    // enqueued, so channels with receivers below and above their
+    // senders are lost.
     minnoc::trace::NasConfig cfg;
     cfg.ranks = 16;
     cfg.iterations = 1;
@@ -239,6 +239,33 @@ TEST(ScheduleBytes, DisconnectedFromStart)
     EXPECT_TRUE(lowerDst);
     EXPECT_TRUE(higherDst);
     EXPECT_EQ(scheduleDigest(tr, mesh, faults), "d9bc757cd3abfe4a");
+}
+
+TEST(ScheduleBytes, MidPassWakes)
+{
+    // Proc 2's injection fails before the first cycle. Ranks 0, 5 and 70
+    // already wait on it when it sends, so each send is dropped as it is
+    // enqueued and wakes a receiver in the middle of the ranks' pass:
+    // 5 (above 2, same 64-rank word) and 70 (above, next word) in the
+    // same pass, 0 (below) in the next cycle.
+    Trace t("mid-pass", 72);
+    for (const core::ProcId r : {0u, 5u, 70u}) {
+        t.push(r, TraceOp::recv(2, 64, r));
+        t.push(r, TraceOp::send(1, 64, 100 + r));
+    }
+    t.push(2, TraceOp::compute(100));
+    for (const core::ProcId r : {5u, 0u, 70u})
+        t.push(2, TraceOp::send(r, 64, r));
+    for (const core::ProcId r : {0u, 5u, 70u})
+        t.push(1, TraceOp::recv(r, 64, 100 + r));
+    const auto net = topo::buildCrossbar(72);
+    FaultConfig faults;
+    faults.failLinks = {net.topo->injectionLink(2)};
+    const auto res =
+        runTrace(t, *net.topo, *net.routing, SimConfig{}, faults);
+    EXPECT_EQ(res.recvsLost, 3u);
+    EXPECT_EQ(res.packetsDelivered, 3u);
+    EXPECT_EQ(scheduleDigest(t, net, faults), "41e3cb504d8910c2");
 }
 
 TEST(ScheduleBytes, CG64PerfbenchDesign)
