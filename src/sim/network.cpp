@@ -252,10 +252,11 @@ void
 Network::arriveFlits(Cycle now)
 {
     // Ascending link order is observable: a corruption NACK delivered
-    // here purges the packet's traffic on other links mid-pass.
+    // here purges the packet's traffic on other links mid-pass. Nothing
+    // in the walk inserts into this bucket (every delay is at least 1
+    // and below the wheel size), so it is cleared once afterwards.
     auto &due = _flitWheel[now & _wheelMask];
     due.forEach([&](std::size_t i) {
-        due.erase(i);
         const auto l = static_cast<topo::LinkId>(i);
         const LinkState &link = _links[l];
         InFlit &entry = _inFlight[link.ring + (now & link.ringMask)];
@@ -283,6 +284,7 @@ Network::arriveFlits(Cycle now)
         ++_stats.bufferWrites;
         _packets[id].lastProgress = now;
     });
+    due.clear();
 }
 
 std::uint32_t
@@ -479,9 +481,18 @@ Network::switchAllocation(Cycle now)
         };
         // Round-robin over the ready requesters, counted first so that
         // no list of them is built. rr % n, and (rr + 1) % n after it,
-        // without dividing in the common case rr < n.
+        // without dividing in the common case rr < n. A lone requester
+        // is checked once: n is 1 (pick 0, rr becomes 0) or 0 (rr
+        // stays).
         const auto &list = _requesters[out];
         auto &rr = _links[out].rrReq;
+        if (list.size() == 1) {
+            if (ready(list.front())) {
+                rr = 0;
+                forwardFlit(list.front().link, list.front().vc, now);
+            }
+            return;
+        }
         const auto n = static_cast<std::uint32_t>(
             std::count_if(list.begin(), list.end(), ready));
         if (n == 0)
@@ -530,6 +541,7 @@ Network::injectFromSources(Cycle now)
             src.queue.pop_front();
             --_queuedPackets;
             src.vc = kNoVc;
+            _wakes.push_back(pkt.id); // its sender may stop blocking
         }
     });
 }

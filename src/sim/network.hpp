@@ -25,6 +25,7 @@
 #ifndef MINNOC_SIM_NETWORK_HPP
 #define MINNOC_SIM_NETWORK_HPP
 
+#include <algorithm>
 #include <bit>
 #include <deque>
 #include <memory>
@@ -143,6 +144,62 @@ struct NetworkStats
 };
 
 /**
+ * Set of dense indices (links, procs, (link, VC) slots, ranks), visited
+ * in ascending order. forEach() reads each 64-bit word once, so the
+ * visitor may erase members freely; a member inserted during the walk
+ * is visited only if its word has not been read yet. A walk that must
+ * see every member inserted above its position steps with next().
+ */
+class IndexSet
+{
+  public:
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    void resize(std::size_t n) { _words.assign((n + 63) / 64, 0); }
+    void insert(std::size_t i) { _words[i / 64] |= bit(i); }
+    void erase(std::size_t i) { _words[i / 64] &= ~bit(i); }
+    void clear() { std::fill(_words.begin(), _words.end(), 0); }
+    bool contains(std::size_t i) const
+    {
+        return (_words[i / 64] & bit(i)) != 0;
+    }
+
+    /** Smallest member >= @p i, or npos. */
+    std::size_t
+    next(std::size_t i) const
+    {
+        std::size_t w = i / 64;
+        if (w >= _words.size())
+            return npos;
+        std::uint64_t m = _words[w] & (~std::uint64_t{0} << (i % 64));
+        while (m == 0) {
+            if (++w == _words.size())
+                return npos;
+            m = _words[w];
+        }
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+    }
+
+    template <class Visit>
+    void
+    forEach(Visit &&visit)
+    {
+        for (std::size_t w = 0; w < _words.size(); ++w) {
+            for (std::uint64_t m = _words[w]; m != 0; m &= m - 1)
+                visit(w * 64 + static_cast<std::size_t>(
+                                   std::countr_zero(m)));
+        }
+    }
+
+  private:
+    static std::uint64_t bit(std::size_t i)
+    {
+        return std::uint64_t{1} << (i % 64);
+    }
+    std::vector<std::uint64_t> _words;
+};
+
+/**
  * The network: topology + routing + router state. Driven one cycle at
  * a time by step(); the trace engine enqueues packets and polls
  * delivery.
@@ -200,9 +257,11 @@ class Network
     void skipLostDelivery(FlowId f);
 
     /**
-     * Packets delivered or dropped since clearWakes(), in event order.
-     * A receiver blocked on a flow need not look again before a packet
-     * of that flow shows up here.
+     * Packets whose tail flit left the source NI, or that were
+     * delivered or dropped, since clearWakes(), in event order. A
+     * sender blocked on a packet's injection, and a receiver blocked
+     * on a flow, need not look again before a packet of theirs shows
+     * up here.
      */
     const std::vector<PacketId> &wakes() const { return _wakes; }
     void clearWakes() { _wakes.clear(); }
@@ -243,42 +302,6 @@ class Network
 
   private:
     static constexpr std::uint32_t kNoVc = static_cast<std::uint32_t>(-1);
-
-    /**
-     * Set of dense indices (links, procs, (link, VC) slots), visited in
-     * ascending order. forEach() reads each 64-bit word once, so the
-     * visitor may erase members freely; a member inserted during the
-     * walk is visited only if its word has not been read yet.
-     */
-    class IndexSet
-    {
-      public:
-        void resize(std::size_t n) { _words.assign((n + 63) / 64, 0); }
-        void insert(std::size_t i) { _words[i / 64] |= bit(i); }
-        void erase(std::size_t i) { _words[i / 64] &= ~bit(i); }
-        bool contains(std::size_t i) const
-        {
-            return (_words[i / 64] & bit(i)) != 0;
-        }
-
-        template <class Visit>
-        void
-        forEach(Visit &&visit)
-        {
-            for (std::size_t w = 0; w < _words.size(); ++w) {
-                for (std::uint64_t m = _words[w]; m != 0; m &= m - 1)
-                    visit(w * 64 + static_cast<std::size_t>(
-                                       std::countr_zero(m)));
-            }
-        }
-
-      private:
-        static std::uint64_t bit(std::size_t i)
-        {
-            return std::uint64_t{1} << (i % 64);
-        }
-        std::vector<std::uint64_t> _words;
-    };
 
     /** Per-link state, with the topology facts the flit path needs. */
     struct LinkState
@@ -437,7 +460,7 @@ class Network
     std::vector<Flow> _flows;
     /** (dst << 32 | src) -> FlowId: O(channels), never P². */
     std::unordered_map<std::uint64_t, FlowId> _flowIds;
-    /** Packets delivered or dropped since clearWakes(). */
+    /** Packets tail-injected, delivered or dropped since clearWakes(). */
     std::vector<PacketId> _wakes;
 
     /*

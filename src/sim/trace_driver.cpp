@@ -53,8 +53,6 @@ struct RankState
     Cycle finishedAt = -1;
     /** Flow a WaitRecv rank waits on. */
     FlowId waitFlow = 0;
-    /** A delivery or drop it waits on since the rank was last polled. */
-    bool woken = false;
 
     /** True when the rank can only be unblocked by the clock. */
     bool
@@ -63,19 +61,16 @@ struct RankState
         return phase == Phase::Busy || phase == Phase::SendOverhead ||
                phase == Phase::RecvOverhead;
     }
+};
 
-    /**
-     * True when polling could change the rank at @p now. A rank in
-     * WaitRecv checked its flow when it entered the phase; only a
-     * delivery or drop on that flow can unblock it.
-     */
-    bool
-    due(Cycle now) const
-    {
-        if (phase == Phase::WaitRecv)
-            return woken;
-        return phase != Phase::Done && (!timeBound() || now >= readyAt);
-    }
+/** A time-bound rank's wake-up: the cycle its phase ends. */
+struct Timer
+{
+    Cycle at;
+    core::ProcId rank;
+
+    /** Heap order: the earliest cycle on top. */
+    bool operator<(const Timer &o) const { return at > o.at; }
 };
 
 } // namespace
@@ -91,6 +86,17 @@ runTrace(const trace::Trace &trace, Network &network)
     std::uint64_t recvsLost = 0;
     std::set<std::pair<core::ProcId, core::ProcId>> lostChannels;
     std::uint32_t ranksDone = 0;
+    std::uint32_t ranksInRecv = 0; ///< ranks in WaitRecv
+
+    // Every rank is polled only when something may have moved it: the
+    // ranks in `due` (all of them at the start, then those woken by a
+    // packet event), and a time-bound rank once its timer fires. Each
+    // time-bound rank has exactly one entry in `timers`.
+    IndexSet due;
+    due.resize(ranks);
+    for (core::ProcId r = 0; r < ranks; ++r)
+        due.insert(r);
+    std::vector<Timer> timers;
 
     auto progress = [&](core::ProcId r, Cycle now) {
         auto &st = state[r];
@@ -124,6 +130,7 @@ runTrace(const trace::Trace &trace, Network &network)
                     st.opStart = now;
                     st.phase = RankState::Phase::WaitRecv;
                     st.waitFlow = network.flow(r, op.peer);
+                    ++ranksInRecv;
                 }
                 break;
               }
@@ -150,6 +157,7 @@ runTrace(const trace::Trace &trace, Network &network)
                     network.consumeDelivered(st.waitFlow);
                     st.readyAt = now + cfg.recvOverhead;
                     st.phase = RankState::Phase::RecvOverhead;
+                    --ranksInRecv;
                     break;
                 }
                 if (network.nextDeliveryLost(st.waitFlow)) {
@@ -163,6 +171,7 @@ runTrace(const trace::Trace &trace, Network &network)
                     st.commTime += now - st.opStart;
                     ++st.cursor;
                     st.phase = RankState::Phase::Ready;
+                    --ranksInRecv;
                     break;
                 }
                 return;
@@ -178,13 +187,20 @@ runTrace(const trace::Trace &trace, Network &network)
         }
     };
 
-    // Mark the ranks a delivered or dropped packet may unblock.
+    // Mark the ranks a packet event may unblock: its sender once the
+    // tail is injected (or the packet dropped), its receiver once it is
+    // delivered or dropped.
     auto wake = [&] {
         for (const PacketId id : network.wakes()) {
             const Packet &pkt = network.packet(id);
-            auto &dst = state[pkt.dst];
-            dst.woken |= dst.phase == RankState::Phase::WaitRecv &&
-                         dst.waitFlow == pkt.flow;
+            const auto &src = state[pkt.src];
+            if (src.phase == RankState::Phase::WaitInject &&
+                src.pending == id)
+                due.insert(pkt.src);
+            const auto &dst = state[pkt.dst];
+            if (dst.phase == RankState::Phase::WaitRecv &&
+                dst.waitFlow == pkt.flow && (pkt.delivered() || pkt.dropped))
+                due.insert(pkt.dst);
         }
         network.clearWakes();
     };
@@ -208,24 +224,59 @@ runTrace(const trace::Trace &trace, Network &network)
             cfg.cancel->checkpoint();
         network.step(now);
         wake();
+        while (!timers.empty() && timers.front().at <= now) {
+            due.insert(timers.front().rank);
+            std::pop_heap(timers.begin(), timers.end());
+            timers.pop_back();
+        }
 
         // Ascending rank order: enqueues made here number the packets.
-        for (core::ProcId r = 0; r < ranks; ++r) {
-            if (state[r].due(now)) {
-                state[r].woken = false;
-                progress(r, now);
-                wake(); // an enqueue may drop a packet on a dead channel
+        // The set is re-read after each rank, so a rank woken during
+        // the pass (an enqueue may drop a packet on a dead channel) is
+        // visited in it if its id is higher, next cycle if lower, as a
+        // poll of every rank in order would.
+        for (std::size_t i = due.next(0); i != IndexSet::npos;
+             i = due.next(i + 1)) {
+            const auto r = static_cast<core::ProcId>(i);
+            due.erase(r);
+            progress(r, now);
+            if (state[r].timeBound()) {
+                timers.push_back({state[r].readyAt, r});
+                std::push_heap(timers.begin(), timers.end());
             }
+            wake();
         }
 #ifdef MINNOC_SANITIZE
         // A rank left asleep could have moved: a wake-up went missing.
-        for (const auto &st : state) {
-            if (st.phase == RankState::Phase::WaitRecv &&
-                (network.hasDelivered(st.waitFlow) ||
-                 network.nextDeliveryLost(st.waitFlow)) &&
-                !st.woken)
-                panic("runTrace invariant: a rank sleeps through the "
-                      "event it waits on");
+        {
+            std::vector<Cycle> timerAt(ranks, -1);
+            for (const auto &t : timers)
+                timerAt[t.rank] = t.at;
+            std::size_t timeBound = 0;
+            std::uint32_t inRecv = 0;
+            for (core::ProcId r = 0; r < ranks; ++r) {
+                const auto &st = state[r];
+                bool movable = false;
+                if (st.phase == RankState::Phase::WaitRecv) {
+                    ++inRecv;
+                    movable = network.hasDelivered(st.waitFlow) ||
+                              network.nextDeliveryLost(st.waitFlow);
+                } else if (st.phase == RankState::Phase::WaitInject) {
+                    movable = network.injected(st.pending);
+                }
+                if (movable && !due.contains(r))
+                    panic("runTrace invariant: a rank sleeps through the "
+                          "event it waits on");
+                if (st.timeBound()) {
+                    ++timeBound;
+                    if (timerAt[r] != st.readyAt)
+                        panic("runTrace invariant: a rank waits on the "
+                              "clock with no timer");
+                }
+            }
+            if (timeBound != timers.size() || inRecv != ranksInRecv)
+                panic("runTrace invariant: timers or receive count out of "
+                      "step");
         }
 #endif
         if (ranksDone == ranks && network.idle())
@@ -233,33 +284,17 @@ runTrace(const trace::Trace &trace, Network &network)
 
         // Fast-forward through pure-compute stretches: when the network
         // is empty and every live rank is waiting on the clock, jump to
-        // the earliest wake-up. If the network is empty and every live
+        // the earliest timer. If the network is empty and every live
         // rank is blocked in a receive, the trace itself deadlocked.
         if (network.idle()) {
-            Cycle next = -1;
-            bool allTimeBound = true;
-            bool allWaitRecv = true;
-            bool anyLive = false;
-            for (const auto &st : state) {
-                if (st.phase == RankState::Phase::Done)
-                    continue;
-                anyLive = true;
-                if (st.timeBound()) {
-                    allWaitRecv = false;
-                    if (next < 0 || st.readyAt < next)
-                        next = st.readyAt;
-                } else {
-                    allTimeBound = false;
-                    if (st.phase != RankState::Phase::WaitRecv)
-                        allWaitRecv = false;
-                }
-            }
-            if (anyLive && allWaitRecv)
+            const std::uint32_t live = ranks - ranksDone;
+            if (live != 0 && ranksInRecv == live)
                 fatal("runTrace: trace '", trace.name(),
                       "' deadlocked: all live ranks blocked in recv "
                       "with an empty network");
-            if (anyLive && allTimeBound && next > now + 1)
-                now = next - 1;
+            if (live != 0 && timers.size() == live &&
+                timers.front().at > now + 1)
+                now = timers.front().at - 1;
         }
     }
 
