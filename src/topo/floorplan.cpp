@@ -517,18 +517,25 @@ planFloor(const core::FinalizedDesign &design, const FloorplanConfig &config)
         temperature *= kAlpha;
     }
 
-    // Final greedy polish (temperature zero).
+    // Final greedy polish (temperature zero), at most two passes. A pass
+    // that accepts no swap leaves the placement, and so every trial of
+    // the next pass, as it was: stop there.
     for (int pass = 0; pass < 2; ++pass) {
+        bool accepted = false;
         for (core::ProcId a = 0; a < design.numProcs; ++a) {
             for (core::ProcId b = a + 1; b < design.numProcs; ++b) {
                 std::swap(plan.procTile[a], plan.procTile[b]);
                 if (evaluator.trySwap(plan.procTile, a, b) <
-                    evaluator.cost())
+                    evaluator.cost()) {
                     evaluator.accept();
-                else
+                    accepted = true;
+                } else {
                     std::swap(plan.procTile[a], plan.procTile[b]);
+                }
             }
         }
+        if (!accepted)
+            break;
     }
 
     plan.switchCorner = evaluator.corners();
