@@ -13,7 +13,10 @@
 #     hence the second tree.
 #  3. Release build tree running the partitioner_perf benchmark on one
 #     small pattern as a smoke test (its JSON lands in the build dir),
-#     and the simulator golden corpus, floorplan plan pins (the NAS
+#     and the simulator golden corpus, the trace driver's schedule
+#     pins (ScheduleBytes.*: 128 ranks, a disconnected start, wakes in
+#     the middle of the rank pass, CG-64 on its perfbench design),
+#     floorplan plan pins (the NAS
 #     16-rank designs, the CG-64 and BT-36 perfbench designs, a
 #     128-rank neighbor design and a switch without processors), routing
 #     path pins (mesh and crossbar, plus the irregular tables: the
@@ -47,9 +50,11 @@
 #  8. Scale-curve smoke: the hierarchical partitioner synthesizes
 #     256-rank designs under ASan/UBSan within a wall-time budget,
 #     every design Theorem-1-verified; the curve JSON lands in the
-#     build dir. Then `minnoc simulate` floorplans a 128-rank design,
-#     where the sanitized build rescores every tile swap by a full
-#     relaxation and panics on any difference.
+#     build dir. Then `minnoc simulate` floorplans and simulates a
+#     128-rank design, where the sanitized build rescores every tile
+#     swap by a full relaxation and checks every cycle that no rank
+#     sleeps through the event or timer it waits on, panicking on any
+#     difference; its stdout must equal phase 3's Release build's.
 #  9. Distributed explore (ASan) over `--hosts` (loopback `minnoc
 #     serve` daemons): a cold sweep over two daemons must be
 #     byte-identical to the in-process run with no host failures, its
@@ -119,11 +124,12 @@ cmake -S "$repo" -B "$build_bench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_bench" -j "$jobs" --target partitioner_perf \
     test_sim_golden test_floorplan test_routing test_route_bytes \
     test_scale test_eval_bytes test_dse test_dist test_golden_designs \
-    test_merge
+    test_merge test_trace_driver
 "$build_bench/bench/partitioner_perf" \
     --bench CG --ranks 8 --iterations 1 \
     --out "$build_bench/partitioner_perf.json"
 "$build_bench/tests/test_sim_golden"
+"$build_bench/tests/test_trace_driver" --gtest_filter='ScheduleBytes.*'
 "$build_bench/tests/test_floorplan"
 "$build_bench/tests/test_routing"
 "$build_bench/tests/test_route_bytes"
@@ -277,8 +283,17 @@ rc=0
 [ "$rc" -eq 0 ] || [ "$rc" -eq 2 ] ||
     { echo "FAIL: 128-rank neighbor design exited $rc"; exit 1; }
 "$build/tools/minnoc" simulate "$build/ci-neighbor128.trace" \
-    --network "$build/ci-neighbor128.design" | grep -q "deadlocks=0" ||
+    --network "$build/ci-neighbor128.design" \
+    >"$build/ci-neighbor128.sim"
+grep -q "deadlocks=0" "$build/ci-neighbor128.sim" ||
     { echo "FAIL: 128-rank neighbor simulation"; exit 1; }
+# The cross-checked build and the fast one must agree byte for byte
+# over a rank set that spans two 64-bit words.
+"$build_bench/tools/minnoc" simulate "$build/ci-neighbor128.trace" \
+    --network "$build/ci-neighbor128.design" \
+    >"$build_bench/ci-neighbor128.sim"
+cmp "$build/ci-neighbor128.sim" "$build_bench/ci-neighbor128.sim" ||
+    { echo "FAIL: sanitized and Release 128-rank simulations differ"; exit 1; }
 
 echo "=== phase 9: distributed explore (ASan) ==="
 cmake --build "$build" -j "$jobs" --target minnoc
