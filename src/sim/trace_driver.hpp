@@ -7,7 +7,9 @@
  * blocking until its packet is fully injected, and blocking on receives
  * until the matching message is absorbed (plus the receive overhead).
  * Reported metrics match the paper's Figure 8: total execution time and
- * per-rank communication time (waiting + overhead included).
+ * per-rank communication time (waiting + overhead included). A rank is
+ * polled only when a packet event (its tail injected, a delivery or a
+ * drop) or the end of its timed phase can move it (DESIGN.md §5m).
  */
 
 #ifndef MINNOC_SIM_TRACE_DRIVER_HPP
