@@ -1,7 +1,8 @@
 /**
  * @file
  * Distributed exploration tests: the shard result round trip, the
- * pinned bytes of a shard and a phase-row result, the check that a
+ * pinned bytes of a shard and a phase-row result and of the
+ * `dse_shard` and `phase_job` request lines, the check that a
  * result document is of the kind its request asked for,
  * byte-identity of the coordinator's merged report against the
  * in-process explorer (across lane counts, warm shared caches, and a
@@ -21,6 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <thread>
+
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include "dist/coordinator.hpp"
 #include "dist_test_harness.hpp"
@@ -30,6 +36,7 @@
 #include "trace/scale_patterns.hpp"
 #include "trace/synthetic.hpp"
 #include "util/cancel.hpp"
+#include "util/json.hpp"
 
 using namespace minnoc;
 using namespace minnoc::dist;
@@ -93,6 +100,101 @@ totalJobs(const DistStats &stats)
     for (const auto n : stats.jobs)
         jobs += n;
     return jobs;
+}
+
+/**
+ * A loopback host that accepts one connection, keeps the first request
+ * line sent on it and hangs up. The coordinator then records the lane
+ * as failed and runs its requests in-process, so the run completes.
+ */
+class RecordingListener
+{
+  public:
+    RecordingListener()
+    {
+        _fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        auto *sa = reinterpret_cast<sockaddr *>(&addr);
+        socklen_t len = sizeof addr;
+        if (::bind(_fd, sa, len) == 0 && ::listen(_fd, 4) == 0 &&
+            ::getsockname(_fd, sa, &len) == 0)
+            _port = ntohs(addr.sin_port);
+        _reader = std::thread([this] {
+            const int conn = ::accept(_fd, nullptr, nullptr);
+            if (conn < 0)
+                return;
+            char buf[65536];
+            std::size_t nl = std::string::npos;
+            while (nl == std::string::npos) {
+                const ssize_t got = ::read(conn, buf, sizeof buf);
+                if (got <= 0)
+                    break;
+                _line.append(buf, static_cast<std::size_t>(got));
+                nl = _line.find('\n');
+            }
+            if (nl != std::string::npos)
+                _line.resize(nl + 1);
+            ::close(conn);
+        });
+    }
+    ~RecordingListener()
+    {
+        ::shutdown(_fd, SHUT_RDWR); // ends an accept still waiting
+        if (_reader.joinable())
+            _reader.join();
+        ::close(_fd);
+    }
+
+    RecordingListener(const RecordingListener &) = delete;
+    RecordingListener &operator=(const RecordingListener &) = delete;
+
+    HostSpec host() const { return {"127.0.0.1", _port}; }
+
+    /** The first line received, its newline included. */
+    std::string firstLine()
+    {
+        _reader.join();
+        return _line;
+    }
+
+  private:
+    int _fd = -1;
+    std::uint16_t _port = 0;
+    std::string _line;
+    std::thread _reader; ///< after what it uses
+};
+
+/** @p tr in Trace::save form, escaped as a JSON string body. */
+std::string
+traceJson(const trace::Trace &tr)
+{
+    std::ostringstream os;
+    tr.save(os);
+    return json::escape(os.str());
+}
+
+/** The first `dse_shard` line exploreDistributed sends for @p cfg. */
+std::string
+firstShardLine(const trace::Trace &tr, const dse::ExploreConfig &cfg)
+{
+    RecordingListener host;
+    DistOptions opt;
+    opt.hosts = {host.host()};
+    opt.workerTimeoutMs = 60'000;
+    exploreDistributed(tr, cfg, opt);
+    return host.firstLine();
+}
+
+/** One shard of four points: two directions by two VC counts. */
+dse::ExploreConfig
+oneShardConfig()
+{
+    auto cfg = smallConfig("", false);
+    cfg.grid.maxDegrees = {4};
+    cfg.grid.unidirectional = {0, 1};
+    return cfg;
 }
 
 } // namespace
@@ -254,6 +356,81 @@ TEST(DistProtocol, ShardResultIsNotAPhaseRow)
                                          serve::Cmd::PhaseJob, err)
                      .has_value());
     EXPECT_NE(err.find("row"), std::string::npos) << err;
+}
+
+TEST(DistProtocol, ShardRequestBytesArePinned)
+{
+    // The exact line a daemon receives for a one-shard sweep, captured
+    // on the socket: field order, number formats and the deadline the
+    // activity timeout sets.
+    const auto tr = cgTrace();
+    const std::string pinned =
+        "{\"id\": \"0\", \"cmd\": \"dse_shard\", \"attempt\": 1, "
+        "\"job_index\": 0, \"sig\": \"8530019886204859755\", "
+        "\"degrees\": [4], \"restarts\": [2], \"seeds\": [1], "
+        "\"unidirectional\": [0, 1], \"vcs\": [2, 3], \"vc_depth\": 4, "
+        "\"phase_windows\": [0], \"reconfig_cost\": 500, "
+        "\"threshold\": 0.40000000000000002, \"min_phase_windows\": 2, "
+        "\"deadline_ms\": 60000, \"trace\": \"";
+    EXPECT_EQ(firstShardLine(tr, oneShardConfig()),
+              pinned + traceJson(tr) + "\"}\n");
+}
+
+TEST(DistProtocol, ActivityShardRequestBytesArePinned)
+{
+    // `power` travels only when it is not the default tier.
+    const auto tr = cgTrace();
+    auto cfg = oneShardConfig();
+    cfg.power.kind = topo::PowerModelKind::Activity;
+    cfg.grid.seeds = {7};
+    cfg.phaseReconfigCost = 750;
+    cfg.phaseSegmenter.mergeThreshold = 0.35;
+    const std::string pinned =
+        "{\"id\": \"0\", \"cmd\": \"dse_shard\", \"attempt\": 1, "
+        "\"job_index\": 0, \"sig\": \"12888452469074124037\", "
+        "\"degrees\": [4], \"restarts\": [2], \"seeds\": [7], "
+        "\"unidirectional\": [0, 1], \"vcs\": [2, 3], \"vc_depth\": 4, "
+        "\"phase_windows\": [0], \"reconfig_cost\": 750, "
+        "\"threshold\": 0.34999999999999998, \"min_phase_windows\": 2, "
+        "\"power\": \"activity\", \"deadline_ms\": 60000, \"trace\": \"";
+    EXPECT_EQ(firstShardLine(tr, cfg), pinned + traceJson(tr) + "\"}\n");
+}
+
+TEST(DistProtocol, PhaseJobRequestBytesArePinned)
+{
+    const auto tr = trace::phaseShift(
+        {trace::Pattern::Neighbor, trace::Pattern::Transpose});
+    phase::PhaseEvalConfig cfg;
+    cfg.methodology.partitioner.constraints.maxDegree = 6;
+    cfg.methodology.restarts = 2;
+    cfg.methodology.partitioner.seed = 3;
+    cfg.power.kind = topo::PowerModelKind::Activity;
+    cfg.reconfigCost = 900;
+    cfg.threads = 1;
+
+    RecordingListener host;
+    DistOptions opt;
+    opt.hosts = {host.host()};
+    opt.workerTimeoutMs = 45'000;
+    evaluatePhasesDistributed(tr, cfg, opt);
+    const std::string pinned =
+        "{\"id\": \"0\", \"cmd\": \"phase_job\", \"attempt\": 1, "
+        "\"job_index\": 0, "
+        "\"sig\": \"deg=6;pps=0;seed=3;imb=2;splits=0;mps=0;anneal=0;"
+        "t0=2;alpha=0.85;mpl=8;opt=1;cons=1;cp=4;ucost=0;"
+        "budget=2000000;uni=0;rounds=8;reduce=1;restarts=2;merge=1|"
+        "fpseed=1;sweeps=64;t0=4;alpha=0.92000000000000004|esw=1;"
+        "ewire=0.5;lsw=0.00050000000000000001;"
+        "lwire=0.00020000000000000001;act=1;ebw=0.34999999999999998;"
+        "ebr=0.25;exb=0.59999999999999998;etg=0.45000000000000001;"
+        "lbuf=0.0001|vcs=3;vcd=4;flit=4;so=10;ro=10;dto=50000;dp=200;"
+        "dsi=512;rec=64;max=2000000000|win=64;"
+        "thresh=0.40000000000000002;minwin=2;mw=0.5;rc=900\", "
+        "\"window\": 64, \"threshold\": 0.40000000000000002, "
+        "\"min_phase_windows\": 2, \"max_degree\": 6, \"restarts\": 2, "
+        "\"seed\": 3, \"reconfig_cost\": 900, \"expected_phases\": 2, "
+        "\"power\": \"activity\", \"deadline_ms\": 45000, \"trace\": \"";
+    EXPECT_EQ(host.firstLine(), pinned + traceJson(tr) + "\"}\n");
 }
 
 TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
