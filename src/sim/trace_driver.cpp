@@ -285,10 +285,13 @@ runTrace(const trace::Trace &trace, Network &network)
         // Fast-forward through pure-compute stretches: when the network
         // is empty and every live rank is waiting on the clock, jump to
         // the earliest timer. If the network is empty and every live
-        // rank is blocked in a receive, the trace itself deadlocked.
+        // rank is blocked in a receive with none due (a packet dropped
+        // at enqueue wakes its receiver for the next cycle), the trace
+        // itself deadlocked.
         if (network.idle()) {
             const std::uint32_t live = ranks - ranksDone;
-            if (live != 0 && ranksInRecv == live)
+            if (live != 0 && ranksInRecv == live &&
+                due.next(0) == IndexSet::npos)
                 fatal("runTrace: trace '", trace.name(),
                       "' deadlocked: all live ranks blocked in recv "
                       "with an empty network");

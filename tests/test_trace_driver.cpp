@@ -105,6 +105,32 @@ TEST(TraceDriver, DeadlockedTraceFatal)
                 ::testing::ExitedWithCode(1), "deadlocked");
 }
 
+TEST(TraceDriver, DropAtEnqueueWakeIsNotADeadlock)
+{
+    // Proc 2's injection is dead. Its send to rank 0 is dropped as it
+    // is enqueued, which wakes rank 0 (below 2) for the next cycle, and
+    // rank 2 then blocks in its own receive. The network is idle and
+    // every live rank waits in a receive, but rank 0 is due: the run
+    // must go on, lose that receive and finish.
+    Trace t("drop-wake", 3);
+    t.push(0, TraceOp::recv(2, 64, 0));
+    t.push(0, TraceOp::send(1, 64, 1));
+    t.push(1, TraceOp::recv(0, 64, 1));
+    t.push(1, TraceOp::send(2, 64, 2));
+    t.push(2, TraceOp::compute(50));
+    t.push(2, TraceOp::send(0, 64, 0));
+    t.push(2, TraceOp::recv(1, 64, 2));
+    const auto built = topo::buildCrossbar(3);
+    FaultConfig faults;
+    faults.failLinks = {built.topo->injectionLink(2)};
+    const auto res =
+        runTrace(t, *built.topo, *built.routing, SimConfig{}, faults);
+    EXPECT_EQ(res.recvsLost, 1u);
+    EXPECT_EQ(res.packetsDropped, 1u);
+    EXPECT_EQ(res.packetsDelivered, 2u);
+    EXPECT_DOUBLE_EQ(res.deliveredFraction, 2.0 / 3.0);
+}
+
 TEST(TraceDriver, ResultAggregates)
 {
     SimResult res;
