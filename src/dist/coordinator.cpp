@@ -53,19 +53,55 @@ struct Lane
 };
 
 /**
- * One serve request line for request @p r, up to (not including) the
- * `deadline_ms` and `trace` fields, which runShards appends.
+ * Point @p req at request @p r: its id, job index and, for a shard,
+ * its sub-grid and signature. Everything else is the run's.
  */
-using RequestBuilder = std::function<std::string(std::uint32_t r,
-                                                 std::uint32_t attempt)>;
+using RequestSetter =
+    std::function<void(serve::Request &req, std::uint32_t r)>;
 /** Run one request in-process, as a daemon would. */
 using LocalRunner = std::function<WorkerReply(std::uint32_t r)>;
 using ResultHandler = std::function<void(const WorkerMsg &msg)>;
 
+/** How long a lane may neither answer nor take a byte. */
+std::int64_t
+activityTimeoutMs(const DistOptions &options)
+{
+    return std::max<std::int64_t>(options.workerTimeoutMs, 1);
+}
+
+/**
+ * The run's @p cmd request over @p traceText. The activity timeout
+ * doubles as its deadline (within the protocol's ceiling).
+ */
+serve::Request
+jobRequest(serve::Cmd cmd, std::string traceText, const DistOptions &options)
+{
+    serve::Request req;
+    req.cmd = cmd;
+    req.traceText = std::move(traceText);
+    req.deadlineMs =
+        std::min(activityTimeoutMs(options), serve::kMaxDeadlineMs);
+    return req;
+}
+
+/**
+ * Refuse what a daemon would refuse before any host is contacted: run
+ * @p req's line through the daemon's own parser, and throw
+ * std::runtime_error with its message on an error.
+ */
+void
+checkRequest(const serve::Request &req)
+{
+    serve::RequestError error;
+    if (!serve::parseRequest(serve::requestLine(req), error))
+        throw std::runtime_error("dist: " + error.message);
+}
+
 /**
  * Drive every lane to completion. @p requests lists the job indices
  * each request covers, in dealing order; they are dealt round-robin
- * over the hosts. Each lane sends its requests as @p cmd lines (at
+ * over the hosts. Request r is sent as the line of @p req after
+ * @p setRequest points it at r. Each lane sends its requests (at
  * most kWindow in flight) whenever its socket takes bytes, polls it,
  * dispatches the result documents, and is closed when it fails or
  * hangs (neither answers nor takes a byte for the activity timeout),
@@ -77,16 +113,13 @@ using ResultHandler = std::function<void(const WorkerMsg &msg)>;
  * shard fails twice.
  */
 void
-runShards(serve::Cmd cmd,
-          const std::vector<std::vector<std::uint32_t>> &requests,
+runShards(const std::vector<std::vector<std::uint32_t>> &requests,
           const DistOptions &options, const CancelToken *cancel,
-          const std::string &traceText, const RequestBuilder &makeRequest,
+          serve::Request &req, const RequestSetter &setRequest,
           const LocalRunner &runLocal, const ResultHandler &onResult,
           DistStats &stats, obs::TraceEventLog *traceLog)
 {
-    const std::int64_t timeoutMs =
-        std::max<std::int64_t>(options.workerTimeoutMs, 1);
-    const std::string traceJson = json::escape(traceText);
+    const std::int64_t timeoutMs = activityTimeoutMs(options);
     const auto &hosts = options.hosts;
     // A host that failed once is never retried: its replacement lane
     // must not inherit the same fault.
@@ -112,11 +145,6 @@ runShards(serve::Cmd cmd,
     } closeLanes(lanes);
     std::vector<std::uint32_t> local; ///< requests for the in-process lane
 
-    // The activity timeout doubles as the request deadline (within
-    // the protocol's ceiling).
-    const std::string deadlineField =
-        ", \"deadline_ms\": " +
-        std::to_string(std::min(timeoutMs, serve::kMaxDeadlineMs));
     // Write what the socket takes without blocking: the request line in
     // progress, then the next ones while fewer than kWindow are in
     // flight. A peer that stops reading leaves the rest in `out` for
@@ -127,9 +155,9 @@ runShards(serve::Cmd cmd,
                 if (w.unsent.empty() ||
                     w.pending.size() - w.unsent.size() >= kWindow)
                     return;
-                w.out = makeRequest(w.unsent.front(), w.attempt) +
-                        deadlineField + ", \"trace\": \"" + traceJson +
-                        "\"}\n";
+                setRequest(req, w.unsent.front());
+                req.attempt = w.attempt;
+                w.out = serve::requestLine(req);
                 w.unsent.pop_front();
             }
             const ssize_t n =
@@ -264,8 +292,8 @@ runShards(serve::Cmd cmd,
             if (traceLog) {
                 const std::int64_t arrival = obs::wallMicros();
                 traceLog->complete(
-                    std::string(cmd == serve::Cmd::PhaseJob ? "phase "
-                                                            : "shard ") +
+                    std::string(req.cmd == serve::Cmd::PhaseJob ? "phase "
+                                                                : "shard ") +
                         std::to_string(reply.results.front().index),
                     obs::kPidDist, slot, arrival - reply.wallUs,
                     std::max<std::int64_t>(reply.wallUs, 1),
@@ -390,12 +418,12 @@ runShards(serve::Cmd cmd,
                     w.errorText = "protocol: unparseable reply";
                 else if (!reply->ok)
                     w.errorText = reply->code + ": " + reply->message;
-                else if (reply->cmd != serve::cmdName(cmd))
+                else if (reply->cmd != serve::cmdName(req.cmd))
                     w.errorText = "protocol: '" + reply->cmd +
-                                  "' reply to a '" + serve::cmdName(cmd) +
-                                  "' request";
-                else if (!(result = serve::parseWorkerReply(reply->result,
-                                                            cmd, err)))
+                                  "' reply to a '" +
+                                  serve::cmdName(req.cmd) + "' request";
+                else if (!(result = serve::parseWorkerReply(
+                               reply->result, req.cmd, err)))
                     w.errorText = "protocol: " + err;
                 else
                     dispatch(slot, *result);
@@ -566,11 +594,6 @@ exploreDistributed(const trace::Trace &trace,
     stats = DistStats{};
 
     if (!jobs.empty()) {
-        for (const auto seed : config.grid.seeds)
-            if (seed > (1ull << 53))
-                fatal("dist: seed ", seed,
-                      " exceeds the wire's exact integer range");
-
         // Deal shards in the order of their first point's cache key
         // (ties by index), so the assignment depends only on workload
         // content and grid, never on timing.
@@ -594,39 +617,20 @@ exploreDistributed(const trace::Trace &trace,
         // One `dse_shard` per shard, its sub-grid in the explore grid
         // fields. `cache_dir` never crosses the socket: a daemon uses
         // its own disk cache, the in-process lane the run's.
-        const auto list = [](const auto &values) {
-            std::string out = "[";
-            for (std::size_t i = 0; i < values.size(); ++i)
-                out += (i ? ", " : "") + std::to_string(values[i]);
-            return out + "]";
+        auto req = jobRequest(serve::Cmd::DseShard, patternBytes, options);
+        const auto setRequest = [&](serve::Request &q, std::uint32_t r) {
+            q.id = std::to_string(r);
+            q.jobIndex = shards[r].front();
+            q.explore = shardConfigs[r];
+            q.sig = serve::shardSignature(q.explore);
         };
-        const auto makeRequest = [&](std::uint32_t r,
-                                     std::uint32_t attempt) {
-            const auto &c = shardConfigs[r];
-            const auto &g = c.grid;
-            std::string out = "{\"id\": \"" + std::to_string(r) +
-                              "\", \"cmd\": \"dse_shard\"";
-            out += ", \"attempt\": " + std::to_string(attempt);
-            out += ", \"job_index\": " + std::to_string(shards[r].front());
-            out += ", \"sig\": \"" + serve::shardSignature(c) + "\"";
-            out += ", \"degrees\": " + list(g.maxDegrees);
-            out += ", \"restarts\": " + list(g.restarts);
-            out += ", \"seeds\": " + list(g.seeds);
-            out += ", \"unidirectional\": " + list(g.unidirectional);
-            out += ", \"vcs\": " + list(g.vcs);
-            out += ", \"vc_depth\": " + std::to_string(g.vcDepth);
-            out += ", \"phase_windows\": " + list(g.phaseWindows);
-            out += ", \"reconfig_cost\": " +
-                   std::to_string(c.phaseReconfigCost);
-            out += ", \"threshold\": " +
-                   json::fmtDouble(c.phaseSegmenter.mergeThreshold);
-            out += ", \"min_phase_windows\": " +
-                   std::to_string(c.phaseSegmenter.minPhaseWindows);
-            if (c.power.kind != topo::PowerModelKind::Static)
-                out += std::string(", \"power\": \"") +
-                       topo::powerModelKindName(c.power.kind) + "\"";
-            return out;
-        };
+        // Shards differ in their grid values, so each line is checked.
+        // A line costs far less to parse than its shard, which replays
+        // the same trace, costs to run.
+        for (std::uint32_t r = 0; r < shards.size(); ++r) {
+            setRequest(req, r);
+            checkRequest(req);
+        }
         const auto runLocal = [&](std::uint32_t r) {
             return serve::runDseShard(trace, shardConfigs[r],
                                       shards[r].front(), nullptr);
@@ -638,9 +642,8 @@ exploreDistributed(const trace::Trace &trace,
             pt.fromCache = msg.cached;
             dse::recordJobPoint(config, msg.index, pt);
         };
-        runShards(serve::Cmd::DseShard, shards, options, config.cancel,
-                  patternBytes, makeRequest, runLocal, onResult, stats,
-                  config.traceLog);
+        runShards(shards, options, config.cancel, req, setRequest, runLocal,
+                  onResult, stats, config.traceLog);
     }
 
     dse::finalizeReport(report, config);
@@ -661,6 +664,16 @@ evaluatePhasesDistributed(const trace::Trace &trace,
     // full workload, so it stays in-process beside the dispatch loop,
     // both on one pool of config.threads workers with every restart,
     // or inline, the whole-trace half first (DESIGN.md §5j).
+    std::ostringstream patternStream;
+    trace.save(patternStream);
+    auto req = jobRequest(serve::Cmd::PhaseJob, patternStream.str(), options);
+    req.phases = config;
+    req.sig = serve::phasesSignature(config);
+    // Checked before the pipeline runs: the phase lines differ only in
+    // their index and phase count, in range for any trace a line can
+    // carry.
+    checkRequest(req);
+
     const auto pool = makePool(config.threads);
     const auto rows = [&](const phase::Segmentation &seg,
                           const phase::PhaseCliques &cliques) {
@@ -668,47 +681,15 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         std::vector<phase::PhaseRowEval> phaseRows(nPhases);
         if (nPhases == 0)
             return phaseRows;
-        if (config.methodology.partitioner.seed > (1ull << 53))
-            fatal("dist: seed ", config.methodology.partitioner.seed,
-                  " exceeds the wire's exact integer range");
-        std::ostringstream patternStream;
-        trace.save(patternStream);
-        const std::string traceText = patternStream.str();
-        const std::string sig = serve::phasesSignature(config);
-
         // One `phase_job` per phase, dealt in phase order.
         std::vector<std::vector<std::uint32_t>> requests(nPhases);
         for (std::uint32_t p = 0; p < nPhases; ++p)
             requests[p] = {p};
 
-        const auto makeRequest = [&](std::uint32_t job,
-                                     std::uint32_t attempt) {
-            std::string out = "{\"id\": \"" + std::to_string(job) +
-                              "\", \"cmd\": \"phase_job\"";
-            out += ", \"attempt\": " + std::to_string(attempt);
-            out += ", \"job_index\": " + std::to_string(job);
-            out += ", \"sig\": \"" + json::escape(sig) + "\"";
-            out += ", \"window\": " +
-                   std::to_string(config.segmenter.windowMessages);
-            out += ", \"threshold\": " +
-                   json::fmtDouble(config.segmenter.mergeThreshold);
-            out += ", \"min_phase_windows\": " +
-                   std::to_string(config.segmenter.minPhaseWindows);
-            out += ", \"max_degree\": " +
-                   std::to_string(config.methodology.partitioner
-                                      .constraints.maxDegree);
-            out += ", \"restarts\": " +
-                   std::to_string(config.methodology.restarts);
-            out += ", \"seed\": " +
-                   std::to_string(config.methodology.partitioner.seed);
-            out += ", \"reconfig_cost\": " +
-                   std::to_string(config.reconfigCost);
-            out += ", \"expected_phases\": " + std::to_string(nPhases);
-            if (config.power.kind != topo::PowerModelKind::Static)
-                out += std::string(", \"power\": \"") +
-                       topo::powerModelKindName(config.power.kind) +
-                       "\"";
-            return out;
+        req.expectedPhases = nPhases;
+        const auto setRequest = [](serve::Request &q, std::uint32_t p) {
+            q.id = std::to_string(p);
+            q.jobIndex = p;
         };
         const auto runLocal = [&](std::uint32_t p) {
             const std::int64_t t0 = CancelToken::nowUs();
@@ -723,9 +704,8 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         const auto onResult = [&](const WorkerMsg &msg) {
             phaseRows.at(msg.index) = msg.row;
         };
-        runShards(serve::Cmd::PhaseJob, requests, options,
-                  config.methodology.cancel, traceText, makeRequest,
-                  runLocal, onResult, stats, config.traceLog);
+        runShards(requests, options, config.methodology.cancel, req,
+                  setRequest, runLocal, onResult, stats, config.traceLog);
         return phaseRows;
     };
 

@@ -1,6 +1,6 @@
 #include "protocol.hpp"
 
-#include <sstream>
+#include <type_traits>
 
 #include "topo/power.hpp"
 #include "util/json.hpp"
@@ -48,44 +48,177 @@ fail(RequestError &error, ErrorCode code, std::string message)
     return std::nullopt;
 }
 
-/** Extract a non-negative integer <= @p max from a JSON number. */
-bool
-asUint(const json::Value &v, std::uint64_t max, std::uint64_t &out)
+/** @p cmd's bit in a Field's command mask. */
+constexpr unsigned
+bit(Cmd cmd)
 {
-    if (!json::isExactInt(v, 0.0, static_cast<double>(max)))
-        return false;
-    out = static_cast<std::uint64_t>(v.asNumber());
-    return true;
+    return 1u << static_cast<unsigned>(cmd);
 }
 
-/** Extract a bounded, non-empty array of integers in [min, max]. */
-bool
-asUintList(const json::Value &v, std::uint64_t minV, std::uint64_t maxV,
-           std::size_t maxLen, std::vector<std::uint64_t> &out)
+constexpr unsigned kGridCmds = bit(Cmd::Explore) | bit(Cmd::DseShard);
+constexpr unsigned kPhaseCmds = bit(Cmd::Phases) | bit(Cmd::PhaseJob);
+constexpr unsigned kJobCmds = bit(Cmd::DseShard) | bit(Cmd::PhaseJob);
+constexpr unsigned kScalarCmds = bit(Cmd::Design) | kPhaseCmds;
+constexpr unsigned kComputeCmds = kScalarCmds | kGridCmds;
+
+/**
+ * One request field: its JSON name, the commands that take it, the
+ * bounds of its value (of each element, for a list; of the length,
+ * for a string) and the error text that follows its quoted name.
+ */
+struct Field
 {
-    if (!v.isArray())
-        return false;
-    const auto &arr = v.asArray();
-    if (arr.empty() || arr.size() > maxLen)
-        return false;
-    out.clear();
-    for (const auto &item : arr) {
-        std::uint64_t u = 0;
-        if (!asUint(item, maxV, u) || u < minV)
+    const char *name;
+    unsigned cmds;
+    double min;
+    double max;
+    const char *what;
+    std::size_t maxLen = kMaxGridList; ///< longest list
+    bool required = false;
+};
+
+/**
+ * Visit every request field of @p req (const or not) as f(field,
+ * member), in wire order: the member is the config value the field
+ * sets. parseRequest reads and requestLine writes through this one
+ * list. `restarts` is a list for a grid and a scalar otherwise, and
+ * `reconfig_cost` keeps its place in each command's line, so both
+ * appear twice.
+ */
+template <class R, class F>
+void
+forEachRequestField(R &req, F &&f)
+{
+    const bool grid = bit(req.cmd) & kGridCmds;
+    auto &g = req.explore.grid;
+    auto &m = req.phases.methodology;
+    auto &segmenter =
+        grid ? req.explore.phaseSegmenter : req.phases.segmenter;
+    constexpr double kSeedMax = json::kMaxExactInt;
+    const char *reconfig = "must be an integer in [0, 1e9]";
+
+    f(Field{"attempt", kJobCmds, 1, 2, "must be an integer in [1, 2]"},
+      req.attempt);
+    f(Field{"job_index", kJobCmds, 0, 4294967295.0,
+            "must be an integer in [0, 2^32)"},
+      req.jobIndex);
+    // The drift guard between coordinator and backend; a job without
+    // one cannot be checked, so it is required.
+    f(Field{"sig", kJobCmds, 1, 1024,
+            "must be a non-empty string of at most 1024 bytes",
+            kMaxGridList, true},
+      req.sig);
+    f(Field{"degrees", kGridCmds, 1, 64,
+            "must be a non-empty array of integers in [1, 64]"},
+      g.maxDegrees);
+    f(Field{"restarts", kGridCmds, 1, 1024,
+            "must be a non-empty array of integers in [1, 1024]"},
+      g.restarts);
+    f(Field{"seeds", kGridCmds, 0, kSeedMax,
+            "must be a non-empty array of non-negative integers"},
+      g.seeds);
+    f(Field{"unidirectional", kGridCmds, 0, 1,
+            "must be a non-empty array of 0/1", kMaxGridDirections},
+      g.unidirectional);
+    f(Field{"vcs", kGridCmds, 1, 32,
+            "must be a non-empty array of integers in [1, 32]"},
+      g.vcs);
+    f(Field{"vc_depth", kGridCmds, 1, 64, "must be an integer in [1, 64]"},
+      g.vcDepth);
+    f(Field{"phase_windows", kGridCmds, 0, 1'000'000,
+            "must be a non-empty array of integers in [0, 1000000]"},
+      g.phaseWindows);
+    f(Field{"reconfig_cost", kGridCmds, 0, 1e9, reconfig},
+      req.explore.phaseReconfigCost);
+    f(Field{"window", kPhaseCmds, 1, 1e9, "must be an integer in [1, 1e9]"},
+      req.phases.segmenter.windowMessages);
+    f(Field{"threshold", bit(Cmd::DseShard) | kPhaseCmds, 0, 1e6,
+            "must be a number in [0, 1e6]"},
+      segmenter.mergeThreshold);
+    f(Field{"min_phase_windows", bit(Cmd::DseShard) | kPhaseCmds, 1, 1e6,
+            "must be an integer in [1, 1e6]"},
+      segmenter.minPhaseWindows);
+    f(Field{"max_degree", kScalarCmds, 1, 64,
+            "must be an integer in [1, 64]"},
+      m.partitioner.constraints.maxDegree);
+    f(Field{"restarts", kScalarCmds, 1, 1024,
+            "must be an integer in [1, 1024]"},
+      m.restarts);
+    f(Field{"seed", kScalarCmds, 0, kSeedMax,
+            "must be a non-negative integer"},
+      m.partitioner.seed);
+    f(Field{"reconfig_cost", kPhaseCmds, 0, 1e9, reconfig},
+      req.phases.reconfigCost);
+    f(Field{"expected_phases", bit(Cmd::PhaseJob), 0, 1e6,
+            "must be an integer in [0, 1e6]"},
+      req.expectedPhases);
+    // Every command that prices a simulated run takes the energy tier
+    // (design emits no energy numbers).
+    f(Field{"power", kGridCmds | kPhaseCmds, 0, 0,
+            "must be 'static' or 'activity'"},
+      grid ? req.explore.power.kind : req.phases.power.kind);
+    f(Field{"deadline_ms", kComputeCmds, 0,
+            static_cast<double>(kMaxDeadlineMs),
+            "must be an integer in [0, 86400000]"},
+      req.deadlineMs);
+}
+
+/** Read @p v into @p out within @p field's bounds; false if it does not fit. */
+template <class T>
+bool
+readValue(const json::Value &v, const Field &field, T &out)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (!v.isString() || v.asString().size() < field.min ||
+            v.asString().size() > field.max)
             return false;
-        out.push_back(u);
+        out = v.asString();
+    } else if constexpr (std::is_same_v<T, topo::PowerModelKind>) {
+        const auto kind = v.isString()
+                              ? topo::powerModelKindFromName(v.asString())
+                              : std::nullopt;
+        if (!kind)
+            return false;
+        out = *kind;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        if (!v.isNumber() || !(v.asNumber() >= field.min) ||
+            !(v.asNumber() <= field.max))
+            return false;
+        out = v.asNumber();
+    } else if constexpr (std::is_integral_v<T>) {
+        if (!json::isExactInt(v, field.min, field.max))
+            return false;
+        out = static_cast<T>(v.asNumber());
+    } else { // a grid list
+        if (!v.isArray() || v.asArray().empty() ||
+            v.asArray().size() > field.maxLen)
+            return false;
+        T list;
+        for (const auto &item : v.asArray())
+            if (!readValue(item, field, list.emplace_back()))
+                return false;
+        out = std::move(list);
     }
     return true;
 }
 
-std::vector<std::uint32_t>
-narrow32(const std::vector<std::uint64_t> &values)
+/** Append @p v to @p out as the JSON value readValue reads back. */
+template <class T>
+void
+writeValue(std::string &out, const T &v)
 {
-    std::vector<std::uint32_t> out;
-    out.reserve(values.size());
-    for (const auto v : values)
-        out.push_back(static_cast<std::uint32_t>(v));
-    return out;
+    if constexpr (std::is_same_v<T, std::string>) {
+        out += '"' + json::escape(v) + '"';
+    } else if constexpr (std::is_same_v<T, topo::PowerModelKind>) {
+        out += std::string("\"") + topo::powerModelKindName(v) + '"';
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        out += json::fmtValue(v);
+    } else {
+        out += '[';
+        for (std::size_t i = 0; i < v.size(); ++i)
+            out += (i ? ", " : "") + json::fmtValue(v[i]);
+        out += ']';
+    }
 }
 
 } // namespace
@@ -138,43 +271,18 @@ parseRequest(const std::string &line, RequestError &error)
     else
         return fail(error, ErrorCode::ValidationError,
                     "unknown cmd '" + name + "'");
-
-    const bool compute = req.cmd != Cmd::Ping && req.cmd != Cmd::Status;
-    // Which parameter families a command takes: scalar methodology
-    // knobs, an explore grid, the priced-run knobs, the phase
-    // segmenter, and the coordinator's job dispatch fields.
-    const bool scalars = req.cmd == Cmd::Design ||
-                         req.cmd == Cmd::Phases ||
-                         req.cmd == Cmd::PhaseJob;
-    const bool grid = req.cmd == Cmd::Explore || req.cmd == Cmd::DseShard;
-    const bool job = req.cmd == Cmd::DseShard || req.cmd == Cmd::PhaseJob;
-    const bool priced = grid || req.cmd == Cmd::Phases ||
-                        req.cmd == Cmd::PhaseJob;
-    const bool segmented = job || req.cmd == Cmd::Phases;
-    const bool windowed =
-        req.cmd == Cmd::Phases || req.cmd == Cmd::PhaseJob;
+    const bool compute = bit(req.cmd) & kComputeCmds;
 
     // Strict field set: every key must be known AND applicable to the
     // command — a typoed or misplaced parameter is an error, not a
     // silently-ignored no-op.
     for (const auto &[key, value] : obj) {
         (void)value;
-        const bool known =
-            key == "id" || key == "cmd" ||
-            (compute && (key == "trace" || key == "deadline_ms")) ||
-            (scalars && (key == "max_degree" || key == "restarts" ||
-                         key == "seed")) ||
-            (grid && (key == "degrees" || key == "restarts" ||
-                      key == "seeds" || key == "vcs" ||
-                      key == "unidirectional" || key == "vc_depth" ||
-                      key == "phase_windows")) ||
-            (priced && (key == "reconfig_cost" || key == "power")) ||
-            (segmented &&
-             (key == "threshold" || key == "min_phase_windows")) ||
-            (windowed && key == "window") ||
-            (job && (key == "attempt" || key == "job_index" ||
-                     key == "sig")) ||
-            (req.cmd == Cmd::PhaseJob && key == "expected_phases");
+        bool known = key == "id" || key == "cmd" ||
+                     (compute && key == "trace");
+        forEachRequestField(req, [&](const Field &field, const auto &) {
+            known = known || (key == field.name && (field.cmds & bit(req.cmd)));
+        });
         if (!known)
             return fail(error, ErrorCode::ValidationError,
                         "unknown field '" + key + "' for cmd '" + name +
@@ -190,174 +298,52 @@ parseRequest(const std::string &line, RequestError &error)
                     "missing or empty 'trace'");
     req.traceText = tr->asString();
 
-    std::uint64_t u = 0;
-    if (const auto *dl = root->find("deadline_ms")) {
-        if (!asUint(*dl, kMaxDeadlineMs, u))
-            return fail(error, ErrorCode::ValidationError,
-                        "'deadline_ms' must be an integer in "
-                        "[0, 86400000]");
-        req.deadlineMs = static_cast<std::int64_t>(u);
-    }
-
-    const auto badField = [&](const char *field, const char *what) {
+    const Field *bad = nullptr;
+    forEachRequestField(req, [&](const Field &field, auto &member) {
+        if (bad || !(field.cmds & bit(req.cmd)))
+            return;
+        const auto *v = root->find(field.name);
+        if (v ? !readValue(*v, field, member) : field.required)
+            bad = &field;
+    });
+    if (bad)
         return fail(error, ErrorCode::ValidationError,
-                    std::string("'") + field + "' " + what);
-    };
+                    std::string("'") + bad->name + "' " + bad->what);
 
-    if (scalars) {
-        if (const auto *v = root->find("max_degree")) {
-            if (!asUint(*v, 64, u) || u < 1)
-                return badField("max_degree",
-                                "must be an integer in [1, 64]");
-            req.maxDegree = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("restarts")) {
-            if (!asUint(*v, 1024, u) || u < 1)
-                return badField("restarts",
-                                "must be an integer in [1, 1024]");
-            req.restarts = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("seed")) {
-            if (!asUint(*v, static_cast<std::uint64_t>(json::kMaxExactInt),
-                        u))
-                return badField("seed", "must be a non-negative integer");
-            req.seed = u;
-        }
-    }
-
-    // Energy accounting tier and reconfiguration penalty: every
-    // command that prices a simulated run takes them (design emits no
-    // energy numbers). The field check above already rejected them
-    // anywhere else, as it did every key parsed below.
-    if (const auto *v = root->find("power")) {
-        if (!v->isString() || !topo::powerModelKindFromName(v->asString()))
-            return badField("power", "must be 'static' or 'activity'");
-        req.power = v->asString();
-    }
-    if (const auto *v = root->find("reconfig_cost")) {
-        if (!asUint(*v, 1'000'000'000, u))
-            return badField("reconfig_cost",
-                            "must be an integer in [0, 1e9]");
-        req.reconfigCost = static_cast<std::int64_t>(u);
-    }
-
-    if (grid) {
-        std::vector<std::uint64_t> list;
-        if (const auto *v = root->find("degrees")) {
-            if (!asUintList(*v, 1, 64, kMaxGridList, list))
-                return badField("degrees",
-                                "must be a non-empty array of integers "
-                                "in [1, 64]");
-            req.grid.maxDegrees = narrow32(list);
-        }
-        if (const auto *v = root->find("restarts")) {
-            if (!asUintList(*v, 1, 1024, kMaxGridList, list))
-                return badField("restarts",
-                                "must be a non-empty array of integers "
-                                "in [1, 1024]");
-            req.grid.restarts = narrow32(list);
-        }
-        if (const auto *v = root->find("seeds")) {
-            if (!asUintList(*v, 0,
-                            static_cast<std::uint64_t>(json::kMaxExactInt),
-                            kMaxGridList, list))
-                return badField("seeds",
-                                "must be a non-empty array of "
-                                "non-negative integers");
-            req.grid.seeds = list;
-        }
-        if (const auto *v = root->find("vcs")) {
-            if (!asUintList(*v, 1, 32, kMaxGridList, list))
-                return badField("vcs",
-                                "must be a non-empty array of integers "
-                                "in [1, 32]");
-            req.grid.vcs = narrow32(list);
-        }
-        if (const auto *v = root->find("unidirectional")) {
-            if (!asUintList(*v, 0, 1, kMaxGridDirections, list))
-                return badField("unidirectional",
-                                "must be a non-empty array of 0/1");
-            req.grid.unidirectional = narrow32(list);
-        }
-        if (const auto *v = root->find("vc_depth")) {
-            if (!asUint(*v, 64, u) || u < 1)
-                return badField("vc_depth",
-                                "must be an integer in [1, 64]");
-            req.grid.vcDepth = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("phase_windows")) {
-            if (!asUintList(*v, 0, 1'000'000, kMaxGridList, list))
-                return badField("phase_windows",
-                                "must be a non-empty array of integers "
-                                "in [0, 1000000]");
-            req.grid.phaseWindows = narrow32(list);
-        }
-
-        // Admission-time DoS guard: a request's grid expands
-        // multiplicatively, so bound the job count before any work.
-        const std::size_t jobs = req.grid.maxDegrees.size() *
-                                 req.grid.restarts.size() *
-                                 req.grid.seeds.size() *
-                                 req.grid.unidirectional.size() *
-                                 req.grid.vcs.size() *
-                                 req.grid.phaseWindows.size();
+    // Admission-time DoS guard: a request's grid expands
+    // multiplicatively, so bound the job count before any work.
+    if (bit(req.cmd) & kGridCmds) {
+        const auto &g = req.explore.grid;
+        const std::size_t jobs = g.maxDegrees.size() * g.restarts.size() *
+                                 g.seeds.size() * g.unidirectional.size() *
+                                 g.vcs.size() * g.phaseWindows.size();
         if (jobs == 0 || jobs > kMaxGridJobs)
             return fail(error, ErrorCode::ValidationError,
                         "grid expands to " + std::to_string(jobs) +
                             " jobs (limit " +
                             std::to_string(kMaxGridJobs) + ")");
     }
-
-    if (const auto *v = root->find("window")) {
-        if (!asUint(*v, 1'000'000'000, u) || u < 1)
-            return badField("window", "must be an integer in [1, 1e9]");
-        req.window = static_cast<std::uint32_t>(u);
-    }
-    if (const auto *v = root->find("threshold")) {
-        if (!v->isNumber() || !(v->asNumber() >= 0.0) ||
-            !(v->asNumber() <= 1e6))
-            return badField("threshold", "must be a number in [0, 1e6]");
-        req.threshold = v->asNumber();
-    }
-    if (const auto *v = root->find("min_phase_windows")) {
-        if (!asUint(*v, 1'000'000, u) || u < 1)
-            return badField("min_phase_windows",
-                            "must be an integer in [1, 1e6]");
-        req.minPhaseWindows = static_cast<std::uint32_t>(u);
-    }
-
-    if (job) {
-        if (const auto *v = root->find("attempt")) {
-            if (!asUint(*v, 2, u) || u < 1)
-                return badField("attempt",
-                                "must be an integer in [1, 2]");
-            req.attempt = static_cast<std::uint32_t>(u);
-        }
-        if (const auto *v = root->find("job_index")) {
-            if (!asUint(*v, 4294967295ull, u))
-                return badField("job_index",
-                                "must be an integer in [0, 2^32)");
-            req.jobIndex = static_cast<std::uint32_t>(u);
-        }
-        // The signature is the drift guard between coordinator and
-        // backend; a job without one cannot be checked, so require it.
-        const auto *sig = root->find("sig");
-        if (!sig || !sig->isString() || sig->asString().empty() ||
-            sig->asString().size() > 1024)
-            return fail(error, ErrorCode::ValidationError,
-                        "'sig' must be a non-empty string of at most "
-                        "1024 bytes");
-        req.sig = sig->asString();
-    }
-
-    if (const auto *v = root->find("expected_phases")) {
-        if (!asUint(*v, 1'000'000, u))
-            return badField("expected_phases",
-                            "must be an integer in [0, 1e6]");
-        req.expectedPhases = static_cast<std::uint32_t>(u);
-    }
-
     return req;
+}
+
+std::string
+requestLine(const Request &req)
+{
+    std::string out = "{\"id\": \"" + json::escape(req.id) +
+                      "\", \"cmd\": \"" + cmdName(req.cmd) + "\"";
+    forEachRequestField(req, [&](const Field &field, const auto &v) {
+        if (!(field.cmds & bit(req.cmd)))
+            return;
+        // The static tier is the default and stays off the line, as it
+        // did before the activity tier existed.
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                     topo::PowerModelKind>)
+            if (v == topo::PowerModelKind::Static)
+                return;
+        out += std::string(", \"") + field.name + "\": ";
+        writeValue(out, v);
+    });
+    return out + ", \"trace\": \"" + json::escape(req.traceText) + "\"}\n";
 }
 
 std::string

@@ -48,7 +48,7 @@
 #include <string_view>
 
 #include "dse/explorer.hpp"
-#include "phase/segmenter.hpp"
+#include "phase/evaluator.hpp"
 
 namespace minnoc::serve {
 
@@ -91,8 +91,11 @@ enum class Cmd : std::uint8_t {
 const char *cmdName(Cmd cmd);
 
 /**
- * A fully validated request. Parameter fields default to the exact
- * CLI defaults so an empty parameter set reproduces the CLI's output.
+ * A fully validated request. The daemon runs the configs it carries as
+ * they are, setting only their cache and cancellation: `explore` for
+ * `explore` and `dse_shard`, `phases` for `phases` and `phase_job`,
+ * and `phases.methodology` for `design`. Their defaults are the CLI's,
+ * so an empty parameter set reproduces the CLI's output.
  */
 struct Request
 {
@@ -105,26 +108,13 @@ struct Request
     /** Requested deadline in ms; 0 = server default. */
     std::int64_t deadlineMs = 0;
 
-    // design / phases scalars (CLI defaults).
-    std::uint32_t maxDegree = 5;
-    std::uint32_t restarts = 16;
-    std::uint64_t seed = 1;
-
-    // explore / dse_shard grid (defaults = ExploreGrid defaults = CLI
-    // defaults).
-    dse::ExploreGrid grid;
-    std::int64_t reconfigCost = 500;
-
-    /** Energy accounting tier ("static" / "activity"), CLI default. */
-    std::string power = "static";
-
-    // phases knobs (defaults = PhaseConfig / CLI defaults).
-    std::uint32_t window = phase::PhaseConfig{}.windowMessages;
-    double threshold = phase::PhaseConfig{}.mergeThreshold;
-    std::uint32_t minPhaseWindows = phase::PhaseConfig{}.minPhaseWindows;
+    /** The sweep of an `explore` or `dse_shard` request. */
+    dse::ExploreConfig explore;
+    /** The evaluation of a `phases` or `phase_job` request. */
+    phase::PhaseEvalConfig phases;
 
     // dse_shard / phase_job scalars — the multi-host coordinator's
-    // dispatch (defaults = segmenter defaults).
+    // dispatch.
     /** Coordinator's dispatch attempt for this request (2 on requeue). */
     std::uint32_t attempt = 1;
     /** Shard's first grid index / phase index of the result document. */
@@ -149,6 +139,15 @@ struct RequestError
  */
 std::optional<Request> parseRequest(const std::string &line,
                                     RequestError &error);
+
+/**
+ * The request line of compute request @p req, newline included: `id`,
+ * `cmd`, then every field its command takes, from the same field list
+ * parseRequest reads (`power` only when it is not `static`), then
+ * `trace`. The `--hosts` coordinator sends its `dse_shard` and
+ * `phase_job` requests through this.
+ */
+std::string requestLine(const Request &req);
 
 /** One-line success response carrying @p payload as a JSON string. */
 std::string okResponse(const std::string &id, Cmd cmd,

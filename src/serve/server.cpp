@@ -106,73 +106,22 @@ setSocketTimeouts(int fd)
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
 }
 
-/** The methodology a `design` request's scalars select, polling @p cancel. */
-core::MethodologyConfig
-designConfigFor(const Request &req, const CancelToken *cancel)
-{
-    core::MethodologyConfig cfg;
-    cfg.partitioner.constraints.maxDegree = req.maxDegree;
-    cfg.partitioner.seed = req.seed;
-    cfg.restarts = req.restarts;
-    cfg.cancel = cancel;
-    return cfg;
-}
-
-/**
- * The grid an `explore` or `dse_shard` request selects, polling
- * @p cancel. It always uses the daemon's OWN disk cache, never a
- * client path: the socket is the trust boundary.
- */
-dse::ExploreConfig
-exploreConfigFor(const Request &req, const ServerConfig &server,
-                 const CancelToken *cancel)
-{
-    dse::ExploreConfig cfg;
-    cfg.grid = req.grid;
-    cfg.phaseReconfigCost = static_cast<sim::Cycle>(req.reconfigCost);
-    cfg.phaseSegmenter.mergeThreshold = req.threshold;
-    cfg.phaseSegmenter.minPhaseWindows = req.minPhaseWindows;
-    cfg.cacheDir = server.cacheDir;
-    cfg.useCache = server.useCache;
-    cfg.power.kind = *topo::powerModelKindFromName(req.power);
-    cfg.cancel = cancel;
-    return cfg;
-}
-
-/**
- * The phase evaluation a `phases` or `phase_job` request's scalars
- * select, polling @p cancel.
- */
-phase::PhaseEvalConfig
-phaseEvalConfigFor(const Request &req, const CancelToken *cancel)
-{
-    phase::PhaseEvalConfig cfg;
-    cfg.segmenter.windowMessages = req.window;
-    cfg.segmenter.mergeThreshold = req.threshold;
-    cfg.segmenter.minPhaseWindows = req.minPhaseWindows;
-    cfg.methodology = designConfigFor(req, cancel);
-    cfg.sim.cancel = cancel;
-    cfg.reconfigCost = static_cast<sim::Cycle>(req.reconfigCost);
-    cfg.power.kind = *topo::powerModelKindFromName(req.power);
-    return cfg;
-}
-
 /**
  * Response-LRU key of a `design`, `explore` or `phases` request: the
- * command, the signature of the config it selects (the one the disk
+ * command, the signature of the config it carries (the one the disk
  * cache and the drift guards trust), then the raw trace bytes, chained
  * through FNV-1a. Deadline and id never change the result.
  */
 std::uint64_t
-requestKey(const Request &req, const ServerConfig &server)
+requestKey(const Request &req)
 {
     std::string sig = cmdName(req.cmd);
     if (req.cmd == Cmd::Design)
-        sig += '|' + designConfigFor(req, nullptr).signature();
+        sig += '|' + req.phases.methodology.signature();
     else if (req.cmd == Cmd::Explore)
-        sig += '|' + shardSignature(exploreConfigFor(req, server, nullptr));
+        sig += '|' + shardSignature(req.explore);
     else
-        sig += '|' + phasesSignature(phaseEvalConfigFor(req, nullptr));
+        sig += '|' + phasesSignature(req.phases);
     return dse::fnv1a64(req.traceText, dse::fnv1a64(sig));
 }
 
@@ -599,7 +548,7 @@ Server::handleJob(const Job &job)
         return;
     }
 
-    const auto key = requestKey(job.req, _config);
+    const auto key = requestKey(job.req);
     for (;;) {
         if (job.token->cancelled()) {
             answer(job, Outcome::cancellation());
@@ -752,10 +701,11 @@ Server::compute(const Job &job)
         // The pool overload shards restarts across the shared pool;
         // the wave selection keeps the design byte-identical to the
         // CLI's at any concurrency.
+        auto cfg = req.phases.methodology;
+        cfg.cancel = job.token.get();
         const auto partStart = CancelToken::nowUs();
         const auto outcome = core::runMethodology(
-            trace::analyzeByCall(tr),
-            designConfigFor(req, job.token.get()), _innerPool.get());
+            trace::analyzeByCall(tr), cfg, _innerPool.get());
         const auto partUs = CancelToken::nowUs() - partStart;
         _metrics.counter("serve/designs_total").add();
         _metrics.counter("serve/design_restarts_used")
@@ -776,7 +726,12 @@ Server::compute(const Job &job)
       case Cmd::DseShard: {
         if (req.cmd == Cmd::DseShard)
             maybeInjectServeFault(req.attempt, _metrics);
-        const auto cfg = exploreConfigFor(req, _config, job.token.get());
+        // Always the daemon's OWN disk cache, never a client path: the
+        // socket is the trust boundary.
+        auto cfg = req.explore;
+        cfg.cacheDir = _config.cacheDir;
+        cfg.useCache = _config.useCache;
+        cfg.cancel = job.token.get();
         // The grid's methodologies and evaluations run on the shared
         // inner pool, so a shard fills an idle daemon while concurrent
         // requests share its threads (reports are byte-identical at
@@ -806,15 +761,17 @@ Server::compute(const Job &job)
         return encodeShardResult(reply);
       }
       case Cmd::Phases:
+      case Cmd::PhaseJob: {
+        auto cfg = req.phases;
+        cfg.methodology.cancel = job.token.get();
+        cfg.sim.cancel = job.token.get();
         // The phase rows and every methodology's restarts run as
         // tasks on the shared inner pool, like a shard's.
-        return phase::evaluatePhases(
-                   tr, phaseEvalConfigFor(req, job.token.get()),
-                   _innerPool.get())
-            .toJson();
-      case Cmd::PhaseJob: {
+        if (req.cmd == Cmd::Phases)
+            return phase::evaluatePhases(tr, cfg, _innerPool.get())
+                .toJson();
+
         maybeInjectServeFault(req.attempt, _metrics);
-        const auto cfg = phaseEvalConfigFor(req, job.token.get());
         const auto sig = phasesSignature(cfg);
         if (sig != req.sig)
             throw FatalError(

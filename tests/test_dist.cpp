@@ -433,6 +433,75 @@ TEST(DistProtocol, PhaseJobRequestBytesArePinned)
     EXPECT_EQ(host.firstLine(), pinned + traceJson(tr) + "\"}\n");
 }
 
+TEST(DistProtocol, RequestLineRoundTripsShardAndPhaseConfigs)
+{
+    // What the daemon parses from a coordinator's line is the config
+    // the coordinator signed: every grid list with several values, a
+    // seed of 2^53 and the activity power tier.
+    serve::Request shard;
+    shard.cmd = serve::Cmd::DseShard;
+    shard.id = "7";
+    shard.traceText = "trace t 2\n";
+    shard.deadlineMs = 1234;
+    shard.attempt = 2;
+    shard.jobIndex = 5;
+    auto &e = shard.explore;
+    e.grid.maxDegrees = {4, 5, 6};
+    e.grid.restarts = {2, 3};
+    e.grid.seeds = {1, 9007199254740992ull};
+    e.grid.unidirectional = {0, 1};
+    e.grid.vcs = {2, 3, 4};
+    e.grid.vcDepth = 6;
+    e.grid.phaseWindows = {0, 128};
+    e.phaseReconfigCost = 750;
+    e.phaseSegmenter.mergeThreshold = 0.35;
+    e.phaseSegmenter.minPhaseWindows = 3;
+    e.power.kind = topo::PowerModelKind::Activity;
+    shard.sig = serve::shardSignature(e);
+
+    serve::Request job;
+    job.cmd = serve::Cmd::PhaseJob;
+    job.id = "3";
+    job.traceText = shard.traceText;
+    job.jobIndex = 3;
+    job.expectedPhases = 4;
+    auto &p = job.phases;
+    p.segmenter.windowMessages = 32;
+    p.segmenter.mergeThreshold = 0.25;
+    p.segmenter.minPhaseWindows = 3;
+    p.methodology.partitioner.constraints.maxDegree = 6;
+    p.methodology.restarts = 3;
+    p.methodology.partitioner.seed = 9007199254740992ull;
+    p.reconfigCost = 900;
+    p.power.kind = topo::PowerModelKind::Activity;
+    job.sig = serve::phasesSignature(p);
+
+    for (const auto *req : {&shard, &job}) {
+        const auto line = serve::requestLine(*req);
+        serve::RequestError error;
+        const auto parsed = serve::parseRequest(line, error);
+        ASSERT_TRUE(parsed.has_value()) << error.message << "\n" << line;
+        EXPECT_EQ(parsed->id, req->id);
+        EXPECT_EQ(parsed->cmd, req->cmd);
+        EXPECT_EQ(parsed->traceText, req->traceText);
+        EXPECT_EQ(parsed->deadlineMs, req->deadlineMs);
+        EXPECT_EQ(parsed->attempt, req->attempt);
+        EXPECT_EQ(parsed->jobIndex, req->jobIndex);
+        EXPECT_EQ(parsed->sig, req->sig);
+        EXPECT_EQ(parsed->expectedPhases, req->expectedPhases);
+        EXPECT_EQ(serve::requestLine(*parsed), line);
+    }
+    serve::RequestError error;
+    EXPECT_EQ(serve::shardSignature(
+                  serve::parseRequest(serve::requestLine(shard), error)
+                      ->explore),
+              shard.sig);
+    EXPECT_EQ(serve::phasesSignature(
+                  serve::parseRequest(serve::requestLine(job), error)
+                      ->phases),
+              job.sig);
+}
+
 TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
 {
     const auto tr = cgTrace();

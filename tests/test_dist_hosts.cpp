@@ -476,6 +476,60 @@ TEST(DistHosts, DeafHostTimesOutAndFallsBackInProcess)
     EXPECT_EQ(stats.jobs.back(), base.points.size());
 }
 
+TEST(DistHosts, OutOfWireRangeValueIsRefusedBeforeDispatch)
+{
+    // An in-process run takes a reconfiguration cost past the wire's
+    // bound; a --hosts run refuses it with the daemon's own message
+    // before any host is contacted, so no host is marked failed.
+    const auto tr = cgTrace();
+    auto cfg = smallConfig("", false);
+    cfg.phaseReconfigCost = 2'000'000'000;
+    EXPECT_NO_THROW(dse::explore(tr, cfg));
+
+    DaemonProc::Options dopt;
+    dopt.useCache = false;
+    DaemonProc a(dopt), b(dopt);
+    ASSERT_GT(a.port(), 0);
+    ASSERT_GT(b.port(), 0);
+    const auto opt = hostsOnly(specsOf({&a, &b}));
+    const std::string message =
+        "'reconfig_cost' must be an integer in [0, 1e9]";
+
+    DistStats stats;
+    try {
+        exploreDistributed(tr, cfg, opt, &stats);
+        ADD_FAILURE() << "an out-of-range explore was dispatched";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(stats.failures.empty());
+    EXPECT_EQ(stats.workers, 0u);
+
+    const auto shift = trace::phaseShift(
+        {trace::Pattern::Neighbor, trace::Pattern::Transpose});
+    phase::PhaseEvalConfig pcfg;
+    pcfg.methodology.restarts = 2;
+    pcfg.threads = 1;
+    pcfg.reconfigCost = 2'000'000'000;
+    EXPECT_NO_THROW(phase::evaluatePhases(shift, pcfg));
+    try {
+        evaluatePhasesDistributed(shift, pcfg, opt, &stats);
+        ADD_FAILURE() << "an out-of-range phases run was dispatched";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(stats.failures.empty());
+
+    // Both daemons still take the next sweep.
+    const auto base = dse::explore(tr, smallConfig("", false));
+    const auto report =
+        exploreDistributed(tr, smallConfig("", false), opt, &stats);
+    EXPECT_EQ(base.toJson(), report.toJson());
+    EXPECT_TRUE(stats.failures.empty());
+}
+
 TEST(DistHostsPhases, ByteIdenticalToInProcessEvaluation)
 {
     const auto tr = trace::phaseShift({trace::Pattern::Neighbor,

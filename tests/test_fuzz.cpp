@@ -402,11 +402,11 @@ TEST(ServeFuzz, WellFormedDseShardParses)
     EXPECT_EQ(req->attempt, 1u);
     EXPECT_EQ(req->jobIndex, 3u);
     EXPECT_EQ(req->sig, "1469598103934665603");
-    EXPECT_EQ(req->grid.maxDegrees, std::vector<std::uint32_t>{4});
-    EXPECT_EQ(req->grid.vcs, (std::vector<std::uint32_t>{2, 3}));
-    EXPECT_EQ(req->grid.expand().size(), 4u);
+    EXPECT_EQ(req->explore.grid.maxDegrees, std::vector<std::uint32_t>{4});
+    EXPECT_EQ(req->explore.grid.vcs, (std::vector<std::uint32_t>{2, 3}));
+    EXPECT_EQ(req->explore.grid.expand().size(), 4u);
     EXPECT_EQ(req->deadlineMs, 10'000);
-    EXPECT_EQ(req->power, "activity");
+    EXPECT_EQ(req->explore.power.kind, topo::PowerModelKind::Activity);
 }
 
 TEST_P(FuzzSeeds, MutatedDseShardsNeverCrashTheParser)

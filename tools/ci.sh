@@ -59,7 +59,9 @@
 #     serve` daemons): a cold sweep over two daemons must be
 #     byte-identical to the in-process run with no host failures, its
 #     warm rerun must hit every job on the daemon-side caches and stay
-#     byte-identical, a sweep whose only host is a dead address must
+#     byte-identical, a sweep with `--restarts 2000` (past the wire's
+#     bound) must exit 1 with the `restarts` message and leave both
+#     daemons taking the next sweep with no failure, a sweep whose only host is a dead address must
 #     converge byte-identical through the in-process fallback with the
 #     failure recorded in `host_failed`, and a sweep with one daemon
 #     SIGKILLed mid-run (wedged via the serve hang hook so the kill is
@@ -350,6 +352,31 @@ echo "$hosts_warm" | grep -q "100.0% hit rate" ||
     { echo "FAIL: warm --hosts rerun below 100% cache hits"; exit 1; }
 cmp "$build/hosts_frontier_cold.json" "$build/hosts_frontier_warm.json" ||
     { echo "FAIL: warm --hosts frontier differs from cold"; exit 1; }
+# A value the wire cannot carry is refused before any host is
+# contacted: exit 1 with the field's message, and both daemons take
+# the next sweep with no host failure.
+refused_rc=0
+"$build/tools/minnoc" explore "$build/ci-dist.trace" \
+    --degrees 4,5 --vcs 2,3 --restarts 2000 --seeds 1,2 --cache 0 \
+    --hosts "127.0.0.1:$port_a,127.0.0.1:$port_b" \
+    --out "$build/hosts_frontier_refused.json" \
+    2>"$build/hosts_refused.err" || refused_rc=$?
+[ "$refused_rc" -eq 1 ] ||
+    { echo "FAIL: --restarts 2000 over --hosts exited $refused_rc, not 1"
+      cat "$build/hosts_refused.err"; exit 1; }
+grep -q "'restarts' must be" "$build/hosts_refused.err" ||
+    { echo "FAIL: refused --hosts run lacks the restarts message"
+      cat "$build/hosts_refused.err"; exit 1; }
+"$build/tools/minnoc" explore "$build/ci-dist.trace" \
+    --degrees 4,5 --vcs 2,3 --restarts 2 --seeds 1,2 --cache 0 \
+    --hosts "127.0.0.1:$port_a,127.0.0.1:$port_b" \
+    --dist-report "$build/hosts_status_after_refusal.json" \
+    --out "$build/hosts_frontier_after_refusal.json"
+cmp "$build/dist_frontier_ref.json" \
+    "$build/hosts_frontier_after_refusal.json" ||
+    { echo "FAIL: --hosts frontier after a refusal differs"; exit 1; }
+grep -q '"host_failed": \[\]' "$build/hosts_status_after_refusal.json" ||
+    { echo "FAIL: daemons failed the sweep after a refusal"; exit 1; }
 # A dead address as the only host: its shard falls back in-process
 # and must converge byte-identical, the failure in host_failed.
 "$build/tools/minnoc" explore "$build/ci-dist.trace" \
