@@ -62,32 +62,11 @@ using RequestSetter =
 using LocalRunner = std::function<WorkerReply(std::uint32_t r)>;
 using ResultHandler = std::function<void(const WorkerMsg &msg)>;
 
-/** How long a lane may neither answer nor take a byte. */
-std::int64_t
-activityTimeoutMs(const DistOptions &options)
-{
-    return std::max<std::int64_t>(options.workerTimeoutMs, 1);
-}
-
-/**
- * The run's @p cmd request over @p traceText. The activity timeout
- * doubles as its deadline (within the protocol's ceiling).
- */
-serve::Request
-jobRequest(serve::Cmd cmd, std::string traceText, const DistOptions &options)
-{
-    serve::Request req;
-    req.cmd = cmd;
-    req.traceText = std::move(traceText);
-    req.deadlineMs =
-        std::min(activityTimeoutMs(options), serve::kMaxDeadlineMs);
-    return req;
-}
-
 /**
  * Refuse what a daemon would refuse before any host is contacted: run
  * @p req's line through the daemon's own parser, and throw
- * std::runtime_error with its message on an error.
+ * std::runtime_error with its message on an error. (runShards sets the
+ * deadline, which is always in range.)
  */
 void
 checkRequest(const serve::Request &req)
@@ -119,7 +98,11 @@ runShards(const std::vector<std::vector<std::uint32_t>> &requests,
           const LocalRunner &runLocal, const ResultHandler &onResult,
           DistStats &stats, obs::TraceEventLog *traceLog)
 {
-    const std::int64_t timeoutMs = activityTimeoutMs(options);
+    const std::int64_t timeoutMs =
+        std::max<std::int64_t>(options.workerTimeoutMs, 1);
+    // The activity timeout doubles as the request deadline (within
+    // the protocol's ceiling).
+    req.deadlineMs = std::min(timeoutMs, serve::kMaxDeadlineMs);
     const auto &hosts = options.hosts;
     // A host that failed once is never retried: its replacement lane
     // must not inherit the same fault.
@@ -617,7 +600,9 @@ exploreDistributed(const trace::Trace &trace,
         // One `dse_shard` per shard, its sub-grid in the explore grid
         // fields. `cache_dir` never crosses the socket: a daemon uses
         // its own disk cache, the in-process lane the run's.
-        auto req = jobRequest(serve::Cmd::DseShard, patternBytes, options);
+        serve::Request req;
+        req.cmd = serve::Cmd::DseShard;
+        req.traceText = patternBytes;
         const auto setRequest = [&](serve::Request &q, std::uint32_t r) {
             q.id = std::to_string(r);
             q.jobIndex = shards[r].front();
@@ -660,13 +645,11 @@ evaluatePhasesDistributed(const trace::Trace &trace,
     DistStats &stats = statsOut ? *statsOut : localStats;
     stats = DistStats{};
 
-    // The hosts are the rows' lanes. The whole-trace half needs the
-    // full workload, so it stays in-process beside the dispatch loop,
-    // both on one pool of config.threads workers with every restart,
-    // or inline, the whole-trace half first (DESIGN.md §5j).
     std::ostringstream patternStream;
     trace.save(patternStream);
-    auto req = jobRequest(serve::Cmd::PhaseJob, patternStream.str(), options);
+    serve::Request req;
+    req.cmd = serve::Cmd::PhaseJob;
+    req.traceText = patternStream.str();
     req.phases = config;
     req.sig = serve::phasesSignature(config);
     // Checked before the pipeline runs: the phase lines differ only in
@@ -674,6 +657,10 @@ evaluatePhasesDistributed(const trace::Trace &trace,
     // carry.
     checkRequest(req);
 
+    // The hosts are the rows' lanes. The whole-trace half needs the
+    // full workload, so it stays in-process beside the dispatch loop,
+    // both on one pool of config.threads workers with every restart,
+    // or inline, the whole-trace half first (DESIGN.md §5j).
     const auto pool = makePool(config.threads);
     const auto rows = [&](const phase::Segmentation &seg,
                           const phase::PhaseCliques &cliques) {

@@ -254,23 +254,14 @@ parseRequest(const std::string &line, RequestError &error)
         return fail(error, ErrorCode::ValidationError,
                     "missing or non-string 'cmd'");
     const auto &name = cmd->asString();
-    if (name == "ping")
-        req.cmd = Cmd::Ping;
-    else if (name == "status")
-        req.cmd = Cmd::Status;
-    else if (name == "design")
-        req.cmd = Cmd::Design;
-    else if (name == "explore")
-        req.cmd = Cmd::Explore;
-    else if (name == "phases")
-        req.cmd = Cmd::Phases;
-    else if (name == "dse_shard")
-        req.cmd = Cmd::DseShard;
-    else if (name == "phase_job")
-        req.cmd = Cmd::PhaseJob;
-    else
+    auto c = static_cast<unsigned>(Cmd::Ping);
+    while (c <= static_cast<unsigned>(Cmd::PhaseJob) &&
+           name != cmdName(static_cast<Cmd>(c)))
+        ++c;
+    if (c > static_cast<unsigned>(Cmd::PhaseJob))
         return fail(error, ErrorCode::ValidationError,
                     "unknown cmd '" + name + "'");
+    req.cmd = static_cast<Cmd>(c);
     const bool compute = bit(req.cmd) & kComputeCmds;
 
     // Strict field set: every key must be known AND applicable to the
@@ -281,7 +272,8 @@ parseRequest(const std::string &line, RequestError &error)
         bool known = key == "id" || key == "cmd" ||
                      (compute && key == "trace");
         forEachRequestField(req, [&](const Field &field, const auto &) {
-            known = known || (key == field.name && (field.cmds & bit(req.cmd)));
+            known = known ||
+                    (key == field.name && (field.cmds & bit(req.cmd)));
         });
         if (!known)
             return fail(error, ErrorCode::ValidationError,
@@ -298,13 +290,13 @@ parseRequest(const std::string &line, RequestError &error)
                     "missing or empty 'trace'");
     req.traceText = tr->asString();
 
-    const Field *bad = nullptr;
+    std::optional<Field> bad;
     forEachRequestField(req, [&](const Field &field, auto &member) {
         if (bad || !(field.cmds & bit(req.cmd)))
             return;
         const auto *v = root->find(field.name);
         if (v ? !readValue(*v, field, member) : field.required)
-            bad = &field;
+            bad = field;
     });
     if (bad)
         return fail(error, ErrorCode::ValidationError,

@@ -76,7 +76,7 @@ enum class ErrorCode : std::uint8_t {
 /** Stable wire name of @p code (`"parse_error"`, ...). */
 const char *errorCodeName(ErrorCode code);
 
-/** What a request asks for. */
+/** What a request asks for (parseRequest walks Ping..PhaseJob). */
 enum class Cmd : std::uint8_t {
     Ping,    ///< liveness probe, answered inline
     Status,  ///< health/metrics snapshot, answered inline

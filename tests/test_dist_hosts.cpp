@@ -14,7 +14,8 @@
  * activity timeout to catch. Harder failures — SIGKILL mid-run, a
  * dead address, a host that accepts connections but never reads them,
  * an all-hosts-dead fallback that runs every shard in-process — are
- * induced directly.
+ * induced directly. A value past the wire's bounds must be refused
+ * before any host is contacted.
  */
 
 #include <gtest/gtest.h>
