@@ -609,9 +609,9 @@ exploreDistributed(const trace::Trace &trace,
             q.explore = shardConfigs[r];
             q.sig = serve::shardSignature(q.explore);
         };
-        // Shards differ in their grid values, so each line is checked.
-        // A line costs far less to parse than its shard, which replays
-        // the same trace, costs to run.
+        // Shards differ in their grid values, so every line is checked.
+        // Parsing a line costs far less than running its shard, which
+        // replays the same trace.
         for (std::uint32_t r = 0; r < shards.size(); ++r) {
             setRequest(req, r);
             checkRequest(req);

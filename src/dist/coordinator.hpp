@@ -108,7 +108,10 @@ struct DistStats
  * fanned out over DistOptions::hosts. Each daemon uses its own disk
  * cache; shards run in-process use config.cacheDir and
  * config.threads. config.cancel is honored at scheduler-tick
- * granularity here and at job granularity on each daemon.
+ * granularity here and at job granularity on each daemon. A config
+ * the serve wire cannot carry (a value past a request field's bounds,
+ * such as restarts above 1024) throws std::runtime_error with that
+ * field's message before any host is contacted.
  */
 dse::ExploreReport exploreDistributed(const trace::Trace &trace,
                                       const dse::ExploreConfig &config,
@@ -120,7 +123,8 @@ dse::ExploreReport exploreDistributed(const trace::Trace &trace,
  * trace and synthesizes the monolithic + union designs (they depend
  * on the whole trace), while the per-phase standalone synthesis and
  * replay — the bulk of the work — is sharded over the hosts. Byte-
- * identical to the in-process report.
+ * identical to the in-process report. A config the wire cannot carry
+ * throws as for exploreDistributed, before the pipeline runs.
  */
 phase::PhaseReport
 evaluatePhasesDistributed(const trace::Trace &trace,
