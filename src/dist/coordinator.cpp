@@ -63,17 +63,30 @@ using LocalRunner = std::function<WorkerReply(std::uint32_t r)>;
 using ResultHandler = std::function<void(const WorkerMsg &msg)>;
 
 /**
- * Refuse what a daemon would refuse before any host is contacted: run
- * @p req's line through the daemon's own parser, and throw
- * std::runtime_error with its message on an error. (runShards sets the
- * deadline, which is always in range.)
+ * Refuse what the serve wire cannot carry before any host is
+ * contacted: run @p req's line through the daemon's own parser, and
+ * throw std::runtime_error with its message on an error, or when the
+ * parsed request does not encode back to the same line. The line
+ * carries a one-byte stand-in for the trace: lines differ only in
+ * their field values, and parsing the trace once per shard would cost
+ * shards x trace. (runShards sets the deadline, which is always in
+ * range.)
  */
 void
 checkRequest(const serve::Request &req)
 {
+    const std::string refusal =
+        "dist: the serve wire cannot carry this config: ";
+    const auto line = serve::requestLine(req, "t");
     serve::RequestError error;
-    if (!serve::parseRequest(serve::requestLine(req), error))
-        throw std::runtime_error("dist: " + error.message);
+    const auto parsed = serve::parseRequest(line, error);
+    if (!parsed)
+        throw std::runtime_error(refusal + error.message);
+    // Only the seeds are bounded at 2^53, where a double stops holding
+    // every integer: 2^53 + 1 is in range but reads back as 2^53.
+    if (serve::requestLine(*parsed, "t") != line)
+        throw std::runtime_error(refusal +
+                                 "a seed above 2^53 reads back rounded");
 }
 
 /**
@@ -103,6 +116,7 @@ runShards(const std::vector<std::vector<std::uint32_t>> &requests,
     // The activity timeout doubles as the request deadline (within
     // the protocol's ceiling).
     req.deadlineMs = std::min(timeoutMs, serve::kMaxDeadlineMs);
+    const std::string traceJson = json::escape(req.traceText);
     const auto &hosts = options.hosts;
     // A host that failed once is never retried: its replacement lane
     // must not inherit the same fault.
@@ -140,7 +154,7 @@ runShards(const std::vector<std::vector<std::uint32_t>> &requests,
                     return;
                 setRequest(req, w.unsent.front());
                 req.attempt = w.attempt;
-                w.out = serve::requestLine(req);
+                w.out = serve::requestLine(req, traceJson);
                 w.unsent.pop_front();
             }
             const ssize_t n =
@@ -610,8 +624,6 @@ exploreDistributed(const trace::Trace &trace,
             q.sig = serve::shardSignature(q.explore);
         };
         // Shards differ in their grid values, so every line is checked.
-        // Parsing a line costs far less than running its shard, which
-        // replays the same trace.
         for (std::uint32_t r = 0; r < shards.size(); ++r) {
             setRequest(req, r);
             checkRequest(req);

@@ -110,8 +110,9 @@ struct DistStats
  * config.threads. config.cancel is honored at scheduler-tick
  * granularity here and at job granularity on each daemon. A config
  * the serve wire cannot carry (a value past a request field's bounds,
- * such as restarts above 1024) throws std::runtime_error with that
- * field's message before any host is contacted.
+ * such as restarts above 1024, or a seed that would read back rounded)
+ * throws std::runtime_error with that field's message before any host
+ * is contacted.
  */
 dse::ExploreReport exploreDistributed(const trace::Trace &trace,
                                       const dse::ExploreConfig &config,

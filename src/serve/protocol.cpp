@@ -319,7 +319,7 @@ parseRequest(const std::string &line, RequestError &error)
 }
 
 std::string
-requestLine(const Request &req)
+requestLine(const Request &req, std::string_view traceJson)
 {
     std::string out = "{\"id\": \"" + json::escape(req.id) +
                       "\", \"cmd\": \"" + cmdName(req.cmd) + "\"";
@@ -335,7 +335,9 @@ requestLine(const Request &req)
         out += std::string(", \"") + field.name + "\": ";
         writeValue(out, v);
     });
-    return out + ", \"trace\": \"" + json::escape(req.traceText) + "\"}\n";
+    out += ", \"trace\": \"";
+    out += traceJson;
+    return out + "\"}\n";
 }
 
 std::string

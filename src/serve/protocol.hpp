@@ -144,10 +144,12 @@ std::optional<Request> parseRequest(const std::string &line,
  * The request line of compute request @p req, newline included: `id`,
  * `cmd`, then every field its command takes, from the same field list
  * parseRequest reads (`power` only when it is not `static`), then
- * `trace`. The `--hosts` coordinator sends its `dse_shard` and
- * `phase_job` requests through this.
+ * `trace`: @p traceJson, the trace already JSON-escaped
+ * (req.traceText is not read), so a coordinator escapes its trace once
+ * per run, not once per line. The `--hosts` coordinator sends its
+ * `dse_shard` and `phase_job` requests through this.
  */
-std::string requestLine(const Request &req);
+std::string requestLine(const Request &req, std::string_view traceJson);
 
 /** One-line success response carrying @p payload as a JSON string. */
 std::string okResponse(const std::string &id, Cmd cmd,

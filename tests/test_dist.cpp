@@ -476,8 +476,11 @@ TEST(DistProtocol, RequestLineRoundTripsShardAndPhaseConfigs)
     p.power.kind = topo::PowerModelKind::Activity;
     job.sig = serve::phasesSignature(p);
 
+    const auto lineOf = [](const serve::Request &req) {
+        return serve::requestLine(req, json::escape(req.traceText));
+    };
     for (const auto *req : {&shard, &job}) {
-        const auto line = serve::requestLine(*req);
+        const auto line = lineOf(*req);
         serve::RequestError error;
         const auto parsed = serve::parseRequest(line, error);
         ASSERT_TRUE(parsed.has_value()) << error.message << "\n" << line;
@@ -489,15 +492,15 @@ TEST(DistProtocol, RequestLineRoundTripsShardAndPhaseConfigs)
         EXPECT_EQ(parsed->jobIndex, req->jobIndex);
         EXPECT_EQ(parsed->sig, req->sig);
         EXPECT_EQ(parsed->expectedPhases, req->expectedPhases);
-        EXPECT_EQ(serve::requestLine(*parsed), line);
+        EXPECT_EQ(lineOf(*parsed), line);
     }
     serve::RequestError error;
     EXPECT_EQ(serve::shardSignature(
-                  serve::parseRequest(serve::requestLine(shard), error)
+                  serve::parseRequest(lineOf(shard), error)
                       ->explore),
               shard.sig);
     EXPECT_EQ(serve::phasesSignature(
-                  serve::parseRequest(serve::requestLine(job), error)
+                  serve::parseRequest(lineOf(job), error)
                       ->phases),
               job.sig);
 }

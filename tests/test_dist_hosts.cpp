@@ -479,33 +479,44 @@ TEST(DistHosts, DeafHostTimesOutAndFallsBackInProcess)
 
 TEST(DistHosts, OutOfWireRangeValueIsRefusedBeforeDispatch)
 {
-    // An in-process run takes a reconfiguration cost past the wire's
-    // bound; a --hosts run refuses it with the daemon's own message
-    // before any host is contacted, so no host is marked failed.
-    const auto tr = cgTrace();
-    auto cfg = smallConfig("", false);
-    cfg.phaseReconfigCost = 2'000'000'000;
-    EXPECT_NO_THROW(dse::explore(tr, cfg));
-
+    // An in-process run takes a reconfiguration cost or a seed past the
+    // wire's bounds; a --hosts run refuses it with the daemon's own
+    // message before any host is contacted, so no host is marked failed.
     DaemonProc::Options dopt;
     dopt.useCache = false;
     DaemonProc a(dopt), b(dopt);
     ASSERT_GT(a.port(), 0);
     ASSERT_GT(b.port(), 0);
     const auto opt = hostsOnly(specsOf({&a, &b}));
-    const std::string message =
-        "'reconfig_cost' must be an integer in [0, 1e9]";
-
     DistStats stats;
-    try {
-        exploreDistributed(tr, cfg, opt, &stats);
-        ADD_FAILURE() << "an out-of-range explore was dispatched";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-            << e.what();
-    }
-    EXPECT_TRUE(stats.failures.empty());
-    EXPECT_EQ(stats.workers, 0u);
+    const auto expectRefused = [&](const auto &run,
+                                   const std::string &why) {
+        try {
+            run();
+            ADD_FAILURE() << "dispatched: " << why;
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "dist: the serve wire cannot carry this config: " +
+                          why);
+        }
+        EXPECT_TRUE(stats.failures.empty());
+        EXPECT_EQ(stats.workers, 0u);
+    };
+
+    const auto tr = cgTrace();
+    auto cfg = smallConfig("", false);
+    cfg.phaseReconfigCost = 2'000'000'000;
+    EXPECT_NO_THROW(dse::explore(tr, cfg));
+    const auto explore = [&] { exploreDistributed(tr, cfg, opt, &stats); };
+    expectRefused(explore, "'reconfig_cost' must be an integer in [0, 1e9]");
+    // 2^53 + 2 is past the seeds' bound; 2^53 + 1 is within it as a
+    // double but would reach the daemons as 2^53.
+    cfg = smallConfig("", false);
+    cfg.grid.seeds = {1, (1ull << 53) + 2};
+    expectRefused(explore, "'seeds' must be a non-empty array of "
+                           "non-negative integers");
+    cfg.grid.seeds = {(1ull << 53) + 1};
+    expectRefused(explore, "a seed above 2^53 reads back rounded");
 
     const auto shift = trace::phaseShift(
         {trace::Pattern::Neighbor, trace::Pattern::Transpose});
@@ -514,14 +525,13 @@ TEST(DistHosts, OutOfWireRangeValueIsRefusedBeforeDispatch)
     pcfg.threads = 1;
     pcfg.reconfigCost = 2'000'000'000;
     EXPECT_NO_THROW(phase::evaluatePhases(shift, pcfg));
-    try {
+    const auto phases = [&] {
         evaluatePhasesDistributed(shift, pcfg, opt, &stats);
-        ADD_FAILURE() << "an out-of-range phases run was dispatched";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-            << e.what();
-    }
-    EXPECT_TRUE(stats.failures.empty());
+    };
+    expectRefused(phases, "'reconfig_cost' must be an integer in [0, 1e9]");
+    pcfg.reconfigCost = 0;
+    pcfg.methodology.partitioner.seed = (1ull << 53) + 1;
+    expectRefused(phases, "a seed above 2^53 reads back rounded");
 
     // Both daemons still take the next sweep.
     const auto base = dse::explore(tr, smallConfig("", false));
